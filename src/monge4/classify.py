@@ -22,7 +22,7 @@ from .localgeom import (LocalInvariants, SurfaceSpec, coeff_norm,
 __all__ = [
     "ToleranceSet", "PointClassification", "classify_point",
     "asymptotic_directions", "binormals", "hessian_of_delta",
-    "canonical_direction", "class_label", "class_labels_grid",
+    "canonical_direction", "class_label", "class_labels_grid", "rank_m",
 ]
 
 
@@ -68,6 +68,27 @@ def canonical_direction(v, zero=1e-12) -> np.ndarray:
     return v
 
 
+def rank_m(a, b, c, e, f, g, rank_ratio):
+    """Rank of M = [[a, b, c], [e, f, g]] from its singular values s1 >= s2:
+    0 when s1 <= 1e-14, 1 when s2 <= rank_ratio * s1, else 2.
+
+    The singular values come in closed form: s1^2 + s2^2 = ||M||^2, and by
+    Cauchy-Binet s1^2 s2^2 = det(M M^T) is the sum of the squared 2x2
+    minors.  Both are taken on M divided by its largest entry, so no square
+    overflows or underflows.  Works elementwise on floats and arrays.
+    """
+    big = np.maximum(np.maximum(np.maximum(abs(a), abs(b)), abs(c)),
+                     np.maximum(np.maximum(abs(e), abs(f)), abs(g)))
+    scale = np.where(big > 0.0, big, 1.0)
+    a, b, c, e, f, g = (v / scale for v in (a, b, c, e, f, g))
+    norm_sq = a * a + b * b + c * c + e * e + f * f + g * g
+    det = (a * f - b * e) ** 2 + (a * g - c * e) ** 2 + (b * g - c * f) ** 2
+    s1_sq = 0.5 * (norm_sq + np.sqrt(np.maximum(norm_sq * norm_sq - 4.0 * det, 0.0)))
+    # s2^2 = det / s1^2, so s2 <= r s1  <=>  det <= r^2 s1^4
+    return np.where(big * np.sqrt(s1_sq) <= 1e-14, 0,
+                    np.where(det <= rank_ratio ** 2 * s1_sq * s1_sq, 1, 2))
+
+
 def classify_point(inv: LocalInvariants,
                    tol: ToleranceSet = DEFAULT_TOL) -> PointClassification:
     """Taxonomy tag for the point of ``inv``.
@@ -81,13 +102,7 @@ def classify_point(inv: LocalInvariants,
     tau_kappa = tol.rel * msq
     tau_k = tol.rel * msq
 
-    sv = np.linalg.svd(inv.coeff_matrix, compute_uv=False)
-    if sv[0] <= 1e-14:
-        rank = 0
-    elif sv[1] <= tol.rank_ratio * sv[0]:
-        rank = 1
-    else:
-        rank = 2
+    rank = int(rank_m(inv.a, inv.b, inv.c, inv.e, inv.f, inv.g, tol.rank_ratio))
 
     if inv.Delta > tau_delta:
         kind = "elliptic"
@@ -184,13 +199,8 @@ def class_labels_grid(fields, tol: ToleranceSet = DEFAULT_TOL) -> np.ndarray:
     tau_delta = tol.rel * msq * msq
     tau_band = tol.rel * msq
 
-    mstack = np.stack([
-        np.stack([fields.a, fields.b, fields.c], axis=-1),
-        np.stack([fields.e, fields.f, fields.g], axis=-1),
-    ], axis=-2)
-    sv = np.linalg.svd(mstack, compute_uv=False)
-    rank = np.where(sv[..., 0] <= 1e-14, 0,
-                    np.where(sv[..., 1] <= tol.rank_ratio * sv[..., 0], 1, 2))
+    rank = rank_m(fields.a, fields.b, fields.c, fields.e, fields.f, fields.g,
+                  tol.rank_ratio)
 
     labels = np.full(delta.shape, "parabolic", dtype=object)
     labels[delta > tau_delta] = "elliptic"

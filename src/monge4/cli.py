@@ -9,10 +9,11 @@ Subcommands::
     plot        --surface F --at X,Y --out F  SVG of the normal plane
     selfcheck   --surface F --res N           cross-formula invariant suite
 
-Exit codes: 0 success, 1 selfcheck failure, 2 usage error, 3 surface file
-parse error, 4 numerical failure.  Reals are printed in shortest
-round-trip form (at most 17 significant digits); CSV uses comma separators,
-'.' decimal points, LF line endings and a header row.
+Exit codes: 0 success, 1 selfcheck failure, 2 usage error (including an
+unwritable output path), 3 surface file parse error, 4 numerical failure
+(including overflow and linear-algebra failures).  Reals are printed in
+shortest round-trip form (at most 17 significant digits); CSV uses comma
+separators, '.' decimal points, LF line endings and a header row.
 """
 
 from __future__ import annotations
@@ -184,29 +185,42 @@ def _grid_axes(surface, res):
     return np.linspace(xmin, xmax, res), np.linspace(ymin, ymax, res)
 
 
-def grid_rows(surface: SurfaceSpec, res: int, tol: cls.ToleranceSet):
-    """Rows of the grid CSV, row-major from (xmin, ymin): y varies in the
-    outer loop, x in the inner one."""
+def _fmt_column(values: np.ndarray) -> list[str]:
+    """:func:`_fmt` over a float array, in one pass."""
+    return list(map(repr, (values + 0.0).tolist()))
+
+
+def grid_rows(surface: SurfaceSpec, res: int, tol: cls.ToleranceSet) -> list[str]:
+    """Lines of the grid CSV after the header, row-major from (xmin, ymin):
+    y varies in the outer loop, x in the inner one."""
     xs, ys = _grid_axes(surface, res)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     fields = invariant_grid(surface, gx, gy)
     labels = cls.class_labels_grid(fields, tol)
-    rows = []
-    for j in range(res):
-        for i in range(res):
-            rows.append((xs[i], ys[j], fields.K[i, j], fields.kappa[i, j],
-                         fields.Delta[i, j], labels[i, j]))
-    return rows
+    x_text = _fmt_column(xs)
+    lines = []
+    for j, y in enumerate(_fmt_column(ys)):
+        lines += [f"{x},{y},{k},{kap},{delta},{label}\n"
+                  for x, k, kap, delta, label in zip(
+                      x_text, _fmt_column(fields.K[:, j]),
+                      _fmt_column(fields.kappa[:, j]),
+                      _fmt_column(fields.Delta[:, j]), labels[:, j].tolist())]
+    return lines
+
+
+def _open_output(path):
+    try:
+        return open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise _UsageError(f"cannot write output: {exc}") from None
 
 
 def _cmd_grid(surface, cfg, out):
     res = _check_res(cfg.resolution)
-    rows = grid_rows(surface, res, cfg.tolerances)
-    with open(cfg.out_path, "w", encoding="utf-8", newline="\n") as fh:
+    lines = grid_rows(surface, res, cfg.tolerances)
+    with _open_output(cfg.out_path) as fh:
         fh.write("x,y,K,kappa,Delta,class\n")
-        for x, y, k, kap, delta, label in rows:
-            fh.write(f"{_fmt(x)},{_fmt(y)},{_fmt(k)},{_fmt(kap)},"
-                     f"{_fmt(delta)},{label}\n")
+        fh.writelines(lines)
     return EXIT_OK
 
 
@@ -217,7 +231,7 @@ def _cmd_grid(surface, cfg, out):
 def _cmd_trace(surface, cfg, out):
     res = _check_res(cfg.resolution)
     result = locus.trace_parabolic(surface, res, cfg.tolerances)
-    with open(cfg.out_path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_output(cfg.out_path) as fh:
         fh.write("polyline_id,vertex_id,x,y,delta_residual\n")
         for pid, pl in enumerate(result.polylines):
             for vid in range(len(pl.points)):
@@ -253,7 +267,7 @@ def _cmd_plot(surface, cfg, out):
         bins = []
     svg = render_normal_plane(ind_pts, char_polys, bins,
                               title=f"normal plane at ({x}, {y})")
-    with open(cfg.out_path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_output(cfg.out_path) as fh:
         fh.write(svg)
     return EXIT_OK
 
@@ -393,6 +407,9 @@ def run(argv, out=None, err=None) -> int:
     except _UsageError as exc:
         err.write(f"monge4: {exc}\n")
         return EXIT_USAGE
+    except np.linalg.LinAlgError as exc:  # a ValueError, but not a usage error
+        err.write(f"monge4: numerical failure: {exc}\n")
+        return EXIT_NUMERICAL
     except ValueError as exc:
         err.write(f"monge4: {exc}\n")
         return EXIT_USAGE

@@ -141,6 +141,10 @@ class Jet3:
     def __mul__(self, o):
         if not isinstance(o, Jet3):
             return self.scaled(o)
+        if _is_constant(o):
+            return self.scaled(o.f)
+        if _is_constant(self):
+            return o.scaled(self.f)
         a, b = self, o
         return Jet3(
             a.f * b.f,
@@ -178,17 +182,35 @@ class Jet3:
     def _compose(self, d0, d1, d2, d3):
         """Jet of u(f) from the derivative values d_k = u^(k)(f) at the point.
 
-        Uses the truncated series u(f) = d0 + d1 p + d2/2 p^2 + d3/6 p^3
-        where p is this jet with its constant part removed (p is nilpotent
-        to order 4, so the series is exact).
+        Order-3 Faa di Bruno: u(f) = d0 + d1 p + d2/2 p^2 + d3/6 p^3, where p
+        is this jet with its constant part removed.  p^2 and p^3 are written
+        out without the products that contain p's zero constant term; the
+        remaining products are summed in the order of the Leibniz rule.
         """
-        p = Jet3(self.f * 0.0, self.fx, self.fy, self.fxx, self.fxy, self.fyy,
-                 self.fxxx, self.fxxy, self.fxyy, self.fyyy)
-        p2 = p * p
-        p3 = p2 * p
-        out = p.scaled(d1) + p2.scaled(d2 / 2.0) + p3.scaled(d3 / 6.0)
-        return Jet3(out.f + d0, out.fx, out.fy, out.fxx, out.fxy, out.fyy,
-                    out.fxxx, out.fxxy, out.fxyy, out.fyyy)
+        fx, fy, fxx, fxy, fyy = self.fx, self.fy, self.fxx, self.fxy, self.fyy
+        # p^2: its value and first derivatives vanish
+        s_xx = 2.0 * fx * fx
+        s_xy = fx * fy + fy * fx
+        s_yy = 2.0 * fy * fy
+        s_xxx = 3.0 * fxx * fx + 3.0 * fx * fxx
+        s_xxy = fxx * fy + 2.0 * fxy * fx + 2.0 * fx * fxy + fy * fxx
+        s_xyy = fyy * fx + 2.0 * fxy * fy + 2.0 * fy * fxy + fx * fyy
+        s_yyy = 3.0 * fyy * fy + 3.0 * fy * fyy
+        # p^3 = p^2 p: only its third derivatives survive
+        h2 = d2 / 2.0
+        h3 = d3 / 6.0
+        return Jet3(
+            d0,
+            d1 * fx,
+            d1 * fy,
+            d1 * fxx + h2 * s_xx,
+            d1 * fxy + h2 * s_xy,
+            d1 * fyy + h2 * s_yy,
+            d1 * self.fxxx + h2 * s_xxx + h3 * (3.0 * s_xx * fx),
+            d1 * self.fxxy + h2 * s_xxy + h3 * (s_xx * fy + 2.0 * s_xy * fx),
+            d1 * self.fxyy + h2 * s_xyy + h3 * (s_yy * fx + 2.0 * s_xy * fy),
+            d1 * self.fyyy + h2 * s_yyy + h3 * (3.0 * s_yy * fy),
+        )
 
     def sin(self):
         s, c = _sin(self.f), _cos(self.f)
@@ -245,6 +267,15 @@ class Jet3:
     def coeffs(self):
         return (self.f, self.fx, self.fy, self.fxx, self.fxy, self.fyy,
                 self.fxxx, self.fxxy, self.fxyy, self.fyyy)
+
+
+def _is_constant(j: Jet3) -> bool:
+    """True when every derivative coefficient is the float 0.0, as
+    :func:`jet_constant` makes them; a product with such a jet is a scaling."""
+    for c in (j.fx, j.fy, j.fxx, j.fxy, j.fyy, j.fxxx, j.fxxy, j.fxyy, j.fyyy):
+        if type(c) is not float or c != 0.0:
+            return False
+    return True
 
 
 def jet_constant(v) -> Jet3:

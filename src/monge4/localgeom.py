@@ -21,7 +21,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import expr as ex
-from .errors import CrossCheckError, DegenerateMetricError
+from .errors import CrossCheckError, DegenerateMetricError, EvaluationError
 from .jets import Dual2, Jet3, eval_jet3, generic_sqrt
 
 __all__ = [
@@ -42,6 +42,8 @@ REL_KAPPA = 1e-9
 REL_DELTA = 1e-9
 REL_GRAM = 1e-10
 REL_BRIOSCHI = 1e-8
+
+_OVERFLOW = "non-finite invariants (overflow)"
 
 
 @dataclass(frozen=True)
@@ -230,18 +232,39 @@ def _run_cross_checks(fl, delta_det, strict, where=None):
                 REL_GRAM, np.abs(fl.W), strict, where)
 
 
+def _finite_frame_fields(jphi: Jet3, jpsi: Jet3, x, y):
+    """:func:`frame_fields` of two jets, refusing overflow: raises
+    :class:`EvaluationError` at the first point where a coefficient, K, kappa
+    or Delta is not finite."""
+    try:
+        with np.errstate(all="ignore"):
+            fl = frame_fields(_jet_first_second(jphi), _jet_first_second(jpsi))
+    except OverflowError:  # Python floats raise where arrays give inf
+        raise EvaluationError(_OVERFLOW, (float(x), float(y))) from None
+    bad = ~np.isfinite(fl.Delta)
+    for name in ("a", "b", "c", "e", "f", "g", "K", "kappa"):
+        bad = bad | ~np.isfinite(getattr(fl, name))
+    if np.any(bad):
+        bx, by = np.broadcast_arrays(x, y)
+        idx = int(np.argmax(np.broadcast_to(bad, bx.shape).ravel()))
+        raise EvaluationError(_OVERFLOW,
+                              (float(bx.ravel()[idx]), float(by.ravel()[idx])))
+    return fl
+
+
 def local_invariants(surface: SurfaceSpec, x: float, y: float, *,
                      strict: bool = True) -> LocalInvariants:
     """All pointwise invariants at (x, y); both formula routes reconciled.
 
     With ``strict`` (default) a disagreement between redundant formulas is a
     :class:`CrossCheckError`; otherwise it is logged and the coefficient-path
-    values are returned.
+    values are returned.  An invariant that overflows is an
+    :class:`EvaluationError`.
     """
     jphi = eval_jet3(surface.phi, x, y)
     jpsi = eval_jet3(surface.psi, x, y)
     try:
-        fl = frame_fields(_jet_first_second(jphi), _jet_first_second(jpsi))
+        fl = _finite_frame_fields(jphi, jpsi, x, y)
     except DegenerateMetricError as err:
         raise DegenerateMetricError((x, y), err.w) from None
     delta_det = delta_resultant(fl.a, fl.b, fl.c, fl.e, fl.f, fl.g)
@@ -263,12 +286,14 @@ def invariant_grid(surface: SurfaceSpec, x, y, *, strict: bool = True,
     """Vectorised invariants over arrays of points (shapes must broadcast).
 
     Returns the namespace of :func:`frame_fields` with arrays, plus the jets.
+    An invariant that overflows at any point is an :class:`EvaluationError`
+    carrying the first such point.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     jphi = eval_jet3(surface.phi, x, y)
     jpsi = eval_jet3(surface.psi, x, y)
-    fl = frame_fields(_jet_first_second(jphi), _jet_first_second(jpsi))
+    fl = _finite_frame_fields(jphi, jpsi, x, y)
     if cross_check:
         delta_det = delta_resultant(fl.a, fl.b, fl.c, fl.e, fl.f, fl.g)
         bx, by = np.broadcast_arrays(x, y)

@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from monge4 import classify, conics
 from monge4.classify import (asymptotic_directions, binormals,
                              canonical_direction, class_label,
                              class_labels_grid, classify_point,
-                             hessian_of_delta)
+                             hessian_of_delta, rank_m)
 from monge4.errors import InflectionPointError
 from monge4.localgeom import (invariant_grid, invariant_gradients,
                               local_invariants)
@@ -254,3 +256,77 @@ def test_grid_labels_flat(surfaces):
     fields = invariant_grid(surfaces["flat"], gx, gy)
     labels = class_labels_grid(fields)
     assert np.all(labels == "inflection_flat")
+
+
+# -- closed-form rank of the coefficient matrix --------------------------------
+
+RATIO = 1e-8
+
+
+def _svd_rank(m):
+    """Rank of M by LAPACK singular values; None inside the rounding band of
+    either threshold, where two correct methods may disagree."""
+    sv = np.linalg.svd(m, compute_uv=False)
+    if abs(sv[0] - 1e-14) <= 1e-9 * 1e-14:
+        return None
+    if sv[0] <= 1e-14:
+        return 0
+    if abs(sv[1] - RATIO * sv[0]) <= 1e-6 * RATIO * sv[0]:
+        return None
+    return 1 if sv[1] <= RATIO * sv[0] else 2
+
+
+def _closed_rank(m):
+    return int(rank_m(*m[0], *m[1], RATIO))
+
+
+_exponents = st.integers(-150, 150)
+_seeds = st.integers(0, 2 ** 32 - 1)
+
+
+@given(st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6), _exponents)
+@settings(max_examples=300)
+def test_rank_m_matches_svd_random(entries, exponent):
+    m = np.array(entries).reshape(2, 3) * 10.0 ** exponent
+    expected = _svd_rank(m)
+    assume(expected is not None)
+    assert _closed_rank(m) == expected
+
+
+@given(_seeds, _exponents)
+@settings(max_examples=200)
+def test_rank_m_outer_products(seed, exponent):
+    rng = np.random.default_rng(seed)
+    m = np.outer(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 3)) * 10.0 ** exponent
+    expected = _svd_rank(m)
+    assume(expected is not None)
+    assert expected <= 1
+    assert _closed_rank(m) == expected
+
+
+@given(_seeds, _exponents, st.sampled_from([0.1, 0.5, 0.9, 1.1, 2.0, 10.0]))
+@settings(max_examples=200)
+def test_rank_m_perturbed_rank_one(seed, exponent, factor):
+    """s2 / s1 = factor * 1e-8, on either side of the rank-1 threshold."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+    v, _ = np.linalg.qr(rng.standard_normal((3, 2)))
+    s1 = 10.0 ** exponent
+    m = s1 * (np.outer(u[:, 0], v[:, 0])
+              + factor * RATIO * np.outer(u[:, 1], v[:, 1]))
+    expected = _svd_rank(m)
+    assume(expected is not None)
+    if s1 > 1e-13:
+        assert expected == (1 if factor < 1.0 else 2)
+    assert _closed_rank(m) == expected
+
+
+def test_rank_m_zero_and_arrays():
+    assert _closed_rank(np.zeros((2, 3))) == 0
+    assert _closed_rank(np.array([[1e-320, 0, 0], [0, 0, 0]])) == 0
+    rng = np.random.default_rng(5)
+    ms = rng.uniform(-1, 1, (50, 2, 3))
+    ms[::3, 1] = 2.0 * ms[::3, 0]
+    ranks = rank_m(*(ms[:, r, k] for r in range(2) for k in range(3)), RATIO)
+    assert ranks.tolist() == [_closed_rank(m) for m in ms]
+    assert ranks.tolist() == [_svd_rank(m) for m in ms]

@@ -1,9 +1,11 @@
 """Surface files, CLI subcommands, output formats, exit codes, determinism."""
 
+import hashlib
 import io
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from monge4 import cli
@@ -273,6 +275,56 @@ def test_exit_numerical_failure(tmp_path):
     assert "log" in err
 
 
+OVERFLOW_TEXT = "phi = 1e80*x^2\npsi = 1e80*y^2\ndomain = -1 1 -1 1\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["grid", "--res", "16", "--out", "{tmp}/x.csv"],
+    ["selfcheck", "--res", "16"],
+    ["analyze", "--at=0.5,0.1"],
+    ["analyze", "--at=0,0"],
+])
+def test_exit_numerical_overflow(tmp_path, args):
+    """Invariants that overflow end in exit 4 with one line naming a point."""
+    surf = write(tmp_path, "big.surf", OVERFLOW_TEXT)
+    args = [a.replace("{tmp}", str(tmp_path)) for a in args]
+    code, out, err = run_cli(args + ["--surface", surf])
+    assert code == 4
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("monge4: numerical failure: non-finite invariants")
+    assert "at point (" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_exit_numerical_linalg_error(tmp_path, monkeypatch):
+    """numpy's LinAlgError is a ValueError, but a numerical failure."""
+    surf = write(tmp_path, "b.surf", B_TEXT)
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    code, _, err = run_cli(["analyze", "--surface", surf, "--at", "0.1,0.2"])
+    assert code == 4
+    assert err == "monge4: numerical failure: SVD did not converge\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["grid", "--res", "16"],
+    ["trace", "--res", "16"],
+    ["plot", "--at", "0.1,0.2"],
+])
+def test_exit_usage_unwritable_output(tmp_path, args):
+    surf = write(tmp_path, "b.surf", B_TEXT)
+    target = tmp_path / "no-such-dir" / "out"
+    code, _, err = run_cli(args + ["--surface", surf, "--out", str(target)])
+    assert code == 2
+    assert err.startswith("monge4: cannot write output: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 # -- determinism ------------------------------------------------------------------------
 
 def _run_subprocess(args):
@@ -297,3 +349,25 @@ def test_byte_identical_outputs(tmp_path):
     assert (tmp_path / "g1.svg").read_bytes() == (tmp_path / "g2.svg").read_bytes()
     # LF line endings
     assert b"\r" not in (tmp_path / "g1.csv").read_bytes()
+
+
+# sha256 of the outputs for GOLDEN_TEXT at --res 32.  The surface is
+# polynomial, so the bytes depend on neither libm nor LAPACK; a change that
+# alters any digit of the grid or the trace shows here.
+GOLDEN_TEXT = ("phi = 1.5*x^2 + 0.5*y^2\npsi = 2*x*y + 0.3*y^3\n"
+               "domain = -1 1 -1 1\n")
+GOLDEN_SHA256 = {
+    "grid": "c7729615c18177e5b7475b480097dd28f04e6436ee4213bae870cb4bb90e9be3",
+    "trace": "d7719485d10b9cbddda19edb94d00d6e1f9ed2c806ff8c28a0a57113284eaba9",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_SHA256))
+def test_golden_outputs(tmp_path, command):
+    surf = write(tmp_path, "g.surf", GOLDEN_TEXT)
+    out_path = tmp_path / f"{command}.csv"
+    code, _, err = run_cli([command, "--surface", surf, "--res", "32",
+                            "--out", str(out_path)])
+    assert code == 0, err
+    digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+    assert digest == GOLDEN_SHA256[command]
