@@ -4,12 +4,16 @@ Classification thresholds are scale-relative: Delta is homogeneous of degree
 4 and kappa (and K) of degree 2 in the second-fundamental-form coefficients,
 so thresholds scale with ||M||^4 and ||M||^2 where M is the 2x3 coefficient
 matrix [[a,b,c],[e,f,g]].  This keeps the classification invariant under a
-uniform rescaling of the normal components of the surface.
+uniform rescaling of the normal components of the surface.  The bands are
+decided on M times an exact power of two that brings its largest entry into
+[0.5, 1), so that Delta and its band neither underflow nor overflow.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -89,35 +93,63 @@ def rank_m(a, b, c, e, f, g, rank_ratio):
                     np.where(det <= rank_ratio ** 2 * s1_sq * s1_sq, 1, 2))
 
 
+def _unit_scaled(a, b, c, e, f, g):
+    """a..g times 2^-k, where 2^k is the power of two just above the largest
+    |entry|, with msq = ||M||^2, K, kappa and Delta recomputed from them by
+    the formulas of :func:`frame_fields`.
+
+    Multiplying by a power of two is exact in the normal range, so every
+    rounding commutes with the scaling and the sign of each invariant
+    against its band is the one of the unscaled values; only underflow and
+    overflow go away.  Works elementwise on floats and arrays.
+    """
+    big = np.maximum(np.maximum(np.maximum(abs(a), abs(b)), abs(c)),
+                     np.maximum(np.maximum(abs(e), abs(f)), abs(g)))
+    if np.ndim(big):
+        p = np.ldexp(1.0, -np.frexp(big)[1])
+    else:
+        p = math.ldexp(1.0, -math.frexp(big)[1])
+    a, b, c, e, f, g = (v * p for v in (a, b, c, e, f, g))
+    m = SimpleNamespace(a=a, b=b, c=c, e=e, f=f, g=g)
+    msq = (float(coeff_norm(m)) if np.ndim(big) == 0 else coeff_norm(m)) ** 2
+    return SimpleNamespace(
+        msq=msq,
+        K=(a * c - b * b) + (e * g - f * f),
+        kappa=(a - c) * f - (e - g) * b,
+        Delta=(a * c - b * b) * (e * g - f * f)
+        - 0.25 * (a * g + c * e - 2.0 * b * f) ** 2)
+
+
 def classify_point(inv: LocalInvariants,
                    tol: ToleranceSet = DEFAULT_TOL) -> PointClassification:
     """Taxonomy tag for the point of ``inv``.
 
     The kind follows the sign of Delta inside a ||M||^4-relative band; within
     the parabolic band the point is an inflection when additionally kappa
-    vanishes (||M||^2 band) and the coefficient matrix has rank <= 1.
+    vanishes (||M||^2 band) and the coefficient matrix has rank <= 1.  The
+    bands are decided on M scaled to a largest entry in [0.5, 1).
     """
-    msq = inv.coeff_norm ** 2
-    tau_delta = tol.rel * msq * msq
-    tau_kappa = tol.rel * msq
-    tau_k = tol.rel * msq
+    m = _unit_scaled(inv.a, inv.b, inv.c, inv.e, inv.f, inv.g)
+    tau_delta = tol.rel * m.msq * m.msq
+    tau_kappa = tol.rel * m.msq
+    tau_k = tol.rel * m.msq
 
     rank = int(rank_m(inv.a, inv.b, inv.c, inv.e, inv.f, inv.g, tol.rank_ratio))
 
-    if inv.Delta > tau_delta:
+    if m.Delta > tau_delta:
         kind = "elliptic"
-    elif inv.Delta < -tau_delta:
+    elif m.Delta < -tau_delta:
         kind = "hyperbolic"
-    elif abs(inv.kappa) <= tau_kappa and rank <= 1:
+    elif abs(m.kappa) <= tau_kappa and rank <= 1:
         kind = "inflection"
     else:
         kind = "parabolic"
 
     itype = None
     if kind == "inflection":
-        if inv.K < -tau_k:
+        if m.K < -tau_k:
             itype = "real"
-        elif inv.K > tau_k:
+        elif m.K > tau_k:
             itype = "imaginary"
         else:
             itype = "flat"
@@ -192,10 +224,8 @@ def class_labels_grid(fields, tol: ToleranceSet = DEFAULT_TOL) -> np.ndarray:
     Same decision procedure as :func:`classify_point`; inflection labels
     carry their type ("inflection_real" etc.).
     """
-    delta = np.asarray(fields.Delta)
-    kappa = np.asarray(fields.kappa)
-    kg = np.asarray(fields.K)
-    msq = np.asarray(coeff_norm(fields)) ** 2
+    m = _unit_scaled(fields.a, fields.b, fields.c, fields.e, fields.f, fields.g)
+    delta, kappa, kg, msq = m.Delta, m.kappa, m.K, m.msq
     tau_delta = tol.rel * msq * msq
     tau_band = tol.rel * msq
 

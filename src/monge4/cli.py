@@ -11,14 +11,16 @@ Subcommands::
 
 Exit codes: 0 success, 1 selfcheck failure, 2 usage error (including an
 unwritable output path), 3 surface file parse error, 4 numerical failure
-(including overflow and linear-algebra failures).  Reals are printed in
-shortest round-trip form (at most 17 significant digits); CSV uses comma
-separators, '.' decimal points, LF line endings and a header row.
+(including overflow, linear-algebra failures and running out of memory).
+Reals are printed in shortest round-trip form (at most 17 significant
+digits); CSV uses comma separators, '.' decimal points, LF line endings and
+a header row.
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import dataclass
 
@@ -378,12 +380,25 @@ _COMMANDS = {
 }
 
 
+def _attach_negative_points(argv):
+    """Rewrite ``--at -0.5,0`` as ``--at=-0.5,0``: argparse takes a separate
+    value that starts with '-' and is not a plain number for an option."""
+    argv = list(argv)
+    out = []
+    while argv:
+        arg = argv.pop(0)
+        if arg == "--at" and argv and re.match(r"-[0-9.]", argv[0]):
+            arg = f"--at={argv.pop(0)}"
+        out.append(arg)
+    return out
+
+
 def run(argv, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_points(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:
@@ -418,6 +433,9 @@ def run(argv, out=None, err=None) -> int:
         return EXIT_NUMERICAL
     except (DegenerateIndicatrixError, Monge4Error) as exc:
         err.write(f"monge4: {exc}\n")
+        return EXIT_NUMERICAL
+    except MemoryError as exc:  # numpy's _ArrayMemoryError included
+        err.write(f"monge4: out of memory: {exc}\n")
         return EXIT_NUMERICAL
 
 

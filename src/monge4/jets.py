@@ -22,7 +22,12 @@ import numpy as np
 from . import expr as ex
 from .errors import EvaluationError
 
-__all__ = ["Jet3", "Dual2", "eval_jet3", "eval_value", "jet_constant", "jet_variable"]
+__all__ = ["Jet3", "Dual2", "eval_jet3", "jet_constant", "jet_variable"]
+
+
+# largest |exponent| of an integer power taken by repeated squaring; above
+# it x^n is exp(n log x), defined for x > 0 only
+POWI_LIMIT = 512
 
 
 def _sin(v):
@@ -259,9 +264,13 @@ class Jet3:
         return result
 
     def powf(self, p: float):
-        if float(p).is_integer() and abs(p) <= 512:
-            return self.powi(int(p))
-        _require_positive(self.f, "non-integer power")
+        if float(p).is_integer():
+            if abs(p) <= POWI_LIMIT:
+                return self.powi(int(p))
+            _require_positive(self.f, f"integer power {p:g} (above the powi "
+                                      f"limit {POWI_LIMIT})")
+        else:
+            _require_positive(self.f, "non-integer power")
         return (self.log().scaled(p)).exp()
 
     def coeffs(self):
@@ -439,38 +448,4 @@ def _eval(node: ex.Expr, x0, y0) -> Jet3:
             return _eval(b, x0, y0).powf(p)
         case ex.Call(func=f, arg=a):
             return getattr(_eval(a, x0, y0), f)()
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def eval_value(node: ex.Expr, x0, y0):
-    """Plain value evaluation (no derivatives); same domain semantics."""
-    match node:
-        case ex.Num(value=v):
-            return v
-        case ex.Name(name=n):
-            if n in ex.CONSTANTS:
-                return ex.CONSTANTS[n]
-            return x0 if n == "x" else y0
-        case ex.Neg(operand=u):
-            return -eval_value(u, x0, y0)
-        case ex.BinOp(op=op, lhs=l, rhs=r):
-            a = eval_value(l, x0, y0)
-            b = eval_value(r, x0, y0)
-            if op == "+":
-                return a + b
-            if op == "-":
-                return a - b
-            if op == "*":
-                return a * b
-            return a / b
-        case ex.Pow(base=b, exponent=p):
-            base = eval_value(b, x0, y0)
-            if float(p).is_integer():
-                return base ** int(p)
-            return base ** p
-        case ex.Call(func=f, arg=a):
-            v = eval_value(a, x0, y0)
-            fn = {"sin": _sin, "cos": _cos, "tan": _tan,
-                  "exp": _exp, "log": _log, "sqrt": _sqrt}[f]
-            return fn(v)
     raise TypeError(f"not an expression node: {node!r}")

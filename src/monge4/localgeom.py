@@ -244,6 +244,11 @@ def _finite_frame_fields(jphi: Jet3, jpsi: Jet3, x, y):
     bad = ~np.isfinite(fl.Delta)
     for name in ("a", "b", "c", "e", "f", "g", "K", "kappa"):
         bad = bad | ~np.isfinite(getattr(fl, name))
+    # a denominator that overflows sends its coefficient to 0, not to inf;
+    # these two bound every denominator of frame_fields
+    with np.errstate(over="ignore"):
+        bad = bad | ~np.isfinite(fl.W * fl.W) \
+            | ~np.isfinite(fl.E * fl.W * np.sqrt(fl.W) * np.sqrt(fl.Eh))
     if np.any(bad):
         bx, by = np.broadcast_arrays(x, y)
         idx = int(np.argmax(np.broadcast_to(bad, bx.shape).ravel()))

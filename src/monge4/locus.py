@@ -16,6 +16,7 @@ import numpy as np
 
 from .classify import (DEFAULT_TOL, ToleranceSet, classify_point,
                        hessian_of_delta)
+from .jets import Jet3
 from .localgeom import (SurfaceSpec, coeff_norm, gradient_fields,
                         invariant_grid, invariant_gradients, local_invariants)
 
@@ -98,23 +99,19 @@ def trace_parabolic(surface: SurfaceSpec, resolution: int = 256,
     h_cross = (pos[:-1, :] & neg[1:, :]) | (neg[:-1, :] & pos[1:, :])
     v_cross = (pos[:, :-1] & neg[:, 1:]) | (neg[:, :-1] & pos[:, 1:])
 
-    # refine all crossing edges at once by bisection on the exact field
+    # refine every crossing edge, h and v together, by one batch of bisection
+    # on the exact field; edge k runs from (ax, ay) at 0 to (bx, by) at 1
+    hi_idx = np.nonzero(h_cross)
+    vi_idx = np.nonzero(v_cross)
     crossings = {}
-
-    def _refine(kind, ii, jj):
-        if kind == "h":
-            ax = xs[ii]
-            bx = xs[ii + 1]
-            ay = by = ys[jj]
-            fa = delta[ii, jj]
-        else:
-            ax = bx = xs[ii]
-            ay = ys[jj]
-            by = ys[jj + 1]
-            fa = delta[ii, jj]
-        lo = np.zeros(len(ii))
-        hi = np.ones(len(ii))
-        sa = np.sign(fa)
+    if h_cross.any() or v_cross.any():
+        ax = np.concatenate([xs[hi_idx[0]], xs[vi_idx[0]]])
+        bx = np.concatenate([xs[hi_idx[0] + 1], xs[vi_idx[0]]])
+        ay = np.concatenate([ys[hi_idx[1]], ys[vi_idx[1]]])
+        by = np.concatenate([ys[hi_idx[1]], ys[vi_idx[1] + 1]])
+        sa = np.sign(np.concatenate([delta[hi_idx], delta[vi_idx]]))
+        lo = np.zeros(len(ax))
+        hi = np.ones(len(ax))
         for _ in range(BISECT_ITERATIONS):
             mid = 0.5 * (lo + hi)
             mx = ax + (bx - ax) * mid
@@ -127,53 +124,38 @@ def trace_parabolic(surface: SurfaceSpec, resolution: int = 256,
         mx = ax + (bx - ax) * mid
         my = ay + (by - ay) * mid
         res = np.abs(np.asarray(_delta_on(surface, mx, my)))
-        for k in range(len(ii)):
-            crossings[(kind, int(ii[k]), int(jj[k]))] = (
-                float(mx[k]), float(my[k]), float(res[k]))
+        keys = [("h", i, j) for i, j in zip(*(a.tolist() for a in hi_idx))] \
+            + [("v", i, j) for i, j in zip(*(a.tolist() for a in vi_idx))]
+        crossings = dict(zip(keys, zip(mx.tolist(), my.tolist(), res.tolist())))
 
-    hi_idx = np.nonzero(h_cross)
-    if len(hi_idx[0]):
-        _refine("h", hi_idx[0], hi_idx[1])
-    vi_idx = np.nonzero(v_cross)
-    if len(vi_idx[0]):
-        _refine("v", vi_idx[0], vi_idx[1])
-
-    # per-cell segments joining crossing edges
+    # per-cell segments joining crossing edges; a cell's edges in the order
+    # south, east, north, west
+    south = h_cross[:, :-1]
+    east = v_cross[1:, :]
+    north = h_cross[:, 1:]
+    west = v_cross[:-1, :]
+    count = south.astype(np.int8) + east + north + west
     segments = []
-    center_cache = {}
-
-    def _center_sign(i, j):
-        if (i, j) not in center_cache:
-            cxv = 0.5 * (xs[i] + xs[i + 1])
-            cyv = 0.5 * (ys[j] + ys[j + 1])
-            center_cache[(i, j)] = float(_delta_on(surface, cxv, cyv)) > 0.0
-        return center_cache[(i, j)]
-
-    for i in range(nx - 1):
-        for j in range(ny - 1):
-            if not live[i, j]:
-                continue
-            edges = []
-            if h_cross[i, j]:
-                edges.append(("h", i, j))
-            if v_cross[i + 1, j]:
-                edges.append(("v", i + 1, j))
-            if h_cross[i, j + 1]:
-                edges.append(("h", i, j + 1))
-            if v_cross[i, j]:
-                edges.append(("v", i, j))
-            if len(edges) == 2:
-                segments.append((edges[0], edges[1]))
-            elif len(edges) == 4:
-                # saddle cell: pair edges around the corner regions matching
-                # the centre sign
-                south, east, north, west = edges
-                if _center_sign(i, j) == bool(pos[i, j]):
-                    segments.append((south, east))
-                    segments.append((north, west))
-                else:
-                    segments.append((south, west))
-                    segments.append((north, east))
+    cells = np.nonzero(live & ((count == 2) | (count == 4)))
+    for i, j in zip(*(a.tolist() for a in cells)):
+        edges = [edge for edge, crossed in (
+            (("h", i, j), south[i, j]), (("v", i + 1, j), east[i, j]),
+            (("h", i, j + 1), north[i, j]), (("v", i, j), west[i, j]))
+            if crossed]
+        if len(edges) == 2:
+            segments.append((edges[0], edges[1]))
+        else:
+            # saddle cell: pair edges around the corner regions matching
+            # the centre sign
+            s_edge, e_edge, n_edge, w_edge = edges
+            cx = 0.5 * (xs[i] + xs[i + 1])
+            cy = 0.5 * (ys[j] + ys[j + 1])
+            if (float(_delta_on(surface, cx, cy)) > 0.0) == bool(pos[i, j]):
+                segments.append((s_edge, e_edge))
+                segments.append((n_edge, w_edge))
+            else:
+                segments.append((s_edge, w_edge))
+                segments.append((n_edge, e_edge))
 
     return PolylineSet(polylines=_link_segments(segments, crossings),
                        degenerate_cells=degenerate_cells)
@@ -242,18 +224,7 @@ def find_inflections(surface: SurfaceSpec, resolution: int = 256,
     kappa = np.asarray(fields.kappa)
     cn = np.asarray(coeff_norm(fields))
     msq = cn ** 2
-    # a node seeds when Delta and kappa are inside the coarse band, or when
-    # the exact gradients say the fields can vanish within ~1.5 cells of it
-    # (a fixed band alone can fall between grid nodes)
-    gfl = gradient_fields(fields.jet_phi, fields.jet_psi)
-    cellx = (xs[-1] - xs[0]) / (len(xs) - 1)
-    celly = (ys[-1] - ys[0]) / (len(ys) - 1)
-    rho = 1.5 * float(np.hypot(cellx, celly))
-    gd = np.hypot(np.asarray(gfl.Delta.dx), np.asarray(gfl.Delta.dy))
-    gk = np.hypot(np.asarray(gfl.kappa.dx), np.asarray(gfl.kappa.dy))
-    seed_mask = (np.abs(delta) <= np.maximum(SEED_BAND * msq ** 2, gd * rho)) \
-        & (np.abs(kappa) <= np.maximum(SEED_BAND * msq, gk * rho))
-    # thin seeds to local minima of the scaled residual field: one walker per
+    # only local minima of the scaled residual field can seed: one walker per
     # candidate basin instead of one per in-band node
     floor4 = np.maximum(msq ** 2, 1e-300)
     floor2 = np.maximum(msq, 1e-300)
@@ -268,7 +239,23 @@ def find_inflections(surface: SurfaceSpec, resolution: int = 256,
             neighbor = padded[1 + di:padded.shape[0] - 1 + di,
                               1 + dj:padded.shape[1] - 1 + dj]
             is_min &= resid_field <= neighbor
-    seed_mask &= is_min
+    # a minimum seeds when Delta and kappa are inside the coarse band, or when
+    # the exact gradients say the fields can vanish within ~1.5 cells of it
+    # (a fixed band alone can fall between grid nodes); the gradients are
+    # taken at the minima only
+    at_min = np.nonzero(is_min)
+    gfl = gradient_fields(*(Jet3(*(c[at_min] for c in jet.coeffs()))
+                            for jet in (fields.jet_phi, fields.jet_psi)))
+    cellx = (xs[-1] - xs[0]) / (len(xs) - 1)
+    celly = (ys[-1] - ys[0]) / (len(ys) - 1)
+    rho = 1.5 * float(np.hypot(cellx, celly))
+    gd = np.hypot(np.asarray(gfl.Delta.dx), np.asarray(gfl.Delta.dy))
+    gk = np.hypot(np.asarray(gfl.kappa.dx), np.asarray(gfl.kappa.dy))
+    msq_min = msq[at_min]
+    seed_mask = np.zeros_like(is_min)
+    seed_mask[at_min] = \
+        (np.abs(delta[at_min]) <= np.maximum(SEED_BAND * msq_min ** 2, gd * rho)) \
+        & (np.abs(kappa[at_min]) <= np.maximum(SEED_BAND * msq_min, gk * rho))
     seeds = np.argwhere(seed_mask)
     if len(seeds) > MAX_SEEDS:
         order = np.argsort(resid_field[seed_mask], kind="stable")

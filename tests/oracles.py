@@ -11,6 +11,48 @@ from __future__ import annotations
 
 import numpy as np
 
+from monge4 import expr as ex
+
+_FUNCTIONS = {"sin": np.sin, "cos": np.cos, "tan": np.tan,
+              "exp": np.exp, "log": np.log, "sqrt": np.sqrt}
+
+
+def eval_value(node: ex.Expr, x0, y0):
+    """Plain value of a parsed expression at (x0, y0), without derivatives.
+
+    Outside a function's domain it returns whatever Python or numpy give
+    (nan, inf or an exception); it does not raise the package's
+    EvaluationError the way eval_jet3 does.
+    """
+    match node:
+        case ex.Num(value=v):
+            return v
+        case ex.Name(name=n):
+            if n in ex.CONSTANTS:
+                return ex.CONSTANTS[n]
+            return x0 if n == "x" else y0
+        case ex.Neg(operand=u):
+            return -eval_value(u, x0, y0)
+        case ex.BinOp(op=op, lhs=l, rhs=r):
+            a = eval_value(l, x0, y0)
+            b = eval_value(r, x0, y0)
+            if op == "+":
+                return a + b
+            if op == "-":
+                return a - b
+            if op == "*":
+                return a * b
+            return a / b
+        case ex.Pow(base=b, exponent=p):
+            base = eval_value(b, x0, y0)
+            if float(p).is_integer():
+                return base ** int(p)
+            return base ** p
+        case ex.Call(func=f, arg=a):
+            return _FUNCTIONS[f](eval_value(a, x0, y0))
+    raise TypeError(f"not an expression node: {node!r}")
+
+
 # one-dimensional central stencils: order -> (offsets, weights * h^order)
 _STENCILS = {
     0: ((0,), (1.0,)),

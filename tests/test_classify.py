@@ -1,6 +1,8 @@
 """Point taxonomy, asymptotic directions, binormals and the Delta Hessian."""
 
+import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,9 +14,9 @@ from monge4.classify import (asymptotic_directions, binormals,
                              canonical_direction, class_label,
                              class_labels_grid, classify_point,
                              hessian_of_delta, rank_m)
-from monge4.errors import InflectionPointError
+from monge4.errors import EvaluationError, InflectionPointError
 from monge4.localgeom import (invariant_grid, invariant_gradients,
-                              local_invariants)
+                              local_invariants, surface_from_strings)
 
 from conftest import make_surface, random_points, random_surfaces
 from oracles import winding_number
@@ -330,3 +332,49 @@ def test_rank_m_zero_and_arrays():
     ranks = rank_m(*(ms[:, r, k] for r in range(2) for k in range(3)), RATIO)
     assert ranks.tolist() == [_closed_rank(m) for m in ms]
     assert ranks.tolist() == [_svd_rank(m) for m in ms]
+
+
+# -- classification independent of scale ------------------------------------------
+
+
+def _scaled_surface(exponent):
+    s = repr(10.0 ** exponent)
+    return surface_from_strings(f"{s}*x^2", f"{s}*y^2")
+
+
+@given(_exponents)
+@settings(max_examples=150, deadline=None)
+def test_classification_scale_free_on_surface(exponent):
+    """phi = s x^2, psi = s y^2 at (0.5, 0.1) is hyperbolic for every
+    s = 10^k; where an invariant overflows (large s) the evaluation fails
+    instead of returning a wrong class."""
+    surface = _scaled_surface(exponent)
+    try:
+        inv = local_invariants(surface, 0.5, 0.1)
+    except EvaluationError:
+        assert exponent > 0
+        with pytest.raises(EvaluationError):
+            invariant_grid(surface, np.array([0.5]), np.array([0.1]))
+        return
+    assert class_label(classify_point(inv)) == "hyperbolic"
+    fields = invariant_grid(surface, np.array([0.5]), np.array([0.1]))
+    assert class_labels_grid(fields).tolist() == ["hyperbolic"]
+
+
+@given(_exponents)
+@settings(max_examples=150)
+def test_classification_scale_free_coefficients(exponent):
+    """M of the s = 1 surface times 10^k keeps its class for k in
+    [-150, 150], although Delta (degree 4) under- or overflows."""
+    inv = local_invariants(_scaled_surface(0), 0.5, 0.1)
+    s = 10.0 ** exponent
+    scaled = dataclasses.replace(
+        inv, a=s * inv.a, b=s * inv.b, c=s * inv.c,
+        e=s * inv.e, f=s * inv.f, g=s * inv.g,
+        K=s * s * inv.K, kappa=s * s * inv.kappa,
+        Delta=s * s * s * s * inv.Delta, H=s * inv.H)
+    assert class_label(classify_point(scaled)) == "hyperbolic"
+    fields = SimpleNamespace(**{k: np.array([getattr(scaled, k)])
+                                for k in ("a", "b", "c", "e", "f", "g",
+                                          "K", "kappa", "Delta")})
+    assert class_labels_grid(fields).tolist() == ["hyperbolic"]

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from monge4 import cli
+from monge4 import cli, locus
 from monge4.errors import SurfaceFileError
 from monge4.surfacefile import parse_surface_text
 
@@ -310,6 +310,50 @@ def test_exit_numerical_linalg_error(tmp_path, monkeypatch):
     assert err == "monge4: numerical failure: SVD did not converge\n"
 
 
+def _raise_memory_error(*args, **kwargs):
+    raise MemoryError("cannot allocate the grid")
+
+
+def _raise_numpy_memory_error(*args, **kwargs):
+    np.empty(1 << 62, dtype=np.uint8)  # 4 EiB: the allocation itself fails
+
+
+@pytest.mark.parametrize("fail", [_raise_memory_error,
+                                  _raise_numpy_memory_error])
+def test_exit_numerical_out_of_memory(tmp_path, monkeypatch, fail):
+    """MemoryError, numpy's _ArrayMemoryError included, is one line and
+    exit 4, not a traceback."""
+    surf = write(tmp_path, "b.surf", B_TEXT)
+    monkeypatch.setattr(locus, "invariant_grid", fail)
+    code, out, err = run_cli(["trace", "--surface", surf, "--res", "16",
+                              "--out", str(tmp_path / "t.csv")])
+    assert code == 4
+    assert out == ""
+    assert err.startswith("monge4: out of memory: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_negative_point_as_separate_argument(tmp_path):
+    """--at -0.5,0 is read like --at=-0.5,0, not as an option."""
+    surf = write(tmp_path, "b.surf", B_TEXT)
+    spaced = run_cli(["analyze", "--surface", surf, "--at", "-0.5,0"])
+    joined = run_cli(["analyze", "--surface", surf, "--at=-0.5,0"])
+    assert spaced[0] == 0, spaced[2]
+    assert spaced == joined
+    assert record_dict(spaced[1])["x"] == "-0.5"
+
+
+def test_integer_power_above_powi_limit_on_negative_base(tmp_path):
+    surf = write(tmp_path, "p.surf",
+                 "phi = x^600\npsi = y^2\ndomain = -1 1 -1 1\n")
+    code, _, err = run_cli(["analyze", "--surface", surf, "--at=-0.5,0"])
+    assert code == 4
+    assert "integer power 600 (above the powi limit 512)" in err
+    assert "non-integer" not in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("args", [
     ["grid", "--res", "16"],
     ["trace", "--res", "16"],
@@ -371,3 +415,57 @@ def test_golden_outputs(tmp_path, command):
     assert code == 0, err
     digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
     assert digest == GOLDEN_SHA256[command]
+
+
+# sha256 of the trace CSV and the inflections stdout at --res 64 for two
+# gallery surfaces (scripts/fixture_gallery.py) and one with a saddle cell of
+# the sampled Delta field, where marching squares needs the centre test.
+# All three are polynomial; the digests were recorded before the locus
+# search was batched and pin its vertices, residuals and reports bit for bit.
+LOCUS_GOLDEN = {
+    "parabolic_loop": (
+        "phi = x^2 - y^2 - x^4 - 2*x^2*y^2 - y^4\npsi = 2*x*y\n"
+        "domain = -1 1 -1 1\n",
+        "8bc31b8133b031ca504403e3c85d5d9c3305959cc45bcea789e9467cc5a8673d",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "inflection_real": (
+        "phi = x^2 - y^2\npsi = x^3/3 + x*y^2\ndomain = -0.5 0.5 -0.5 0.5\n",
+        "e5b07ae37d7c2ec588e9487096997e3464674fe4fd99b60f045e842cad8a51e6",
+        "61180aab4e7e54429604b29e87c90a7e3ef4d84745bec37f74f65f70ed0ab755"),
+    "saddle": (
+        "phi = x^2 - y^2\npsi = x^3/3 + x*y^2 + 0.2*y^3\n"
+        "domain = -0.5 0.5 -0.5 0.5\n",
+        "9cf5b9c73c169a03f4a3a5a66f22e995e81514ed57d596c48209ebe787b8f58b",
+        "d110f1fc2a0b8e9264903e0598299e37ebf800099c40a0b5d344205226f6e503"),
+}
+
+
+def _saddle_cells(text, res):
+    """Cells of the sampled Delta grid whose corner signs alternate."""
+    from monge4.localgeom import invariant_grid
+    spec = parse_surface_text(text)
+    xmin, xmax, ymin, ymax = spec.domain
+    gx, gy = np.meshgrid(np.linspace(xmin, xmax, res),
+                         np.linspace(ymin, ymax, res), indexing="ij")
+    d = invariant_grid(spec, gx, gy, cross_check=False).Delta
+    s00, s10, s11, s01 = d[:-1, :-1], d[1:, :-1], d[1:, 1:], d[:-1, 1:]
+    return np.argwhere(((s00 > 0) & (s10 < 0) & (s11 > 0) & (s01 < 0))
+                       | ((s00 < 0) & (s10 > 0) & (s11 < 0) & (s01 > 0)))
+
+
+def test_locus_golden_fixture_has_saddle_cell():
+    assert len(_saddle_cells(LOCUS_GOLDEN["saddle"][0], 64)) >= 1
+
+
+@pytest.mark.parametrize("name", sorted(LOCUS_GOLDEN))
+def test_locus_golden_outputs(tmp_path, name):
+    text, trace_sha, infl_sha = LOCUS_GOLDEN[name]
+    surf = write(tmp_path, f"{name}.surf", text)
+    out_path = tmp_path / "trace.csv"
+    code, _, err = run_cli(["trace", "--surface", surf, "--res", "64",
+                            "--out", str(out_path)])
+    assert code == 0, err
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == trace_sha
+    code, out, err = run_cli(["inflections", "--surface", surf, "--res", "64"])
+    assert code == 0, err
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == infl_sha

@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from monge4 import eval_jet3, eval_value, parse_expression
+from monge4 import eval_jet3, parse_expression
 from monge4.errors import EvaluationError
 from monge4.jets import Dual2, jet_constant
 
-from oracles import fd_jet
+from oracles import eval_value, fd_jet
 
 COEFF_NAMES = ("f", "fx", "fy", "fxx", "fxy", "fyy",
                "fxxx", "fxxy", "fxyy", "fyyy")

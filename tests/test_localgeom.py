@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-import monge4
 from monge4 import expr as ex
 from monge4 import localgeom
 from monge4.errors import CrossCheckError
@@ -17,7 +16,7 @@ from monge4.localgeom import (brioschi_curvature, brioschi_field, coeff_norm,
 
 from conftest import (fixture_callables, make_surface, random_points,
                       random_surfaces)
-from oracles import geometric_oracle
+from oracles import eval_value, geometric_oracle
 
 
 def test_surface_a_values(surfaces):
@@ -75,8 +74,8 @@ def test_against_geometric_oracle(name, point):
 def test_oracle_on_random_surfaces():
     rng = np.random.default_rng(33)
     for surface in random_surfaces(seed=12, count=4):
-        phi_fn = lambda u, v, s=surface: monge4.eval_value(s.phi, u, v)
-        psi_fn = lambda u, v, s=surface: monge4.eval_value(s.psi, u, v)
+        phi_fn = lambda u, v, s=surface: eval_value(s.phi, u, v)
+        psi_fn = lambda u, v, s=surface: eval_value(s.psi, u, v)
         for x, y in random_points(rng, 3, lim=0.7):
             inv = local_invariants(surface, float(x), float(y))
             orc = geometric_oracle(phi_fn, psi_fn, float(x), float(y))
