@@ -20,6 +20,7 @@ a header row.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from dataclasses import dataclass
@@ -334,6 +335,7 @@ def _cmd_selfcheck(surface, cfg, out):
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="monge4",
@@ -396,9 +398,8 @@ def _attach_negative_points(argv):
 def run(argv, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = _build_parser()
     try:
-        args = parser.parse_args(_attach_negative_points(argv))
+        args = _build_parser().parse_args(_attach_negative_points(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:

@@ -29,7 +29,8 @@ __all__ = [
     "Indicatrix", "Conic", "CanonicalCoefficients",
     "indicatrix", "eta", "second_form_image", "indicatrix_linear_map",
     "conjugate_radii", "canonical_coefficients", "wintgen_gap",
-    "indicatrix_conic", "characteristic_conic", "evolvent_point",
+    "indicatrix_conic", "characteristic_conic", "EvolventSweep",
+    "evolvent_sweep", "evolvent_point",
     "pole", "polar", "conic_from_matrix", "conic_asymptote_directions",
     "homogeneous_quadratic_roots", "sample_indicatrix", "sample_characteristic",
 ]
@@ -46,13 +47,18 @@ def indicatrix_linear_map(inv: LocalInvariants) -> np.ndarray:
                      [0.5 * (inv.e - inv.g), inv.f]])
 
 
+def _second_form(inv: LocalInvariants, ux, uy):
+    """Both components of the second fundamental form on (ux, uy), for
+    floats or elementwise for arrays (the same operations either way)."""
+    q1 = inv.a * ux * ux + 2.0 * inv.b * ux * uy + inv.c * uy * uy
+    q2 = inv.e * ux * ux + 2.0 * inv.f * ux * uy + inv.g * uy * uy
+    return q1, q2
+
+
 def second_form_image(inv: LocalInvariants, u) -> np.ndarray:
     """Normal-frame image of the unit tangent vector u under the second
     fundamental form."""
-    ux, uy = float(u[0]), float(u[1])
-    q1 = inv.a * ux * ux + 2.0 * inv.b * ux * uy + inv.c * uy * uy
-    q2 = inv.e * ux * ux + 2.0 * inv.f * ux * uy + inv.g * uy * uy
-    return np.array([q1, q2])
+    return np.array(_second_form(inv, float(u[0]), float(u[1])))
 
 
 def eta(inv: LocalInvariants, theta: float) -> np.ndarray:
@@ -261,21 +267,66 @@ def characteristic_conic(ind: Indicatrix) -> Conic:
     return conic_from_matrix(u @ adj @ u)
 
 
+def _cos_sin(angles: list[float]):
+    """cos and sin of each angle by ``math``, as :func:`eta` takes them:
+    ``np.cos`` can differ from ``math.cos`` in the last bit."""
+    return (np.array(list(map(math.cos, angles))),
+            np.array(list(map(math.sin, angles))))
+
+
+class EvolventSweep(NamedTuple):
+    """The evolvent sweep at n tangent directions."""
+
+    points: np.ndarray    # (n, 2); nan where the system is singular
+    det: np.ndarray       # determinant of each tangency system
+    singular: np.ndarray  # |det| <= 1e-12: the point lies at infinity
+    clipped: np.ndarray   # farther from the origin than the clip radius
+
+
+def evolvent_sweep(inv: LocalInvariants, thetas,
+                   clip_radius: float | None = None) -> EvolventSweep:
+    """Points of the characteristic curve for all tangent directions
+    ``thetas`` at once: for each, the n with n . eta = 1 and n . zeta = 0.
+
+    The n tangency systems are stacked into one (n, 2, 2) array, so a single
+    batched determinant and a single batched solve cover the sweep; each
+    matrix goes through the same LAPACK routines as when solved alone, and
+    zeta = A w is a broadcast matmul like ``A @ w`` (a contraction in another
+    order, such as ``w @ A.T``, changes last bits).
+    """
+    angles = np.asarray(thetas, dtype=float).tolist()
+    n = len(angles)
+    co, si = _cos_sin(angles)
+    c2, s2 = _cos_sin([2.0 * t for t in angles])
+    rotated = np.stack([-s2, c2], axis=1)[:, :, None]
+    system = np.empty((n, 2, 2))
+    system[:, 0, 0], system[:, 0, 1] = _second_form(inv, co, si)
+    system[:, 1, :] = np.matmul(
+        np.broadcast_to(indicatrix_linear_map(inv), (n, 2, 2)), rotated)[:, :, 0]
+    det = np.linalg.det(system)
+    singular = np.abs(det) <= 1e-12
+    points = np.full((n, 2), np.nan)
+    points[~singular] = np.linalg.solve(system[~singular], np.array([1.0, 0.0]))
+    if clip_radius is None:
+        clipped = np.zeros(n, dtype=bool)
+    else:
+        clipped = np.hypot(points[:, 0], points[:, 1]) > clip_radius
+    return EvolventSweep(points, det, singular, clipped)
+
+
 def evolvent_point(inv: LocalInvariants, theta: float) -> np.ndarray:
     """Point of the characteristic curve for the tangent direction theta:
-    the unique n with n . eta = 1 and n . zeta = 0.
+    the unique n with n . eta = 1 and n . zeta = 0 (the sweep at one theta).
 
     Raises :class:`SingularSystemError` when the tangent to the indicatrix at
     eta(theta) passes through the origin (point at infinity of the curve).
     """
-    et = eta(inv, theta)
-    _, zeta = conjugate_radii(inv, theta)
-    m = np.array([[et[0], et[1]], [zeta[0], zeta[1]]])
-    det = float(np.linalg.det(m))
-    if abs(det) <= 1e-12:
+    sweep = evolvent_sweep(inv, [theta])
+    if sweep.singular[0]:
         raise SingularSystemError(
-            f"tangency system singular at theta={theta!r} (det={det!r})")
-    return np.linalg.solve(m, np.array([1.0, 0.0]))
+            f"tangency system singular at theta={theta!r} "
+            f"(det={float(sweep.det[0])!r})")
+    return sweep.points[0]
 
 
 def polar(point, conic: Conic) -> np.ndarray:
@@ -356,35 +407,20 @@ def conic_asymptote_directions(conic: Conic) -> list[np.ndarray]:
 def sample_indicatrix(inv: LocalInvariants, n: int = 256) -> np.ndarray:
     """n points eta(k pi / n): one full traversal of the ellipse."""
     thetas = np.arange(n) * (math.pi / n)
-    co, si = np.cos(thetas), np.sin(thetas)
-    q1 = inv.a * co * co + 2.0 * inv.b * co * si + inv.c * si * si
-    q2 = inv.e * co * co + 2.0 * inv.f * co * si + inv.g * si * si
-    return np.column_stack([q1, q2])
+    return np.column_stack(_second_form(inv, np.cos(thetas), np.sin(thetas)))
 
 
 def sample_characteristic(inv: LocalInvariants, n: int = 512,
                           clip_radius: float | None = None):
     """Polylines tracing the characteristic curve by the evolvent sweep.
 
-    Returns a list of (points, closed) pairs; the sweep splits where the
-    tangency system is singular or the point exceeds ``clip_radius``.
+    Returns a list of (points, closed) pairs; the sweep at theta = k pi / n
+    splits where the tangency system is singular or the point exceeds
+    ``clip_radius``.
     """
-    pts = []
-    ok = []
-    for k in range(n):
-        theta = k * math.pi / n
-        try:
-            p = evolvent_point(inv, theta)
-        except SingularSystemError:
-            pts.append(None)
-            ok.append(False)
-            continue
-        if clip_radius is not None and float(np.hypot(p[0], p[1])) > clip_radius:
-            pts.append(None)
-            ok.append(False)
-            continue
-        pts.append(p)
-        ok.append(True)
+    sweep = evolvent_sweep(inv, np.arange(n) * math.pi / n, clip_radius)
+    pts = sweep.points
+    ok = (~(sweep.singular | sweep.clipped)).tolist()
     if not any(ok):
         return []
     if all(ok):
@@ -410,7 +446,7 @@ def sample_characteristic(inv: LocalInvariants, n: int = 512,
     # consecutive points jump far beyond the typical step
     out = []
     for run in runs:
-        p = np.array([pts[i] for i in run])
+        p = pts[run]
         if len(p) < 3:
             out.append((p, False))
             continue

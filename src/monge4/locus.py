@@ -277,7 +277,7 @@ def find_inflections(surface: SurfaceSpec, resolution: int = 256,
         for _ in range(NEWTON_ITERATIONS):
             g = invariant_gradients(surface, px, py)
             s = g.coeff_scale
-            if s <= 1e-14:
+            if s ** 4 == 0.0:  # the scaled residual cannot be formed
                 break
             resid = max(abs(g.delta) / s ** 4, abs(g.kappa) / s ** 2)
             if resid <= NEWTON_ACCEPT and (root is None or resid < root[2]):

@@ -5,12 +5,17 @@ central finite differences, deliberately sharing no derivative machinery and
 no closed-form coefficient formulas with the package: the geometric oracle
 builds frames by Gram-Schmidt and projects second derivatives per the
 definition of the second fundamental form.
+
+The exception is :func:`evolvent_reference`, the per-direction loop body
+that ``conics.evolvent_sweep`` batches; the sweep must reproduce it bit for
+bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from monge4 import conics
 from monge4 import expr as ex
 
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "tan": np.tan,
@@ -179,6 +184,25 @@ def geometric_oracle(phi, psi, x, y, h=1e-4):
         "Delta": 0.25 * np.linalg.det(resultant),
         "H": np.array([0.5 * (a + c), 0.5 * (e + g)]),
     }
+
+
+def evolvent_reference(inv, theta, clip_radius=None):
+    """The evolvent point for one tangent direction, solved on its own.
+
+    Returns (point, det, clipped); point is None where the tangency system
+    is singular, and clipped tells whether the point lies farther than
+    ``clip_radius`` from the origin.
+    """
+    et = conics.eta(inv, theta)
+    _, zeta = conics.conjugate_radii(inv, theta)
+    m = np.array([[et[0], et[1]], [zeta[0], zeta[1]]])
+    det = float(np.linalg.det(m))
+    if abs(det) <= 1e-12:
+        return None, det, False
+    p = np.linalg.solve(m, np.array([1.0, 0.0]))
+    clipped = clip_radius is not None \
+        and float(np.hypot(p[0], p[1])) > clip_radius
+    return p, det, clipped
 
 
 def polygon_signed_area(points) -> float:

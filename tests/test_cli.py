@@ -417,6 +417,41 @@ def test_golden_outputs(tmp_path, command):
     assert digest == GOLDEN_SHA256[command]
 
 
+# sha256 of the plot SVG at one point of a polynomial surface each, recorded
+# before the evolvent sweep was batched: an elliptic point (both conics
+# closed), a hyperbolic one (a clipped sample, two characteristic branches),
+# a parabolic one (a singular sample, one open branch) and a segment
+# indicatrix (no characteristic curve).
+PLOT_GOLDEN = {
+    "elliptic": (
+        "phi = x^2 - y^2 + 0.5*x^3\npsi = 2*x*y + 0.3*y^3\n"
+        "domain = -1 1 -1 1\n", "0.3,-0.1", 1,
+        "29778424ec996a0efe99e04906ac983b14e06b2f1e91e5a63803c908e9b13449"),
+    "hyperbolic": (
+        GOLDEN_TEXT, "0.25,-0.5", 2,
+        "1fbc67cabde615c30a881c99f4eac99856b3f6266d2d3be0ce8441e12f214c0f"),
+    "parabolic": (
+        "phi = x^2\npsi = 2*x*y\ndomain = -1 1 -1 1\n", "0,0", 1,
+        "b281ed011cde657e6f90980f25734b221f7497b57ec4bd8728a943fb36ba7ab4"),
+    "segment": (
+        "phi = x^2\npsi = y^2\ndomain = -1 1 -1 1\n", "0.3,-0.2", 0,
+        "4e2f5ffc7f49772c76d662c202ee9b2b98b50db33e0782c912f761282b1730ec"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLOT_GOLDEN))
+def test_plot_golden_outputs(tmp_path, name):
+    text, at, branches, sha = PLOT_GOLDEN[name]
+    surf = write(tmp_path, f"{name}.surf", text)
+    out_path = tmp_path / f"{name}.svg"
+    code, _, err = run_cli(["plot", "--surface", surf, "--at", at,
+                            "--out", str(out_path)])
+    assert code == 0, err
+    svg = out_path.read_text(encoding="utf-8")
+    assert svg.count('class="characteristic"') == branches
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == sha
+
+
 # sha256 of the trace CSV and the inflections stdout at --res 64 for two
 # gallery surfaces (scripts/fixture_gallery.py) and one with a saddle cell of
 # the sampled Delta field, where marching squares needs the centre test.

@@ -1,17 +1,20 @@
 """Curvature ellipse, characteristic conic, polarity and canonical frame."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from monge4 import conics
 from monge4.errors import (DegenerateIndicatrixError, PoleAtInfinityError,
                            SingularSystemError, UmbilicPointError)
 from monge4.localgeom import local_invariants
 
-from conftest import random_points, random_surfaces
-from oracles import polygon_signed_area
+from conftest import make_surface, random_points, random_surfaces
+from oracles import evolvent_reference, polygon_signed_area
 
 
 @pytest.fixture(scope="module")
@@ -261,6 +264,57 @@ def test_evolvent_sweep_is_characteristic_circle(invs):
 def test_evolvent_singular_at_parabolic_direction(invs):
     with pytest.raises(SingularSystemError):
         conics.evolvent_point(invs["D"], math.pi / 2)
+
+
+def _assert_sweep_is_reference(inv, thetas, clip_radius):
+    """The batched sweep equals the per-direction reference under ==."""
+    sweep = conics.evolvent_sweep(inv, thetas, clip_radius)
+    for k, theta in enumerate(thetas):
+        point, det, clipped = evolvent_reference(inv, float(theta), clip_radius)
+        assert sweep.det[k] == det
+        assert bool(sweep.singular[k]) == (point is None)
+        assert bool(sweep.clipped[k]) == clipped
+        if point is not None:
+            assert sweep.points[k][0] == point[0]
+            assert sweep.points[k][1] == point[1]
+
+
+SWEEP_THETAS = np.arange(512) * math.pi / 512
+
+
+@pytest.mark.parametrize("name", ["A", "B", "C", "D", "E", "G", "H"])
+def test_evolvent_sweep_matches_reference_on_fixtures(invs, name):
+    _assert_sweep_is_reference(invs[name], SWEEP_THETAS, 2.0)
+
+
+def test_evolvent_sweep_singular_samples(invs):
+    # D at pi/2: the tangent passes through the origin (det ~ 1e-32);
+    # A at 0: a segment end, det exactly 0, which LAPACK cannot solve
+    sweep = conics.evolvent_sweep(invs["D"], SWEEP_THETAS)
+    assert np.nonzero(sweep.singular)[0].tolist() == [256]
+    assert np.isnan(sweep.points[256]).all()
+    sweep = conics.evolvent_sweep(invs["A"], SWEEP_THETAS)
+    assert sweep.det[0] == 0.0 and sweep.singular[0]
+
+
+@given(st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6),
+       st.integers(-8, 4),
+       st.lists(st.floats(0.0, 2.0 * math.pi), min_size=1, max_size=8),
+       st.sampled_from([None, 0.5, 2.0, 50.0]))
+@example([2.0, 0.0, 0.0, 0.0, 2.0, 0.0], 0, [math.pi / 2], 2.0)  # D
+@example([2.0, 0.0, 0.0, 0.0, 0.0, 2.0], 0, [0.0, math.pi / 2], None)  # A
+@settings(max_examples=150, deadline=None)
+def test_evolvent_sweep_matches_reference_random(coeffs, exponent, thetas,
+                                                 clip_radius):
+    """Random coefficient sets, scaled so that |det| falls on both sides of
+    the singular band; the 64-step grid plus arbitrary directions."""
+    s = 10.0 ** exponent
+    a, b, c, e, f, g = (s * v for v in coeffs)
+    inv = dataclasses.replace(
+        local_invariants(make_surface("D"), 0.0, 0.0),
+        a=a, b=b, c=c, e=e, f=f, g=g)
+    _assert_sweep_is_reference(
+        inv, list(np.arange(64) * math.pi / 64) + thetas, clip_radius)
 
 
 def test_evolvent_points_satisfy_characteristic_conic():

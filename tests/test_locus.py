@@ -120,6 +120,17 @@ def test_find_inflections_real():
     assert rep.det_hessian_delta == pytest.approx(-1024.0, rel=1e-3)
 
 
+@pytest.mark.parametrize("scale", ["1", "1e-20", "1e-40"])
+def test_find_inflections_scale_free(scale):
+    """The real inflection of s * H is found however small s is, as long as
+    s^4 is a normal float."""
+    surface = surface_from_strings(f"{scale}*(x^2 - y^2)",
+                                   f"{scale}*(x^3/3 + x*y^2)", HALF_BOX)
+    reports = find_inflections(surface, 64)
+    assert [r.kind for r in reports] == ["real"]
+    assert (reports[0].x, reports[0].y) == pytest.approx((0.0, 0.0), abs=1e-6)
+
+
 def test_find_inflections_empty_cases():
     assert find_inflections(make_surface("B", HALF_BOX), 64) == []
     assert find_inflections(make_surface("flat", HALF_BOX), 32) == []

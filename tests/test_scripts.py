@@ -14,3 +14,19 @@ def test_check_label_digests_first_seeds():
         capture_output=True, text=True, check=False)
     assert r.returncode == 0, r.stdout + r.stderr
     assert "label digests match for 2 seeds" in r.stdout
+
+
+def test_fixture_gallery(tmp_path):
+    """The gallery writes an analyze record and an SVG for each of its
+    eight surfaces, each SVG with one indicatrix."""
+    r = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "fixture_gallery.py"),
+         str(tmp_path)],
+        capture_output=True, text=True, check=False)
+    assert r.returncode == 0, r.stdout + r.stderr
+    names = sorted(p.stem for p in tmp_path.glob("*.surf"))
+    assert len(names) == 8
+    for name in names:
+        assert (tmp_path / f"{name}.txt").read_text(encoding="utf-8")
+        svg = (tmp_path / f"{name}.svg").read_text(encoding="utf-8")
+        assert svg.count('class="indicatrix"') == 1
