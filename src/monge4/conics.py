@@ -29,8 +29,7 @@ __all__ = [
     "Indicatrix", "Conic", "CanonicalCoefficients",
     "indicatrix", "eta", "second_form_image", "indicatrix_linear_map",
     "conjugate_radii", "canonical_coefficients", "wintgen_gap",
-    "indicatrix_conic", "characteristic_conic", "EvolventSweep",
-    "evolvent_sweep", "evolvent_point",
+    "indicatrix_conic", "characteristic_conic", "evolvent_point",
     "pole", "polar", "conic_from_matrix", "conic_asymptote_directions",
     "homogeneous_quadratic_roots", "sample_indicatrix", "sample_characteristic",
 ]
@@ -274,19 +273,13 @@ def _cos_sin(angles: list[float]):
             np.array(list(map(math.sin, angles))))
 
 
-class EvolventSweep(NamedTuple):
-    """The evolvent sweep at n tangent directions."""
-
-    points: np.ndarray    # (n, 2); nan where the system is singular
-    det: np.ndarray       # determinant of each tangency system
-    singular: np.ndarray  # |det| <= 1e-12: the point lies at infinity
-    clipped: np.ndarray   # farther from the origin than the clip radius
-
-
-def evolvent_sweep(inv: LocalInvariants, thetas,
-                   clip_radius: float | None = None) -> EvolventSweep:
+def _evolvent_sweep(inv: LocalInvariants, thetas):
     """Points of the characteristic curve for all tangent directions
     ``thetas`` at once: for each, the n with n . eta = 1 and n . zeta = 0.
+
+    Returns (points, det, singular): the (n, 2) points, nan where the
+    tangency system is singular; the determinant of each system; and the
+    mask |det| <= 1e-12 of the directions whose point lies at infinity.
 
     The n tangency systems are stacked into one (n, 2, 2) array, so a single
     batched determinant and a single batched solve cover the sweep; each
@@ -305,13 +298,13 @@ def evolvent_sweep(inv: LocalInvariants, thetas,
         np.broadcast_to(indicatrix_linear_map(inv), (n, 2, 2)), rotated)[:, :, 0]
     det = np.linalg.det(system)
     singular = np.abs(det) <= 1e-12
+    solvable = system[~singular]
+    # the right-hand side as an explicit (k, 2, 1) stack: a 1-D or 2-D one
+    # is read as vectors or as matrices depending on the numpy version
+    rhs = np.broadcast_to(np.array([[1.0], [0.0]]), (len(solvable), 2, 1))
     points = np.full((n, 2), np.nan)
-    points[~singular] = np.linalg.solve(system[~singular], np.array([1.0, 0.0]))
-    if clip_radius is None:
-        clipped = np.zeros(n, dtype=bool)
-    else:
-        clipped = np.hypot(points[:, 0], points[:, 1]) > clip_radius
-    return EvolventSweep(points, det, singular, clipped)
+    points[~singular] = np.linalg.solve(solvable, rhs)[:, :, 0]
+    return points, det, singular
 
 
 def evolvent_point(inv: LocalInvariants, theta: float) -> np.ndarray:
@@ -321,12 +314,12 @@ def evolvent_point(inv: LocalInvariants, theta: float) -> np.ndarray:
     Raises :class:`SingularSystemError` when the tangent to the indicatrix at
     eta(theta) passes through the origin (point at infinity of the curve).
     """
-    sweep = evolvent_sweep(inv, [theta])
-    if sweep.singular[0]:
+    points, det, singular = _evolvent_sweep(inv, [theta])
+    if singular[0]:
         raise SingularSystemError(
             f"tangency system singular at theta={theta!r} "
-            f"(det={float(sweep.det[0])!r})")
-    return sweep.points[0]
+            f"(det={float(det[0])!r})")
+    return points[0]
 
 
 def polar(point, conic: Conic) -> np.ndarray:
@@ -418,9 +411,10 @@ def sample_characteristic(inv: LocalInvariants, n: int = 512,
     splits where the tangency system is singular or the point exceeds
     ``clip_radius``.
     """
-    sweep = evolvent_sweep(inv, np.arange(n) * math.pi / n, clip_radius)
-    pts = sweep.points
-    ok = (~(sweep.singular | sweep.clipped)).tolist()
+    pts, _, invalid = _evolvent_sweep(inv, np.arange(n) * math.pi / n)
+    if clip_radius is not None:
+        invalid |= np.hypot(pts[:, 0], pts[:, 1]) > clip_radius
+    ok = (~invalid).tolist()
     if not any(ok):
         return []
     if all(ok):

@@ -7,7 +7,7 @@ builds frames by Gram-Schmidt and projects second derivatives per the
 definition of the second fundamental form.
 
 The exception is :func:`evolvent_reference`, the per-direction loop body
-that ``conics.evolvent_sweep`` batches; the sweep must reproduce it bit for
+that ``conics._evolvent_sweep`` batches; the sweep must reproduce it bit for
 bit.
 """
 
@@ -186,23 +186,19 @@ def geometric_oracle(phi, psi, x, y, h=1e-4):
     }
 
 
-def evolvent_reference(inv, theta, clip_radius=None):
+def evolvent_reference(inv, theta):
     """The evolvent point for one tangent direction, solved on its own.
 
-    Returns (point, det, clipped); point is None where the tangency system
-    is singular, and clipped tells whether the point lies farther than
-    ``clip_radius`` from the origin.
+    Returns (point, det); point is None where the tangency system is
+    singular.
     """
     et = conics.eta(inv, theta)
     _, zeta = conics.conjugate_radii(inv, theta)
     m = np.array([[et[0], et[1]], [zeta[0], zeta[1]]])
     det = float(np.linalg.det(m))
     if abs(det) <= 1e-12:
-        return None, det, False
-    p = np.linalg.solve(m, np.array([1.0, 0.0]))
-    clipped = clip_radius is not None \
-        and float(np.hypot(p[0], p[1])) > clip_radius
-    return p, det, clipped
+        return None, det
+    return np.linalg.solve(m, np.array([1.0, 0.0])), det
 
 
 def polygon_signed_area(points) -> float:
