@@ -105,11 +105,13 @@ def _unit_scaled(a, b, c, e, f, g):
     """
     big = np.maximum(np.maximum(np.maximum(abs(a), abs(b)), abs(c)),
                      np.maximum(np.maximum(abs(e), abs(f)), abs(g)))
+    # ldexp of each entry, not a product with 2^-k: for a subnormal largest
+    # entry 2^-k itself overflows
     if np.ndim(big):
-        p = np.ldexp(1.0, -np.frexp(big)[1])
+        k, ldexp = -np.frexp(big)[1], np.ldexp
     else:
-        p = math.ldexp(1.0, -math.frexp(big)[1])
-    a, b, c, e, f, g = (v * p for v in (a, b, c, e, f, g))
+        k, ldexp = -math.frexp(big)[1], math.ldexp
+    a, b, c, e, f, g = (ldexp(v, k) for v in (a, b, c, e, f, g))
     m = SimpleNamespace(a=a, b=b, c=c, e=e, f=f, g=g)
     msq = (float(coeff_norm(m)) if np.ndim(big) == 0 else coeff_norm(m)) ** 2
     return SimpleNamespace(
@@ -256,9 +258,12 @@ def hessian_of_delta(surface: SurfaceSpec, x: float, y: float,
     h = step
     cols = []
     for dx, dy in ((1.0, 0.0), (0.0, 1.0)):
-        d_h = (grad(x + h * dx, y + h * dy) - grad(x - h * dx, y - h * dy)) / (2 * h)
-        d_h2 = (grad(x + 0.5 * h * dx, y + 0.5 * h * dy)
-                - grad(x - 0.5 * h * dx, y - 0.5 * h * dy)) / h
-        cols.append((4.0 * d_h2 - d_h) / 3.0)
+        # gradients that overflow give inf or nan entries, without a warning
+        with np.errstate(all="ignore"):
+            d_h = (grad(x + h * dx, y + h * dy)
+                   - grad(x - h * dx, y - h * dy)) / (2 * h)
+            d_h2 = (grad(x + 0.5 * h * dx, y + 0.5 * h * dy)
+                    - grad(x - 0.5 * h * dx, y - 0.5 * h * dy)) / h
+            cols.append((4.0 * d_h2 - d_h) / 3.0)
     hess = np.column_stack(cols)
     return 0.5 * (hess + hess.T)

@@ -197,8 +197,7 @@ def grid_rows(surface: SurfaceSpec, res: int, tol: cls.ToleranceSet) -> list[str
     """Lines of the grid CSV after the header, row-major from (xmin, ymin):
     y varies in the outer loop, x in the inner one."""
     xs, ys = _grid_axes(surface, res)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    fields = invariant_grid(surface, gx, gy)
+    fields = invariant_grid(surface, xs[:, None], ys[None, :])
     labels = cls.class_labels_grid(fields, tol)
     x_text = _fmt_column(xs)
     lines = []
@@ -285,8 +284,8 @@ def selfcheck_report(surface: SurfaceSpec, res: int):
     Returns (all_passed, list of (name, passed, worst) lines).
     """
     xs, ys = _grid_axes(surface, res)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    fields = invariant_grid(surface, gx, gy, cross_check=False)
+    fields = invariant_grid(surface, xs[:, None], ys[None, :],
+                            cross_check=False)
     msq = np.asarray(coeff_norm(fields)) ** 2
     checks = []
 
@@ -437,6 +436,9 @@ def run(argv, out=None, err=None) -> int:
         return EXIT_NUMERICAL
     except MemoryError as exc:  # numpy's _ArrayMemoryError included
         err.write(f"monge4: out of memory: {exc}\n")
+        return EXIT_NUMERICAL
+    except ArithmeticError as exc:  # Python float overflow or zero division
+        err.write(f"monge4: numerical failure: {type(exc).__name__}: {exc}\n")
         return EXIT_NUMERICAL
 
 

@@ -296,7 +296,10 @@ def _evolvent_sweep(inv: LocalInvariants, thetas):
     system[:, 0, 0], system[:, 0, 1] = _second_form(inv, co, si)
     system[:, 1, :] = np.matmul(
         np.broadcast_to(indicatrix_linear_map(inv), (n, 2, 2)), rotated)[:, :, 0]
-    det = np.linalg.det(system)
+    # LAPACK's LU divides by a subnormal pivot; the determinant is still
+    # right (0 or tiny), so the sweep must not warn about it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        det = np.linalg.det(system)
     singular = np.abs(det) <= 1e-12
     solvable = system[~singular]
     # the right-hand side as an explicit (k, 2, 1) stack: a 1-D or 2-D one

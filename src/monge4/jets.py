@@ -57,21 +57,15 @@ def _sqrt(v):
 class _DomainFailure(Exception):
     """Internal: a jet operation left the function's domain.
 
-    ``index`` is the offending flat index for array-valued jets (None for
-    scalars); the expression evaluator converts this into an
-    :class:`EvaluationError` carrying the actual point.
+    ``mask`` marks the offending points of an array-valued jet (None for
+    scalars); it may have any shape that broadcasts to the grid.  The
+    expression evaluator converts this into an :class:`EvaluationError`
+    carrying the first such grid point.
     """
 
-    def __init__(self, message, index=None):
+    def __init__(self, message, mask=None):
         super().__init__(message)
-        self.index = index
-
-
-def _bad_where(mask):
-    """First offending flat index of a boolean failure mask (None if scalar)."""
-    if np.ndim(mask) == 0:
-        return None
-    return int(np.argmax(np.asarray(mask).ravel()))
+        self.mask = mask
 
 
 def _require_positive(v, what):
@@ -81,7 +75,7 @@ def _require_positive(v, what):
         return
     bad = ~(np.asarray(v) > 0.0)
     if bad.any():
-        raise _DomainFailure(f"{what} of non-positive value", _bad_where(bad))
+        raise _DomainFailure(f"{what} of non-positive value", bad)
 
 
 def _require_nonzero(v, what):
@@ -91,7 +85,7 @@ def _require_nonzero(v, what):
         return
     bad = np.asarray(v) == 0.0
     if bad.any():
-        raise _DomainFailure(what, _bad_where(bad))
+        raise _DomainFailure(what, bad)
 
 
 @dataclass(frozen=True)
@@ -292,15 +286,13 @@ def jet_constant(v) -> Jet3:
 
 
 def jet_variable(which: str, x0, y0) -> Jet3:
-    """Jet of the coordinate function 'x' or 'y' at (x0, y0)."""
-    if isinstance(x0, np.ndarray) or isinstance(y0, np.ndarray):
-        one = np.ones(np.broadcast(x0, y0).shape)
-        val = np.broadcast_to(x0 if which == "x" else y0, one.shape).astype(float)
-        return Jet3(val.copy(), one if which == "x" else one * 0.0,
-                    one * 0.0 if which == "x" else one)
-    if which == "x":
-        return Jet3(float(x0), 1.0, 0.0)
-    return Jet3(float(y0), 0.0, 1.0)
+    """Jet of the coordinate function 'x' or 'y' at (x0, y0).  On arrays the
+    value is a float copy of that coordinate in its own shape (an axis such
+    as ``xs[:, None]`` stays one), and the seeds are the floats 1.0 and 0.0."""
+    v = x0 if which == "x" else y0
+    grid = isinstance(x0, np.ndarray) or isinstance(y0, np.ndarray)
+    v = np.array(v, dtype=float) if grid else float(v)
+    return Jet3(v, 1.0, 0.0) if which == "x" else Jet3(v, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -376,52 +368,59 @@ def generic_sqrt(v):
 # expression evaluation
 # ---------------------------------------------------------------------------
 
-def _point_of(x0, y0, index):
-    if index is None:
-        if isinstance(x0, np.ndarray) or isinstance(y0, np.ndarray):
-            return None
-        return (float(x0), float(y0))
-    bx = np.broadcast_to(x0, np.broadcast(x0, y0).shape).ravel()
-    by = np.broadcast_to(y0, np.broadcast(x0, y0).shape).ravel()
-    return (float(bx[index]), float(by[index]))
+def _point_of(x0, y0, mask):
+    """The failing point: (x0, y0) for scalars; on a grid the first point
+    where ``mask`` (broadcast to the grid) holds, in row-major order, or None
+    when there is no mask (a constant subexpression failed)."""
+    if not isinstance(x0, np.ndarray) and not isinstance(y0, np.ndarray):
+        return (x0, y0)
+    if mask is None:
+        return None
+    bx, by = np.broadcast_arrays(x0, y0)
+    index = int(np.argmax(np.broadcast_to(mask, bx.shape).ravel()))
+    return (float(bx.ravel()[index]), float(by.ravel()[index]))
 
 
 def eval_jet3(expression: ex.Expr, x0, y0) -> Jet3:
     """Evaluate an expression as an order-3 jet at (x0, y0).
 
-    ``x0``/``y0`` may be floats or equally-shaped numpy arrays; in the array
-    case every jet coefficient is an array.  Domain violations (log/sqrt of a
-    non-positive value, tan pole, division by zero) and non-finite results
-    raise :class:`EvaluationError` carrying the offending point.
+    ``x0``/``y0`` may be floats or numpy arrays whose shapes broadcast; in
+    the array case every jet coefficient is an array of the broadcast shape.
+    Grid passes give the axes (``xs[:, None]``, ``ys[None, :]``): a
+    subexpression of one coordinate is then evaluated on that axis only, and
+    coefficients that do not vary along an axis come back as read-only
+    broadcast views.  Domain violations (log/sqrt of a non-positive value,
+    tan pole, division by zero) and non-finite results raise
+    :class:`EvaluationError` carrying the offending point.
     """
-    if not isinstance(x0, np.ndarray) and not isinstance(y0, np.ndarray):
+    grid = isinstance(x0, np.ndarray) or isinstance(y0, np.ndarray)
+    if not grid:
         x0, y0 = float(x0), float(y0)
     try:
         with np.errstate(all="ignore"):
             jet = _eval(expression, x0, y0)
     except _DomainFailure as err:
-        raise EvaluationError(str(err), _point_of(x0, y0, err.index)) from None
+        raise EvaluationError(str(err), _point_of(x0, y0, err.mask)) from None
     except OverflowError:
         raise EvaluationError("non-finite result (overflow)",
                               _point_of(x0, y0, None)) from None
-    if isinstance(x0, np.ndarray) or isinstance(y0, np.ndarray):
-        # constant subexpressions evaluate to scalar coefficients; make the
-        # jet uniformly array-valued for grid consumers
-        shape = np.broadcast(x0, y0).shape
-        jet = Jet3(*(np.broadcast_to(np.asarray(c, dtype=float), shape)
-                     for c in jet.coeffs()))
-    bad = None
-    for coeff in jet.coeffs():
-        if type(coeff) is float:
+    except ValueError:  # math.sin/cos/tan of an infinite float
+        raise EvaluationError("non-finite result",
+                              _point_of(x0, y0, None)) from None
+    if not grid:
+        for coeff in jet.coeffs():
             if not math.isfinite(coeff):
-                bad = None if isinstance(x0, np.ndarray) else (x0, y0)
-                raise EvaluationError("non-finite result", bad)
-        else:
-            mask = ~np.isfinite(coeff)
-            if np.any(mask):
-                raise EvaluationError("non-finite result",
-                                      _point_of(x0, y0, _bad_where(mask)))
-    return jet
+                raise EvaluationError("non-finite result", (x0, y0))
+        return jet
+    for coeff in jet.coeffs():
+        bad = ~np.isfinite(coeff)
+        if bad.any():
+            raise EvaluationError("non-finite result", _point_of(x0, y0, bad))
+    # constant subexpressions evaluate to scalar coefficients and one-axis
+    # ones to axis-shaped arrays; make the jet uniformly grid-shaped
+    shape = np.broadcast(x0, y0).shape
+    return Jet3(*(np.broadcast_to(np.asarray(c, dtype=float), shape)
+                  for c in jet.coeffs()))
 
 
 def _eval(node: ex.Expr, x0, y0) -> Jet3:

@@ -234,8 +234,8 @@ def _run_cross_checks(fl, delta_det, strict, where=None):
 
 def _finite_frame_fields(jphi: Jet3, jpsi: Jet3, x, y):
     """:func:`frame_fields` of two jets, refusing overflow: raises
-    :class:`EvaluationError` at the first point where a coefficient, K, kappa
-    or Delta is not finite."""
+    :class:`EvaluationError` at the first point where a coefficient, K, kappa,
+    Delta, a frame denominator or ||M||^4 is not finite."""
     try:
         with np.errstate(all="ignore"):
             fl = frame_fields(_jet_first_second(jphi), _jet_first_second(jpsi))
@@ -245,10 +245,14 @@ def _finite_frame_fields(jphi: Jet3, jpsi: Jet3, x, y):
     for name in ("a", "b", "c", "e", "f", "g", "K", "kappa"):
         bad = bad | ~np.isfinite(getattr(fl, name))
     # a denominator that overflows sends its coefficient to 0, not to inf;
-    # these two bound every denominator of frame_fields
+    # these two bound every denominator of frame_fields.  ||M||^4 scales the
+    # Delta bands of the cross-checks and of the classifier.
     with np.errstate(over="ignore"):
+        msq = fl.a * fl.a + fl.b * fl.b + fl.c * fl.c \
+            + fl.e * fl.e + fl.f * fl.f + fl.g * fl.g
         bad = bad | ~np.isfinite(fl.W * fl.W) \
-            | ~np.isfinite(fl.E * fl.W * np.sqrt(fl.W) * np.sqrt(fl.Eh))
+            | ~np.isfinite(fl.E * fl.W * np.sqrt(fl.W) * np.sqrt(fl.Eh)) \
+            | ~np.isfinite(msq * msq)
     if np.any(bad):
         bx, by = np.broadcast_arrays(x, y)
         idx = int(np.argmax(np.broadcast_to(bad, bx.shape).ravel()))
@@ -383,8 +387,10 @@ def _dual_fields(j: Jet3):
 
 def gradient_fields(jphi: Jet3, jpsi: Jet3) -> SimpleNamespace:
     """Invariant fields as Dual2 values (value plus exact gradient); the jets
-    may be array-valued, in which case every Dual2 component is an array."""
-    return frame_fields(_dual_fields(jphi), _dual_fields(jpsi))
+    may be array-valued, in which case every Dual2 component is an array.
+    A gradient that overflows is inf or nan, without a warning."""
+    with np.errstate(all="ignore"):
+        return frame_fields(_dual_fields(jphi), _dual_fields(jpsi))
 
 
 def invariant_gradients(surface: SurfaceSpec, x: float, y: float) -> SimpleNamespace:

@@ -10,6 +10,7 @@ only by the Newton-based inflection finder.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,8 +61,8 @@ def _grid_fields(surface: SurfaceSpec, resolution: int):
     xmin, xmax, ymin, ymax = surface.domain
     xs = np.linspace(xmin, xmax, resolution)
     ys = np.linspace(ymin, ymax, resolution)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    fields = invariant_grid(surface, gx, gy, cross_check=False)
+    fields = invariant_grid(surface, xs[:, None], ys[None, :],
+                            cross_check=False)
     return xs, ys, fields
 
 
@@ -282,11 +283,17 @@ def find_inflections(surface: SurfaceSpec, resolution: int = 256,
             resid = max(abs(g.delta) / s ** 4, abs(g.kappa) / s ** 2)
             if resid <= NEWTON_ACCEPT and (root is None or resid < root[2]):
                 root = (px, py, resid)
-            jac = np.array([g.grad_delta, g.grad_kappa])
-            det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-            if abs(det) <= 1e-300 or not np.isfinite(det):
+            # singular Jacobian: decided on its rows scaled to unit length,
+            # since the raw determinant (degree 6 in the coefficients)
+            # underflows on tiny surfaces whose gradients are not parallel
+            (d0, d1), (k0, k1) = g.grad_delta, g.grad_kappa
+            nd, nk = math.hypot(d0, d1), math.hypot(k0, k1)
+            if not (0.0 < nd < math.inf and 0.0 < nk < math.inf):
                 break
-            step = np.linalg.solve(jac, np.array([g.delta, g.kappa]))
+            if abs((d0 / nd) * (k1 / nk) - (d1 / nd) * (k0 / nk)) <= 1e-300:
+                break
+            step = np.linalg.solve(np.array([g.grad_delta, g.grad_kappa]),
+                                   np.array([g.delta, g.kappa]))
             px -= float(step[0])
             py -= float(step[1])
             if not (xmin - pad_x <= px <= xmax + pad_x
@@ -309,6 +316,8 @@ def find_inflections(surface: SurfaceSpec, resolution: int = 256,
         if cls.rank_m > 1:
             continue
         hd = hessian_of_delta(surface, px, py)
+        with np.errstate(invalid="ignore"):  # a non-finite Hessian gives nan
+            det_hd = float(np.linalg.det(hd))
         tau_k = tol.rel * inv.coeff_norm ** 2
         if inv.K < -tau_k:
             kind = "real"
@@ -318,7 +327,7 @@ def find_inflections(surface: SurfaceSpec, resolution: int = 256,
             kind = "flat"
         reports.append(InflectionReport(
             x=px, y=py, kind=kind, K=inv.K,
-            det_hessian_delta=float(np.linalg.det(hd)),
+            det_hessian_delta=det_hd,
             residual=resid))
     reports.sort(key=lambda r: (r.x, r.y))
     return reports

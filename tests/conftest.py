@@ -108,3 +108,21 @@ TRIG_SURFACE = ("sin(x)*cos(y) + 0.3*x^2", "0.5*sin(x*y) + 0.2*y^2")
 
 def make_trig_surface(domain=(-1.0, 1.0, -1.0, 1.0)):
     return surface_from_strings(*TRIG_SURFACE, domain)
+
+
+# a surface whose coordinate terms cancel or vanish exactly (x - x, 0*x): the
+# derivative coefficients of those terms stay floats, which jet products treat
+# as constants
+STRUCTURAL_ZERO_SURFACE = ("x - x + y*(x - x) + 0*sin(x)",
+                           "0*x*y + exp(0*x) - y*x + x*y + (y - y)*cos(x)")
+
+
+def grid_corpus():
+    """The random corpus, every fixture and the structural-zero surface."""
+    return (random_surfaces() + [make_surface(name) for name in FIXTURES]
+            + [surface_from_strings(*STRUCTURAL_ZERO_SURFACE)])
+
+
+# axes of different lengths, so that a mixed-up axis cannot pass
+AXIS_XS = np.linspace(-0.9, 0.9, 17)
+AXIS_YS = np.linspace(-0.8, 0.7, 13)

@@ -6,9 +6,10 @@ no closed-form coefficient formulas with the package: the geometric oracle
 builds frames by Gram-Schmidt and projects second derivatives per the
 definition of the second fundamental form.
 
-The exception is :func:`evolvent_reference`, the per-direction loop body
-that ``conics._evolvent_sweep`` batches; the sweep must reproduce it bit for
-bit.
+The exceptions are :func:`evolvent_reference`, the per-direction loop body
+that ``conics._evolvent_sweep`` batches, and :func:`jet_variable_reference`,
+coordinate jets with full-array seeds; the package must reproduce both bit
+for bit.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 
 from monge4 import conics
 from monge4 import expr as ex
+from monge4.jets import Jet3
 
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "tan": np.tan,
               "exp": np.exp, "log": np.log, "sqrt": np.sqrt}
@@ -195,7 +197,8 @@ def evolvent_reference(inv, theta):
     et = conics.eta(inv, theta)
     _, zeta = conics.conjugate_radii(inv, theta)
     m = np.array([[et[0], et[1]], [zeta[0], zeta[1]]])
-    det = float(np.linalg.det(m))
+    with np.errstate(divide="ignore", invalid="ignore"):  # subnormal pivots
+        det = float(np.linalg.det(m))
     if abs(det) <= 1e-12:
         return None, det
     return np.linalg.solve(m, np.array([1.0, 0.0])), det
@@ -216,3 +219,16 @@ def winding_number(points, target=(0.0, 0.0)) -> int:
     dif = np.diff(np.concatenate([ang, ang[:1]]))
     dif = (dif + np.pi) % (2.0 * np.pi) - np.pi
     return int(round(float(np.sum(dif)) / (2.0 * np.pi)))
+
+
+def jet_variable_reference(which, x0, y0):
+    """Jet of the coordinate 'x' or 'y' on arrays, with the value and both
+    first-derivative seeds as full arrays of the broadcast grid shape (ones
+    and zeros).  ``jets.jet_variable`` keeps the coordinate's own shape and
+    seeds with the floats 1.0 and 0.0; evaluations must agree under ==.
+    """
+    one = np.ones(np.broadcast(x0, y0).shape)
+    val = np.broadcast_to(x0 if which == "x" else y0, one.shape).astype(float)
+    if which == "x":
+        return Jet3(val, one, one * 0.0)
+    return Jet3(val, one * 0.0, one)

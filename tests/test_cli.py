@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from monge4 import cli, locus
 from monge4.errors import SurfaceFileError
@@ -275,6 +277,34 @@ def test_exit_numerical_failure(tmp_path):
     assert "log" in err
 
 
+# failures in a one-axis subexpression and the first offending grid point
+# (x outer, y inner) that full-grid evaluation reports for them
+AXIS_FAILURES = [
+    ("log(x)", "y^2", "log of non-positive value at point (-1.0, -1.0)"),
+    ("x^2", "sqrt(y)", "sqrt of non-positive value at point (-1.0, -1.0)"),
+    ("log(0.3 - x)", "y^2",
+     "log of non-positive value at point (0.33333333333333326, -1.0)"),
+    ("x^2", "sqrt(0.3 - y)",
+     "sqrt of non-positive value at point (-1.0, 0.33333333333333326)"),
+    ("exp(1000*x)", "y^2",
+     "non-finite result at point (0.7333333333333334, -1.0)"),
+]
+
+
+@pytest.mark.parametrize("command", ["grid", "selfcheck", "trace", "inflections"])
+@pytest.mark.parametrize("phi, psi, message", AXIS_FAILURES)
+def test_exit_numerical_failure_names_first_grid_point(tmp_path, command, phi,
+                                                       psi, message):
+    surf = write(tmp_path, "axis.surf",
+                 f"phi = {phi}\npsi = {psi}\ndomain = -1 1 -1 1\n")
+    args = [command, "--surface", surf, "--res", "16"]
+    if command in ("grid", "trace"):
+        args += ["--out", str(tmp_path / "x.csv")]
+    code, out, err = run_cli(args)
+    assert (code, out) == (4, "")
+    assert err == f"monge4: numerical failure: {message}\n"
+
+
 OVERFLOW_TEXT = "phi = 1e80*x^2\npsi = 1e80*y^2\ndomain = -1 1 -1 1\n"
 
 
@@ -504,3 +534,64 @@ def test_locus_golden_outputs(tmp_path, name):
     code, out, err = run_cli(["inflections", "--surface", surf, "--res", "64"])
     assert code == 0, err
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == infl_sha
+
+
+# -- hostile surfaces through run() ---------------------------------------------
+
+_ATOMS = st.sampled_from(["x", "y", "x", "y", "0", "1", "2.5", "pi", "1e300",
+                          "1e-300", "1e160", "1e76", "1e-155"])
+_EXPONENTS = st.sampled_from(["2", "3", "-1", "-2", "0.5", "2.5", "40",
+                              "600", "-600"])
+
+
+def _compound(children):
+    return st.one_of(
+        st.tuples(children, st.sampled_from("+-*/"), children).map(
+            lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        st.tuples(st.sampled_from(["sin", "cos", "tan", "exp", "log", "sqrt"]),
+                  children).map(lambda t: f"{t[0]}({t[1]})"),
+        st.tuples(children, _EXPONENTS).map(lambda t: f"({t[0]})^{t[1]}"),
+        children.map(lambda c: f"-{c}"),
+    )
+
+
+_HOSTILE_EXPRESSIONS = st.recursive(_ATOMS, _compound, max_leaves=8)
+_TINY = "-1e-120 1e-120 -1e-120 1e-120"
+_DOMAINS = st.sampled_from(["-1 1 -1 1", "0 1 -1 0", "-1e-8 1e-8 -1e-8 1e-8",
+                            _TINY, "-1000 1000 -1000 1000", "-3 3 0.5 2"])
+
+
+@given(_HOSTILE_EXPRESSIONS, _HOSTILE_EXPRESSIONS, _DOMAINS,
+       st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+# a subnormal largest coefficient (the classifier's 2^k scale overflowed)
+@example("((x * -(2.5)^0.5))^40", "2.5", "-1e-8 1e-8 -1e-8 1e-8", 0.5, 0.5)
+# tan of an infinite constant (math.tan raised ValueError: exit 2)
+@example("(exp(tan((1e300)^3)) / x)", "y", "-1 1 -1 1", 0.5, 0.5)
+# ||M||^2 of Python floats overflowed (OverflowError)
+@example("1e160*x^2", "1e-300*y^2", "-1 1 -1 1", 0.5, 0.5)
+# overflowing Delta gradients and a non-finite Delta Hessian (warnings)
+@example("1e160*x^2", "1e-300*y^2", _TINY, 0.5, 0.5)
+@example("1e76*x^2", "1e-300*y^2", _TINY, 0.5, 0.5)
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_hostile_surfaces_exit_cleanly(tmp_path, phi, psi, domain, u, v):
+    """Huge and tiny constants, tan, division, log/sqrt of arguments that
+    change sign and large powers: every subcommand ends in success or a
+    numerical failure (exit 4) with one line on stderr, and never raises
+    (warnings are errors under the test configuration)."""
+    surf = write(tmp_path, "hostile.surf",
+                 f"phi = {phi}\npsi = {psi}\ndomain = {domain}\n")
+    xmin, xmax, ymin, ymax = (float(t) for t in domain.split())
+    at = (f"--at={min(xmin + u * (xmax - xmin), xmax)!r},"
+          f"{min(ymin + v * (ymax - ymin), ymax)!r}")
+    for args in (["analyze", at],
+                 ["grid", "--res", "16", "--out", str(tmp_path / "g.csv")],
+                 ["trace", "--res", "16", "--out", str(tmp_path / "t.csv")],
+                 ["inflections", "--res", "16"]):
+        code, _, err = run_cli(args + ["--surface", surf])
+        assert code in (0, 4), (args[0], err)
+        assert "Traceback" not in err
+        if code:
+            assert err.count("\n") == 1 and err.endswith("\n"), err
+        else:
+            assert err == ""

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from monge4 import eval_jet3, parse_expression
+from monge4 import eval_jet3, jets, parse_expression
 from monge4.errors import EvaluationError
 from monge4.jets import Dual2, jet_constant
 
-from oracles import eval_value, fd_jet
+from conftest import AXIS_XS, AXIS_YS, grid_corpus
+from oracles import eval_value, fd_jet, jet_variable_reference
 
 COEFF_NAMES = ("f", "fx", "fy", "fxx", "fxy", "fyy",
                "fxxx", "fxxy", "fxyy", "fyyy")
@@ -217,3 +218,58 @@ def test_jet_immutability():
     j = jet_constant(1.0)
     with pytest.raises(AttributeError):
         j.f = 2.0
+
+
+# -- grid evaluation on the axes -------------------------------------------------
+
+def _assert_same_jet(u, v):
+    for name in COEFF_NAMES:
+        a, b = getattr(u, name), getattr(v, name)
+        assert a.shape == b.shape, name
+        assert np.array_equal(a, b), name
+
+
+def test_axis_evaluation_matches_meshgrid():
+    """Axis-shaped inputs give the full-grid jets, coefficient for
+    coefficient under ==."""
+    gx, gy = np.meshgrid(AXIS_XS, AXIS_YS, indexing="ij")
+    for surface in grid_corpus():
+        for tree in (surface.phi, surface.psi):
+            _assert_same_jet(eval_jet3(tree, AXIS_XS[:, None], AXIS_YS[None, :]),
+                             eval_jet3(tree, gx, gy))
+
+
+def test_scalar_seed_coordinate_jets_match_array_seeds(monkeypatch):
+    """Coordinate jets with float seeds on the axes evaluate every surface
+    to the same coefficients as full-array seeds on the full grid."""
+    gx, gy = np.meshgrid(AXIS_XS, AXIS_YS, indexing="ij")
+    trees = [t for s in grid_corpus() for t in (s.phi, s.psi)]
+    axis_jets = [eval_jet3(t, AXIS_XS[:, None], AXIS_YS[None, :]) for t in trees]
+    seed = jets.jet_variable("x", AXIS_XS[:, None], AXIS_YS[None, :])
+    assert seed.f.shape == (len(AXIS_XS), 1)
+    assert (seed.fx, seed.fy) == (1.0, 0.0) and type(seed.fx) is float
+    monkeypatch.setattr(jets, "jet_variable", jet_variable_reference)
+    for tree, jet in zip(trees, axis_jets):
+        _assert_same_jet(jet, eval_jet3(tree, gx, gy))
+
+
+# first offending points on descending axes, as reported by full-grid
+# evaluation with array seeds
+@pytest.mark.parametrize("text, point", [
+    ("log(x)", (-0.06666666666666665, 1.0)),
+    ("sqrt(y)", (1.0, -0.06666666666666665)),
+    ("log(x) + sqrt(y)", (-0.06666666666666665, 1.0)),
+    ("sqrt(y)*log(x + 2)", (1.0, -0.06666666666666665)),
+    ("exp(-1000*x)", (-0.7333333333333334, 1.0)),
+    ("exp(-1000*y)", (1.0, -0.7333333333333334)),
+])
+def test_axis_error_reports_first_grid_point(text, point):
+    """A failure in a one-axis subexpression names the first offending point
+    of the whole grid in row-major order, as full-grid inputs do."""
+    xs = np.linspace(1.0, -1.0, 16)
+    ys = np.linspace(1.0, -1.0, 16)
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    for x0, y0 in ((xs[:, None], ys[None, :]), (gx, gy)):
+        with pytest.raises(EvaluationError) as err:
+            eval_jet3(parse_expression(text), x0, y0)
+        assert err.value.point == point

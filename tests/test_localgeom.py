@@ -14,8 +14,8 @@ from monge4.localgeom import (brioschi_curvature, brioschi_field, coeff_norm,
                               invariant_gradients, local_invariants,
                               surface_from_strings)
 
-from conftest import (fixture_callables, make_surface, random_points,
-                      random_surfaces)
+from conftest import (AXIS_XS, AXIS_YS, fixture_callables, grid_corpus,
+                      make_surface, random_points, random_surfaces)
 from oracles import eval_value, geometric_oracle
 
 
@@ -235,3 +235,21 @@ def test_grid_matches_pointwise(surfaces):
         inv = local_invariants(surface, float(xs[k]), float(ys[k]))
         assert fl.K[k] == pytest.approx(inv.K, rel=1e-14)
         assert fl.Delta[k] == pytest.approx(inv.Delta, rel=1e-14)
+
+
+def test_invariant_grid_on_axes_matches_meshgrid():
+    """Every field of the grid pass, and every jet coefficient, is the same
+    under == whether the grid is given as its axes or as full arrays."""
+    gx, gy = np.meshgrid(AXIS_XS, AXIS_YS, indexing="ij")
+    for surface in grid_corpus():
+        axes = invariant_grid(surface, AXIS_XS[:, None], AXIS_YS[None, :])
+        full = invariant_grid(surface, gx, gy)
+        assert vars(axes).keys() == vars(full).keys()
+        for name, value in vars(full).items():
+            if name.startswith("jet_"):
+                pairs = zip(getattr(axes, name).coeffs(), value.coeffs())
+            else:
+                pairs = [(getattr(axes, name), value)]
+            for u, v in pairs:
+                assert u.shape == v.shape == gx.shape, name
+                assert np.array_equal(u, v), name

@@ -120,7 +120,7 @@ def test_find_inflections_real():
     assert rep.det_hessian_delta == pytest.approx(-1024.0, rel=1e-3)
 
 
-@pytest.mark.parametrize("scale", ["1", "1e-20", "1e-40"])
+@pytest.mark.parametrize("scale", ["1", "1e-20", "1e-40", "1e-60"])
 def test_find_inflections_scale_free(scale):
     """The real inflection of s * H is found however small s is, as long as
     s^4 is a normal float."""
