@@ -92,7 +92,10 @@ class Indicatrix:
 def indicatrix(inv: LocalInvariants) -> Indicatrix:
     amat = indicatrix_linear_map(inv)
     sv = np.linalg.svd(amat, compute_uv=False)
-    det = float(np.linalg.det(amat))
+    # LU on a subnormal pivot sets a floating-point flag that numpy would
+    # report as a warning; the determinant is still 0 or tiny
+    with np.errstate(divide="ignore", invalid="ignore"):
+        det = float(np.linalg.det(amat))
     fro2 = float(np.sum(amat * amat))
     return Indicatrix(
         center=inv.H.copy(),
@@ -152,7 +155,8 @@ def canonical_coefficients(inv: LocalInvariants) -> CanonicalCoefficients:
         if r <= 1e-14:
             hp = u.T @ hvec
             return CanonicalCoefficients(float(hp[0]), float(hp[0]), float(hp[1]), 0.0)
-        sign = 1.0 if np.linalg.det(d) >= 0.0 else -1.0
+        with np.errstate(divide="ignore", invalid="ignore"):  # as in indicatrix
+            sign = 1.0 if np.linalg.det(d) >= 0.0 else -1.0
         hp = u.T @ hvec
         return CanonicalCoefficients(float(hp[0] + r), float(hp[0] - r),
                                      float(hp[1]), float(sign * r))
@@ -206,7 +210,8 @@ def conic_from_matrix(m) -> Conic:
         if lead < 0.0:
             m = -m
     fro = float(np.linalg.norm(m))
-    det3 = float(np.linalg.det(m))
+    with np.errstate(divide="ignore", invalid="ignore"):  # as in indicatrix
+        det3 = float(np.linalg.det(m))
     det2 = float(m[0, 0] * m[1, 1] - m[0, 1] ** 2)
     if abs(det3) <= TAU_FULL_RANK * fro ** 3:
         kind = "degenerate"
@@ -296,9 +301,7 @@ def _evolvent_sweep(inv: LocalInvariants, thetas):
     system[:, 0, 0], system[:, 0, 1] = _second_form(inv, co, si)
     system[:, 1, :] = np.matmul(
         np.broadcast_to(indicatrix_linear_map(inv), (n, 2, 2)), rotated)[:, :, 0]
-    # LAPACK's LU divides by a subnormal pivot; the determinant is still
-    # right (0 or tiny), so the sweep must not warn about it
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):  # as in indicatrix
         det = np.linalg.det(system)
     singular = np.abs(det) <= 1e-12
     solvable = system[~singular]

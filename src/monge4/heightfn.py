@@ -73,7 +73,10 @@ def height_hessian(inv: LocalInvariants, n) -> tuple[np.ndarray, float]:
         [b3 * p.fxx + b4 * q.fxx, b3 * p.fxy + b4 * q.fxy],
         [b3 * p.fxy + b4 * q.fxy, b3 * p.fyy + b4 * q.fyy],
     ])
-    det = float(np.linalg.det(hess))
+    # LU on a subnormal pivot sets a floating-point flag that numpy would
+    # report as a warning; the determinant is still 0 or tiny
+    with np.errstate(divide="ignore", invalid="ignore"):
+        det = float(np.linalg.det(hess))
     n1, n2 = float(n[0]), float(n[1])
     quad = ((inv.a * inv.c - inv.b ** 2) * n1 * n1
             + (inv.a * inv.g + inv.c * inv.e - 2.0 * inv.b * inv.f) * n1 * n2

@@ -202,7 +202,10 @@ def delta_resultant(a, b, c, e, f, g):
         np.stack([z, a, 2.0 * b, c], axis=-1),
         np.stack([z, e, 2.0 * f, g], axis=-1),
     ], axis=-2)
-    det = np.linalg.det(m)
+    # LU on a subnormal pivot sets a floating-point flag that numpy would
+    # report as a warning; the determinant is still 0 or tiny
+    with np.errstate(divide="ignore", invalid="ignore"):
+        det = np.linalg.det(m)
     return 0.25 * (float(det) if det.ndim == 0 else det)
 
 

@@ -572,6 +572,8 @@ _DOMAINS = st.sampled_from(["-1 1 -1 1", "0 1 -1 0", "-1e-8 1e-8 -1e-8 1e-8",
 # overflowing Delta gradients and a non-finite Delta Hessian (warnings)
 @example("1e160*x^2", "1e-300*y^2", _TINY, 0.5, 0.5)
 @example("1e76*x^2", "1e-300*y^2", _TINY, 0.5, 0.5)
+# a subnormal coordinate: LU pivots underflow in numpy's det (warning)
+@example("x", "(x * y)", "0 1 -1 0", 1.1125369292536007e-308, 0.0)
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_hostile_surfaces_exit_cleanly(tmp_path, phi, psi, domain, u, v):
