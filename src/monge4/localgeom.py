@@ -216,11 +216,12 @@ def _check_pair(name, u, v, rel, scale, strict, where=None):
     bad = diff > bound
     if np.any(bad):
         idx = int(np.argmax(np.asarray(bad).ravel()))
-        du = np.asarray(u).ravel()[idx]
-        dv = np.asarray(v).ravel()[idx]
+        du = float(np.asarray(u).ravel()[idx])
+        dv = float(np.asarray(v).ravel()[idx])
         msg = f"{name} cross-check failed: {du!r} vs {dv!r}"
         if where is not None:
-            msg += f" at point ({where[0].ravel()[idx]!r}, {where[1].ravel()[idx]!r})"
+            px, py = (float(w.ravel()[idx]) for w in where)
+            msg += f" at point ({px!r}, {py!r})"
         if strict:
             raise CrossCheckError(msg)
         log.warning(msg)

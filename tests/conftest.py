@@ -3,6 +3,9 @@ of random polynomial/trigonometric surfaces."""
 
 from __future__ import annotations
 
+import importlib.util
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -31,6 +34,21 @@ def make_surface(name, domain=(-1.0, 1.0, -1.0, 1.0)):
 @pytest.fixture(scope="session")
 def surfaces():
     return {name: make_surface(name) for name in FIXTURES}
+
+
+def gallery_surfaces():
+    """The surfaces of ``scripts/fixture_gallery.py`` by name, with the
+    saddle surface of the locus goldens in ``tests/test_cli.py``."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "scripts" \
+        / "fixture_gallery.py"
+    spec = importlib.util.spec_from_file_location("fixture_gallery", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    table = dict(module.SURFACES)
+    table["saddle"] = ("x^2 - y^2", "x^3/3 + x*y^2 + 0.2*y^3",
+                       "-0.5 0.5 -0.5 0.5")
+    return {name: surface_from_strings(phi, psi, tuple(map(float, dom.split())))
+            for name, (phi, psi, dom) in table.items()}
 
 
 def fixture_callables(name):

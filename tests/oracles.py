@@ -9,7 +9,9 @@ definition of the second fundamental form.
 The exceptions are :func:`evolvent_reference`, the per-direction loop body
 that ``conics._evolvent_sweep`` batches, and :func:`jet_variable_reference`,
 coordinate jets with full-array seeds; the package must reproduce both bit
-for bit.
+for bit.  :func:`bisect_edges_reference` is the fixed 40-round bisection
+that ``locus._refine_edges`` replaced; the package must match its polylines
+with residuals no worse.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 from monge4 import conics
 from monge4 import expr as ex
 from monge4.jets import Jet3
+from monge4.localgeom import invariant_grid
 
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "tan": np.tan,
               "exp": np.exp, "log": np.log, "sqrt": np.sqrt}
@@ -232,3 +235,26 @@ def jet_variable_reference(which, x0, y0):
     if which == "x":
         return Jet3(val, one, one * 0.0)
     return Jet3(val, one * 0.0, one)
+
+
+def bisect_edges_reference(surface, ax, ay, bx, by, da, db, rounds=40):
+    """Vertices of the crossing edges from (ax, ay) to (bx, by) by plain
+    bisection: ``rounds`` halvings of t in [0, 1] on the sign of Delta, then
+    the midpoint of the last bracket and its |Delta|.  Takes and returns what
+    ``locus._refine_edges`` does; db is not used.
+    """
+    sa = np.sign(da)
+    lo = np.zeros(len(ax))
+    hi = np.ones(len(ax))
+    for _ in range(rounds):
+        mid = 0.5 * (lo + hi)
+        dm = invariant_grid(surface, ax + (bx - ax) * mid, ay + (by - ay) * mid,
+                            cross_check=False).Delta
+        same = np.sign(dm) == sa
+        lo = np.where(same, mid, lo)
+        hi = np.where(same, hi, mid)
+    mid = 0.5 * (lo + hi)
+    mx = ax + (bx - ax) * mid
+    my = ay + (by - ay) * mid
+    res = np.abs(invariant_grid(surface, mx, my, cross_check=False).Delta)
+    return mx, my, res

@@ -200,6 +200,22 @@ def test_strict_flag_controls_cross_check(surfaces, monkeypatch, caplog):
     assert any("cross-check" in rec.message for rec in caplog.records)
 
 
+def test_cross_check_message_prints_plain_floats():
+    """The values and the point of a failed check print as Python floats,
+    not as numpy scalars, from array inputs of any shape."""
+    u = np.array([[1.0, 2.0], [3.0, 5091454.0664]])
+    v = np.array([[1.0, 2.0], [3.0, 5091454.067871094]])
+    where = (np.array([[0.0, 0.0], [0.3, 0.3]]), np.array([[0.0, 0.2], [0.0, 0.2]]))
+    with pytest.raises(CrossCheckError) as err:
+        localgeom._check_pair("W", u, v, 1e-12, np.abs(v), True, where)
+    assert str(err.value) == ("W cross-check failed: 5091454.0664 vs "
+                              "5091454.067871094 at point (0.3, 0.2)")
+    with pytest.raises(CrossCheckError) as err:
+        localgeom._check_pair("K", np.float64(1.0), np.float64(2.0), 1e-9,
+                              1.0, True)
+    assert str(err.value) == "K cross-check failed: 1.0 vs 2.0"
+
+
 def test_invariant_gradients_match_fd(surfaces):
     surface = surfaces["G"]
     g = invariant_gradients(surface, 0.23, -0.11)

@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
-from monge4 import classify
+from monge4 import classify, locus
 from monge4.localgeom import (coeff_norm, invariant_grid, local_invariants,
                               surface_from_strings)
 from monge4.locus import find_inflections, trace_parabolic
 
-from conftest import make_surface
+from conftest import gallery_surfaces, make_surface, random_surfaces
+from oracles import bisect_edges_reference
 
 HALF_BOX = (-0.5, 0.5, -0.5, 0.5)
+GALLERY = gallery_surfaces()
 
 
 def test_resolution_validation(surfaces):
@@ -131,6 +133,20 @@ def test_find_inflections_scale_free(scale):
     assert (reports[0].x, reports[0].y) == pytest.approx((0.0, 0.0), abs=1e-6)
 
 
+@pytest.mark.parametrize("scale", ["1", "1e-60"])
+def test_find_inflections_flat(scale):
+    """At the origin of phi = x^2, psi = x*y^2, M = [[2, 0, 0], [0, 0, 0]]
+    has rank 1 and K = 0: a flat inflection, inside the classifier's K
+    band at any scale."""
+    surface = surface_from_strings(f"{scale}*x^2", f"{scale}*x*y^2", HALF_BOX)
+    reports = find_inflections(surface, 64)
+    assert [r.kind for r in reports] == ["flat"]
+    assert (reports[0].x, reports[0].y) == pytest.approx((0.0, 0.0), abs=1e-6)
+    cls = classify.classify_point(
+        local_invariants(surface, reports[0].x, reports[0].y))
+    assert cls.inflection_type == "flat"
+
+
 def test_find_inflections_empty_cases():
     assert find_inflections(make_surface("B", HALF_BOX), 64) == []
     assert find_inflections(make_surface("flat", HALF_BOX), 32) == []
@@ -225,3 +241,108 @@ def test_real_inflection_sits_on_branch_crossing():
         d = np.hypot(pl.points[:, 0] - reports_c[0].x,
                      pl.points[:, 1] - reports_c[0].y)
         assert float(d.min()) > 2.0 * cell
+
+
+# -- edge refinement ----------------------------------------------------------
+
+def _assert_matches_bisection(surface, res, monkeypatch):
+    """Same polylines and vertex ids as the 40-round bisection, each vertex
+    at the same root, its residual |Delta| at the vertex itself, and the
+    largest residual no worse.
+
+    Where a root is ill-conditioned the two may stop more than 1e-12 apart,
+    but then Delta at their midpoint is still within 1e-12 ||M||^4 of zero.
+    Otherwise they found different roots of one edge (Delta changes sign
+    three times along it), which happens on at most one edge of a surface."""
+    new = trace_parabolic(surface, res)
+    with monkeypatch.context() as m:
+        m.setattr(locus, "_refine_edges", bisect_edges_reference)
+        ref = trace_parabolic(surface, res)
+    assert len(new.polylines) == len(ref.polylines)
+    assert new.degenerate_cells == ref.degenerate_cells
+    if not new.polylines:
+        return
+    for pn, pr in zip(new.polylines, ref.polylines):
+        assert pn.closed == pr.closed
+        assert pn.points.shape == pr.points.shape
+    pts = np.concatenate([pl.points for pl in new.polylines])
+    ref_pts = np.concatenate([pl.points for pl in ref.polylines])
+    moved = np.hypot(*(pts - ref_pts).T) > 1e-12
+    mid = invariant_grid(surface, *(0.5 * (pts[moved] + ref_pts[moved])).T,
+                         cross_check=False)
+    other_root = np.abs(mid.Delta) > 1e-12 * coeff_norm(mid) ** 4
+    assert other_root.sum() <= 1
+    xmin, xmax, ymin, ymax = surface.domain
+    cell = max(xmax - xmin, ymax - ymin) / (res - 1)
+    for p, q in zip(pts[moved][other_root], ref_pts[moved][other_root]):
+        assert (p[0] == q[0] or p[1] == q[1]) and np.hypot(*(p - q)) < cell
+    residuals = np.concatenate([pl.residuals for pl in new.polylines])
+    fl = invariant_grid(surface, pts[:, 0], pts[:, 1], cross_check=False)
+    assert np.array_equal(residuals, np.abs(fl.Delta))
+    assert residuals.max() <= max(pl.residuals.max() for pl in ref.polylines)
+
+
+@pytest.mark.parametrize("name", sorted(GALLERY))
+def test_refinement_matches_bisection_on_gallery(name, monkeypatch):
+    _assert_matches_bisection(GALLERY[name], 256, monkeypatch)
+
+
+def test_refinement_matches_bisection_on_random_corpus(monkeypatch):
+    for surface in random_surfaces():
+        _assert_matches_bisection(surface, 64, monkeypatch)
+
+
+# invariant_grid calls of one trace at res 256: the grid, the refinement
+# passes and one per saddle cell, measured (the bisection took 41 passes)
+TRACE_CALLS = {"segment": 1, "umbilic": 1, "inflection_imaginary": 1,
+               "hyperbolic": 1, "fold": 4, "inflection_real": 3,
+               "parabolic_loop": 9, "saddle": 10,
+               # Delta vanishes identically: signs of rounding noise
+               "parabolic": 10}
+
+
+def _count_trace_calls(surface, res, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return invariant_grid(*args, **kwargs)
+
+    monkeypatch.setattr(locus, "invariant_grid", counting)
+    ps = trace_parabolic(surface, res)
+    monkeypatch.undo()
+    return ps, calls
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_CALLS))
+def test_refinement_pass_count(name, monkeypatch):
+    _, calls = _count_trace_calls(GALLERY[name], 256, monkeypatch)
+    assert len(calls) <= TRACE_CALLS[name]
+
+
+def test_inflection_real_vertices_on_grid_nodes(monkeypatch):
+    """Delta vanishes on the diagonals x = +-y, which pass through grid
+    nodes, so a node at one end of each crossing edge holds only rounding
+    noise, where plain Illinois would creep for dozens of passes.  Either
+    the regula-falsi point rounds onto the node, and the vertex is the node
+    itself with its grid Delta, or it lies a few rounding units off it; the
+    trace takes two passes."""
+    res = 256
+    surface = GALLERY["inflection_real"]
+    ps, calls = _count_trace_calls(surface, res, monkeypatch)
+    assert len(calls) == 3  # the grid and two passes; no saddle cell
+    xs, ys, fields = locus._grid_fields(surface, res)
+    pts = np.concatenate([pl.points for pl in ps.polylines])
+    residuals = np.concatenate([pl.residuals for pl in ps.polylines])
+    i = np.searchsorted(xs, pts[:, 0])
+    j = np.searchsorted(ys, pts[:, 1])
+    on_node = (i < res) & (j < res)
+    on_node[on_node] = (xs[i[on_node]] == pts[on_node, 0]) \
+        & (ys[j[on_node]] == pts[on_node, 1])
+    assert on_node.sum() >= len(pts) // 2
+    assert np.array_equal(residuals[on_node],
+                          np.abs(fields.Delta[i[on_node], j[on_node]]))
+    # the others sit a few rounding units off a node
+    ni = np.abs(pts[:, 0, None] - xs[None, :]).min(axis=1)
+    nj = np.abs(pts[:, 1, None] - ys[None, :]).min(axis=1)
+    assert np.all(np.hypot(ni, nj) <= 4 * np.spacing(0.5))

@@ -30,3 +30,14 @@ def test_fixture_gallery(tmp_path):
         assert (tmp_path / f"{name}.txt").read_text(encoding="utf-8")
         svg = (tmp_path / f"{name}.svg").read_text(encoding="utf-8")
         assert svg.count('class="indicatrix"') == 1
+
+
+def test_corpus_crosscheck_small_corpus():
+    """Three random surfaces, 100 points each: every redundant formula route
+    stays within its bound."""
+    r = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "corpus_crosscheck.py"),
+         "3", "100", "1"],
+        capture_output=True, text=True, check=False)
+    assert r.returncode == 0, r.stdout + r.stderr
+    assert r.stdout.count("  PASS ") == 5, r.stdout
