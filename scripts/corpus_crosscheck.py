@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Worst-case deviations between the redundant formula routes over a random
-surface corpus.  Prints one row per check with the largest relative deviation
-seen; exits nonzero if any bound is violated.
+surface corpus.  Prints one row per check of ``localgeom.CROSS_CHECKS`` with
+the largest deviation seen relative to the check's scale; exits nonzero if
+any bound is violated.
 
 Usage:
     python scripts/corpus_crosscheck.py [n_surfaces] [points_per_surface] [seed]
@@ -15,17 +16,9 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tests"))
 
 import numpy as np  # noqa: E402
 
-from monge4.localgeom import (brioschi_field, coeff_norm, delta_resultant,
+from monge4.localgeom import (CROSS_CHECKS, coeff_norm,
                               invariant_grid)  # noqa: E402
 from conftest import random_surfaces  # noqa: E402
-
-BOUNDS = {
-    "K coefficient vs closed": 1e-9,
-    "kappa coefficient vs closed": 1e-9,
-    "Delta expansion vs resultant": 1e-9,
-    "hat-metric Gram identity": 1e-10,
-    "Brioschi vs coefficient K": 1e-8,
-}
 
 
 def main():
@@ -33,40 +26,24 @@ def main():
     n_pts = int(sys.argv[2]) if len(sys.argv) > 2 else 500
     seed = int(sys.argv[3]) if len(sys.argv) > 3 else 20240305
     rng = np.random.default_rng(seed)
-    worst = {name: 0.0 for name in BOUNDS}
-
-    def rel(u, v, scale):
-        return float(np.max(np.abs(u - v)
-                     / np.maximum(np.maximum(np.abs(u), np.abs(v)), scale)))
+    worst = {check.name: -np.inf for check in CROSS_CHECKS}
+    held = {check.name: True for check in CROSS_CHECKS}
 
     for surface in random_surfaces(seed=seed, count=n_surf):
         pts = rng.uniform(-0.9, 0.9, size=(n_pts, 2))
         fl = invariant_grid(surface, pts[:, 0], pts[:, 1], cross_check=False)
-        msq = np.asarray(coeff_norm(fl)) ** 2
-        worst["K coefficient vs closed"] = max(
-            worst["K coefficient vs closed"], rel(fl.K, fl.K_closed, msq))
-        worst["kappa coefficient vs closed"] = max(
-            worst["kappa coefficient vs closed"],
-            rel(fl.kappa, fl.kappa_closed, msq))
-        det = delta_resultant(fl.a, fl.b, fl.c, fl.e, fl.f, fl.g)
-        worst["Delta expansion vs resultant"] = max(
-            worst["Delta expansion vs resultant"],
-            rel(fl.Delta, det, msq * msq))
-        worst["hat-metric Gram identity"] = max(
-            worst["hat-metric Gram identity"],
-            rel(fl.Eh * fl.Gh - fl.Fh ** 2, fl.W, np.abs(fl.W)))
-        worst["Brioschi vs coefficient K"] = max(
-            worst["Brioschi vs coefficient K"],
-            rel(brioschi_field(fl.jet_phi, fl.jet_psi), fl.K, msq))
+        msq = coeff_norm(fl) ** 2
+        for check in CROSS_CHECKS:
+            deviation, scale = check.margins(fl, msq)
+            held[check.name] &= bool(np.all(deviation <= check.rel * scale))
+            worst[check.name] = max(worst[check.name],
+                                    float(np.max(deviation / scale)))
 
-    failures = 0
     print(f"{n_surf} surfaces x {n_pts} points (seed {seed})")
-    for name, bound in BOUNDS.items():
-        ok = worst[name] <= bound
-        failures += not ok
-        print(f"  {'PASS' if ok else 'FAIL'} {name}: "
-              f"worst {worst[name]:.3e} (bound {bound:.0e})")
-    return 1 if failures else 0
+    for check in CROSS_CHECKS:
+        print(f"  {'PASS' if held[check.name] else 'FAIL'} {check.name}: "
+              f"worst {worst[check.name]:.3e} (bound {check.rel:.0e})")
+    return 0 if all(held.values()) else 1
 
 
 if __name__ == "__main__":

@@ -124,46 +124,18 @@ def _unit_scaled(a, b, c, e, f, g):
 
 def classify_point(inv: LocalInvariants,
                    tol: ToleranceSet = DEFAULT_TOL) -> PointClassification:
-    """Taxonomy tag for the point of ``inv``.
-
-    The kind follows the sign of Delta inside a ||M||^4-relative band; within
-    the parabolic band the point is an inflection when additionally kappa
-    vanishes (||M||^2 band) and the coefficient matrix has rank <= 1.  The
-    bands are decided on M scaled to a largest entry in [0.5, 1).
-    """
-    m = _unit_scaled(inv.a, inv.b, inv.c, inv.e, inv.f, inv.g)
-    tau_delta = tol.rel * m.msq * m.msq
-    tau_kappa = tol.rel * m.msq
-    tau_k = tol.rel * m.msq
-
-    rank = int(rank_m(inv.a, inv.b, inv.c, inv.e, inv.f, inv.g, tol.rank_ratio))
-
-    if m.Delta > tau_delta:
-        kind = "elliptic"
-    elif m.Delta < -tau_delta:
-        kind = "hyperbolic"
-    elif abs(m.kappa) <= tau_kappa and rank <= 1:
-        kind = "inflection"
-    else:
-        kind = "parabolic"
-
-    itype = None
-    if kind == "inflection":
-        if m.K < -tau_k:
-            itype = "real"
-        elif m.K > tau_k:
-            itype = "imaginary"
-        else:
-            itype = "flat"
-
+    """Taxonomy tag for the point of ``inv``: the kind, type and rank of
+    :func:`class_labels_grid`, plus the circle and minimal flags."""
+    label = class_labels_grid(inv, tol)
     axes = np.linalg.svd(indicatrix_linear_map(inv), compute_uv=False)
     is_circle = axes[0] <= 1e-14 or (axes[0] - axes[1]) <= tol.circle_ratio * axes[0]
     is_minimal = float(np.hypot(inv.H[0], inv.H[1])) <= tol.rel * inv.coeff_norm
     return PointClassification(
-        kind=kind, inflection_type=itype,
+        kind=label.kind,
+        inflection_type=label.k_type if label.kind == "inflection" else None,
         is_circle=bool(is_circle), is_minimal=bool(is_minimal),
         is_umbilic=bool(is_circle and is_minimal),
-        rank_m=rank, delta=inv.Delta, kappa=inv.kappa, K=inv.K,
+        rank_m=label.rank, delta=inv.Delta, kappa=inv.kappa, K=inv.K,
         tolerances=tol,
     )
 
@@ -220,28 +192,47 @@ def binormals(inv: LocalInvariants,
     return out
 
 
-def class_labels_grid(fields, tol: ToleranceSet = DEFAULT_TOL) -> np.ndarray:
-    """Vectorised class labels over the arrays of an invariant grid.
+class ClassLabel(str):
+    """A class label as the grid CSV prints it ("elliptic", ...,
+    "inflection_real") that also carries the parts it is made of: the kind,
+    the K band ("real", "flat" or "imaginary", decided at every point, not
+    only at inflections) and the rank of M."""
 
-    Same decision procedure as :func:`classify_point`; inflection labels
-    carry their type ("inflection_real" etc.).
+    def __new__(cls, kind: str, k_type: str, rank: int):
+        label = super().__new__(
+            cls, f"inflection_{k_type}" if kind == "inflection" else kind)
+        label.kind, label.k_type, label.rank = kind, k_type, rank
+        return label
+
+
+_KINDS = ("elliptic", "hyperbolic", "parabolic", "inflection")
+_K_TYPES = ("real", "flat", "imaginary")
+# indexed by (kind, K band, rank) as class_labels_grid numbers them
+_LABELS = np.array([[[ClassLabel(kind, k_type, rank) for rank in range(3)]
+                     for k_type in _K_TYPES] for kind in _KINDS], dtype=object)
+
+
+def class_labels_grid(fields, tol: ToleranceSet = DEFAULT_TOL):
+    """The taxonomy's band decision, elementwise on the coefficients a..g of
+    ``fields`` (floats, 0-d arrays or arrays): a :class:`ClassLabel` for a
+    single point, an object array of them otherwise.
+
+    The kind follows the sign of Delta inside a ||M||^4-relative band;
+    within the parabolic band the point is an inflection when additionally
+    kappa vanishes (||M||^2 band) and M has rank <= 1.  The K band, also
+    ||M||^2-relative, gives the type.  The bands are decided on M scaled to
+    a largest entry in [0.5, 1).
     """
     m = _unit_scaled(fields.a, fields.b, fields.c, fields.e, fields.f, fields.g)
-    delta, kappa, kg, msq = m.Delta, m.kappa, m.K, m.msq
-    tau_delta = tol.rel * msq * msq
-    tau_band = tol.rel * msq
-
+    tau_delta = tol.rel * m.msq * m.msq
+    tau_band = tol.rel * m.msq
     rank = rank_m(fields.a, fields.b, fields.c, fields.e, fields.f, fields.g,
                   tol.rank_ratio)
-
-    labels = np.full(delta.shape, "parabolic", dtype=object)
-    labels[delta > tau_delta] = "elliptic"
-    labels[delta < -tau_delta] = "hyperbolic"
-    infl = (np.abs(delta) <= tau_delta) & (np.abs(kappa) <= tau_band) & (rank <= 1)
-    labels[infl & (kg < -tau_band)] = "inflection_real"
-    labels[infl & (kg > tau_band)] = "inflection_imaginary"
-    labels[infl & (np.abs(kg) <= tau_band)] = "inflection_flat"
-    return labels
+    infl = (np.abs(m.kappa) <= tau_band) & (rank <= 1)
+    kind = np.where(m.Delta > tau_delta, 0,
+                    np.where(m.Delta < -tau_delta, 1, np.where(infl, 3, 2)))
+    k_type = np.where(m.K < -tau_band, 0, np.where(m.K > tau_band, 2, 1))
+    return _LABELS[kind, k_type, rank]
 
 
 def hessian_of_delta(surface: SurfaceSpec, x: float, y: float,

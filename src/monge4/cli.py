@@ -32,8 +32,8 @@ from . import conics, locus
 from .errors import (CrossCheckError, DegenerateIndicatrixError,
                      DegenerateMetricError, EvaluationError,
                      InflectionPointError, Monge4Error, SurfaceFileError)
-from .localgeom import (SurfaceSpec, brioschi_field, coeff_norm,
-                        delta_resultant, invariant_grid, local_invariants)
+from .localgeom import (CROSS_CHECKS, SurfaceSpec, coeff_norm, invariant_grid,
+                        local_invariants)
 from .surfacefile import parse_surface_file
 from .svgplot import render_normal_plane
 
@@ -279,45 +279,21 @@ def _cmd_plot(surface, cfg, out):
 # ---------------------------------------------------------------------------
 
 def selfcheck_report(surface: SurfaceSpec, res: int):
-    """Cross-formula invariant suite over the grid.
+    """Every check of :data:`~monge4.localgeom.CROSS_CHECKS` over the grid.
 
-    Returns (all_passed, list of (name, passed, worst) lines).
+    Returns (all_passed, list of (name, passed, worst) lines), where worst is
+    the largest deviation minus its bound.
     """
     xs, ys = _grid_axes(surface, res)
     fields = invariant_grid(surface, xs[:, None], ys[None, :],
                             cross_check=False)
-    msq = np.asarray(coeff_norm(fields)) ** 2
+    msq = coeff_norm(fields) ** 2
     checks = []
-
-    def add(name, diff, bound):
-        worst = float(np.max(diff - bound))
-        checks.append((name, bool(np.all(diff <= bound)), worst))
-
-    def rel_bound(u, v, rel, scale):
-        return rel * np.maximum(np.maximum(np.abs(u), np.abs(v)), scale)
-
-    add("K coefficient vs closed form",
-        np.abs(fields.K - fields.K_closed),
-        rel_bound(fields.K, fields.K_closed, 1e-9, msq))
-    add("kappa coefficient vs closed form",
-        np.abs(fields.kappa - fields.kappa_closed),
-        rel_bound(fields.kappa, fields.kappa_closed, 1e-9, msq))
-    delta_det = delta_resultant(fields.a, fields.b, fields.c,
-                                fields.e, fields.f, fields.g)
-    add("Delta expansion vs resultant determinant",
-        np.abs(fields.Delta - delta_det),
-        rel_bound(fields.Delta, delta_det, 1e-9, msq * msq))
-    gram = fields.Eh * fields.Gh - fields.Fh ** 2
-    add("normal-frame Gram identity",
-        np.abs(gram - fields.W), 1e-10 * np.abs(fields.W))
-    kg = brioschi_field(fields.jet_phi, fields.jet_psi)
-    add("Brioschi vs coefficient curvature",
-        np.abs(kg - fields.K), rel_bound(kg, fields.K, 1e-8, msq))
-    h1 = 0.5 * (fields.a + fields.c)
-    h2 = 0.5 * (fields.e + fields.g)
-    gap = h1 ** 2 + h2 ** 2 - fields.K - np.abs(fields.kappa)
-    add("Wintgen inequality",
-        -gap, 1e-10 * np.maximum(1.0, msq))
+    for check in CROSS_CHECKS:
+        deviation, scale = check.margins(fields, msq)
+        bound = check.rel * scale
+        checks.append((check.name, bool(np.all(deviation <= bound)),
+                       float(np.max(deviation - bound))))
     return all(p for _, p, _ in checks), checks
 
 

@@ -6,10 +6,13 @@ vectors N1 = (-phi_x,-phi_y,1,0), N2 = (-psi_x,-psi_y,0,1), orthonormalised
 in that order.  The second-fundamental-form coefficients (a,b,c) and (e,f,g)
 are taken along the orthonormal normal frame (e3, e4).
 
-Redundant formulas are kept as live self-checks: the Gaussian curvature K
-and the normal curvature kappa each have an independent closed form in the
-raw derivatives of phi and psi, the Brioschi formula gives a third route to
-K through the metric alone, and the resultant determinant re-derives Delta.
+Redundant formulas are kept as self-checks, listed in :data:`CROSS_CHECKS`:
+the Gaussian curvature K and the normal curvature kappa each have an
+independent closed form in the raw derivatives of phi and psi, the Bezout
+form of the resultant re-derives Delta, and the hat metric re-derives W;
+these four run live at every evaluation.  The Brioschi formula (a third
+route to K through the metric alone) and the Wintgen inequality run only in
+the selfcheck suite.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -42,6 +46,7 @@ REL_KAPPA = 1e-9
 REL_DELTA = 1e-9
 REL_GRAM = 1e-10
 REL_BRIOSCHI = 1e-8
+REL_WINTGEN = 1e-10
 
 _OVERFLOW = "non-finite invariants (overflow)"
 
@@ -121,14 +126,16 @@ def coeff_norm(fields) -> object:
                    + fields.e ** 2 + fields.f ** 2 + fields.g ** 2)
 
 
-def frame_fields(phi_d, psi_d, *, check_metric=True):
+def frame_fields(phi_d, psi_d, where=None):
     """Derived fields from first/second derivatives of phi and psi.
 
     ``phi_d``/``psi_d`` are (fx, fy, fxx, fxy, fyy) tuples whose entries may
     be floats, numpy arrays or :class:`Dual2` values; the formulas are generic
     in the arithmetic.  Returns a namespace with the metric, the hat metric,
     the coefficients a..g, both routes to K and kappa, Delta (expanded form)
-    and the coefficients of the directional quadraticnq.
+    and the coefficients of the directional quadraticnq.  A metric with
+    W <= EPS_METRIC is a :class:`DegenerateMetricError` at the first such
+    point of ``where`` = (x, y), when given.
     """
     px, py, pxx, pxy, pyy = phi_d
     qx, qy, qxx, qxy, qyy = psi_d
@@ -141,11 +148,11 @@ def frame_fields(phi_d, psi_d, *, check_metric=True):
     Fh = px * qx + py * qy
     Gh = qx * qx + qy * qy + 1.0
 
-    if check_metric:
-        wval = W.val if isinstance(W, Dual2) else W
-        if np.any(np.asarray(wval) <= EPS_METRIC):
-            bad = int(np.argmax(np.asarray(wval).ravel() <= EPS_METRIC))
-            raise DegenerateMetricError(None, float(np.asarray(wval).ravel()[bad]))
+    # tested before W divides: Python floats raise on a zero or negative W
+    wval = W.val if isinstance(W, Dual2) else W
+    if np.any(wval <= EPS_METRIC):
+        point, w = _first_bad(wval <= EPS_METRIC, *(where or (0.0, 0.0)), wval)
+        raise DegenerateMetricError(point if where else None, w)
 
     sEh = generic_sqrt(Eh)
     sW = generic_sqrt(W)
@@ -185,35 +192,85 @@ def frame_fields(phi_d, psi_d, *, check_metric=True):
                            Delta=Delta, nq0=nq0, nq1=nq1, nq2=nq2)
 
 
+def _first_bad(bad, x, y, value=0.0):
+    """The first of the points (x, y), in row-major order, where ``bad``
+    holds, and ``value`` there."""
+    bad, x, y, value = np.broadcast_arrays(bad, x, y, value)
+    idx = int(np.argmax(bad.ravel()))
+    return (float(x.ravel()[idx]), float(y.ravel()[idx])), float(value.ravel()[idx])
+
+
 def _jet_first_second(j: Jet3):
     return (j.fx, j.fy, j.fxx, j.fxy, j.fyy)
 
 
 def delta_resultant(a, b, c, e, f, g):
-    """Quarter of the 4x4 resultant determinant of the coefficient quadratics.
-
-    Accepts scalars or equally-shaped arrays (stacked determinants).
+    """Delta as the resultant of the quadratics a u^2 + 2b uv + c v^2 and
+    e u^2 + 2f uv + g v^2, by its Bezout form: the determinant
+    nq0 nq2 - nq1^2 / 4 of their Bezoutian, algebraically distinct from the
+    expanded form of :func:`frame_fields`.  Elementwise on floats and arrays.
     """
-    a, b, c, e, f, g = np.broadcast_arrays(a, b, c, e, f, g)
-    z = np.zeros_like(np.asarray(a, dtype=float))
-    m = np.stack([
-        np.stack([a, 2.0 * b, c, z], axis=-1),
-        np.stack([e, 2.0 * f, g, z], axis=-1),
-        np.stack([z, a, 2.0 * b, c], axis=-1),
-        np.stack([z, e, 2.0 * f, g], axis=-1),
-    ], axis=-2)
-    # LU on a subnormal pivot sets a floating-point flag that numpy would
-    # report as a warning; the determinant is still 0 or tiny
-    with np.errstate(divide="ignore", invalid="ignore"):
-        det = np.linalg.det(m)
-    return 0.25 * (float(det) if det.ndim == 0 else det)
+    return (a * f - b * e) * (b * g - c * f) - 0.25 * (a * g - c * e) ** 2
+
+
+def _relative(u, v, scale):
+    """Routes u and v with the scale max(|u|, |v|, scale), elementwise."""
+    return u, v, np.maximum(np.maximum(np.abs(u), np.abs(v)), scale)
+
+
+class CrossCheck(NamedTuple):
+    """One comparison of redundant formula routes.
+
+    ``routes(fields, msq)`` takes the namespace of :func:`invariant_grid`
+    and ||M||^2 and returns (u, v, scale); the check holds where
+    |u - v| <= rel * scale, or u - v <= rel * scale when ``one_sided``.
+    ``name`` is the line selfcheck prints; a ``live`` check also runs at
+    every evaluation and, failed, names itself by ``tag``.
+    """
+
+    name: str
+    tag: str
+    rel: float
+    live: bool
+    routes: Callable
+    one_sided: bool = False
+
+    def margins(self, fields, msq):
+        """(deviation, scale): the check holds where deviation <= rel * scale."""
+        u, v, scale = self.routes(fields, msq)
+        return (u - v if self.one_sided else np.abs(u - v)), scale
+
+
+def _wintgen_routes(fl, msq):
+    # |H|^2 >= K + |kappa|: the deficit -gap against 0
+    gap = (0.5 * (fl.a + fl.c)) ** 2 + (0.5 * (fl.e + fl.g)) ** 2 \
+        - fl.K - np.abs(fl.kappa)
+    return -gap, 0.0, np.maximum(1.0, msq)
+
+
+CROSS_CHECKS = (
+    CrossCheck("K coefficient vs closed form", "K", REL_K, True,
+               lambda fl, msq: _relative(fl.K, fl.K_closed, msq)),
+    CrossCheck("kappa coefficient vs closed form", "kappa", REL_KAPPA, True,
+               lambda fl, msq: _relative(fl.kappa, fl.kappa_closed, msq)),
+    CrossCheck("Delta expansion vs resultant determinant", "Delta", REL_DELTA,
+               True, lambda fl, msq: _relative(
+                   fl.Delta, delta_resultant(fl.a, fl.b, fl.c, fl.e, fl.f, fl.g),
+                   msq * msq)),
+    CrossCheck("normal-frame Gram identity", "EhGh-Fh^2=W", REL_GRAM, True,
+               lambda fl, msq: (fl.Eh * fl.Gh - fl.Fh ** 2, fl.W,
+                                np.abs(fl.W))),
+    CrossCheck("Brioschi vs coefficient curvature", "Brioschi", REL_BRIOSCHI,
+               False, lambda fl, msq: _relative(
+                   brioschi_field(fl.jet_phi, fl.jet_psi), fl.K, msq)),
+    CrossCheck("Wintgen inequality", "Wintgen", REL_WINTGEN, False,
+               _wintgen_routes, one_sided=True),
+)
 
 
 def _check_pair(name, u, v, rel, scale, strict, where=None):
-    """Require |u - v| <= rel * max(|u|, |v|, scale) (elementwise)."""
-    diff = np.abs(u - v)
-    bound = rel * np.maximum(np.maximum(np.abs(u), np.abs(v)), scale)
-    bad = diff > bound
+    """Require |u - v| <= rel * scale (elementwise)."""
+    bad = np.abs(u - v) > rel * scale
     if np.any(bad):
         idx = int(np.argmax(np.asarray(bad).ravel()))
         du = float(np.asarray(u).ravel()[idx])
@@ -227,22 +284,24 @@ def _check_pair(name, u, v, rel, scale, strict, where=None):
         log.warning(msg)
 
 
-def _run_cross_checks(fl, delta_det, strict, where=None):
+def _run_cross_checks(fl, strict, where=None):
+    """The live checks of :data:`CROSS_CHECKS`."""
     msq = coeff_norm(fl) ** 2
-    _check_pair("K", fl.K, fl.K_closed, REL_K, msq, strict, where)
-    _check_pair("kappa", fl.kappa, fl.kappa_closed, REL_KAPPA, msq, strict, where)
-    _check_pair("Delta", fl.Delta, delta_det, REL_DELTA, msq * msq, strict, where)
-    _check_pair("EhGh-Fh^2=W", fl.Eh * fl.Gh - fl.Fh ** 2, fl.W,
-                REL_GRAM, np.abs(fl.W), strict, where)
+    for check in CROSS_CHECKS:
+        if check.live:
+            u, v, scale = check.routes(fl, msq)
+            _check_pair(check.tag, u, v, check.rel, scale, strict, where)
 
 
 def _finite_frame_fields(jphi: Jet3, jpsi: Jet3, x, y):
-    """:func:`frame_fields` of two jets, refusing overflow: raises
-    :class:`EvaluationError` at the first point where a coefficient, K, kappa,
-    Delta, a frame denominator or ||M||^4 is not finite."""
+    """:func:`frame_fields` of two jets at the points (x, y), refusing
+    overflow: raises :class:`EvaluationError` at the first point where a
+    coefficient, K, kappa, Delta, a frame denominator or ||M||^4 is not
+    finite."""
     try:
         with np.errstate(all="ignore"):
-            fl = frame_fields(_jet_first_second(jphi), _jet_first_second(jpsi))
+            fl = frame_fields(_jet_first_second(jphi), _jet_first_second(jpsi),
+                              where=(x, y))
     except OverflowError:  # Python floats raise where arrays give inf
         raise EvaluationError(_OVERFLOW, (float(x), float(y))) from None
     bad = ~np.isfinite(fl.Delta)
@@ -258,10 +317,7 @@ def _finite_frame_fields(jphi: Jet3, jpsi: Jet3, x, y):
             | ~np.isfinite(fl.E * fl.W * np.sqrt(fl.W) * np.sqrt(fl.Eh)) \
             | ~np.isfinite(msq * msq)
     if np.any(bad):
-        bx, by = np.broadcast_arrays(x, y)
-        idx = int(np.argmax(np.broadcast_to(bad, bx.shape).ravel()))
-        raise EvaluationError(_OVERFLOW,
-                              (float(bx.ravel()[idx]), float(by.ravel()[idx])))
+        raise EvaluationError(_OVERFLOW, _first_bad(bad, x, y)[0])
     return fl
 
 
@@ -276,12 +332,8 @@ def local_invariants(surface: SurfaceSpec, x: float, y: float, *,
     """
     jphi = eval_jet3(surface.phi, x, y)
     jpsi = eval_jet3(surface.psi, x, y)
-    try:
-        fl = _finite_frame_fields(jphi, jpsi, x, y)
-    except DegenerateMetricError as err:
-        raise DegenerateMetricError((x, y), err.w) from None
-    delta_det = delta_resultant(fl.a, fl.b, fl.c, fl.e, fl.f, fl.g)
-    _run_cross_checks(fl, delta_det, strict)
+    fl = _finite_frame_fields(jphi, jpsi, x, y)
+    _run_cross_checks(fl, strict)
     return LocalInvariants(
         x=float(x), y=float(y),
         E=fl.E, F=fl.F, G=fl.G, W=fl.W,
@@ -308,9 +360,7 @@ def invariant_grid(surface: SurfaceSpec, x, y, *, strict: bool = True,
     jpsi = eval_jet3(surface.psi, x, y)
     fl = _finite_frame_fields(jphi, jpsi, x, y)
     if cross_check:
-        delta_det = delta_resultant(fl.a, fl.b, fl.c, fl.e, fl.f, fl.g)
-        bx, by = np.broadcast_arrays(x, y)
-        _run_cross_checks(fl, delta_det, strict, where=(bx, by))
+        _run_cross_checks(fl, strict, where=np.broadcast_arrays(x, y))
     fl.jet_phi = jphi
     fl.jet_psi = jpsi
     return fl
@@ -405,7 +455,7 @@ def invariant_gradients(surface: SurfaceSpec, x: float, y: float) -> SimpleNames
     """
     jphi = eval_jet3(surface.phi, float(x), float(y))
     jpsi = eval_jet3(surface.psi, float(x), float(y))
-    fl = frame_fields(_dual_fields(jphi), _dual_fields(jpsi))
+    fl = frame_fields(_dual_fields(jphi), _dual_fields(jpsi), where=(x, y))
     scale = coeff_norm(SimpleNamespace(
         a=fl.a.val, b=fl.b.val, c=fl.c.val,
         e=fl.e.val, f=fl.f.val, g=fl.g.val))

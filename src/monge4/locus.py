@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import (DEFAULT_TOL, ToleranceSet, _unit_scaled,
-                       classify_point, hessian_of_delta)
+from .classify import (DEFAULT_TOL, ToleranceSet, class_labels_grid,
+                       hessian_of_delta)
 from .jets import Jet3
 from .localgeom import (SurfaceSpec, coeff_norm, gradient_fields,
                         invariant_grid, invariant_gradients, local_invariants)
@@ -157,11 +157,11 @@ def trace_parabolic(surface: SurfaceSpec, resolution: int = 256,
                     tol: ToleranceSet = DEFAULT_TOL) -> PolylineSet:
     """Marching-squares extraction of the parabolic locus Delta = 0.
 
-    Edge crossings (strict sign changes between grid nodes) are refined by
-    :func:`_refine_edges` on the exact Delta along the edge and linked into
-    polylines; a vertex's residual is |Delta| at the vertex itself.  Cells
-    whose entire sampled field is flat-zero are flagged degenerate and
-    excluded.
+    Edge crossings (strict sign changes between grid nodes) of the cells
+    that give segments are refined by :func:`_refine_edges` on the exact
+    Delta along the edge and linked into polylines; a vertex's residual is
+    |Delta| at the vertex itself.  Cells whose entire sampled field is
+    flat-zero are flagged degenerate and excluded.
     """
     xs, ys, fields = _grid_fields(surface, resolution)
     delta = np.asarray(fields.Delta)
@@ -183,12 +183,27 @@ def trace_parabolic(surface: SurfaceSpec, resolution: int = 256,
     h_cross = (pos[:-1, :] & neg[1:, :]) | (neg[:-1, :] & pos[1:, :])
     v_cross = (pos[:, :-1] & neg[:, 1:]) | (neg[:, :-1] & pos[:, 1:])
 
-    # refine every crossing edge, h and v together, in one batch; edge k runs
-    # from grid node (ax, ay) to grid node (bx, by)
-    hi_idx = np.nonzero(h_cross)
-    vi_idx = np.nonzero(v_cross)
+    # a cell's crossing edges in the order south, east, north, west; only
+    # live cells with 2 or 4 of them give segments
+    south = h_cross[:, :-1]
+    east = v_cross[1:, :]
+    north = h_cross[:, 1:]
+    west = v_cross[:-1, :]
+    count = south.astype(np.int8) + east + north + west
+    used = live & ((count == 2) | (count == 4))
+
+    # refine the crossing edges of those cells, h and v together, in one
+    # batch; edge k runs from grid node (ax, ay) to grid node (bx, by)
+    h_used = np.zeros_like(h_cross)
+    h_used[:, :-1] |= used
+    h_used[:, 1:] |= used
+    v_used = np.zeros_like(v_cross)
+    v_used[:-1, :] |= used
+    v_used[1:, :] |= used
+    hi_idx = np.nonzero(h_cross & h_used)
+    vi_idx = np.nonzero(v_cross & v_used)
     crossings = {}
-    if h_cross.any() or v_cross.any():
+    if hi_idx[0].size or vi_idx[0].size:
         ax = np.concatenate([xs[hi_idx[0]], xs[vi_idx[0]]])
         bx = np.concatenate([xs[hi_idx[0] + 1], xs[vi_idx[0]]])
         ay = np.concatenate([ys[hi_idx[1]], ys[vi_idx[1]]])
@@ -201,16 +216,9 @@ def trace_parabolic(surface: SurfaceSpec, resolution: int = 256,
             + [("v", i, j) for i, j in zip(*(a.tolist() for a in vi_idx))]
         crossings = dict(zip(keys, zip(mx.tolist(), my.tolist(), res.tolist())))
 
-    # per-cell segments joining crossing edges; a cell's edges in the order
-    # south, east, north, west
-    south = h_cross[:, :-1]
-    east = v_cross[1:, :]
-    north = h_cross[:, 1:]
-    west = v_cross[:-1, :]
-    count = south.astype(np.int8) + east + north + west
+    # per-cell segments joining crossing edges
     segments = []
-    cells = np.nonzero(live & ((count == 2) | (count == 4)))
-    for i, j in zip(*(a.tolist() for a in cells)):
+    for i, j in zip(*(a.tolist() for a in np.nonzero(used))):
         edges = [edge for edge, crossed in (
             (("h", i, j), south[i, j]), (("v", i + 1, j), east[i, j]),
             (("h", i, j + 1), north[i, j]), (("v", i, j), west[i, j]))
@@ -384,23 +392,14 @@ def find_inflections(surface: SurfaceSpec, resolution: int = 256,
     reports = []
     for px, py, resid in unique:
         inv = local_invariants(surface, px, py)
-        cls = classify_point(inv, tol)
-        if cls.rank_m > 1:
+        label = class_labels_grid(inv, tol)
+        if label.rank > 1:
             continue
         hd = hessian_of_delta(surface, px, py)
         with np.errstate(invalid="ignore"):  # a non-finite Hessian gives nan
             det_hd = float(np.linalg.det(hd))
-        # the K band of classify_point, decided on M scaled by 2^-k
-        m = _unit_scaled(inv.a, inv.b, inv.c, inv.e, inv.f, inv.g)
-        tau_k = tol.rel * m.msq
-        if m.K < -tau_k:
-            kind = "real"
-        elif m.K > tau_k:
-            kind = "imaginary"
-        else:
-            kind = "flat"
         reports.append(InflectionReport(
-            x=px, y=py, kind=kind, K=inv.K,
+            x=px, y=py, kind=label.k_type, K=inv.K,
             det_hessian_delta=det_hd,
             residual=resid))
     reports.sort(key=lambda r: (r.x, r.y))

@@ -11,7 +11,8 @@ that ``conics._evolvent_sweep`` batches, and :func:`jet_variable_reference`,
 coordinate jets with full-array seeds; the package must reproduce both bit
 for bit.  :func:`bisect_edges_reference` is the fixed 40-round bisection
 that ``locus._refine_edges`` replaced; the package must match its polylines
-with residuals no worse.
+with residuals no worse.  :func:`sylvester_delta` is the 4x4 Sylvester
+determinant that ``localgeom.delta_resultant`` replaced by the Bezout form.
 """
 
 from __future__ import annotations
@@ -258,3 +259,18 @@ def bisect_edges_reference(surface, ax, ay, bx, by, da, db, rounds=40):
     my = ay + (by - ay) * mid
     res = np.abs(invariant_grid(surface, mx, my, cross_check=False).Delta)
     return mx, my, res
+
+
+def sylvester_delta(a, b, c, e, f, g):
+    """Quarter of the 4x4 Sylvester resultant determinant of the quadratics
+    a u^2 + 2b uv + c v^2 and e u^2 + 2f uv + g v^2, by LU (np.linalg.det);
+    takes equally shaped arrays."""
+    a, b, c, e, f, g = np.broadcast_arrays(a, b, c, e, f, g)
+    z = np.zeros_like(np.asarray(a, dtype=float))
+    m = np.stack([
+        np.stack([a, 2.0 * b, c, z], axis=-1),
+        np.stack([e, 2.0 * f, g, z], axis=-1),
+        np.stack([z, a, 2.0 * b, c], axis=-1),
+        np.stack([z, e, 2.0 * f, g], axis=-1),
+    ], axis=-2)
+    return 0.25 * np.linalg.det(m)

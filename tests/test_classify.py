@@ -252,6 +252,30 @@ def test_grid_labels_match_pointwise(surfaces):
             assert labels[i, j] == class_label(classify_point(inv))
 
 
+def test_classifier_same_on_floats_0d_and_arrays(invs):
+    """One point's coefficients as Python floats, as 0-d arrays and as one
+    entry of an array get the same label, kind, K band and rank, on the
+    fixture points and on the random corpus; classify_point reports them."""
+    rng = np.random.default_rng(17)
+    points = list(invs.values()) + [
+        local_invariants(surface, float(x), float(y))
+        for surface in random_surfaces(seed=41, count=6)
+        for x, y in random_points(rng, 6)]
+    names = ("a", "b", "c", "e", "f", "g")
+    batch = class_labels_grid(SimpleNamespace(
+        **{k: np.array([getattr(inv, k) for inv in points]) for k in names}))
+    assert {label.kind for label in batch} >= {"elliptic", "hyperbolic",
+                                               "inflection"}
+    for inv, want in zip(points, batch):
+        for form in (float, np.asarray):
+            got = class_labels_grid(SimpleNamespace(
+                **{k: form(getattr(inv, k)) for k in names}))
+            assert (got, got.kind, got.k_type, got.rank) \
+                == (want, want.kind, want.k_type, want.rank)
+        c = classify_point(inv)
+        assert (class_label(c), c.kind, c.rank_m) == (want, want.kind, want.rank)
+
+
 def test_grid_labels_flat(surfaces):
     gx, gy = np.meshgrid(np.linspace(-1, 1, 4), np.linspace(-1, 1, 4),
                          indexing="ij")

@@ -305,6 +305,19 @@ def test_exit_numerical_failure_names_first_grid_point(tmp_path, command, phi,
     assert err == f"monge4: numerical failure: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["grid", "selfcheck", "trace", "inflections"])
+def test_exit_degenerate_metric_names_first_grid_point(tmp_path, command):
+    """W = E*G - F^2 cancels to 0.0 here (E, G ~ 4e140); a grid command
+    names the first such grid point, as analyze names its own."""
+    surf = write(tmp_path, "w.surf", "phi = 1e70*(x^2+y^2)\n"
+                 "psi = 1e-300*y^2\ndomain = -1 1 -1 1\n")
+    args = [command, "--surface", surf, "--res", "16"]
+    if command in ("grid", "trace"):
+        args += ["--out", str(tmp_path / "x.csv")]
+    assert run_cli(args) == (4, "", "monge4: numerical failure: degenerate "
+                             "metric W=0.0 at point (-1.0, -1.0)\n")
+
+
 OVERFLOW_TEXT = "phi = 1e80*x^2\npsi = 1e80*y^2\ndomain = -1 1 -1 1\n"
 
 

@@ -16,7 +16,7 @@ from monge4.localgeom import (brioschi_curvature, brioschi_field, coeff_norm,
 
 from conftest import (AXIS_XS, AXIS_YS, fixture_callables, grid_corpus,
                       make_surface, random_points, random_surfaces)
-from oracles import eval_value, geometric_oracle
+from oracles import eval_value, geometric_oracle, sylvester_delta
 
 
 def test_surface_a_values(surfaces):
@@ -98,6 +98,40 @@ def test_delta_resultant_matches_expansion_randomly():
         - 0.25 * (a * g + c * e - 2 * b * f) ** 2
     det = delta_resultant(a, b, c, e, f, g)
     assert np.allclose(det, expanded, rtol=1e-9, atol=1e-9)
+
+
+def test_delta_resultant_matches_sylvester_determinant():
+    """The Bezout form agrees with the 4x4 Sylvester determinant it replaced
+    on M over 40 decades, to within the LU route's own rounding, which
+    reaches about 4.4e-15 ||M||^4 here (against exact rational arithmetic,
+    the Bezout form is off by 4.9e-19 ||M||^4 at that M)."""
+    rng = np.random.default_rng(7)
+    m = rng.uniform(-1, 1, size=(20000, 6)) \
+        * 10.0 ** rng.uniform(-20, 20, size=(20000, 1))
+    norm4 = np.sum(m * m, axis=1) ** 2
+    diff = np.abs(delta_resultant(*m.T) - sylvester_delta(*m.T))
+    assert np.all(diff <= 1e-14 * norm4)
+
+
+def test_delta_check_catches_a_sign_error():
+    """A Delta whose squared term has the wrong sign fails the registry's
+    Delta check wherever that term is above the band, and strict mode
+    raises on it with the first such point."""
+    surface = surface_from_strings(
+        "sin(x)*cos(y) + 0.3*x^2", "0.5*sin(x*y) + 0.2*y^2")
+    xs = np.linspace(-1.0, 1.0, 64)
+    fl = invariant_grid(surface, xs[:, None], xs[None, :], cross_check=False)
+    square = 0.25 * (fl.a * fl.g + fl.c * fl.e - 2.0 * fl.b * fl.f) ** 2
+    fl.Delta = (fl.a * fl.c - fl.b ** 2) * (fl.e * fl.g - fl.f ** 2) + square
+    msq = coeff_norm(fl) ** 2
+    check = next(c for c in localgeom.CROSS_CHECKS if c.tag == "Delta")
+    deviation, scale = check.margins(fl, msq)
+    caught = deviation > check.rel * scale
+    assert np.all(caught[square > 1e-8 * msq * msq])
+    assert caught.mean() > 0.99
+    with pytest.raises(CrossCheckError, match="^Delta cross-check failed"):
+        localgeom._run_cross_checks(fl, True, np.broadcast_arrays(
+            xs[:, None], xs[None, :]))
 
 
 def test_brioschi_flat_plane(surfaces):
@@ -191,7 +225,9 @@ def test_parameter_rotation_invariance():
 
 
 def test_strict_flag_controls_cross_check(surfaces, monkeypatch, caplog):
-    monkeypatch.setattr(localgeom, "REL_K", 0.0)
+    k_check, *others = localgeom.CROSS_CHECKS
+    monkeypatch.setattr(localgeom, "CROSS_CHECKS",
+                        (k_check._replace(rel=0.0), *others))
     with pytest.raises(CrossCheckError):
         local_invariants(surfaces["G"], 0.3, 0.2, strict=True)
     with caplog.at_level("WARNING"):

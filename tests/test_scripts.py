@@ -33,11 +33,11 @@ def test_fixture_gallery(tmp_path):
 
 
 def test_corpus_crosscheck_small_corpus():
-    """Three random surfaces, 100 points each: every redundant formula route
-    stays within its bound."""
+    """Three random surfaces, 100 points each: each of the six checks of the
+    cross-check registry stays within its bound."""
     r = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "corpus_crosscheck.py"),
          "3", "100", "1"],
         capture_output=True, text=True, check=False)
     assert r.returncode == 0, r.stdout + r.stderr
-    assert r.stdout.count("  PASS ") == 5, r.stdout
+    assert r.stdout.count("  PASS ") == 6, r.stdout
