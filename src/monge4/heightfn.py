@@ -23,7 +23,8 @@ import numpy as np
 from .classify import ToleranceSet, DEFAULT_TOL, canonical_direction
 from .conics import homogeneous_quadratic_roots
 from .errors import CrossCheckError, InflectionPointError
-from .localgeom import LocalInvariants, SurfaceSpec, local_invariants
+from .localgeom import (REL_HEIGHT, LocalInvariants, SurfaceSpec,
+                        local_invariants)
 
 __all__ = [
     "HeightSingularity", "height_hessian", "degenerate_normals",
@@ -82,7 +83,8 @@ def height_hessian(inv: LocalInvariants, n) -> tuple[np.ndarray, float]:
             + (inv.a * inv.g + inv.c * inv.e - 2.0 * inv.b * inv.f) * n1 * n2
             + (inv.e * inv.g - inv.f ** 2) * n2 * n2)
     scale = inv.coeff_norm ** 2 + 1e-300
-    if abs(det - inv.W * quad) > 1e-9 * max(abs(det), abs(inv.W * quad), scale):
+    if abs(det - inv.W * quad) > REL_HEIGHT * max(abs(det), abs(inv.W * quad),
+                                                  scale):
         raise CrossCheckError(
             f"height hessian determinant mismatch: {det!r} vs W*quadratic "
             f"{inv.W * quad!r}")

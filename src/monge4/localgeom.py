@@ -47,6 +47,9 @@ REL_DELTA = 1e-9
 REL_GRAM = 1e-10
 REL_BRIOSCHI = 1e-8
 REL_WINTGEN = 1e-10
+# det of the height-function Hessian against W times the normal quadratic,
+# checked per normal direction by heightfn.height_hessian
+REL_HEIGHT = 1e-9
 
 _OVERFLOW = "non-finite invariants (overflow)"
 
