@@ -1,0 +1,124 @@
+#!/usr/bin/env python3
+"""Compare the outputs of this tree's monge4 with those of another source
+tree.
+
+    python3 scripts/compare_outputs.py OTHER_SRC [--res N] [--at X,Y ...]
+                                       [--surface FILE ...]
+
+Runs ``analyze`` and ``plot`` at each ``--at`` point (default 0,0 and
+0.25,-0.2) and ``grid``, ``selfcheck``, ``trace`` and ``inflections`` at
+``--res`` (default 128) on the surfaces of ``fixture_gallery.py`` and the
+polynomial surface of the golden tests, or on the given surface files
+instead.  Every command runs twice, in one subprocess with this tree's
+``src`` on the import path and in one with OTHER_SRC.  Prints, for each
+surface and subcommand, ``same`` or the first differing line; the exit code
+and the error output count as lines too.  Exits 1 on any difference.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import pathlib
+import subprocess
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+# the surface of GOLDEN_TEXT in tests/test_cli.py
+GOLDEN = ("1.5*x^2 + 0.5*y^2", "2*x*y + 0.3*y^3", "-1 1 -1 1")
+WRITES_FILE = ("plot", "grid", "trace")
+
+
+def _worker():
+    """Run the jobs read as JSON from stdin with the monge4 on the import
+    path; print {key: "exit N", output lines, error lines} as JSON."""
+    from monge4.cli import run
+    results = {}
+    with tempfile.TemporaryDirectory() as work:
+        out_path = pathlib.Path(work) / "out"
+        for key, argv in json.load(sys.stdin):
+            out_path.unlink(missing_ok=True)
+            out, err = io.StringIO(), io.StringIO()
+            writes = argv[0] in WRITES_FILE
+            code = run(argv + (["--out", str(out_path)] if writes else []),
+                       out=out, err=err)
+            text = out.getvalue()
+            if writes and out_path.exists():
+                text += out_path.read_text(encoding="utf-8")
+            results[key] = f"exit {code}\n{text}{err.getvalue()}"
+    json.dump(results, sys.stdout)
+
+
+def _run_jobs(src, jobs):
+    env = dict(os.environ, PYTHONPATH=str(src))
+    r = subprocess.run([sys.executable, __file__, "--worker"],
+                       input=json.dumps(jobs), capture_output=True, text=True,
+                       env=env, check=False)
+    if r.returncode != 0:
+        sys.exit(f"compare_outputs: the run under {src} failed:\n{r.stderr}")
+    return json.loads(r.stdout)
+
+
+def _surfaces(work):
+    from fixture_gallery import SURFACES
+    table = dict(SURFACES, golden=GOLDEN)
+    paths = {}
+    for name, (phi, psi, domain) in table.items():
+        path = pathlib.Path(work) / f"{name}.surf"
+        path.write_text(f"phi = {phi}\npsi = {psi}\ndomain = {domain}\n",
+                        encoding="utf-8")
+        paths[name] = str(path)
+    return paths
+
+
+def _first_difference(mine, theirs):
+    a, b = mine.splitlines(), theirs.splitlines()
+    for i in range(max(len(a), len(b))):
+        u = a[i] if i < len(a) else "<end>"
+        v = b[i] if i < len(b) else "<end>"
+        if u != v:
+            return f"line {i + 1}: {u!r} vs {v!r}"
+    return None
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("other_src", type=pathlib.Path)
+    parser.add_argument("--res", type=int, default=128)
+    parser.add_argument("--at", action="append",
+                        help="point X,Y of analyze and plot (repeatable)")
+    parser.add_argument("--surface", action="append",
+                        help="surface file in place of the gallery (repeatable)")
+    args = parser.parse_args(argv)
+    points = args.at or ["0,0", "0.25,-0.2"]
+    with tempfile.TemporaryDirectory() as work:
+        surfaces = ({path: path for path in args.surface} if args.surface
+                    else _surfaces(work))
+        jobs = []
+        for name, path in surfaces.items():
+            for command in ("analyze", "plot"):
+                jobs += [(f"{name} {command} {at}",
+                          [command, "--surface", path, f"--at={at}"])
+                         for at in points]
+            jobs += [(f"{name} {command}",
+                      [command, "--surface", path, "--res", str(args.res)])
+                     for command in ("grid", "selfcheck", "trace", "inflections")]
+        mine = _run_jobs(ROOT / "src", jobs)
+        theirs = _run_jobs(args.other_src, jobs)
+    differ = 0
+    for key, _ in jobs:
+        difference = _first_difference(mine[key], theirs[key])
+        differ += difference is not None
+        print(f"{key}: {difference or 'same'}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] == ["--worker"]:
+        _worker()
+    else:
+        sys.exit(main())

@@ -15,7 +15,7 @@ from .conics import (CanonicalCoefficients, Conic, Indicatrix,
 from .expr import parse_expression, pretty
 from .heightfn import (HeightSingularity, classify_height, degenerate_normals,
                        height_hessian)
-from .jets import Jet3, eval_jet3
+from .jets import Jet, eval_jet
 from .localgeom import (LocalInvariants, SurfaceSpec, brioschi_curvature,
                         delta_resultant, local_invariants, surface_from_strings)
 from .locus import (InflectionReport, Polyline, PolylineSet, find_inflections,
@@ -33,7 +33,7 @@ __all__ = [
     "parse_expression", "pretty",
     "HeightSingularity", "classify_height", "degenerate_normals",
     "height_hessian",
-    "Jet3", "eval_jet3",
+    "Jet", "eval_jet",
     "LocalInvariants", "SurfaceSpec", "brioschi_curvature", "delta_resultant",
     "local_invariants", "surface_from_strings",
     "InflectionReport", "Polyline", "PolylineSet", "find_inflections",

@@ -21,12 +21,13 @@ from .conics import (homogeneous_quadratic_roots, indicatrix_linear_map,
                      second_form_image)
 from .errors import InflectionPointError
 from .localgeom import (LocalInvariants, SurfaceSpec, coeff_norm,
-                        invariant_gradients)
+                        invariant_jets)
 
 __all__ = [
     "ToleranceSet", "PointClassification", "classify_point",
     "asymptotic_directions", "binormals", "hessian_of_delta",
     "canonical_direction", "class_label", "class_labels_grid", "rank_m",
+    "unit_scaled", "band_directions",
 ]
 
 
@@ -93,7 +94,7 @@ def rank_m(a, b, c, e, f, g, rank_ratio):
                     np.where(det <= rank_ratio ** 2 * s1_sq * s1_sq, 1, 2))
 
 
-def _unit_scaled(a, b, c, e, f, g):
+def unit_scaled(a, b, c, e, f, g):
     """a..g times 2^-k, where 2^k is the power of two just above the largest
     |entry|, with msq = ||M||^2, K, kappa and Delta recomputed from them by
     the formulas of :func:`frame_fields`.
@@ -115,7 +116,7 @@ def _unit_scaled(a, b, c, e, f, g):
     m = SimpleNamespace(a=a, b=b, c=c, e=e, f=f, g=g)
     msq = (float(coeff_norm(m)) if np.ndim(big) == 0 else coeff_norm(m)) ** 2
     return SimpleNamespace(
-        msq=msq,
+        a=a, b=b, c=c, e=e, f=f, g=g, msq=msq,
         K=(a * c - b * b) + (e * g - f * f),
         kappa=(a - c) * f - (e - g) * b,
         Delta=(a * c - b * b) * (e * g - f * f)
@@ -140,6 +141,34 @@ def classify_point(inv: LocalInvariants,
     )
 
 
+def _delta_band(m, tol: ToleranceSet):
+    """(above, below): whether Delta lies above tol.rel ||M||^4 and below
+    minus that, elementwise on the M of :func:`unit_scaled`."""
+    tau_delta = tol.rel * m.msq * m.msq
+    return m.Delta > tau_delta, m.Delta < -tau_delta
+
+
+def band_directions(quadratic, m, tol: ToleranceSet, what: str) -> list[np.ndarray]:
+    """Unit zero directions of the binary quadratic A u^2 + B uv + C v^2,
+    ``quadratic`` = (A, B, C) computed from the M ``m`` of
+    :func:`unit_scaled`, whose discriminant is a positive multiple of
+    -Delta: 2, 1 or 0 of them as Delta lies below, inside or above its
+    band, sorted by angle.
+
+    Raises :class:`InflectionPointError`, naming ``what``, when the
+    quadratic vanishes identically (within tol.rel ||M||^2).
+    """
+    if max(abs(v) for v in quadratic) <= tol.rel * m.msq:
+        raise InflectionPointError(f"{what} vanishes identically (inflection point)")
+    above, below = _delta_band(m, tol)
+    if above:
+        return []
+    roots = homogeneous_quadratic_roots(*quadratic, double_root=not below)
+    dirs = [canonical_direction(r) for r in roots]
+    dirs.sort(key=lambda d: np.arctan2(d[1], d[0]) % np.pi)
+    return dirs
+
+
 def asymptotic_directions(inv: LocalInvariants,
                           tol: ToleranceSet = DEFAULT_TOL) -> list[np.ndarray]:
     """Tangent directions (unit vectors in the (e1, e2) frame) on which the
@@ -149,18 +178,10 @@ def asymptotic_directions(inv: LocalInvariants,
     Raises :class:`InflectionPointError` when the directional quadratic is
     identically zero (every direction asymptotic).
     """
-    msq = inv.coeff_norm ** 2
-    if max(abs(inv.nq0), abs(inv.nq1), abs(inv.nq2)) <= tol.rel * msq:
-        raise InflectionPointError(
-            "directional quadratic vanishes identically (inflection point)")
-    tau_delta = tol.rel * msq * msq
-    if inv.Delta > tau_delta:
-        return []
-    double = abs(inv.Delta) <= tau_delta
-    roots = homogeneous_quadratic_roots(inv.nq0, inv.nq1, inv.nq2, double_root=double)
-    dirs = [canonical_direction(r) for r in roots]
-    dirs.sort(key=lambda d: np.arctan2(d[1], d[0]) % np.pi)
-    return dirs
+    m = unit_scaled(inv.a, inv.b, inv.c, inv.e, inv.f, inv.g)
+    return band_directions((m.a * m.f - m.b * m.e, m.a * m.g - m.c * m.e,
+                            m.b * m.g - m.c * m.f), m, tol,
+                           "directional quadratic")
 
 
 def binormals(inv: LocalInvariants,
@@ -223,38 +244,21 @@ def class_labels_grid(fields, tol: ToleranceSet = DEFAULT_TOL):
     ||M||^2-relative, gives the type.  The bands are decided on M scaled to
     a largest entry in [0.5, 1).
     """
-    m = _unit_scaled(fields.a, fields.b, fields.c, fields.e, fields.f, fields.g)
-    tau_delta = tol.rel * m.msq * m.msq
+    m = unit_scaled(fields.a, fields.b, fields.c, fields.e, fields.f, fields.g)
+    above, below = _delta_band(m, tol)
     tau_band = tol.rel * m.msq
     rank = rank_m(fields.a, fields.b, fields.c, fields.e, fields.f, fields.g,
                   tol.rank_ratio)
     infl = (np.abs(m.kappa) <= tau_band) & (rank <= 1)
-    kind = np.where(m.Delta > tau_delta, 0,
-                    np.where(m.Delta < -tau_delta, 1, np.where(infl, 3, 2)))
+    kind = np.where(above, 0, np.where(below, 1, np.where(infl, 3, 2)))
     k_type = np.where(m.K < -tau_band, 0, np.where(m.K > tau_band, 2, 1))
     return _LABELS[kind, k_type, rank]
 
 
-def hessian_of_delta(surface: SurfaceSpec, x: float, y: float,
-                     step: float = 1e-4) -> np.ndarray:
-    """Hessian of the scalar field Delta at (x, y).
-
-    Central differences of the exact Delta-gradient (the gradient is exact
-    because order-3 jets give exact first derivatives of the coefficients),
-    with one Richardson extrapolation; keeps the jet core at order 3.
-    """
-    def grad(px, py):
-        return invariant_gradients(surface, px, py).grad_delta
-
-    h = step
-    cols = []
-    for dx, dy in ((1.0, 0.0), (0.0, 1.0)):
-        # gradients that overflow give inf or nan entries, without a warning
-        with np.errstate(all="ignore"):
-            d_h = (grad(x + h * dx, y + h * dy)
-                   - grad(x - h * dx, y - h * dy)) / (2 * h)
-            d_h2 = (grad(x + 0.5 * h * dx, y + 0.5 * h * dy)
-                    - grad(x - 0.5 * h * dx, y - 0.5 * h * dy)) / h
-            cols.append((4.0 * d_h2 - d_h) / 3.0)
-    hess = np.column_stack(cols)
-    return 0.5 * (hess + hess.T)
+def hessian_of_delta(surface: SurfaceSpec, x: float, y: float) -> np.ndarray:
+    """Hessian of the scalar field Delta at (x, y), exact: the second-order
+    coefficients of Delta as an order-2 jet, from
+    :func:`~monge4.localgeom.invariant_jets`.  Entries that overflow are
+    inf or nan."""
+    delta = invariant_jets(surface, x, y, 2).Delta
+    return np.array([[delta.fxx, delta.fxy], [delta.fxy, delta.fyy]])

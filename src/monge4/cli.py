@@ -285,7 +285,7 @@ def selfcheck_report(surface: SurfaceSpec, res: int):
     the largest deviation minus its bound.
     """
     xs, ys = _grid_axes(surface, res)
-    fields = invariant_grid(surface, xs[:, None], ys[None, :],
+    fields = invariant_grid(surface, xs[:, None], ys[None, :], order=3,
                             cross_check=False)
     msq = coeff_norm(fields) ** 2
     checks = []

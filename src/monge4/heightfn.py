@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import ToleranceSet, DEFAULT_TOL, canonical_direction
-from .conics import homogeneous_quadratic_roots
-from .errors import CrossCheckError, InflectionPointError
+from .classify import (DEFAULT_TOL, ToleranceSet, band_directions,
+                       canonical_direction, unit_scaled)
+from .errors import CrossCheckError
 from .localgeom import (REL_HEIGHT, LocalInvariants, SurfaceSpec,
                         local_invariants)
 
@@ -99,21 +99,11 @@ def degenerate_normals(inv: LocalInvariants,
     Raises :class:`InflectionPointError` when the quadratic vanishes
     identically (inflection point: every normal is degenerate).
     """
-    qa = inv.a * inv.c - inv.b ** 2
-    qb = inv.a * inv.g + inv.c * inv.e - 2.0 * inv.b * inv.f
-    qc = inv.e * inv.g - inv.f ** 2
-    msq = inv.coeff_norm ** 2
-    if max(abs(qa), abs(qb), abs(qc)) <= tol.rel * msq:
-        raise InflectionPointError(
-            "height-hessian quadratic vanishes identically (inflection point)")
-    tau_delta = tol.rel * msq * msq
-    if inv.Delta > tau_delta:
-        return []
-    double = abs(inv.Delta) <= tau_delta
-    roots = homogeneous_quadratic_roots(qa, qb, qc, double_root=double)
-    dirs = [canonical_direction(r) for r in roots]
-    dirs.sort(key=lambda d: np.arctan2(d[1], d[0]) % np.pi)
-    return dirs
+    m = unit_scaled(inv.a, inv.b, inv.c, inv.e, inv.f, inv.g)
+    return band_directions((m.a * m.c - m.b ** 2,
+                            m.a * m.g + m.c * m.e - 2.0 * m.b * m.f,
+                            m.e * m.g - m.f ** 2), m, tol,
+                           "height-hessian quadratic")
 
 
 def classify_height(surface: SurfaceSpec, x: float, y: float, n,

@@ -1,28 +1,34 @@
 """Truncated Taylor (jet) arithmetic in two variables.
 
-``Jet3`` carries the value and all partial derivatives up to order 3 of a
-scalar function of (x, y) at a point.  Arithmetic follows the Leibniz and
-chain rules exactly, so evaluating an expression tree in ``Jet3`` arithmetic
+A :class:`Jet` of order n carries the value and every partial derivative up
+to order n of a scalar function of (x, y) at a point, in graded order
+f, fx, fy, fxx, fxy, fyy, fxxx, ...  Arithmetic follows the Leibniz and
+chain rules exactly, so evaluating an expression tree in jet arithmetic
 yields the analytic derivatives up to floating rounding.  Coefficients may be
-Python floats (point evaluation) or numpy arrays (grid evaluation); the same
-code path serves both.
+Python floats (point evaluation) or numpy arrays (grid evaluation), each in
+its own broadcast shape; the same code path serves both.
 
-``Dual2`` is the order-1 analogue, used to push exact first derivatives
-through formulas whose inputs are jet coefficients (e.g. gradients of derived
-scalar fields whose coefficients already are second derivatives).
+:meth:`Jet.shift` turns the jet of phi into the jet of a partial derivative
+of phi by re-indexing alone, so a formula in the derivatives of phi and psi
+runs on jets and returns the exact derivatives of its result: order-1 shifts
+of order-3 jets give gradients, order-2 shifts of order-4 jets Hessians
+(forward-mode Taylor arithmetic: Griewank & Walther, *Evaluating
+Derivatives*, 2nd ed., SIAM 2008, ch. 13).
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
-from dataclasses import dataclass
+import operator
 
 import numpy as np
 
 from . import expr as ex
 from .errors import EvaluationError
 
-__all__ = ["Jet3", "Dual2", "eval_jet3", "jet_constant", "jet_variable"]
+__all__ = ["Jet", "eval_jet", "jet_constant", "jet_variable", "sqrt"]
 
 
 # largest |exponent| of an integer power taken by repeated squaring; above
@@ -30,28 +36,20 @@ __all__ = ["Jet3", "Dual2", "eval_jet3", "jet_constant", "jet_variable"]
 POWI_LIMIT = 512
 
 
-def _sin(v):
-    return math.sin(v) if type(v) is float else np.sin(v)
+def _elementary(name, v):
+    """math's function ``name`` on a Python float, numpy's on an array."""
+    return getattr(math if type(v) is float else np, name)(v)
 
 
-def _cos(v):
-    return math.cos(v) if type(v) is float else np.cos(v)
+def sqrt(v):
+    """Square root of a float, an array or a :class:`Jet`, elementwise.
 
-
-def _tan(v):
-    return math.tan(v) if type(v) is float else np.tan(v)
-
-
-def _exp(v):
-    return math.exp(v) if type(v) is float else np.exp(v)
-
-
-def _log(v):
-    return math.log(v) if type(v) is float else np.log(v)
-
-
-def _sqrt(v):
-    return math.sqrt(v) if type(v) is float else np.sqrt(v)
+    A jet's value is not checked against the domain here, as
+    :meth:`Jet.sqrt` does: a nan value gives nan coefficients.
+    """
+    if isinstance(v, Jet):
+        return v._compose(_sqrt_derivatives(v.f))
+    return _elementary("sqrt", v)
 
 
 class _DomainFailure(Exception):
@@ -88,163 +86,226 @@ def _require_nonzero(v, what):
         raise _DomainFailure(what, bad)
 
 
-@dataclass(frozen=True)
-class Jet3:
-    """Value and partial derivatives up to order 3 at a point.
+# ---------------------------------------------------------------------------
+# coefficient tables
+# ---------------------------------------------------------------------------
 
-    Mixed partials are stored once (symmetry is structural).
+@functools.cache
+def _indices(order):
+    """(i, j) of the coefficients of an order-n jet in graded order: the
+    coefficient at position k is d^(i+j) f / dx^i dy^j."""
+    return tuple((d - j, j) for d in range(order + 1) for j in range(d + 1))
+
+
+def _position(i, j):
+    d = i + j
+    return d * (d + 1) // 2 + j
+
+
+def _leibniz_source(i, j, left, right, zero_below=0):
+    """Python source of d^(i+j)(uv) / dx^i dy^j by the Leibniz rule: the
+    sum, left to right, of w * u_(k,l) * v_(i-k,j-l) in descending k then l
+    when i >= j, in descending l then k otherwise.  ``left`` and ``right``
+    format a position of u and v as an operand.  With ``zero_below`` set,
+    u's positions below it and v's value are structural zeros, and the
+    terms that contain one are left out."""
+    pairs = [(k, l) for k in range(i, -1, -1) for l in range(j, -1, -1)]
+    if i < j:
+        pairs.sort(key=lambda kl: (-kl[1], -kl[0]))
+    terms = []
+    for k, l in pairs:
+        p, q = _position(k, l), _position(i - k, j - l)
+        if zero_below and (p < zero_below or q == 0):
+            continue
+        w = math.comb(i, k) * math.comb(j, l)
+        terms.append(("" if w == 1 else f"{w}.0 * ")
+                     + f"{left.format(p)} * {right.format(q)}")
+    return " + ".join(terms)
+
+
+def _compile(source, name):
+    namespace = {}
+    exec(source, namespace)  # source built from the Leibniz tables above
+    return namespace[name]
+
+
+# The product and the composition of each order are compiled once, from its
+# Leibniz table, into straight-line code: on Python floats, a loop over the
+# table costs about as much again as the arithmetic.
+
+@functools.cache
+def _product(order):
+    """The coefficients of the product of two order-n jets, as a function
+    of their coefficient tuples."""
+    items = [_leibniz_source(i, j, "a[{}]", "b[{}]") for i, j in _indices(order)]
+    return _compile(f"def product(a, b):\n    return ({', '.join(items)},)\n",
+                    "product")
+
+
+@functools.cache
+def _composition(order):
+    """The coefficients of u(f) for an order-n jet f, as a function of f's
+    coefficients c and h = (h_0, ..., h_n), h_k = u^(k)(f) / k!.
+
+    u(f) = h_0 + sum_k h_k p^k, where p is f less its value.  p^k has zero
+    coefficients below degree k; each power is formed as p^(k-1) p without
+    the products that contain such a zero, and only at degree >= k.
+    """
+    power = ["", "c[{}]"] + [f"p{k}_{{}}" for k in range(2, order + 1)]
+    lines = [f"    {power[k].format(p)} = " + _leibniz_source(
+        i, j, power[k - 1], "c[{}]", zero_below=_position(k - 1, 0))
+        for k in range(2, order + 1)
+        for p, (i, j) in enumerate(_indices(order)) if i + j >= k]
+    items = ["h[0]"] + [" + ".join(f"h[{k}] * {power[k].format(p)}"
+                                   for k in range(1, i + j + 1))
+                        for p, (i, j) in enumerate(_indices(order)) if p]
+    return _compile("def composition(c, h):\n" + "".join(f"{x}\n" for x in lines)
+                    + f"    return ({', '.join(items)},)\n", "composition")
+
+
+# derivatives u^(k)(f), k = 0, 1, 2, ..., of the elementary functions
+
+def _reciprocal_derivatives(f):
+    r = 1.0 / f
+    r2 = r * r
+    yield from (r, -r2, 2.0 * r2 * r)
+    d, k = -6.0 * r2 * r2, 3
+    while True:
+        yield d
+        k += 1
+        d = -k * d * r
+
+
+def _sqrt_derivatives(f):
+    s = sqrt(f)
+    yield s
+    d, k = 0.5 / s, 1
+    while True:
+        yield d
+        d = (0.5 - k) * d / f
+        k += 1
+
+
+def _tan_derivatives(f):
+    t = _elementary("tan", f)
+    sec2 = 1.0 + t * t
+    yield from (t, sec2, 2.0 * t * sec2)
+    yield sec2 * (2.0 + 6.0 * t * t)
+    # u^(k) = P_k(t) with P_(k+1) = P_k' (1 + t^2); P_3 = 2 + 8 t^2 + 6 t^4
+    poly = [2, 0, 8, 0, 6]
+    while True:
+        slope = [k * a for k, a in enumerate(poly)][1:] + [0, 0]
+        poly = [u + v for u, v in zip(slope, [0, 0] + slope)]
+        value = 0.0
+        for a in reversed(poly):
+            value = value * t + a
+        yield value
+
+
+class Jet:
+    """Value and partial derivatives up to some order at a point.
+
+    ``coeffs`` holds them in graded order (f, fx, fy, fxx, fxy, fyy, ...);
+    mixed partials are stored once.  Jets in one computation share their
+    order.
     """
 
-    f: object
-    fx: object = 0.0
-    fy: object = 0.0
-    fxx: object = 0.0
-    fxy: object = 0.0
-    fyy: object = 0.0
-    fxxx: object = 0.0
-    fxxy: object = 0.0
-    fxyy: object = 0.0
-    fyyy: object = 0.0
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        self.coeffs = coeffs
+
+    @property
+    def order(self):
+        return (math.isqrt(8 * len(self.coeffs) + 1) - 3) // 2
+
+    # the coefficients up to order 3 by name
+    f, fx, fy, fxx, fxy, fyy, fxxx, fxxy, fxyy, fyyy = (
+        property(lambda self, k=k: self.coeffs[k]) for k in range(10))
+
+    def shift(self, i: int, j: int, order: int) -> "Jet":
+        """The order-``order`` jet of d^(i+j) f / dx^i dy^j: its (k, l)
+        coefficient is this jet's (k + i, l + j).  Needs i + j + order at
+        most this jet's order."""
+        c = self.coeffs
+        return Jet(tuple([c[_position(k + i, l + j)] for k, l in _indices(order)]))
 
     # -- ring operations ------------------------------------------------
+    # a scalar operand changes the value only
     def __add__(self, o):
-        if not isinstance(o, Jet3):
-            o = jet_constant(o)
-        return Jet3(self.f + o.f, self.fx + o.fx, self.fy + o.fy,
-                    self.fxx + o.fxx, self.fxy + o.fxy, self.fyy + o.fyy,
-                    self.fxxx + o.fxxx, self.fxxy + o.fxxy,
-                    self.fxyy + o.fxyy, self.fyyy + o.fyyy)
+        if not isinstance(o, Jet):
+            return Jet((self.coeffs[0] + o,) + self.coeffs[1:])
+        return Jet(tuple(map(operator.add, self.coeffs, o.coeffs)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet3(-self.f, -self.fx, -self.fy, -self.fxx, -self.fxy,
-                    -self.fyy, -self.fxxx, -self.fxxy, -self.fxyy, -self.fyyy)
+        return Jet(tuple(map(operator.neg, self.coeffs)))
 
     def __sub__(self, o):
-        if not isinstance(o, Jet3):
-            o = jet_constant(o)
-        return Jet3(self.f - o.f, self.fx - o.fx, self.fy - o.fy,
-                    self.fxx - o.fxx, self.fxy - o.fxy, self.fyy - o.fyy,
-                    self.fxxx - o.fxxx, self.fxxy - o.fxxy,
-                    self.fxyy - o.fxyy, self.fyyy - o.fyyy)
-
-    def __rsub__(self, o):
-        return jet_constant(o) - self
+        if not isinstance(o, Jet):
+            return Jet((self.coeffs[0] - o,) + self.coeffs[1:])
+        return Jet(tuple(map(operator.sub, self.coeffs, o.coeffs)))
 
     def scaled(self, s):
-        return Jet3(s * self.f, s * self.fx, s * self.fy, s * self.fxx,
-                    s * self.fxy, s * self.fyy, s * self.fxxx, s * self.fxxy,
-                    s * self.fxyy, s * self.fyyy)
+        return Jet(tuple([s * v for v in self.coeffs]))
 
     def __mul__(self, o):
-        if not isinstance(o, Jet3):
+        if not isinstance(o, Jet):
             return self.scaled(o)
         if _is_constant(o):
-            return self.scaled(o.f)
+            return self.scaled(o.coeffs[0])
         if _is_constant(self):
-            return o.scaled(self.f)
-        a, b = self, o
-        return Jet3(
-            a.f * b.f,
-            a.fx * b.f + a.f * b.fx,
-            a.fy * b.f + a.f * b.fy,
-            a.fxx * b.f + 2.0 * a.fx * b.fx + a.f * b.fxx,
-            a.fxy * b.f + a.fx * b.fy + a.fy * b.fx + a.f * b.fxy,
-            a.fyy * b.f + 2.0 * a.fy * b.fy + a.f * b.fyy,
-            a.fxxx * b.f + 3.0 * a.fxx * b.fx + 3.0 * a.fx * b.fxx + a.f * b.fxxx,
-            a.fxxy * b.f + a.fxx * b.fy + 2.0 * a.fxy * b.fx
-            + 2.0 * a.fx * b.fxy + a.fy * b.fxx + a.f * b.fxxy,
-            a.fxyy * b.f + a.fyy * b.fx + 2.0 * a.fxy * b.fy
-            + 2.0 * a.fy * b.fxy + a.fx * b.fyy + a.f * b.fxyy,
-            a.fyyy * b.f + 3.0 * a.fyy * b.fy + 3.0 * a.fy * b.fyy + a.f * b.fyyy,
-        )
+            return o.scaled(self.coeffs[0])
+        return Jet(_product(self.order)(self.coeffs, o.coeffs))
 
-    def __rmul__(self, o):
-        return self.scaled(o)
+    __rmul__ = scaled
 
     def __truediv__(self, o):
-        if not isinstance(o, Jet3):
+        if not isinstance(o, Jet):
             return self.scaled(1.0 / o)
         return self * o._reciprocal()
 
-    def __rtruediv__(self, o):
-        return self._reciprocal().scaled(o)
-
     def _reciprocal(self):
         _require_nonzero(self.f, "division by zero")
-        r = 1.0 / self.f
-        r2 = r * r
-        return self._compose(r, -r2, 2.0 * r2 * r, -6.0 * r2 * r2)
+        return self._compose(_reciprocal_derivatives(self.f))
 
     # -- composition with a scalar function ------------------------------
-    def _compose(self, d0, d1, d2, d3):
-        """Jet of u(f) from the derivative values d_k = u^(k)(f) at the point.
-
-        Order-3 Faa di Bruno: u(f) = d0 + d1 p + d2/2 p^2 + d3/6 p^3, where p
-        is this jet with its constant part removed.  p^2 and p^3 are written
-        out without the products that contain p's zero constant term; the
-        remaining products are summed in the order of the Leibniz rule.
-        """
-        fx, fy, fxx, fxy, fyy = self.fx, self.fy, self.fxx, self.fxy, self.fyy
-        # p^2: its value and first derivatives vanish
-        s_xx = 2.0 * fx * fx
-        s_xy = fx * fy + fy * fx
-        s_yy = 2.0 * fy * fy
-        s_xxx = 3.0 * fxx * fx + 3.0 * fx * fxx
-        s_xxy = fxx * fy + 2.0 * fxy * fx + 2.0 * fx * fxy + fy * fxx
-        s_xyy = fyy * fx + 2.0 * fxy * fy + 2.0 * fy * fxy + fx * fyy
-        s_yyy = 3.0 * fyy * fy + 3.0 * fy * fyy
-        # p^3 = p^2 p: only its third derivatives survive
-        h2 = d2 / 2.0
-        h3 = d3 / 6.0
-        return Jet3(
-            d0,
-            d1 * fx,
-            d1 * fy,
-            d1 * fxx + h2 * s_xx,
-            d1 * fxy + h2 * s_xy,
-            d1 * fyy + h2 * s_yy,
-            d1 * self.fxxx + h2 * s_xxx + h3 * (3.0 * s_xx * fx),
-            d1 * self.fxxy + h2 * s_xxy + h3 * (s_xx * fy + 2.0 * s_xy * fx),
-            d1 * self.fxyy + h2 * s_xyy + h3 * (s_yy * fx + 2.0 * s_xy * fy),
-            d1 * self.fyyy + h2 * s_yyy + h3 * (3.0 * s_yy * fy),
-        )
+    def _compose(self, derivatives):
+        """Jet of u(f) from the derivatives u^(k)(f), k = 0, 1, ..., at
+        this jet's value (an iterable; the first order + 1 are used)."""
+        order = self.order
+        d = list(itertools.islice(derivatives, order + 1))
+        h = d[:2] + [d[k] / math.factorial(k) for k in range(2, order + 1)]
+        return Jet(_composition(order)(self.coeffs, h))
 
     def sin(self):
-        s, c = _sin(self.f), _cos(self.f)
-        return self._compose(s, c, -s, -c)
+        s, c = _elementary("sin", self.f), _elementary("cos", self.f)
+        return self._compose(itertools.cycle((s, c, -s, -c)))
 
     def cos(self):
-        s, c = _sin(self.f), _cos(self.f)
-        return self._compose(c, -s, -c, s)
+        s, c = _elementary("sin", self.f), _elementary("cos", self.f)
+        return self._compose(itertools.cycle((c, -s, -c, s)))
 
     def tan(self):
-        t = _tan(self.f)
-        sec2 = 1.0 + t * t
-        return self._compose(t, sec2, 2.0 * t * sec2, sec2 * (2.0 + 6.0 * t * t))
+        return self._compose(_tan_derivatives(self.f))
 
     def exp(self):
-        v = _exp(self.f)
-        return self._compose(v, v, v, v)
+        return self._compose(itertools.repeat(_elementary("exp", self.f)))
 
     def log(self):
         _require_positive(self.f, "log")
-        r = 1.0 / self.f
-        return self._compose(_log(self.f), r, -r * r, 2.0 * r * r * r)
+        return self._compose(itertools.chain(
+            (_elementary("log", self.f),), _reciprocal_derivatives(self.f)))
 
     def sqrt(self):
         _require_positive(self.f, "sqrt")
-        s = _sqrt(self.f)
-        d1 = 0.5 / s
-        d2 = -0.5 * d1 / self.f
-        d3 = -1.5 * d2 / self.f
-        return self._compose(s, d1, d2, d3)
+        return sqrt(self)
 
     def powi(self, n: int):
         """Integer power by repeated squaring (keeps polynomials exact)."""
         if n == 0:
-            return jet_constant(1.0)
+            return jet_constant(1.0, self.order)
         if n < 0:
             return self.powi(-n)._reciprocal()
         result = None
@@ -257,6 +318,8 @@ class Jet3:
                 base = base * base
         return result
 
+    __pow__ = powi
+
     def powf(self, p: float):
         if float(p).is_integer():
             if abs(p) <= POWI_LIMIT:
@@ -267,101 +330,31 @@ class Jet3:
             _require_positive(self.f, "non-integer power")
         return (self.log().scaled(p)).exp()
 
-    def coeffs(self):
-        return (self.f, self.fx, self.fy, self.fxx, self.fxy, self.fyy,
-                self.fxxx, self.fxxy, self.fxyy, self.fyyy)
 
-
-def _is_constant(j: Jet3) -> bool:
+def _is_constant(j: Jet) -> bool:
     """True when every derivative coefficient is the float 0.0, as
     :func:`jet_constant` makes them; a product with such a jet is a scaling."""
-    for c in (j.fx, j.fy, j.fxx, j.fxy, j.fyy, j.fxxx, j.fxxy, j.fxyy, j.fyyy):
+    for c in j.coeffs[1:]:
         if type(c) is not float or c != 0.0:
             return False
     return True
 
 
-def jet_constant(v) -> Jet3:
-    return Jet3(v if type(v) is float or isinstance(v, np.ndarray) else float(v))
+def jet_constant(v, order: int) -> Jet:
+    v = v if type(v) is float or isinstance(v, np.ndarray) else float(v)
+    return Jet((v,) + (0.0,) * (len(_indices(order)) - 1))
 
 
-def jet_variable(which: str, x0, y0) -> Jet3:
+def jet_variable(which: str, x0, y0, order: int) -> Jet:
     """Jet of the coordinate function 'x' or 'y' at (x0, y0).  On arrays the
     value is a float copy of that coordinate in its own shape (an axis such
     as ``xs[:, None]`` stays one), and the seeds are the floats 1.0 and 0.0."""
     v = x0 if which == "x" else y0
     grid = isinstance(x0, np.ndarray) or isinstance(y0, np.ndarray)
     v = np.array(v, dtype=float) if grid else float(v)
-    return Jet3(v, 1.0, 0.0) if which == "x" else Jet3(v, 0.0, 1.0)
-
-
-@dataclass(frozen=True)
-class Dual2:
-    """First-order dual number in two directions: value plus gradient."""
-
-    val: object
-    dx: object = 0.0
-    dy: object = 0.0
-
-    def __add__(self, o):
-        if not isinstance(o, Dual2):
-            return Dual2(self.val + o, self.dx, self.dy)
-        return Dual2(self.val + o.val, self.dx + o.dx, self.dy + o.dy)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Dual2(-self.val, -self.dx, -self.dy)
-
-    def __sub__(self, o):
-        if not isinstance(o, Dual2):
-            return Dual2(self.val - o, self.dx, self.dy)
-        return Dual2(self.val - o.val, self.dx - o.dx, self.dy - o.dy)
-
-    def __rsub__(self, o):
-        return Dual2(o - self.val, -self.dx, -self.dy)
-
-    def __mul__(self, o):
-        if not isinstance(o, Dual2):
-            return Dual2(self.val * o, self.dx * o, self.dy * o)
-        return Dual2(self.val * o.val,
-                     self.dx * o.val + self.val * o.dx,
-                     self.dy * o.val + self.val * o.dy)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, o):
-        if not isinstance(o, Dual2):
-            r = 1.0 / o
-            return Dual2(self.val * r, self.dx * r, self.dy * r)
-        r = 1.0 / o.val
-        v = self.val * r
-        return Dual2(v, (self.dx - v * o.dx) * r, (self.dy - v * o.dy) * r)
-
-    def __rtruediv__(self, o):
-        r = 1.0 / self.val
-        v = o * r
-        return Dual2(v, -v * self.dx * r, -v * self.dy * r)
-
-    def __pow__(self, n):
-        if not (isinstance(n, int) and n >= 0):
-            raise TypeError("Dual2 only supports small non-negative integer powers")
-        out = Dual2(1.0)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def sqrt(self):
-        s = _sqrt(self.val)
-        h = 0.5 / s
-        return Dual2(s, self.dx * h, self.dy * h)
-
-
-def generic_sqrt(v):
-    """sqrt usable on floats, numpy arrays and Dual2 alike."""
-    if isinstance(v, Dual2):
-        return v.sqrt()
-    return _sqrt(v)
+    seeds = (1.0, 0.0) if which == "x" else (0.0, 1.0)
+    size = len(_indices(order))
+    return Jet(((v,) + seeds + (0.0,) * size)[:size])
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +374,8 @@ def _point_of(x0, y0, mask):
     return (float(bx.ravel()[index]), float(by.ravel()[index]))
 
 
-def eval_jet3(expression: ex.Expr, x0, y0) -> Jet3:
-    """Evaluate an expression as an order-3 jet at (x0, y0).
+def eval_jet(expression: ex.Expr, x0, y0, order: int) -> Jet:
+    """Evaluate an expression as a jet of the given order at (x0, y0).
 
     ``x0``/``y0`` may be floats or numpy arrays whose shapes broadcast; in
     the array case every jet coefficient is an array of the broadcast shape.
@@ -390,15 +383,16 @@ def eval_jet3(expression: ex.Expr, x0, y0) -> Jet3:
     subexpression of one coordinate is then evaluated on that axis only, and
     coefficients that do not vary along an axis come back as read-only
     broadcast views.  Domain violations (log/sqrt of a non-positive value,
-    tan pole, division by zero) and non-finite results raise
-    :class:`EvaluationError` carrying the offending point.
+    tan pole, division by zero) and non-finite coefficients raise
+    :class:`EvaluationError` carrying the offending point; derivatives
+    above ``order`` are never formed, so they cannot fail.
     """
     grid = isinstance(x0, np.ndarray) or isinstance(y0, np.ndarray)
     if not grid:
         x0, y0 = float(x0), float(y0)
     try:
         with np.errstate(all="ignore"):
-            jet = _eval(expression, x0, y0)
+            jet = _eval(expression, x0, y0, order)
     except _DomainFailure as err:
         raise EvaluationError(str(err), _point_of(x0, y0, err.mask)) from None
     except OverflowError:
@@ -408,34 +402,34 @@ def eval_jet3(expression: ex.Expr, x0, y0) -> Jet3:
         raise EvaluationError("non-finite result",
                               _point_of(x0, y0, None)) from None
     if not grid:
-        for coeff in jet.coeffs():
+        for coeff in jet.coeffs:
             if not math.isfinite(coeff):
                 raise EvaluationError("non-finite result", (x0, y0))
         return jet
-    for coeff in jet.coeffs():
+    for coeff in jet.coeffs:
         bad = ~np.isfinite(coeff)
         if bad.any():
             raise EvaluationError("non-finite result", _point_of(x0, y0, bad))
     # constant subexpressions evaluate to scalar coefficients and one-axis
     # ones to axis-shaped arrays; make the jet uniformly grid-shaped
     shape = np.broadcast(x0, y0).shape
-    return Jet3(*(np.broadcast_to(np.asarray(c, dtype=float), shape)
-                  for c in jet.coeffs()))
+    return Jet(tuple(np.broadcast_to(np.asarray(c, dtype=float), shape)
+                     for c in jet.coeffs))
 
 
-def _eval(node: ex.Expr, x0, y0) -> Jet3:
+def _eval(node: ex.Expr, x0, y0, order) -> Jet:
     match node:
         case ex.Num(value=v):
-            return jet_constant(v)
+            return jet_constant(v, order)
         case ex.Name(name=n):
             if n in ex.CONSTANTS:
-                return jet_constant(ex.CONSTANTS[n])
-            return jet_variable(n, x0, y0)
+                return jet_constant(ex.CONSTANTS[n], order)
+            return jet_variable(n, x0, y0, order)
         case ex.Neg(operand=u):
-            return -_eval(u, x0, y0)
+            return -_eval(u, x0, y0, order)
         case ex.BinOp(op=op, lhs=l, rhs=r):
-            a = _eval(l, x0, y0)
-            b = _eval(r, x0, y0)
+            a = _eval(l, x0, y0, order)
+            b = _eval(r, x0, y0, order)
             if op == "+":
                 return a + b
             if op == "-":
@@ -444,7 +438,7 @@ def _eval(node: ex.Expr, x0, y0) -> Jet3:
                 return a * b
             return a / b
         case ex.Pow(base=b, exponent=p):
-            return _eval(b, x0, y0).powf(p)
+            return _eval(b, x0, y0, order).powf(p)
         case ex.Call(func=f, arg=a):
-            return getattr(_eval(a, x0, y0), f)()
+            return getattr(_eval(a, x0, y0, order), f)()
     raise TypeError(f"not an expression node: {node!r}")

@@ -26,12 +26,13 @@ import numpy as np
 
 from . import expr as ex
 from .errors import CrossCheckError, DegenerateMetricError, EvaluationError
-from .jets import Dual2, Jet3, eval_jet3, generic_sqrt
+from .jets import Jet, eval_jet, sqrt
 
 __all__ = [
     "SurfaceSpec", "LocalInvariants", "surface_from_strings",
     "local_invariants", "brioschi_curvature", "delta_resultant",
-    "frame_fields", "invariant_grid", "invariant_gradients", "coeff_norm",
+    "frame_fields", "invariant_grid", "invariant_gradients", "invariant_jets",
+    "coeff_norm",
 ]
 
 log = logging.getLogger(__name__)
@@ -110,8 +111,8 @@ class LocalInvariants:
     nq0: float
     nq1: float
     nq2: float
-    jet_phi: Jet3
-    jet_psi: Jet3
+    jet_phi: Jet
+    jet_psi: Jet
 
     @property
     def coeff_matrix(self) -> np.ndarray:
@@ -133,10 +134,11 @@ def frame_fields(phi_d, psi_d, where=None):
     """Derived fields from first/second derivatives of phi and psi.
 
     ``phi_d``/``psi_d`` are (fx, fy, fxx, fxy, fyy) tuples whose entries may
-    be floats, numpy arrays or :class:`Dual2` values; the formulas are generic
-    in the arithmetic.  Returns a namespace with the metric, the hat metric,
+    be floats, numpy arrays or :class:`~monge4.jets.Jet` values of one order;
+    the formulas are generic in the arithmetic, and on jets each field comes
+    back as its jet.  Returns a namespace with the metric, the hat metric,
     the coefficients a..g, both routes to K and kappa, Delta (expanded form)
-    and the coefficients of the directional quadraticnq.  A metric with
+    and the coefficients of the directional quadratic nq.  A metric with
     W <= EPS_METRIC is a :class:`DegenerateMetricError` at the first such
     point of ``where`` = (x, y), when given.
     """
@@ -152,13 +154,13 @@ def frame_fields(phi_d, psi_d, where=None):
     Gh = qx * qx + qy * qy + 1.0
 
     # tested before W divides: Python floats raise on a zero or negative W
-    wval = W.val if isinstance(W, Dual2) else W
+    wval = W.f if isinstance(W, Jet) else W
     if np.any(wval <= EPS_METRIC):
         point, w = _first_bad(wval <= EPS_METRIC, *(where or (0.0, 0.0)), wval)
         raise DegenerateMetricError(point if where else None, w)
 
-    sEh = generic_sqrt(Eh)
-    sW = generic_sqrt(W)
+    sEh = sqrt(Eh)
+    sW = sqrt(W)
 
     a = pxx / (E * sEh)
     b = (E * pxy - F * pxx) / (E * sW * sEh)
@@ -203,8 +205,14 @@ def _first_bad(bad, x, y, value=0.0):
     return (float(x.ravel()[idx]), float(y.ravel()[idx])), float(value.ravel()[idx])
 
 
-def _jet_first_second(j: Jet3):
-    return (j.fx, j.fy, j.fxx, j.fxy, j.fyy)
+def _derivatives(jet: Jet, order: int = 0):
+    """(fx, fy, fxx, fxy, fyy) of the function whose jet is ``jet``: its
+    coefficients at order 0, otherwise their jets of ``order``, shifted
+    out of ``jet``, which must be of order + 2 or more."""
+    if order == 0:
+        return jet.coeffs[1:6]
+    return tuple(jet.shift(i, j, order)
+                 for i, j in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2)))
 
 
 def delta_resultant(a, b, c, e, f, g):
@@ -296,14 +304,14 @@ def _run_cross_checks(fl, strict, where=None):
             _check_pair(check.tag, u, v, check.rel, scale, strict, where)
 
 
-def _finite_frame_fields(jphi: Jet3, jpsi: Jet3, x, y):
+def _finite_frame_fields(jphi: Jet, jpsi: Jet, x, y):
     """:func:`frame_fields` of two jets at the points (x, y), refusing
     overflow: raises :class:`EvaluationError` at the first point where a
     coefficient, K, kappa, Delta, a frame denominator or ||M||^4 is not
     finite."""
     try:
         with np.errstate(all="ignore"):
-            fl = frame_fields(_jet_first_second(jphi), _jet_first_second(jpsi),
+            fl = frame_fields(_derivatives(jphi), _derivatives(jpsi),
                               where=(x, y))
     except OverflowError:  # Python floats raise where arrays give inf
         raise EvaluationError(_OVERFLOW, (float(x), float(y))) from None
@@ -333,8 +341,8 @@ def local_invariants(surface: SurfaceSpec, x: float, y: float, *,
     values are returned.  An invariant that overflows is an
     :class:`EvaluationError`.
     """
-    jphi = eval_jet3(surface.phi, x, y)
-    jpsi = eval_jet3(surface.psi, x, y)
+    jphi = eval_jet(surface.phi, x, y, 3)
+    jpsi = eval_jet(surface.psi, x, y, 3)
     fl = _finite_frame_fields(jphi, jpsi, x, y)
     _run_cross_checks(fl, strict)
     return LocalInvariants(
@@ -349,18 +357,21 @@ def local_invariants(surface: SurfaceSpec, x: float, y: float, *,
     )
 
 
-def invariant_grid(surface: SurfaceSpec, x, y, *, strict: bool = True,
+def invariant_grid(surface: SurfaceSpec, x, y, *, order: int = 2,
+                   strict: bool = True,
                    cross_check: bool = True) -> SimpleNamespace:
     """Vectorised invariants over arrays of points (shapes must broadcast).
 
-    Returns the namespace of :func:`frame_fields` with arrays, plus the jets.
-    An invariant that overflows at any point is an :class:`EvaluationError`
+    Returns the namespace of :func:`frame_fields` with arrays, plus the jets
+    of phi and psi, of ``order``: 2 gives every invariant, 3 also what needs
+    third derivatives (the Brioschi check, the gradient fields).  An
+    invariant that overflows at any point is an :class:`EvaluationError`
     carrying the first such point.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    jphi = eval_jet3(surface.phi, x, y)
-    jpsi = eval_jet3(surface.psi, x, y)
+    jphi = eval_jet(surface.phi, x, y, order)
+    jpsi = eval_jet(surface.psi, x, y, order)
     fl = _finite_frame_fields(jphi, jpsi, x, y)
     if cross_check:
         _run_cross_checks(fl, strict, where=np.broadcast_arrays(x, y))
@@ -379,7 +390,7 @@ def _det3(m11, m12, m13, m21, m22, m23, m31, m32, m33):
             + m13 * (m21 * m32 - m22 * m31))
 
 
-def metric_derivatives(jphi: Jet3, jpsi: Jet3) -> SimpleNamespace:
+def metric_derivatives(jphi: Jet, jpsi: Jet) -> SimpleNamespace:
     """E, F, G with the first derivatives and the three second derivatives
     (Eyy, Fxy, Gxx) needed by the Brioschi determinant; exact from the jets."""
     p, q = jphi, jpsi
@@ -400,7 +411,7 @@ def metric_derivatives(jphi: Jet3, jpsi: Jet3) -> SimpleNamespace:
                            Gx=Gx, Gy=Gy, Eyy=Eyy, Fxy=Fxy, Gxx=Gxx)
 
 
-def brioschi_field(jphi: Jet3, jpsi: Jet3):
+def brioschi_field(jphi: Jet, jpsi: Jet):
     """Intrinsic Gauss curvature from the metric alone (Brioschi determinant)."""
     m = metric_derivatives(jphi, jpsi)
     W = m.E * m.G - m.F ** 2
@@ -419,8 +430,8 @@ def brioschi_field(jphi: Jet3, jpsi: Jet3):
 
 def brioschi_curvature(surface: SurfaceSpec, x: float, y: float) -> float:
     """Intrinsic Gauss curvature at (x, y) from the induced metric only."""
-    jphi = eval_jet3(surface.phi, float(x), float(y))
-    jpsi = eval_jet3(surface.psi, float(x), float(y))
+    jphi = eval_jet(surface.phi, float(x), float(y), 3)
+    jpsi = eval_jet(surface.psi, float(x), float(y), 3)
     m = metric_derivatives(jphi, jpsi)
     w = m.E * m.G - m.F ** 2
     if w <= EPS_METRIC:
@@ -432,41 +443,37 @@ def brioschi_curvature(surface: SurfaceSpec, x: float, y: float) -> float:
 # exact gradients of the derived scalar fields
 # ---------------------------------------------------------------------------
 
-def _dual_fields(j: Jet3):
-    """First/second derivatives of a jet as Dual2 values carrying their own
-    gradients (which are the second/third jet coefficients)."""
-    return (Dual2(j.fx, j.fxx, j.fxy),
-            Dual2(j.fy, j.fxy, j.fyy),
-            Dual2(j.fxx, j.fxxx, j.fxxy),
-            Dual2(j.fxy, j.fxxy, j.fxyy),
-            Dual2(j.fyy, j.fxyy, j.fyyy))
-
-
-def gradient_fields(jphi: Jet3, jpsi: Jet3) -> SimpleNamespace:
-    """Invariant fields as Dual2 values (value plus exact gradient); the jets
-    may be array-valued, in which case every Dual2 component is an array.
-    A gradient that overflows is inf or nan, without a warning."""
+def gradient_fields(jphi: Jet, jpsi: Jet) -> SimpleNamespace:
+    """Invariant fields as order-1 jets (value plus exact gradient) from
+    jets of order 3 or more; the jets may be array-valued, in which case
+    every coefficient is an array.  A gradient that overflows is inf or
+    nan, without a warning."""
     with np.errstate(all="ignore"):
-        return frame_fields(_dual_fields(jphi), _dual_fields(jpsi))
+        return frame_fields(_derivatives(jphi, 1), _derivatives(jpsi, 1))
+
+
+def invariant_jets(surface: SurfaceSpec, x: float, y: float,
+                   order: int) -> SimpleNamespace:
+    """The fields of :func:`frame_fields` at (x, y) as jets of ``order``:
+    exact derivatives of the invariants up to that order, from the jets of
+    phi and psi of order + 2.  A derivative that overflows is inf or nan."""
+    x, y = float(x), float(y)
+    jphi = eval_jet(surface.phi, x, y, order + 2)
+    jpsi = eval_jet(surface.psi, x, y, order + 2)
+    return frame_fields(_derivatives(jphi, order), _derivatives(jpsi, order),
+                        where=(x, y))
 
 
 def invariant_gradients(surface: SurfaceSpec, x: float, y: float) -> SimpleNamespace:
-    """Delta, kappa and their exact gradients at (x, y).
-
-    The gradients are exact because the order-3 jets provide exact first
-    derivatives of every coefficient entering Delta and kappa.
-    """
-    jphi = eval_jet3(surface.phi, float(x), float(y))
-    jpsi = eval_jet3(surface.psi, float(x), float(y))
-    fl = frame_fields(_dual_fields(jphi), _dual_fields(jpsi), where=(x, y))
+    """Delta, kappa and their exact gradients at (x, y), from
+    :func:`invariant_jets` of order 1."""
+    fl = invariant_jets(surface, x, y, 1)
     scale = coeff_norm(SimpleNamespace(
-        a=fl.a.val, b=fl.b.val, c=fl.c.val,
-        e=fl.e.val, f=fl.f.val, g=fl.g.val))
+        a=fl.a.f, b=fl.b.f, c=fl.c.f, e=fl.e.f, f=fl.f.f, g=fl.g.f))
     return SimpleNamespace(
-        delta=fl.Delta.val,
-        grad_delta=np.array([fl.Delta.dx, fl.Delta.dy]),
-        kappa=fl.kappa.val,
-        grad_kappa=np.array([fl.kappa.dx, fl.kappa.dy]),
-        nq=(fl.nq0, fl.nq1, fl.nq2),
+        delta=fl.Delta.f,
+        grad_delta=np.array([fl.Delta.fx, fl.Delta.fy]),
+        kappa=fl.kappa.f,
+        grad_kappa=np.array([fl.kappa.fx, fl.kappa.fy]),
         coeff_scale=float(scale),
     )

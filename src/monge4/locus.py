@@ -18,7 +18,7 @@ import numpy as np
 
 from .classify import (DEFAULT_TOL, ToleranceSet, class_labels_grid,
                        hessian_of_delta)
-from .jets import Jet3
+from .jets import Jet
 from .localgeom import (SurfaceSpec, coeff_norm, gradient_fields,
                         invariant_grid, invariant_gradients, local_invariants)
 
@@ -70,13 +70,13 @@ class InflectionReport:
     residual: float        # scaled Newton residual max(|Delta|/s^4, |kappa|/s^2)
 
 
-def _grid_fields(surface: SurfaceSpec, resolution: int):
+def _grid_fields(surface: SurfaceSpec, resolution: int, order: int):
     if resolution < MIN_RESOLUTION:
         raise ValueError(f"grid resolution must be >= {MIN_RESOLUTION}")
     xmin, xmax, ymin, ymax = surface.domain
     xs = np.linspace(xmin, xmax, resolution)
     ys = np.linspace(ymin, ymax, resolution)
-    fields = invariant_grid(surface, xs[:, None], ys[None, :],
+    fields = invariant_grid(surface, xs[:, None], ys[None, :], order=order,
                             cross_check=False)
     return xs, ys, fields
 
@@ -163,7 +163,7 @@ def trace_parabolic(surface: SurfaceSpec, resolution: int = 256,
     |Delta| at the vertex itself.  Cells whose entire sampled field is
     flat-zero are flagged degenerate and excluded.
     """
-    xs, ys, fields = _grid_fields(surface, resolution)
+    xs, ys, fields = _grid_fields(surface, resolution, 2)
     delta = np.asarray(fields.Delta)
     tau_flat = tol.rel * coeff_norm(fields) ** 4
     flat = np.abs(delta) <= tau_flat
@@ -300,7 +300,8 @@ def find_inflections(surface: SurfaceSpec, resolution: int = 256,
     roots are deduplicated, re-verified (rank of the coefficient matrix must
     drop) and typed by the sign of K.
     """
-    xs, ys, fields = _grid_fields(surface, resolution)
+    # order 3: the seed test below takes gradients from these jets
+    xs, ys, fields = _grid_fields(surface, resolution, 3)
     delta = np.asarray(fields.Delta)
     kappa = np.asarray(fields.kappa)
     cn = np.asarray(coeff_norm(fields))
@@ -325,13 +326,13 @@ def find_inflections(surface: SurfaceSpec, resolution: int = 256,
     # (a fixed band alone can fall between grid nodes); the gradients are
     # taken at the minima only
     at_min = np.nonzero(is_min)
-    gfl = gradient_fields(*(Jet3(*(c[at_min] for c in jet.coeffs()))
+    gfl = gradient_fields(*(Jet(tuple(c[at_min] for c in jet.coeffs))
                             for jet in (fields.jet_phi, fields.jet_psi)))
     cellx = (xs[-1] - xs[0]) / (len(xs) - 1)
     celly = (ys[-1] - ys[0]) / (len(ys) - 1)
     rho = 1.5 * float(np.hypot(cellx, celly))
-    gd = np.hypot(np.asarray(gfl.Delta.dx), np.asarray(gfl.Delta.dy))
-    gk = np.hypot(np.asarray(gfl.kappa.dx), np.asarray(gfl.kappa.dy))
+    gd = np.hypot(np.asarray(gfl.Delta.fx), np.asarray(gfl.Delta.fy))
+    gk = np.hypot(np.asarray(gfl.kappa.fx), np.asarray(gfl.kappa.fy))
     msq_min = msq[at_min]
     seed_mask = np.zeros_like(is_min)
     seed_mask[at_min] = \

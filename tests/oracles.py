@@ -9,7 +9,9 @@ definition of the second fundamental form.
 The exceptions are :func:`evolvent_reference`, the per-direction loop body
 that ``conics._evolvent_sweep`` batches, and :func:`jet_variable_reference`,
 coordinate jets with full-array seeds; the package must reproduce both bit
-for bit.  :func:`bisect_edges_reference` is the fixed 40-round bisection
+for bit.  :func:`hessian_of_delta_fd` is the Richardson-extrapolated
+difference of the exact Delta gradient that ``classify.hessian_of_delta``
+replaced by an exact jet; the two must agree to the differencing error.  :func:`bisect_edges_reference` is the fixed 40-round bisection
 that ``locus._refine_edges`` replaced; the package must match its polylines
 with residuals no worse.  :func:`sylvester_delta` is the 4x4 Sylvester
 determinant that ``localgeom.delta_resultant`` replaced by the Bezout form.
@@ -21,8 +23,8 @@ import numpy as np
 
 from monge4 import conics
 from monge4 import expr as ex
-from monge4.jets import Jet3
-from monge4.localgeom import invariant_grid
+from monge4.jets import Jet
+from monge4.localgeom import invariant_gradients, invariant_grid
 
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "tan": np.tan,
               "exp": np.exp, "log": np.log, "sqrt": np.sqrt}
@@ -33,7 +35,7 @@ def eval_value(node: ex.Expr, x0, y0):
 
     Outside a function's domain it returns whatever Python or numpy give
     (nan, inf or an exception); it does not raise the package's
-    EvaluationError the way eval_jet3 does.
+    EvaluationError the way eval_jet does.
     """
     match node:
         case ex.Num(value=v):
@@ -225,17 +227,38 @@ def winding_number(points, target=(0.0, 0.0)) -> int:
     return int(round(float(np.sum(dif)) / (2.0 * np.pi)))
 
 
-def jet_variable_reference(which, x0, y0):
+def jet_variable_reference(which, x0, y0, order):
     """Jet of the coordinate 'x' or 'y' on arrays, with the value and both
     first-derivative seeds as full arrays of the broadcast grid shape (ones
-    and zeros).  ``jets.jet_variable`` keeps the coordinate's own shape and
-    seeds with the floats 1.0 and 0.0; evaluations must agree under ==.
+    and zeros), and float zeros above.  ``jets.jet_variable`` keeps the
+    coordinate's own shape and seeds with the floats 1.0 and 0.0;
+    evaluations must agree under ==.
     """
     one = np.ones(np.broadcast(x0, y0).shape)
     val = np.broadcast_to(x0 if which == "x" else y0, one.shape).astype(float)
-    if which == "x":
-        return Jet3(val, one, one * 0.0)
-    return Jet3(val, one * 0.0, one)
+    seeds = (one, one * 0.0) if which == "x" else (one * 0.0, one)
+    size = (order + 1) * (order + 2) // 2
+    return Jet(((val,) + seeds + (0.0,) * size)[:size])
+
+
+def hessian_of_delta_fd(surface, x, y, step=1e-4):
+    """Hessian of Delta at (x, y) by central differences of the exact Delta
+    gradient with step h and h/2, combined by one Richardson extrapolation,
+    then symmetrised.  Entries that overflow are inf or nan."""
+    def grad(px, py):
+        return invariant_gradients(surface, px, py).grad_delta
+
+    h = step
+    cols = []
+    for dx, dy in ((1.0, 0.0), (0.0, 1.0)):
+        with np.errstate(all="ignore"):
+            d_h = (grad(x + h * dx, y + h * dy)
+                   - grad(x - h * dx, y - h * dy)) / (2 * h)
+            d_h2 = (grad(x + 0.5 * h * dx, y + 0.5 * h * dy)
+                    - grad(x - 0.5 * h * dx, y - 0.5 * h * dy)) / h
+            cols.append((4.0 * d_h2 - d_h) / 3.0)
+    hess = np.column_stack(cols)
+    return 0.5 * (hess + hess.T)
 
 
 def bisect_edges_reference(surface, ax, ay, bx, by, da, db, rounds=40):

@@ -67,7 +67,8 @@ def test_acceptance_2_cross_formula_suite():
     total = 0
     for surface in surfaces:
         pts = random_points(rng, 500)
-        fl = invariant_grid(surface, pts[:, 0], pts[:, 1], cross_check=False)
+        fl = invariant_grid(surface, pts[:, 0], pts[:, 1], order=3,
+                            cross_check=False)
         msq = np.asarray(coeff_norm(fl)) ** 2
 
         def bound(u, v, rel, scale):
@@ -177,14 +178,14 @@ def test_acceptance_7_inflection_suite():
     rep = reports_c[0]
     assert (rep.x, rep.y) == pytest.approx((0.0, 0.0), abs=1e-6)
     assert rep.kind == "imaginary"
-    assert rep.det_hessian_delta == pytest.approx(3072.0, rel=1e-3)
+    assert rep.det_hessian_delta == pytest.approx(3072.0, rel=1e-12)
 
     reports_h = find_inflections(make_surface("H", HALF_BOX), 256)
     assert len(reports_h) == 1
     rep = reports_h[0]
     assert (rep.x, rep.y) == pytest.approx((0.0, 0.0), abs=1e-6)
     assert rep.kind == "real"
-    assert rep.det_hessian_delta == pytest.approx(-1024.0, rel=1e-3)
+    assert rep.det_hessian_delta == pytest.approx(-1024.0, rel=1e-12)
 
     for name, reports in (("C", reports_c), ("H", reports_h)):
         inv = local_invariants(make_surface(name, HALF_BOX),

@@ -15,11 +15,12 @@ from monge4.classify import (asymptotic_directions, binormals,
                              class_labels_grid, classify_point,
                              hessian_of_delta, rank_m)
 from monge4.errors import EvaluationError, InflectionPointError
+from monge4.heightfn import degenerate_normals
 from monge4.localgeom import (invariant_grid, invariant_gradients,
                               local_invariants, surface_from_strings)
 
 from conftest import make_surface, random_points, random_surfaces
-from oracles import winding_number
+from oracles import hessian_of_delta_fd, winding_number
 
 
 @pytest.fixture(scope="module")
@@ -188,23 +189,35 @@ def test_winding_consistency():
 def test_hessian_of_delta_fixture_c():
     surface = make_surface("C")
     hd = hessian_of_delta(surface, 0.0, 0.0)
-    assert hd == pytest.approx(np.diag([-32.0, -96.0]), abs=1e-6)
+    assert hd == pytest.approx(np.diag([-32.0, -96.0]), rel=1e-12, abs=1e-12)
     det = float(np.linalg.det(hd))
-    assert det == pytest.approx(3072.0, rel=1e-3)
+    assert det == pytest.approx(3072.0, rel=1e-12)
     assert det > 0  # isolated point, same sign as K = 12
 
 
 def test_hessian_of_delta_fixture_h():
     surface = make_surface("H")
-    det = float(np.linalg.det(hessian_of_delta(surface, 0.0, 0.0)))
-    assert det == pytest.approx(-1024.0, rel=1e-3)
+    hd = hessian_of_delta(surface, 0.0, 0.0)
+    assert hd == pytest.approx(np.diag([-32.0, 32.0]), rel=1e-12, abs=1e-12)
+    det = float(np.linalg.det(hd))
+    assert det == pytest.approx(-1024.0, rel=1e-12)
     assert det < 0  # self-intersection, same sign as K = -4
 
 
 def test_hessian_of_delta_flat():
     surface = make_surface("flat")
-    assert hessian_of_delta(surface, 0.1, 0.2) == pytest.approx(
-        np.zeros((2, 2)), abs=1e-12)
+    assert np.array_equal(hessian_of_delta(surface, 0.1, 0.2), np.zeros((2, 2)))
+
+
+def test_hessian_of_delta_matches_finite_differences():
+    """On the random corpus the exact Hessian agrees with the Richardson
+    difference of the exact gradient to 1e-6 of its largest entry."""
+    rng = np.random.default_rng(17)
+    for surface in random_surfaces():
+        for x, y in random_points(rng, 3, lim=0.8):
+            hd = hessian_of_delta(surface, x, y)
+            ref = hessian_of_delta_fd(surface, x, y)
+            assert np.all(np.abs(hd - ref) <= 1e-6 * np.max(np.abs(hd)))
 
 
 def test_inflection_equivalent_conditions():
@@ -369,7 +382,8 @@ def _scaled_surface(exponent):
 @given(_exponents)
 @settings(max_examples=150, deadline=None)
 def test_classification_scale_free_on_surface(exponent):
-    """phi = s x^2, psi = s y^2 at (0.5, 0.1) is hyperbolic for every
+    """phi = s x^2, psi = s y^2 at (0.5, 0.1) is hyperbolic, with two
+    asymptotic directions and two degenerate height normals, for every
     s = 10^k; where an invariant overflows (large s) the evaluation fails
     instead of returning a wrong class."""
     surface = _scaled_surface(exponent)
@@ -381,6 +395,8 @@ def test_classification_scale_free_on_surface(exponent):
             invariant_grid(surface, np.array([0.5]), np.array([0.1]))
         return
     assert class_label(classify_point(inv)) == "hyperbolic"
+    assert len(asymptotic_directions(inv)) == 2
+    assert len(degenerate_normals(inv)) == 2
     fields = invariant_grid(surface, np.array([0.5]), np.array([0.1]))
     assert class_labels_grid(fields).tolist() == ["hyperbolic"]
 

@@ -500,7 +500,10 @@ def test_plot_golden_outputs(tmp_path, name):
 # the sampled Delta field, where marching squares needs the centre test.
 # All three are polynomial; the digests pin vertices, residuals and reports
 # bit for bit.  The inflections digests were recorded before the locus search
-# was batched.  The trace digests were re-recorded when Illinois iteration
+# was batched, and re-recorded when det_hessian_delta became exact (jets in
+# place of differences): it now reads -1024.0 on both surfaces, and the
+# inflection_real report moved by 8e-28 with the last bits of the Newton
+# gradients.  The trace digests were re-recorded when Illinois iteration
 # replaced the edge bisection, after checking that the vertex ids stay the
 # same, no vertex moves by more than 1.4e-14 and the largest residual drops.
 LOCUS_GOLDEN = {
@@ -512,12 +515,12 @@ LOCUS_GOLDEN = {
     "inflection_real": (
         "phi = x^2 - y^2\npsi = x^3/3 + x*y^2\ndomain = -0.5 0.5 -0.5 0.5\n",
         "d9a0c9484de32622c911e583233ee6c52d3211b65b3b39b420c7951a0ac9c116",
-        "61180aab4e7e54429604b29e87c90a7e3ef4d84745bec37f74f65f70ed0ab755"),
+        "6ffbb674d0cdd6161dff1a908702313ad481fca8e3af4ca1cc75cd2de58cdb21"),
     "saddle": (
         "phi = x^2 - y^2\npsi = x^3/3 + x*y^2 + 0.2*y^3\n"
         "domain = -0.5 0.5 -0.5 0.5\n",
         "3866e4e066b5ebb222706c96be1a84690bc3e26c9e6bf436c986e832f1480129",
-        "d110f1fc2a0b8e9264903e0598299e37ebf800099c40a0b5d344205226f6e503"),
+        "4e69729f6eab83664aeff9f3f6e4e994d733951e8e0590a5b0486aec80a99641"),
 }
 
 
@@ -550,6 +553,35 @@ def test_locus_golden_outputs(tmp_path, name):
     code, out, err = run_cli(["inflections", "--surface", surf, "--res", "64"])
     assert code == 0, err
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == infl_sha
+
+
+def test_inflections_on_a_tiny_domain_print_no_nan(tmp_path):
+    """On a domain 1e-120 wide the Hessian of Delta is finite at every
+    report: it comes from jets at the report, not from differences over a
+    step that reaches far outside the domain."""
+    surf = write(tmp_path, "tiny.surf",
+                 "phi = 1e70*(x^2+y^2)\npsi = 1e-300*y^2\n"
+                 "domain = -1e-120 1e-120 -1e-120 1e-120\n")
+    code, out, err = run_cli(["inflections", "--surface", surf, "--res", "16"])
+    assert code == 0, err
+    assert out and "nan" not in out
+
+
+def test_passes_evaluate_only_the_derivatives_they_use(tmp_path):
+    """phi = 1e308 x^3 has an infinite third derivative and finite
+    invariants: grid and trace, which use derivatives up to order 2, run;
+    selfcheck and inflections, which use the third, fail with exit 4."""
+    surf = write(tmp_path, "cubic.surf",
+                 "phi = 1e308*x^3\npsi = y^2\n"
+                 "domain = -1e-300 1e-300 -1e-300 1e-300\n")
+    for command in ("grid", "trace"):
+        code, _, err = run_cli([command, "--surface", surf, "--res", "16",
+                                "--out", str(tmp_path / f"{command}.csv")])
+        assert code == 0, err
+    for command in ("selfcheck", "inflections"):
+        code, _, err = run_cli([command, "--surface", surf, "--res", "16"])
+        assert code == 4
+        assert "non-finite result" in err
 
 
 # -- hostile surfaces through run() ---------------------------------------------

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from monge4 import eval_jet3, jets, parse_expression
+from monge4 import eval_jet, jets, parse_expression
 from monge4.errors import EvaluationError
-from monge4.jets import Dual2, jet_constant
+from monge4.jets import jet_constant, jet_variable
 
 from conftest import AXIS_XS, AXIS_YS, grid_corpus
 from oracles import eval_value, fd_jet, jet_variable_reference
@@ -17,7 +17,7 @@ COEFF_NAMES = ("f", "fx", "fy", "fxx", "fxy", "fyy",
 
 
 def jet_of(text, x, y):
-    return eval_jet3(parse_expression(text), x, y)
+    return eval_jet(parse_expression(text), x, y, 3)
 
 
 def test_square_at_point():
@@ -76,7 +76,7 @@ def test_random_polynomials_match_fd_oracle():
     for _ in range(60):
         text, fn = _random_poly(rng)
         x0, y0 = (float(v) for v in rng.uniform(-1.0, 1.0, 2))
-        jet = eval_jet3(parse_expression(text), x0, y0).coeffs()
+        jet = eval_jet(parse_expression(text), x0, y0, 3).coeffs
         fd = fd_jet(fn, x0, y0)
         scale = max(max(abs(v) for v in jet), 1.0)
         for mine, ref in zip(jet, fd):
@@ -90,7 +90,7 @@ def test_transcendental_against_fd_oracle():
         return (math.sin(x * y) + math.exp(0.3 * x) / (2 + math.cos(y))
                 + math.log(2 + x) + math.sqrt(1 + y * y))
 
-    jet = eval_jet3(parse_expression(text), 0.4, -0.7).coeffs()
+    jet = eval_jet(parse_expression(text), 0.4, -0.7, 3).coeffs
     fd = fd_jet(fn, 0.4, -0.7, h_third=1.0 / 32.0)
     for mine, ref in zip(jet, fd):
         assert abs(mine - ref) <= 1e-5 * max(abs(ref), 1.0)
@@ -100,7 +100,7 @@ def test_tan_jet():
     jet = jet_of("tan(x + 0.2*y)", 0.3, 0.1)
     fd = fd_jet(lambda x, y: math.tan(x + 0.2 * y), 0.3, 0.1,
                 h_third=1.0 / 64.0)
-    for mine, ref in zip(jet.coeffs(), fd):
+    for mine, ref in zip(jet.coeffs, fd):
         assert mine == pytest.approx(ref, rel=1e-6, abs=1e-6)
 
 
@@ -111,11 +111,11 @@ def test_product_rule_exact():
         t1, _ = _random_poly(rng, degree=3)
         t2, _ = _random_poly(rng, degree=3)
         x0, y0 = (float(v) for v in rng.uniform(-1.0, 1.0, 2))
-        j1 = eval_jet3(parse_expression(t1), x0, y0)
-        j2 = eval_jet3(parse_expression(t2), x0, y0)
-        combined = eval_jet3(parse_expression(f"({t1}) * ({t2})"), x0, y0)
+        j1 = eval_jet(parse_expression(t1), x0, y0, 3)
+        j2 = eval_jet(parse_expression(t2), x0, y0, 3)
+        combined = eval_jet(parse_expression(f"({t1}) * ({t2})"), x0, y0, 3)
         prod = j1 * j2
-        for mine, ref in zip(combined.coeffs(), prod.coeffs()):
+        for mine, ref in zip(combined.coeffs, prod.coeffs):
             assert abs(mine - ref) <= 1e-12 * max(abs(mine), abs(ref), 1.0)
 
 
@@ -124,12 +124,12 @@ def test_sum_and_chain_rules_exact():
     for _ in range(25):
         t1, _ = _random_poly(rng, degree=3)
         x0, y0 = (float(v) for v in rng.uniform(-0.8, 0.8, 2))
-        j1 = eval_jet3(parse_expression(t1), x0, y0)
-        total = eval_jet3(parse_expression(f"({t1}) + ({t1})"), x0, y0)
-        for mine, ref in zip(total.coeffs(), (j1 + j1).coeffs()):
+        j1 = eval_jet(parse_expression(t1), x0, y0, 3)
+        total = eval_jet(parse_expression(f"({t1}) + ({t1})"), x0, y0, 3)
+        for mine, ref in zip(total.coeffs, (j1 + j1).coeffs):
             assert mine == pytest.approx(ref, rel=1e-13, abs=1e-13)
-        chained = eval_jet3(parse_expression(f"sin({t1})"), x0, y0)
-        for mine, ref in zip(chained.coeffs(), j1.sin().coeffs()):
+        chained = eval_jet(parse_expression(f"sin({t1})"), x0, y0, 3)
+        for mine, ref in zip(chained.coeffs, j1.sin().coeffs):
             assert abs(mine - ref) <= 1e-12 * max(abs(mine), abs(ref), 1.0)
 
 
@@ -141,7 +141,7 @@ def test_integer_powers_stay_exact():
 def test_non_integer_power():
     j = jet_of("(1 + x)^0.5", 0.44, 0.0)
     ref = jet_of("sqrt(1 + x)", 0.44, 0.0)
-    for mine, want in zip(j.coeffs(), ref.coeffs()):
+    for mine, want in zip(j.coeffs, ref.coeffs):
         assert mine == pytest.approx(want, rel=1e-12)
 
 
@@ -165,7 +165,7 @@ def test_array_error_reports_offending_point():
     xs = np.array([0.5, 1.0, -2.0, 3.0])
     ys = np.zeros(4)
     with pytest.raises(EvaluationError) as err:
-        eval_jet3(parse_expression("log(x)"), xs, ys)
+        eval_jet(parse_expression("log(x)"), xs, ys, 3)
     assert err.value.point == (-2.0, 0.0)
 
 
@@ -174,16 +174,16 @@ def test_array_evaluation_matches_scalar():
     tree = parse_expression(text)
     xs = np.linspace(-1, 1, 7)
     ys = np.linspace(-0.5, 0.5, 7)
-    vec = eval_jet3(tree, xs, ys)
+    vec = eval_jet(tree, xs, ys, 3)
     for k, (x0, y0) in enumerate(zip(xs, ys)):
-        single = eval_jet3(tree, float(x0), float(y0))
+        single = eval_jet(tree, float(x0), float(y0), 3)
         for name in COEFF_NAMES:
             assert getattr(vec, name)[k] == pytest.approx(
                 getattr(single, name), rel=1e-14, abs=1e-14)
 
 
 def test_constant_expression_broadcasts_over_arrays():
-    jet = eval_jet3(parse_expression("pi"), np.zeros(5), np.zeros(5))
+    jet = eval_jet(parse_expression("pi"), np.zeros(5), np.zeros(5), 3)
     assert jet.f.shape == (5,)
     assert np.all(jet.f == math.pi)
 
@@ -196,26 +196,71 @@ def test_eval_value_matches_jet_value():
         tree = parse_expression(text)
         assert eval_value(tree, x0, y0) == pytest.approx(fn(x0, y0), rel=1e-13)
         assert eval_value(tree, x0, y0) == pytest.approx(
-            eval_jet3(tree, x0, y0).f, rel=1e-13)
+            eval_jet(tree, x0, y0, 3).f, rel=1e-13)
 
 
-def test_dual2_arithmetic():
-    x = Dual2(2.0, 1.0, 0.0)
-    y = Dual2(3.0, 0.0, 1.0)
+def test_order1_jet_arithmetic():
+    x = jet_variable("x", 2.0, 3.0, 1)
+    y = jet_variable("y", 2.0, 3.0, 1)
     q = (x * x * y + y) / x
     # f = (x^2 y + y)/x = xy + y/x; fx = y - y/x^2; fy = x + 1/x
-    assert q.val == pytest.approx(2 * 3 + 3 / 2)
-    assert q.dx == pytest.approx(3 - 3 / 4)
-    assert q.dy == pytest.approx(2 + 1 / 2)
+    assert q.f == pytest.approx(2 * 3 + 3 / 2)
+    assert q.fx == pytest.approx(3 - 3 / 4)
+    assert q.fy == pytest.approx(2 + 1 / 2)
     s = (x * x + y * y).sqrt()
     r = math.hypot(2.0, 3.0)
-    assert s.val == pytest.approx(r)
-    assert s.dx == pytest.approx(2.0 / r)
-    assert s.dy == pytest.approx(3.0 / r)
+    assert s.f == pytest.approx(r)
+    assert s.fx == pytest.approx(2.0 / r)
+    assert s.fy == pytest.approx(3.0 / r)
+
+
+def test_lower_orders_are_truncations():
+    """The jet of order n is the first coefficients of the jet of order
+    n + 1, under ==, at points and on the axes."""
+    trees = [t for s in grid_corpus() for t in (s.phi, s.psi)]
+    for x0, y0 in ((0.3, -0.2), (AXIS_XS[:, None], AXIS_YS[None, :])):
+        for tree in trees:
+            jets_by_order = [eval_jet(tree, x0, y0, n).coeffs for n in range(5)]
+            for n, (low, high) in enumerate(zip(jets_by_order, jets_by_order[1:])):
+                assert len(high) == (n + 2) * (n + 3) // 2
+                for u, v in zip(low, high):
+                    assert np.array_equal(u, v)
+
+
+@pytest.mark.parametrize("text, fourth", [
+    ("sin(x)", math.sin),
+    ("cos(x)", math.cos),
+    ("tan(x)", lambda x: 8.0 * math.tan(x) / math.cos(x) ** 2
+     * (2.0 + 3.0 * math.tan(x) ** 2)),
+    ("exp(x)", math.exp),
+    ("log(x)", lambda x: -6.0 / x ** 4),
+    ("sqrt(x)", lambda x: -15.0 / 16.0 * x ** -3.5),
+    ("1/x", lambda x: 24.0 / x ** 5),
+    ("x^2.5", lambda x: 2.5 * 1.5 * 0.5 * -0.5 * x ** -1.5),
+])
+def test_fourth_derivatives_of_elementary_functions(text, fourth):
+    jet = eval_jet(parse_expression(text), 0.7, 0.0, 4)
+    fxxxx = jet.coeffs[10]
+    assert fxxxx == pytest.approx(fourth(0.7), rel=1e-13)
+    assert jet.coeffs[11:] == (0.0,) * 4
+
+
+def test_shift_gives_the_jets_of_the_derivatives():
+    """Shifting the order-4 jet of f by (i, j) gives the order-2 jet of
+    d^(i+j) f / dx^i dy^j."""
+    f = eval_jet(parse_expression("sin(x*y) + x^3*y^2"), 0.4, -0.3, 4)
+    derivatives = {(1, 0): "y*cos(x*y) + 3*x^2*y^2",
+                   (0, 1): "x*cos(x*y) + 2*x^3*y",
+                   (1, 1): "cos(x*y) - x*y*sin(x*y) + 6*x^2*y",
+                   (0, 2): "-x^2*sin(x*y) + 2*x^3"}
+    for (i, j), text in derivatives.items():
+        want = eval_jet(parse_expression(text), 0.4, -0.3, 2).coeffs
+        got = f.shift(i, j, 2).coeffs
+        assert got == pytest.approx(want, rel=1e-14, abs=1e-15)
 
 
 def test_jet_immutability():
-    j = jet_constant(1.0)
+    j = jet_constant(1.0, 3)
     with pytest.raises(AttributeError):
         j.f = 2.0
 
@@ -235,8 +280,8 @@ def test_axis_evaluation_matches_meshgrid():
     gx, gy = np.meshgrid(AXIS_XS, AXIS_YS, indexing="ij")
     for surface in grid_corpus():
         for tree in (surface.phi, surface.psi):
-            _assert_same_jet(eval_jet3(tree, AXIS_XS[:, None], AXIS_YS[None, :]),
-                             eval_jet3(tree, gx, gy))
+            _assert_same_jet(eval_jet(tree, AXIS_XS[:, None], AXIS_YS[None, :], 3),
+                             eval_jet(tree, gx, gy, 3))
 
 
 def test_scalar_seed_coordinate_jets_match_array_seeds(monkeypatch):
@@ -244,13 +289,13 @@ def test_scalar_seed_coordinate_jets_match_array_seeds(monkeypatch):
     to the same coefficients as full-array seeds on the full grid."""
     gx, gy = np.meshgrid(AXIS_XS, AXIS_YS, indexing="ij")
     trees = [t for s in grid_corpus() for t in (s.phi, s.psi)]
-    axis_jets = [eval_jet3(t, AXIS_XS[:, None], AXIS_YS[None, :]) for t in trees]
-    seed = jets.jet_variable("x", AXIS_XS[:, None], AXIS_YS[None, :])
+    axis_jets = [eval_jet(t, AXIS_XS[:, None], AXIS_YS[None, :], 3) for t in trees]
+    seed = jets.jet_variable("x", AXIS_XS[:, None], AXIS_YS[None, :], 3)
     assert seed.f.shape == (len(AXIS_XS), 1)
     assert (seed.fx, seed.fy) == (1.0, 0.0) and type(seed.fx) is float
     monkeypatch.setattr(jets, "jet_variable", jet_variable_reference)
     for tree, jet in zip(trees, axis_jets):
-        _assert_same_jet(jet, eval_jet3(tree, gx, gy))
+        _assert_same_jet(jet, eval_jet(tree, gx, gy, 3))
 
 
 # first offending points on descending axes, as reported by full-grid
@@ -271,5 +316,5 @@ def test_axis_error_reports_first_grid_point(text, point):
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     for x0, y0 in ((xs[:, None], ys[None, :]), (gx, gy)):
         with pytest.raises(EvaluationError) as err:
-            eval_jet3(parse_expression(text), x0, y0)
+            eval_jet(parse_expression(text), x0, y0, 3)
         assert err.value.point == point

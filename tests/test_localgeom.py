@@ -155,7 +155,8 @@ def test_cross_formula_random_suite():
     rng = np.random.default_rng(2)
     for surface in random_surfaces(seed=91, count=8):
         pts = random_points(rng, 200)
-        fl = invariant_grid(surface, pts[:, 0], pts[:, 1], cross_check=False)
+        fl = invariant_grid(surface, pts[:, 0], pts[:, 1], order=3,
+                            cross_check=False)
         msq = np.asarray(coeff_norm(fl)) ** 2
 
         def bound(u, v, rel, scale):
@@ -294,12 +295,13 @@ def test_invariant_grid_on_axes_matches_meshgrid():
     under == whether the grid is given as its axes or as full arrays."""
     gx, gy = np.meshgrid(AXIS_XS, AXIS_YS, indexing="ij")
     for surface in grid_corpus():
-        axes = invariant_grid(surface, AXIS_XS[:, None], AXIS_YS[None, :])
-        full = invariant_grid(surface, gx, gy)
+        axes = invariant_grid(surface, AXIS_XS[:, None], AXIS_YS[None, :],
+                              order=3)
+        full = invariant_grid(surface, gx, gy, order=3)
         assert vars(axes).keys() == vars(full).keys()
         for name, value in vars(full).items():
             if name.startswith("jet_"):
-                pairs = zip(getattr(axes, name).coeffs(), value.coeffs())
+                pairs = zip(getattr(axes, name).coeffs, value.coeffs)
             else:
                 pairs = [(getattr(axes, name), value)]
             for u, v in pairs:

@@ -108,7 +108,7 @@ def test_find_inflections_imaginary():
     assert (rep.x, rep.y) == pytest.approx((0.0, 0.0), abs=1e-6)
     assert rep.kind == "imaginary"
     assert rep.K == pytest.approx(12.0, rel=1e-6)
-    assert rep.det_hessian_delta == pytest.approx(3072.0, rel=1e-3)
+    assert rep.det_hessian_delta == pytest.approx(3072.0, rel=1e-12)
     assert rep.residual <= 1e-12
 
 
@@ -119,7 +119,7 @@ def test_find_inflections_real():
     assert (rep.x, rep.y) == pytest.approx((0.0, 0.0), abs=1e-6)
     assert rep.kind == "real"
     assert rep.K == pytest.approx(-4.0, rel=1e-6)
-    assert rep.det_hessian_delta == pytest.approx(-1024.0, rel=1e-3)
+    assert rep.det_hessian_delta == pytest.approx(-1024.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("scale", ["1", "1e-20", "1e-40", "1e-60"])
@@ -184,7 +184,10 @@ def test_find_inflections_multiple_points():
         assert rep.y == pytest.approx(0.0, abs=1e-9)
         assert rep.kind == "imaginary"
         assert rep.K == pytest.approx(12.0, rel=1e-6)
-        assert rep.det_hessian_delta == pytest.approx(13872.0, rel=1e-3)
+        # exact at +-1/2; the report sits ~4e-10 off, which moves it ~2e-8
+        assert rep.det_hessian_delta == pytest.approx(13872.0, rel=1e-6)
+        assert np.linalg.det(classify.hessian_of_delta(surface, want_x, 0.0)) \
+            == pytest.approx(13872.0, rel=1e-12)
     # symmetric real pair in between
     inner = [reports[1], reports[2]]
     assert inner[0].x == pytest.approx(-inner[1].x, rel=1e-9)
@@ -332,7 +335,7 @@ def test_inflection_real_vertices_on_grid_nodes(monkeypatch):
     surface = GALLERY["inflection_real"]
     ps, calls = _count_trace_calls(surface, res, monkeypatch)
     assert len(calls) == 3  # the grid and two passes; no saddle cell
-    xs, ys, fields = locus._grid_fields(surface, res)
+    xs, ys, fields = locus._grid_fields(surface, res, 2)
     pts = np.concatenate([pl.points for pl in ps.polylines])
     residuals = np.concatenate([pl.residuals for pl in ps.polylines])
     i = np.searchsorted(xs, pts[:, 0])

@@ -1,5 +1,6 @@
 """Smoke tests of the scripts under scripts/."""
 
+import importlib.util
 import pathlib
 import subprocess
 import sys
@@ -41,3 +42,30 @@ def test_corpus_crosscheck_small_corpus():
         capture_output=True, text=True, check=False)
     assert r.returncode == 0, r.stdout + r.stderr
     assert r.stdout.count("  PASS ") == 6, r.stdout
+
+
+def test_compare_outputs_tree_with_itself():
+    """This tree compared with itself at --res 16: every subcommand on each
+    of the nine surfaces prints `same`, and the exit code is 0."""
+    r = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "compare_outputs.py"),
+         str(ROOT / "src"), "--res", "16"],
+        capture_output=True, text=True, check=False)
+    assert r.returncode == 0, r.stdout + r.stderr
+    lines = r.stdout.splitlines()
+    assert len(lines) == 9 * 8
+    assert all(line.endswith(": same") for line in lines), r.stdout
+
+
+def test_compare_outputs_names_the_first_differing_line():
+    spec = importlib.util.spec_from_file_location(
+        "compare_outputs", ROOT / "scripts" / "compare_outputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module._first_difference("exit 0\na\n", "exit 0\na\n") is None
+    assert module._first_difference("exit 0\na\nb\n", "exit 0\na\nc\n") \
+        == "line 3: 'b' vs 'c'"
+    assert module._first_difference("exit 0\na\n", "exit 4\n") \
+        == "line 1: 'exit 0' vs 'exit 4'"
+    assert module._first_difference("exit 0\na\n", "exit 0\n") \
+        == "line 2: 'a' vs '<end>'"
