@@ -11,8 +11,9 @@ that ``conics._evolvent_sweep`` batches, and :func:`jet_variable_reference`,
 coordinate jets with full-array seeds; the package must reproduce both bit
 for bit.  :func:`hessian_of_delta_fd` is the Richardson-extrapolated
 difference of the exact Delta gradient that ``classify.hessian_of_delta``
-replaced by an exact jet; the two must agree to the differencing error.  :func:`bisect_edges_reference` is the fixed 40-round bisection
-that ``locus._refine_edges`` replaced; the package must match its polylines
+replaced by an exact jet; the two must agree to the differencing error.
+:func:`bisect_edges_reference` is the fixed 40-round bisection that
+``locus._refine_edges`` replaced; the package must match its polylines
 with residuals no worse.  :func:`sylvester_delta` is the 4x4 Sylvester
 determinant that ``localgeom.delta_resultant`` replaced by the Bezout form.
 """
