@@ -20,7 +20,9 @@ a header row.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -210,9 +212,11 @@ def grid_rows(surface: SurfaceSpec, res: int, tol: cls.ToleranceSet) -> list[str
     return lines
 
 
+@contextlib.contextmanager
 def _open_output(path):
     try:
-        return open(path, "w", encoding="utf-8", newline="\n")
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
     except OSError as exc:
         raise _UsageError(f"cannot write output: {exc}") from None
 
@@ -379,7 +383,7 @@ def run(argv, out=None, err=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         surface = parse_surface_file(args.surface)
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         err.write(f"monge4: cannot read surface file: {exc}\n")
         return EXIT_SURFACE_FILE
     except SurfaceFileError as exc:
@@ -419,7 +423,14 @@ def run(argv, out=None, err=None) -> int:
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except OSError as exc:  # on stdout; keep the flush at exit from retrying
+        sys.stderr.write(f"monge4: cannot write output: {exc}\n")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_USAGE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

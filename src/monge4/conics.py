@@ -14,6 +14,7 @@ Conics live as homogeneous symmetric 3x3 matrices acting on (X, Y, 1).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -278,6 +279,24 @@ def _cos_sin(angles: list[float]):
             np.array(list(map(math.sin, angles))))
 
 
+def _sweep_trig(angles: list[float]):
+    """cos and sin of each angle, and the conjugate direction
+    (-sin 2t, cos 2t) of each as an (n, 2, 1) stack."""
+    co, si = _cos_sin(angles)
+    c2, s2 = _cos_sin([2.0 * t for t in angles])
+    return co, si, np.stack([-s2, c2], axis=1)[:, :, None]
+
+
+@functools.lru_cache(maxsize=8)
+def _sweep_table(n: int):
+    """:func:`_sweep_trig` of the angles k pi / n, k < n, that
+    :func:`sample_characteristic` takes: once per n, read-only."""
+    table = _sweep_trig((np.arange(n) * math.pi / n).tolist())
+    for column in table:
+        column.flags.writeable = False
+    return table
+
+
 def _evolvent_sweep(inv: LocalInvariants, thetas):
     """Points of the characteristic curve for all tangent directions
     ``thetas`` at once: for each, the n with n . eta = 1 and n . zeta = 0.
@@ -292,11 +311,13 @@ def _evolvent_sweep(inv: LocalInvariants, thetas):
     zeta = A w is a broadcast matmul like ``A @ w`` (a contraction in another
     order, such as ``w @ A.T``, changes last bits).
     """
-    angles = np.asarray(thetas, dtype=float).tolist()
-    n = len(angles)
-    co, si = _cos_sin(angles)
-    c2, s2 = _cos_sin([2.0 * t for t in angles])
-    rotated = np.stack([-s2, c2], axis=1)[:, :, None]
+    return _sweep_points(inv, *_sweep_trig(
+        np.asarray(thetas, dtype=float).tolist()))
+
+
+def _sweep_points(inv: LocalInvariants, co, si, rotated):
+    """:func:`_evolvent_sweep` from the :func:`_sweep_trig` of its angles."""
+    n = len(co)
     system = np.empty((n, 2, 2))
     system[:, 0, 0], system[:, 0, 1] = _second_form(inv, co, si)
     system[:, 1, :] = np.matmul(
@@ -409,6 +430,15 @@ def sample_indicatrix(inv: LocalInvariants, n: int = 256) -> np.ndarray:
     return np.column_stack(_second_form(inv, np.cos(thetas), np.sin(thetas)))
 
 
+def _runs(mask: np.ndarray, start: int) -> list[np.ndarray]:
+    """Maximal runs of True in ``mask``, read circularly from index
+    ``start``, as index arrays in that order; a run ends at start - 1."""
+    order = np.roll(np.arange(len(mask)), -start)
+    edges = np.diff(np.concatenate(([0], mask[order].astype(np.int8), [0])))
+    return [order[a:b] for a, b in zip(np.nonzero(edges == 1)[0],
+                                       np.nonzero(edges == -1)[0])]
+
+
 def sample_characteristic(inv: LocalInvariants, n: int = 512,
                           clip_radius: float | None = None):
     """Polylines tracing the characteristic curve by the evolvent sweep.
@@ -417,54 +447,33 @@ def sample_characteristic(inv: LocalInvariants, n: int = 512,
     splits where the tangency system is singular or the point exceeds
     ``clip_radius``.
     """
-    pts, _, invalid = _evolvent_sweep(inv, np.arange(n) * math.pi / n)
+    pts, _, invalid = _sweep_points(inv, *_sweep_table(n))
     if clip_radius is not None:
         invalid |= np.hypot(pts[:, 0], pts[:, 1]) > clip_radius
-    ok = (~invalid).tolist()
-    if not any(ok):
+    if invalid.all():
         return []
-    if all(ok):
-        runs = [list(range(n))]
-        fully_valid = True
-    else:
-        # maximal circular runs of valid samples (curve has period pi)
-        runs = []
-        idx = 0
-        while idx < n:
-            if not ok[idx]:
-                idx += 1
-                continue
-            start = idx
-            while idx < n and ok[idx]:
-                idx += 1
-            runs.append(list(range(start, idx)))
-        if len(runs) > 1 and ok[0] and ok[-1]:
-            runs[0] = runs[-1] + runs[0]
-            runs.pop()
-        fully_valid = False
-    # a point at infinity need not land on a sample: also split where
-    # consecutive points jump far beyond the typical step
+    fully_valid = not invalid.any()
+    # maximal circular runs of valid samples (curve has period pi); a run
+    # through the seam, which starts after the last invalid sample, first
+    start = 0 if invalid[0] else n - int(np.argmax(invalid[::-1]))
     out = []
-    for run in runs:
+    for run in _runs(~invalid, start):
         p = pts[run]
         if len(p) < 3:
             out.append((p, False))
             continue
+        # a point at infinity need not land on a sample: also split where
+        # consecutive points jump far beyond the typical step
         steps = np.hypot(np.diff(p[:, 0]), np.diff(p[:, 1]))
         if fully_valid:
             steps = np.append(steps, float(np.hypot(*(p[0] - p[-1]))))
-        cut = np.nonzero(steps > 30.0 * (np.median(steps) + 1e-300))[0]
-        if len(cut) == 0:
+        linked = ~(steps > 30.0 * (np.median(steps) + 1e-300))
+        if linked.all():
             out.append((p, fully_valid))
             continue
-        seam_cut = fully_valid and cut[-1] == len(p) - 1
-        pieces = [list(piece) for piece in
-                  np.split(np.arange(len(p)), cut + 1) if len(piece)]
-        if fully_valid and not seam_cut and len(pieces) > 1:
-            # the seam between the last and first sample is continuous
-            pieces[0] = pieces[-1] + pieces[0]
-            pieces.pop()
-        for piece in pieces:
-            if len(piece) >= 2:
-                out.append((p[piece], False))
+        # pieces of two or more points; on a closed curve the piece through
+        # the seam comes first
+        start = np.nonzero(~linked)[0][-1] + 1 if fully_valid else 0
+        out += [(p[np.append(r, r[-1] + 1) % len(p)], False)
+                for r in _runs(linked, start)]
     return out

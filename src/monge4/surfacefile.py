@@ -9,6 +9,8 @@ Format (UTF-8, '#' starts a comment, each key required exactly once)::
 
 from __future__ import annotations
 
+import functools
+
 from . import expr as ex
 from .errors import ExpressionSyntaxError, SurfaceFileError
 from .localgeom import SurfaceSpec
@@ -16,7 +18,10 @@ from .localgeom import SurfaceSpec
 __all__ = ["parse_surface_file", "parse_surface_text"]
 
 
+@functools.lru_cache(maxsize=32)
 def parse_surface_text(text: str) -> SurfaceSpec:
+    """Memoised on the text: specs are frozen, so sharing them is safe, and
+    errors are not kept, so each failing call raises with its line number."""
     entries: dict[str, tuple[int, str]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

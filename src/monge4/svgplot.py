@@ -38,8 +38,10 @@ class _Mapper:
         return sx, sy
 
     def polyline(self, pts, closed=False):
-        coords = " ".join(f"{_fmt(sx)},{_fmt(sy)}"
-                          for sx, sy in (self.map(p) for p in pts))
+        # map whole columns, then format all vertices in one % operation
+        p = np.asarray(pts, dtype=float).reshape(-1, 2)
+        xy = np.column_stack(self.map(p.T))
+        coords = " ".join(["%.4f,%.4f"] * len(xy)) % tuple(xy.ravel().tolist())
         return coords, ("polygon" if closed else "polyline")
 
 

@@ -16,6 +16,11 @@ replaced by an exact jet; the two must agree to the differencing error.
 ``locus._refine_edges`` replaced; the package must match its polylines
 with residuals no worse.  :func:`sylvester_delta` is the 4x4 Sylvester
 determinant that ``localgeom.delta_resultant`` replaced by the Bezout form.
+:func:`polyline_reference` is the vertex-by-vertex SVG formatter that
+``svgplot._Mapper.polyline`` replaced by a column pass, and
+:func:`split_sweep_reference` the list-based splitting of the sweep into
+polylines that ``conics.sample_characteristic`` replaced by index arrays;
+the package must reproduce both exactly.
 """
 
 from __future__ import annotations
@@ -209,6 +214,68 @@ def evolvent_reference(inv, theta):
     if abs(det) <= 1e-12:
         return None, det
     return np.linalg.solve(m, np.array([1.0, 0.0])), det
+
+
+def polyline_reference(mapper, pts, closed=False):
+    """The points attribute and tag of an SVG polyline, one vertex at a
+    time: each mapped by the mapper's x0, y0 and scale into the 800 x 800
+    view, and each coordinate formatted by ``f"{v:.4f}"``."""
+    coords = " ".join(
+        f"{(p[0] - mapper.x0) * mapper.scale:.4f},"
+        f"{800.0 - (p[1] - mapper.y0) * mapper.scale:.4f}" for p in pts)
+    return coords, ("polygon" if closed else "polyline")
+
+
+def split_sweep_reference(pts, invalid):
+    """The (points, closed) polylines of an evolvent sweep ``pts`` whose
+    samples in ``invalid`` are at infinity or clipped."""
+    n = len(pts)
+    ok = (~invalid).tolist()
+    if not any(ok):
+        return []
+    if all(ok):
+        runs = [list(range(n))]
+        fully_valid = True
+    else:
+        # maximal circular runs of valid samples (curve has period pi)
+        runs = []
+        idx = 0
+        while idx < n:
+            if not ok[idx]:
+                idx += 1
+                continue
+            start = idx
+            while idx < n and ok[idx]:
+                idx += 1
+            runs.append(list(range(start, idx)))
+        if len(runs) > 1 and ok[0] and ok[-1]:
+            runs[0] = runs[-1] + runs[0]
+            runs.pop()
+        fully_valid = False
+    out = []
+    for run in runs:
+        p = pts[run]
+        if len(p) < 3:
+            out.append((p, False))
+            continue
+        steps = np.hypot(np.diff(p[:, 0]), np.diff(p[:, 1]))
+        if fully_valid:
+            steps = np.append(steps, float(np.hypot(*(p[0] - p[-1]))))
+        cut = np.nonzero(steps > 30.0 * (np.median(steps) + 1e-300))[0]
+        if len(cut) == 0:
+            out.append((p, fully_valid))
+            continue
+        seam_cut = fully_valid and cut[-1] == len(p) - 1
+        pieces = [list(piece) for piece in
+                  np.split(np.arange(len(p)), cut + 1) if len(piece)]
+        if fully_valid and not seam_cut and len(pieces) > 1:
+            # the seam between the last and first sample is continuous
+            pieces[0] = pieces[-1] + pieces[0]
+            pieces.pop()
+        for piece in pieces:
+            if len(piece) >= 2:
+                out.append((p[piece], False))
+    return out
 
 
 def polygon_signed_area(points) -> float:

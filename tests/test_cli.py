@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import os
 import subprocess
 import sys
 
@@ -72,6 +73,34 @@ def test_malformed_domain():
         parse_surface_text("phi = x\npsi = y\ndomain = -1 1 zero 1\n")
     with pytest.raises(SurfaceFileError):
         parse_surface_text("phi = x\npsi = y\ndomain = -1 1 0\n")
+
+
+def test_parse_memo_returns_equal_spec():
+    assert parse_surface_text(B_TEXT) == parse_surface_text(B_TEXT)
+
+
+def test_parse_memo_keeps_no_errors():
+    text = "phi = x\npsi = y +\ndomain = -1 1 -1 1\n"
+    for _ in range(3):
+        with pytest.raises(SurfaceFileError) as err:
+            parse_surface_text(text)
+        assert err.value.line == 2
+
+
+def test_parse_memo_is_bounded():
+    bound = parse_surface_text.cache_parameters()["maxsize"]
+    for k in range(3 * bound):
+        parse_surface_text(f"phi = {k}*x^2\npsi = y^2\ndomain = -1 1 -1 1\n")
+    assert parse_surface_text.cache_info().currsize <= bound
+
+
+def test_rewritten_surface_file_is_read_again(tmp_path):
+    surf = write(tmp_path, "s.surf", B_TEXT)
+    first = run_cli(["analyze", "--surface", surf, "--at", "0.1,0.2"])
+    write(tmp_path, "s.surf", B_TEXT.replace("2*x*y", "3*x*y"))
+    second = run_cli(["analyze", "--surface", surf, "--at", "0.1,0.2"])
+    assert first[0] == second[0] == 0
+    assert record_dict(first[1])["K"] != record_dict(second[1])["K"]
 
 
 # -- analyze -------------------------------------------------------------------
@@ -268,6 +297,16 @@ def test_exit_surface_file_errors(tmp_path):
     assert run_cli(["analyze", "--surface", bad, "--at", "0,0"])[0] == 3
 
 
+def test_exit_surface_file_unreadable(tmp_path):
+    binary = tmp_path / "binary.surf"
+    binary.write_bytes(b"phi = \xff\xfe\n")
+    for path in (tmp_path, binary):
+        code, _, err = run_cli(["analyze", "--surface", str(path), "--at", "0,0"])
+        assert code == 3
+        assert err.startswith("monge4: cannot read surface file: ")
+        assert err.count("\n") == 1
+
+
 def test_exit_numerical_failure(tmp_path):
     surf = write(tmp_path, "log.surf",
                  "phi = log(x)\npsi = y^2\ndomain = -1 1 -1 1\n")
@@ -410,6 +449,63 @@ def test_exit_usage_unwritable_output(tmp_path, args):
     assert err.startswith("monge4: cannot write output: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                    reason="no /dev/full")
+
+
+@needs_dev_full
+@pytest.mark.parametrize("args", [
+    ["grid", "--res", "16"],
+    ["trace", "--res", "16"],
+    ["plot", "--at", "0.1,0.2"],
+])
+def test_exit_usage_output_write_fails(tmp_path, args):
+    surf = write(tmp_path, "b.surf", B_TEXT)
+    code, _, err = run_cli(args + ["--surface", surf, "--out", "/dev/full"])
+    assert code == 2
+    assert err == "monge4: cannot write output: [Errno 28] No space left on device\n"
+
+
+def _run_to_stdout(args, stdout, unbuffered):
+    """The CLI in a subprocess writing to ``stdout``: buffered, output fails
+    in the flush before exit; unbuffered, in the first write."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "monge4.cli", *args],
+                          stdout=stdout, stderr=subprocess.PIPE, env=env,
+                          check=False)
+
+
+@needs_dev_full
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("args", [
+    ["analyze", "--at", "0.1,0.2"],
+    ["selfcheck", "--res", "16"],
+])
+def test_exit_usage_stdout_write_fails(tmp_path, args, unbuffered):
+    surf = write(tmp_path, "b.surf", B_TEXT)
+    with open("/dev/full", "wb") as full:
+        r = _run_to_stdout(args + ["--surface", surf], full, unbuffered)
+    assert r.returncode == 2
+    assert r.stderr == (b"monge4: cannot write output: "
+                        b"[Errno 28] No space left on device\n")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_exit_usage_stdout_pipe_closed(tmp_path, unbuffered):
+    surf = write(tmp_path, "b.surf", B_TEXT)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        r = _run_to_stdout(["analyze", "--surface", surf, "--at", "0.1,0.2"],
+                           write_end, unbuffered)
+    finally:
+        os.close(write_end)
+    assert r.returncode == 2
+    assert r.stderr == b"monge4: cannot write output: [Errno 32] Broken pipe\n"
 
 
 # -- determinism ------------------------------------------------------------------------

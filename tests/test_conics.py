@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from monge4.errors import (DegenerateIndicatrixError, PoleAtInfinityError,
 from monge4.localgeom import local_invariants
 
 from conftest import make_surface, random_points, random_surfaces
-from oracles import evolvent_reference, polygon_signed_area
+from oracles import (evolvent_reference, polygon_signed_area,
+                     split_sweep_reference)
 
 
 @pytest.fixture(scope="module")
@@ -328,6 +330,104 @@ def test_evolvent_sweep_matches_reference_random(coeffs, exponent, thetas):
         local_invariants(make_surface("D"), 0.0, 0.0),
         a=a, b=b, c=c, e=e, f=f, g=g)
     _assert_sweep_is_reference(inv, list(np.arange(64) * math.pi / 64) + thetas)
+
+
+def _assert_table_is_uncached_sweep(inv, n):
+    """The cached sweep table gives the uncached sweep's arrays bit for bit;
+    every traced point is one of its rows and evolvent_point gives row k."""
+    want = conics._evolvent_sweep(inv, np.arange(n) * math.pi / n)
+    got = conics._sweep_points(inv, *conics._sweep_table(n))
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+    points, _, singular = want
+    rows = {p.tobytes() for p in points}
+    for pts, _ in conics.sample_characteristic(inv, n):
+        assert all(p.tobytes() in rows for p in pts)
+    for k in range(n):
+        if singular[k]:
+            with pytest.raises(SingularSystemError):
+                conics.evolvent_point(inv, k * math.pi / n)
+        else:
+            assert conics.evolvent_point(inv, k * math.pi / n).tobytes() \
+                == points[k].tobytes()
+
+
+@pytest.mark.parametrize("name", ["A", "B", "C", "D", "E", "G", "H"])
+def test_sweep_table_matches_uncached_sweep_on_fixtures(invs, name):
+    for n in (512, 97):
+        _assert_table_is_uncached_sweep(invs[name], n)
+
+
+def test_sweep_table_matches_uncached_sweep_on_random_points():
+    rng = np.random.default_rng(71)
+    for surface in random_surfaces(seed=73, count=5):
+        for x, y in random_points(rng, 4):
+            _assert_table_is_uncached_sweep(
+                local_invariants(surface, float(x), float(y)), 512)
+
+
+def test_sweep_table_is_cached_and_read_only():
+    table = conics._sweep_table(512)
+    assert conics._sweep_table(512) is table
+    for column in table:
+        with pytest.raises(ValueError):
+            column.flat[0] = 1.0
+
+
+@st.composite
+def _sweeps(draw):
+    """A sweep of n points on an ellipse, shifted by jumps at random
+    samples (opposite jumps leave the seam continuous), with a random set
+    of samples invalid (nan)."""
+    n = draw(st.sampled_from([1, 2, 3, 4, 5, 8, 13, 33, 512]))
+    t = np.arange(n) * math.pi / n
+    pts = np.column_stack([draw(st.floats(0.5, 2.0)) * np.cos(2.0 * t),
+                           np.sin(2.0 * t)])
+    for k, jump in draw(st.lists(st.tuples(
+            st.integers(0, n - 1), st.sampled_from([100.0, -100.0, 0.01])),
+            max_size=4)):
+        pts[k:] += jump
+    if n <= 33:
+        invalid = np.array(draw(st.lists(st.booleans(), min_size=n,
+                                         max_size=n)), dtype=bool)
+    else:
+        a, b = sorted(draw(st.lists(st.integers(0, n), min_size=2,
+                                    max_size=2)))
+        invalid = np.zeros(n, dtype=bool)
+        invalid[a:b] = True
+        invalid ^= draw(st.booleans())
+    pts[invalid] = np.nan
+    return pts, invalid
+
+
+def _circle_sweep(n, jumps=(), invalid=()):
+    t = np.arange(n) * math.pi / n
+    pts = np.column_stack([np.cos(2.0 * t), np.sin(2.0 * t)])
+    for k, jump in jumps:
+        pts[k:] += jump
+    mask = np.zeros(n, dtype=bool)
+    mask[list(invalid)] = True
+    pts[mask] = np.nan
+    return pts, mask
+
+
+@given(_sweeps())
+# the piece through a continuous seam comes first
+@example(_circle_sweep(8, jumps=[(3, 100.0), (6, -100.0)]))
+# the run through the seam comes first; without it, runs keep their order
+@example(_circle_sweep(8, invalid=[3]))
+@example(_circle_sweep(8, invalid=[0, 3]))
+@settings(max_examples=400, deadline=None)
+def test_sample_characteristic_splits_as_reference(sweep):
+    """The runs, pieces and their order equal the list-based reference,
+    including seams that wrap from the last sample to the first."""
+    pts, invalid = sweep
+    with mock.patch.object(conics, "_sweep_points",
+                           lambda *_: (pts.copy(), None, invalid.copy())):
+        got = conics.sample_characteristic(None, len(pts))
+    want = split_sweep_reference(pts, invalid)
+    assert [closed for _, closed in got] == [closed for _, closed in want]
+    assert [p.tobytes() for p, _ in got] == [p.tobytes() for p, _ in want]
 
 
 def test_evolvent_points_satisfy_characteristic_conic():
