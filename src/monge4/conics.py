@@ -430,6 +430,17 @@ def sample_indicatrix(inv: LocalInvariants, n: int = 256) -> np.ndarray:
     return np.column_stack(_second_form(inv, np.cos(thetas), np.sin(thetas)))
 
 
+def _median(values: np.ndarray):
+    """``np.median`` of a 1-D array, bit for bit, without its NaN check,
+    which imports numpy.ma (1.25 MB); np.sort puts NaN last, and the mean
+    of the middle values starts from 0.0 as numpy's sum does."""
+    s = np.sort(values)
+    m = len(s) // 2
+    if np.isnan(s[-1]):
+        return s[-1]
+    return 0.0 + s[m] if len(s) % 2 else (0.0 + s[m - 1] + s[m]) / 2.0
+
+
 def _runs(mask: np.ndarray, start: int) -> list[np.ndarray]:
     """Maximal runs of True in ``mask``, read circularly from index
     ``start``, as index arrays in that order; a run ends at start - 1."""
@@ -467,7 +478,7 @@ def sample_characteristic(inv: LocalInvariants, n: int = 512,
         steps = np.hypot(np.diff(p[:, 0]), np.diff(p[:, 1]))
         if fully_valid:
             steps = np.append(steps, float(np.hypot(*(p[0] - p[-1]))))
-        linked = ~(steps > 30.0 * (np.median(steps) + 1e-300))
+        linked = ~(steps > 30.0 * (_median(steps) + 1e-300))
         if linked.all():
             out.append((p, fully_valid))
             continue

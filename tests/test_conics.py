@@ -430,6 +430,23 @@ def test_sample_characteristic_splits_as_reference(sweep):
     assert [p.tobytes() for p, _ in got] == [p.tobytes() for p, _ in want]
 
 
+@given(st.lists(st.one_of(st.floats(-1e300, 1e300), st.sampled_from(
+    [0.0, -0.0, 5e-324, 1.0, 1.0, math.inf, -math.inf, math.nan])),
+    min_size=1, max_size=40))
+@example([1.0, 2.0])
+@example([-0.0, -0.0])
+@example([-3.0, -0.0, -0.0, 5.0])
+@example([math.inf, -math.inf])
+@example([0.1, 0.2, math.nan])
+@settings(max_examples=300, deadline=None)
+def test_median_is_numpy_median(values):
+    v = np.array(values)
+    with np.errstate(invalid="ignore"):  # inf - inf in the middle pair
+        want = np.median(v)
+        got = conics._median(v)
+    assert np.array([got]).tobytes() == np.array([want]).tobytes()
+
+
 def test_evolvent_points_satisfy_characteristic_conic():
     rng = np.random.default_rng(47)
     for surface in random_surfaces(seed=61, count=6):
