@@ -12,7 +12,9 @@ polynomial surface of the golden tests, or on the given surface files
 instead.  Every command runs twice, in one subprocess with this tree's
 ``src`` on the import path and in one with OTHER_SRC.  Prints, for each
 surface and subcommand, ``same`` or the first differing line; the exit code
-and the error output count as lines too.  Exits 1 on any difference.
+and the error output count as lines too.  A failure both trees share prints
+as ``same`` followed by its exit code, such as ``same (exit 4)``.  Exits 1
+on any difference.
 """
 
 from __future__ import annotations
@@ -85,6 +87,16 @@ def _first_difference(mine, theirs):
     return None
 
 
+def _verdict(mine, theirs):
+    """``same``, with the exit code when it is not 0, or the first
+    difference."""
+    difference = _first_difference(mine, theirs)
+    if difference is not None:
+        return difference
+    code = mine.split("\n", 1)[0]
+    return "same" if code == "exit 0" else f"same ({code})"
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("other_src", type=pathlib.Path)
@@ -111,9 +123,9 @@ def main(argv=None):
         theirs = _run_jobs(args.other_src, jobs)
     differ = 0
     for key, _ in jobs:
-        difference = _first_difference(mine[key], theirs[key])
-        differ += difference is not None
-        print(f"{key}: {difference or 'same'}")
+        verdict = _verdict(mine[key], theirs[key])
+        differ += not verdict.startswith("same")
+        print(f"{key}: {verdict}")
     return 1 if differ else 0
 
 

@@ -31,8 +31,7 @@ def main():
 
     for surface in random_surfaces(seed=seed, count=n_surf):
         pts = rng.uniform(-0.9, 0.9, size=(n_pts, 2))
-        fl = invariant_grid(surface, pts[:, 0], pts[:, 1], order=3,
-                            cross_check=False)
+        fl = invariant_grid(surface, pts[:, 0], pts[:, 1], order=3)
         msq = coeff_norm(fl) ** 2
         for check in CROSS_CHECKS:
             deviation, scale = check.margins(fl, msq)

@@ -4,16 +4,16 @@ Classification thresholds are scale-relative: Delta is homogeneous of degree
 4 and kappa (and K) of degree 2 in the second-fundamental-form coefficients,
 so thresholds scale with ||M||^4 and ||M||^2 where M is the 2x3 coefficient
 matrix [[a,b,c],[e,f,g]].  This keeps the classification invariant under a
-uniform rescaling of the normal components of the surface.  The bands are
-decided on M times an exact power of two that brings its largest entry into
-[0.5, 1), so that Delta and its band neither underflow nor overflow.
+uniform rescaling of the normal components of the surface.  The bands and
+the rank of M are decided on M times an exact power of two that brings its
+largest entry into [0.5, 1), so that Delta and its band neither underflow
+nor overflow.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -21,21 +21,22 @@ from .conics import (homogeneous_quadratic_roots, indicatrix_linear_map,
                      second_form_image)
 from .errors import InflectionPointError
 from .localgeom import (LocalInvariants, SurfaceSpec, coeff_norm,
-                        invariant_jets)
+                        invariant_jets, second_order)
 
 __all__ = [
     "ToleranceSet", "PointClassification", "classify_point",
     "asymptotic_directions", "binormals", "hessian_of_delta",
-    "canonical_direction", "class_label", "class_labels_grid", "rank_m",
-    "unit_scaled", "band_directions",
+    "canonical_direction", "class_label", "class_labels_grid",
+    "unit_scaled", "band_directions", "RANK_RATIO", "CIRCLE_RATIO",
 ]
+
+RANK_RATIO = 1e-8    # singular-value ratio for rank M <= 1
+CIRCLE_RATIO = 1e-6  # semi-axis agreement for a circle point
 
 
 @dataclass(frozen=True)
 class ToleranceSet:
     rel: float = 1e-8          # scale-relative band for Delta / kappa / K
-    rank_ratio: float = 1e-8   # singular-value ratio for rank M <= 1
-    circle_ratio: float = 1e-6  # semi-axis agreement for a circle point
 
 
 DEFAULT_TOL = ToleranceSet()
@@ -52,7 +53,6 @@ class PointClassification:
     delta: float
     kappa: float
     K: float
-    tolerances: ToleranceSet
 
 
 def class_label(c: PointClassification) -> str:
@@ -73,36 +73,19 @@ def canonical_direction(v, zero=1e-12) -> np.ndarray:
     return v
 
 
-def rank_m(a, b, c, e, f, g, rank_ratio):
-    """Rank of M = [[a, b, c], [e, f, g]] from its singular values s1 >= s2:
-    0 when s1 <= 1e-14, 1 when s2 <= rank_ratio * s1, else 2.
-
-    The singular values come in closed form: s1^2 + s2^2 = ||M||^2, and by
-    Cauchy-Binet s1^2 s2^2 = det(M M^T) is the sum of the squared 2x2
-    minors.  Both are taken on M divided by its largest entry, so no square
-    overflows or underflows.  Works elementwise on floats and arrays.
-    """
-    big = np.maximum(np.maximum(np.maximum(abs(a), abs(b)), abs(c)),
-                     np.maximum(np.maximum(abs(e), abs(f)), abs(g)))
-    scale = np.where(big > 0.0, big, 1.0)
-    a, b, c, e, f, g = (v / scale for v in (a, b, c, e, f, g))
-    norm_sq = a * a + b * b + c * c + e * e + f * f + g * g
-    det = (a * f - b * e) ** 2 + (a * g - c * e) ** 2 + (b * g - c * f) ** 2
-    s1_sq = 0.5 * (norm_sq + np.sqrt(np.maximum(norm_sq * norm_sq - 4.0 * det, 0.0)))
-    # s2^2 = det / s1^2, so s2 <= r s1  <=>  det <= r^2 s1^4
-    return np.where(big * np.sqrt(s1_sq) <= 1e-14, 0,
-                    np.where(det <= rank_ratio ** 2 * s1_sq * s1_sq, 1, 2))
-
-
 def unit_scaled(a, b, c, e, f, g):
-    """a..g times 2^-k, where 2^k is the power of two just above the largest
-    |entry|, with msq = ||M||^2, K, kappa and Delta recomputed from them by
-    the formulas of :func:`frame_fields`.
+    """:func:`~monge4.localgeom.second_order` of a..g times 2^-k, where 2^k
+    is the power of two just above the largest |entry|, with msq = ||M||^2
+    and the rank of M.
 
     Multiplying by a power of two is exact in the normal range, so every
     rounding commutes with the scaling and the sign of each invariant
     against its band is the one of the unscaled values; only underflow and
-    overflow go away.  Works elementwise on floats and arrays.
+    overflow go away.  The rank comes from the singular values s1 >= s2 of
+    M: 0 when s1 <= 1e-14 (unscaled), 1 when s2 <= RANK_RATIO * s1, else 2.
+    They come in closed form: s1^2 + s2^2 = ||M||^2, and by Cauchy-Binet
+    s1^2 s2^2 is the sum of the squared 2x2 minors nq0..nq2.  Works
+    elementwise on floats and arrays.
     """
     big = np.maximum(np.maximum(np.maximum(abs(a), abs(b)), abs(c)),
                      np.maximum(np.maximum(abs(e), abs(f)), abs(g)))
@@ -112,15 +95,17 @@ def unit_scaled(a, b, c, e, f, g):
         k, ldexp = -np.frexp(big)[1], np.ldexp
     else:
         k, ldexp = -math.frexp(big)[1], math.ldexp
-    a, b, c, e, f, g = (ldexp(v, k) for v in (a, b, c, e, f, g))
-    m = SimpleNamespace(a=a, b=b, c=c, e=e, f=f, g=g)
-    msq = (float(coeff_norm(m)) if np.ndim(big) == 0 else coeff_norm(m)) ** 2
-    return SimpleNamespace(
-        a=a, b=b, c=c, e=e, f=f, g=g, msq=msq,
-        K=(a * c - b * b) + (e * g - f * f),
-        kappa=(a - c) * f - (e - g) * b,
-        Delta=(a * c - b * b) * (e * g - f * f)
-        - 0.25 * (a * g + c * e - 2.0 * b * f) ** 2)
+    m = second_order(*(ldexp(v, k) for v in (a, b, c, e, f, g)))
+    m.msq = (float(coeff_norm(m)) if np.ndim(big) == 0 else coeff_norm(m)) ** 2
+    det = m.nq0 * m.nq0 + m.nq1 * m.nq1 + m.nq2 * m.nq2
+    s1_sq = 0.5 * (m.msq + np.sqrt(np.maximum(m.msq * m.msq - 4.0 * det, 0.0)))
+    # s1 of M itself, but the scaled s1 (at least 0.5, so not zero either)
+    # where M's largest entry is 0.5 or more, so that it cannot overflow
+    s1 = ldexp(np.sqrt(s1_sq), -k * (k > 0))
+    # s2^2 = det / s1^2, so s2 <= r s1  <=>  det <= r^2 s1^4
+    m.rank = np.where(s1 <= 1e-14, 0,
+                      np.where(det <= RANK_RATIO ** 2 * s1_sq * s1_sq, 1, 2))
+    return m
 
 
 def classify_point(inv: LocalInvariants,
@@ -129,7 +114,7 @@ def classify_point(inv: LocalInvariants,
     :func:`class_labels_grid`, plus the circle and minimal flags."""
     label = class_labels_grid(inv, tol)
     axes = np.linalg.svd(indicatrix_linear_map(inv), compute_uv=False)
-    is_circle = axes[0] <= 1e-14 or (axes[0] - axes[1]) <= tol.circle_ratio * axes[0]
+    is_circle = axes[0] <= 1e-14 or (axes[0] - axes[1]) <= CIRCLE_RATIO * axes[0]
     is_minimal = float(np.hypot(inv.H[0], inv.H[1])) <= tol.rel * inv.coeff_norm
     return PointClassification(
         kind=label.kind,
@@ -137,7 +122,6 @@ def classify_point(inv: LocalInvariants,
         is_circle=bool(is_circle), is_minimal=bool(is_minimal),
         is_umbilic=bool(is_circle and is_minimal),
         rank_m=label.rank, delta=inv.Delta, kappa=inv.kappa, K=inv.K,
-        tolerances=tol,
     )
 
 
@@ -179,8 +163,7 @@ def asymptotic_directions(inv: LocalInvariants,
     identically zero (every direction asymptotic).
     """
     m = unit_scaled(inv.a, inv.b, inv.c, inv.e, inv.f, inv.g)
-    return band_directions((m.a * m.f - m.b * m.e, m.a * m.g - m.c * m.e,
-                            m.b * m.g - m.c * m.f), m, tol,
+    return band_directions((m.nq0, m.nq1, m.nq2), m, tol,
                            "directional quadratic")
 
 
@@ -241,18 +224,16 @@ def class_labels_grid(fields, tol: ToleranceSet = DEFAULT_TOL):
     The kind follows the sign of Delta inside a ||M||^4-relative band;
     within the parabolic band the point is an inflection when additionally
     kappa vanishes (||M||^2 band) and M has rank <= 1.  The K band, also
-    ||M||^2-relative, gives the type.  The bands are decided on M scaled to
-    a largest entry in [0.5, 1).
+    ||M||^2-relative, gives the type.  The bands and the rank are decided on
+    M scaled to a largest entry in [0.5, 1) by :func:`unit_scaled`.
     """
     m = unit_scaled(fields.a, fields.b, fields.c, fields.e, fields.f, fields.g)
     above, below = _delta_band(m, tol)
     tau_band = tol.rel * m.msq
-    rank = rank_m(fields.a, fields.b, fields.c, fields.e, fields.f, fields.g,
-                  tol.rank_ratio)
-    infl = (np.abs(m.kappa) <= tau_band) & (rank <= 1)
+    infl = (np.abs(m.kappa) <= tau_band) & (m.rank <= 1)
     kind = np.where(above, 0, np.where(below, 1, np.where(infl, 3, 2)))
     k_type = np.where(m.K < -tau_band, 0, np.where(m.K > tau_band, 2, 1))
-    return _LABELS[kind, k_type, rank]
+    return _LABELS[kind, k_type, m.rank]
 
 
 def hessian_of_delta(surface: SurfaceSpec, x: float, y: float) -> np.ndarray:

@@ -25,17 +25,15 @@ import functools
 import os
 import re
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import classify as cls
 from . import conics, locus
-from .errors import (CrossCheckError, DegenerateIndicatrixError,
-                     DegenerateMetricError, EvaluationError,
+from .errors import (CrossCheckError, DegenerateMetricError, EvaluationError,
                      InflectionPointError, Monge4Error, SurfaceFileError)
-from .localgeom import (CROSS_CHECKS, SurfaceSpec, coeff_norm, invariant_grid,
-                        local_invariants)
+from .localgeom import (CROSS_CHECKS, SurfaceSpec, check_invariants,
+                        coeff_norm, invariant_grid, local_invariants)
 from .surfacefile import parse_surface_file
 from .svgplot import render_normal_plane
 
@@ -46,16 +44,6 @@ EXIT_SURFACE_FILE = 3
 EXIT_NUMERICAL = 4
 
 RES_MIN, RES_MAX = 16, 4096
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    surface_path: str
-    command: str
-    resolution: int | None = None
-    at: str | None = None          # raw "X,Y"; validated against the domain
-    out_path: str | None = None
-    tolerances: cls.ToleranceSet = cls.DEFAULT_TOL
 
 
 def _fmt(v) -> str:
@@ -174,9 +162,9 @@ def analyze_record(surface: SurfaceSpec, x: float, y: float,
     return [(k, rec[k]) for k in ANALYZE_KEYS]
 
 
-def _cmd_analyze(surface, cfg, out):
-    x, y = _parse_point(cfg.at, surface)
-    for key, value in analyze_record(surface, x, y, cfg.tolerances):
+def _cmd_analyze(surface, args, tol, out):
+    x, y = _parse_point(args.at, surface)
+    for key, value in analyze_record(surface, x, y, tol):
         out.write(f"{key}={value}\n")
     return EXIT_OK
 
@@ -200,6 +188,7 @@ def grid_rows(surface: SurfaceSpec, res: int, tol: cls.ToleranceSet) -> list[str
     y varies in the outer loop, x in the inner one."""
     xs, ys = _grid_axes(surface, res)
     fields = invariant_grid(surface, xs[:, None], ys[None, :])
+    check_invariants(fields, (xs[:, None], ys[None, :]))
     labels = cls.class_labels_grid(fields, tol)
     x_text = _fmt_column(xs)
     lines = []
@@ -221,10 +210,9 @@ def _open_output(path):
         raise _UsageError(f"cannot write output: {exc}") from None
 
 
-def _cmd_grid(surface, cfg, out):
-    res = _check_res(cfg.resolution)
-    lines = grid_rows(surface, res, cfg.tolerances)
-    with _open_output(cfg.out_path) as fh:
+def _cmd_grid(surface, args, tol, out):
+    lines = grid_rows(surface, _check_res(args.res), tol)
+    with _open_output(args.out) as fh:
         fh.write("x,y,K,kappa,Delta,class\n")
         fh.writelines(lines)
     return EXIT_OK
@@ -234,10 +222,9 @@ def _cmd_grid(surface, cfg, out):
 # trace / inflections
 # ---------------------------------------------------------------------------
 
-def _cmd_trace(surface, cfg, out):
-    res = _check_res(cfg.resolution)
-    result = locus.trace_parabolic(surface, res, cfg.tolerances)
-    with _open_output(cfg.out_path) as fh:
+def _cmd_trace(surface, args, tol, out):
+    result = locus.trace_parabolic(surface, _check_res(args.res), tol)
+    with _open_output(args.out) as fh:
         fh.write("polyline_id,vertex_id,x,y,delta_residual\n")
         for pid, pl in enumerate(result.polylines):
             for vid in range(len(pl.points)):
@@ -246,9 +233,8 @@ def _cmd_trace(surface, cfg, out):
     return EXIT_OK
 
 
-def _cmd_inflections(surface, cfg, out):
-    res = _check_res(cfg.resolution)
-    for rep in locus.find_inflections(surface, res, cfg.tolerances):
+def _cmd_inflections(surface, args, tol, out):
+    for rep in locus.find_inflections(surface, _check_res(args.res), tol):
         out.write(f"{_fmt(rep.x)} {_fmt(rep.y)} {rep.kind} {_fmt(rep.K)} "
                   f"{_fmt(rep.det_hessian_delta)} {_fmt(rep.residual)}\n")
     return EXIT_OK
@@ -258,8 +244,8 @@ def _cmd_inflections(surface, cfg, out):
 # plot
 # ---------------------------------------------------------------------------
 
-def _cmd_plot(surface, cfg, out):
-    x, y = _parse_point(cfg.at, surface)
+def _cmd_plot(surface, args, tol, out):
+    x, y = _parse_point(args.at, surface)
     inv = local_invariants(surface, x, y)
     ind = conics.indicatrix(inv)
     ind_pts = conics.sample_indicatrix(inv, 256)
@@ -268,12 +254,12 @@ def _cmd_plot(surface, cfg, out):
         clip = 50.0 * max(1e-9, float(np.max(np.abs(ind_pts))))
         char_polys = conics.sample_characteristic(inv, 512, clip)
     try:
-        bins = cls.binormals(inv, cfg.tolerances)
+        bins = cls.binormals(inv, tol)
     except InflectionPointError:
         bins = []
     svg = render_normal_plane(ind_pts, char_polys, bins,
                               title=f"normal plane at ({x}, {y})")
-    with _open_output(cfg.out_path) as fh:
+    with _open_output(args.out) as fh:
         fh.write(svg)
     return EXIT_OK
 
@@ -289,8 +275,7 @@ def selfcheck_report(surface: SurfaceSpec, res: int):
     the largest deviation minus its bound.
     """
     xs, ys = _grid_axes(surface, res)
-    fields = invariant_grid(surface, xs[:, None], ys[None, :], order=3,
-                            cross_check=False)
+    fields = invariant_grid(surface, xs[:, None], ys[None, :], order=3)
     msq = coeff_norm(fields) ** 2
     checks = []
     for check in CROSS_CHECKS:
@@ -301,9 +286,8 @@ def selfcheck_report(surface: SurfaceSpec, res: int):
     return all(p for _, p, _ in checks), checks
 
 
-def _cmd_selfcheck(surface, cfg, out):
-    res = _check_res(cfg.resolution)
-    ok, checks = selfcheck_report(surface, res)
+def _cmd_selfcheck(surface, args, tol, out):
+    ok, checks = selfcheck_report(surface, _check_res(args.res))
     for name, passed, worst in checks:
         out.write(f"{'PASS' if passed else 'FAIL'} {name} "
                   f"(worst margin {_fmt(worst)})\n")
@@ -389,16 +373,9 @@ def run(argv, out=None, err=None) -> int:
     except SurfaceFileError as exc:
         err.write(f"monge4: surface file error: {exc}\n")
         return EXIT_SURFACE_FILE
-    cfg = RunConfig(
-        surface_path=args.surface,
-        command=args.command,
-        resolution=getattr(args, "res", None),
-        at=getattr(args, "at", None),
-        out_path=getattr(args, "out", None),
-        tolerances=cls.ToleranceSet(rel=args.tol),
-    )
+    tol = cls.ToleranceSet(rel=args.tol)
     try:
-        return _COMMANDS[cfg.command](surface, cfg, out)
+        return _COMMANDS[args.command](surface, args, tol, out)
     except _UsageError as exc:
         err.write(f"monge4: {exc}\n")
         return EXIT_USAGE
@@ -411,7 +388,7 @@ def run(argv, out=None, err=None) -> int:
     except (EvaluationError, DegenerateMetricError, CrossCheckError) as exc:
         err.write(f"monge4: numerical failure: {exc}\n")
         return EXIT_NUMERICAL
-    except (DegenerateIndicatrixError, Monge4Error) as exc:
+    except Monge4Error as exc:
         err.write(f"monge4: {exc}\n")
         return EXIT_NUMERICAL
     except MemoryError as exc:  # numpy's _ArrayMemoryError included

@@ -46,7 +46,7 @@ class DegenerateMetricError(Monge4Error):
 
 
 class CrossCheckError(Monge4Error):
-    """Redundant formula paths disagreed beyond tolerance (strict mode)."""
+    """Redundant formula paths disagreed beyond tolerance."""
 
 
 class DegenerateIndicatrixError(Monge4Error):

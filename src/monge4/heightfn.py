@@ -106,8 +106,8 @@ def degenerate_normals(inv: LocalInvariants,
                            "height-hessian quadratic")
 
 
-def classify_height(surface: SurfaceSpec, x: float, y: float, n,
-                    tol: ToleranceSet = DEFAULT_TOL) -> HeightSingularity:
+def classify_height(surface: SurfaceSpec, x: float, y: float,
+                    n) -> HeightSingularity:
     """Singularity type of the height function for unit normal direction n
     (given in the (e3, e4) frame) at the surface point (x, y).
 

@@ -10,14 +10,14 @@ Redundant formulas are kept as self-checks, listed in :data:`CROSS_CHECKS`:
 the Gaussian curvature K and the normal curvature kappa each have an
 independent closed form in the raw derivatives of phi and psi, the Bezout
 form of the resultant re-derives Delta, and the hat metric re-derives W;
-these four run live at every evaluation.  The Brioschi formula (a third
-route to K through the metric alone) and the Wintgen inequality run only in
-the selfcheck suite.
+these four are the live checks of :func:`check_invariants`, which every
+:func:`local_invariants` and the grid subcommand run.  The Brioschi formula
+(a third route to K through the metric alone) and the Wintgen inequality run
+only in the selfcheck suite.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
@@ -31,11 +31,9 @@ from .jets import Jet, eval_jet, sqrt
 __all__ = [
     "SurfaceSpec", "LocalInvariants", "surface_from_strings",
     "local_invariants", "brioschi_curvature", "delta_resultant",
-    "frame_fields", "invariant_grid", "invariant_gradients", "invariant_jets",
-    "coeff_norm",
+    "frame_fields", "second_order", "invariant_grid", "check_invariants",
+    "invariant_gradients", "invariant_jets", "coeff_norm",
 ]
-
-log = logging.getLogger(__name__)
 
 # W >= 1 holds identically for graph parametrisations, so anything at or
 # below this threshold is numerical breakdown rather than geometry.
@@ -137,8 +135,8 @@ def frame_fields(phi_d, psi_d, where=None):
     be floats, numpy arrays or :class:`~monge4.jets.Jet` values of one order;
     the formulas are generic in the arithmetic, and on jets each field comes
     back as its jet.  Returns a namespace with the metric, the hat metric,
-    the coefficients a..g, both routes to K and kappa, Delta (expanded form)
-    and the coefficients of the directional quadratic nq.  A metric with
+    the closed-form routes to K and kappa, and the fields of
+    :func:`second_order` of the coefficients a..g.  A metric with
     W <= EPS_METRIC is a :class:`DegenerateMetricError` at the first such
     point of ``where`` = (x, y), when given.
     """
@@ -172,29 +170,33 @@ def frame_fields(phi_d, psi_d, where=None):
     f = (E * Q - F * P) / (E * W * sEh)
     g = (E * E * R - 2.0 * E * F * Q + F * F * P) / (E * W * sW * sEh)
 
-    K = (a * c - b * b) + (e * g - f * f)
     H_phi = pxx * pyy - pxy * pxy
     H_psi = qxx * qyy - qxy * qxy
     Qmix = pxx * qyy + pyy * qxx - 2.0 * pxy * qxy
     K_closed = (Eh * H_psi - Fh * Qmix + Gh * H_phi) / (W * W)
 
-    kappa = (a - c) * f - (e - g) * b
     L = pxy * qyy - pyy * qxy
     M = pxx * qyy - pyy * qxx
     N = pxx * qxy - pxy * qxx
     kappa_closed = (E * L - F * M + G * N) / (W * W)
 
-    nq0 = a * f - b * e
-    nq1 = a * g - c * e
-    nq2 = b * g - c * f
-    Delta = (a * c - b * b) * (e * g - f * f) \
-        - 0.25 * (a * g + c * e - 2.0 * b * f) ** 2
-
     return SimpleNamespace(E=E, F=F, G=G, W=W, Eh=Eh, Fh=Fh, Gh=Gh,
-                           a=a, b=b, c=c, e=e, f=f, g=g,
-                           K=K, K_closed=K_closed,
-                           kappa=kappa, kappa_closed=kappa_closed,
-                           Delta=Delta, nq0=nq0, nq1=nq1, nq2=nq2)
+                           K_closed=K_closed, kappa_closed=kappa_closed,
+                           **vars(second_order(a, b, c, e, f, g)))
+
+
+def second_order(a, b, c, e, f, g):
+    """The invariants of the coefficient matrix M = [[a, b, c], [e, f, g]]:
+    a namespace of a..g, K, kappa, Delta (expanded form) and the
+    coefficients nq0..nq2 of the directional quadratic.  Generic in the
+    arithmetic, like :func:`frame_fields`, whose coefficients it takes."""
+    return SimpleNamespace(
+        a=a, b=b, c=c, e=e, f=f, g=g,
+        K=(a * c - b * b) + (e * g - f * f),
+        kappa=(a - c) * f - (e - g) * b,
+        Delta=(a * c - b * b) * (e * g - f * f)
+        - 0.25 * (a * g + c * e - 2.0 * b * f) ** 2,
+        nq0=a * f - b * e, nq1=a * g - c * e, nq2=b * g - c * f)
 
 
 def _first_bad(bad, x, y, value=0.0):
@@ -279,7 +281,7 @@ CROSS_CHECKS = (
 )
 
 
-def _check_pair(name, u, v, rel, scale, strict, where=None):
+def _check_pair(name, u, v, rel, scale, where=None):
     """Require |u - v| <= rel * scale (elementwise)."""
     bad = np.abs(u - v) > rel * scale
     if np.any(bad):
@@ -290,18 +292,22 @@ def _check_pair(name, u, v, rel, scale, strict, where=None):
         if where is not None:
             px, py = (float(w.ravel()[idx]) for w in where)
             msg += f" at point ({px!r}, {py!r})"
-        if strict:
-            raise CrossCheckError(msg)
-        log.warning(msg)
+        raise CrossCheckError(msg)
 
 
-def _run_cross_checks(fl, strict, where=None):
-    """The live checks of :data:`CROSS_CHECKS`."""
-    msq = coeff_norm(fl) ** 2
+def check_invariants(fields, where=None):
+    """The live checks of :data:`CROSS_CHECKS` on the namespace of
+    :func:`invariant_grid` or :func:`frame_fields`: a disagreement between
+    redundant formula routes is a :class:`CrossCheckError`, which names the
+    first failing point of ``where`` = (x, y), when given (any shapes that
+    broadcast to the fields')."""
+    if where is not None:
+        where = np.broadcast_arrays(*where)
+    msq = coeff_norm(fields) ** 2
     for check in CROSS_CHECKS:
         if check.live:
-            u, v, scale = check.routes(fl, msq)
-            _check_pair(check.tag, u, v, check.rel, scale, strict, where)
+            u, v, scale = check.routes(fields, msq)
+            _check_pair(check.tag, u, v, check.rel, scale, where)
 
 
 def _finite_frame_fields(jphi: Jet, jpsi: Jet, x, y):
@@ -332,19 +338,17 @@ def _finite_frame_fields(jphi: Jet, jpsi: Jet, x, y):
     return fl
 
 
-def local_invariants(surface: SurfaceSpec, x: float, y: float, *,
-                     strict: bool = True) -> LocalInvariants:
+def local_invariants(surface: SurfaceSpec, x: float, y: float) -> LocalInvariants:
     """All pointwise invariants at (x, y); both formula routes reconciled.
 
-    With ``strict`` (default) a disagreement between redundant formulas is a
-    :class:`CrossCheckError`; otherwise it is logged and the coefficient-path
-    values are returned.  An invariant that overflows is an
+    A disagreement between redundant formulas is a :class:`CrossCheckError`
+    (:func:`check_invariants`).  An invariant that overflows is an
     :class:`EvaluationError`.
     """
     jphi = eval_jet(surface.phi, x, y, 3)
     jpsi = eval_jet(surface.psi, x, y, 3)
     fl = _finite_frame_fields(jphi, jpsi, x, y)
-    _run_cross_checks(fl, strict)
+    check_invariants(fl)
     return LocalInvariants(
         x=float(x), y=float(y),
         E=fl.E, F=fl.F, G=fl.G, W=fl.W,
@@ -357,24 +361,21 @@ def local_invariants(surface: SurfaceSpec, x: float, y: float, *,
     )
 
 
-def invariant_grid(surface: SurfaceSpec, x, y, *, order: int = 2,
-                   strict: bool = True,
-                   cross_check: bool = True) -> SimpleNamespace:
+def invariant_grid(surface: SurfaceSpec, x, y, *, order: int = 2) -> SimpleNamespace:
     """Vectorised invariants over arrays of points (shapes must broadcast).
 
     Returns the namespace of :func:`frame_fields` with arrays, plus the jets
     of phi and psi, of ``order``: 2 gives every invariant, 3 also what needs
     third derivatives (the Brioschi check, the gradient fields).  An
     invariant that overflows at any point is an :class:`EvaluationError`
-    carrying the first such point.
+    carrying the first such point.  The cross-checks are left to
+    :func:`check_invariants`.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     jphi = eval_jet(surface.phi, x, y, order)
     jpsi = eval_jet(surface.psi, x, y, order)
     fl = _finite_frame_fields(jphi, jpsi, x, y)
-    if cross_check:
-        _run_cross_checks(fl, strict, where=np.broadcast_arrays(x, y))
     fl.jet_phi = jphi
     fl.jet_psi = jpsi
     return fl

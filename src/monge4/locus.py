@@ -76,14 +76,12 @@ def _grid_fields(surface: SurfaceSpec, resolution: int, order: int):
     xmin, xmax, ymin, ymax = surface.domain
     xs = np.linspace(xmin, xmax, resolution)
     ys = np.linspace(ymin, ymax, resolution)
-    fields = invariant_grid(surface, xs[:, None], ys[None, :], order=order,
-                            cross_check=False)
+    fields = invariant_grid(surface, xs[:, None], ys[None, :], order=order)
     return xs, ys, fields
 
 
 def _delta_on(surface: SurfaceSpec, x, y):
-    fl = invariant_grid(surface, x, y, cross_check=False)
-    return fl.Delta
+    return invariant_grid(surface, x, y).Delta
 
 
 def _refine_edges(surface: SurfaceSpec, ax, ay, bx, by, da, db):
@@ -132,7 +130,7 @@ def _refine_edges(surface: SurfaceSpec, ax, ay, bx, by, da, db):
             break
         on_x = along_x[live]
         fl = invariant_grid(surface, np.where(on_x, u, fixed[live]),
-                            np.where(on_x, fixed[live], u), cross_check=False)
+                            np.where(on_x, fixed[live], u))
         d = fl.Delta
         to_lo = (d > 0.0) == (d_lo[live] > 0.0)
         new_lo, new_hi = live[to_lo], live[~to_lo]
@@ -328,9 +326,11 @@ def find_inflections(surface: SurfaceSpec, resolution: int = 256,
     at_min = np.nonzero(is_min)
     gfl = gradient_fields(*(Jet(tuple(c[at_min] for c in jet.coeffs))
                             for jet in (fields.jet_phi, fields.jet_psi)))
-    cellx = (xs[-1] - xs[0]) / (len(xs) - 1)
-    celly = (ys[-1] - ys[0]) / (len(ys) - 1)
-    rho = 1.5 * float(np.hypot(cellx, celly))
+    xmin, xmax, ymin, ymax = surface.domain
+    cellx = (xmax - xmin) / (len(xs) - 1)
+    celly = (ymax - ymin) / (len(ys) - 1)
+    cell = float(np.hypot(cellx, celly))
+    rho = 1.5 * cell
     gd = np.hypot(np.asarray(gfl.Delta.fx), np.asarray(gfl.Delta.fy))
     gk = np.hypot(np.asarray(gfl.kappa.fx), np.asarray(gfl.kappa.fy))
     msq_min = msq[at_min]
@@ -342,11 +342,6 @@ def find_inflections(surface: SurfaceSpec, resolution: int = 256,
     if len(seeds) > MAX_SEEDS:
         order = np.argsort(resid_field[seed_mask], kind="stable")
         seeds = seeds[order[:MAX_SEEDS]]
-
-    xmin, xmax, ymin, ymax = surface.domain
-    pad_x = (xmax - xmin) / (len(xs) - 1)
-    pad_y = (ymax - ymin) / (len(ys) - 1)
-    cell = float(np.hypot(pad_x, pad_y))
 
     accepted = []
     for si, sj in seeds:
@@ -373,12 +368,17 @@ def find_inflections(surface: SurfaceSpec, resolution: int = 256,
                 break
             if abs((d0 / nd) * (k1 / nk) - (d1 / nd) * (k0 / nk)) <= 1e-300:
                 break
-            step = np.linalg.solve(np.array([g.grad_delta, g.grad_kappa]),
-                                   np.array([g.delta, g.kappa]))
+            # rows parallel to rounding pass the test above, and LAPACK can
+            # still find an exactly zero pivot
+            try:
+                step = np.linalg.solve(np.array([g.grad_delta, g.grad_kappa]),
+                                       np.array([g.delta, g.kappa]))
+            except np.linalg.LinAlgError:
+                break
             px -= float(step[0])
             py -= float(step[1])
-            if not (xmin - pad_x <= px <= xmax + pad_x
-                    and ymin - pad_y <= py <= ymax + pad_y):
+            if not (xmin - cellx <= px <= xmax + cellx
+                    and ymin - celly <= py <= ymax + celly):
                 break
         if root is not None and xmin <= root[0] <= xmax and ymin <= root[1] <= ymax:
             accepted.append(root)

@@ -16,6 +16,9 @@ replaced by an exact jet; the two must agree to the differencing error.
 ``locus._refine_edges`` replaced; the package must match its polylines
 with residuals no worse.  :func:`sylvester_delta` is the 4x4 Sylvester
 determinant that ``localgeom.delta_resultant`` replaced by the Bezout form.
+:func:`rank_m` is the rank of M on M divided by its largest entry, which
+``classify.unit_scaled`` replaced by the same closed form on M scaled by a
+power of two; the two must agree away from the rounding of the threshold.
 :func:`polyline_reference` is the vertex-by-vertex SVG formatter that
 ``svgplot._Mapper.polyline`` replaced by a column pass, and
 :func:`split_sweep_reference` the list-based splitting of the sweep into
@@ -340,15 +343,15 @@ def bisect_edges_reference(surface, ax, ay, bx, by, da, db, rounds=40):
     hi = np.ones(len(ax))
     for _ in range(rounds):
         mid = 0.5 * (lo + hi)
-        dm = invariant_grid(surface, ax + (bx - ax) * mid, ay + (by - ay) * mid,
-                            cross_check=False).Delta
+        dm = invariant_grid(surface, ax + (bx - ax) * mid,
+                            ay + (by - ay) * mid).Delta
         same = np.sign(dm) == sa
         lo = np.where(same, mid, lo)
         hi = np.where(same, hi, mid)
     mid = 0.5 * (lo + hi)
     mx = ax + (bx - ax) * mid
     my = ay + (by - ay) * mid
-    res = np.abs(invariant_grid(surface, mx, my, cross_check=False).Delta)
+    res = np.abs(invariant_grid(surface, mx, my).Delta)
     return mx, my, res
 
 
@@ -365,3 +368,24 @@ def sylvester_delta(a, b, c, e, f, g):
         np.stack([z, e, 2.0 * f, g], axis=-1),
     ], axis=-2)
     return 0.25 * np.linalg.det(m)
+
+
+def rank_m(a, b, c, e, f, g, rank_ratio):
+    """Rank of M = [[a, b, c], [e, f, g]] from its singular values s1 >= s2:
+    0 when s1 <= 1e-14, 1 when s2 <= rank_ratio * s1, else 2.
+
+    The singular values come in closed form: s1^2 + s2^2 = ||M||^2, and by
+    Cauchy-Binet s1^2 s2^2 = det(M M^T) is the sum of the squared 2x2
+    minors.  Both are taken on M divided by its largest entry, so no square
+    overflows or underflows.  Works elementwise on floats and arrays.
+    """
+    big = np.maximum(np.maximum(np.maximum(abs(a), abs(b)), abs(c)),
+                     np.maximum(np.maximum(abs(e), abs(f)), abs(g)))
+    scale = np.where(big > 0.0, big, 1.0)
+    a, b, c, e, f, g = (v / scale for v in (a, b, c, e, f, g))
+    norm_sq = a * a + b * b + c * c + e * e + f * f + g * g
+    det = (a * f - b * e) ** 2 + (a * g - c * e) ** 2 + (b * g - c * f) ** 2
+    s1_sq = 0.5 * (norm_sq + np.sqrt(np.maximum(norm_sq * norm_sq - 4.0 * det, 0.0)))
+    # s2^2 = det / s1^2, so s2 <= r s1  <=>  det <= r^2 s1^4
+    return np.where(big * np.sqrt(s1_sq) <= 1e-14, 0,
+                    np.where(det <= rank_ratio ** 2 * s1_sq * s1_sq, 1, 2))

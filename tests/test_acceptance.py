@@ -67,8 +67,7 @@ def test_acceptance_2_cross_formula_suite():
     total = 0
     for surface in surfaces:
         pts = random_points(rng, 500)
-        fl = invariant_grid(surface, pts[:, 0], pts[:, 1], order=3,
-                            cross_check=False)
+        fl = invariant_grid(surface, pts[:, 0], pts[:, 1], order=3)
         msq = np.asarray(coeff_norm(fl)) ** 2
 
         def bound(u, v, rel, scale):

@@ -13,14 +13,14 @@ from monge4 import classify, conics
 from monge4.classify import (asymptotic_directions, binormals,
                              canonical_direction, class_label,
                              class_labels_grid, classify_point,
-                             hessian_of_delta, rank_m)
+                             hessian_of_delta, unit_scaled)
 from monge4.errors import EvaluationError, InflectionPointError
 from monge4.heightfn import degenerate_normals
 from monge4.localgeom import (invariant_grid, invariant_gradients,
                               local_invariants, surface_from_strings)
 
 from conftest import make_surface, random_points, random_surfaces
-from oracles import hessian_of_delta_fd, winding_number
+from oracles import hessian_of_delta_fd, rank_m, winding_number
 
 
 @pytest.fixture(scope="module")
@@ -316,7 +316,7 @@ def _svd_rank(m):
 
 
 def _closed_rank(m):
-    return int(rank_m(*m[0], *m[1], RATIO))
+    return int(unit_scaled(*m[0], *m[1]).rank)
 
 
 _exponents = st.integers(-150, 150)
@@ -363,12 +363,35 @@ def test_rank_m_perturbed_rank_one(seed, exponent, factor):
 def test_rank_m_zero_and_arrays():
     assert _closed_rank(np.zeros((2, 3))) == 0
     assert _closed_rank(np.array([[1e-320, 0, 0], [0, 0, 0]])) == 0
+    # s1 = 2.1e308 overflows unscaled
+    assert _closed_rank(np.array([[1.5e308, 1.5e308, 0], [0, 0, 0]])) == 1
     rng = np.random.default_rng(5)
     ms = rng.uniform(-1, 1, (50, 2, 3))
     ms[::3, 1] = 2.0 * ms[::3, 0]
-    ranks = rank_m(*(ms[:, r, k] for r in range(2) for k in range(3)), RATIO)
+    ranks = unit_scaled(*(ms[:, r, k] for r in range(2) for k in range(3))).rank
     assert ranks.tolist() == [_closed_rank(m) for m in ms]
     assert ranks.tolist() == [_svd_rank(m) for m in ms]
+
+
+@given(_seeds, _exponents,
+       st.sampled_from([0.0, 0.5, 0.9, 0.99, 1.01, 1.1, 2.0]))
+@settings(max_examples=300)
+def test_rank_on_scaled_m_matches_rank_on_divided_m(seed, exponent, factor):
+    """The rank of unit_scaled, on M times a power of two, is the one of M
+    divided by its largest entry (the replaced rank_m), at s2 / s1 =
+    factor * RANK_RATIO, on either side of the threshold, over 300 decades
+    except at s1 = 1e-14, on the zero threshold itself."""
+    assume(exponent != -14)
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+    v, _ = np.linalg.qr(rng.standard_normal((3, 2)))
+    s1 = 10.0 ** exponent
+    m = s1 * (np.outer(u[:, 0], v[:, 0])
+              + factor * RATIO * np.outer(u[:, 1], v[:, 1]))
+    entries = m.ravel().tolist()
+    want = int(rank_m(*entries, RATIO))
+    assert int(unit_scaled(*entries).rank) == want
+    assert unit_scaled(*(np.array([x]) for x in entries)).rank.tolist() == [want]
 
 
 # -- classification independent of scale ------------------------------------------

@@ -222,6 +222,16 @@ def test_inflections_output(tmp_path):
     assert float(resid) <= 1e-12
 
 
+@pytest.mark.parametrize("res", ["16", "24"])
+def test_inflections_umbilic_surface_coarse_grid(tmp_path, res):
+    """phi = x^2 - y^2, psi = 2xy: a Newton walker meets gradients of Delta
+    and kappa parallel to rounding, which LAPACK finds singular; the walker
+    stops, and the surface has no inflection to report."""
+    surf = write(tmp_path, "b.surf", B_TEXT)
+    assert run_cli(["inflections", "--surface", surf, "--res", res]) \
+        == (0, "", "")
+
+
 # -- plot -----------------------------------------------------------------------
 
 def test_plot_hyperbolic(tmp_path):
@@ -376,6 +386,23 @@ def test_exit_numerical_overflow(tmp_path, args):
     assert err.count("\n") == 1
     assert err.startswith("monge4: numerical failure: non-finite invariants")
     assert "at point (" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_exit_numerical_failed_cross_check(tmp_path, monkeypatch):
+    """grid runs the live cross-checks on its fields: with the K check's
+    bound at 0 it ends in exit 4, one line naming the first failing point,
+    and no output file."""
+    from monge4 import localgeom
+    k_check, *others = localgeom.CROSS_CHECKS
+    monkeypatch.setattr(localgeom, "CROSS_CHECKS",
+                        (k_check._replace(rel=0.0), *others))
+    surf = write(tmp_path, "b.surf", B_TEXT)
+    code, out, err = run_cli(["grid", "--surface", surf, "--res", "16",
+                              "--out", str(tmp_path / "x.csv")])
+    assert (code, out) == (4, "")
+    assert err.startswith("monge4: numerical failure: K cross-check failed: ")
+    assert " at point (" in err and err.count("\n") == 1
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -627,7 +654,7 @@ def _saddle_cells(text, res):
     xmin, xmax, ymin, ymax = spec.domain
     gx, gy = np.meshgrid(np.linspace(xmin, xmax, res),
                          np.linspace(ymin, ymax, res), indexing="ij")
-    d = invariant_grid(spec, gx, gy, cross_check=False).Delta
+    d = invariant_grid(spec, gx, gy).Delta
     s00, s10, s11, s01 = d[:-1, :-1], d[1:, :-1], d[1:, 1:], d[:-1, 1:]
     return np.argwhere(((s00 > 0) & (s10 < 0) & (s11 > 0) & (s01 < 0))
                        | ((s00 < 0) & (s10 > 0) & (s11 < 0) & (s01 > 0)))

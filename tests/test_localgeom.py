@@ -115,12 +115,12 @@ def test_delta_resultant_matches_sylvester_determinant():
 
 def test_delta_check_catches_a_sign_error():
     """A Delta whose squared term has the wrong sign fails the registry's
-    Delta check wherever that term is above the band, and strict mode
+    Delta check wherever that term is above the band, and check_invariants
     raises on it with the first such point."""
     surface = surface_from_strings(
         "sin(x)*cos(y) + 0.3*x^2", "0.5*sin(x*y) + 0.2*y^2")
     xs = np.linspace(-1.0, 1.0, 64)
-    fl = invariant_grid(surface, xs[:, None], xs[None, :], cross_check=False)
+    fl = invariant_grid(surface, xs[:, None], xs[None, :])
     square = 0.25 * (fl.a * fl.g + fl.c * fl.e - 2.0 * fl.b * fl.f) ** 2
     fl.Delta = (fl.a * fl.c - fl.b ** 2) * (fl.e * fl.g - fl.f ** 2) + square
     msq = coeff_norm(fl) ** 2
@@ -130,8 +130,7 @@ def test_delta_check_catches_a_sign_error():
     assert np.all(caught[square > 1e-8 * msq * msq])
     assert caught.mean() > 0.99
     with pytest.raises(CrossCheckError, match="^Delta cross-check failed"):
-        localgeom._run_cross_checks(fl, True, np.broadcast_arrays(
-            xs[:, None], xs[None, :]))
+        localgeom.check_invariants(fl, (xs[:, None], xs[None, :]))
 
 
 def test_brioschi_flat_plane(surfaces):
@@ -155,8 +154,7 @@ def test_cross_formula_random_suite():
     rng = np.random.default_rng(2)
     for surface in random_surfaces(seed=91, count=8):
         pts = random_points(rng, 200)
-        fl = invariant_grid(surface, pts[:, 0], pts[:, 1], order=3,
-                            cross_check=False)
+        fl = invariant_grid(surface, pts[:, 0], pts[:, 1], order=3)
         msq = np.asarray(coeff_norm(fl)) ** 2
 
         def bound(u, v, rel, scale):
@@ -225,16 +223,26 @@ def test_parameter_rotation_invariance():
             assert abs(h1 - h0) <= 1e-9 * max(h0, inv0.coeff_norm)
 
 
-def test_strict_flag_controls_cross_check(surfaces, monkeypatch, caplog):
+def test_failed_cross_check_raises(surfaces, monkeypatch):
+    """With the K check's bound at 0, local_invariants raises; invariant_grid
+    only evaluates, and check_invariants on its fields names the first
+    failing point, x outer and y inner."""
     k_check, *others = localgeom.CROSS_CHECKS
     monkeypatch.setattr(localgeom, "CROSS_CHECKS",
                         (k_check._replace(rel=0.0), *others))
     with pytest.raises(CrossCheckError):
-        local_invariants(surfaces["G"], 0.3, 0.2, strict=True)
-    with caplog.at_level("WARNING"):
-        inv = local_invariants(surfaces["G"], 0.3, 0.2, strict=False)
-    assert inv.K is not None
-    assert any("cross-check" in rec.message for rec in caplog.records)
+        local_invariants(surfaces["G"], 0.3, 0.2)
+    xs = np.array([0.0, 0.3])
+    ys = np.array([0.0, 0.2])
+    fl = invariant_grid(surfaces["G"], xs[:, None], ys[None, :])
+    bad = fl.K != fl.K_closed
+    assert bad.any()
+    i, j = np.argwhere(bad)[0]
+    with pytest.raises(CrossCheckError) as err:
+        localgeom.check_invariants(fl, (xs[:, None], ys[None, :]))
+    assert str(err.value) == (f"K cross-check failed: {float(fl.K[i, j])!r} vs "
+                              f"{float(fl.K_closed[i, j])!r} at point "
+                              f"({float(xs[i])!r}, {float(ys[j])!r})")
 
 
 def test_cross_check_message_prints_plain_floats():
@@ -244,12 +252,12 @@ def test_cross_check_message_prints_plain_floats():
     v = np.array([[1.0, 2.0], [3.0, 5091454.067871094]])
     where = (np.array([[0.0, 0.0], [0.3, 0.3]]), np.array([[0.0, 0.2], [0.0, 0.2]]))
     with pytest.raises(CrossCheckError) as err:
-        localgeom._check_pair("W", u, v, 1e-12, np.abs(v), True, where)
+        localgeom._check_pair("W", u, v, 1e-12, np.abs(v), where)
     assert str(err.value) == ("W cross-check failed: 5091454.0664 vs "
                               "5091454.067871094 at point (0.3, 0.2)")
     with pytest.raises(CrossCheckError) as err:
         localgeom._check_pair("K", np.float64(1.0), np.float64(2.0), 1e-9,
-                              1.0, True)
+                              1.0)
     assert str(err.value) == "K cross-check failed: 1.0 vs 2.0"
 
 

@@ -96,7 +96,7 @@ def test_trace_vertex_residual_invariant():
     ps = trace_parabolic(surface, 48)
     xs = np.concatenate([pl.points[:, 0] for pl in ps.polylines])
     ys = np.concatenate([pl.points[:, 1] for pl in ps.polylines])
-    fl = invariant_grid(surface, xs, ys, cross_check=False)
+    fl = invariant_grid(surface, xs, ys)
     msq = np.asarray(coeff_norm(fl)) ** 2
     assert np.all(np.abs(fl.Delta) <= 1e-9 * msq * msq)
 
@@ -271,8 +271,7 @@ def _assert_matches_bisection(surface, res, monkeypatch):
     pts = np.concatenate([pl.points for pl in new.polylines])
     ref_pts = np.concatenate([pl.points for pl in ref.polylines])
     moved = np.hypot(*(pts - ref_pts).T) > 1e-12
-    mid = invariant_grid(surface, *(0.5 * (pts[moved] + ref_pts[moved])).T,
-                         cross_check=False)
+    mid = invariant_grid(surface, *(0.5 * (pts[moved] + ref_pts[moved])).T)
     other_root = np.abs(mid.Delta) > 1e-12 * coeff_norm(mid) ** 4
     assert other_root.sum() <= 1
     xmin, xmax, ymin, ymax = surface.domain
@@ -280,7 +279,7 @@ def _assert_matches_bisection(surface, res, monkeypatch):
     for p, q in zip(pts[moved][other_root], ref_pts[moved][other_root]):
         assert (p[0] == q[0] or p[1] == q[1]) and np.hypot(*(p - q)) < cell
     residuals = np.concatenate([pl.residuals for pl in new.polylines])
-    fl = invariant_grid(surface, pts[:, 0], pts[:, 1], cross_check=False)
+    fl = invariant_grid(surface, pts[:, 0], pts[:, 1])
     assert np.array_equal(residuals, np.abs(fl.Delta))
     assert residuals.max() <= max(pl.residuals.max() for pl in ref.polylines)
 

@@ -69,3 +69,7 @@ def test_compare_outputs_names_the_first_differing_line():
         == "line 1: 'exit 0' vs 'exit 4'"
     assert module._first_difference("exit 0\na\n", "exit 0\n") \
         == "line 2: 'a' vs '<end>'"
+    assert module._verdict("exit 0\na\n", "exit 0\na\n") == "same"
+    assert module._verdict("exit 4\nerr\n", "exit 4\nerr\n") == "same (exit 4)"
+    assert module._verdict("exit 0\n", "exit 4\n") \
+        == "line 1: 'exit 0' vs 'exit 4'"
