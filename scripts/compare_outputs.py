@@ -5,16 +5,18 @@ tree.
     python3 scripts/compare_outputs.py OTHER_SRC [--res N] [--at X,Y ...]
                                        [--surface FILE ...]
 
-Runs ``analyze`` and ``plot`` at each ``--at`` point (default 0,0 and
-0.25,-0.2) and ``grid``, ``selfcheck``, ``trace`` and ``inflections`` at
-``--res`` (default 128) on the surfaces of ``fixture_gallery.py`` and the
+Runs ``analyze``, ``plot`` and ``height`` at each ``--at`` point (default
+0,0 and 0.25,-0.2) and ``grid``, ``selfcheck``, ``trace`` and ``inflections``
+at ``--res`` (default 128) on the surfaces of ``fixture_gallery.py`` and the
 polynomial surface of the golden tests, or on the given surface files
-instead.  Every command runs twice, in one subprocess with this tree's
-``src`` on the import path and in one with OTHER_SRC.  Prints, for each
-surface and subcommand, ``same`` or the first differing line; the exit code
-and the error output count as lines too.  A failure both trees share prints
-as ``same`` followed by its exit code, such as ``same (exit 4)``.  Exits 1
-on any difference.
+instead.  ``height`` is no subcommand but the benchmark's point-queries
+``height`` job: the degenerate normals of the point and the height
+singularity of each.  Every command runs twice, in one subprocess
+with this tree's ``src`` on the import path and in one with OTHER_SRC.
+Prints, for each surface and subcommand, ``same`` or the first differing
+line; the exit code and the error output count as lines too.  A failure
+both trees share prints as ``same`` followed by its exit code, such as
+``same (exit 4)``.  Exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -35,14 +37,34 @@ GOLDEN = ("1.5*x^2 + 0.5*y^2", "2*x*y + 0.3*y^3", "-1 1 -1 1")
 WRITES_FILE = ("plot", "grid", "trace")
 
 
+def _height(path, at):
+    """Exit code and output of the benchmark's point-queries ``height`` job
+    (``perfbench/worker.py``) at the point ``at``; exit 4 and the error on a
+    package error."""
+    import monge4
+    from worker import _run_job
+    x, y = (float(v) for v in at.split(","))
+    try:
+        return _run_job({"kind": "height", "surface": "s", "at": (x, y)},
+                        {"surfaces": {"s": {"path": path}}},
+                        {"s": monge4.parse_surface_file(path)}, None)
+    except monge4.errors.Monge4Error as exc:
+        return 4, f"{type(exc).__name__}: {exc}\n"
+
+
 def _worker():
     """Run the jobs read as JSON from stdin with the monge4 on the import
     path; print {key: "exit N", output lines, error lines} as JSON."""
     from monge4.cli import run
+    sys.path.insert(0, str(ROOT / "perfbench"))
     results = {}
     with tempfile.TemporaryDirectory() as work:
         out_path = pathlib.Path(work) / "out"
         for key, argv in json.load(sys.stdin):
+            if argv[0] == "height":
+                code, text = _height(*argv[1:])
+                results[key] = f"exit {code}\n{text}"
+                continue
             out_path.unlink(missing_ok=True)
             out, err = io.StringIO(), io.StringIO()
             writes = argv[0] in WRITES_FILE
@@ -102,7 +124,8 @@ def main(argv=None):
     parser.add_argument("other_src", type=pathlib.Path)
     parser.add_argument("--res", type=int, default=128)
     parser.add_argument("--at", action="append",
-                        help="point X,Y of analyze and plot (repeatable)")
+                        help="point X,Y of analyze, plot and height "
+                             "(repeatable)")
     parser.add_argument("--surface", action="append",
                         help="surface file in place of the gallery (repeatable)")
     args = parser.parse_args(argv)
@@ -116,6 +139,8 @@ def main(argv=None):
                 jobs += [(f"{name} {command} {at}",
                           [command, "--surface", path, f"--at={at}"])
                          for at in points]
+            jobs += [(f"{name} height {at}", ["height", path, at])
+                     for at in points]
             jobs += [(f"{name} {command}",
                       [command, "--surface", path, "--res", str(args.res)])
                      for command in ("grid", "selfcheck", "trace", "inflections")]

@@ -6,8 +6,8 @@ and binormals, the parabolic locus and inflection points, and singularities
 of the height functions.
 """
 
-from .classify import (PointClassification, ToleranceSet, asymptotic_directions,
-                       binormals, classify_point, hessian_of_delta)
+from .classify import (PointClassification, asymptotic_directions, binormals,
+                       classify_point, hessian_of_delta)
 from .conics import (CanonicalCoefficients, Conic, Indicatrix,
                      canonical_coefficients, characteristic_conic,
                      conjugate_radii, eta, evolvent_point, indicatrix,
@@ -25,8 +25,8 @@ from .surfacefile import parse_surface_file, parse_surface_text
 __version__ = "0.1.0"
 
 __all__ = [
-    "PointClassification", "ToleranceSet", "asymptotic_directions",
-    "binormals", "classify_point", "hessian_of_delta",
+    "PointClassification", "asymptotic_directions", "binormals",
+    "classify_point", "hessian_of_delta",
     "CanonicalCoefficients", "Conic", "Indicatrix", "canonical_coefficients",
     "characteristic_conic", "conjugate_radii", "eta", "evolvent_point",
     "indicatrix", "indicatrix_conic", "pole", "polar", "wintgen_gap",

@@ -24,41 +24,26 @@ from .localgeom import (LocalInvariants, SurfaceSpec, coeff_norm,
                         invariant_jets, second_order)
 
 __all__ = [
-    "ToleranceSet", "PointClassification", "classify_point",
-    "asymptotic_directions", "binormals", "hessian_of_delta",
-    "canonical_direction", "class_label", "class_labels_grid",
-    "unit_scaled", "band_directions", "RANK_RATIO", "CIRCLE_RATIO",
+    "PointClassification", "classify_point", "asymptotic_directions",
+    "binormals", "hessian_of_delta", "canonical_direction",
+    "class_labels_grid", "unit_scaled", "band_directions", "REL",
+    "RANK_RATIO", "CIRCLE_RATIO",
 ]
 
+REL = 1e-8           # scale-relative band for Delta / kappa / K
 RANK_RATIO = 1e-8    # singular-value ratio for rank M <= 1
 CIRCLE_RATIO = 1e-6  # semi-axis agreement for a circle point
 
 
 @dataclass(frozen=True)
-class ToleranceSet:
-    rel: float = 1e-8          # scale-relative band for Delta / kappa / K
-
-
-DEFAULT_TOL = ToleranceSet()
-
-
-@dataclass(frozen=True)
 class PointClassification:
-    kind: str                      # elliptic | hyperbolic | parabolic | inflection
-    inflection_type: str | None    # real | flat | imaginary
+    label: ClassLabel   # kind, K band and rank of class_labels_grid
     is_circle: bool
     is_minimal: bool
-    is_umbilic: bool
-    rank_m: int
-    delta: float
-    kappa: float
-    K: float
 
-
-def class_label(c: PointClassification) -> str:
-    if c.kind == "inflection":
-        return f"inflection_{c.inflection_type}"
-    return c.kind
+    @property
+    def is_umbilic(self) -> bool:
+        return self.is_circle and self.is_minimal
 
 
 def canonical_direction(v, zero=1e-12) -> np.ndarray:
@@ -76,16 +61,13 @@ def canonical_direction(v, zero=1e-12) -> np.ndarray:
 def unit_scaled(a, b, c, e, f, g):
     """:func:`~monge4.localgeom.second_order` of a..g times 2^-k, where 2^k
     is the power of two just above the largest |entry|, with msq = ||M||^2
-    and the rank of M.
+    and k, which the rank of :func:`class_labels_grid` needs to test s1 of
+    the unscaled M.
 
     Multiplying by a power of two is exact in the normal range, so every
     rounding commutes with the scaling and the sign of each invariant
     against its band is the one of the unscaled values; only underflow and
-    overflow go away.  The rank comes from the singular values s1 >= s2 of
-    M: 0 when s1 <= 1e-14 (unscaled), 1 when s2 <= RANK_RATIO * s1, else 2.
-    They come in closed form: s1^2 + s2^2 = ||M||^2, and by Cauchy-Binet
-    s1^2 s2^2 is the sum of the squared 2x2 minors nq0..nq2.  Works
-    elementwise on floats and arrays.
+    overflow go away.  Works elementwise on floats and arrays.
     """
     big = np.maximum(np.maximum(np.maximum(abs(a), abs(b)), abs(c)),
                      np.maximum(np.maximum(abs(e), abs(f)), abs(g)))
@@ -97,42 +79,28 @@ def unit_scaled(a, b, c, e, f, g):
         k, ldexp = -math.frexp(big)[1], math.ldexp
     m = second_order(*(ldexp(v, k) for v in (a, b, c, e, f, g)))
     m.msq = (float(coeff_norm(m)) if np.ndim(big) == 0 else coeff_norm(m)) ** 2
-    det = m.nq0 * m.nq0 + m.nq1 * m.nq1 + m.nq2 * m.nq2
-    s1_sq = 0.5 * (m.msq + np.sqrt(np.maximum(m.msq * m.msq - 4.0 * det, 0.0)))
-    # s1 of M itself, but the scaled s1 (at least 0.5, so not zero either)
-    # where M's largest entry is 0.5 or more, so that it cannot overflow
-    s1 = ldexp(np.sqrt(s1_sq), -k * (k > 0))
-    # s2^2 = det / s1^2, so s2 <= r s1  <=>  det <= r^2 s1^4
-    m.rank = np.where(s1 <= 1e-14, 0,
-                      np.where(det <= RANK_RATIO ** 2 * s1_sq * s1_sq, 1, 2))
+    m.k = k
     return m
 
 
-def classify_point(inv: LocalInvariants,
-                   tol: ToleranceSet = DEFAULT_TOL) -> PointClassification:
-    """Taxonomy tag for the point of ``inv``: the kind, type and rank of
-    :func:`class_labels_grid`, plus the circle and minimal flags."""
-    label = class_labels_grid(inv, tol)
+def classify_point(inv: LocalInvariants, rel: float = REL) -> PointClassification:
+    """Taxonomy tag for the point of ``inv``: the label of
+    :func:`class_labels_grid` plus the circle and minimal flags."""
+    label = class_labels_grid(inv, rel)
     axes = np.linalg.svd(indicatrix_linear_map(inv), compute_uv=False)
     is_circle = axes[0] <= 1e-14 or (axes[0] - axes[1]) <= CIRCLE_RATIO * axes[0]
-    is_minimal = float(np.hypot(inv.H[0], inv.H[1])) <= tol.rel * inv.coeff_norm
-    return PointClassification(
-        kind=label.kind,
-        inflection_type=label.k_type if label.kind == "inflection" else None,
-        is_circle=bool(is_circle), is_minimal=bool(is_minimal),
-        is_umbilic=bool(is_circle and is_minimal),
-        rank_m=label.rank, delta=inv.Delta, kappa=inv.kappa, K=inv.K,
-    )
+    is_minimal = float(np.hypot(inv.H[0], inv.H[1])) <= rel * inv.coeff_norm
+    return PointClassification(label, bool(is_circle), is_minimal)
 
 
-def _delta_band(m, tol: ToleranceSet):
-    """(above, below): whether Delta lies above tol.rel ||M||^4 and below
+def _delta_band(m, rel: float):
+    """(above, below): whether Delta lies above rel ||M||^4 and below
     minus that, elementwise on the M of :func:`unit_scaled`."""
-    tau_delta = tol.rel * m.msq * m.msq
+    tau_delta = rel * m.msq * m.msq
     return m.Delta > tau_delta, m.Delta < -tau_delta
 
 
-def band_directions(quadratic, m, tol: ToleranceSet, what: str) -> list[np.ndarray]:
+def band_directions(quadratic, m, rel: float, what: str) -> list[np.ndarray]:
     """Unit zero directions of the binary quadratic A u^2 + B uv + C v^2,
     ``quadratic`` = (A, B, C) computed from the M ``m`` of
     :func:`unit_scaled`, whose discriminant is a positive multiple of
@@ -140,11 +108,11 @@ def band_directions(quadratic, m, tol: ToleranceSet, what: str) -> list[np.ndarr
     band, sorted by angle.
 
     Raises :class:`InflectionPointError`, naming ``what``, when the
-    quadratic vanishes identically (within tol.rel ||M||^2).
+    quadratic vanishes identically (within rel ||M||^2).
     """
-    if max(abs(v) for v in quadratic) <= tol.rel * m.msq:
+    if max(abs(v) for v in quadratic) <= rel * m.msq:
         raise InflectionPointError(f"{what} vanishes identically (inflection point)")
-    above, below = _delta_band(m, tol)
+    above, below = _delta_band(m, rel)
     if above:
         return []
     roots = homogeneous_quadratic_roots(*quadratic, double_root=not below)
@@ -154,7 +122,7 @@ def band_directions(quadratic, m, tol: ToleranceSet, what: str) -> list[np.ndarr
 
 
 def asymptotic_directions(inv: LocalInvariants,
-                          tol: ToleranceSet = DEFAULT_TOL) -> list[np.ndarray]:
+                          rel: float = REL) -> list[np.ndarray]:
     """Tangent directions (unit vectors in the (e1, e2) frame) on which the
     normal component of the direction field degenerates; 2, 1 or 0 of them as
     Delta < 0, = 0, > 0 within the classification band.
@@ -163,12 +131,11 @@ def asymptotic_directions(inv: LocalInvariants,
     identically zero (every direction asymptotic).
     """
     m = unit_scaled(inv.a, inv.b, inv.c, inv.e, inv.f, inv.g)
-    return band_directions((m.nq0, m.nq1, m.nq2), m, tol,
+    return band_directions((m.nq0, m.nq1, m.nq2), m, rel,
                            "directional quadratic")
 
 
-def binormals(inv: LocalInvariants,
-              tol: ToleranceSet = DEFAULT_TOL) -> list[np.ndarray]:
+def binormals(inv: LocalInvariants, rel: float = REL) -> list[np.ndarray]:
     """Unit normal directions (in the (e3, e4) frame) paired index-by-index
     with :func:`asymptotic_directions`.
 
@@ -180,9 +147,9 @@ def binormals(inv: LocalInvariants,
     parametrisation instead.
     """
     out = []
-    span_floor = tol.rel * inv.coeff_norm
+    span_floor = rel * inv.coeff_norm
     amat = indicatrix_linear_map(inv)
-    for u in asymptotic_directions(inv, tol):
+    for u in asymptotic_directions(inv, rel):
         span = second_form_image(inv, u)
         if float(np.hypot(span[0], span[1])) <= span_floor:
             # origin sits on the ellipse; use the curve tangent there
@@ -216,7 +183,7 @@ _LABELS = np.array([[[ClassLabel(kind, k_type, rank) for rank in range(3)]
                      for k_type in _K_TYPES] for kind in _KINDS], dtype=object)
 
 
-def class_labels_grid(fields, tol: ToleranceSet = DEFAULT_TOL):
+def class_labels_grid(fields, rel: float = REL):
     """The taxonomy's band decision, elementwise on the coefficients a..g of
     ``fields`` (floats, 0-d arrays or arrays): a :class:`ClassLabel` for a
     single point, an object array of them otherwise.
@@ -226,14 +193,27 @@ def class_labels_grid(fields, tol: ToleranceSet = DEFAULT_TOL):
     kappa vanishes (||M||^2 band) and M has rank <= 1.  The K band, also
     ||M||^2-relative, gives the type.  The bands and the rank are decided on
     M scaled to a largest entry in [0.5, 1) by :func:`unit_scaled`.
+
+    The rank comes from the singular values s1 >= s2 of M: 0 when
+    s1 <= 1e-14 (unscaled), 1 when s2 <= RANK_RATIO * s1, else 2.  They
+    come in closed form: s1^2 + s2^2 = ||M||^2, and by Cauchy-Binet
+    s1^2 s2^2 is the sum of the squared 2x2 minors nq0..nq2.
     """
     m = unit_scaled(fields.a, fields.b, fields.c, fields.e, fields.f, fields.g)
-    above, below = _delta_band(m, tol)
-    tau_band = tol.rel * m.msq
-    infl = (np.abs(m.kappa) <= tau_band) & (m.rank <= 1)
+    det = m.nq0 * m.nq0 + m.nq1 * m.nq1 + m.nq2 * m.nq2
+    s1_sq = 0.5 * (m.msq + np.sqrt(np.maximum(m.msq * m.msq - 4.0 * det, 0.0)))
+    # s1 of M itself, but the scaled s1 (at least 0.5, so not zero either)
+    # where M's largest entry is 0.5 or more, so that it cannot overflow
+    s1 = np.ldexp(np.sqrt(s1_sq), -m.k * (m.k > 0))
+    # s2^2 = det / s1^2, so s2 <= r s1  <=>  det <= r^2 s1^4
+    rank = np.where(s1 <= 1e-14, 0,
+                    np.where(det <= RANK_RATIO ** 2 * s1_sq * s1_sq, 1, 2))
+    above, below = _delta_band(m, rel)
+    tau_band = rel * m.msq
+    infl = (np.abs(m.kappa) <= tau_band) & (rank <= 1)
     kind = np.where(above, 0, np.where(below, 1, np.where(infl, 3, 2)))
     k_type = np.where(m.K < -tau_band, 0, np.where(m.K > tau_band, 2, 1))
-    return _LABELS[kind, k_type, m.rank]
+    return _LABELS[kind, k_type, rank]
 
 
 def hessian_of_delta(surface: SurfaceSpec, x: float, y: float) -> np.ndarray:

@@ -99,10 +99,10 @@ ANALYZE_KEYS = (
 
 
 def analyze_record(surface: SurfaceSpec, x: float, y: float,
-                   tol: cls.ToleranceSet) -> list[tuple[str, str]]:
+                   rel: float) -> list[tuple[str, str]]:
     """The analyze subcommand's record as ordered (key, value) pairs."""
     inv = local_invariants(surface, x, y)
-    c = cls.classify_point(inv, tol)
+    c = cls.classify_point(inv, rel)
     ind = conics.indicatrix(inv)
     rec = {
         "x": _fmt(inv.x), "y": _fmt(inv.y),
@@ -114,9 +114,10 @@ def analyze_record(surface: SurfaceSpec, x: float, y: float,
         "H3": _fmt(inv.H[0]), "H4": _fmt(inv.H[1]),
         "Delta": _fmt(inv.Delta),
         "nq0": _fmt(inv.nq0), "nq1": _fmt(inv.nq1), "nq2": _fmt(inv.nq2),
-        "class": cls.class_label(c),
-        "inflection_type": c.inflection_type or "none",
-        "rank_m": str(c.rank_m),
+        "class": c.label,
+        "inflection_type": (c.label.k_type if c.label.kind == "inflection"
+                            else "none"),
+        "rank_m": str(c.label.rank),
         "circle": _fmt_bool(c.is_circle),
         "minimal": _fmt_bool(c.is_minimal),
         "umbilic": _fmt_bool(c.is_umbilic),
@@ -126,8 +127,8 @@ def analyze_record(surface: SurfaceSpec, x: float, y: float,
         "indicatrix_degenerate": _fmt_bool(ind.degenerate),
     }
     try:
-        asym = cls.asymptotic_directions(inv, tol)
-        bins = cls.binormals(inv, tol)
+        asym = cls.asymptotic_directions(inv, rel)
+        bins = cls.binormals(inv, rel)
         rec["asymptotic_count"] = str(len(asym))
     except InflectionPointError:
         asym, bins = [], []
@@ -162,9 +163,9 @@ def analyze_record(surface: SurfaceSpec, x: float, y: float,
     return [(k, rec[k]) for k in ANALYZE_KEYS]
 
 
-def _cmd_analyze(surface, args, tol, out):
+def _cmd_analyze(surface, args, out):
     x, y = _parse_point(args.at, surface)
-    for key, value in analyze_record(surface, x, y, tol):
+    for key, value in analyze_record(surface, x, y, args.tol):
         out.write(f"{key}={value}\n")
     return EXIT_OK
 
@@ -183,13 +184,13 @@ def _fmt_column(values: np.ndarray) -> list[str]:
     return list(map(repr, (values + 0.0).tolist()))
 
 
-def grid_rows(surface: SurfaceSpec, res: int, tol: cls.ToleranceSet) -> list[str]:
+def grid_rows(surface: SurfaceSpec, res: int, rel: float) -> list[str]:
     """Lines of the grid CSV after the header, row-major from (xmin, ymin):
     y varies in the outer loop, x in the inner one."""
     xs, ys = _grid_axes(surface, res)
     fields = invariant_grid(surface, xs[:, None], ys[None, :])
     check_invariants(fields, (xs[:, None], ys[None, :]))
-    labels = cls.class_labels_grid(fields, tol)
+    labels = cls.class_labels_grid(fields, rel)
     x_text = _fmt_column(xs)
     lines = []
     for j, y in enumerate(_fmt_column(ys)):
@@ -210,8 +211,8 @@ def _open_output(path):
         raise _UsageError(f"cannot write output: {exc}") from None
 
 
-def _cmd_grid(surface, args, tol, out):
-    lines = grid_rows(surface, _check_res(args.res), tol)
+def _cmd_grid(surface, args, out):
+    lines = grid_rows(surface, _check_res(args.res), args.tol)
     with _open_output(args.out) as fh:
         fh.write("x,y,K,kappa,Delta,class\n")
         fh.writelines(lines)
@@ -222,8 +223,8 @@ def _cmd_grid(surface, args, tol, out):
 # trace / inflections
 # ---------------------------------------------------------------------------
 
-def _cmd_trace(surface, args, tol, out):
-    result = locus.trace_parabolic(surface, _check_res(args.res), tol)
+def _cmd_trace(surface, args, out):
+    result = locus.trace_parabolic(surface, _check_res(args.res), args.tol)
     with _open_output(args.out) as fh:
         fh.write("polyline_id,vertex_id,x,y,delta_residual\n")
         for pid, pl in enumerate(result.polylines):
@@ -233,8 +234,8 @@ def _cmd_trace(surface, args, tol, out):
     return EXIT_OK
 
 
-def _cmd_inflections(surface, args, tol, out):
-    for rep in locus.find_inflections(surface, _check_res(args.res), tol):
+def _cmd_inflections(surface, args, out):
+    for rep in locus.find_inflections(surface, _check_res(args.res), args.tol):
         out.write(f"{_fmt(rep.x)} {_fmt(rep.y)} {rep.kind} {_fmt(rep.K)} "
                   f"{_fmt(rep.det_hessian_delta)} {_fmt(rep.residual)}\n")
     return EXIT_OK
@@ -244,7 +245,7 @@ def _cmd_inflections(surface, args, tol, out):
 # plot
 # ---------------------------------------------------------------------------
 
-def _cmd_plot(surface, args, tol, out):
+def _cmd_plot(surface, args, out):
     x, y = _parse_point(args.at, surface)
     inv = local_invariants(surface, x, y)
     ind = conics.indicatrix(inv)
@@ -254,7 +255,7 @@ def _cmd_plot(surface, args, tol, out):
         clip = 50.0 * max(1e-9, float(np.max(np.abs(ind_pts))))
         char_polys = conics.sample_characteristic(inv, 512, clip)
     try:
-        bins = cls.binormals(inv, tol)
+        bins = cls.binormals(inv, args.tol)
     except InflectionPointError:
         bins = []
     svg = render_normal_plane(ind_pts, char_polys, bins,
@@ -286,7 +287,7 @@ def selfcheck_report(surface: SurfaceSpec, res: int):
     return all(p for _, p, _ in checks), checks
 
 
-def _cmd_selfcheck(surface, args, tol, out):
+def _cmd_selfcheck(surface, args, out):
     ok, checks = selfcheck_report(surface, _check_res(args.res))
     for name, passed, worst in checks:
         out.write(f"{'PASS' if passed else 'FAIL'} {name} "
@@ -309,8 +310,9 @@ def _build_parser():
     def common(p, point=False, res=False, outfile=False):
         p.add_argument("--surface", required=True,
                        help="surface description file (phi/psi/domain)")
-        p.add_argument("--tol", type=float, default=1e-8,
-                       help="relative classification tolerance (default 1e-8)")
+        p.add_argument("--tol", type=float, default=cls.REL,
+                       help=f"relative classification tolerance, finite and "
+                            f">= 0 (default {cls.REL})")
         if point:
             p.add_argument("--at", required=True, help="point 'X,Y'")
         if res:
@@ -365,6 +367,9 @@ def run(argv, out=None, err=None) -> int:
         args = _build_parser().parse_args(_attach_negative_points(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
+    if not 0.0 <= args.tol < np.inf:  # nan, inf or < 0 would move every label
+        err.write(f"monge4: --tol must be finite and >= 0, got {args.tol!r}\n")
+        return EXIT_USAGE
     try:
         surface = parse_surface_file(args.surface)
     except (OSError, UnicodeDecodeError) as exc:
@@ -373,9 +378,8 @@ def run(argv, out=None, err=None) -> int:
     except SurfaceFileError as exc:
         err.write(f"monge4: surface file error: {exc}\n")
         return EXIT_SURFACE_FILE
-    tol = cls.ToleranceSet(rel=args.tol)
     try:
-        return _COMMANDS[args.command](surface, args, tol, out)
+        return _COMMANDS[args.command](surface, args, out)
     except _UsageError as exc:
         err.write(f"monge4: {exc}\n")
         return EXIT_USAGE

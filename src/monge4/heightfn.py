@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import (DEFAULT_TOL, ToleranceSet, band_directions,
-                       canonical_direction, unit_scaled)
+from .classify import REL, band_directions, canonical_direction, unit_scaled
 from .errors import CrossCheckError
 from .localgeom import (REL_HEIGHT, LocalInvariants, SurfaceSpec,
                         local_invariants)
@@ -92,7 +91,7 @@ def height_hessian(inv: LocalInvariants, n) -> tuple[np.ndarray, float]:
 
 
 def degenerate_normals(inv: LocalInvariants,
-                       tol: ToleranceSet = DEFAULT_TOL) -> list[np.ndarray]:
+                       rel: float = REL) -> list[np.ndarray]:
     """Unit normal directions whose height function has a degenerate critical
     point: 2, 1 or 0 of them as Delta < 0, = 0, > 0 (band-relative).
 
@@ -102,7 +101,7 @@ def degenerate_normals(inv: LocalInvariants,
     m = unit_scaled(inv.a, inv.b, inv.c, inv.e, inv.f, inv.g)
     return band_directions((m.a * m.c - m.b ** 2,
                             m.a * m.g + m.c * m.e - 2.0 * m.b * m.f,
-                            m.e * m.g - m.f ** 2), m, tol,
+                            m.e * m.g - m.f ** 2), m, rel,
                            "height-hessian quadratic")
 
 

@@ -118,8 +118,7 @@ class LocalInvariants:
 
     @property
     def coeff_norm(self) -> float:
-        return float(np.sqrt(self.a ** 2 + self.b ** 2 + self.c ** 2
-                             + self.e ** 2 + self.f ** 2 + self.g ** 2))
+        return float(coeff_norm(self))
 
 
 def coeff_norm(fields) -> object:

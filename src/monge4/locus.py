@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import (DEFAULT_TOL, ToleranceSet, class_labels_grid,
-                       hessian_of_delta)
+from .classify import REL, class_labels_grid, hessian_of_delta
 from .jets import Jet
 from .localgeom import (SurfaceSpec, coeff_norm, gradient_fields,
                         invariant_grid, invariant_gradients, local_invariants)
@@ -152,7 +151,7 @@ def _refine_edges(surface: SurfaceSpec, ax, ay, bx, by, da, db):
 
 
 def trace_parabolic(surface: SurfaceSpec, resolution: int = 256,
-                    tol: ToleranceSet = DEFAULT_TOL) -> PolylineSet:
+                    rel: float = REL) -> PolylineSet:
     """Marching-squares extraction of the parabolic locus Delta = 0.
 
     Edge crossings (strict sign changes between grid nodes) of the cells
@@ -163,7 +162,7 @@ def trace_parabolic(surface: SurfaceSpec, resolution: int = 256,
     """
     xs, ys, fields = _grid_fields(surface, resolution, 2)
     delta = np.asarray(fields.Delta)
-    tau_flat = tol.rel * coeff_norm(fields) ** 4
+    tau_flat = rel * coeff_norm(fields) ** 4
     flat = np.abs(delta) <= tau_flat
     nx, ny = delta.shape
 
@@ -290,7 +289,7 @@ def _link_segments(segments, crossings) -> list[Polyline]:
 
 
 def find_inflections(surface: SurfaceSpec, resolution: int = 256,
-                     tol: ToleranceSet = DEFAULT_TOL) -> list[InflectionReport]:
+                     rel: float = REL) -> list[InflectionReport]:
     """Locate and type the inflection points inside the domain.
 
     Grid nodes where both |Delta| and |kappa| fall under a coarse band seed a
@@ -393,7 +392,7 @@ def find_inflections(surface: SurfaceSpec, resolution: int = 256,
     reports = []
     for px, py, resid in unique:
         inv = local_invariants(surface, px, py)
-        label = class_labels_grid(inv, tol)
+        label = class_labels_grid(inv, rel)
         if label.rank > 1:
             continue
         hd = hessian_of_delta(surface, px, py)

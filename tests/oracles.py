@@ -17,7 +17,7 @@ replaced by an exact jet; the two must agree to the differencing error.
 with residuals no worse.  :func:`sylvester_delta` is the 4x4 Sylvester
 determinant that ``localgeom.delta_resultant`` replaced by the Bezout form.
 :func:`rank_m` is the rank of M on M divided by its largest entry, which
-``classify.unit_scaled`` replaced by the same closed form on M scaled by a
+``classify.class_labels_grid`` replaced by the same closed form on M scaled by a
 power of two; the two must agree away from the rounding of the threshold.
 :func:`polyline_reference` is the vertex-by-vertex SVG formatter that
 ``svgplot._Mapper.polyline`` replaced by a column pass, and

@@ -13,7 +13,7 @@ import pytest
 
 from monge4 import classify, conics, heightfn
 from monge4.cli import grid_rows, selfcheck_report
-from monge4.classify import ToleranceSet, asymptotic_directions, binormals
+from monge4.classify import REL, asymptotic_directions, binormals
 from monge4.localgeom import (brioschi_field, coeff_norm, delta_resultant,
                               invariant_grid, local_invariants)
 from monge4.locus import find_inflections
@@ -37,7 +37,7 @@ def test_acceptance_1_fixture_values(surfaces):
     assert abs(inv_b.Delta - 16.0) <= tol
     assert abs(inv_b.H[0]) <= tol and abs(inv_b.H[1]) <= tol
     cls_b = classify.classify_point(inv_b)
-    assert cls_b.kind == "elliptic" and cls_b.is_umbilic
+    assert cls_b.label.kind == "elliptic" and cls_b.is_umbilic
 
     inv_a = local_invariants(surfaces["A"], 0.0, 0.0)
     assert abs(inv_a.Delta - (-4.0)) <= tol
@@ -227,7 +227,7 @@ def test_acceptance_8_height_function_suite(surfaces):
 def test_acceptance_9_performance():
     trig = make_trig_surface()
     t0 = time.perf_counter()
-    rows = grid_rows(trig, 200, ToleranceSet())
+    rows = grid_rows(trig, 200, REL)
     grid_elapsed = time.perf_counter() - t0
     assert len(rows) == 200 * 200
     assert grid_elapsed <= 2.0

@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 
 from monge4 import classify, conics
 from monge4.classify import (asymptotic_directions, binormals,
-                             canonical_direction, class_label,
-                             class_labels_grid, classify_point,
-                             hessian_of_delta, unit_scaled)
+                             canonical_direction, class_labels_grid,
+                             classify_point, hessian_of_delta)
 from monge4.errors import EvaluationError, InflectionPointError
 from monge4.heightfn import degenerate_normals
 from monge4.localgeom import (invariant_grid, invariant_gradients,
@@ -30,28 +29,30 @@ def invs(surfaces):
 
 def test_fixture_classes(invs):
     b = classify_point(invs["B"])
-    assert b.kind == "elliptic" and b.is_umbilic and b.is_circle and b.is_minimal
-    assert b.rank_m == 2
+    assert b.label.kind == "elliptic" and b.is_umbilic and b.is_circle \
+        and b.is_minimal
+    assert b.label.rank == 2
 
     c = classify_point(invs["C"])
-    assert c.kind == "inflection" and c.inflection_type == "imaginary"
-    assert c.rank_m == 1 and c.K == pytest.approx(12.0)
+    assert c.label.kind == "inflection" and c.label.k_type == "imaginary"
+    assert c.label.rank == 1 and invs["C"].K == pytest.approx(12.0)
 
     g = classify_point(invs["G"])
-    assert g.kind == "hyperbolic" and g.delta == pytest.approx(-12.0)
+    assert g.label.kind == "hyperbolic" \
+        and invs["G"].Delta == pytest.approx(-12.0)
 
     d = classify_point(invs["D"])
-    assert d.kind == "parabolic" and not d.is_umbilic
+    assert d.label.kind == "parabolic" and not d.is_umbilic
 
     a = classify_point(invs["A"])
-    assert a.kind == "hyperbolic" and not a.is_circle
+    assert a.label.kind == "hyperbolic" and not a.is_circle
 
     h = classify_point(invs["H"])
-    assert h.kind == "inflection" and h.inflection_type == "real"
+    assert h.label.kind == "inflection" and h.label.k_type == "real"
 
     flat = classify_point(invs["flat"])
-    assert flat.kind == "inflection" and flat.inflection_type == "flat"
-    assert flat.rank_m == 0
+    assert flat.label.kind == "inflection" and flat.label.k_type == "flat"
+    assert flat.label.rank == 0
 
 
 def test_circle_point_flags_without_umbilic():
@@ -63,9 +64,9 @@ def test_circle_point_flags_without_umbilic():
 
 
 def test_class_labels(invs):
-    assert class_label(classify_point(invs["B"])) == "elliptic"
-    assert class_label(classify_point(invs["C"])) == "inflection_imaginary"
-    assert class_label(classify_point(invs["flat"])) == "inflection_flat"
+    assert classify_point(invs["B"]).label == "elliptic"
+    assert classify_point(invs["C"]).label == "inflection_imaginary"
+    assert classify_point(invs["flat"]).label == "inflection_flat"
 
 
 def test_classification_scale_invariant():
@@ -75,11 +76,11 @@ def test_classification_scale_invariant():
         scaled = surface_from_strings(
             f"{lam}*(1.5*x^2 + 0.5*y^2)", f"{lam}*(2*x*y)")
         inv = local_invariants(scaled, 0.0, 0.0)
-        assert classify_point(inv).kind == "hyperbolic"
+        assert classify_point(inv).label.kind == "hyperbolic"
         inflected = surface_from_strings(
             f"{lam}*(x^2 + 3*y^2)", f"{lam}*(x^3/3 + x*y^2)")
         inv = local_invariants(inflected, 0.0, 0.0)
-        assert class_label(classify_point(inv)) == "inflection_imaginary"
+        assert classify_point(inv).label == "inflection_imaginary"
 
 
 def test_asymptotic_directions_fixtures(invs):
@@ -106,12 +107,11 @@ def test_asymptotic_directions_inflection_error(invs):
 
 def test_asymptotic_count_law():
     rng = np.random.default_rng(83)
-    tol = classify.DEFAULT_TOL
     for surface in random_surfaces(seed=97, count=8):
         for x, y in random_points(rng, 10):
             inv = local_invariants(surface, float(x), float(y))
             msq = inv.coeff_norm ** 2
-            tau = tol.rel * msq * msq
+            tau = classify.REL * msq * msq
             try:
                 dirs = asymptotic_directions(inv)
             except InflectionPointError:
@@ -178,9 +178,9 @@ def test_winding_consistency():
             pts = conics.sample_indicatrix(inv, 512)
             wind = abs(winding_number(pts))
             cls = classify_point(inv)
-            if cls.kind == "elliptic":
+            if cls.label.kind == "elliptic":
                 assert wind == 1
-            elif cls.kind == "hyperbolic":
+            elif cls.label.kind == "hyperbolic":
                 assert wind == 0
             checked += 1
     assert checked > 40
@@ -262,13 +262,14 @@ def test_grid_labels_match_pointwise(surfaces):
     for i in range(5):
         for j in range(5):
             inv = local_invariants(surface, float(xs[i]), float(ys[j]))
-            assert labels[i, j] == class_label(classify_point(inv))
+            assert labels[i, j] == classify_point(inv).label
 
 
 def test_classifier_same_on_floats_0d_and_arrays(invs):
     """One point's coefficients as Python floats, as 0-d arrays and as one
     entry of an array get the same label, kind, K band and rank, on the
-    fixture points and on the random corpus; classify_point reports them."""
+    fixture points and on the random corpus; classify_point reports the same
+    interned label."""
     rng = np.random.default_rng(17)
     points = list(invs.values()) + [
         local_invariants(surface, float(x), float(y))
@@ -285,8 +286,9 @@ def test_classifier_same_on_floats_0d_and_arrays(invs):
                 **{k: form(getattr(inv, k)) for k in names}))
             assert (got, got.kind, got.k_type, got.rank) \
                 == (want, want.kind, want.k_type, want.rank)
-        c = classify_point(inv)
-        assert (class_label(c), c.kind, c.rank_m) == (want, want.kind, want.rank)
+        label = classify_point(inv).label
+        assert label is class_labels_grid(inv)
+        assert (label, label.kind, label.rank) == (want, want.kind, want.rank)
 
 
 def test_grid_labels_flat(surfaces):
@@ -315,8 +317,13 @@ def _svd_rank(m):
     return 1 if sv[1] <= RATIO * sv[0] else 2
 
 
+def _grid_labels(*entries):
+    """class_labels_grid on the entries a, b, c, e, f, g of M."""
+    return class_labels_grid(SimpleNamespace(**dict(zip("abcefg", entries))))
+
+
 def _closed_rank(m):
-    return int(unit_scaled(*m[0], *m[1]).rank)
+    return _grid_labels(*m[0], *m[1]).rank
 
 
 _exponents = st.integers(-150, 150)
@@ -368,16 +375,17 @@ def test_rank_m_zero_and_arrays():
     rng = np.random.default_rng(5)
     ms = rng.uniform(-1, 1, (50, 2, 3))
     ms[::3, 1] = 2.0 * ms[::3, 0]
-    ranks = unit_scaled(*(ms[:, r, k] for r in range(2) for k in range(3))).rank
-    assert ranks.tolist() == [_closed_rank(m) for m in ms]
-    assert ranks.tolist() == [_svd_rank(m) for m in ms]
+    ranks = [label.rank for label in _grid_labels(
+        *(ms[:, r, k] for r in range(2) for k in range(3)))]
+    assert ranks == [_closed_rank(m) for m in ms]
+    assert ranks == [_svd_rank(m) for m in ms]
 
 
 @given(_seeds, _exponents,
        st.sampled_from([0.0, 0.5, 0.9, 0.99, 1.01, 1.1, 2.0]))
 @settings(max_examples=300)
 def test_rank_on_scaled_m_matches_rank_on_divided_m(seed, exponent, factor):
-    """The rank of unit_scaled, on M times a power of two, is the one of M
+    """The rank of class_labels_grid, on M times a power of two, is the one of M
     divided by its largest entry (the replaced rank_m), at s2 / s1 =
     factor * RANK_RATIO, on either side of the threshold, over 300 decades
     except at s1 = 1e-14, on the zero threshold itself."""
@@ -390,8 +398,9 @@ def test_rank_on_scaled_m_matches_rank_on_divided_m(seed, exponent, factor):
               + factor * RATIO * np.outer(u[:, 1], v[:, 1]))
     entries = m.ravel().tolist()
     want = int(rank_m(*entries, RATIO))
-    assert int(unit_scaled(*entries).rank) == want
-    assert unit_scaled(*(np.array([x]) for x in entries)).rank.tolist() == [want]
+    assert _grid_labels(*entries).rank == want
+    assert [label.rank for label in _grid_labels(
+        *(np.array([x]) for x in entries))] == [want]
 
 
 # -- classification independent of scale ------------------------------------------
@@ -417,7 +426,7 @@ def test_classification_scale_free_on_surface(exponent):
         with pytest.raises(EvaluationError):
             invariant_grid(surface, np.array([0.5]), np.array([0.1]))
         return
-    assert class_label(classify_point(inv)) == "hyperbolic"
+    assert classify_point(inv).label == "hyperbolic"
     assert len(asymptotic_directions(inv)) == 2
     assert len(degenerate_normals(inv)) == 2
     fields = invariant_grid(surface, np.array([0.5]), np.array([0.1]))
@@ -436,7 +445,7 @@ def test_classification_scale_free_coefficients(exponent):
         e=s * inv.e, f=s * inv.f, g=s * inv.g,
         K=s * s * inv.K, kappa=s * s * inv.kappa,
         Delta=s * s * s * s * inv.Delta, H=s * inv.H)
-    assert class_label(classify_point(scaled)) == "hyperbolic"
+    assert classify_point(scaled).label == "hyperbolic"
     fields = SimpleNamespace(**{k: np.array([getattr(scaled, k)])
                                 for k in ("a", "b", "c", "e", "f", "g",
                                           "K", "kappa", "Delta")})

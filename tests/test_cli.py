@@ -583,6 +583,54 @@ def test_golden_outputs(tmp_path, command):
     assert digest == GOLDEN_SHA256[command]
 
 
+# -- --tol ----------------------------------------------------------------------
+
+def _grid_classes(tmp_path, surf, *tol):
+    out_path = tmp_path / "tol.csv"
+    code, _, err = run_cli(["grid", "--surface", surf, "--res", "16",
+                            "--out", str(out_path), *tol])
+    assert code == 0, err
+    return [line.rsplit(",", 1)[1]
+            for line in out_path.read_text().splitlines()[1:]]
+
+
+def test_tol_moves_the_bands(tmp_path):
+    """On the golden surface, which is hyperbolic on the whole 16 x 16 grid,
+    --tol 0.1 takes the point (0.25, -0.2) into the parabolic band: one
+    asymptotic direction instead of two, and grid labels move too."""
+    surf = write(tmp_path, "g.surf", GOLDEN_TEXT)
+    for tol, kind, count in (([], "hyperbolic", "2"),
+                             (["--tol", "0.1"], "parabolic", "1")):
+        code, out, _ = run_cli(["analyze", "--surface", surf,
+                                "--at=0.25,-0.2", *tol])
+        rec = record_dict(out)
+        assert (code, rec["class"], rec["asymptotic_count"]) == (0, kind, count)
+    default = _grid_classes(tmp_path, surf)
+    assert set(default) == {"hyperbolic"}
+    assert _grid_classes(tmp_path, surf, "--tol", "0.1") != default
+    assert _grid_classes(tmp_path, surf, "--tol", "0") == default
+    for command in ("trace", "inflections"):
+        args = [command, "--surface", surf, "--res", "16", "--tol", "0.1"]
+        if command == "trace":
+            args += ["--out", str(tmp_path / "t.csv")]
+        assert run_cli(args)[0] == 0
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_exit_usage_tol_not_finite_or_negative(tmp_path, tol):
+    """A --tol that is nan, negative or infinite would relabel every point
+    (all parabolic, all elliptic, or every direction asymptotic): exit 2 with
+    one line, before anything is written."""
+    surf = write(tmp_path, "g.surf", GOLDEN_TEXT)
+    out_path = tmp_path / "g.csv"
+    for args in (["analyze", "--at=0.25,-0.2"],
+                 ["grid", "--res", "16", "--out", str(out_path)]):
+        code, out, err = run_cli(args + ["--surface", surf, "--tol", tol])
+        assert (code, out) == (2, "")
+        assert err.startswith("monge4: --tol") and err.count("\n") == 1, err
+    assert not out_path.exists()
+
+
 # sha256 of the plot SVG at one point of a polynomial surface each, recorded
 # before the evolvent sweep was batched: an elliptic point (both conics
 # closed), a hyperbolic one (a clipped sample, two characteristic branches),

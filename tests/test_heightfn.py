@@ -88,7 +88,7 @@ def test_degenerate_normals_identically_zero():
 
 def test_degenerate_normal_count_matches_delta_sign():
     rng = np.random.default_rng(113)
-    tol = classify.DEFAULT_TOL
+    tol = classify.REL
     checked = 0
     for surface in random_surfaces(seed=109, count=8):
         for x, y in random_points(rng, 8):

@@ -86,9 +86,8 @@ def test_trace_vertices_are_parabolic():
                 inv = local_invariants(surface, float(x), float(y))
                 msq = inv.coeff_norm ** 2
                 assert resid <= 1e-9 * msq * msq
-                cls = classify.classify_point(
-                    inv, classify.ToleranceSet(rel=1e-8))
-                assert cls.kind in ("parabolic", "inflection")
+                cls = classify.classify_point(inv, classify.REL)
+                assert cls.label.kind in ("parabolic", "inflection")
 
 
 def test_trace_vertex_residual_invariant():
@@ -144,7 +143,7 @@ def test_find_inflections_flat(scale):
     assert (reports[0].x, reports[0].y) == pytest.approx((0.0, 0.0), abs=1e-6)
     cls = classify.classify_point(
         local_invariants(surface, reports[0].x, reports[0].y))
-    assert cls.inflection_type == "flat"
+    assert cls.label.k_type == "flat"
 
 
 def test_find_inflections_empty_cases():

@@ -53,7 +53,7 @@ def test_compare_outputs_tree_with_itself():
         capture_output=True, text=True, check=False)
     assert r.returncode == 0, r.stdout + r.stderr
     lines = r.stdout.splitlines()
-    assert len(lines) == 9 * 8
+    assert len(lines) == 9 * 10
     assert all(line.endswith(": same") for line in lines), r.stdout
 
 
