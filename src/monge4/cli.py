@@ -30,8 +30,8 @@ import numpy as np
 
 from . import classify as cls
 from . import conics, locus
-from .errors import (CrossCheckError, DegenerateMetricError, EvaluationError,
-                     InflectionPointError, Monge4Error, SurfaceFileError)
+from .errors import (CrossCheckError, EvaluationError, InflectionPointError,
+                     Monge4Error, SurfaceFileError)
 from .localgeom import (CROSS_CHECKS, SurfaceSpec, check_invariants,
                         coeff_norm, invariant_grid, local_invariants)
 from .surfacefile import parse_surface_file
@@ -276,11 +276,12 @@ def selfcheck_report(surface: SurfaceSpec, res: int):
     the largest deviation minus its bound.
     """
     xs, ys = _grid_axes(surface, res)
-    fields = invariant_grid(surface, xs[:, None], ys[None, :], order=3)
+    where = (xs[:, None], ys[None, :])
+    fields = invariant_grid(surface, *where, order=3)
     msq = coeff_norm(fields) ** 2
     checks = []
     for check in CROSS_CHECKS:
-        deviation, scale = check.margins(fields, msq)
+        deviation, scale = check.margins(fields, msq, where)
         bound = check.rel * scale
         checks.append((check.name, bool(np.all(deviation <= bound)),
                        float(np.max(deviation - bound))))
@@ -389,7 +390,7 @@ def run(argv, out=None, err=None) -> int:
     except ValueError as exc:
         err.write(f"monge4: {exc}\n")
         return EXIT_USAGE
-    except (EvaluationError, DegenerateMetricError, CrossCheckError) as exc:
+    except (EvaluationError, CrossCheckError) as exc:
         err.write(f"monge4: numerical failure: {exc}\n")
         return EXIT_NUMERICAL
     except Monge4Error as exc:

@@ -36,15 +36,6 @@ class EvaluationError(Monge4Error):
         super().__init__(message)
 
 
-class DegenerateMetricError(Monge4Error):
-    """First fundamental form is numerically degenerate (W below threshold)."""
-
-    def __init__(self, point, w):
-        self.point = point
-        self.w = w
-        super().__init__(f"degenerate metric W={w!r} at point {point!r}")
-
-
 class CrossCheckError(Monge4Error):
     """Redundant formula paths disagreed beyond tolerance."""
 

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import expr as ex
-from .errors import CrossCheckError, DegenerateMetricError, EvaluationError
+from .errors import CrossCheckError, EvaluationError
 from .jets import Jet, eval_jet, sqrt
 
 __all__ = [
@@ -34,10 +34,6 @@ __all__ = [
     "frame_fields", "second_order", "invariant_grid", "check_invariants",
     "invariant_gradients", "invariant_jets", "coeff_norm",
 ]
-
-# W >= 1 holds identically for graph parametrisations, so anything at or
-# below this threshold is numerical breakdown rather than geometry.
-EPS_METRIC = 1e-12
 
 # relative agreement required between redundant formula paths
 REL_K = 1e-9
@@ -127,7 +123,15 @@ def coeff_norm(fields) -> object:
                    + fields.e ** 2 + fields.f ** 2 + fields.g ** 2)
 
 
-def frame_fields(phi_d, psi_d, where=None):
+def _metric_det(px, py, qx, qy):
+    """W = EG - F^2 of the graph metric by the Lagrange identity,
+    1 + px^2 + py^2 + qx^2 + qy^2 + (px qy - py qx)^2: a sum of squares, so
+    nothing large cancels and W >= 1 holds in floating point."""
+    J = px * qy - py * qx
+    return 1.0 + px * px + py * py + qx * qx + qy * qy + J * J
+
+
+def frame_fields(phi_d, psi_d):
     """Derived fields from first/second derivatives of phi and psi.
 
     ``phi_d``/``psi_d`` are (fx, fy, fxx, fxy, fyy) tuples whose entries may
@@ -135,9 +139,8 @@ def frame_fields(phi_d, psi_d, where=None):
     the formulas are generic in the arithmetic, and on jets each field comes
     back as its jet.  Returns a namespace with the metric, the hat metric,
     the closed-form routes to K and kappa, and the fields of
-    :func:`second_order` of the coefficients a..g.  A metric with
-    W <= EPS_METRIC is a :class:`DegenerateMetricError` at the first such
-    point of ``where`` = (x, y), when given.
+    :func:`second_order` of the coefficients a..g, which are built from
+    the normalised factors F/E, Fh/Eh, E/W <= 1 and sqrt(Eh/W) <= 1.
     """
     px, py, pxx, pxy, pyy = phi_d
     qx, qy, qxx, qxy, qyy = psi_d
@@ -145,39 +148,38 @@ def frame_fields(phi_d, psi_d, where=None):
     E = px * px + qx * qx + 1.0
     F = px * py + qx * qy
     G = py * py + qy * qy + 1.0
-    W = E * G - F * F
+    W = _metric_det(px, py, qx, qy)
     Eh = px * px + py * py + 1.0
     Fh = px * qx + py * qy
     Gh = qx * qx + qy * qy + 1.0
 
-    # tested before W divides: Python floats raise on a zero or negative W
-    wval = W.f if isinstance(W, Jet) else W
-    if np.any(wval <= EPS_METRIC):
-        point, w = _first_bad(wval <= EPS_METRIC, *(where or (0.0, 0.0)), wval)
-        raise DegenerateMetricError(point if where else None, w)
-
     sEh = sqrt(Eh)
     sW = sqrt(W)
+    t = F / E
+    e_w = E / W
 
-    a = pxx / (E * sEh)
-    b = (E * pxy - F * pxx) / (E * sW * sEh)
-    c = (E * E * pyy - 2.0 * E * F * pxy + F * F * pxx) / (E * W * sEh)
-    P = Eh * qxx - Fh * pxx
-    Q = Eh * qxy - Fh * pxy
-    R = Eh * qyy - Fh * pyy
-    e = P / (E * sEh * sW)
-    f = (E * Q - F * P) / (E * W * sEh)
-    g = (E * E * R - 2.0 * E * F * Q + F * F * P) / (E * W * sW * sEh)
+    def tangent(h11, h12, h22):
+        # a normal component of the second fundamental form on the
+        # orthonormal tangent frame T1/sqrt(E), (E T2 - F T1)/sqrt(E W)
+        return h11 / E, (h12 - t * h11) / sW, \
+            (h22 - t * (2.0 * h12 - t * h11)) * e_w
+
+    # e3 = N1/sqrt(Eh); e4 = (Eh N2 - Fh N1)/sqrt(Eh W), by Gram-Schmidt
+    a, b, c = tangent(pxx / sEh, pxy / sEh, pyy / sEh)
+    r = Fh / Eh
+    s = sEh / sW
+    e, f, g = tangent((qxx - r * pxx) * s, (qxy - r * pxy) * s,
+                      (qyy - r * pyy) * s)
 
     H_phi = pxx * pyy - pxy * pxy
     H_psi = qxx * qyy - qxy * qxy
     Qmix = pxx * qyy + pyy * qxx - 2.0 * pxy * qxy
-    K_closed = (Eh * H_psi - Fh * Qmix + Gh * H_phi) / (W * W)
+    K_closed = (Eh * H_psi - Fh * Qmix + Gh * H_phi) / W / W
 
     L = pxy * qyy - pyy * qxy
     M = pxx * qyy - pyy * qxx
     N = pxx * qxy - pxy * qxx
-    kappa_closed = (E * L - F * M + G * N) / (W * W)
+    kappa_closed = (E * L - F * M + G * N) / W / W
 
     return SimpleNamespace(E=E, F=F, G=G, W=W, Eh=Eh, Fh=Fh, Gh=Gh,
                            K_closed=K_closed, kappa_closed=kappa_closed,
@@ -198,12 +200,12 @@ def second_order(a, b, c, e, f, g):
         nq0=a * f - b * e, nq1=a * g - c * e, nq2=b * g - c * f)
 
 
-def _first_bad(bad, x, y, value=0.0):
-    """The first of the points (x, y), in row-major order, where ``bad``
-    holds, and ``value`` there."""
-    bad, x, y, value = np.broadcast_arrays(bad, x, y, value)
+def _first_bad(bad, *values):
+    """The entries of ``values``, as floats, at the first index in
+    row-major order where ``bad`` holds (all broadcast together)."""
+    bad, *values = np.broadcast_arrays(bad, *values)
     idx = int(np.argmax(bad.ravel()))
-    return (float(x.ravel()[idx]), float(y.ravel()[idx])), float(value.ravel()[idx])
+    return tuple(float(v.ravel()[idx]) for v in values)
 
 
 def _derivatives(jet: Jet, order: int = 0):
@@ -247,9 +249,22 @@ class CrossCheck(NamedTuple):
     routes: Callable
     one_sided: bool = False
 
-    def margins(self, fields, msq):
+    def finite_routes(self, fields, msq, where=None):
+        """``routes``; a route that overflows is an :class:`EvaluationError`
+        at the first such point of ``where`` = (x, y), when given."""
+        try:
+            with np.errstate(all="ignore"):
+                u, v, scale = self.routes(fields, msq)
+                finite = np.isfinite(u - v)
+        except OverflowError:  # Python floats raise where arrays give inf
+            finite = np.False_
+        if not finite.all():
+            raise EvaluationError(_OVERFLOW, where and _first_bad(~finite, *where))
+        return u, v, scale
+
+    def margins(self, fields, msq, where=None):
         """(deviation, scale): the check holds where deviation <= rel * scale."""
-        u, v, scale = self.routes(fields, msq)
+        u, v, scale = self.finite_routes(fields, msq, where)
         return (u - v if self.one_sided else np.abs(u - v)), scale
 
 
@@ -284,56 +299,45 @@ def _check_pair(name, u, v, rel, scale, where=None):
     """Require |u - v| <= rel * scale (elementwise)."""
     bad = np.abs(u - v) > rel * scale
     if np.any(bad):
-        idx = int(np.argmax(np.asarray(bad).ravel()))
-        du = float(np.asarray(u).ravel()[idx])
-        dv = float(np.asarray(v).ravel()[idx])
+        du, dv, *point = _first_bad(bad, u, v, *(where or ()))
         msg = f"{name} cross-check failed: {du!r} vs {dv!r}"
-        if where is not None:
-            px, py = (float(w.ravel()[idx]) for w in where)
-            msg += f" at point ({px!r}, {py!r})"
+        if point:
+            msg += " at point ({!r}, {!r})".format(*point)
         raise CrossCheckError(msg)
 
 
 def check_invariants(fields, where=None):
     """The live checks of :data:`CROSS_CHECKS` on the namespace of
     :func:`invariant_grid` or :func:`frame_fields`: a disagreement between
-    redundant formula routes is a :class:`CrossCheckError`, which names the
-    first failing point of ``where`` = (x, y), when given (any shapes that
-    broadcast to the fields')."""
-    if where is not None:
-        where = np.broadcast_arrays(*where)
+    redundant formula routes is a :class:`CrossCheckError` (an overflowing
+    route an :class:`EvaluationError`), which names the first failing point
+    of ``where`` = (x, y), when given (any shapes that broadcast)."""
     msq = coeff_norm(fields) ** 2
     for check in CROSS_CHECKS:
         if check.live:
-            u, v, scale = check.routes(fields, msq)
+            u, v, scale = check.finite_routes(fields, msq, where)
             _check_pair(check.tag, u, v, check.rel, scale, where)
 
 
 def _finite_frame_fields(jphi: Jet, jpsi: Jet, x, y):
     """:func:`frame_fields` of two jets at the points (x, y), refusing
     overflow: raises :class:`EvaluationError` at the first point where a
-    coefficient, K, kappa, Delta, a frame denominator or ||M||^4 is not
-    finite."""
+    coefficient, K, kappa, Delta, W or ||M||^4 is not finite."""
     try:
         with np.errstate(all="ignore"):
-            fl = frame_fields(_derivatives(jphi), _derivatives(jpsi),
-                              where=(x, y))
+            fl = frame_fields(_derivatives(jphi), _derivatives(jpsi))
     except OverflowError:  # Python floats raise where arrays give inf
         raise EvaluationError(_OVERFLOW, (float(x), float(y))) from None
-    bad = ~np.isfinite(fl.Delta)
-    for name in ("a", "b", "c", "e", "f", "g", "K", "kappa"):
-        bad = bad | ~np.isfinite(getattr(fl, name))
-    # a denominator that overflows sends its coefficient to 0, not to inf;
-    # these two bound every denominator of frame_fields.  ||M||^4 scales the
-    # Delta bands of the cross-checks and of the classifier.
+    # an infinite W, which bounds E, G, Eh and Gh, sends the coefficients to
+    # 0, not to inf.  A finite ||M||^4, which scales the Delta bands of the
+    # cross-checks and of the classifier, bounds a..g, K and kappa.
     with np.errstate(over="ignore"):
         msq = fl.a * fl.a + fl.b * fl.b + fl.c * fl.c \
             + fl.e * fl.e + fl.f * fl.f + fl.g * fl.g
-        bad = bad | ~np.isfinite(fl.W * fl.W) \
-            | ~np.isfinite(fl.E * fl.W * np.sqrt(fl.W) * np.sqrt(fl.Eh)) \
-            | ~np.isfinite(msq * msq)
+        bad = ~np.isfinite(fl.W) | ~np.isfinite(msq * msq) \
+            | ~np.isfinite(fl.Delta)
     if np.any(bad):
-        raise EvaluationError(_OVERFLOW, _first_bad(bad, x, y)[0])
+        raise EvaluationError(_OVERFLOW, _first_bad(bad, x, y))
     return fl
 
 
@@ -347,7 +351,7 @@ def local_invariants(surface: SurfaceSpec, x: float, y: float) -> LocalInvariant
     jphi = eval_jet(surface.phi, x, y, 3)
     jpsi = eval_jet(surface.psi, x, y, 3)
     fl = _finite_frame_fields(jphi, jpsi, x, y)
-    check_invariants(fl)
+    check_invariants(fl, (x, y))
     return LocalInvariants(
         x=float(x), y=float(y),
         E=fl.E, F=fl.F, G=fl.G, W=fl.W,
@@ -390,9 +394,9 @@ def _det3(m11, m12, m13, m21, m22, m23, m31, m32, m33):
             + m13 * (m21 * m32 - m22 * m31))
 
 
-def metric_derivatives(jphi: Jet, jpsi: Jet) -> SimpleNamespace:
-    """E, F, G with the first derivatives and the three second derivatives
-    (Eyy, Fxy, Gxx) needed by the Brioschi determinant; exact from the jets."""
+def brioschi_field(jphi: Jet, jpsi: Jet):
+    """Intrinsic Gauss curvature from the metric alone (Brioschi determinant):
+    E, F, G, their first derivatives and Eyy, Fxy, Gxx, exact from the jets."""
     p, q = jphi, jpsi
     E = 1.0 + p.fx ** 2 + q.fx ** 2
     F = p.fx * p.fy + q.fx * q.fy
@@ -407,35 +411,20 @@ def metric_derivatives(jphi: Jet, jpsi: Jet) -> SimpleNamespace:
     Gxx = 2.0 * (p.fxy ** 2 + p.fy * p.fxxy + q.fxy ** 2 + q.fy * q.fxxy)
     Fxy = (p.fxxy * p.fy + p.fxx * p.fyy + p.fxy ** 2 + p.fx * p.fxyy
            + q.fxxy * q.fy + q.fxx * q.fyy + q.fxy ** 2 + q.fx * q.fxyy)
-    return SimpleNamespace(E=E, F=F, G=G, Ex=Ex, Ey=Ey, Fx=Fx, Fy=Fy,
-                           Gx=Gx, Gy=Gy, Eyy=Eyy, Fxy=Fxy, Gxx=Gxx)
-
-
-def brioschi_field(jphi: Jet, jpsi: Jet):
-    """Intrinsic Gauss curvature from the metric alone (Brioschi determinant)."""
-    m = metric_derivatives(jphi, jpsi)
-    W = m.E * m.G - m.F ** 2
-    det_a = _det3(
-        -0.5 * m.Eyy + m.Fxy - 0.5 * m.Gxx, 0.5 * m.Ex, m.Fx - 0.5 * m.Ey,
-        m.Fy - 0.5 * m.Gx, m.E, m.F,
-        0.5 * m.Gy, m.F, m.G,
-    )
-    det_b = _det3(
-        0.0, 0.5 * m.Ey, 0.5 * m.Gx,
-        0.5 * m.Ey, m.E, m.F,
-        0.5 * m.Gx, m.F, m.G,
-    )
-    return (det_a - det_b) / W ** 2
+    det_a = _det3(-0.5 * Eyy + Fxy - 0.5 * Gxx, 0.5 * Ex, Fx - 0.5 * Ey,
+                  Fy - 0.5 * Gx, E, F,
+                  0.5 * Gy, F, G)
+    det_b = _det3(0.0, 0.5 * Ey, 0.5 * Gx,
+                  0.5 * Ey, E, F,
+                  0.5 * Gx, F, G)
+    W = _metric_det(p.fx, p.fy, q.fx, q.fy)
+    return (det_a - det_b) / W / W
 
 
 def brioschi_curvature(surface: SurfaceSpec, x: float, y: float) -> float:
     """Intrinsic Gauss curvature at (x, y) from the induced metric only."""
     jphi = eval_jet(surface.phi, float(x), float(y), 3)
     jpsi = eval_jet(surface.psi, float(x), float(y), 3)
-    m = metric_derivatives(jphi, jpsi)
-    w = m.E * m.G - m.F ** 2
-    if w <= EPS_METRIC:
-        raise DegenerateMetricError((x, y), w)
     return float(brioschi_field(jphi, jpsi))
 
 
@@ -460,8 +449,7 @@ def invariant_jets(surface: SurfaceSpec, x: float, y: float,
     x, y = float(x), float(y)
     jphi = eval_jet(surface.phi, x, y, order + 2)
     jpsi = eval_jet(surface.psi, x, y, order + 2)
-    return frame_fields(_derivatives(jphi, order), _derivatives(jpsi, order),
-                        where=(x, y))
+    return frame_fields(_derivatives(jphi, order), _derivatives(jpsi, order))
 
 
 def invariant_gradients(surface: SurfaceSpec, x: float, y: float) -> SimpleNamespace:

@@ -23,10 +23,15 @@ power of two; the two must agree away from the rounding of the threshold.
 ``svgplot._Mapper.polyline`` replaced by a column pass, and
 :func:`split_sweep_reference` the list-based splitting of the sweep into
 polylines that ``conics.sample_characteristic`` replaced by index arrays;
-the package must reproduce both exactly.
+the package must reproduce both exactly.  :func:`frame_oracle` takes the
+package's own float derivatives and evaluates the textbook frame formulas
+on them in 800-digit ``decimal``, so that it measures the rounding of
+``localgeom.frame_fields`` alone.
 """
 
 from __future__ import annotations
+
+import decimal
 
 import numpy as np
 
@@ -389,3 +394,42 @@ def rank_m(a, b, c, e, f, g, rank_ratio):
     # s2^2 = det / s1^2, so s2 <= r s1  <=>  det <= r^2 s1^4
     return np.where(big * np.sqrt(s1_sq) <= 1e-14, 0,
                     np.where(det <= rank_ratio ** 2 * s1_sq * s1_sq, 1, 2))
+
+
+def frame_oracle(phi_d, psi_d, digits=800):
+    """a..g, W, K, kappa and Delta of :func:`monge4.localgeom.frame_fields`
+    from the same float derivatives (fx, fy, fxx, fxy, fyy) of phi and psi,
+    in ``decimal`` at ``digits`` significant digits, rounded to floats.
+
+    The formulas are the textbook ones the package avoids: W = E G - F^2,
+    and each coefficient a quotient of products of the metric.  At
+    |gradient| = 1e70, E G is about 1e280 and W as small as 1, so 300
+    digits resolve W; the default leaves room for the degree-9 products.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        px, py, pxx, pxy, pyy = (decimal.Decimal(float(v)) for v in phi_d)
+        qx, qy, qxx, qxy, qyy = (decimal.Decimal(float(v)) for v in psi_d)
+        E = 1 + px * px + qx * qx
+        F = px * py + qx * qy
+        G = 1 + py * py + qy * qy
+        W = E * G - F * F
+        Eh = 1 + px * px + py * py
+        Fh = px * qx + py * qy
+        sW, sEh = W.sqrt(), Eh.sqrt()
+        P = Eh * qxx - Fh * pxx
+        Q = Eh * qxy - Fh * pxy
+        R = Eh * qyy - Fh * pyy
+        a = pxx / (E * sEh)
+        b = (E * pxy - F * pxx) / (E * sW * sEh)
+        c = (E * E * pyy - 2 * E * F * pxy + F * F * pxx) / (E * W * sEh)
+        e = P / (E * sEh * sW)
+        f = (E * Q - F * P) / (E * W * sEh)
+        g = (E * E * R - 2 * E * F * Q + F * F * P) / (E * W * sW * sEh)
+        values = dict(
+            a=a, b=b, c=c, e=e, f=f, g=g, W=W,
+            K=(a * c - b * b) + (e * g - f * f),
+            kappa=(a - c) * f - (e - g) * b,
+            Delta=(a * c - b * b) * (e * g - f * f)
+            - (a * g + c * e - 2 * b * f) ** 2 / 4)
+        return {key: float(v) for key, v in values.items()}

@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import math
 import os
 import subprocess
 import sys
@@ -13,7 +14,10 @@ from hypothesis import strategies as st
 
 from monge4 import cli, locus
 from monge4.errors import SurfaceFileError
+from monge4.jets import eval_jet
 from monge4.surfacefile import parse_surface_text
+
+from oracles import frame_oracle
 
 B_TEXT = "phi = x^2 - y^2\npsi = 2*x*y\ndomain = -1 1 -1 1\n"
 
@@ -354,17 +358,60 @@ def test_exit_numerical_failure_names_first_grid_point(tmp_path, command, phi,
     assert err == f"monge4: numerical failure: {message}\n"
 
 
-@pytest.mark.parametrize("command", ["grid", "selfcheck", "trace", "inflections"])
-def test_exit_degenerate_metric_names_first_grid_point(tmp_path, command):
-    """W = E*G - F^2 cancels to 0.0 here (E, G ~ 4e140); a grid command
-    names the first such grid point, as analyze names its own."""
-    surf = write(tmp_path, "w.surf", "phi = 1e70*(x^2+y^2)\n"
-                 "psi = 1e-300*y^2\ndomain = -1 1 -1 1\n")
-    args = [command, "--surface", surf, "--res", "16"]
-    if command in ("grid", "trace"):
-        args += ["--out", str(tmp_path / "x.csv")]
-    assert run_cli(args) == (4, "", "monge4: numerical failure: degenerate "
-                             "metric W=0.0 at point (-1.0, -1.0)\n")
+# surfaces the metric used to break: steep (E*G - F^2 off by 1.2e-10, so
+# the Gram check failed), E*G - F^2 cancelling to 0.0 (E, G ~ 4e140), and
+# denominators of degree 9 (E*W*sqrt(W)*sqrt(Eh)) overflowing at a..g ~ 1e-70
+STEEP_SURFACES = {
+    "steep": ("1000*(x + 2*y) + x^2", "x*y + y^2"),
+    "cancelling": ("1e70*(x^2+y^2)", "1e-300*y^2"),
+    "overflowing": ("1e35*x^2", "1e35*y^2"),
+}
+
+
+def _steep_text(name):
+    return "phi = {}\npsi = {}\ndomain = -1 1 -1 1\n".format(
+        *STEEP_SURFACES[name])
+
+
+@pytest.mark.parametrize("name", sorted(STEEP_SURFACES))
+def test_steep_surfaces_evaluate(tmp_path, name):
+    """grid, trace and inflections exit 0, and analyze prints a..g within
+    4 eps ||M|| and W within 3 eps of frame_oracle; selfcheck passes except
+    on the cancelling surface (below)."""
+    text = _steep_text(name)
+    surf = write(tmp_path, "steep.surf", text)
+    for command in ("grid", "trace", "inflections", "selfcheck"):
+        if command == "selfcheck" and name == "cancelling":
+            continue
+        args = [command, "--surface", surf, "--res", "16"]
+        if command in ("grid", "trace"):
+            args += ["--out", str(tmp_path / "x.csv")]
+        code, _, err = run_cli(args)
+        assert (code, err) == (0, ""), command
+    spec = parse_surface_text(text)
+    eps = np.finfo(float).eps
+    for x, y in ((0.3, 0.2), (0.5, 0.1), (-0.7, 0.9), (-1.0, -1.0)):
+        code, out, err = run_cli(["analyze", "--surface", surf,
+                                  f"--at={x!r},{y!r}"])
+        assert (code, err) == (0, "")
+        rec = record_dict(out)
+        orc = frame_oracle(eval_jet(spec.phi, x, y, 2).coeffs[1:6],
+                           eval_jet(spec.psi, x, y, 2).coeffs[1:6])
+        norm = math.hypot(*(orc[k] for k in "abcefg"))
+        for key in "abcefg":
+            assert abs(float(rec[key]) - orc[key]) <= 4 * eps * norm, key
+        assert abs(float(rec["W"]) - orc["W"]) <= 3 * eps * orc["W"]
+
+
+def test_selfcheck_route_overflow_names_first_grid_point(tmp_path):
+    """On the same surface the Brioschi determinant, a product of metric
+    entries of about 4e140, overflows from the third grid point on:
+    selfcheck ends in exit 4 with one line naming that point, not in a FAIL
+    with margin nan."""
+    surf = write(tmp_path, "w.surf", _steep_text("cancelling"))
+    assert run_cli(["selfcheck", "--surface", surf, "--res", "16"]) == (
+        4, "", "monge4: numerical failure: non-finite invariants (overflow) "
+        "at point (-1.0, -0.7333333333333334)\n")
 
 
 OVERFLOW_TEXT = "phi = 1e80*x^2\npsi = 1e80*y^2\ndomain = -1 1 -1 1\n"
@@ -564,10 +611,12 @@ def test_byte_identical_outputs(tmp_path):
 # sha256 of the outputs for GOLDEN_TEXT at --res 32.  The surface is
 # polynomial, so the bytes depend on neither libm nor LAPACK; a change that
 # alters any digit of the grid or the trace shows here.
+# The grid digest was re-recorded when W came from the Lagrange identity:
+# K, kappa and Delta moved by at most 4 eps |M|^2 and 1 eps |M|^4.
 GOLDEN_TEXT = ("phi = 1.5*x^2 + 0.5*y^2\npsi = 2*x*y + 0.3*y^3\n"
                "domain = -1 1 -1 1\n")
 GOLDEN_SHA256 = {
-    "grid": "c7729615c18177e5b7475b480097dd28f04e6436ee4213bae870cb4bb90e9be3",
+    "grid": "2c2081f9225503212645ba2ae573f1975d74b464ca66436c94ea3806c5623fc9",
     "trace": "d7719485d10b9cbddda19edb94d00d6e1f9ed2c806ff8c28a0a57113284eaba9",
 }
 
@@ -677,21 +726,29 @@ def test_plot_golden_outputs(tmp_path, name):
 # gradients.  The trace digests were re-recorded when Illinois iteration
 # replaced the edge bisection, after checking that the vertex ids stay the
 # same, no vertex moves by more than 1.4e-14 and the largest residual drops.
+# All but the parabolic_loop inflections digest were re-recorded when W came
+# from the Lagrange identity and a..g from normalised factors: parabolic_loop
+# and saddle keep their ids and move by at most 5.5e-15; the inflection
+# reports move by at most 5.2e-26.  On inflection_real Delta changes sign
+# across x = +-y, which pass through grid nodes, so the sign of Delta's
+# rounding noise at those nodes splits the locus: 16 polylines of 222
+# vertices instead of 5 of 246, every vertex of both within 2.8e-16 of
+# |x| = |y|, and the largest residual 2.9e-16 instead of 3.1e-16.
 LOCUS_GOLDEN = {
     "parabolic_loop": (
         "phi = x^2 - y^2 - x^4 - 2*x^2*y^2 - y^4\npsi = 2*x*y\n"
         "domain = -1 1 -1 1\n",
-        "458e48cdcc6f288e9d70892e14963a4f80cba30df368870e34a94bcb1bbaff4d",
+        "e9714165291caa31c56c8276edf7b69211df88f01914444604c49d6e5729cc33",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "inflection_real": (
         "phi = x^2 - y^2\npsi = x^3/3 + x*y^2\ndomain = -0.5 0.5 -0.5 0.5\n",
-        "d9a0c9484de32622c911e583233ee6c52d3211b65b3b39b420c7951a0ac9c116",
-        "6ffbb674d0cdd6161dff1a908702313ad481fca8e3af4ca1cc75cd2de58cdb21"),
+        "94875a52ef08913c6988cc61122ddf1930b7045330c8db6d4cd81adfe9a638ec",
+        "d836e9cd4e220368af3b5407b8d65f2eb3d887f1c8054b02d1a20caf82ad47e7"),
     "saddle": (
         "phi = x^2 - y^2\npsi = x^3/3 + x*y^2 + 0.2*y^3\n"
         "domain = -0.5 0.5 -0.5 0.5\n",
-        "3866e4e066b5ebb222706c96be1a84690bc3e26c9e6bf436c986e832f1480129",
-        "4e69729f6eab83664aeff9f3f6e4e994d733951e8e0590a5b0486aec80a99641"),
+        "9270a973729cd86ff198d34a85ecbe13dbb3890b17d97e3d5686b1118594967f",
+        "531de415be8b32d884ccf7117a805761d52681ba803ff47df6ed0fff0d8db151"),
 }
 
 
@@ -793,6 +850,8 @@ _DOMAINS = st.sampled_from(["-1 1 -1 1", "0 1 -1 0", "-1e-8 1e-8 -1e-8 1e-8",
 @example("1e76*x^2", "1e-300*y^2", _TINY, 0.5, 0.5)
 # a subnormal coordinate: LU pivots underflow in numpy's det (warning)
 @example("x", "(x * y)", "0 1 -1 0", 1.1125369292536007e-308, 0.0)
+# W and a..g finite, the Gram check's Eh*Gh infinite (a RuntimeWarning)
+@example("(x)^-1", "x*(1e76)^2", "-1 1 -1 1", 0.5, 0.5)
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_hostile_surfaces_exit_cleanly(tmp_path, phi, psi, domain, u, v):

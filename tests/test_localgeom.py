@@ -5,18 +5,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monge4 import expr as ex
 from monge4 import localgeom
-from monge4.errors import CrossCheckError
+from monge4.errors import CrossCheckError, EvaluationError
 from monge4.localgeom import (brioschi_curvature, brioschi_field, coeff_norm,
                               delta_resultant, invariant_grid,
                               invariant_gradients, local_invariants,
                               surface_from_strings)
 
-from conftest import (AXIS_XS, AXIS_YS, fixture_callables, grid_corpus,
-                      make_surface, random_points, random_surfaces)
-from oracles import eval_value, geometric_oracle, sylvester_delta
+from conftest import (AXIS_XS, AXIS_YS, fixture_callables, gallery_surfaces,
+                      grid_corpus, make_surface, random_points,
+                      random_surfaces)
+from oracles import (eval_value, frame_oracle, geometric_oracle,
+                     sylvester_delta)
+
+EPS = np.finfo(float).eps
 
 
 def test_surface_a_values(surfaces):
@@ -82,6 +88,90 @@ def test_oracle_on_random_surfaces():
             for key in ("a", "b", "c", "e", "f", "g", "K", "kappa", "Delta"):
                 mine = getattr(inv, key if key != "Delta" else "Delta")
                 assert mine == pytest.approx(orc[key], rel=2e-5, abs=2e-5), key
+
+
+def _oracle_at(fl, i):
+    """:func:`frame_oracle` of the derivatives behind the fields ``fl`` of
+    :func:`invariant_grid` at its flat index i."""
+    def at(jet):
+        return [float(np.broadcast_to(d, np.shape(fl.W))[i])
+                for d in jet.coeffs[1:6]]
+    return frame_oracle(at(fl.jet_phi), at(fl.jet_psi))
+
+
+def test_coefficients_match_decimal_oracle_on_corpus():
+    """At 25 points each of the random corpus and the gallery, a..g are
+    within 4 eps ||M|| and W within 3 eps (relative) of an 800-digit
+    evaluation of the textbook formulas from the same float derivatives.
+    Those formulas in floats, W = EG - F^2 and quotients of products, put
+    g 17 eps ||M|| and W 12 eps off here."""
+    rng = np.random.default_rng(1)
+    for surface in random_surfaces() + list(gallery_surfaces().values()):
+        xmin, xmax, ymin, ymax = surface.domain
+        fl = invariant_grid(surface, rng.uniform(xmin, xmax, 25),
+                            rng.uniform(ymin, ymax, 25))
+        for i in range(25):
+            orc = _oracle_at(fl, i)
+            norm = math.hypot(*(orc[k] for k in "abcefg"))
+            for key in "abcefg":
+                assert abs(getattr(fl, key)[i] - orc[key]) <= 4 * EPS * norm, key
+            assert abs(fl.W[i] - orc["W"]) <= 3 * EPS * orc["W"]
+
+
+_STEEP = st.builds(lambda sign, k: sign * 10.0 ** k,
+                   st.sampled_from([-1.0, 1.0]), st.floats(0.0, 70.0))
+_TERMS = ("x", "y", "x^2", "x*y", "y^2")
+
+
+@given(st.lists(_STEEP, min_size=4, max_size=4),
+       st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6),
+       st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+@settings(max_examples=200, deadline=None)
+def test_steep_planes_match_decimal_oracle(grad, quad, x, y):
+    """A plane with gradients from 1 to 1e70 plus a quadratic: either
+    local_invariants raises CrossCheckError (mostly the Gram check, whose
+    own Eh Gh - Fh^2 cancels), or it agrees with :func:`frame_oracle`.
+
+    The bounds carry kT = sqrt(EG/W) and kN = sqrt(Eh Gh/W), 1/sin of the
+    angles between T1 and T2 and between N1 and N2: F/E and Fh/Eh are
+    rounded once, and an ill-conditioned frame magnifies that (gradients
+    1, 1, 100, 100 and psi = 100 (x + y) + xy + y^2 at the origin put g
+    72 eps ||M|| off, with kT = 71), as J = px qy - py qx magnifies its
+    rounding in W by up to kT.  K, kappa and Delta are compared only where
+    their exact value is a normal float (at |grad| = 1e67, K = 1e-402 is
+    0.0), and 2^-1060 absorbs the rounding of coefficients that underflow.
+    """
+    phi = " + ".join(f"({c!r})*{t}" for c, t in zip(grad[:2] + quad[:3], _TERMS))
+    psi = " + ".join(f"({c!r})*{t}" for c, t in zip(grad[2:] + quad[3:], _TERMS))
+    try:
+        inv = local_invariants(surface_from_strings(phi, psi), x, y)
+    except CrossCheckError:
+        return
+    orc = frame_oracle(inv.jet_phi.coeffs[1:6], inv.jet_psi.coeffs[1:6])
+    norm = math.hypot(*(orc[k] for k in "abcefg"))
+    k_t = math.sqrt(inv.E * inv.G / inv.W)
+    k_tn = k_t * math.sqrt(inv.Ehat * inv.Ghat / inv.W)
+    for key in "abcefg":
+        assert abs(getattr(inv, key) - orc[key]) \
+            <= 8 * EPS * norm * k_tn + 2.0 ** -1060, key
+    assert abs(inv.W - orc["W"]) <= 4 * EPS * orc["W"] * k_t
+    for key, power in (("K", 2), ("kappa", 2), ("Delta", 4)):
+        if abs(orc[key]) >= np.finfo(float).tiny:
+            assert abs(getattr(inv, key) - orc[key]) \
+                <= 16 * EPS * norm ** power * k_tn + 2.0 ** -1060, key
+
+
+def test_route_overflow_is_an_evaluation_error():
+    """Where W and the coefficients are finite but Eh * Gh, the Gram
+    check's route, overflows (1/x^4 * 1e304), check_invariants raises
+    EvaluationError at the first such point instead of comparing inf."""
+    surface = surface_from_strings("(x)^-1", "x*(1e76)^2")
+    xs = np.linspace(-1.0, 1.0, 16)
+    fl = invariant_grid(surface, xs[:, None], xs[None, :])
+    with pytest.raises(EvaluationError) as err:
+        localgeom.check_invariants(fl, (xs[:, None], xs[None, :]))
+    assert str(err.value) == ("non-finite invariants (overflow) at point "
+                              f"({float(xs[7])!r}, -1.0)")
 
 
 def test_delta_resultant_values():
