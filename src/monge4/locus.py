@@ -6,20 +6,24 @@ crossing is refined by a batched Illinois (safeguarded regula-falsi)
 iteration on the exact Delta along the edge, and saddle cells are
 disambiguated by the sign of Delta at the cell centre.  Isolated zeros of
 Delta (imaginary inflections) produce no sign change, hence no polylines:
-they are reported only by the Newton-based inflection finder.
+they are reported only by the inflection finder.
+
+Inflections are the singular points of Delta = 0, where grad Delta vanishes
+too.  The finder runs one batch of Newton walkers on grad Delta = 0 and
+kappa = 0 with the exact Hessian of Delta, which converge quadratically
+where Newton on (Delta, kappa) converges only linearly.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import REL, class_labels_grid, hessian_of_delta
-from .jets import Jet
-from .localgeom import (SurfaceSpec, coeff_norm, gradient_fields,
-                        invariant_grid, invariant_gradients, local_invariants)
+from .classify import REL, class_labels_grid, hessian_of_delta, unit_scaled
+from .jets import Jet, eval_jet
+from .localgeom import (SurfaceSpec, _derivatives, coeff_norm, frame_fields,
+                        invariant_grid, local_invariants)
 
 __all__ = ["Polyline", "PolylineSet", "InflectionReport",
            "trace_parabolic", "find_inflections"]
@@ -42,6 +46,16 @@ EDGE_WIDTH = 2.0 ** -42
 EDGE_ZERO = 3e-18
 NEWTON_ITERATIONS = 25
 NEWTON_ACCEPT = 1e-12
+# A walker stops once its step is at most NEWTON_STEP of a grid cell: the
+# iteration converges quadratically, so the iterate is then as close to its
+# limit as a trace vertex is to its edge root.  Its least-squares system is
+# singular where the sum of its squared 2x2 minors, on rows of unit scale,
+# is at most SINGULAR: one rounding unit.
+NEWTON_STEP = EDGE_WIDTH
+SINGULAR = 2.0 ** -52
+# the smallest normal float over the precision: above it in ||M||^4, the
+# terms of Delta that matter to rounding are normal floats
+RESIDUAL_FLOOR = 2.0 ** -970
 SEED_BAND = 1e-3
 MAX_SEEDS = 512
 
@@ -66,7 +80,7 @@ class InflectionReport:
     kind: str              # real | flat | imaginary
     K: float
     det_hessian_delta: float
-    residual: float        # scaled Newton residual max(|Delta|/s^4, |kappa|/s^2)
+    residual: float        # scaled residual max(|Delta|/||M||^4, |kappa|/||M||^2)
 
 
 def _grid_fields(surface: SurfaceSpec, resolution: int, order: int):
@@ -77,6 +91,26 @@ def _grid_fields(surface: SurfaceSpec, resolution: int, order: int):
     ys = np.linspace(ymin, ymax, resolution)
     fields = invariant_grid(surface, xs[:, None], ys[None, :], order=order)
     return xs, ys, fields
+
+
+def _residual_field(fields, coeffs):
+    """|Delta|/||M||^4 + |kappa|/||M||^2 on the grid of ``fields``, 0 where
+    M = 0 (Delta and kappa vanish there too).
+
+    A ratio of values scaled by the same power of two, so it is taken on
+    the unscaled fields where ||M||^4 is at least RESIDUAL_FLOOR, above
+    which every term of Delta that matters to rounding is a normal float,
+    and on M scaled by the power of two of :func:`unit_scaled` elsewhere,
+    where Delta underflows."""
+    msq = coeff_norm(fields) ** 2
+    with np.errstate(invalid="ignore", divide="ignore"):
+        field = np.abs(fields.Delta) / (msq * msq) + np.abs(fields.kappa) / msq
+    low = ~(msq * msq >= RESIDUAL_FLOOR)
+    if low.any():
+        m = unit_scaled(*(c[low] for c in coeffs))
+        msq = np.where(m.msq > 0.0, m.msq, 1.0)
+        field[low] = np.abs(m.Delta) / (msq * msq) + np.abs(m.kappa) / msq
+    return field
 
 
 def _delta_on(surface: SurfaceSpec, x, y):
@@ -288,26 +322,167 @@ def _link_segments(segments, crossings) -> list[Polyline]:
     return out
 
 
+def _scaled_jets(jphi: Jet, jpsi: Jet, order: int, k):
+    """The fields of :func:`~monge4.localgeom.frame_fields` as jets of
+    ``order``, from the jets of phi and psi (of order + 2 or more), with
+    the coefficients a..g times 2^k, elementwise.
+
+    a..g are linear in the second derivatives of phi and psi, so scaling
+    those by the power of two is exact: Delta comes out times 2^4k and
+    kappa times 2^2k, and with the k of :func:`unit_scaled` neither
+    underflows on a small surface.  What overflows is inf or nan."""
+    def scaled(jet):
+        d = _derivatives(jet, order)
+        return d[:2] + tuple(Jet(tuple(np.ldexp(c, k) for c in j.coeffs))
+                             for j in d[2:])
+
+    with np.errstate(all="ignore"):
+        return frame_fields(scaled(jphi), scaled(jpsi))
+
+
+def _walker_jets(surface: SurfaceSpec, x, y):
+    """The one evaluation of a walker pass, at the points (x, y): Delta and
+    kappa as order-2 jets (from order-4 jets of phi and psi) on M scaled by
+    the power of two of :func:`unit_scaled`, and ||M||^2 of the scaled M."""
+    jphi = eval_jet(surface.phi, x, y, 4)
+    jpsi = eval_jet(surface.psi, x, y, 4)
+    with np.errstate(all="ignore"):
+        fl = frame_fields(_derivatives(jphi), _derivatives(jpsi))
+        m = unit_scaled(fl.a, fl.b, fl.c, fl.e, fl.f, fl.g)
+    fl = _scaled_jets(jphi, jpsi, 2, m.k)
+    return fl.Delta, fl.kappa, m.msq
+
+
+def _newton_steps(delta: Jet, kappa: Jet):
+    """The step of each walker, from Delta and kappa as order-2 jets, and
+    whether it has one.
+
+    At an inflection Delta = 0 is singular: grad Delta vanishes with Delta,
+    so the Jacobian of (Delta, kappa) is singular at the root and Newton on
+    (Delta, kappa) converges only linearly.  The root is regular for the
+    system grad Delta = 0, kappa = 0 (Griewank, SIAM Review 27, 1985): its
+    Jacobian, the exact Hessian H of Delta above grad kappa, has rank 2
+    where H is regular (real and imaginary inflections) and also where H
+    has rank 1 but grad kappa is not in its row space (flat inflections).
+    The step solves H s = grad Delta and grad kappa . s = kappa in the
+    least-squares sense, on H scaled by its largest entry and the kappa row
+    by the length of grad kappa; it is the average of the solutions of the
+    three 2x2 subsystems weighted by their squared determinants m^2, whose
+    sum is the determinant of the normal equations (Cauchy-Binet).
+
+    Where that sum is at most SINGULAR, the step solves the (Delta, kappa)
+    system instead.  That system has no step where a gradient is zero or
+    not finite, where its rows scaled to unit length have a determinant of
+    at most 1e-300, or where elimination with partial pivoting meets a zero
+    pivot."""
+    with np.errstate(all="ignore"):
+        big = np.maximum(np.maximum(np.abs(delta.fxx), np.abs(delta.fxy)),
+                         np.abs(delta.fyy))
+        nk = np.hypot(kappa.fx, kappa.fy)
+        rows = ((delta.fxx / big, delta.fxy / big, delta.fx / big),
+                (delta.fxy / big, delta.fyy / big, delta.fy / big),
+                (kappa.fx / nk, kappa.fy / nk, kappa.f / nk))
+        sx = sy = det = 0.0
+        for (p, q, b), (r, t, c) in ((rows[0], rows[1]), (rows[0], rows[2]),
+                                     (rows[1], rows[2])):
+            m = p * t - q * r
+            sx = sx + m * (b * t - q * c)
+            sy = sy + m * (p * c - b * r)
+            det = det + m * m
+        regular = det > SINGULAR
+        sx, sy = sx / det, sy / det
+
+        d0, d1, k0, k1 = delta.fx, delta.fy, kappa.fx, kappa.fy
+        nd = np.hypot(d0, d1)
+        p, q, b = d0 / nd, d1 / nd, delta.f / nd
+        r, t, c = k0 / nk, k1 / nk, kappa.f / nk
+        solvable = (0.0 < nd) & (nd < np.inf) & (0.0 < nk) & (nk < np.inf) \
+            & (np.abs(p * t - q * r) > 1e-300)
+        swap = np.abs(r) > np.abs(p)
+        p, r = np.where(swap, r, p), np.where(swap, p, r)
+        q, t = np.where(swap, t, q), np.where(swap, q, t)
+        b, c = np.where(swap, c, b), np.where(swap, b, c)
+        ell = r / p
+        u = t - ell * q
+        solvable &= (p != 0.0) & (u != 0.0)
+        ky = (c - ell * b) / u
+        kx = (b - q * ky) / p
+    return np.where(regular, sx, kx), np.where(regular, sy, ky), \
+        regular | solvable
+
+
+def _newton_walkers(surface: SurfaceSpec, px, py, cellx: float, celly: float):
+    """The roots (x, y, residual) of the Newton walkers started at the seeds
+    (px[i], py[i]), in seed order, for the walkers with a root inside the
+    domain.
+
+    The walkers run as one batch: each pass evaluates :func:`_walker_jets`
+    at the live walkers and takes the steps of :func:`_newton_steps`.  A
+    walker's root is its best iterate with residual max(|Delta|/||M||^4,
+    |kappa|/||M||^2) at most NEWTON_ACCEPT, on the scaled fields.  A walker
+    stops where ||M|| is 0 or not finite, where it has no step, where a step
+    leaves the domain by more than a cell, and after NEWTON_ITERATIONS
+    passes.  It also stops once its step is at most NEWTON_STEP of a cell:
+    the iteration converges quadratically, so the iterate is then that
+    close to its limit, which is the walker's root where it is accepted
+    and otherwise a point where grad Delta = 0 and kappa = 0 have no common
+    solution.
+    """
+    xmin, xmax, ymin, ymax = surface.domain
+    step_stop = NEWTON_STEP * float(np.hypot(cellx, celly))
+    n = len(px)
+    best = np.full(n, np.inf)
+    best_x = np.zeros(n)
+    best_y = np.zeros(n)
+    live = np.arange(n)
+    x = np.array(px, dtype=float)
+    y = np.array(py, dtype=float)
+    for _ in range(NEWTON_ITERATIONS):
+        if not live.size:
+            break
+        delta, kappa, msq = _walker_jets(surface, x, y)
+        with np.errstate(all="ignore"):
+            resid = np.maximum(np.abs(delta.f) / (msq * msq),
+                               np.abs(kappa.f) / msq)
+        usable = (0.0 < msq) & (msq < np.inf)
+        better = usable & (resid <= NEWTON_ACCEPT) & (resid < best[live])
+        best[live[better]] = resid[better]
+        best_x[live[better]] = x[better]
+        best_y[live[better]] = y[better]
+        sx, sy, stepped = _newton_steps(delta, kappa)
+        with np.errstate(invalid="ignore"):
+            x, y = x - sx, y - sy
+            go = usable & stepped & (np.hypot(sx, sy) > step_stop) \
+                & (xmin - cellx <= x) & (x <= xmax + cellx) \
+                & (ymin - celly <= y) & (y <= ymax + celly)
+        live, x, y = live[go], x[go], y[go]
+    found = (best <= NEWTON_ACCEPT) & (xmin <= best_x) & (best_x <= xmax) \
+        & (ymin <= best_y) & (best_y <= ymax)
+    return list(zip(best_x[found].tolist(), best_y[found].tolist(),
+                    best[found].tolist()))
+
+
 def find_inflections(surface: SurfaceSpec, resolution: int = 256,
                      rel: float = REL) -> list[InflectionReport]:
     """Locate and type the inflection points inside the domain.
 
-    Grid nodes where both |Delta| and |kappa| fall under a coarse band seed a
-    2-D Newton iteration on (Delta, kappa) with the exact Jacobian; accepted
-    roots are deduplicated, re-verified (rank of the coefficient matrix must
-    drop) and typed by the sign of K.
+    The local minima of the scaled residual |Delta|/||M||^4 + |kappa|/||M||^2
+    on the grid where Delta and kappa are inside a coarse band, or can
+    vanish within 1.5 cells by their exact gradients, seed the walkers of
+    :func:`_newton_walkers`: one batch, each pass a Gauss-Newton step on
+    grad Delta = 0, kappa = 0 with the exact Hessian of Delta (a Newton step
+    on (Delta, kappa) where that system is singular).  The residuals are
+    taken on M scaled by the power of two of :func:`unit_scaled`, so the
+    search does not depend on the scale of the surface.  Accepted roots are
+    deduplicated within a cell, re-verified (the rank of the coefficient
+    matrix must drop) and typed by the sign of K.
     """
     # order 3: the seed test below takes gradients from these jets
     xs, ys, fields = _grid_fields(surface, resolution, 3)
-    delta = np.asarray(fields.Delta)
-    kappa = np.asarray(fields.kappa)
-    cn = np.asarray(coeff_norm(fields))
-    msq = cn ** 2
+    coeffs = (fields.a, fields.b, fields.c, fields.e, fields.f, fields.g)
     # only local minima of the scaled residual field can seed: one walker per
     # candidate basin instead of one per in-band node
-    floor4 = np.maximum(msq ** 2, 1e-300)
-    floor2 = np.maximum(msq, 1e-300)
-    resid_field = np.abs(delta) / floor4 + np.abs(kappa) / floor2
+    resid_field = _residual_field(fields, coeffs)
     padded = np.full((resid_field.shape[0] + 2, resid_field.shape[1] + 2), np.inf)
     padded[1:-1, 1:-1] = resid_field
     is_min = np.ones_like(resid_field, dtype=bool)
@@ -320,67 +495,31 @@ def find_inflections(surface: SurfaceSpec, resolution: int = 256,
             is_min &= resid_field <= neighbor
     # a minimum seeds when Delta and kappa are inside the coarse band, or when
     # the exact gradients say the fields can vanish within ~1.5 cells of it
-    # (a fixed band alone can fall between grid nodes); the gradients are
-    # taken at the minima only
+    # (a fixed band alone can fall between grid nodes); all of it is taken at
+    # the minima only, on M scaled by the power of two of unit_scaled, so
+    # that nothing underflows on a small surface
     at_min = np.nonzero(is_min)
-    gfl = gradient_fields(*(Jet(tuple(c[at_min] for c in jet.coeffs))
-                            for jet in (fields.jet_phi, fields.jet_psi)))
+    m = unit_scaled(*(c[at_min] for c in coeffs))
+    grads = _scaled_jets(*(Jet(tuple(c[at_min] for c in jet.coeffs))
+                           for jet in (fields.jet_phi, fields.jet_psi)), 1, m.k)
     xmin, xmax, ymin, ymax = surface.domain
     cellx = (xmax - xmin) / (len(xs) - 1)
     celly = (ymax - ymin) / (len(ys) - 1)
     cell = float(np.hypot(cellx, celly))
     rho = 1.5 * cell
-    gd = np.hypot(np.asarray(gfl.Delta.fx), np.asarray(gfl.Delta.fy))
-    gk = np.hypot(np.asarray(gfl.kappa.fx), np.asarray(gfl.kappa.fy))
-    msq_min = msq[at_min]
+    gd = np.hypot(grads.Delta.fx, grads.Delta.fy)
+    gk = np.hypot(grads.kappa.fx, grads.kappa.fy)
     seed_mask = np.zeros_like(is_min)
     seed_mask[at_min] = \
-        (np.abs(delta[at_min]) <= np.maximum(SEED_BAND * msq_min ** 2, gd * rho)) \
-        & (np.abs(kappa[at_min]) <= np.maximum(SEED_BAND * msq_min, gk * rho))
+        (np.abs(m.Delta) <= np.maximum(SEED_BAND * m.msq ** 2, gd * rho)) \
+        & (np.abs(m.kappa) <= np.maximum(SEED_BAND * m.msq, gk * rho))
     seeds = np.argwhere(seed_mask)
     if len(seeds) > MAX_SEEDS:
         order = np.argsort(resid_field[seed_mask], kind="stable")
         seeds = seeds[order[:MAX_SEEDS]]
 
-    accepted = []
-    for si, sj in seeds:
-        px, py = float(xs[si]), float(ys[sj])
-        root = None
-        # inflections are singular points of Delta = 0, so the Jacobian of
-        # (Delta, kappa) degenerates at the root and the iteration converges
-        # only linearly along the curve; run the full budget and keep the
-        # best iterate rather than stopping at first acceptance
-        for _ in range(NEWTON_ITERATIONS):
-            g = invariant_gradients(surface, px, py)
-            s = g.coeff_scale
-            if s ** 4 == 0.0:  # the scaled residual cannot be formed
-                break
-            resid = max(abs(g.delta) / s ** 4, abs(g.kappa) / s ** 2)
-            if resid <= NEWTON_ACCEPT and (root is None or resid < root[2]):
-                root = (px, py, resid)
-            # singular Jacobian: decided on its rows scaled to unit length,
-            # since the raw determinant (degree 6 in the coefficients)
-            # underflows on tiny surfaces whose gradients are not parallel
-            (d0, d1), (k0, k1) = g.grad_delta, g.grad_kappa
-            nd, nk = math.hypot(d0, d1), math.hypot(k0, k1)
-            if not (0.0 < nd < math.inf and 0.0 < nk < math.inf):
-                break
-            if abs((d0 / nd) * (k1 / nk) - (d1 / nd) * (k0 / nk)) <= 1e-300:
-                break
-            # rows parallel to rounding pass the test above, and LAPACK can
-            # still find an exactly zero pivot
-            try:
-                step = np.linalg.solve(np.array([g.grad_delta, g.grad_kappa]),
-                                       np.array([g.delta, g.kappa]))
-            except np.linalg.LinAlgError:
-                break
-            px -= float(step[0])
-            py -= float(step[1])
-            if not (xmin - cellx <= px <= xmax + cellx
-                    and ymin - celly <= py <= ymax + celly):
-                break
-        if root is not None and xmin <= root[0] <= xmax and ymin <= root[1] <= ymax:
-            accepted.append(root)
+    accepted = _newton_walkers(surface, xs[seeds[:, 0]], ys[seeds[:, 1]],
+                               cellx, celly)
 
     # deduplicate within one grid cell, keeping the best residual
     accepted.sort(key=lambda r: r[2])

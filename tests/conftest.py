@@ -51,6 +51,18 @@ def gallery_surfaces():
             for name, (phi, psi, dom) in table.items()}
 
 
+def benchmark_surfaces(workload, seed):
+    """The surfaces of one round of a workload of ``perfbench/workloads.py``
+    for ``seed``, by name."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" \
+        / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return {name: surface_from_strings(s["phi"], s["psi"], s["domain"])
+            for name, s in module.make_spec(workload, seed)["surfaces"].items()}
+
+
 def fixture_callables(name):
     """Plain-Python evaluators for the fixture surfaces (oracle side)."""
     table = {

@@ -14,7 +14,10 @@ difference of the exact Delta gradient that ``classify.hessian_of_delta``
 replaced by an exact jet; the two must agree to the differencing error.
 :func:`bisect_edges_reference` is the fixed 40-round bisection that
 ``locus._refine_edges`` replaced; the package must match its polylines
-with residuals no worse.  :func:`sylvester_delta` is the 4x4 Sylvester
+with residuals no worse.  :func:`newton_walkers_reference` is the
+per-seed Newton loop on (Delta, kappa) that the batched walkers of
+``locus._newton_walkers`` replaced; the package must report the same
+inflections from the same seeds.  :func:`sylvester_delta` is the 4x4 Sylvester
 determinant that ``localgeom.delta_resultant`` replaced by the Bezout form.
 :func:`rank_m` is the rank of M on M divided by its largest entry, which
 ``classify.class_labels_grid`` replaced by the same closed form on M scaled by a
@@ -32,6 +35,7 @@ on them in 800-digit ``decimal``, so that it measures the rounding of
 from __future__ import annotations
 
 import decimal
+import math
 
 import numpy as np
 
@@ -39,6 +43,7 @@ from monge4 import conics
 from monge4 import expr as ex
 from monge4.jets import Jet
 from monge4.localgeom import invariant_gradients, invariant_grid
+from monge4.locus import NEWTON_ACCEPT, NEWTON_ITERATIONS
 
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "tan": np.tan,
               "exp": np.exp, "log": np.log, "sqrt": np.sqrt}
@@ -358,6 +363,51 @@ def bisect_edges_reference(surface, ax, ay, bx, by, da, db, rounds=40):
     my = ay + (by - ay) * mid
     res = np.abs(invariant_grid(surface, mx, my).Delta)
     return mx, my, res
+
+
+def newton_walkers_reference(surface, px, py, cellx, celly):
+    """The roots (x, y, residual) of the walkers started at the seeds
+    (px[i], py[i]), by one scalar Newton iteration on (Delta, kappa) per
+    seed with the exact Jacobian of :func:`invariant_gradients`.  Takes and
+    returns what ``locus._newton_walkers`` does.
+
+    A walker runs the whole NEWTON_ITERATIONS budget and keeps its best
+    iterate with residual max(|Delta|/s^4, |kappa|/s^2) at most
+    NEWTON_ACCEPT, s = ||M||.  It stops early where s^4 underflows
+    to 0, where its Jacobian is singular on the rows scaled to unit length
+    or to LAPACK, and where a step leaves the domain by more than a cell.
+    """
+    xmin, xmax, ymin, ymax = surface.domain
+    accepted = []
+    for px, py in zip(np.asarray(px).tolist(), np.asarray(py).tolist()):
+        root = None
+        for _ in range(NEWTON_ITERATIONS):
+            g = invariant_gradients(surface, px, py)
+            s = g.coeff_scale
+            if s ** 4 == 0.0:
+                break
+            resid = max(abs(g.delta) / s ** 4, abs(g.kappa) / s ** 2)
+            if resid <= NEWTON_ACCEPT and (root is None or resid < root[2]):
+                root = (px, py, resid)
+            (d0, d1), (k0, k1) = g.grad_delta, g.grad_kappa
+            nd, nk = math.hypot(d0, d1), math.hypot(k0, k1)
+            if not (0.0 < nd < math.inf and 0.0 < nk < math.inf):
+                break
+            if abs((d0 / nd) * (k1 / nk) - (d1 / nd) * (k0 / nk)) <= 1e-300:
+                break
+            try:
+                step = np.linalg.solve(np.array([g.grad_delta, g.grad_kappa]),
+                                       np.array([g.delta, g.kappa]))
+            except np.linalg.LinAlgError:
+                break
+            px -= float(step[0])
+            py -= float(step[1])
+            if not (xmin - cellx <= px <= xmax + cellx
+                    and ymin - celly <= py <= ymax + celly):
+                break
+        if root is not None and xmin <= root[0] <= xmax and ymin <= root[1] <= ymax:
+            accepted.append(root)
+    return accepted
 
 
 def sylvester_delta(a, b, c, e, f, g):

@@ -236,6 +236,21 @@ def test_inflections_umbilic_surface_coarse_grid(tmp_path, res):
         == (0, "", "")
 
 
+def test_inflections_walker_past_a_log_singularity(tmp_path):
+    """psi has a log singularity at x = -0.51, left of the domain, and the
+    inflection of the H-like part sits beyond it at x = -0.54: a Newton
+    walker steps past the singularity, which ends inflections in exit 4
+    with one line naming the point, as it did with one walker per seed."""
+    surf = write(tmp_path, "log.surf",
+                 "phi = (x + 0.54)^2 - y^2\n"
+                 "psi = (x + 0.54)^3/3 + (x + 0.54)*y^2 + 1e-9*log(x + 0.51)\n"
+                 "domain = -0.5 0.5 -0.5 0.5\n")
+    code, out, err = run_cli(["inflections", "--surface", surf, "--res", "16"])
+    assert (code, out) == (4, "")
+    assert err.startswith("monge4: numerical failure: log of non-positive value")
+    assert " at point (" in err and err.count("\n") == 1
+
+
 # -- plot -----------------------------------------------------------------------
 
 def test_plot_hyperbolic(tmp_path):
@@ -734,6 +749,12 @@ def test_plot_golden_outputs(tmp_path, name):
 # rounding noise at those nodes splits the locus: 16 polylines of 222
 # vertices instead of 5 of 246, every vertex of both within 2.8e-16 of
 # |x| = |y|, and the largest residual 2.9e-16 instead of 3.1e-16.
+# The inflection_real and saddle inflections digests were re-recorded when
+# the walkers became one batch on grad Delta = 0, kappa = 0: the same one
+# real report on each, with K and det_hessian_delta unchanged; on
+# inflection_real it moved from (8.3e-25, 0) to (0, 0), residual 1.7e-49 to
+# 0, on saddle from (3.5e-10, 0) to (5.0e-29, -5.0e-29), residual 3.0e-20
+# to 5.0e-29.
 LOCUS_GOLDEN = {
     "parabolic_loop": (
         "phi = x^2 - y^2 - x^4 - 2*x^2*y^2 - y^4\npsi = 2*x*y\n"
@@ -743,12 +764,12 @@ LOCUS_GOLDEN = {
     "inflection_real": (
         "phi = x^2 - y^2\npsi = x^3/3 + x*y^2\ndomain = -0.5 0.5 -0.5 0.5\n",
         "94875a52ef08913c6988cc61122ddf1930b7045330c8db6d4cd81adfe9a638ec",
-        "d836e9cd4e220368af3b5407b8d65f2eb3d887f1c8054b02d1a20caf82ad47e7"),
+        "2339a1059bb16ee7897788ffd4a4772b823b6b12caef1f85dbc1631faed563de"),
     "saddle": (
         "phi = x^2 - y^2\npsi = x^3/3 + x*y^2 + 0.2*y^3\n"
         "domain = -0.5 0.5 -0.5 0.5\n",
         "9270a973729cd86ff198d34a85ecbe13dbb3890b17d97e3d5686b1118594967f",
-        "531de415be8b32d884ccf7117a805761d52681ba803ff47df6ed0fff0d8db151"),
+        "e45db765414223a54f30899c7300dcaf80038d4673a36e7e0769390fcb9fcb4d"),
 }
 
 

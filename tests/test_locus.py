@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from monge4 import classify, locus
+from monge4.errors import EvaluationError
+from monge4.jets import Jet
 from monge4.localgeom import (coeff_norm, invariant_grid, local_invariants,
                               surface_from_strings)
 from monge4.locus import find_inflections, trace_parabolic
 
-from conftest import gallery_surfaces, make_surface, random_surfaces
-from oracles import bisect_edges_reference
+from conftest import (benchmark_surfaces, gallery_surfaces, make_surface,
+                      random_surfaces)
+from oracles import bisect_edges_reference, newton_walkers_reference
 
 HALF_BOX = (-0.5, 0.5, -0.5, 0.5)
 GALLERY = gallery_surfaces()
@@ -121,10 +124,11 @@ def test_find_inflections_real():
     assert rep.det_hessian_delta == pytest.approx(-1024.0, rel=1e-12)
 
 
-@pytest.mark.parametrize("scale", ["1", "1e-20", "1e-40", "1e-60"])
+@pytest.mark.parametrize("scale", ["1", "1e-20", "1e-40", "1e-60", "1e-80"])
 def test_find_inflections_scale_free(scale):
-    """The real inflection of s * H is found however small s is, as long as
-    s^4 is a normal float."""
+    """The real inflection of s * H is found however small s is, also where
+    Delta (degree 4 in s) is subnormal: the residuals are taken on M scaled
+    by a power of two."""
     surface = surface_from_strings(f"{scale}*(x^2 - y^2)",
                                    f"{scale}*(x^3/3 + x*y^2)", HALF_BOX)
     reports = find_inflections(surface, 64)
@@ -348,3 +352,179 @@ def test_inflection_real_vertices_on_grid_nodes(monkeypatch):
     ni = np.abs(pts[:, 0, None] - xs[None, :]).min(axis=1)
     nj = np.abs(pts[:, 1, None] - ys[None, :]).min(axis=1)
     assert np.all(np.hypot(ni, nj) <= 4 * np.spacing(0.5))
+
+
+# -- inflection walkers ------------------------------------------------------
+
+def test_newton_steps_fall_back_where_the_system_is_singular():
+    """Three walkers, by the coefficients (f, fx, fy, fxx, fxy, fyy) of
+    Delta and kappa: a regular Hessian takes the consistent Gauss-Newton
+    step (1, 0); a zero Hessian the (Delta, kappa) Newton step (0.5, 2);
+    a zero Hessian with grad kappa parallel to grad Delta no step."""
+    def jet(*columns):
+        return Jet(tuple(np.array(c, dtype=float) for c in zip(*columns)))
+
+    delta = jet((0.5, 1.0, 0.0, 1.0, 0.0, 1.0), (0.5, 1.0, 0.0, 0.0, 0.0, 0.0),
+                (0.5, 1.0, 0.0, 0.0, 0.0, 0.0))
+    kappa = jet((1.0, 1.0, 0.0, 0.0, 0.0, 0.0), (2.0, 0.0, 1.0, 0.0, 0.0, 0.0),
+                (1.0, 2.0, 0.0, 0.0, 0.0, 0.0))
+    sx, sy, stepped = locus._newton_steps(delta, kappa)
+    assert stepped.tolist() == [True, True, False]
+    assert (sx[:2].tolist(), sy[:2].tolist()) == ([1.0, 0.5], [0.0, 2.0])
+
+
+def _walker_reports(surface, res, monkeypatch):
+    """The reports of find_inflections, and those of the same search with
+    the per-seed walkers of the reference in place of the batch."""
+    new = find_inflections(surface, res)
+    with monkeypatch.context() as m:
+        m.setattr(locus, "_newton_walkers", newton_walkers_reference)
+        ref = find_inflections(surface, res)
+    return new, ref
+
+
+def _s2_over_s1(surface, rep):
+    sv = np.linalg.svd(local_invariants(surface, rep.x, rep.y).coeff_matrix,
+                       compute_uv=False)
+    return sv[1] / sv[0]
+
+
+def _unmatched(reports, others):
+    """The reports with no report of the same kind within 1e-6 in others."""
+    return [r for r in reports
+            if not any(o.kind == r.kind and np.hypot(o.x - r.x, o.y - r.y) <= 1e-6
+                       for o in others)]
+
+
+def _assert_same_reports(surface, res, monkeypatch):
+    """The same reports as the per-seed reference, each within 1e-6 of its
+    counterpart and of the same type, with the acceptance bounds kept."""
+    new, ref = _walker_reports(surface, res, monkeypatch)
+    assert len(new) == len(ref)
+    assert _unmatched(new, ref) == [] and _unmatched(ref, new) == []
+    for rep in new:
+        assert rep.residual <= locus.NEWTON_ACCEPT
+        assert _s2_over_s1(surface, rep) <= 1e-8
+
+
+WALKER_SURFACES = dict(
+    {name: (surface, 256) for name, surface in GALLERY.items()},
+    C=(make_surface("C", HALF_BOX), 256), H=(make_surface("H", HALF_BOX), 256),
+    four_points=(surface_from_strings(
+        "(x^2 - 0.25)^2 + 3*y^2", "(x^2 - 0.25)^3 + 0.5*(x^2 - 0.25)*y^2"), 256),
+    **{f"locus{seed}": (benchmark_surfaces("locus-search", seed)["trig"], 256)
+       for seed in range(12)},
+    **{f"points{seed}_{name}_{res}": (surface, res)
+       for seed in range(4)
+       for name, surface in benchmark_surfaces("point-queries", seed).items()
+       for res in (64, 128, 256)
+       # below: the batch finds one inflection more there
+       if (seed, name, res) != (1, "poly1", 256)})
+
+
+@pytest.mark.parametrize("name", sorted(WALKER_SURFACES))
+def test_walkers_match_reference(name, monkeypatch):
+    _assert_same_reports(*WALKER_SURFACES[name], monkeypatch)
+
+
+def _assert_differences(surface, res, monkeypatch, gained, lost):
+    """The reports that only the batch finds are ``gained`` and those that
+    only the reference finds are ``lost``, as (x, y, kind); each gained one
+    is a rank drop of M to rounding."""
+    new, ref = _walker_reports(surface, res, monkeypatch)
+    for reports, want in ((_unmatched(new, ref), gained),
+                          (_unmatched(ref, new), lost)):
+        assert [(r.x, r.y, r.kind) for r in reports] \
+            == [(pytest.approx(x, abs=1e-6), pytest.approx(y, abs=1e-6), kind)
+                for x, y, kind in want]
+    for rep in _unmatched(new, ref):
+        assert _s2_over_s1(surface, rep) <= 1e-12
+
+
+def test_walkers_find_an_inflection_the_reference_misses(monkeypatch):
+    """On point-queries seed 1 poly1 at res 256 the per-seed walkers miss
+    the imaginary inflection near (-0.0947, 0.4945) that both find at res
+    64 and 128."""
+    surface = benchmark_surfaces("point-queries", 1)["poly1"]
+    _assert_differences(surface, 256, monkeypatch,
+                        [(-0.09466539, 0.49445400, "imaginary")], [])
+
+
+# the reports of the random corpus that only one of the two finds, as
+# (gained, lost); the lost one sits at s2/s1 = 9.6e-9 of M, at the edge of
+# the 1e-8 rank band, and the walkers that found it started 0.18 to 0.4 away
+RANDOM_DIFFERENCES = {
+    1: ([(-0.00048287, 0.13125816, "real"), (-0.00048287, -0.13125816, "real"),
+         (0.0, 0.0, "flat")],
+        [(0.08811446, 0.0, "imaginary")]),
+    3: ([(0.0, 0.0, "flat")], []),
+}
+
+
+@pytest.mark.parametrize("index", range(6))
+def test_walkers_on_random_corpus(index, monkeypatch):
+    surface = random_surfaces(seed=2718, count=6)[index]
+    gained, lost = RANDOM_DIFFERENCES.get(index, ([], []))
+    _assert_differences(surface, 64, monkeypatch, gained, lost)
+
+
+def test_flat_inflections_kept_on_random_corpus():
+    """Surfaces 1 to 4 of the corpus have M of rank 1 and K = kappa = 0 at
+    the origin: a flat inflection, reported on each."""
+    corpus = random_surfaces(seed=2718, count=6)
+    for index in (1, 2, 3, 4):
+        flats = [r for r in find_inflections(corpus[index], 64)
+                 if r.kind == "flat"]
+        assert [(r.x, r.y) for r in flats] \
+            == [pytest.approx((0.0, 0.0), abs=1e-12)]
+
+
+@pytest.mark.parametrize("res", [64, 128, 256])
+def test_poly0_inflection_off_the_rank_band_edge(res):
+    """The real inflection of point-queries seed 2 poly0 near (0.85500,
+    0.02699) was reported at s2/s1 = 9.3e-9 of M at res 64, against the
+    1e-8 rank band; the quadratic iteration puts it at rounding."""
+    surface = benchmark_surfaces("point-queries", 2)["poly0"]
+    reports = [r for r in find_inflections(surface, res)
+               if np.hypot(r.x - 0.85500, r.y - 0.02699) <= 1e-4]
+    assert [r.kind for r in reports] == ["real"]
+    assert _s2_over_s1(surface, reports[0]) <= 1e-12
+
+
+# array passes of the walkers of one find_inflections at res 256, measured:
+# 3 or 4 passes where the per-seed walkers spent their whole budget of 25
+INFLECTION_PASSES = {"parabolic_loop": 0, "inflection_real": 3, "C": 4, "H": 3}
+
+
+@pytest.mark.parametrize("name", sorted(INFLECTION_PASSES))
+def test_walker_pass_count(name, monkeypatch):
+    surface = GALLERY.get(name) or make_surface(name, HALF_BOX)
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return walker_jets(*args)
+
+    walker_jets = locus._walker_jets
+    monkeypatch.setattr(locus, "_walker_jets", counting)
+    reports = find_inflections(surface, 256)
+    assert len(calls) <= INFLECTION_PASSES[name]
+    assert len(reports) == (name != "parabolic_loop")
+
+
+def test_walker_past_a_singularity_raises():
+    """psi has a log singularity at x = -0.52, left of the domain, and the
+    real inflection of the H-like part sits beyond it at x = -0.56.  A
+    walker that steps past the singularity ends the whole batch in the
+    EvaluationError of the per-seed walkers, naming a point beyond it; a
+    second walker, which alone raises nothing, does not hide it."""
+    surface = surface_from_strings(
+        "(x + 0.56)^2 - y^2",
+        "(x + 0.56)^3/3 + (x + 0.56)*y^2 + 1e-9*log(x + 0.52)", HALF_BOX)
+    px, py = np.array([-0.5, 0.3]), np.array([0.0, 0.1])
+    for walkers in (locus._newton_walkers, newton_walkers_reference):
+        with pytest.raises(EvaluationError) as err:
+            walkers(surface, px, py, 0.1, 0.1)
+        assert err.value.point[0] < -0.52
+    # the second seed alone walks to no root and raises nothing
+    assert locus._newton_walkers(surface, px[1:], py[1:], 0.1, 0.1) == []
