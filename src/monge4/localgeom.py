@@ -369,10 +369,10 @@ def invariant_grid(surface: SurfaceSpec, x, y, *, order: int = 2) -> SimpleNames
 
     Returns the namespace of :func:`frame_fields` with arrays, plus the jets
     of phi and psi, of ``order``: 2 gives every invariant, 3 also what needs
-    third derivatives (the Brioschi check, the gradient fields).  An
-    invariant that overflows at any point is an :class:`EvaluationError`
-    carrying the first such point.  The cross-checks are left to
-    :func:`check_invariants`.
+    third derivatives (the Brioschi check, the gradients of the inflection
+    seeds).  An invariant that overflows at any point is an
+    :class:`EvaluationError` carrying the first such point.  The
+    cross-checks are left to :func:`check_invariants`.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -431,15 +431,6 @@ def brioschi_curvature(surface: SurfaceSpec, x: float, y: float) -> float:
 # ---------------------------------------------------------------------------
 # exact gradients of the derived scalar fields
 # ---------------------------------------------------------------------------
-
-def gradient_fields(jphi: Jet, jpsi: Jet) -> SimpleNamespace:
-    """Invariant fields as order-1 jets (value plus exact gradient) from
-    jets of order 3 or more; the jets may be array-valued, in which case
-    every coefficient is an array.  A gradient that overflows is inf or
-    nan, without a warning."""
-    with np.errstate(all="ignore"):
-        return frame_fields(_derivatives(jphi, 1), _derivatives(jpsi, 1))
-
 
 def invariant_jets(surface: SurfaceSpec, x: float, y: float,
                    order: int) -> SimpleNamespace:

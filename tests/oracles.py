@@ -29,7 +29,10 @@ polylines that ``conics.sample_characteristic`` replaced by index arrays;
 the package must reproduce both exactly.  :func:`frame_oracle` takes the
 package's own float derivatives and evaluates the textbook frame formulas
 on them in 800-digit ``decimal``, so that it measures the rounding of
-``localgeom.frame_fields`` alone.
+``localgeom.frame_fields`` alone.  :func:`grid_rows_reference` and
+:func:`selfcheck_report_reference` evaluate the whole grid at once, as
+``cli.grid_rows`` and ``cli.selfcheck_report`` did before they went block
+by block; the package must reproduce their output bit for bit.
 """
 
 from __future__ import annotations
@@ -39,10 +42,13 @@ import math
 
 import numpy as np
 
+from monge4 import classify as cls
 from monge4 import conics
 from monge4 import expr as ex
+from monge4.cli import _fmt_column, _grid_axes
 from monge4.jets import Jet
-from monge4.localgeom import invariant_gradients, invariant_grid
+from monge4.localgeom import (CROSS_CHECKS, check_invariants, coeff_norm,
+                              invariant_gradients, invariant_grid)
 from monge4.locus import NEWTON_ACCEPT, NEWTON_ITERATIONS
 
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "tan": np.tan,
@@ -483,3 +489,37 @@ def frame_oracle(phi_d, psi_d, digits=800):
             Delta=(a * c - b * b) * (e * g - f * f)
             - (a * g + c * e - 2 * b * f) ** 2 / 4)
         return {key: float(v) for key, v in values.items()}
+
+
+def grid_rows_reference(surface, res, rel):
+    """Lines of the grid CSV after the header from one whole-grid
+    evaluation: y varies in the outer loop, x in the inner one."""
+    xs, ys = _grid_axes(surface, res)
+    fields = invariant_grid(surface, xs[:, None], ys[None, :])
+    check_invariants(fields, (xs[:, None], ys[None, :]))
+    labels = cls.class_labels_grid(fields, rel)
+    x_text = _fmt_column(xs)
+    lines = []
+    for j, y in enumerate(_fmt_column(ys)):
+        lines += [f"{x},{y},{k},{kap},{delta},{label}\n"
+                  for x, k, kap, delta, label in zip(
+                      x_text, _fmt_column(fields.K[:, j]),
+                      _fmt_column(fields.kappa[:, j]),
+                      _fmt_column(fields.Delta[:, j]), labels[:, j].tolist())]
+    return lines
+
+
+def selfcheck_report_reference(surface, res):
+    """(all_passed, [(name, passed, worst)]) of every cross-check from one
+    whole-grid evaluation."""
+    xs, ys = _grid_axes(surface, res)
+    where = (xs[:, None], ys[None, :])
+    fields = invariant_grid(surface, *where, order=3)
+    msq = coeff_norm(fields) ** 2
+    checks = []
+    for check in CROSS_CHECKS:
+        deviation, scale = check.margins(fields, msq, where)
+        bound = check.rel * scale
+        checks.append((check.name, bool(np.all(deviation <= bound)),
+                       float(np.max(deviation - bound))))
+    return all(p for _, p, _ in checks), checks
