@@ -33,7 +33,7 @@ from . import conics, locus
 from .errors import (CrossCheckError, EvaluationError, InflectionPointError,
                      Monge4Error, SurfaceFileError)
 from .localgeom import (CROSS_CHECKS, SurfaceSpec, check_invariants,
-                        coeff_norm, invariant_grid, local_invariants)
+                        coeff_norm, grid_axes, grid_tiles, local_invariants)
 from .surfacefile import parse_surface_file
 from .svgplot import render_normal_plane
 
@@ -174,37 +174,9 @@ def _cmd_analyze(surface, args, out):
 # grid
 # ---------------------------------------------------------------------------
 
-def _grid_axes(surface, res):
-    xmin, xmax, ymin, ymax = surface.domain
-    return np.linspace(xmin, xmax, res), np.linspace(ymin, ymax, res)
-
-
 def _fmt_column(values: np.ndarray) -> list[str]:
     """:func:`_fmt` over a float array, in one pass."""
     return list(map(repr, (values + 0.0).tolist()))
-
-
-# nodes per block of grid and selfcheck.  A block holds every field of
-# invariant_grid, about 600 bytes per node, and pays about 1 ms of per-call
-# overhead; at res 1024, 2^13 to 2^15 nodes per block measured 68 to 84 MB
-# peak and 4.4 to 3.7 s for both subcommands.
-TILE_POINTS = 2 ** 14
-
-
-def _grid_tiles(surface: SurfaceSpec, res: int, order: int = 2):
-    """(where, fields) over consecutive blocks of x-rows of the res x res
-    grid, in order: ``where`` = (x column, y row) of the block's nodes and
-    ``fields`` their :func:`~monge4.localgeom.invariant_grid` of ``order``.
-    A block holds at most :data:`TILE_POINTS` nodes, and at least one row.
-
-    Row-major order over the blocks, x outer, is the order of the whole
-    grid, so a block's first failing point is the grid's first failing
-    point of that stage; a failure in an earlier block comes first."""
-    xs, ys = _grid_axes(surface, res)
-    rows = max(1, TILE_POINTS // res)
-    for i in range(0, res, rows):
-        where = (xs[i:i + rows, None], ys[None, :])
-        yield where, invariant_grid(surface, *where, order=order)
 
 
 def grid_rows(surface: SurfaceSpec, res: int, rel: float):
@@ -215,17 +187,13 @@ def grid_rows(surface: SurfaceSpec, res: int, rel: float):
     Every node is evaluated, checked and classified before this returns;
     only K, kappa, Delta and the label of each node are kept, and the lines
     are formatted as the iterator is read."""
-    xs, ys = _grid_axes(surface, res)
+    xs, ys = grid_axes(surface, res)
     K, kappa, delta = (np.empty((res, res)) for _ in range(3))
     labels = np.empty((res, res), dtype=object)
-    done = 0
-    for where, fields in _grid_tiles(surface, res):
+    for rows, where, fields in grid_tiles(surface, res):
         check_invariants(fields, where)
-        block = slice(done, done + len(where[0]))
-        K[block], kappa[block], delta[block] = \
-            fields.K, fields.kappa, fields.Delta
-        labels[block] = cls.class_labels_grid(fields, rel)
-        done = block.stop
+        K[rows], kappa[rows], delta[rows] = fields.K, fields.kappa, fields.Delta
+        labels[rows] = cls.class_labels_grid(fields, rel)
     x_text = _fmt_column(xs)
     return ("".join([f"{x},{y},{k},{kap},{d},{label}\n"
                      for x, k, kap, d, label in zip(
@@ -308,13 +276,13 @@ def selfcheck_report(surface: SurfaceSpec, res: int):
     """Every check of :data:`~monge4.localgeom.CROSS_CHECKS` over the grid.
 
     Returns (all_passed, list of (name, passed, worst) lines), where worst is
-    the largest deviation minus its bound.  The grid is checked block by
-    block (:func:`_grid_tiles`); a check passes when it passes on every
-    block, and its worst margin is the largest of the blocks'.
+    the largest deviation minus its bound.  The grid is checked tile by
+    tile (:func:`~monge4.localgeom.grid_tiles`); a check passes when it
+    passes on every tile, and its worst margin is the largest of the tiles'.
     """
     passed = np.ones(len(CROSS_CHECKS), dtype=bool)
     worst = np.full(len(CROSS_CHECKS), -np.inf)
-    for where, fields in _grid_tiles(surface, res, order=3):
+    for _, where, fields in grid_tiles(surface, res, order=3):
         msq = coeff_norm(fields) ** 2
         for n, check in enumerate(CROSS_CHECKS):
             deviation, scale = check.margins(fields, msq, where)
@@ -435,7 +403,8 @@ def run(argv, out=None, err=None) -> int:
         err.write(f"monge4: {exc}\n")
         return EXIT_NUMERICAL
     except MemoryError as exc:  # numpy's _ArrayMemoryError included
-        err.write(f"monge4: out of memory: {exc}\n")
+        detail = f": {exc}" if str(exc) else ""  # Python's own has no message
+        err.write(f"monge4: out of memory{detail}\n")
         return EXIT_NUMERICAL
     except ArithmeticError as exc:  # Python float overflow or zero division
         err.write(f"monge4: numerical failure: {type(exc).__name__}: {exc}\n")

@@ -23,7 +23,7 @@ import numpy as np
 from .classify import REL, class_labels_grid, hessian_of_delta, unit_scaled
 from .jets import Jet, eval_jet
 from .localgeom import (SurfaceSpec, _derivatives, coeff_norm, frame_fields,
-                        invariant_grid, local_invariants)
+                        grid_axes, grid_tiles, invariant_grid, local_invariants)
 
 __all__ = ["Polyline", "PolylineSet", "InflectionReport",
            "trace_parabolic", "find_inflections"]
@@ -83,14 +83,10 @@ class InflectionReport:
     residual: float        # scaled residual max(|Delta|/||M||^4, |kappa|/||M||^2)
 
 
-def _grid_fields(surface: SurfaceSpec, resolution: int, order: int):
+def _checked_axes(surface: SurfaceSpec, resolution: int):
     if resolution < MIN_RESOLUTION:
         raise ValueError(f"grid resolution must be >= {MIN_RESOLUTION}")
-    xmin, xmax, ymin, ymax = surface.domain
-    xs = np.linspace(xmin, xmax, resolution)
-    ys = np.linspace(ymin, ymax, resolution)
-    fields = invariant_grid(surface, xs[:, None], ys[None, :], order=order)
-    return xs, ys, fields
+    return grid_axes(surface, resolution)
 
 
 def _residual_field(fields, coeffs):
@@ -111,10 +107,6 @@ def _residual_field(fields, coeffs):
         msq = np.where(m.msq > 0.0, m.msq, 1.0)
         field[low] = np.abs(m.Delta) / (msq * msq) + np.abs(m.kappa) / msq
     return field
-
-
-def _delta_on(surface: SurfaceSpec, x, y):
-    return invariant_grid(surface, x, y).Delta
 
 
 def _refine_edges(surface: SurfaceSpec, ax, ay, bx, by, da, db):
@@ -194,10 +186,13 @@ def trace_parabolic(surface: SurfaceSpec, resolution: int = 256,
     |Delta| at the vertex itself.  Cells whose entire sampled field is
     flat-zero are flagged degenerate and excluded.
     """
-    xs, ys, fields = _grid_fields(surface, resolution, 2)
-    delta = np.asarray(fields.Delta)
-    tau_flat = rel * coeff_norm(fields) ** 4
-    flat = np.abs(delta) <= tau_flat
+    xs, ys = _checked_axes(surface, resolution)
+    # all the tracer keeps of the grid: Delta and its flat test, tile by tile
+    delta = np.empty((resolution, resolution))
+    flat = np.empty((resolution, resolution), dtype=bool)
+    for rows, _, fields in grid_tiles(surface, resolution):
+        delta[rows] = fields.Delta
+        flat[rows] = np.abs(fields.Delta) <= rel * coeff_norm(fields) ** 4
     nx, ny = delta.shape
 
     degenerate_cells = []
@@ -247,6 +242,15 @@ def trace_parabolic(surface: SurfaceSpec, resolution: int = 256,
             + [("v", i, j) for i, j in zip(*(a.tolist() for a in vi_idx))]
         crossings = dict(zip(keys, zip(mx.tolist(), my.tolist(), res.tolist())))
 
+    # the sign of Delta at the centres of the saddle cells, in one evaluation
+    si, sj = np.nonzero(used & (count == 4))
+    centre_pos = {}
+    if si.size:
+        centre = invariant_grid(surface, 0.5 * (xs[si] + xs[si + 1]),
+                                0.5 * (ys[sj] + ys[sj + 1])).Delta
+        centre_pos = dict(zip(zip(si.tolist(), sj.tolist()),
+                              (centre > 0.0).tolist()))
+
     # per-cell segments joining crossing edges
     segments = []
     for i, j in zip(*(a.tolist() for a in np.nonzero(used))):
@@ -260,9 +264,7 @@ def trace_parabolic(surface: SurfaceSpec, resolution: int = 256,
             # saddle cell: pair edges around the corner regions matching
             # the centre sign
             s_edge, e_edge, n_edge, w_edge = edges
-            cx = 0.5 * (xs[i] + xs[i + 1])
-            cy = 0.5 * (ys[j] + ys[j + 1])
-            if (float(_delta_on(surface, cx, cy)) > 0.0) == bool(pos[i, j]):
+            if centre_pos[i, j] == bool(pos[i, j]):
                 segments.append((s_edge, e_edge))
                 segments.append((n_edge, w_edge))
             else:
@@ -462,6 +464,78 @@ def _newton_walkers(surface: SurfaceSpec, px, py, cellx: float, celly: float):
                     best[found].tolist()))
 
 
+def _tile_minima(resid, above):
+    """Where each node of the tile ``resid`` is at most each of its eight
+    neighbours, with ``above`` the x-row before the tile and inf beyond the
+    grid.  The x-row after the tile is not compared: the test of the tile's
+    last row is finished against it by :func:`_at_most_row`."""
+    padded = np.full((resid.shape[0] + 2, resid.shape[1] + 2), np.inf)
+    padded[0, 1:-1] = above
+    padded[1:-1, 1:-1] = resid
+    is_min = np.ones(resid.shape, dtype=bool)
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            if di == 0 and dj == 0:
+                continue
+            neighbor = padded[1 + di:padded.shape[0] - 1 + di,
+                              1 + dj:padded.shape[1] - 1 + dj]
+            is_min &= resid <= neighbor
+    return is_min
+
+
+def _at_most_row(values, j, row):
+    """Whether values[k] is at most row[j[k] - 1], row[j[k]] and
+    row[j[k] + 1], with inf beyond the ends of ``row``."""
+    padded = np.concatenate(([np.inf], row, [np.inf]))
+    return (values <= padded[j]) & (values <= padded[j + 1]) \
+        & (values <= padded[j + 2])
+
+
+def _seed_tiles(surface: SurfaceSpec, resolution: int, rho: float):
+    """The seeds of :func:`find_inflections` as (flat node index, scaled
+    residual), one batch per tile of x-rows, in row-major order.
+
+    Only local minima of the scaled residual |Delta|/||M||^4 + |kappa|/||M||^2
+    over the 3x3 neighbourhood seed: one walker per candidate basin instead
+    of one per in-band node.  A minimum seeds when Delta and kappa are
+    inside the coarse band, or when their exact gradients say they can
+    vanish within ``rho`` of it (a fixed band alone can fall between grid
+    nodes); all of it is taken at the minima only, on M scaled by the power
+    of two of unit_scaled, so that nothing underflows on a small surface.
+
+    A tile's grid fields are freed before the next tile is evaluated: only
+    the residuals of its last x-row and that row's seeds are kept, and the
+    minimum test of that row is finished against the next tile's first row.
+    """
+    above = np.full(resolution, np.inf)
+    last_j = np.empty(0, dtype=np.intp)  # the last row's seeds so far
+    last_resid = np.empty(0)
+    last_i = 0
+    # order 3: the seed test takes gradients from these jets
+    for rows, _, fields in grid_tiles(surface, resolution, order=3):
+        coeffs = (fields.a, fields.b, fields.c, fields.e, fields.f, fields.g)
+        resid = _residual_field(fields, coeffs)
+        kept = _at_most_row(last_resid, last_j, resid[0])
+        yield last_i * resolution + last_j[kept], last_resid[kept]
+
+        at_min = np.nonzero(_tile_minima(resid, above))
+        m = unit_scaled(*(c[at_min] for c in coeffs))
+        grads = _scaled_jets(*(Jet(tuple(c[at_min] for c in jet.coeffs))
+                               for jet in (fields.jet_phi, fields.jet_psi)),
+                             1, m.k)
+        gd = np.hypot(grads.Delta.fx, grads.Delta.fy)
+        gk = np.hypot(grads.kappa.fx, grads.kappa.fy)
+        seed = (np.abs(m.Delta) <= np.maximum(SEED_BAND * m.msq ** 2, gd * rho)) \
+            & (np.abs(m.kappa) <= np.maximum(SEED_BAND * m.msq, gk * rho))
+        i, j = at_min[0][seed] + rows.start, at_min[1][seed]
+        r = resid[at_min][seed]
+        last = i == rows.stop - 1
+        yield i[~last] * resolution + j[~last], r[~last]
+        last_i, last_j, last_resid = rows.stop - 1, j[last], r[last]
+        above = resid[-1]
+    yield last_i * resolution + last_j, last_resid
+
+
 def find_inflections(surface: SurfaceSpec, resolution: int = 256,
                      rel: float = REL) -> list[InflectionReport]:
     """Locate and type the inflection points inside the domain.
@@ -477,49 +551,25 @@ def find_inflections(surface: SurfaceSpec, resolution: int = 256,
     deduplicated within a cell, re-verified (the rank of the coefficient
     matrix must drop) and typed by the sign of K.
     """
-    # order 3: the seed test below takes gradients from these jets
-    xs, ys, fields = _grid_fields(surface, resolution, 3)
-    coeffs = (fields.a, fields.b, fields.c, fields.e, fields.f, fields.g)
-    # only local minima of the scaled residual field can seed: one walker per
-    # candidate basin instead of one per in-band node
-    resid_field = _residual_field(fields, coeffs)
-    padded = np.full((resid_field.shape[0] + 2, resid_field.shape[1] + 2), np.inf)
-    padded[1:-1, 1:-1] = resid_field
-    is_min = np.ones_like(resid_field, dtype=bool)
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di == 0 and dj == 0:
-                continue
-            neighbor = padded[1 + di:padded.shape[0] - 1 + di,
-                              1 + dj:padded.shape[1] - 1 + dj]
-            is_min &= resid_field <= neighbor
-    # a minimum seeds when Delta and kappa are inside the coarse band, or when
-    # the exact gradients say the fields can vanish within ~1.5 cells of it
-    # (a fixed band alone can fall between grid nodes); all of it is taken at
-    # the minima only, on M scaled by the power of two of unit_scaled, so
-    # that nothing underflows on a small surface
-    at_min = np.nonzero(is_min)
-    m = unit_scaled(*(c[at_min] for c in coeffs))
-    grads = _scaled_jets(*(Jet(tuple(c[at_min] for c in jet.coeffs))
-                           for jet in (fields.jet_phi, fields.jet_psi)), 1, m.k)
+    xs, ys = _checked_axes(surface, resolution)
     xmin, xmax, ymin, ymax = surface.domain
-    cellx = (xmax - xmin) / (len(xs) - 1)
-    celly = (ymax - ymin) / (len(ys) - 1)
+    cellx = (xmax - xmin) / (resolution - 1)
+    celly = (ymax - ymin) / (resolution - 1)
     cell = float(np.hypot(cellx, celly))
-    rho = 1.5 * cell
-    gd = np.hypot(grads.Delta.fx, grads.Delta.fy)
-    gk = np.hypot(grads.kappa.fx, grads.kappa.fy)
-    seed_mask = np.zeros_like(is_min)
-    seed_mask[at_min] = \
-        (np.abs(m.Delta) <= np.maximum(SEED_BAND * m.msq ** 2, gd * rho)) \
-        & (np.abs(m.kappa) <= np.maximum(SEED_BAND * m.msq, gk * rho))
-    seeds = np.argwhere(seed_mask)
-    if len(seeds) > MAX_SEEDS:
-        order = np.argsort(resid_field[seed_mask], kind="stable")
-        seeds = seeds[order[:MAX_SEEDS]]
+    # the seeds in row-major order, or the MAX_SEEDS with the smallest
+    # residuals, ties in row-major order; capped tile by tile, so that a
+    # surface where every node seeds keeps no more than that
+    seeds = np.empty(0, dtype=np.intp)
+    seed_resid = np.empty(0)
+    for idx, resid in _seed_tiles(surface, resolution, 1.5 * cell):
+        seeds = np.concatenate((seeds, idx))
+        seed_resid = np.concatenate((seed_resid, resid))
+        if len(seeds) > MAX_SEEDS:
+            order = np.argsort(seed_resid, kind="stable")[:MAX_SEEDS]
+            seeds, seed_resid = seeds[order], seed_resid[order]
 
-    accepted = _newton_walkers(surface, xs[seeds[:, 0]], ys[seeds[:, 1]],
-                               cellx, celly)
+    accepted = _newton_walkers(surface, xs[seeds // resolution],
+                               ys[seeds % resolution], cellx, celly)
 
     # deduplicate within one grid cell, keeping the best residual
     accepted.sort(key=lambda r: r[2])

@@ -31,8 +31,12 @@ package's own float derivatives and evaluates the textbook frame formulas
 on them in 800-digit ``decimal``, so that it measures the rounding of
 ``localgeom.frame_fields`` alone.  :func:`grid_rows_reference` and
 :func:`selfcheck_report_reference` evaluate the whole grid at once, as
-``cli.grid_rows`` and ``cli.selfcheck_report`` did before they went block
-by block; the package must reproduce their output bit for bit.
+``cli.grid_rows`` and ``cli.selfcheck_report`` did before they went tile
+by tile, and :func:`trace_parabolic_reference` and
+:func:`find_inflections_reference` are ``locus.trace_parabolic`` and
+``locus.find_inflections`` as they were then, with one evaluation per saddle
+cell centre in the former; the package must reproduce their output bit for
+bit.
 """
 
 from __future__ import annotations
@@ -45,10 +49,12 @@ import numpy as np
 from monge4 import classify as cls
 from monge4 import conics
 from monge4 import expr as ex
-from monge4.cli import _fmt_column, _grid_axes
+from monge4 import locus
+from monge4.cli import _fmt_column
 from monge4.jets import Jet
 from monge4.localgeom import (CROSS_CHECKS, check_invariants, coeff_norm,
-                              invariant_gradients, invariant_grid)
+                              grid_axes, invariant_gradients, invariant_grid,
+                              local_invariants)
 from monge4.locus import NEWTON_ACCEPT, NEWTON_ITERATIONS
 
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "tan": np.tan,
@@ -494,7 +500,7 @@ def frame_oracle(phi_d, psi_d, digits=800):
 def grid_rows_reference(surface, res, rel):
     """Lines of the grid CSV after the header from one whole-grid
     evaluation: y varies in the outer loop, x in the inner one."""
-    xs, ys = _grid_axes(surface, res)
+    xs, ys = grid_axes(surface, res)
     fields = invariant_grid(surface, xs[:, None], ys[None, :])
     check_invariants(fields, (xs[:, None], ys[None, :]))
     labels = cls.class_labels_grid(fields, rel)
@@ -512,7 +518,7 @@ def grid_rows_reference(surface, res, rel):
 def selfcheck_report_reference(surface, res):
     """(all_passed, [(name, passed, worst)]) of every cross-check from one
     whole-grid evaluation."""
-    xs, ys = _grid_axes(surface, res)
+    xs, ys = grid_axes(surface, res)
     where = (xs[:, None], ys[None, :])
     fields = invariant_grid(surface, *where, order=3)
     msq = coeff_norm(fields) ** 2
@@ -523,3 +529,125 @@ def selfcheck_report_reference(surface, res):
         checks.append((check.name, bool(np.all(deviation <= bound)),
                        float(np.max(deviation - bound))))
     return all(p for _, p, _ in checks), checks
+
+
+def _whole_grid(surface, res, order):
+    if res < locus.MIN_RESOLUTION:
+        raise ValueError(f"grid resolution must be >= {locus.MIN_RESOLUTION}")
+    xs, ys = grid_axes(surface, res)
+    return xs, ys, invariant_grid(surface, xs[:, None], ys[None, :], order=order)
+
+
+def trace_parabolic_reference(surface, res, rel=cls.REL):
+    """``locus.trace_parabolic`` from one whole-grid evaluation, with the
+    sign of Delta at each saddle cell's centre evaluated cell by cell."""
+    xs, ys, fields = _whole_grid(surface, res, 2)
+    delta = np.asarray(fields.Delta)
+    flat = np.abs(delta) <= rel * coeff_norm(fields) ** 4
+    live = ~(flat[:-1, :-1] & flat[1:, :-1] & flat[1:, 1:] & flat[:-1, 1:])
+    degenerate_cells = [(int(i), int(j)) for i, j in zip(*np.nonzero(~live))]
+    pos = delta > 0.0
+    neg = delta < 0.0
+    h_cross = (pos[:-1, :] & neg[1:, :]) | (neg[:-1, :] & pos[1:, :])
+    v_cross = (pos[:, :-1] & neg[:, 1:]) | (neg[:, :-1] & pos[:, 1:])
+    south, east = h_cross[:, :-1], v_cross[1:, :]
+    north, west = h_cross[:, 1:], v_cross[:-1, :]
+    count = south.astype(np.int8) + east + north + west
+    used = live & ((count == 2) | (count == 4))
+    h_used = np.zeros_like(h_cross)
+    h_used[:, :-1] |= used
+    h_used[:, 1:] |= used
+    v_used = np.zeros_like(v_cross)
+    v_used[:-1, :] |= used
+    v_used[1:, :] |= used
+    hi_idx = np.nonzero(h_cross & h_used)
+    vi_idx = np.nonzero(v_cross & v_used)
+    crossings = {}
+    if hi_idx[0].size or vi_idx[0].size:
+        mx, my, resid = locus._refine_edges(
+            surface, np.concatenate([xs[hi_idx[0]], xs[vi_idx[0]]]),
+            np.concatenate([ys[hi_idx[1]], ys[vi_idx[1]]]),
+            np.concatenate([xs[hi_idx[0] + 1], xs[vi_idx[0]]]),
+            np.concatenate([ys[hi_idx[1]], ys[vi_idx[1] + 1]]),
+            np.concatenate([delta[hi_idx], delta[vi_idx]]),
+            np.concatenate([delta[hi_idx[0] + 1, hi_idx[1]],
+                            delta[vi_idx[0], vi_idx[1] + 1]]))
+        keys = [("h", i, j) for i, j in zip(*(a.tolist() for a in hi_idx))] \
+            + [("v", i, j) for i, j in zip(*(a.tolist() for a in vi_idx))]
+        crossings = dict(zip(keys, zip(mx.tolist(), my.tolist(),
+                                       resid.tolist())))
+    segments = []
+    for i, j in zip(*(a.tolist() for a in np.nonzero(used))):
+        edges = [edge for edge, crossed in (
+            (("h", i, j), south[i, j]), (("v", i + 1, j), east[i, j]),
+            (("h", i, j + 1), north[i, j]), (("v", i, j), west[i, j]))
+            if crossed]
+        if len(edges) == 2:
+            segments.append((edges[0], edges[1]))
+            continue
+        s_edge, e_edge, n_edge, w_edge = edges
+        centre = invariant_grid(surface, 0.5 * (xs[i] + xs[i + 1]),
+                                0.5 * (ys[j] + ys[j + 1])).Delta
+        if (float(centre) > 0.0) == bool(pos[i, j]):
+            segments += [(s_edge, e_edge), (n_edge, w_edge)]
+        else:
+            segments += [(s_edge, w_edge), (n_edge, e_edge)]
+    return locus.PolylineSet(polylines=locus._link_segments(segments, crossings),
+                             degenerate_cells=degenerate_cells)
+
+
+def find_inflections_reference(surface, res, rel=cls.REL):
+    """``locus.find_inflections`` from one whole-grid evaluation of order 3:
+    the seeds are the minima of the scaled residual over the whole grid
+    that pass the seed test, capped at MAX_SEEDS by one stable sort."""
+    xs, ys, fields = _whole_grid(surface, res, 3)
+    coeffs = (fields.a, fields.b, fields.c, fields.e, fields.f, fields.g)
+    resid_field = locus._residual_field(fields, coeffs)
+    padded = np.full((res + 2, res + 2), np.inf)
+    padded[1:-1, 1:-1] = resid_field
+    is_min = np.ones_like(resid_field, dtype=bool)
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            if di or dj:
+                is_min &= resid_field <= padded[1 + di:res + 1 + di,
+                                                1 + dj:res + 1 + dj]
+    at_min = np.nonzero(is_min)
+    m = cls.unit_scaled(*(c[at_min] for c in coeffs))
+    grads = locus._scaled_jets(*(Jet(tuple(c[at_min] for c in jet.coeffs))
+                                 for jet in (fields.jet_phi, fields.jet_psi)),
+                               1, m.k)
+    xmin, xmax, ymin, ymax = surface.domain
+    cellx = (xmax - xmin) / (res - 1)
+    celly = (ymax - ymin) / (res - 1)
+    cell = float(np.hypot(cellx, celly))
+    rho = 1.5 * cell
+    gd = np.hypot(grads.Delta.fx, grads.Delta.fy)
+    gk = np.hypot(grads.kappa.fx, grads.kappa.fy)
+    seed_mask = np.zeros_like(is_min)
+    seed_mask[at_min] = \
+        (np.abs(m.Delta) <= np.maximum(locus.SEED_BAND * m.msq ** 2, gd * rho)) \
+        & (np.abs(m.kappa) <= np.maximum(locus.SEED_BAND * m.msq, gk * rho))
+    seeds = np.argwhere(seed_mask)
+    if len(seeds) > locus.MAX_SEEDS:
+        order = np.argsort(resid_field[seed_mask], kind="stable")
+        seeds = seeds[order[:locus.MAX_SEEDS]]
+    accepted = locus._newton_walkers(surface, xs[seeds[:, 0]], ys[seeds[:, 1]],
+                                     cellx, celly)
+    accepted.sort(key=lambda r: r[2])
+    unique = []
+    for r in accepted:
+        if all(np.hypot(r[0] - u[0], r[1] - u[1]) > cell for u in unique):
+            unique.append(r)
+    reports = []
+    for px, py, resid in unique:
+        inv = local_invariants(surface, px, py)
+        label = cls.class_labels_grid(inv, rel)
+        if label.rank > 1:
+            continue
+        with np.errstate(invalid="ignore"):
+            det_hd = float(np.linalg.det(cls.hessian_of_delta(surface, px, py)))
+        reports.append(locus.InflectionReport(
+            x=px, y=py, kind=label.k_type, K=inv.K, det_hessian_delta=det_hd,
+            residual=resid))
+    reports.sort(key=lambda r: (r.x, r.y))
+    return reports

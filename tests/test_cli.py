@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from monge4 import cli, locus
+from monge4 import cli, localgeom
 from monge4.errors import SurfaceFileError
 from monge4.jets import eval_jet
 from monge4.surfacefile import parse_surface_text
@@ -455,7 +455,6 @@ def test_exit_numerical_failed_cross_check(tmp_path, monkeypatch):
     """grid runs the live cross-checks on its fields: with the K check's
     bound at 0 it ends in exit 4, one line naming the first failing point,
     and no output file."""
-    from monge4 import localgeom
     k_check, *others = localgeom.CROSS_CHECKS
     monkeypatch.setattr(localgeom, "CROSS_CHECKS",
                         (k_check._replace(rel=0.0), *others))
@@ -495,7 +494,8 @@ def test_exit_numerical_out_of_memory(tmp_path, monkeypatch, fail):
     """MemoryError, numpy's _ArrayMemoryError included, is one line and
     exit 4, not a traceback."""
     surf = write(tmp_path, "b.surf", B_TEXT)
-    monkeypatch.setattr(locus, "invariant_grid", fail)
+    # the grid's tiles call invariant_grid from localgeom
+    monkeypatch.setattr(localgeom, "invariant_grid", fail)
     code, out, err = run_cli(["trace", "--surface", surf, "--res", "16",
                               "--out", str(tmp_path / "t.csv")])
     assert code == 4
@@ -503,6 +503,18 @@ def test_exit_numerical_out_of_memory(tmp_path, monkeypatch, fail):
     assert err.startswith("monge4: out of memory: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_exit_out_of_memory_without_message(tmp_path, monkeypatch):
+    """Python's own MemoryError has no message: one complete line still."""
+    def fail(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setitem(cli._COMMANDS, "trace", fail)
+    surf = write(tmp_path, "b.surf", B_TEXT)
+    args = ["trace", "--surface", surf, "--res", "16",
+            "--out", str(tmp_path / "t.csv")]
+    assert run_cli(args) == (4, "", "monge4: out of memory\n")
 
 
 def test_negative_point_as_separate_argument(tmp_path):

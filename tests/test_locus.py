@@ -6,8 +6,8 @@ import pytest
 from monge4 import classify, locus
 from monge4.errors import EvaluationError
 from monge4.jets import Jet
-from monge4.localgeom import (coeff_norm, invariant_grid, local_invariants,
-                              surface_from_strings)
+from monge4.localgeom import (coeff_norm, grid_axes, invariant_grid,
+                              local_invariants, surface_from_strings)
 from monge4.locus import find_inflections, trace_parabolic
 
 from conftest import (benchmark_surfaces, gallery_surfaces, make_surface,
@@ -297,14 +297,15 @@ def test_refinement_matches_bisection_on_random_corpus(monkeypatch):
         _assert_matches_bisection(surface, 64, monkeypatch)
 
 
-# invariant_grid calls of one trace at res 256: the grid, the refinement
-# passes and one per saddle cell, measured (the bisection took 41 passes)
-TRACE_CALLS = {"segment": 1, "umbilic": 1, "inflection_imaginary": 1,
-               "hyperbolic": 1, "fold": 4, "inflection_real": 3,
-               "parabolic_loop": 9, "saddle": 10,
+# invariant_grid calls of one trace at res 256 after the grid's tiles: the
+# refinement passes and one for the centres of all saddle cells, measured
+# (the bisection took 41 passes)
+TRACE_CALLS = {"segment": 0, "umbilic": 0, "inflection_imaginary": 0,
+               "hyperbolic": 0, "fold": 3, "inflection_real": 2,
+               "parabolic_loop": 8, "saddle": 9,
                # Delta vanishes identically: its rounding noise crosses
                # edges, but every cell is degenerate, so none is refined
-               "parabolic": 1}
+               "parabolic": 0}
 
 
 def _count_trace_calls(surface, res, monkeypatch):
@@ -336,8 +337,9 @@ def test_inflection_real_vertices_on_grid_nodes(monkeypatch):
     res = 256
     surface = GALLERY["inflection_real"]
     ps, calls = _count_trace_calls(surface, res, monkeypatch)
-    assert len(calls) == 3  # the grid and two passes; no saddle cell
-    xs, ys, fields = locus._grid_fields(surface, res, 2)
+    assert len(calls) == 2  # two passes; no saddle cell
+    xs, ys = grid_axes(surface, res)
+    fields = invariant_grid(surface, xs[:, None], ys[None, :])
     pts = np.concatenate([pl.points for pl in ps.polylines])
     residuals = np.concatenate([pl.residuals for pl in ps.polylines])
     i = np.searchsorted(xs, pts[:, 0])
