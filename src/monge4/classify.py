@@ -26,8 +26,8 @@ from .localgeom import (LocalInvariants, SurfaceSpec, coeff_norm,
 __all__ = [
     "PointClassification", "classify_point", "asymptotic_directions",
     "binormals", "hessian_of_delta", "canonical_direction",
-    "class_labels_grid", "unit_scaled", "band_directions", "REL",
-    "RANK_RATIO", "CIRCLE_RATIO",
+    "class_labels_grid", "class_codes_grid", "LABELS", "unit_scaled",
+    "band_directions", "REL", "RANK_RATIO", "CIRCLE_RATIO",
 ]
 
 REL = 1e-8           # scale-relative band for Delta / kappa / K
@@ -178,15 +178,22 @@ class ClassLabel(str):
 
 _KINDS = ("elliptic", "hyperbolic", "parabolic", "inflection")
 _K_TYPES = ("real", "flat", "imaginary")
-# indexed by (kind, K band, rank) as class_labels_grid numbers them
-_LABELS = np.array([[[ClassLabel(kind, k_type, rank) for rank in range(3)]
-                     for k_type in _K_TYPES] for kind in _KINDS], dtype=object)
+# indexed by the codes of class_codes_grid, (kind * 3 + K band) * 3 + rank
+LABELS = np.array([ClassLabel(kind, k_type, rank) for kind in _KINDS
+                   for k_type in _K_TYPES for rank in range(3)], dtype=object)
 
 
 def class_labels_grid(fields, rel: float = REL):
     """The taxonomy's band decision, elementwise on the coefficients a..g of
     ``fields`` (floats, 0-d arrays or arrays): a :class:`ClassLabel` for a
-    single point, an object array of them otherwise.
+    single point, an object array of them otherwise; the labels of
+    :data:`LABELS` at the codes of :func:`class_codes_grid`."""
+    return LABELS[class_codes_grid(fields, rel)]
+
+
+def class_codes_grid(fields, rel: float = REL):
+    """The label of each point of ``fields`` as its index into
+    :data:`LABELS`, a uint8.
 
     The kind follows the sign of Delta inside a ||M||^4-relative band;
     within the parabolic band the point is an inflection when additionally
@@ -213,7 +220,7 @@ def class_labels_grid(fields, rel: float = REL):
     infl = (np.abs(m.kappa) <= tau_band) & (rank <= 1)
     kind = np.where(above, 0, np.where(below, 1, np.where(infl, 3, 2)))
     k_type = np.where(m.K < -tau_band, 0, np.where(m.K > tau_band, 2, 1))
-    return _LABELS[kind, k_type, rank]
+    return ((kind * 3 + k_type) * 3 + rank).astype(np.uint8)
 
 
 def hessian_of_delta(surface: SurfaceSpec, x: float, y: float) -> np.ndarray:

@@ -13,8 +13,11 @@ Exit codes: 0 success, 1 selfcheck failure, 2 usage error (including an
 unwritable output path), 3 surface file parse error, 4 numerical failure
 (including overflow, linear-algebra failures and running out of memory).
 Reals are printed in shortest round-trip form (at most 17 significant
-digits); CSV uses comma separators, '.' decimal points, LF line endings and
-a header row.
+digits), the text of ``repr(float(v) + 0.0)``: by :func:`_fmt` one at a time
+in the scalar records of analyze, inflections and selfcheck, and by
+:mod:`monge4.floattext` a block of lines at a time in the grid and trace
+CSVs.  CSV uses comma separators, '.' decimal points, LF line endings and a
+header row.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import sys
 import numpy as np
 
 from . import classify as cls
-from . import conics, locus
+from . import conics, floattext, locus
 from .errors import (CrossCheckError, EvaluationError, InflectionPointError,
                      Monge4Error, SurfaceFileError)
 from .localgeom import (CROSS_CHECKS, SurfaceSpec, check_invariants,
@@ -174,33 +177,47 @@ def _cmd_analyze(surface, args, out):
 # grid
 # ---------------------------------------------------------------------------
 
-def _fmt_column(values: np.ndarray) -> list[str]:
-    """:func:`_fmt` over a float array, in one pass."""
-    return list(map(repr, (values + 0.0).tolist()))
+# lines of grid CSV formatted at a time, in whole y-rows: large enough that
+# numpy's per-call cost is small, small enough that a block's text and its
+# temporaries stay far below the grid itself
+BLOCK_LINES = 2 ** 12
+
+_LABEL_TEXT = floattext.text_table(cls.LABELS)
 
 
 def grid_rows(surface: SurfaceSpec, res: int, rel: float):
-    """The grid CSV after the header, as an iterator of its text one y-row
-    at a time: y varies in the outer loop, x in the inner one, from
-    (xmin, ymin).
+    """The grid CSV after the header, as an iterator of its text in blocks
+    of whole y-rows, about :data:`BLOCK_LINES` lines each: y varies in the
+    outer loop, x in the inner one, from (xmin, ymin).
 
     Every node is evaluated, checked and classified before this returns;
-    only K, kappa, Delta and the label of each node are kept, and the lines
-    are formatted as the iterator is read."""
+    only K, kappa, Delta and the label code of each node are kept (25 bytes
+    per node), and the lines are formatted as the iterator is read."""
     xs, ys = grid_axes(surface, res)
     K, kappa, delta = (np.empty((res, res)) for _ in range(3))
-    labels = np.empty((res, res), dtype=object)
+    codes = np.empty((res, res), dtype=np.uint8)
     for rows, where, fields in grid_tiles(surface, res):
         check_invariants(fields, where)
         K[rows], kappa[rows], delta[rows] = fields.K, fields.kappa, fields.Delta
-        labels[rows] = cls.class_labels_grid(fields, rel)
-    x_text = _fmt_column(xs)
-    return ("".join([f"{x},{y},{k},{kap},{d},{label}\n"
-                     for x, k, kap, d, label in zip(
-                         x_text, _fmt_column(K[:, j]),
-                         _fmt_column(kappa[:, j]), _fmt_column(delta[:, j]),
-                         labels[:, j].tolist())])
-            for j, y in enumerate(_fmt_column(ys)))
+        codes[rows] = cls.class_codes_grid(fields, rel)
+    return _grid_blocks(xs, ys, K, kappa, delta, codes)
+
+
+def _grid_blocks(xs, ys, K, kappa, delta, codes):
+    """The text of :func:`grid_rows`, formatted block by block."""
+    res = len(xs)
+    # the axes' text padded to its longest value, not to a whole slot
+    x_text, y_text = (floattext.text_table(floattext.csv_lines(
+        [floattext.float_slots(axis)]).splitlines()) for axis in (xs, ys))
+    step = max(1, BLOCK_LINES // res)
+    for j in range(0, res, step):
+        cols = slice(j, j + step)
+        shape = (len(ys[cols]), res, floattext.SLOT)
+        yield floattext.csv_lines(
+            [x_text[None], y_text[cols, None],
+             *(floattext.float_slots(f[:, cols].T).reshape(shape)
+               for f in (K, kappa, delta)),
+             _LABEL_TEXT.take(codes[:, cols].T, axis=0)])
 
 
 @contextlib.contextmanager
@@ -225,15 +242,20 @@ def _cmd_grid(surface, args, out):
 # ---------------------------------------------------------------------------
 
 def _cmd_trace(surface, args, out):
-    result = locus.trace_parabolic(surface, _check_res(args.res), args.tol)
+    polylines = locus.trace_parabolic(
+        surface, _check_res(args.res), args.tol).polylines
     with _open_output(args.out) as fh:
         fh.write("polyline_id,vertex_id,x,y,delta_residual\n")
-        for pid, pl in enumerate(result.polylines):
-            fh.writelines(
-                f"{pid},{vid},{x},{y},{r}\n" for vid, (x, y, r) in enumerate(
-                    zip(_fmt_column(pl.points[:, 0]),
-                        _fmt_column(pl.points[:, 1]),
-                        _fmt_column(pl.residuals))))
+        if polylines:
+            lengths = [len(pl.residuals) for pl in polylines]
+            pid = np.repeat(np.arange(len(polylines)), lengths)
+            starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
+            x, y = np.concatenate([pl.points for pl in polylines]).T
+            residuals = np.concatenate([pl.residuals for pl in polylines])
+            fh.write(floattext.csv_lines(
+                [floattext.int_slots(pid),
+                 floattext.int_slots(np.arange(len(pid)) - starts),
+                 *map(floattext.float_slots, (x, y, residuals))]))
     return EXIT_OK
 
 

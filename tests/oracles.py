@@ -32,7 +32,8 @@ on them in 800-digit ``decimal``, so that it measures the rounding of
 ``localgeom.frame_fields`` alone.  :func:`grid_rows_reference` and
 :func:`selfcheck_report_reference` evaluate the whole grid at once, as
 ``cli.grid_rows`` and ``cli.selfcheck_report`` did before they went tile
-by tile, and :func:`trace_parabolic_reference` and
+by tile, the former printing each real with Python's ``repr`` rather than
+the package's ``floattext`` writer, and :func:`trace_parabolic_reference` and
 :func:`find_inflections_reference` are ``locus.trace_parabolic`` and
 ``locus.find_inflections`` as they were then, with one evaluation per saddle
 cell centre in the former; the package must reproduce their output bit for
@@ -50,7 +51,6 @@ from monge4 import classify as cls
 from monge4 import conics
 from monge4 import expr as ex
 from monge4 import locus
-from monge4.cli import _fmt_column
 from monge4.jets import Jet
 from monge4.localgeom import (CROSS_CHECKS, check_invariants, coeff_norm,
                               grid_axes, invariant_gradients, invariant_grid,
@@ -497,21 +497,27 @@ def frame_oracle(phi_d, psi_d, digits=800):
         return {key: float(v) for key, v in values.items()}
 
 
+def repr_column(values):
+    """``repr(float(v) + 0.0)`` of each value, one Python call per value."""
+    return [repr(float(v) + 0.0) for v in values]
+
+
 def grid_rows_reference(surface, res, rel):
     """Lines of the grid CSV after the header from one whole-grid
-    evaluation: y varies in the outer loop, x in the inner one."""
+    evaluation: y varies in the outer loop, x in the inner one, each real
+    printed by ``repr``."""
     xs, ys = grid_axes(surface, res)
     fields = invariant_grid(surface, xs[:, None], ys[None, :])
     check_invariants(fields, (xs[:, None], ys[None, :]))
     labels = cls.class_labels_grid(fields, rel)
-    x_text = _fmt_column(xs)
+    x_text = repr_column(xs)
     lines = []
-    for j, y in enumerate(_fmt_column(ys)):
+    for j, y in enumerate(repr_column(ys)):
         lines += [f"{x},{y},{k},{kap},{delta},{label}\n"
                   for x, k, kap, delta, label in zip(
-                      x_text, _fmt_column(fields.K[:, j]),
-                      _fmt_column(fields.kappa[:, j]),
-                      _fmt_column(fields.Delta[:, j]), labels[:, j].tolist())]
+                      x_text, repr_column(fields.K[:, j]),
+                      repr_column(fields.kappa[:, j]),
+                      repr_column(fields.Delta[:, j]), labels[:, j].tolist())]
     return lines
 
 

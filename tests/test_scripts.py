@@ -73,3 +73,27 @@ def test_compare_outputs_names_the_first_differing_line():
     assert module._verdict("exit 4\nerr\n", "exit 4\nerr\n") == "same (exit 4)"
     assert module._verdict("exit 0\n", "exit 4\n") \
         == "line 1: 'exit 0' vs 'exit 4'"
+
+
+def test_check_float_text():
+    """10^5 random bit patterns print as repr prints them."""
+    r = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "check_float_text.py"),
+         "100000", "3"],
+        capture_output=True, text=True, check=False)
+    assert r.returncode == 0, r.stdout + r.stderr
+    assert r.stdout.startswith("100000 values match repr (seed 3, ")
+
+
+def test_check_float_text_reports_a_mismatch(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location(
+        "check_float_text", ROOT / "scripts" / "check_float_text.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    slots = module.floattext.float_slots
+    monkeypatch.setattr(module.floattext, "float_slots",
+                        lambda values: slots(values[::-1]))
+    assert module.main(["1000"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("mismatch: ") == module.SHOWN
+    assert out.endswith("1000 of 1000 values differ from repr (seed 0)\n")
