@@ -12,7 +12,6 @@ nor overflow.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,13 +19,13 @@ import numpy as np
 from .conics import (homogeneous_quadratic_roots, indicatrix_linear_map,
                      second_form_image)
 from .errors import InflectionPointError
-from .localgeom import (LocalInvariants, SurfaceSpec, coeff_norm,
-                        invariant_jets, second_order)
+from .jets import eval_jet
+from .localgeom import LocalInvariants, SurfaceSpec, scaled_jets, unit_scaled
 
 __all__ = [
     "PointClassification", "classify_point", "asymptotic_directions",
     "binormals", "hessian_of_delta", "canonical_direction",
-    "class_labels_grid", "class_codes_grid", "LABELS", "unit_scaled",
+    "class_labels_grid", "class_codes_grid", "LABELS",
     "band_directions", "REL", "RANK_RATIO", "CIRCLE_RATIO",
 ]
 
@@ -56,31 +55,6 @@ def canonical_direction(v, zero=1e-12) -> np.ndarray:
     if v[0] < -zero or (abs(v[0]) <= zero and v[1] < 0.0):
         v = -v
     return v
-
-
-def unit_scaled(a, b, c, e, f, g):
-    """:func:`~monge4.localgeom.second_order` of a..g times 2^-k, where 2^k
-    is the power of two just above the largest |entry|, with msq = ||M||^2
-    and k, which the rank of :func:`class_labels_grid` needs to test s1 of
-    the unscaled M.
-
-    Multiplying by a power of two is exact in the normal range, so every
-    rounding commutes with the scaling and the sign of each invariant
-    against its band is the one of the unscaled values; only underflow and
-    overflow go away.  Works elementwise on floats and arrays.
-    """
-    big = np.maximum(np.maximum(np.maximum(abs(a), abs(b)), abs(c)),
-                     np.maximum(np.maximum(abs(e), abs(f)), abs(g)))
-    # ldexp of each entry, not a product with 2^-k: for a subnormal largest
-    # entry 2^-k itself overflows
-    if np.ndim(big):
-        k, ldexp = -np.frexp(big)[1], np.ldexp
-    else:
-        k, ldexp = -math.frexp(big)[1], math.ldexp
-    m = second_order(*(ldexp(v, k) for v in (a, b, c, e, f, g)))
-    m.msq = (float(coeff_norm(m)) if np.ndim(big) == 0 else coeff_norm(m)) ** 2
-    m.k = k
-    return m
 
 
 def classify_point(inv: LocalInvariants, rel: float = REL) -> PointClassification:
@@ -225,8 +199,12 @@ def class_codes_grid(fields, rel: float = REL):
 
 def hessian_of_delta(surface: SurfaceSpec, x: float, y: float) -> np.ndarray:
     """Hessian of the scalar field Delta at (x, y), exact: the second-order
-    coefficients of Delta as an order-2 jet, from
-    :func:`~monge4.localgeom.invariant_jets`.  Entries that overflow are
-    inf or nan."""
-    delta = invariant_jets(surface, x, y, 2).Delta
-    return np.array([[delta.fxx, delta.fxy], [delta.fxy, delta.fyy]])
+    coefficients of Delta as an order-2 jet of
+    :func:`~monge4.localgeom.scaled_jets`, on M scaled by the power of two
+    2^k, then times 2^-4k.  Entries that overflow are inf or nan."""
+    x, y = float(x), float(y)
+    fl, m = scaled_jets(eval_jet(surface.phi, x, y, 4),
+                        eval_jet(surface.psi, x, y, 4), 2)
+    delta = fl.Delta
+    return np.ldexp(np.array([[delta.fxx, delta.fxy], [delta.fxy, delta.fyy]]),
+                    -4 * m.k)

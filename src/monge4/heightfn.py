@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import REL, band_directions, canonical_direction, unit_scaled
+from .classify import REL, band_directions, canonical_direction
 from .errors import CrossCheckError
 from .localgeom import (REL_HEIGHT, LocalInvariants, SurfaceSpec,
-                        local_invariants)
+                        local_invariants, unit_scaled)
 
 __all__ = [
     "HeightSingularity", "height_hessian", "degenerate_normals",

@@ -14,10 +14,18 @@ these four are the live checks of :func:`check_invariants`, which every
 :func:`local_invariants` and the grid subcommand run.  The Brioschi formula
 (a third route to K through the metric alone) and the Wintgen inequality run
 only in the selfcheck suite.
+
+The derivatives of the invariants have one route, :func:`scaled_jets`: the
+same formulas on jets of phi and psi, with M multiplied by the power of two
+of :func:`unit_scaled` that brings its largest entry into [0.5, 1), so that
+Delta and its derivatives neither underflow nor overflow.  The inflection
+walkers, their seed test and :func:`~monge4.classify.hessian_of_delta` all
+take their derivatives from it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
@@ -31,8 +39,8 @@ from .jets import Jet, eval_jet, sqrt
 __all__ = [
     "SurfaceSpec", "LocalInvariants", "surface_from_strings",
     "local_invariants", "brioschi_curvature", "delta_resultant",
-    "frame_fields", "second_order", "invariant_grid", "check_invariants",
-    "invariant_gradients", "invariant_jets", "coeff_norm", "grid_axes",
+    "frame_fields", "second_order", "unit_scaled", "scaled_jets",
+    "invariant_grid", "check_invariants", "coeff_norm", "grid_axes",
     "grid_tiles", "TILE_POINTS",
 ]
 
@@ -217,6 +225,53 @@ def _derivatives(jet: Jet, order: int = 0):
         return jet.coeffs[1:6]
     return tuple(jet.shift(i, j, order)
                  for i, j in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2)))
+
+
+def unit_scaled(a, b, c, e, f, g):
+    """:func:`second_order` of a..g times 2^-k, where 2^k is the power of
+    two just above the largest |entry|, with msq = ||M||^2 and k, which the
+    rank of :func:`~monge4.classify.class_labels_grid` needs to test s1 of
+    the unscaled M.
+
+    Multiplying by a power of two is exact in the normal range, so every
+    rounding commutes with the scaling and the sign of each invariant
+    against its band is the one of the unscaled values; only underflow and
+    overflow go away.  Works elementwise on floats and arrays.
+    """
+    big = np.maximum(np.maximum(np.maximum(abs(a), abs(b)), abs(c)),
+                     np.maximum(np.maximum(abs(e), abs(f)), abs(g)))
+    # ldexp of each entry, not a product with 2^-k: for a subnormal largest
+    # entry 2^-k itself overflows
+    if np.ndim(big):
+        k, ldexp = -np.frexp(big)[1], np.ldexp
+    else:
+        k, ldexp = -math.frexp(big)[1], math.ldexp
+    m = second_order(*(ldexp(v, k) for v in (a, b, c, e, f, g)))
+    m.msq = (float(coeff_norm(m)) if np.ndim(big) == 0 else coeff_norm(m)) ** 2
+    m.k = k
+    return m
+
+
+def scaled_jets(jphi: Jet, jpsi: Jet, order: int):
+    """The derivatives of the invariants, at the points of the jets of phi
+    and psi (of order + 2 or more): (fields, m), where ``m`` is the
+    :func:`unit_scaled` M there, which holds k and msq, and ``fields`` are
+    the fields of :func:`frame_fields` as jets of ``order`` with the
+    coefficients a..g times that power of two 2^k, elementwise.
+
+    a..g are linear in the second derivatives of phi and psi, so scaling
+    those by 2^k is exact: Delta comes out times 2^4k and kappa times 2^2k,
+    and neither underflows on a small surface; np.ldexp(., -4k) gives the
+    derivatives of Delta itself.  What overflows is inf or nan."""
+    def scaled(jet):
+        d = _derivatives(jet, order)
+        return d[:2] + tuple(Jet(tuple(np.ldexp(c, m.k) for c in j.coeffs))
+                             for j in d[2:])
+
+    with np.errstate(all="ignore"):
+        fl = frame_fields(_derivatives(jphi), _derivatives(jpsi))
+        m = unit_scaled(fl.a, fl.b, fl.c, fl.e, fl.f, fl.g)
+        return frame_fields(scaled(jphi), scaled(jpsi)), m
 
 
 def delta_resultant(a, b, c, e, f, g):
@@ -458,33 +513,3 @@ def brioschi_curvature(surface: SurfaceSpec, x: float, y: float) -> float:
     jphi = eval_jet(surface.phi, float(x), float(y), 3)
     jpsi = eval_jet(surface.psi, float(x), float(y), 3)
     return float(brioschi_field(jphi, jpsi))
-
-
-# ---------------------------------------------------------------------------
-# exact gradients of the derived scalar fields
-# ---------------------------------------------------------------------------
-
-def invariant_jets(surface: SurfaceSpec, x: float, y: float,
-                   order: int) -> SimpleNamespace:
-    """The fields of :func:`frame_fields` at (x, y) as jets of ``order``:
-    exact derivatives of the invariants up to that order, from the jets of
-    phi and psi of order + 2.  A derivative that overflows is inf or nan."""
-    x, y = float(x), float(y)
-    jphi = eval_jet(surface.phi, x, y, order + 2)
-    jpsi = eval_jet(surface.psi, x, y, order + 2)
-    return frame_fields(_derivatives(jphi, order), _derivatives(jpsi, order))
-
-
-def invariant_gradients(surface: SurfaceSpec, x: float, y: float) -> SimpleNamespace:
-    """Delta, kappa and their exact gradients at (x, y), from
-    :func:`invariant_jets` of order 1."""
-    fl = invariant_jets(surface, x, y, 1)
-    scale = coeff_norm(SimpleNamespace(
-        a=fl.a.f, b=fl.b.f, c=fl.c.f, e=fl.e.f, f=fl.f.f, g=fl.g.f))
-    return SimpleNamespace(
-        delta=fl.Delta.f,
-        grad_delta=np.array([fl.Delta.fx, fl.Delta.fy]),
-        kappa=fl.kappa.f,
-        grad_kappa=np.array([fl.kappa.fx, fl.kappa.fy]),
-        coeff_scale=float(scale),
-    )

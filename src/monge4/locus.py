@@ -11,7 +11,11 @@ they are reported only by the inflection finder.
 Inflections are the singular points of Delta = 0, where grad Delta vanishes
 too.  The finder runs one batch of Newton walkers on grad Delta = 0 and
 kappa = 0 with the exact Hessian of Delta, which converge quadratically
-where Newton on (Delta, kappa) converges only linearly.
+where Newton on (Delta, kappa) converges only linearly.  The walkers, their
+seed test and the Hessian of Delta in the reports take their derivatives
+from one route, :func:`~monge4.localgeom.scaled_jets`, on M scaled by a
+power of two; the reports' det_hessian_delta is that Hessian scaled back,
+so it underflows on a small enough surface, where the search does not.
 """
 
 from __future__ import annotations
@@ -20,10 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import REL, class_labels_grid, hessian_of_delta, unit_scaled
+from .classify import REL, class_labels_grid, hessian_of_delta
 from .jets import Jet, eval_jet
-from .localgeom import (SurfaceSpec, _derivatives, coeff_norm, frame_fields,
-                        grid_axes, grid_tiles, invariant_grid, local_invariants)
+from .localgeom import (SurfaceSpec, coeff_norm, grid_axes, grid_tiles,
+                        invariant_grid, local_invariants, scaled_jets,
+                        unit_scaled)
 
 __all__ = ["Polyline", "PolylineSet", "InflectionReport",
            "trace_parabolic", "find_inflections"]
@@ -324,37 +329,6 @@ def _link_segments(segments, crossings) -> list[Polyline]:
     return out
 
 
-def _scaled_jets(jphi: Jet, jpsi: Jet, order: int, k):
-    """The fields of :func:`~monge4.localgeom.frame_fields` as jets of
-    ``order``, from the jets of phi and psi (of order + 2 or more), with
-    the coefficients a..g times 2^k, elementwise.
-
-    a..g are linear in the second derivatives of phi and psi, so scaling
-    those by the power of two is exact: Delta comes out times 2^4k and
-    kappa times 2^2k, and with the k of :func:`unit_scaled` neither
-    underflows on a small surface.  What overflows is inf or nan."""
-    def scaled(jet):
-        d = _derivatives(jet, order)
-        return d[:2] + tuple(Jet(tuple(np.ldexp(c, k) for c in j.coeffs))
-                             for j in d[2:])
-
-    with np.errstate(all="ignore"):
-        return frame_fields(scaled(jphi), scaled(jpsi))
-
-
-def _walker_jets(surface: SurfaceSpec, x, y):
-    """The one evaluation of a walker pass, at the points (x, y): Delta and
-    kappa as order-2 jets (from order-4 jets of phi and psi) on M scaled by
-    the power of two of :func:`unit_scaled`, and ||M||^2 of the scaled M."""
-    jphi = eval_jet(surface.phi, x, y, 4)
-    jpsi = eval_jet(surface.psi, x, y, 4)
-    with np.errstate(all="ignore"):
-        fl = frame_fields(_derivatives(jphi), _derivatives(jpsi))
-        m = unit_scaled(fl.a, fl.b, fl.c, fl.e, fl.f, fl.g)
-    fl = _scaled_jets(jphi, jpsi, 2, m.k)
-    return fl.Delta, fl.kappa, m.msq
-
-
 def _newton_steps(delta: Jet, kappa: Jet):
     """The step of each walker, from Delta and kappa as order-2 jets, and
     whether it has one.
@@ -418,10 +392,11 @@ def _newton_walkers(surface: SurfaceSpec, px, py, cellx: float, celly: float):
     (px[i], py[i]), in seed order, for the walkers with a root inside the
     domain.
 
-    The walkers run as one batch: each pass evaluates :func:`_walker_jets`
-    at the live walkers and takes the steps of :func:`_newton_steps`.  A
-    walker's root is its best iterate with residual max(|Delta|/||M||^4,
-    |kappa|/||M||^2) at most NEWTON_ACCEPT, on the scaled fields.  A walker
+    The walkers run as one batch: each pass evaluates Delta and kappa as
+    order-2 jets of :func:`~monge4.localgeom.scaled_jets` at the live
+    walkers and takes the steps of :func:`_newton_steps`.  A walker's root
+    is its best iterate with residual max(|Delta|/||M||^4, |kappa|/||M||^2)
+    at most NEWTON_ACCEPT, on the scaled fields.  A walker
     stops where ||M|| is 0 or not finite, where it has no step, where a step
     leaves the domain by more than a cell, and after NEWTON_ITERATIONS
     passes.  It also stops once its step is at most NEWTON_STEP of a cell:
@@ -442,7 +417,9 @@ def _newton_walkers(surface: SurfaceSpec, px, py, cellx: float, celly: float):
     for _ in range(NEWTON_ITERATIONS):
         if not live.size:
             break
-        delta, kappa, msq = _walker_jets(surface, x, y)
+        fl, m = scaled_jets(eval_jet(surface.phi, x, y, 4),
+                            eval_jet(surface.psi, x, y, 4), 2)
+        delta, kappa, msq = fl.Delta, fl.kappa, m.msq
         with np.errstate(all="ignore"):
             resid = np.maximum(np.abs(delta.f) / (msq * msq),
                                np.abs(kappa.f) / msq)
@@ -500,8 +477,9 @@ def _seed_tiles(surface: SurfaceSpec, resolution: int, rho: float):
     of one per in-band node.  A minimum seeds when Delta and kappa are
     inside the coarse band, or when their exact gradients say they can
     vanish within ``rho`` of it (a fixed band alone can fall between grid
-    nodes); all of it is taken at the minima only, on M scaled by the power
-    of two of unit_scaled, so that nothing underflows on a small surface.
+    nodes); all of it is taken at the minima only, from
+    :func:`~monge4.localgeom.scaled_jets` of order 1, so that nothing
+    underflows on a small surface.
 
     A tile's grid fields are freed before the next tile is evaluated: only
     the residuals of its last x-row and that row's seeds are kept, and the
@@ -519,10 +497,9 @@ def _seed_tiles(surface: SurfaceSpec, resolution: int, rho: float):
         yield last_i * resolution + last_j[kept], last_resid[kept]
 
         at_min = np.nonzero(_tile_minima(resid, above))
-        m = unit_scaled(*(c[at_min] for c in coeffs))
-        grads = _scaled_jets(*(Jet(tuple(c[at_min] for c in jet.coeffs))
-                               for jet in (fields.jet_phi, fields.jet_psi)),
-                             1, m.k)
+        grads, m = scaled_jets(*(Jet(tuple(c[at_min] for c in jet.coeffs))
+                                 for jet in (fields.jet_phi, fields.jet_psi)),
+                               1)
         gd = np.hypot(grads.Delta.fx, grads.Delta.fy)
         gk = np.hypot(grads.kappa.fx, grads.kappa.fy)
         seed = (np.abs(m.Delta) <= np.maximum(SEED_BAND * m.msq ** 2, gd * rho)) \

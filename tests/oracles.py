@@ -9,9 +9,13 @@ definition of the second fundamental form.
 The exceptions are :func:`evolvent_reference`, the per-direction loop body
 that ``conics._evolvent_sweep`` batches, and :func:`jet_variable_reference`,
 coordinate jets with full-array seeds; the package must reproduce both bit
-for bit.  :func:`hessian_of_delta_fd` is the Richardson-extrapolated
-difference of the exact Delta gradient that ``classify.hessian_of_delta``
-replaced by an exact jet; the two must agree to the differencing error.
+for bit.  :func:`invariant_gradients` is the unscaled route to the exact
+gradients of Delta and kappa that ``localgeom.scaled_jets`` replaced by one
+route on M scaled by a power of two; it underflows on a small surface,
+where that does not.  :func:`hessian_of_delta_fd` is the
+Richardson-extrapolated difference of its Delta gradient, which
+``classify.hessian_of_delta`` replaced by an exact jet; the two must agree
+to the differencing error.
 :func:`bisect_edges_reference` is the fixed 40-round bisection that
 ``locus._refine_edges`` replaced; the package must match its polylines
 with residuals no worse.  :func:`newton_walkers_reference` is the
@@ -44,6 +48,7 @@ from __future__ import annotations
 
 import decimal
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -51,10 +56,10 @@ from monge4 import classify as cls
 from monge4 import conics
 from monge4 import expr as ex
 from monge4 import locus
-from monge4.jets import Jet
-from monge4.localgeom import (CROSS_CHECKS, check_invariants, coeff_norm,
-                              grid_axes, invariant_gradients, invariant_grid,
-                              local_invariants)
+from monge4.jets import Jet, eval_jet
+from monge4.localgeom import (CROSS_CHECKS, _derivatives, check_invariants,
+                              coeff_norm, frame_fields, grid_axes,
+                              invariant_grid, local_invariants, scaled_jets)
 from monge4.locus import NEWTON_ACCEPT, NEWTON_ITERATIONS
 
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "tan": np.tan,
@@ -332,6 +337,24 @@ def jet_variable_reference(which, x0, y0, order):
     seeds = (one, one * 0.0) if which == "x" else (one * 0.0, one)
     size = (order + 1) * (order + 2) // 2
     return Jet(((val,) + seeds + (0.0,) * size)[:size])
+
+
+def invariant_gradients(surface, x, y):
+    """Delta, kappa and their exact gradients at (x, y), unscaled: the
+    fields of ``localgeom.frame_fields`` as order-1 jets, shifted out of the
+    order-3 jets of phi and psi, and ||M|| as ``coeff_scale``."""
+    x, y = float(x), float(y)
+    fl = frame_fields(_derivatives(eval_jet(surface.phi, x, y, 3), 1),
+                      _derivatives(eval_jet(surface.psi, x, y, 3), 1))
+    scale = coeff_norm(SimpleNamespace(
+        a=fl.a.f, b=fl.b.f, c=fl.c.f, e=fl.e.f, f=fl.f.f, g=fl.g.f))
+    return SimpleNamespace(
+        delta=fl.Delta.f,
+        grad_delta=np.array([fl.Delta.fx, fl.Delta.fy]),
+        kappa=fl.kappa.f,
+        grad_kappa=np.array([fl.kappa.fx, fl.kappa.fy]),
+        coeff_scale=float(scale),
+    )
 
 
 def hessian_of_delta_fd(surface, x, y, step=1e-4):
@@ -618,10 +641,8 @@ def find_inflections_reference(surface, res, rel=cls.REL):
                 is_min &= resid_field <= padded[1 + di:res + 1 + di,
                                                 1 + dj:res + 1 + dj]
     at_min = np.nonzero(is_min)
-    m = cls.unit_scaled(*(c[at_min] for c in coeffs))
-    grads = locus._scaled_jets(*(Jet(tuple(c[at_min] for c in jet.coeffs))
-                                 for jet in (fields.jet_phi, fields.jet_psi)),
-                               1, m.k)
+    grads, m = scaled_jets(*(Jet(tuple(c[at_min] for c in jet.coeffs))
+                             for jet in (fields.jet_phi, fields.jet_psi)), 1)
     xmin, xmax, ymin, ymax = surface.domain
     cellx = (xmax - xmin) / (res - 1)
     celly = (ymax - ymin) / (res - 1)

@@ -15,8 +15,9 @@ from monge4.classify import (asymptotic_directions, binormals,
                              classify_point, hessian_of_delta)
 from monge4.errors import EvaluationError, InflectionPointError
 from monge4.heightfn import degenerate_normals
-from monge4.localgeom import (invariant_grid, invariant_gradients,
-                              local_invariants, surface_from_strings)
+from monge4.jets import eval_jet
+from monge4.localgeom import (invariant_grid, local_invariants, scaled_jets,
+                              surface_from_strings)
 
 from conftest import make_surface, random_points, random_surfaces
 from oracles import hessian_of_delta_fd, rank_m, winding_number
@@ -231,8 +232,10 @@ def test_inflection_equivalent_conditions():
         assert abs(inv.kappa) <= 1e-12 * msq
         sv = np.linalg.svd(inv.coeff_matrix, compute_uv=False)
         assert sv[1] <= 1e-12 * sv[0]
-        g = invariant_gradients(surface, 0.0, 0.0)
-        assert float(np.hypot(*g.grad_delta)) <= 1e-6
+        fl, m = scaled_jets(eval_jet(surface.phi, 0.0, 0.0, 3),
+                            eval_jet(surface.psi, 0.0, 0.0, 3), 1)
+        grad = np.ldexp(np.hypot(fl.Delta.fx, fl.Delta.fy), -4 * m.k)
+        assert float(grad) <= 1e-6
 
 
 def test_sign_law_at_inflections():

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from monge4 import expr as ex
 from monge4 import localgeom
 from monge4.errors import CrossCheckError, EvaluationError
+from monge4.jets import eval_jet
 from monge4.localgeom import (brioschi_curvature, brioschi_field, coeff_norm,
                               delta_resultant, invariant_grid,
-                              invariant_gradients, local_invariants,
+                              local_invariants, scaled_jets,
                               surface_from_strings)
 
 from conftest import (AXIS_XS, AXIS_YS, fixture_callables, gallery_surfaces,
@@ -351,9 +352,14 @@ def test_cross_check_message_prints_plain_floats():
     assert str(err.value) == "K cross-check failed: 1.0 vs 2.0"
 
 
-def test_invariant_gradients_match_fd(surfaces):
+def test_scaled_jet_gradients_match_fd(surfaces):
+    """The order-1 jets of scaled_jets, scaled back by 2^-4k and 2^-2k,
+    are the gradients of Delta and kappa."""
     surface = surfaces["G"]
-    g = invariant_gradients(surface, 0.23, -0.11)
+    fl, m = scaled_jets(eval_jet(surface.phi, 0.23, -0.11, 3),
+                        eval_jet(surface.psi, 0.23, -0.11, 3), 1)
+    grad_delta = np.ldexp([fl.Delta.fx, fl.Delta.fy], -4 * m.k)
+    grad_kappa = np.ldexp([fl.kappa.fx, fl.kappa.fy], -2 * m.k)
     h = 1e-6
 
     def delta(x, y):
@@ -368,8 +374,8 @@ def test_invariant_gradients_match_fd(surfaces):
     fd_k = np.array([
         (kappa(0.23 + h, -0.11) - kappa(0.23 - h, -0.11)) / (2 * h),
         (kappa(0.23, -0.11 + h) - kappa(0.23, -0.11 - h)) / (2 * h)])
-    assert g.grad_delta == pytest.approx(fd_d, rel=1e-6, abs=1e-8)
-    assert g.grad_kappa == pytest.approx(fd_k, rel=1e-6, abs=1e-8)
+    assert grad_delta == pytest.approx(fd_d, rel=1e-6, abs=1e-8)
+    assert grad_kappa == pytest.approx(fd_k, rel=1e-6, abs=1e-8)
 
 
 def test_domain_validation():

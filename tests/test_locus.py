@@ -5,9 +5,10 @@ import pytest
 
 from monge4 import classify, locus
 from monge4.errors import EvaluationError
-from monge4.jets import Jet
+from monge4.jets import Jet, eval_jet
 from monge4.localgeom import (coeff_norm, grid_axes, invariant_grid,
-                              local_invariants, surface_from_strings)
+                              local_invariants, scaled_jets,
+                              surface_from_strings)
 from monge4.locus import find_inflections, trace_parabolic
 
 from conftest import (benchmark_surfaces, gallery_surfaces, make_surface,
@@ -134,6 +135,28 @@ def test_find_inflections_scale_free(scale):
     reports = find_inflections(surface, 64)
     assert [r.kind for r in reports] == ["real"]
     assert (reports[0].x, reports[0].y) == pytest.approx((0.0, 0.0), abs=1e-6)
+
+
+def test_scaled_hessian_of_delta_keeps_its_sign():
+    """At the real inflection of s * H the Hessian of Delta from scaled_jets
+    is the same bits, diag(-0.125, 0.125), for every s = 2^j with j = 0 ...
+    -266, so its determinant stays negative far below the 1e-80 of
+    test_find_inflections_scale_free.  There the report's
+    det_hessian_delta, scaled back to the unscaled Delta, reads -0.0."""
+    for j in range(0, -267, -1):
+        s = repr(2.0 ** j)
+        surface = surface_from_strings(f"{s}*(x^2 - y^2)",
+                                       f"{s}*(x^3/3 + x*y^2)", HALF_BOX)
+        fl, _ = scaled_jets(eval_jet(surface.phi, 0.0, 0.0, 4),
+                            eval_jet(surface.psi, 0.0, 0.0, 4), 2)
+        hd = np.array([[fl.Delta.fxx, fl.Delta.fxy],
+                       [fl.Delta.fxy, fl.Delta.fyy]])
+        assert hd.tobytes() == np.diag([-0.125, 0.125]).tobytes()
+        assert np.linalg.det(hd) < 0.0
+    surface = surface_from_strings("1e-80*(x^2 - y^2)",
+                                   "1e-80*(x^3/3 + x*y^2)", HALF_BOX)
+    det_hd = find_inflections(surface, 64)[0].det_hessian_delta
+    assert np.signbit(det_hd) and det_hd == 0.0
 
 
 @pytest.mark.parametrize("scale", ["1", "1e-60"])
@@ -503,12 +526,14 @@ def test_walker_pass_count(name, monkeypatch):
     surface = GALLERY.get(name) or make_surface(name, HALF_BOX)
     calls = []
 
-    def counting(*args):
-        calls.append(1)
-        return walker_jets(*args)
+    def counting(jphi, jpsi, order):
+        # a walker pass is the one call of order 2; the seed test's are of
+        # order 1
+        if order == 2:
+            calls.append(1)
+        return scaled_jets(jphi, jpsi, order)
 
-    walker_jets = locus._walker_jets
-    monkeypatch.setattr(locus, "_walker_jets", counting)
+    monkeypatch.setattr(locus, "scaled_jets", counting)
     reports = find_inflections(surface, 256)
     assert len(calls) <= INFLECTION_PASSES[name]
     assert len(reports) == (name != "parabolic_loop")
