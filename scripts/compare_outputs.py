@@ -7,12 +7,13 @@ tree.
 
 Runs ``analyze``, ``plot`` and ``height`` at each ``--at`` point (default
 0,0 and 0.25,-0.2) and ``grid``, ``selfcheck``, ``trace`` and ``inflections``
-at ``--res`` (default 128) on the surfaces of ``fixture_gallery.py`` and the
-polynomial surface of the golden tests, or on the given surface files
-instead.  ``height`` is no subcommand but the benchmark's point-queries
-``height`` job: the degenerate normals of the point and the height
-singularity of each.  Every command runs twice, in one subprocess
-with this tree's ``src`` on the import path and in one with OTHER_SRC.
+at ``--res`` (default 128) on the surfaces of ``fixture_gallery.py``, the
+polynomial surface of the golden tests and two transcendental surfaces, or on
+the given surface files instead.  ``height`` is no subcommand but the
+benchmark's point-queries ``height`` job: the degenerate normals of the
+point and the height singularity of each.  Every command runs twice, in one
+subprocess with this tree's ``src`` on the import path and in one with
+OTHER_SRC.
 Prints, for each surface and subcommand, ``same`` or the first differing
 line; the exit code and the error output count as lines too.  A failure
 both trees share prints as ``same`` followed by its exit code, such as
@@ -34,6 +35,15 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 # the surface of GOLDEN_TEXT in tests/test_cli.py
 GOLDEN = ("1.5*x^2 + 0.5*y^2", "2*x*y + 0.3*y^3", "-1 1 -1 1")
+# products and compositions of functions of one coordinate each, a term in
+# both (cos(2*x+y)), quotients, roots and non-integer powers; both trace a
+# parabolic curve
+TRANSCENDENTAL = {
+    "trig": ("sin(3*x)*cos(2*y) + 0.6*x^2*y",
+             "cos(2*x+y) + 0.3*x*y^2 - 0.2*y^3", "-1 1 -1 1"),
+    "transcendental": ("exp(0.5*x)*sqrt(2 + y) + tan(0.3*x)/(1.5 + y)",
+                       "log(2 + x)*(2 + y)^1.5 - 0.4*x*y^2", "-1 1 -1 1"),
+}
 WRITES_FILE = ("plot", "grid", "trace")
 
 
@@ -89,7 +99,7 @@ def _run_jobs(src, jobs):
 
 def _surfaces(work):
     from fixture_gallery import SURFACES
-    table = dict(SURFACES, golden=GOLDEN)
+    table = dict(SURFACES, golden=GOLDEN, **TRANSCENDENTAL)
     paths = {}
     for name, (phi, psi, domain) in table.items():
         path = pathlib.Path(work) / f"{name}.surf"

@@ -8,6 +8,13 @@ yields the analytic derivatives up to floating rounding.  Coefficients may be
 Python floats (point evaluation) or numpy arrays (grid evaluation), each in
 its own broadcast shape; the same code path serves both.
 
+A jet also knows its structural zeros, the derivatives that vanish by
+construction: those in y of a function of x alone, those of a constant, and
+those above the degree of a polynomial.  Products and compositions are
+compiled per pattern of structural zeros and never form a term that holds
+one, so the product of a factor in x alone and a factor in y alone costs one
+product per coefficient instead of the whole Leibniz table.
+
 :meth:`Jet.shift` turns the jet of phi into the jet of a partial derivative
 of phi by re-indexing alone, so a formula in the derivatives of phi and psi
 runs on jets and returns the exact derivatives of its result: order-1 shifts
@@ -102,20 +109,20 @@ def _position(i, j):
     return d * (d + 1) // 2 + j
 
 
-def _leibniz_source(i, j, left, right, zero_below=0):
+def _leibniz_source(i, j, left, right, zl, zr):
     """Python source of d^(i+j)(uv) / dx^i dy^j by the Leibniz rule: the
     sum, left to right, of w * u_(k,l) * v_(i-k,j-l) in descending k then l
     when i >= j, in descending l then k otherwise.  ``left`` and ``right``
-    format a position of u and v as an operand.  With ``zero_below`` set,
-    u's positions below it and v's value are structural zeros, and the
-    terms that contain one are left out."""
+    format a position of u and v as an operand.  The set bits of ``zl`` and
+    ``zr`` mark the structural zeros of u and v by position; the terms that
+    contain one are left out, and "" stands for a sum with no terms left."""
     pairs = [(k, l) for k in range(i, -1, -1) for l in range(j, -1, -1)]
     if i < j:
         pairs.sort(key=lambda kl: (-kl[1], -kl[0]))
     terms = []
     for k, l in pairs:
         p, q = _position(k, l), _position(i - k, j - l)
-        if zero_below and (p < zero_below or q == 0):
+        if zl >> p & 1 or zr >> q & 1:
             continue
         w = math.comb(i, k) * math.comb(j, l)
         terms.append(("" if w == 1 else f"{w}.0 * ")
@@ -129,38 +136,65 @@ def _compile(source, name):
     return namespace[name]
 
 
-# The product and the composition of each order are compiled once, from its
-# Leibniz table, into straight-line code: on Python floats, a loop over the
-# table costs about as much again as the arithmetic.
+def _zeros_of(items):
+    """The pattern of structural zeros of coefficient sources: the
+    positions whose sum has no terms."""
+    return sum(1 << p for p, item in enumerate(items) if not item)
+
+
+def _tuple_source(items):
+    return f"({', '.join(item or '0.0' for item in items)},)"
+
+
+# The product and the composition of each order and each pattern of
+# structural zeros are compiled once, from its Leibniz table, into
+# straight-line code that returns the coefficients and their pattern: on
+# Python floats, a loop over the table costs about as much again as the
+# arithmetic, and a term with a structural zero is never formed.  The
+# coefficients that are not structural zeros form a down-set of the (i, j)
+# triangle (seeds do, and sums, products and compositions keep it), so there
+# are at most 132 patterns at order 4 and the caches stay small.
 
 @functools.cache
-def _product(order):
-    """The coefficients of the product of two order-n jets, as a function
-    of their coefficient tuples."""
-    items = [_leibniz_source(i, j, "a[{}]", "b[{}]") for i, j in _indices(order)]
-    return _compile(f"def product(a, b):\n    return ({', '.join(items)},)\n",
-                    "product")
+def _product(order, za, zb):
+    """The coefficients of the product of two order-n jets whose structural
+    zeros are ``za`` and ``zb``, and their own structural zeros, as a
+    function of the two coefficient tuples.  Against a constant, whose
+    derivatives are all structural zeros, it is a scaling; the product of a
+    jet in x alone and one in y alone has one term per coefficient."""
+    items = [_leibniz_source(i, j, "a[{}]", "b[{}]", za, zb)
+             for i, j in _indices(order)]
+    return _compile(f"def product(a, b):\n    return {_tuple_source(items)}, "
+                    f"{_zeros_of(items)}\n", "product")
 
 
 @functools.cache
-def _composition(order):
-    """The coefficients of u(f) for an order-n jet f, as a function of f's
+def _composition(order, zc):
+    """The coefficients of u(f) for an order-n jet f with structural zeros
+    ``zc``, and their own structural zeros, as a function of f's
     coefficients c and h = (h_0, ..., h_n), h_k = u^(k)(f) / k!.
 
-    u(f) = h_0 + sum_k h_k p^k, where p is f less its value.  p^k has zero
-    coefficients below degree k; each power is formed as p^(k-1) p without
-    the products that contain such a zero, and only at degree >= k.
+    u(f) = h_0 + sum_k h_k p^k, where p is f less its value.  p^k has
+    structural zeros at every degree below k and wherever its factors leave
+    no term; each power is formed as p^(k-1) p without the terms that
+    contain one.
     """
     power = ["", "c[{}]"] + [f"p{k}_{{}}" for k in range(2, order + 1)]
-    lines = [f"    {power[k].format(p)} = " + _leibniz_source(
-        i, j, power[k - 1], "c[{}]", zero_below=_position(k - 1, 0))
-        for k in range(2, order + 1)
-        for p, (i, j) in enumerate(_indices(order)) if i + j >= k]
+    zeros = [0, zc | 1]  # p's value is zero
+    lines = []
+    for k in range(2, order + 1):
+        items = [_leibniz_source(i, j, power[k - 1], "c[{}]", zeros[k - 1],
+                                 zeros[1]) for i, j in _indices(order)]
+        lines += [f"    {power[k].format(p)} = {item}\n"
+                  for p, item in enumerate(items) if item]
+        zeros.append(_zeros_of(items))
     items = ["h[0]"] + [" + ".join(f"h[{k}] * {power[k].format(p)}"
-                                   for k in range(1, i + j + 1))
+                                   for k in range(1, i + j + 1)
+                                   if not zeros[k] >> p & 1)
                         for p, (i, j) in enumerate(_indices(order)) if p]
-    return _compile("def composition(c, h):\n" + "".join(f"{x}\n" for x in lines)
-                    + f"    return ({', '.join(items)},)\n", "composition")
+    return _compile("def composition(c, h):\n" + "".join(lines)
+                    + f"    return {_tuple_source(items)}, {_zeros_of(items)}\n",
+                    "composition")
 
 
 # derivatives u^(k)(f), k = 0, 1, 2, ..., of the elementary functions
@@ -207,13 +241,19 @@ class Jet:
 
     ``coeffs`` holds them in graded order (f, fx, fy, fxx, fxy, fyy, ...);
     mixed partials are stored once.  Jets in one computation share their
-    order.
+    order.  The set bits of ``zeros`` mark structural zeros by position:
+    derivatives that vanish identically by construction, such as those in y
+    of a function of x alone.  Only :func:`jet_constant` and
+    :func:`jet_variable` set them, and every operation carries them on; a
+    coefficient that merely computes to zero is not one, so that 0 * inf
+    still gives nan.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "zeros")
 
-    def __init__(self, coeffs):
+    def __init__(self, coeffs, zeros=0):
         self.coeffs = coeffs
+        self.zeros = zeros
 
     @property
     def order(self):
@@ -234,30 +274,30 @@ class Jet:
     # a scalar operand changes the value only
     def __add__(self, o):
         if not isinstance(o, Jet):
-            return Jet((self.coeffs[0] + o,) + self.coeffs[1:])
-        return Jet(tuple(map(operator.add, self.coeffs, o.coeffs)))
+            return Jet((self.coeffs[0] + o,) + self.coeffs[1:], self.zeros)
+        return Jet(tuple(map(operator.add, self.coeffs, o.coeffs)),
+                   self.zeros & o.zeros)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(tuple(map(operator.neg, self.coeffs)))
+        return Jet(tuple(map(operator.neg, self.coeffs)), self.zeros)
 
     def __sub__(self, o):
         if not isinstance(o, Jet):
-            return Jet((self.coeffs[0] - o,) + self.coeffs[1:])
-        return Jet(tuple(map(operator.sub, self.coeffs, o.coeffs)))
+            return Jet((self.coeffs[0] - o,) + self.coeffs[1:], self.zeros)
+        return Jet(tuple(map(operator.sub, self.coeffs, o.coeffs)),
+                   self.zeros & o.zeros)
 
     def scaled(self, s):
-        return Jet(tuple([s * v for v in self.coeffs]))
+        """s times the jet, for a finite float s."""
+        return Jet(tuple([s * v for v in self.coeffs]), self.zeros)
 
     def __mul__(self, o):
         if not isinstance(o, Jet):
             return self.scaled(o)
-        if _is_constant(o):
-            return self.scaled(o.coeffs[0])
-        if _is_constant(self):
-            return o.scaled(self.coeffs[0])
-        return Jet(_product(self.order)(self.coeffs, o.coeffs))
+        return Jet(*_product(self.order, self.zeros, o.zeros)(self.coeffs,
+                                                              o.coeffs))
 
     __rmul__ = scaled
 
@@ -277,7 +317,7 @@ class Jet:
         order = self.order
         d = list(itertools.islice(derivatives, order + 1))
         h = d[:2] + [d[k] / math.factorial(k) for k in range(2, order + 1)]
-        return Jet(_composition(order)(self.coeffs, h))
+        return Jet(*_composition(order, self.zeros)(self.coeffs, h))
 
     def sin(self):
         s, c = _elementary("sin", self.f), _elementary("cos", self.f)
@@ -331,30 +371,25 @@ class Jet:
         return (self.log().scaled(p)).exp()
 
 
-def _is_constant(j: Jet) -> bool:
-    """True when every derivative coefficient is the float 0.0, as
-    :func:`jet_constant` makes them; a product with such a jet is a scaling."""
-    for c in j.coeffs[1:]:
-        if type(c) is not float or c != 0.0:
-            return False
-    return True
-
-
 def jet_constant(v, order: int) -> Jet:
+    """Jet of a constant: every derivative is a structural zero."""
     v = v if type(v) is float or isinstance(v, np.ndarray) else float(v)
-    return Jet((v,) + (0.0,) * (len(_indices(order)) - 1))
+    size = len(_indices(order))
+    return Jet((v,) + (0.0,) * (size - 1), (1 << size) - 2)
 
 
 def jet_variable(which: str, x0, y0, order: int) -> Jet:
     """Jet of the coordinate function 'x' or 'y' at (x0, y0).  On arrays the
     value is a float copy of that coordinate in its own shape (an axis such
-    as ``xs[:, None]`` stays one), and the seeds are the floats 1.0 and 0.0."""
+    as ``xs[:, None]`` stays one), and the seeds are the floats 1.0 and 0.0.
+    Every derivative but its own first one is a structural zero."""
     v = x0 if which == "x" else y0
     grid = isinstance(x0, np.ndarray) or isinstance(y0, np.ndarray)
     v = np.array(v, dtype=float) if grid else float(v)
-    seeds = (1.0, 0.0) if which == "x" else (0.0, 1.0)
+    seeds, live = ((1.0, 0.0), 0b11) if which == "x" else ((0.0, 1.0), 0b101)
     size = len(_indices(order))
-    return Jet(((v,) + seeds + (0.0,) * size)[:size])
+    return Jet(((v,) + seeds + (0.0,) * size)[:size],
+               ((1 << size) - 1) & ~live)
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,11 @@ the Gaussian curvature K and the normal curvature kappa each have an
 independent closed form in the raw derivatives of phi and psi, the Bezout
 form of the resultant re-derives Delta, and the hat metric re-derives W;
 these four are the live checks of :func:`check_invariants`, which every
-:func:`local_invariants` and the grid subcommand run.  The Brioschi formula
-(a third route to K through the metric alone) and the Wintgen inequality run
-only in the selfcheck suite.
+:func:`local_invariants` and the grid subcommand run.  Where ||M||^4 is
+below :data:`RESIDUAL_FLOOR`, the Delta check compares its routes on the
+:func:`unit_scaled` M, so that it does not fail on subnormal values.  The
+Brioschi formula (a third route to K through the metric alone) and the
+Wintgen inequality run only in the selfcheck suite.
 
 The derivatives of the invariants have one route, :func:`scaled_jets`: the
 same formulas on jets of phi and psi, with M multiplied by the power of two
@@ -54,6 +56,9 @@ REL_WINTGEN = 1e-10
 # det of the height-function Hessian against W times the normal quadratic,
 # checked per normal direction by heightfn.height_hessian
 REL_HEIGHT = 1e-9
+# the smallest normal float over the precision: above it in ||M||^4, the
+# terms of Delta that matter to rounding are normal floats
+RESIDUAL_FLOOR = 2.0 ** -970
 
 _OVERFLOW = "non-finite invariants (overflow)"
 
@@ -288,6 +293,22 @@ def _relative(u, v, scale):
     return u, v, np.maximum(np.maximum(np.abs(u), np.abs(v)), scale)
 
 
+def _delta_routes(fl, msq):
+    """The expanded Delta and the Bezout form with the scale ||M||^4, where
+    that is at least RESIDUAL_FLOOR; below it, where Delta underflows, both
+    routes and the scale are taken on the :func:`unit_scaled` M, all three
+    times the same power of two."""
+    coeffs = fl.a, fl.b, fl.c, fl.e, fl.f, fl.g
+    u, v, norm4 = fl.Delta, delta_resultant(*coeffs), msq * msq
+    low = ~(norm4 >= RESIDUAL_FLOOR)
+    if np.any(low):
+        m = unit_scaled(*coeffs)
+        u = np.where(low, m.Delta, u)
+        v = np.where(low, delta_resultant(m.a, m.b, m.c, m.e, m.f, m.g), v)
+        norm4 = np.where(low, m.msq * m.msq, norm4)
+    return _relative(u, v, norm4)
+
+
 class CrossCheck(NamedTuple):
     """One comparison of redundant formula routes.
 
@@ -337,9 +358,7 @@ CROSS_CHECKS = (
     CrossCheck("kappa coefficient vs closed form", "kappa", REL_KAPPA, True,
                lambda fl, msq: _relative(fl.kappa, fl.kappa_closed, msq)),
     CrossCheck("Delta expansion vs resultant determinant", "Delta", REL_DELTA,
-               True, lambda fl, msq: _relative(
-                   fl.Delta, delta_resultant(fl.a, fl.b, fl.c, fl.e, fl.f, fl.g),
-                   msq * msq)),
+               True, _delta_routes),
     CrossCheck("normal-frame Gram identity", "EhGh-Fh^2=W", REL_GRAM, True,
                lambda fl, msq: (fl.Eh * fl.Gh - fl.Fh ** 2, fl.W,
                                 np.abs(fl.W))),

@@ -26,9 +26,9 @@ import numpy as np
 
 from .classify import REL, class_labels_grid, hessian_of_delta
 from .jets import Jet, eval_jet
-from .localgeom import (SurfaceSpec, coeff_norm, grid_axes, grid_tiles,
-                        invariant_grid, local_invariants, scaled_jets,
-                        unit_scaled)
+from .localgeom import (RESIDUAL_FLOOR, SurfaceSpec, coeff_norm, grid_axes,
+                        grid_tiles, invariant_grid, local_invariants,
+                        scaled_jets, unit_scaled)
 
 __all__ = ["Polyline", "PolylineSet", "InflectionReport",
            "trace_parabolic", "find_inflections"]
@@ -58,9 +58,6 @@ NEWTON_ACCEPT = 1e-12
 # is at most SINGULAR: one rounding unit.
 NEWTON_STEP = EDGE_WIDTH
 SINGULAR = 2.0 ** -52
-# the smallest normal float over the precision: above it in ||M||^4, the
-# terms of Delta that matter to rounding are normal floats
-RESIDUAL_FLOOR = 2.0 ** -970
 SEED_BAND = 1e-3
 MAX_SEEDS = 512
 

@@ -8,6 +8,7 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from monge4 import surface_from_strings
 
@@ -156,3 +157,21 @@ def grid_corpus():
 # axes of different lengths, so that a mixed-up axis cannot pass
 AXIS_XS = np.linspace(-0.9, 0.9, 17)
 AXIS_YS = np.linspace(-0.8, 0.7, 13)
+
+
+def expression_texts(leaves, exponents, max_leaves):
+    """Hypothesis strategy of expression texts: trees over the ``leaves``
+    strategy of ``+ - * /``, the six functions, ``^`` with an exponent drawn
+    from ``exponents``, and unary minus."""
+    def branches(children):
+        return st.one_of(
+            st.tuples(children, st.sampled_from("+-*/"), children).map(
+                lambda t: f"({t[0]} {t[1]} {t[2]})"),
+            st.tuples(st.sampled_from(["sin", "cos", "tan", "exp", "log",
+                                       "sqrt"]),
+                      children).map(lambda t: f"{t[0]}({t[1]})"),
+            st.tuples(children, exponents).map(lambda t: f"({t[0]})^{t[1]}"),
+            children.map(lambda c: f"-{c}"),
+        )
+
+    return st.recursive(leaves, branches, max_leaves=max_leaves)

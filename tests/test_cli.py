@@ -17,6 +17,7 @@ from monge4.errors import SurfaceFileError
 from monge4.jets import eval_jet
 from monge4.surfacefile import parse_surface_text
 
+from conftest import expression_texts
 from oracles import frame_oracle
 
 B_TEXT = "phi = x^2 - y^2\npsi = 2*x*y\ndomain = -1 1 -1 1\n"
@@ -301,6 +302,26 @@ def test_selfcheck_flags_float_breakdown(tmp_path):
     code, out, _ = run_cli(["selfcheck", "--surface", surf, "--res", "32"])
     assert code == 1
     assert any(line.startswith("FAIL") for line in out.splitlines())
+
+
+def test_delta_check_is_scale_free(tmp_path):
+    """On s*(x^2 - y^2), s*(x^3/3 + x*y^2) for s = 2^j, j = 0 ... -266, and
+    s = 1e-80, grid exits 0, every selfcheck line passes, and the live
+    checks pass at a point of analyze.  Where ||M||^4 is below
+    RESIDUAL_FLOOR, Delta and its band are subnormal and one rounding would
+    fail the Delta check, so it compares both routes on the unit-scaled M."""
+    x, y = -0.5, -0.30952380952380953
+    for s in [repr(2.0 ** j) for j in range(0, -267, -1)] + ["1e-80"]:
+        phi, psi = f"{s}*(x^2 - y^2)", f"{s}*(x^3/3 + x*y^2)"
+        surf = write(tmp_path, "h.surf", f"phi = {phi}\npsi = {psi}\n"
+                                         "domain = -0.5 0.5 -0.5 0.5\n")
+        code, _, err = run_cli(["grid", "--surface", surf, "--res", "16",
+                                "--out", str(tmp_path / "grid.csv")])
+        assert code == 0, (s, err)
+        code, out, _ = run_cli(["selfcheck", "--surface", surf, "--res", "16"])
+        assert code == 0 and out.count("PASS ") == 6, (s, out)
+        surface = localgeom.surface_from_strings(phi, psi)
+        assert localgeom.local_invariants(surface, x, y).Delta < 0.0
 
 
 # -- exit codes -----------------------------------------------------------------------
@@ -852,19 +873,7 @@ _ATOMS = st.sampled_from(["x", "y", "x", "y", "0", "1", "2.5", "pi", "1e300",
 _EXPONENTS = st.sampled_from(["2", "3", "-1", "-2", "0.5", "2.5", "40",
                               "600", "-600"])
 
-
-def _compound(children):
-    return st.one_of(
-        st.tuples(children, st.sampled_from("+-*/"), children).map(
-            lambda t: f"({t[0]} {t[1]} {t[2]})"),
-        st.tuples(st.sampled_from(["sin", "cos", "tan", "exp", "log", "sqrt"]),
-                  children).map(lambda t: f"{t[0]}({t[1]})"),
-        st.tuples(children, _EXPONENTS).map(lambda t: f"({t[0]})^{t[1]}"),
-        children.map(lambda c: f"-{c}"),
-    )
-
-
-_HOSTILE_EXPRESSIONS = st.recursive(_ATOMS, _compound, max_leaves=8)
+_HOSTILE_EXPRESSIONS = expression_texts(_ATOMS, _EXPONENTS, max_leaves=8)
 _TINY = "-1e-120 1e-120 -1e-120 1e-120"
 _DOMAINS = st.sampled_from(["-1 1 -1 1", "0 1 -1 0", "-1e-8 1e-8 -1e-8 1e-8",
                             _TINY, "-1000 1000 -1000 1000", "-3 3 0.5 2"])

@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from monge4 import eval_jet, jets, parse_expression
 from monge4.errors import EvaluationError
-from monge4.jets import jet_constant, jet_variable
+from monge4.jets import Jet, jet_constant, jet_variable
 
-from conftest import AXIS_XS, AXIS_YS, grid_corpus
+from conftest import AXIS_XS, AXIS_YS, expression_texts, grid_corpus
 from oracles import eval_value, fd_jet, jet_variable_reference
 
 COEFF_NAMES = ("f", "fx", "fy", "fxx", "fxy", "fyy",
@@ -299,16 +301,26 @@ def test_scalar_seed_coordinate_jets_match_array_seeds(monkeypatch):
 
 
 # first offending points on descending axes, as reported by full-grid
-# evaluation with array seeds
-@pytest.mark.parametrize("text, point", [
-    ("log(x)", (-0.06666666666666665, 1.0)),
-    ("sqrt(y)", (1.0, -0.06666666666666665)),
-    ("log(x) + sqrt(y)", (-0.06666666666666665, 1.0)),
-    ("sqrt(y)*log(x + 2)", (1.0, -0.06666666666666665)),
-    ("exp(-1000*x)", (-0.7333333333333334, 1.0)),
-    ("exp(-1000*y)", (1.0, -0.7333333333333334)),
+# evaluation with array seeds; the products of a factor in one coordinate
+# with the other coordinate fail in the factor: in a derivative alone (the
+# value of sin(1e300*x) and of exp(-700*y) is finite), in the value too, or
+# out of its domain
+@pytest.mark.parametrize("text, message, point", [
+    ("log(x)", "log of non-positive value", (-0.06666666666666665, 1.0)),
+    ("sqrt(y)", "sqrt of non-positive value", (1.0, -0.06666666666666665)),
+    ("log(x) + sqrt(y)", "log of non-positive value",
+     (-0.06666666666666665, 1.0)),
+    ("sqrt(y)*log(x + 2)", "sqrt of non-positive value",
+     (1.0, -0.06666666666666665)),
+    ("exp(-1000*x)", "non-finite result", (-0.7333333333333334, 1.0)),
+    ("exp(-1000*y)", "non-finite result", (1.0, -0.7333333333333334)),
+    ("sin(1e300*x)*y", "non-finite result", (1.0, 1.0)),
+    ("exp(-700*y)*x", "non-finite result", (1.0, -1.0)),
+    ("y*exp(-700*x)", "non-finite result", (-1.0, 1.0)),
+    ("exp(800*y)*x", "non-finite result", (1.0, 1.0)),
+    ("log(x + 1)*y", "log of non-positive value", (-1.0, 1.0)),
 ])
-def test_axis_error_reports_first_grid_point(text, point):
+def test_axis_error_reports_first_grid_point(text, message, point):
     """A failure in a one-axis subexpression names the first offending point
     of the whole grid in row-major order, as full-grid inputs do."""
     xs = np.linspace(1.0, -1.0, 16)
@@ -317,4 +329,69 @@ def test_axis_error_reports_first_grid_point(text, point):
     for x0, y0 in ((xs[:, None], ys[None, :]), (gx, gy)):
         with pytest.raises(EvaluationError) as err:
             eval_jet(parse_expression(text), x0, y0, 3)
+        assert str(err.value) == f"{message} at point {point!r}"
         assert err.value.point == point
+
+
+# -- structural zeros ------------------------------------------------------------
+
+def _pattern_free_variable(which, x0, y0, order):
+    """The coordinate jet of :func:`jet_variable` with no structural zeros."""
+    return Jet(jet_variable(which, x0, y0, order).coeffs)
+
+
+def _raw_jet(tree, x0, y0, order):
+    """The coefficients of the jet of ``tree`` at the points, as rows of an
+    array, before the checks of :func:`eval_jet`; or the failure that
+    stopped the evaluation."""
+    try:
+        with np.errstate(all="ignore"):
+            jet = jets._eval(tree, x0, y0, order)
+    except (jets._DomainFailure, OverflowError, ValueError) as err:
+        return f"{type(err).__name__}: {err}"
+    shape = np.broadcast(x0, y0).shape
+    return np.array([np.broadcast_to(c, shape) for c in jet.coeffs]).reshape(
+        len(jet.coeffs), -1)
+
+
+_LEAVES = st.sampled_from(["x", "y", "x", "y", "0", "1", "0.3", "2.5", "pi",
+                           "1e300", "1e-300"])
+_POWERS = st.sampled_from(["0", "2", "3", "5", "-1", "-2", "0.5", "1.5",
+                           "-0.5", "2.5"])
+
+
+@given(expression_texts(_LEAVES, _POWERS, max_leaves=10), st.integers(1, 4),
+       st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+@example("-2*sin(x)*y", 3, 0.0, 0.5)
+@example("exp(-exp(1000*y)) + 1e308*sin(2*y)", 1, 0.0, 0.0)
+@settings(max_examples=300, deadline=None)
+def test_structural_zeros_change_no_value(text, order, x0, y0):
+    """Jets with structural zeros evaluate every expression as the same
+    evaluation on pattern-free coordinate jets does, at a point and on the
+    axes (an x axis and a y axis through 0): the same failure, or
+    non-finite coefficients at the same points and equal coefficients at
+    every other point.
+
+    Only the sign of a zero may differ, because a term with a structural
+    zero is left out rather than added as a signed zero: -2*sin(x)*y flips
+    the sign of some exact zeros on the lines x = 0 and y = 0.  Where a
+    coefficient is not finite, the pattern-free evaluation also forms
+    0 * inf = nan in some derivatives that are structural zeros; so
+    eval_jet, which names the first failing point of the lowest failing
+    coefficient, can name another failing point when such a nan is alone
+    in its coefficient, as on the y axis of exp(-exp(1000*y)) +
+    1e308*sin(2*y), whose x derivatives are nan only pattern-free."""
+    tree = parse_expression(text)
+    axes = (np.linspace(-1.5, 1.5, 7)[:, None],
+            np.linspace(-1.0, 1.0, 5)[None, :])
+    for point in ((x0, y0), axes):
+        sparse = _raw_jet(tree, *point, order)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(jets, "jet_variable", _pattern_free_variable)
+            dense = _raw_jet(tree, *point, order)
+        if isinstance(sparse, str) or isinstance(dense, str):
+            assert sparse == dense
+            continue
+        bad = ~np.isfinite(sparse).all(axis=0)
+        assert np.array_equal(bad, ~np.isfinite(dense).all(axis=0))
+        assert np.array_equal(sparse[:, ~bad], dense[:, ~bad])

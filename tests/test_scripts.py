@@ -46,14 +46,14 @@ def test_corpus_crosscheck_small_corpus():
 
 def test_compare_outputs_tree_with_itself():
     """This tree compared with itself at --res 16: every subcommand on each
-    of the nine surfaces prints `same`, and the exit code is 0."""
+    of the eleven surfaces prints `same`, and the exit code is 0."""
     r = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "compare_outputs.py"),
          str(ROOT / "src"), "--res", "16"],
         capture_output=True, text=True, check=False)
     assert r.returncode == 0, r.stdout + r.stderr
     lines = r.stdout.splitlines()
-    assert len(lines) == 9 * 10
+    assert len(lines) == 11 * 10
     assert all(line.endswith(": same") for line in lines), r.stdout
 
 
