@@ -1,16 +1,14 @@
 """Singularities of the family of height functions f_b(p) = p . b.
 
-A height function has a critical point on the surface exactly when b is
-normal there.  The Hessian of f_b in parameter coordinates is
-b3 Hess(phi) + b4 Hess(psi) with (b3, b4) the ambient normal components; its
-degeneracy is governed by the quadratic
-
-    (ac - b^2) n1^2 + (ag + ce - 2bf) n1 n2 + (eg - f^2) n2^2
-
-in the orthonormal normal coordinates (n1, n2), whose discriminant is
--4 Delta.  For a rank-1 Hessian the kernel is an asymptotic direction, b the
-paired binormal, and the fold/cusp dichotomy is decided by the cubic term of
-f_b along the kernel.
+A height function has a critical point exactly where b is normal.  For
+b = n1 e3 + n2 e4 its Hessian on the orthonormal tangent frame is
+S = n1 [[a, b], [b, c]] + n2 [[e, f], [f, g]]; det S is the quadratic
+(ac - b^2) n1^2 + (ag + ce - 2bf) n1 n2 + (eg - f^2) n2^2, of discriminant
+-4 Delta.  Its bands are the classifier's, on the :func:`unit_scaled` M:
+rank <= 1 within the Delta band of :func:`degenerate_normals`, rank 0 where
+S vanishes within rel ||M||.  For rank 1 the kernel is an asymptotic
+direction, b the paired binormal, and the cubic term of f_b along it,
+against the largest third derivative of f_b, decides fold or cusp.
 """
 
 from __future__ import annotations
@@ -36,58 +34,56 @@ FOLD = "fold"
 CUSP_OR_HIGHER = "cusp_or_higher"
 UMBILIC_OR_HIGHER = "umbilic_or_higher"
 
-# fold threshold on the cubic coefficient, relative to (second-derivative
-# scale)^3 so the decision is invariant under rescaling the surface
-TAU_CUBIC_REL = 1e-8
-
 
 @dataclass(frozen=True, eq=False)
 class HeightSingularity:
     normal: np.ndarray                    # unit (n1, n2) in the (e3, e4) frame
     kind: str
     kernel_direction: np.ndarray | None   # unit (e1, e2) coords, rank-1 case
+    # cubic Taylor coefficient of f_b along kernel_direction, signed by it
     third_order_coefficient: float | None
 
 
-def _ambient_normal(inv: LocalInvariants, n) -> tuple[float, float]:
-    """Ambient 3rd/4th components of n1 e3 + n2 e4."""
+def _height_jet(inv: LocalInvariants, n):
+    """The jet of b3 phi + b4 psi, whose derivatives of order 2 and up are
+    those of f_b, for b = n1 e3 + n2 e4 with ambient 3rd/4th components
+    (b3, b4)."""
     n1, n2 = float(n[0]), float(n[1])
-    s_eh = math.sqrt(inv.Ehat)
-    s_ehw = math.sqrt(inv.Ehat * inv.W)
-    b3 = n1 / s_eh - n2 * inv.Fhat / s_ehw
-    b4 = n2 * inv.Ehat / s_ehw
-    return b3, b4
+    s_eh, s_w = math.sqrt(inv.Ehat), math.sqrt(inv.W)
+    return (n1 - n2 * inv.Fhat / s_w) / s_eh * inv.jet_phi \
+        + n2 * s_eh / s_w * inv.jet_psi
+
+
+def _scaled(inv: LocalInvariants):
+    """The :func:`unit_scaled` M of ``inv`` and the coefficients (A, B, C)
+    of the quadratic on it."""
+    m = unit_scaled(inv.a, inv.b, inv.c, inv.e, inv.f, inv.g)
+    return m, (m.a * m.c - m.b ** 2, m.a * m.g + m.c * m.e - 2.0 * m.b * m.f,
+               m.e * m.g - m.f ** 2)
 
 
 def height_hessian(inv: LocalInvariants, n) -> tuple[np.ndarray, float]:
     """Parameter-coordinate Hessian of the height function for the unit
     normal direction n, and its determinant.
 
-    The determinant equals W times the normal-coordinate quadratic
-    (ac-b^2) n1^2 + (ag+ce-2bf) n1 n2 + (eg-f^2) n2^2; the two routes are
-    reconciled before returning.
+    The determinant equals W times the quadratic at n; the two routes are
+    reconciled before returning, both times the power of two 2^2k of
+    :func:`unit_scaled`, so that neither underflows nor overflows.
     """
-    b3, b4 = _ambient_normal(inv, n)
-    p, q = inv.jet_phi, inv.jet_psi
-    hess = np.array([
-        [b3 * p.fxx + b4 * q.fxx, b3 * p.fxy + b4 * q.fxy],
-        [b3 * p.fxy + b4 * q.fxy, b3 * p.fyy + b4 * q.fyy],
-    ])
-    # LU on a subnormal pivot sets a floating-point flag that numpy would
-    # report as a warning; the determinant is still 0 or tiny
-    with np.errstate(divide="ignore", invalid="ignore"):
-        det = float(np.linalg.det(hess))
+    h = _height_jet(inv, n)
+    hess = np.array([[h.fxx, h.fxy], [h.fxy, h.fyy]])
+    m, (qa, qb, qc) = _scaled(inv)
+    # an overflow, or LU on a subnormal pivot, sets a floating-point flag
+    # that numpy would report as a warning; the check judges the result
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        det = float(np.linalg.det(np.ldexp(hess, m.k)))
     n1, n2 = float(n[0]), float(n[1])
-    quad = ((inv.a * inv.c - inv.b ** 2) * n1 * n1
-            + (inv.a * inv.g + inv.c * inv.e - 2.0 * inv.b * inv.f) * n1 * n2
-            + (inv.e * inv.g - inv.f ** 2) * n2 * n2)
-    scale = inv.coeff_norm ** 2 + 1e-300
-    if abs(det - inv.W * quad) > REL_HEIGHT * max(abs(det), abs(inv.W * quad),
-                                                  scale):
+    w_quad = inv.W * (qa * n1 * n1 + qb * n1 * n2 + qc * n2 * n2)
+    if abs(det - w_quad) > REL_HEIGHT * max(abs(det), abs(w_quad), m.msq):
         raise CrossCheckError(
             f"height hessian determinant mismatch: {det!r} vs W*quadratic "
-            f"{inv.W * quad!r}")
-    return hess, det
+            f"{w_quad!r}, both times 2^{2 * m.k}")
+    return hess, math.ldexp(det, -2 * m.k)
 
 
 def degenerate_normals(inv: LocalInvariants,
@@ -98,11 +94,26 @@ def degenerate_normals(inv: LocalInvariants,
     Raises :class:`InflectionPointError` when the quadratic vanishes
     identically (inflection point: every normal is degenerate).
     """
-    m = unit_scaled(inv.a, inv.b, inv.c, inv.e, inv.f, inv.g)
-    return band_directions((m.a * m.c - m.b ** 2,
-                            m.a * m.g + m.c * m.e - 2.0 * m.b * m.f,
-                            m.e * m.g - m.f ** 2), m, rel,
-                           "height-hessian quadratic")
+    m, quadratic = _scaled(inv)
+    return band_directions(quadratic, m, rel, "height-hessian quadratic")
+
+
+def _in_band(m, quadratic, n1, n2) -> bool:
+    """Whether the quadratic (A, B, C) vanishes at the unit normal n within
+    the band of :func:`degenerate_normals`: at every normal it returns, and
+    at none when Delta lies above the band.  Where Delta > 0 the test is on
+    quad(n) lead (1 + t^2) = Delta + (lead t + B/2)^2, with lead and slope t
+    as in :func:`~monge4.conics.homogeneous_quadratic_roots` (Delta at its
+    double root), else on |quad(n)| times the larger |eigenvalue| of
+    [[A, B/2], [B/2, C]] (at most |Delta| there)."""
+    qa, qb, qc = quadratic
+    tau = REL * m.msq * m.msq
+    if m.Delta > 0.0:   # so A C > 0: the lead is not zero
+        lead, top, bottom = (qa, n1, n2) if abs(qa) >= abs(qc) else (qc, n2, n1)
+        slope = lead * top / bottom + 0.5 * qb if bottom else math.inf
+        return m.Delta + slope * slope <= tau
+    big = math.hypot(0.5 * (qa - qc), 0.5 * qb) + 0.5 * abs(qa + qc)
+    return abs(qa * n1 * n1 + qb * n1 * n2 + qc * n2 * n2) * big <= tau
 
 
 def classify_height(surface: SurfaceSpec, x: float, y: float,
@@ -114,38 +125,26 @@ def classify_height(surface: SurfaceSpec, x: float, y: float,
     along the kernel (fold) or vanishing cubic (cusp or higher); vanishing
     Hessian (umbilic or higher, exactly the inflection points).
     """
-    n = np.asarray(n, dtype=float)
-    n = n / float(np.hypot(n[0], n[1]))
+    n = np.asarray(n, dtype=float) / float(np.hypot(n[0], n[1]))
     inv = local_invariants(surface, x, y)
-    hess, _ = height_hessian(inv, n)
-    p, q = inv.jet_phi, inv.jet_psi
-    js = max(abs(p.fxx), abs(p.fxy), abs(p.fyy),
-             abs(q.fxx), abs(q.fxy), abs(q.fyy))
-
-    evals, evecs = np.linalg.eigh(hess)
-    tau_rank = 1e-10 * max(js, float(np.max(np.abs(evals))), 1e-300)
-    rank = int(np.sum(np.abs(evals) > tau_rank))
-    if rank == 2:
+    height_hessian(inv, n)   # for its W * quadratic cross-check
+    m, quadratic = _scaled(inv)
+    n1, n2 = float(n[0]), float(n[1])
+    if not _in_band(m, quadratic, n1, n2):
         return HeightSingularity(n, NONDEGENERATE, None, None)
-    if rank == 0:
+    s11, s12, s22 = n1 * m.a + n2 * m.e, n1 * m.b + n2 * m.f, n1 * m.c + n2 * m.g
+    if max(abs(s11), abs(s12), abs(s22)) <= REL * math.sqrt(m.msq):
         return HeightSingularity(n, UMBILIC_OR_HIGHER, None, None)
-
-    kernel = evecs[:, int(np.argmin(np.abs(evals)))]
-    # unit length as a tangent vector of the surface
-    knorm = math.sqrt(inv.E * kernel[0] ** 2 + 2.0 * inv.F * kernel[0] * kernel[1]
-                      + inv.G * kernel[1] ** 2)
-    kx, ky = kernel[0] / knorm, kernel[1] / knorm
-    b3, b4 = _ambient_normal(inv, n)
-    d3 = (b3 * (p.fxxx * kx ** 3 + 3.0 * p.fxxy * kx * kx * ky
-                + 3.0 * p.fxyy * kx * ky * ky + p.fyyy * ky ** 3)
-          + b4 * (q.fxxx * kx ** 3 + 3.0 * q.fxxy * kx * kx * ky
-                  + 3.0 * q.fxyy * kx * ky * ky + q.fyyy * ky ** 3))
-    t = d3 / 6.0
-    tau3 = TAU_CUBIC_REL * js ** 3
-    kind = FOLD if abs(t) > tau3 else CUSP_OR_HIGHER
-    # kernel direction in the orthonormal tangent frame
-    u = canonical_direction(np.array([
-        math.sqrt(inv.E) * kx + inv.F / math.sqrt(inv.E) * ky,
-        math.sqrt(inv.W / inv.E) * ky,
-    ]))
-    return HeightSingularity(n, kind, u, float(t))
+    # the kernel of S is normal to its larger row
+    u = canonical_direction((-s12, s11) if abs(s11) >= abs(s22) else (-s22, s12))
+    # u in parameter coordinates: u1 e1 + u2 e2 with e1 = T1/sqrt(E) and
+    # e2 = (sqrt(E) T2 - F/sqrt(E) T1)/sqrt(W)
+    se, sw = math.sqrt(inv.E), math.sqrt(inv.W)
+    kx, ky = (u[0] - u[1] * inv.F / sw) / se, u[1] * se / sw
+    size = math.hypot(kx, ky)   # at most 1: the metric is I + J^T J
+    hx, hy = kx / size, ky / size
+    t0, t1, t2, t3 = _height_jet(inv, n).coeffs[6:10]
+    cubic = hx * hx * (t0 * hx + 3.0 * t1 * hy) + hy * hy * (3.0 * t2 * hx + t3 * hy)
+    kind = FOLD if abs(cubic) > REL * max(abs(t0), abs(t1), abs(t2), abs(t3)) \
+        else CUSP_OR_HIGHER
+    return HeightSingularity(n, kind, u, cubic * size ** 3 / 6.0)

@@ -441,10 +441,9 @@ def eval_jet(expression: ex.Expr, x0, y0, order: int) -> Jet:
             if not math.isfinite(coeff):
                 raise EvaluationError("non-finite result", (x0, y0))
         return jet
-    for coeff in jet.coeffs:
-        bad = ~np.isfinite(coeff)
-        if bad.any():
-            raise EvaluationError("non-finite result", _point_of(x0, y0, bad))
+    bad = functools.reduce(np.logical_or, (~np.isfinite(c) for c in jet.coeffs))
+    if bad.any():
+        raise EvaluationError("non-finite result", _point_of(x0, y0, bad))
     # constant subexpressions evaluate to scalar coefficients and one-axis
     # ones to axis-shaped arrays; make the jet uniformly grid-shaped
     shape = np.broadcast(x0, y0).shape

@@ -53,8 +53,8 @@ REL_DELTA = 1e-9
 REL_GRAM = 1e-10
 REL_BRIOSCHI = 1e-8
 REL_WINTGEN = 1e-10
-# det of the height-function Hessian against W times the normal quadratic,
-# checked per normal direction by heightfn.height_hessian
+# heightfn.height_hessian: det of the height Hessian against W times the
+# normal quadratic, both times the 2^2k of unit_scaled so neither underflows
 REL_HEIGHT = 1e-9
 # the smallest normal float over the precision: above it in ||M||^4, the
 # terms of Delta that matter to rounding are normal floats

@@ -230,6 +230,27 @@ def geometric_oracle(phi, psi, x, y, h=1e-4):
     }
 
 
+def height_cubic_reference(inv, n, u):
+    """The cubic Taylor coefficient of the height function f_b at the point
+    of ``inv``, b = n1 e3 + n2 e4, along the unit tangent u1 e1 + u2 e2,
+    with the frames by Gram-Schmidt in R^4: the third derivatives of f_b
+    are those of b3 phi + b4 psi, and the parameter coordinates of a
+    tangent vector are its first two ambient ones."""
+    p, q = inv.jet_phi, inv.jet_psi
+    e1, e2 = _gram_schmidt([np.array([1.0, 0.0, p.fx, q.fx]),
+                            np.array([0.0, 1.0, p.fy, q.fy])])
+    e3, e4 = _gram_schmidt([np.array([-p.fx, -p.fy, 1.0, 0.0]),
+                            np.array([-q.fx, -q.fy, 0.0, 1.0])])
+    b = n[0] * e3 + n[1] * e4
+    kx, ky = (u[0] * e1 + u[1] * e2)[:2]
+
+    def cubic(jet):
+        return (jet.fxxx * kx ** 3 + 3.0 * jet.fxxy * kx * kx * ky
+                + 3.0 * jet.fxyy * kx * ky * ky + jet.fyyy * ky ** 3)
+
+    return (b[2] * cubic(p) + b[3] * cubic(q)) / 6.0
+
+
 def evolvent_reference(inv, theta):
     """The evolvent point for one tangent direction, solved on its own.
 

@@ -4,16 +4,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from monge4 import classify
-from monge4.errors import InflectionPointError
+from monge4 import classify, heightfn
+from monge4.conics import homogeneous_quadratic_roots
+from monge4.errors import CrossCheckError, InflectionPointError
 from monge4.heightfn import (CUSP_OR_HIGHER, FOLD, NONDEGENERATE,
                              UMBILIC_OR_HIGHER, classify_height,
                              degenerate_normals, height_hessian)
-from monge4.localgeom import local_invariants
+from monge4.localgeom import local_invariants, surface_from_strings, unit_scaled
 from monge4.locus import trace_parabolic
 
 from conftest import make_surface, random_points, random_surfaces
+from oracles import height_cubic_reference
+
+# the surfaces on which the height-function bands used to disagree with
+# degenerate_normals (a normal in the Delta band called nondegenerate) and
+# overflow (W * quadratic underflows to 0 at |gradient| = 1e60)
+NEAR_PARABOLIC = ("100*x + x^2 + x*y", "y^2 - x^2 + 0.1*x^3")
+STEEP = ("1e60*x + x^2 + x*y", "1e60*y + y^2 - x^2")
 
 
 @pytest.fixture(scope="module")
@@ -128,7 +138,7 @@ def test_classify_height_nondegenerate(invs):
 
 
 def test_kernel_is_asymptotic_and_normal_is_binormal():
-    """For every degenerate normal with a rank-1 Hessian the kernel is an
+    """For every degenerate normal the Hessian has rank 1, its kernel is an
     asymptotic direction and the normal is the paired binormal."""
     rng = np.random.default_rng(127)
     checked = 0
@@ -146,8 +156,6 @@ def test_kernel_is_asymptotic_and_normal_is_binormal():
                 continue
             for n in normals:
                 sing = classify_height(surface, float(x), float(y), n)
-                if sing.kind == NONDEGENERATE:
-                    continue
                 assert sing.kernel_direction is not None
                 # kernel matches one asymptotic direction; n the paired binormal
                 angles = [abs(sing.kernel_direction[0] * u[1]
@@ -158,6 +166,49 @@ def test_kernel_is_asymptotic_and_normal_is_binormal():
                 assert abs(n[0] * bins[idx][1] - n[1] * bins[idx][0]) <= 1e-8
                 checked += 1
     assert checked > 30
+
+
+@pytest.mark.parametrize("surface, x, y", [
+    # Delta / ||M||^4 = 8.3e-9, inside the band
+    (random_surfaces(seed=131)[2], 0.006055137996596072, -0.11399930608382514),
+    (surface_from_strings(*NEAR_PARABOLIC), 0.3, 0.2),
+    (surface_from_strings(*STEEP), 0.3, 0.2),
+])
+def test_kernel_is_asymptotic_inside_the_band(surface, x, y):
+    """With Delta inside its band the one degenerate normal has a rank-1
+    Hessian whose kernel is an asymptotic direction within the same band.
+    The two roots the band merges lie up to 7e-3 apart on the
+    near-parabolic surface, so no angle is compared here, nor is the
+    normal compared with classify.binormals, whose construction from
+    II(u, u) loses its direction inside the band."""
+    inv = local_invariants(surface, x, y)
+    normals = degenerate_normals(inv)
+    assert len(normals) == 1
+    sing = classify_height(surface, x, y, normals[0])
+    assert sing.kind in (FOLD, CUSP_OR_HIGHER)
+    m = unit_scaled(inv.a, inv.b, inv.c, inv.e, inv.f, inv.g)
+    assert heightfn._in_band(m, (m.nq0, m.nq1, m.nq2), *sing.kernel_direction)
+
+
+def test_third_order_coefficient_is_signed_by_kernel_direction():
+    """third_order_coefficient is the cubic term of f_b along the returned
+    kernel_direction, with its sign, against the ambient-frame reference."""
+    rng = np.random.default_rng(5)
+    checked = 0
+    for surface in random_surfaces(seed=131, count=8):
+        for x, y in random_points(rng, 8):
+            inv = local_invariants(surface, float(x), float(y))
+            try:
+                normals = degenerate_normals(inv)
+            except InflectionPointError:
+                continue
+            for n in normals:
+                sing = classify_height(surface, float(x), float(y), n)
+                want = height_cubic_reference(inv, n, sing.kernel_direction)
+                assert sing.third_order_coefficient == pytest.approx(
+                    want, rel=1e-9, abs=1e-12)
+                checked += 1
+    assert checked > 100
 
 
 def test_umbilic_or_higher_exactly_at_inflections():
@@ -218,10 +269,155 @@ def test_fold_criterion_agrees_with_parabolic_tangency():
         1.0, classify_height(surface, 0.0, 0.0, (1.0, 0.0)).third_order_coefficient)
 
 
-def test_height_singularity_scale_invariance():
-    """The fold/cusp decision is invariant under uniform rescaling."""
-    from monge4.localgeom import surface_from_strings
-    for lam in ("1e-3", "1e3"):
-        surface = surface_from_strings(f"{lam}*(x^2 + y^3)", f"{lam}*2*x*y")
-        sing = classify_height(surface, 0.0, 0.0, (1.0, 0.0))
-        assert sing.kind == FOLD
+_seeds = st.integers(0, 2 ** 32 - 1)
+# the terms x^i y^j of degree 2 and 3
+_TERMS = [(i, d - i) for d in (2, 3) for i in range(d + 1)]
+
+
+def _polynomial(coefficients, j):
+    """The polynomial with these coefficients of _TERMS, times 2^j."""
+    return " + ".join(f"({math.ldexp(float(c), j)!r})*x^{i}*y^{k}"
+                      for c, (i, k) in zip(coefficients, _TERMS))
+
+
+def _kinds_at_origin(surface):
+    """(normal, kind) at each normal of degenerate_normals at the origin;
+    None at an inflection point."""
+    try:
+        normals = degenerate_normals(local_invariants(surface, 0.0, 0.0))
+    except InflectionPointError:
+        return None
+    return [(tuple(n), classify_height(surface, 0.0, 0.0, n).kind)
+            for n in normals]
+
+
+@given(_seeds, st.integers(-1000, 240))
+@settings(max_examples=100, deadline=None)
+def test_height_singularity_scale_invariance(seed, j):
+    """At the origin of a polynomial with no constant or linear term the
+    normals and their kinds stay the same when phi and psi are scaled by
+    2^j, over the range where the jets stay finite and normal: ||M||^4
+    overflows above about 2^250, and below 2^-1020 the coefficients turn
+    subnormal."""
+    rng = np.random.default_rng(seed)
+    coefficients = np.where(rng.random((2, len(_TERMS))) < 0.3, 0.0,
+                            rng.uniform(-2.0, 2.0, (2, len(_TERMS))))
+    kinds = [_kinds_at_origin(surface_from_strings(
+        _polynomial(coefficients[0], scale), _polynomial(coefficients[1], scale)))
+        for scale in (0, j)]
+    assert kinds[1] == kinds[0]
+
+
+@pytest.mark.parametrize("s", ["1e-8", "1e-4", "1", "1e2", "1e4", "1e8"])
+def test_height_fold_at_every_scale(s):
+    """s (x^2 + y^3), s x y has the fold s (x^2 + y^3) at the normal (1, 0)
+    of the origin, for every s."""
+    surface = surface_from_strings(f"{s}*(x^2 + y^3)", f"{s}*x*y")
+    assert _kinds_at_origin(surface) == [((1.0, 0.0), FOLD)]
+
+
+def _pushed_surface(rng, theta):
+    """A random polynomial surface and point (x, y) whose coefficient matrix
+    M has Delta = theta * REL * ||M||^4 up to rounding: M from the
+    second fundamental forms S1 = diag(alpha, beta), alpha beta < 0, and
+    S2 = [[gamma, delta], [delta, epsilon]], with delta solved for the
+    target, rotated in the tangent and the normal plane, then turned into
+    second derivatives at a random point with a random gradient."""
+    x0, y0 = rng.uniform(-0.9, 0.9, 2).tolist()
+    px, py, qx, qy = rng.uniform(-2.0, 2.0, 4).tolist()
+    alpha, beta = rng.uniform(0.2, 1.0), -rng.uniform(0.2, 1.0)
+    gamma, epsilon = rng.uniform(-1.0, 1.0, 2)
+    spin, turn = rng.uniform(0.0, math.pi, 2)
+    rot = np.array([[math.cos(spin), -math.sin(spin)],
+                    [math.sin(spin), math.cos(spin)]])
+
+    def forms(delta):
+        s1 = rot.T @ np.diag([alpha, beta]) @ rot
+        s2 = rot.T @ np.array([[gamma, delta], [delta, epsilon]]) @ rot
+        return (math.cos(turn) * s1 - math.sin(turn) * s2,
+                math.sin(turn) * s1 + math.cos(turn) * s2)
+
+    # Delta = alpha beta (gamma epsilon - delta^2)
+    #         - (alpha epsilon + beta gamma)^2 / 4
+    gap = 0.25 * (alpha * epsilon - beta * gamma) ** 2
+    delta = math.sqrt(gap / -(alpha * beta))
+    for _ in range(2):  # ||M|| moves with delta
+        msq = sum(float(np.sum(s * s)) - s[0, 1] ** 2 for s in forms(delta))
+        target = theta * classify.REL * msq * msq
+        assume(gap + target > 0.0)
+        delta = math.sqrt((gap + target) / -(alpha * beta))
+    s1, s2 = forms(delta)
+
+    E, F = 1.0 + px * px + qx * qx, px * py + qx * qy
+    W = E * (1.0 + py * py + qy * qy) - F * F
+    Eh, Fh = 1.0 + px * px + py * py, px * qx + py * qy
+
+    def hessian(s):
+        # the inverse of localgeom.frame_fields' map from a Hessian on the
+        # parameters to a normal component on the orthonormal tangent frame
+        h11 = s[0, 0] * E
+        h12 = s[0, 1] * math.sqrt(W) + F / E * h11
+        return h11, h12, s[1, 1] * W / E + F / E * (2.0 * h12 - F / E * h11)
+
+    phi_2 = [math.sqrt(Eh) * float(h) for h in hessian(s1)]
+    psi_2 = [float(h) * math.sqrt(W) / math.sqrt(Eh) + Fh / Eh * d
+             for h, d in zip(hessian(s2), phi_2)]
+    X, Y = f"(x - ({x0!r}))", f"(y - ({y0!r}))"
+
+    def text(fx, fy, second, cubic):
+        hxx, hxy, hyy = second
+        return (f"({fx!r})*{X} + ({fy!r})*{Y} + ({0.5 * hxx!r})*{X}^2 "
+                f"+ ({hxy!r})*{X}*{Y} + ({0.5 * hyy!r})*{Y}^2 + "
+                + " + ".join(f"({c!r})*{X}^{i}*{Y}^{3 - i}"
+                             for i, c in enumerate(cubic)))
+
+    phi = text(px, py, phi_2, rng.uniform(-1.0, 1.0, 4).tolist())
+    psi = text(qx, qy, psi_2, rng.uniform(-1.0, 1.0, 4).tolist())
+    return surface_from_strings(phi, psi), x0, y0
+
+
+@given(_seeds, st.one_of(st.floats(-1.0, 1.0), st.floats(1.0, 1.0 + 1e-6),
+                         st.floats(1.0, 2.0)))
+@settings(max_examples=200, deadline=None)
+def test_degenerate_normals_are_the_degenerate_height_functions(seed, theta):
+    """With Delta pushed into its band (theta <= 1) and just above it, every
+    normal of degenerate_normals has a degenerate height function, and
+    where it returns none, neither has the most degenerate normal: the
+    double root band_directions takes in the band, nor the minimiser of
+    |det S| over the unit circle."""
+    surface, x, y = _pushed_surface(np.random.default_rng(seed), theta)
+    inv = local_invariants(surface, x, y)
+    normals = degenerate_normals(inv)
+    for n in normals:
+        assert classify_height(surface, x, y, n).kind != NONDEGENERATE
+    if normals:
+        return
+    m = unit_scaled(inv.a, inv.b, inv.c, inv.e, inv.f, inv.g)
+    qa, qb, qc = (m.a * m.c - m.b ** 2, m.a * m.g + m.c * m.e - 2.0 * m.b * m.f,
+                  m.e * m.g - m.f ** 2)
+    vals, vecs = np.linalg.eigh(np.array([[qa, 0.5 * qb], [0.5 * qb, qc]]))
+    for n in (homogeneous_quadratic_roots(qa, qb, qc, double_root=True)[0],
+              vecs[:, int(np.argmin(np.abs(vals)))]):
+        assert classify_height(surface, x, y, n).kind == NONDEGENERATE
+
+
+def test_steep_surface_classifies_with_the_hessian_check():
+    """At |gradient| = 1e60 the height function is classified, and the
+    W * quadratic check runs in classify_height on the scaled terms."""
+    surface = surface_from_strings(*STEEP)
+    inv = local_invariants(surface, 0.3, 0.2)
+    normals = degenerate_normals(inv)
+    assert len(normals) == 1
+    # phi and psi have no cubic term
+    assert classify_height(surface, 0.3, 0.2, normals[0]).kind == CUSP_OR_HIGHER
+    # W * quadratic is about 1e-120: unscaled, the quadratic underflows
+    _, det = height_hessian(inv, (1.0, 0.0))
+    assert 1e-125 < abs(det) < 1e-115
+    assert classify_height(surface, 0.3, 0.2, (1.0, 0.0)).kind == NONDEGENERATE
+
+
+def test_hessian_check_runs_in_classify_height(monkeypatch):
+    monkeypatch.setattr(heightfn, "REL_HEIGHT", -1.0)
+    for surface in (make_surface("E"), surface_from_strings(*STEEP)):
+        with pytest.raises(CrossCheckError, match="height hessian determinant"):
+            classify_height(surface, 0.3, 0.2, (1.0, 0.0))

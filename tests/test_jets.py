@@ -316,6 +316,7 @@ def test_scalar_seed_coordinate_jets_match_array_seeds(monkeypatch):
     ("exp(-1000*y)", "non-finite result", (1.0, -0.7333333333333334)),
     ("sin(1e300*x)*y", "non-finite result", (1.0, 1.0)),
     ("exp(-700*y)*x", "non-finite result", (1.0, -1.0)),
+    ("exp(-800*y)*x", "non-finite result", (1.0, -0.8666666666666667)),
     ("y*exp(-700*x)", "non-finite result", (-1.0, 1.0)),
     ("exp(800*y)*x", "non-finite result", (1.0, 1.0)),
     ("log(x + 1)*y", "log of non-positive value", (-1.0, 1.0)),
