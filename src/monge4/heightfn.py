@@ -44,11 +44,10 @@ class HeightSingularity:
     third_order_coefficient: float | None
 
 
-def _height_jet(inv: LocalInvariants, n):
+def _height_jet(inv: LocalInvariants, n1: float, n2: float):
     """The jet of b3 phi + b4 psi, whose derivatives of order 2 and up are
     those of f_b, for b = n1 e3 + n2 e4 with ambient 3rd/4th components
     (b3, b4)."""
-    n1, n2 = float(n[0]), float(n[1])
     s_eh, s_w = math.sqrt(inv.Ehat), math.sqrt(inv.W)
     return (n1 - n2 * inv.Fhat / s_w) / s_eh * inv.jet_phi \
         + n2 * s_eh / s_w * inv.jet_psi
@@ -62,28 +61,32 @@ def _scaled(inv: LocalInvariants):
                m.e * m.g - m.f ** 2)
 
 
+def _checked(inv: LocalInvariants, n1: float, n2: float):
+    """h of :func:`_height_jet`, m and the quadratic of :func:`_scaled`, and
+    the determinant of Hess h, checked against W times the quadratic at n
+    with every term times 2^(2k - 2j), for the 2^k of :func:`unit_scaled`
+    and 2^2j near W, so that none underflows or overflows."""
+    h = _height_jet(inv, n1, n2)
+    m, (qa, qb, qc) = _scaled(inv)
+    j = math.frexp(inv.W)[1] // 2
+    hess = np.ldexp([[h.fxx, h.fxy], [h.fxy, h.fyy]], m.k - j)
+    # LU on a zero or subnormal pivot sets a flag numpy reports as a warning
+    with np.errstate(divide="ignore", invalid="ignore"):
+        det = float(np.linalg.det(hess))
+    w_quad = math.ldexp(inv.W, -2 * j) * (qa * n1 * n1 + qb * n1 * n2
+                                          + qc * n2 * n2)
+    scale = max(abs(det), abs(w_quad), math.ldexp(m.msq, -2 * j))
+    if not abs(det - w_quad) <= REL_HEIGHT * scale:   # a nan fails too
+        raise CrossCheckError(f"height hessian determinant mismatch: {det!r} "
+                              f"vs W*quadratic {w_quad!r}, times 2^{2 * (m.k - j)}")
+    return h, m, (qa, qb, qc), math.ldexp(det, 2 * (j - m.k))
+
+
 def height_hessian(inv: LocalInvariants, n) -> tuple[np.ndarray, float]:
     """Parameter-coordinate Hessian of the height function for the unit
-    normal direction n, and its determinant.
-
-    The determinant equals W times the quadratic at n; the two routes are
-    reconciled before returning, both times the power of two 2^2k of
-    :func:`unit_scaled`, so that neither underflows nor overflows.
-    """
-    h = _height_jet(inv, n)
-    hess = np.array([[h.fxx, h.fxy], [h.fxy, h.fyy]])
-    m, (qa, qb, qc) = _scaled(inv)
-    # an overflow, or LU on a subnormal pivot, sets a floating-point flag
-    # that numpy would report as a warning; the check judges the result
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        det = float(np.linalg.det(np.ldexp(hess, m.k)))
-    n1, n2 = float(n[0]), float(n[1])
-    w_quad = inv.W * (qa * n1 * n1 + qb * n1 * n2 + qc * n2 * n2)
-    if abs(det - w_quad) > REL_HEIGHT * max(abs(det), abs(w_quad), m.msq):
-        raise CrossCheckError(
-            f"height hessian determinant mismatch: {det!r} vs W*quadratic "
-            f"{w_quad!r}, both times 2^{2 * m.k}")
-    return hess, math.ldexp(det, -2 * m.k)
+    normal n and its determinant, checked against W times the quadratic."""
+    h, _, _, det = _checked(inv, float(n[0]), float(n[1]))
+    return np.array([[h.fxx, h.fxy], [h.fxy, h.fyy]]), det
 
 
 def degenerate_normals(inv: LocalInvariants,
@@ -100,12 +103,10 @@ def degenerate_normals(inv: LocalInvariants,
 
 def _in_band(m, quadratic, n1, n2) -> bool:
     """Whether the quadratic (A, B, C) vanishes at the unit normal n within
-    the band of :func:`degenerate_normals`: at every normal it returns, and
-    at none when Delta lies above the band.  Where Delta > 0 the test is on
-    quad(n) lead (1 + t^2) = Delta + (lead t + B/2)^2, with lead and slope t
-    as in :func:`~monge4.conics.homogeneous_quadratic_roots` (Delta at its
-    double root), else on |quad(n)| times the larger |eigenvalue| of
-    [[A, B/2], [B/2, C]] (at most |Delta| there)."""
+    the Delta band of :func:`degenerate_normals`.  For Delta > 0 the test is
+    on quad(n) lead (1 + t^2) = Delta + (lead t + B/2)^2, lead and slope t as
+    in :func:`~monge4.conics.homogeneous_quadratic_roots`, else on |quad(n)|
+    times the larger |eigenvalue| of [[A, B/2], [B/2, C]] (<= |Delta|)."""
     qa, qb, qc = quadratic
     tau = REL * m.msq * m.msq
     if m.Delta > 0.0:   # so A C > 0: the lead is not zero
@@ -127,9 +128,8 @@ def classify_height(surface: SurfaceSpec, x: float, y: float,
     """
     n = np.asarray(n, dtype=float) / float(np.hypot(n[0], n[1]))
     inv = local_invariants(surface, x, y)
-    height_hessian(inv, n)   # for its W * quadratic cross-check
-    m, quadratic = _scaled(inv)
     n1, n2 = float(n[0]), float(n[1])
+    h, m, quadratic, _ = _checked(inv, n1, n2)
     if not _in_band(m, quadratic, n1, n2):
         return HeightSingularity(n, NONDEGENERATE, None, None)
     s11, s12, s22 = n1 * m.a + n2 * m.e, n1 * m.b + n2 * m.f, n1 * m.c + n2 * m.g
@@ -143,7 +143,7 @@ def classify_height(surface: SurfaceSpec, x: float, y: float,
     kx, ky = (u[0] - u[1] * inv.F / sw) / se, u[1] * se / sw
     size = math.hypot(kx, ky)   # at most 1: the metric is I + J^T J
     hx, hy = kx / size, ky / size
-    t0, t1, t2, t3 = _height_jet(inv, n).coeffs[6:10]
+    t0, t1, t2, t3 = h.coeffs[6:10]
     cubic = hx * hx * (t0 * hx + 3.0 * t1 * hy) + hy * hy * (3.0 * t2 * hx + t3 * hy)
     kind = FOLD if abs(cubic) > REL * max(abs(t0), abs(t1), abs(t2), abs(t3)) \
         else CUSP_OR_HIGHER

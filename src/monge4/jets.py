@@ -441,8 +441,8 @@ def eval_jet(expression: ex.Expr, x0, y0, order: int) -> Jet:
             if not math.isfinite(coeff):
                 raise EvaluationError("non-finite result", (x0, y0))
         return jet
-    bad = functools.reduce(np.logical_or, (~np.isfinite(c) for c in jet.coeffs))
-    if bad.any():
+    if not all(np.isfinite(c).all() for c in jet.coeffs):
+        bad = functools.reduce(np.logical_or, (~np.isfinite(c) for c in jet.coeffs))
         raise EvaluationError("non-finite result", _point_of(x0, y0, bad))
     # constant subexpressions evaluate to scalar coefficients and one-axis
     # ones to axis-shaped arrays; make the jet uniformly grid-shaped

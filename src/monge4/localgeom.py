@@ -54,7 +54,8 @@ REL_GRAM = 1e-10
 REL_BRIOSCHI = 1e-8
 REL_WINTGEN = 1e-10
 # heightfn.height_hessian: det of the height Hessian against W times the
-# normal quadratic, both times the 2^2k of unit_scaled so neither underflows
+# normal quadratic, both times 2^(2k - 2j) for the 2^k of unit_scaled and
+# 2^2j near W, so that neither underflows nor overflows
 REL_HEIGHT = 1e-9
 # the smallest normal float over the precision: above it in ||M||^4, the
 # terms of Delta that matter to rounding are normal floats

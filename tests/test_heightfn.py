@@ -176,18 +176,24 @@ def test_kernel_is_asymptotic_and_normal_is_binormal():
 ])
 def test_kernel_is_asymptotic_inside_the_band(surface, x, y):
     """With Delta inside its band the one degenerate normal has a rank-1
-    Hessian whose kernel is an asymptotic direction within the same band.
-    The two roots the band merges lie up to 7e-3 apart on the
-    near-parabolic surface, so no angle is compared here, nor is the
-    normal compared with classify.binormals, whose construction from
-    II(u, u) loses its direction inside the band."""
+    Hessian whose kernel u is an asymptotic direction within the same band:
+    |nq(u)| times the larger |eigenvalue| of the directional quadratic nq,
+    which is Delta at its eigenvector of the smaller one, is at most
+    REL ||M||^4 on the scaled M.  The two roots the band merges lie up to
+    7e-3 apart on the near-parabolic surface, so no angle is compared here,
+    nor is the normal compared with classify.binormals, whose construction
+    from II(u, u) loses its direction inside the band."""
     inv = local_invariants(surface, x, y)
     normals = degenerate_normals(inv)
     assert len(normals) == 1
     sing = classify_height(surface, x, y, normals[0])
     assert sing.kind in (FOLD, CUSP_OR_HIGHER)
     m = unit_scaled(inv.a, inv.b, inv.c, inv.e, inv.f, inv.g)
-    assert heightfn._in_band(m, (m.nq0, m.nq1, m.nq2), *sing.kernel_direction)
+    u1, u2 = sing.kernel_direction
+    nq = m.nq0 * u1 * u1 + m.nq1 * u1 * u2 + m.nq2 * u2 * u2
+    big = np.max(np.abs(np.linalg.eigvalsh(
+        [[m.nq0, 0.5 * m.nq1], [0.5 * m.nq1, m.nq2]])))
+    assert abs(nq) * big <= classify.REL * m.msq * m.msq
 
 
 def test_third_order_coefficient_is_signed_by_kernel_direction():
@@ -414,6 +420,23 @@ def test_steep_surface_classifies_with_the_hessian_check():
     _, det = height_hessian(inv, (1.0, 0.0))
     assert 1e-125 < abs(det) < 1e-115
     assert classify_height(surface, 0.3, 0.2, (1.0, 0.0)).kind == NONDEGENERATE
+
+
+def test_hessian_check_with_w_near_the_float_maximum():
+    """At |gradient| = 1.3e154 W is 1.7e308, and the Hessian times the 2^k
+    of unit_scaled, or W times the scaled quadratic, overflows: the check
+    takes its terms times 2^-2j as well, 2^2j near W, and holds."""
+    g, p = 1.3e154, 1e300
+    e = 1.0 + g * g
+    surface = surface_from_strings(f"{g!r}*x + {p!r}*x^2 + {p / e!r}*y^2",
+                                   f"{p / g!r}*x^2 + {0.5 * p / g / e!r}*y^2")
+    inv = local_invariants(surface, 0.0, 0.0)
+    assert inv.W > 1e308
+    n = (math.sqrt(0.5), math.sqrt(0.5))
+    hess, det = height_hessian(inv, n)
+    assert det == pytest.approx(hess[0, 0] * hess[1, 1] - hess[0, 1] ** 2,
+                                rel=1e-12)
+    assert classify_height(surface, 0.0, 0.0, n).kind == NONDEGENERATE
 
 
 def test_hessian_check_runs_in_classify_height(monkeypatch):
