@@ -130,6 +130,8 @@ def _verdict(mine, theirs):
 
 
 def main(argv=None):
+    sys.path.insert(0, str(ROOT / "src"))
+    from monge4.cli import _attach_negative_points
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("other_src", type=pathlib.Path)
     parser.add_argument("--res", type=int, default=128)
@@ -138,7 +140,9 @@ def main(argv=None):
                              "(repeatable)")
     parser.add_argument("--surface", action="append",
                         help="surface file in place of the gallery (repeatable)")
-    args = parser.parse_args(argv)
+    # --at -0.7,0.45 as the CLI takes it
+    args = parser.parse_args(_attach_negative_points(
+        sys.argv[1:] if argv is None else argv))
     points = args.at or ["0,0", "0.25,-0.2"]
     with tempfile.TemporaryDirectory() as work:
         surfaces = ({path: path for path in args.surface} if args.surface

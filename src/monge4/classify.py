@@ -1,4 +1,4 @@
-"""Point classification, asymptotic directions and binormals.
+"""Point classification, asymptotic directions, binormals.
 
 Classification thresholds are scale-relative: Delta is homogeneous of degree
 4 and kappa (and K) of degree 2 in the second-fundamental-form coefficients,
@@ -7,24 +7,28 @@ matrix [[a,b,c],[e,f,g]].  This keeps the classification invariant under a
 uniform rescaling of the normal components of the surface.  The bands and
 the rank of M are decided on M times an exact power of two that brings its
 largest entry into [0.5, 1), so that Delta and its band neither underflow
-nor overflow.
+nor overflow.  Asymptotic directions and binormals are the band roots of
+the directional and the height quadratic of that M; a binormal is a
+degenerate normal of the height functions, paired with the asymptotic
+direction in the kernel of its Hessian.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .conics import (homogeneous_quadratic_roots, indicatrix_linear_map,
-                     second_form_image)
+from .conics import homogeneous_quadratic_roots, indicatrix_linear_map
 from .errors import InflectionPointError
 from .jets import eval_jet
 from .localgeom import LocalInvariants, SurfaceSpec, scaled_jets, unit_scaled
 
 __all__ = [
     "PointClassification", "classify_point", "asymptotic_directions",
-    "binormals", "hessian_of_delta", "canonical_direction",
+    "degenerate_normals", "shape_operator", "binormals", "hessian_of_delta",
+    "canonical_direction",
     "class_labels_grid", "class_codes_grid", "LABELS",
     "band_directions", "REL", "RANK_RATIO", "CIRCLE_RATIO",
 ]
@@ -45,14 +49,14 @@ class PointClassification:
         return self.is_circle and self.is_minimal
 
 
-def canonical_direction(v, zero=1e-12) -> np.ndarray:
+def canonical_direction(v) -> np.ndarray:
     """Unit representative of a line direction: first nonzero component > 0."""
     v = np.asarray(v, dtype=float)
     n = float(np.hypot(v[0], v[1]))
     if n == 0.0:
         raise ValueError("zero vector has no direction")
     v = v / n
-    if v[0] < -zero or (abs(v[0]) <= zero and v[1] < 0.0):
+    if v[0] < -1e-12 or (abs(v[0]) <= 1e-12 and v[1] < 0.0):
         v = -v
     return v
 
@@ -109,32 +113,40 @@ def asymptotic_directions(inv: LocalInvariants,
                            "directional quadratic")
 
 
-def binormals(inv: LocalInvariants, rel: float = REL) -> list[np.ndarray]:
-    """Unit normal directions (in the (e3, e4) frame) paired index-by-index
-    with :func:`asymptotic_directions`.
+def degenerate_normals(inv: LocalInvariants,
+                       rel: float = REL) -> list[np.ndarray]:
+    """Unit normals n (in the (e3, e4) frame) whose height function is
+    degenerate, det S_n = 0 for the S_n of :func:`shape_operator`: 2, 1 or
+    0 of them as Delta < 0, = 0, > 0 (band-relative).  Raises
+    :class:`InflectionPointError` where every normal is degenerate."""
+    m = unit_scaled(inv.a, inv.b, inv.c, inv.e, inv.f, inv.g)
+    return band_directions((m.hq0, m.hq1, m.hq2), m, rel,
+                           "height-hessian quadratic")
 
-    For an asymptotic direction u the image of the second fundamental form
-    spans the line tangent to the curvature ellipse through the origin; the
-    binormal is the normal direction perpendicular to that line.  When the
-    image itself vanishes (parabolic point, origin on the ellipse) the
-    tangent line is spanned by the theta-derivative of the ellipse
-    parametrisation instead.
-    """
-    out = []
-    span_floor = rel * inv.coeff_norm
-    amat = indicatrix_linear_map(inv)
-    for u in asymptotic_directions(inv, rel):
-        span = second_form_image(inv, u)
-        if float(np.hypot(span[0], span[1])) <= span_floor:
-            # origin sits on the ellipse; use the curve tangent there
-            c2 = u[0] * u[0] - u[1] * u[1]
-            s2 = 2.0 * u[0] * u[1]
-            span = amat @ np.array([-s2, c2])
-        if float(np.hypot(span[0], span[1])) <= span_floor:
-            raise InflectionPointError(
-                "tangent span degenerate in every direction (inflection point)")
-        out.append(canonical_direction(np.array([-span[1], span[0]])))
-    return out
+
+def shape_operator(m, n1: float, n2: float):
+    """(s11, s12, s22): the Hessian S_n = n1 [[a, b], [b, c]]
+    + n2 [[e, f], [f, g]] of the height function for the normal
+    n1 e3 + n2 e4 on the orthonormal tangent frame, on the M of ``m``."""
+    return n1 * m.a + n2 * m.e, n1 * m.b + n2 * m.f, n1 * m.c + n2 * m.g
+
+
+def binormals(inv: LocalInvariants, rel: float = REL) -> list[np.ndarray]:
+    """The :func:`degenerate_normals`, normal to the tangents from the
+    origin to the curvature ellipse, paired index by index with the
+    :func:`asymptotic_directions` u: of two, the n with the smaller |S_n u|
+    at the first u.  Raises :class:`InflectionPointError` where either of
+    those two does."""
+    asym = asymptotic_directions(inv, rel)
+    normals = degenerate_normals(inv, rel)
+    if len(normals) == 2:   # one Delta band: two asymptotic directions too
+        m = unit_scaled(inv.a, inv.b, inv.c, inv.e, inv.f, inv.g)
+        u1, u2 = asym[0]
+        r0, r1 = (math.hypot(s11 * u1 + s12 * u2, s12 * u1 + s22 * u2)
+                  for s11, s12, s22 in (shape_operator(m, *n) for n in normals))
+        if r1 < r0:
+            normals.reverse()
+    return normals
 
 
 class ClassLabel(str):

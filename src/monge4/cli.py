@@ -131,11 +131,14 @@ def analyze_record(surface: SurfaceSpec, x: float, y: float,
     }
     try:
         asym = cls.asymptotic_directions(inv, rel)
-        bins = cls.binormals(inv, rel)
         rec["asymptotic_count"] = str(len(asym))
     except InflectionPointError:
-        asym, bins = [], []
+        asym = []
         rec["asymptotic_count"] = "all"
+    try:
+        bins = cls.binormals(inv, rel)
+    except InflectionPointError:   # an inflection, or every normal degenerate
+        bins = []
     for i in range(2):
         u = asym[i] if i < len(asym) else (float("nan"), float("nan"))
         b = bins[i] if i < len(bins) else (float("nan"), float("nan"))

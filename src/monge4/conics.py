@@ -7,7 +7,10 @@ in the orthonormal normal frame, where H is the mean-curvature vector and A
 the 2x2 linear map built from the coefficients.  The characteristic conic is
 the locus of intersections of consecutive normal planes; algebraically it is
 the polar conjugate of the indicatrix with respect to the unit circle in the
-normal plane, i.e. U adj(Q) U with U = diag(1, 1, -1).
+normal plane, i.e. U adj(Q) U with U = diag(1, 1, -1): each of its points
+is the pole of a tangent line of the ellipse.  The sweep that traces it
+takes that pole in closed form, from the point eta = II(u, u) of the
+ellipse and the conjugate radius zeta = II(u, u') along its tangent.
 
 Conics live as homogeneous symmetric 3x3 matrices acting on (X, Y, 1).
 """
@@ -72,11 +75,16 @@ def conjugate_radii(inv: LocalInvariants, theta: float):
     xi and zeta are images of perpendicular radii of the unit circle, hence
     conjugate radii of the ellipse; d(eta)/d(theta) = 2 zeta.
     """
-    amat = indicatrix_linear_map(inv)
     c2, s2 = math.cos(2.0 * theta), math.sin(2.0 * theta)
-    xi = amat @ np.array([c2, s2])
-    zeta = amat @ np.array([-s2, c2])
-    return xi, zeta
+    return (indicatrix_linear_map(inv) @ np.array([c2, s2]),
+            np.array(_conjugate_radius(inv, c2, s2)))
+
+
+def _conjugate_radius(inv: LocalInvariants, c2, s2):
+    """zeta = A (-s2, c2) = II(u, u'), u' = u turned by a right angle and
+    2t u's angle, for c2, s2 = cos 2t, sin 2t, floats or arrays."""
+    (a11, a12), (a21, a22) = indicatrix_linear_map(inv)
+    return a12 * c2 - a11 * s2, a22 * c2 - a21 * s2
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,15 +234,10 @@ def conic_from_matrix(m) -> Conic:
 
 
 def _adjugate3(m: np.ndarray) -> np.ndarray:
-    out = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            r = [k for k in range(3) if k != j]
-            c = [k for k in range(3) if k != i]
-            minor = m[np.ix_(r, c)]
-            out[i, j] = (-1.0) ** (i + j) * (minor[0, 0] * minor[1, 1]
-                                             - minor[0, 1] * minor[1, 0])
-    return out
+    """adj(m): the cofactors of m's rows r0, r1, r2 are the cross products
+    r1 x r2, r2 x r0 and r0 x r1, and adj(m) is their transpose."""
+    return np.array([np.cross(m[1], m[2]), np.cross(m[2], m[0]),
+                     np.cross(m[0], m[1])]).T
 
 
 def _indicatrix_quadric(ind: Indicatrix) -> np.ndarray:
@@ -280,11 +283,8 @@ def _cos_sin(angles: list[float]):
 
 
 def _sweep_trig(angles: list[float]):
-    """cos and sin of each angle, and the conjugate direction
-    (-sin 2t, cos 2t) of each as an (n, 2, 1) stack."""
-    co, si = _cos_sin(angles)
-    c2, s2 = _cos_sin([2.0 * t for t in angles])
-    return co, si, np.stack([-s2, c2], axis=1)[:, :, None]
+    """cos and sin of each angle t, and of 2t."""
+    return _cos_sin(angles) + _cos_sin([2.0 * t for t in angles])
 
 
 @functools.lru_cache(maxsize=8)
@@ -302,35 +302,28 @@ def _evolvent_sweep(inv: LocalInvariants, thetas):
     ``thetas`` at once: for each, the n with n . eta = 1 and n . zeta = 0.
 
     Returns (points, det, singular): the (n, 2) points, nan where the
-    tangency system is singular; the determinant of each system; and the
-    mask |det| <= 1e-12 of the directions whose point lies at infinity.
-
-    The n tangency systems are stacked into one (n, 2, 2) array, so a single
-    batched determinant and a single batched solve cover the sweep; each
-    matrix goes through the same LAPACK routines as when solved alone, and
-    zeta = A w is a broadcast matmul like ``A @ w`` (a contraction in another
-    order, such as ``w @ A.T``, changes last bits).
+    tangency system is singular; the determinant eta x zeta of each system;
+    and the mask |det| <= 1e-12 of the directions whose point lies at
+    infinity.
     """
     return _sweep_points(inv, *_sweep_trig(
         np.asarray(thetas, dtype=float).tolist()))
 
 
-def _sweep_points(inv: LocalInvariants, co, si, rotated):
-    """:func:`_evolvent_sweep` from the :func:`_sweep_trig` of its angles."""
-    n = len(co)
-    system = np.empty((n, 2, 2))
-    system[:, 0, 0], system[:, 0, 1] = _second_form(inv, co, si)
-    system[:, 1, :] = np.matmul(
-        np.broadcast_to(indicatrix_linear_map(inv), (n, 2, 2)), rotated)[:, :, 0]
-    with np.errstate(divide="ignore", invalid="ignore"):  # as in indicatrix
-        det = np.linalg.det(system)
+def _sweep_points(inv: LocalInvariants, co, si, c2, s2):
+    """:func:`_evolvent_sweep` from the :func:`_sweep_trig` of its angles.
+
+    Each point is the pole (zeta2, -zeta1) / (eta x zeta) of the tangent
+    line at eta = II(u, u) of the curvature ellipse, where zeta = II(u, u')
+    = A (-sin 2t, cos 2t) is the conjugate radius along it: Cramer's rule
+    on the tangency system, elementwise over the sweep."""
+    eta1, eta2 = _second_form(inv, co, si)
+    zeta1, zeta2 = _conjugate_radius(inv, c2, s2)
+    det = eta1 * zeta2 - eta2 * zeta1
     singular = np.abs(det) <= 1e-12
-    solvable = system[~singular]
-    # the right-hand side as an explicit (k, 2, 1) stack: a 1-D or 2-D one
-    # is read as vectors or as matrices depending on the numpy version
-    rhs = np.broadcast_to(np.array([[1.0], [0.0]]), (len(solvable), 2, 1))
-    points = np.full((n, 2), np.nan)
-    points[~singular] = np.linalg.solve(solvable, rhs)[:, :, 0]
+    points = np.divide(np.column_stack([zeta2, -zeta1]), det[:, None],
+                       out=np.full((len(det), 2), np.nan),
+                       where=~singular[:, None])
     return points, det, singular
 
 

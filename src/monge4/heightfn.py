@@ -1,14 +1,15 @@
 """Singularities of the family of height functions f_b(p) = p . b.
 
 A height function has a critical point exactly where b is normal.  For
-b = n1 e3 + n2 e4 its Hessian on the orthonormal tangent frame is
-S = n1 [[a, b], [b, c]] + n2 [[e, f], [f, g]]; det S is the quadratic
-(ac - b^2) n1^2 + (ag + ce - 2bf) n1 n2 + (eg - f^2) n2^2, of discriminant
--4 Delta.  Its bands are the classifier's, on the :func:`unit_scaled` M:
-rank <= 1 within the Delta band of :func:`degenerate_normals`, rank 0 where
-S vanishes within rel ||M||.  For rank 1 the kernel is an asymptotic
-direction, b the paired binormal, and the cubic term of f_b along it,
-against the largest third derivative of f_b, decides fold or cusp.
+b = n1 e3 + n2 e4 its Hessian on the orthonormal tangent frame is the S_n of
+:func:`~monge4.classify.shape_operator`; det S_n is the height quadratic
+hq0..hq2 of :func:`~monge4.localgeom.second_order`, of discriminant
+-4 Delta, whose zeros are the :func:`degenerate_normals`, the binormals.
+Its bands are the classifier's, on the :func:`unit_scaled` M: rank <= 1
+within the Delta band of those normals, rank 0 where S vanishes within
+rel ||M||.  For rank 1 the kernel is an asymptotic direction, b the paired
+binormal, and the cubic term of f_b along it, against the largest third
+derivative of f_b, decides fold or cusp.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import REL, band_directions, canonical_direction
+from .classify import (REL, canonical_direction, degenerate_normals,
+                       shape_operator)
 from .errors import CrossCheckError
 from .localgeom import (REL_HEIGHT, LocalInvariants, SurfaceSpec,
                         local_invariants, unit_scaled)
@@ -53,61 +55,43 @@ def _height_jet(inv: LocalInvariants, n1: float, n2: float):
         + n2 * s_eh / s_w * inv.jet_psi
 
 
-def _scaled(inv: LocalInvariants):
-    """The :func:`unit_scaled` M of ``inv`` and the coefficients (A, B, C)
-    of the quadratic on it."""
-    m = unit_scaled(inv.a, inv.b, inv.c, inv.e, inv.f, inv.g)
-    return m, (m.a * m.c - m.b ** 2, m.a * m.g + m.c * m.e - 2.0 * m.b * m.f,
-               m.e * m.g - m.f ** 2)
-
-
 def _checked(inv: LocalInvariants, n1: float, n2: float):
-    """h of :func:`_height_jet`, m and the quadratic of :func:`_scaled`, and
-    the determinant of Hess h, checked against W times the quadratic at n
-    with every term times 2^(2k - 2j), for the 2^k of :func:`unit_scaled`
-    and 2^2j near W, so that none underflows or overflows."""
+    """h of :func:`_height_jet`, the :func:`unit_scaled` M of ``inv``, and
+    the determinant of Hess h, checked against W times the height quadratic
+    at n with every term times 2^(2k - 2j), for the 2^k of
+    :func:`unit_scaled` and 2^2j near W, so that none underflows or
+    overflows."""
     h = _height_jet(inv, n1, n2)
-    m, (qa, qb, qc) = _scaled(inv)
+    m = unit_scaled(inv.a, inv.b, inv.c, inv.e, inv.f, inv.g)
     j = math.frexp(inv.W)[1] // 2
     hess = np.ldexp([[h.fxx, h.fxy], [h.fxy, h.fyy]], m.k - j)
     # LU on a zero or subnormal pivot sets a flag numpy reports as a warning
     with np.errstate(divide="ignore", invalid="ignore"):
         det = float(np.linalg.det(hess))
-    w_quad = math.ldexp(inv.W, -2 * j) * (qa * n1 * n1 + qb * n1 * n2
-                                          + qc * n2 * n2)
+    w_quad = math.ldexp(inv.W, -2 * j) * (m.hq0 * n1 * n1 + m.hq1 * n1 * n2
+                                          + m.hq2 * n2 * n2)
     scale = max(abs(det), abs(w_quad), math.ldexp(m.msq, -2 * j))
     if not abs(det - w_quad) <= REL_HEIGHT * scale:   # a nan fails too
         raise CrossCheckError(f"height hessian determinant mismatch: {det!r} "
                               f"vs W*quadratic {w_quad!r}, times 2^{2 * (m.k - j)}")
-    return h, m, (qa, qb, qc), math.ldexp(det, 2 * (j - m.k))
+    return h, m, math.ldexp(det, 2 * (j - m.k))
 
 
 def height_hessian(inv: LocalInvariants, n) -> tuple[np.ndarray, float]:
     """Parameter-coordinate Hessian of the height function for the unit
     normal n and its determinant, checked against W times the quadratic."""
-    h, _, _, det = _checked(inv, float(n[0]), float(n[1]))
+    h, _, det = _checked(inv, float(n[0]), float(n[1]))
     return np.array([[h.fxx, h.fxy], [h.fxy, h.fyy]]), det
 
 
-def degenerate_normals(inv: LocalInvariants,
-                       rel: float = REL) -> list[np.ndarray]:
-    """Unit normal directions whose height function has a degenerate critical
-    point: 2, 1 or 0 of them as Delta < 0, = 0, > 0 (band-relative).
-
-    Raises :class:`InflectionPointError` when the quadratic vanishes
-    identically (inflection point: every normal is degenerate).
-    """
-    m, quadratic = _scaled(inv)
-    return band_directions(quadratic, m, rel, "height-hessian quadratic")
-
-
-def _in_band(m, quadratic, n1, n2) -> bool:
-    """Whether the quadratic (A, B, C) vanishes at the unit normal n within
-    the Delta band of :func:`degenerate_normals`.  For Delta > 0 the test is
-    on quad(n) lead (1 + t^2) = Delta + (lead t + B/2)^2, lead and slope t as
-    in :func:`~monge4.conics.homogeneous_quadratic_roots`, else on |quad(n)|
+def _in_band(m, n1, n2) -> bool:
+    """Whether the height quadratic (A, B, C) = (hq0, hq1, hq2) of ``m``
+    vanishes at the unit normal n within the Delta band of
+    :func:`degenerate_normals`.  For Delta > 0 the test is on quad(n) lead
+    (1 + t^2) = Delta + (lead t + B/2)^2, lead and slope t as in
+    :func:`~monge4.conics.homogeneous_quadratic_roots`, else on |quad(n)|
     times the larger |eigenvalue| of [[A, B/2], [B/2, C]] (<= |Delta|)."""
-    qa, qb, qc = quadratic
+    qa, qb, qc = m.hq0, m.hq1, m.hq2
     tau = REL * m.msq * m.msq
     if m.Delta > 0.0:   # so A C > 0: the lead is not zero
         lead, top, bottom = (qa, n1, n2) if abs(qa) >= abs(qc) else (qc, n2, n1)
@@ -129,10 +113,10 @@ def classify_height(surface: SurfaceSpec, x: float, y: float,
     n = np.asarray(n, dtype=float) / float(np.hypot(n[0], n[1]))
     inv = local_invariants(surface, x, y)
     n1, n2 = float(n[0]), float(n[1])
-    h, m, quadratic, _ = _checked(inv, n1, n2)
-    if not _in_band(m, quadratic, n1, n2):
+    h, m, _ = _checked(inv, n1, n2)
+    if not _in_band(m, n1, n2):
         return HeightSingularity(n, NONDEGENERATE, None, None)
-    s11, s12, s22 = n1 * m.a + n2 * m.e, n1 * m.b + n2 * m.f, n1 * m.c + n2 * m.g
+    s11, s12, s22 = shape_operator(m, n1, n2)
     if max(abs(s11), abs(s12), abs(s22)) <= REL * math.sqrt(m.msq):
         return HeightSingularity(n, UMBILIC_OR_HIGHER, None, None)
     # the kernel of S is normal to its larger row

@@ -203,15 +203,16 @@ def frame_fields(phi_d, psi_d):
 
 def second_order(a, b, c, e, f, g):
     """The invariants of the coefficient matrix M = [[a, b, c], [e, f, g]]:
-    a namespace of a..g, K, kappa, Delta (expanded form) and the
-    coefficients nq0..nq2 of the directional quadratic.  Generic in the
-    arithmetic, like :func:`frame_fields`, whose coefficients it takes."""
+    a namespace of a..g, K, kappa, the coefficients hq0..hq2 of the height
+    quadratic det S_n = hq0 n1^2 + hq1 n1 n2 + hq2 n2^2, Delta (expanded
+    form, hq0 hq2 - hq1^2 / 4) and the coefficients nq0..nq2 of the
+    directional quadratic.  Generic in the arithmetic, like
+    :func:`frame_fields`, whose coefficients it takes."""
+    hq0, hq1, hq2 = a * c - b * b, a * g + c * e - 2.0 * b * f, e * g - f * f
     return SimpleNamespace(
-        a=a, b=b, c=c, e=e, f=f, g=g,
-        K=(a * c - b * b) + (e * g - f * f),
-        kappa=(a - c) * f - (e - g) * b,
-        Delta=(a * c - b * b) * (e * g - f * f)
-        - 0.25 * (a * g + c * e - 2.0 * b * f) ** 2,
+        a=a, b=b, c=c, e=e, f=f, g=g, hq0=hq0, hq1=hq1, hq2=hq2,
+        K=hq0 + hq2, kappa=(a - c) * f - (e - g) * b,
+        Delta=hq0 * hq2 - 0.25 * hq1 ** 2,
         nq0=a * f - b * e, nq1=a * g - c * e, nq2=b * g - c * f)
 
 

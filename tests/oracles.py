@@ -6,14 +6,16 @@ no closed-form coefficient formulas with the package: the geometric oracle
 builds frames by Gram-Schmidt and projects second derivatives per the
 definition of the second fundamental form.
 
-The exceptions are :func:`evolvent_reference`, the per-direction loop body
-that ``conics._evolvent_sweep`` batches, and :func:`jet_variable_reference`,
-coordinate jets with full-array seeds; the package must reproduce both bit
-for bit.  :func:`invariant_gradients` is the unscaled route to the exact
-gradients of Delta and kappa that ``localgeom.scaled_jets`` replaced by one
-route on M scaled by a power of two; it underflows on a small surface,
-where that does not.  :func:`hessian_of_delta_fd` is the
-Richardson-extrapolated difference of its Delta gradient, which
+The exceptions are :func:`evolvent_reference`, the per-direction LAPACK
+solve of the tangency system that ``conics._evolvent_sweep`` replaced by the
+pole in closed form, which must agree with it to the system's condition,
+and :func:`jet_variable_reference`, coordinate jets with full-array seeds,
+which the package must reproduce bit for bit.  :func:`invariant_gradients`
+is the unscaled route to the exact gradients of Delta and kappa that
+``localgeom.scaled_jets`` replaced by one route on M scaled by a power of
+two; it underflows on a small surface, where that does not.
+:func:`hessian_of_delta_fd` is the Richardson-extrapolated difference of
+its Delta gradient, which
 ``classify.hessian_of_delta`` replaced by an exact jet; the two must agree
 to the differencing error.
 :func:`bisect_edges_reference` is the fixed 40-round bisection that

@@ -144,6 +144,28 @@ def test_analyze_degenerate_indicatrix(tmp_path):
     assert float(rec["binormal0_n2"]) == 1.0
 
 
+def test_analyze_binormals_apart_from_asymptotic_directions(tmp_path):
+    """At this parabolic point the height quadratic vanishes within its
+    band (every normal degenerate), the directional quadratic does not: one
+    asymptotic direction, nan binormals, and a plot without an arrow."""
+    surf = write(tmp_path, "hz.surf",
+                 "phi = 0.5*x^2\npsi = 3e-5*x*y\ndomain = -1 1 -1 1\n")
+    code, out, _ = run_cli(["analyze", "--surface", surf, "--at", "0,0"])
+    assert code == 0
+    rec = record_dict(out)
+    assert rec["class"] == "parabolic"
+    assert rec["asymptotic_count"] == "1"
+    assert (rec["asym0_u1"], rec["asym0_u2"]) == ("0.0", "1.0")
+    assert all(rec[f"binormal{i}_n{j}"] == "nan" for i in (0, 1) for j in (1, 2))
+    out_path = str(tmp_path / "hz.svg")
+    code, _, _ = run_cli(["plot", "--surface", surf, "--at", "0,0",
+                          "--out", out_path])
+    assert code == 0
+    svg = (tmp_path / "hz.svg").read_text()
+    assert 'class="indicatrix"' in svg
+    assert svg.count('class="binormal"') == 0
+
+
 def test_analyze_inflection_point(tmp_path):
     path = write(tmp_path, "c.surf",
                  "phi = x^2 + 3*y^2\npsi = x^3/3 + x*y^2\ndomain = -1 1 -1 1\n")

@@ -268,16 +268,47 @@ def test_evolvent_singular_at_parabolic_direction(invs):
         conics.evolvent_point(invs["D"], math.pi / 2)
 
 
+EPS = np.finfo(float).eps
+
+
 def _assert_sweep_is_reference(inv, thetas):
-    """The batched sweep equals the per-direction reference under ==."""
-    points, dets, singular = conics._evolvent_sweep(inv, thetas)
+    """The closed-form sweep against the per-direction LAPACK reference,
+    which solves the same system (eta and zeta bit for bit):
+
+    * the same singular mask, except where the reference det lies within
+      its own rounding of the 1e-12 threshold: 4 eps |eta| |zeta| from the
+      LU, and 128 eps relative from numpy's det, which takes the exp of the
+      summed log |pivots|.  Within it the exact det may lie on either side
+      (a = e = 1000 and b = c = f = g = 0 at theta = 0.245 has the exact
+      det 0, the reference 2.7e-11; coefficients of 1e-6 give the exact
+      det 1e-12, the reference 1.000000000000001e-12);
+    * each point within 4 eps cond of the reference point, relative to it,
+      cond = (|eta|^2 + |zeta|^2) / |det| the condition of the system;
+    * n . eta = 1 and n . zeta = 0 within 4 eps of |n| |eta| and
+      |n| |zeta|.
+
+    Returns the sweep's points."""
+    points, _, singular = conics._evolvent_sweep(inv, thetas)
     for k, theta in enumerate(thetas):
         point, det = evolvent_reference(inv, float(theta))
-        assert dets[k] == det
-        assert bool(singular[k]) == (point is None)
-        if point is not None:
-            assert points[k][0] == point[0]
-            assert points[k][1] == point[1]
+        et = conics.eta(inv, float(theta))
+        _, zeta = conics.conjugate_radii(inv, float(theta))
+        size_eta, size_zeta = float(np.hypot(*et)), float(np.hypot(*zeta))
+        if bool(singular[k]) != (point is None):
+            assert abs(abs(det) - 1e-12) \
+                <= 4.0 * EPS * size_eta * size_zeta + 128.0 * EPS * 1e-12
+            continue
+        if point is None:
+            assert np.isnan(points[k]).all()
+            continue
+        cond = (size_eta ** 2 + size_zeta ** 2) / abs(det)
+        n = points[k]
+        size = float(np.hypot(*n))
+        assert float(np.hypot(*(n - point))) \
+            <= 4.0 * EPS * cond * float(np.hypot(*point))
+        assert abs(float(n @ et) - 1.0) <= 4.0 * EPS * size * size_eta
+        assert abs(float(n @ zeta)) <= 4.0 * EPS * size * size_zeta
+    return points
 
 
 SWEEP_THETAS = np.arange(512) * math.pi / 512
@@ -292,16 +323,20 @@ def test_evolvent_sweep_matches_reference_on_fixtures(invs, name):
 # out because its step cut also drops one-point pieces
 @pytest.mark.parametrize("name", ["A", "B", "D", "E"])
 def test_sample_characteristic_clips_as_reference(invs, name):
-    """The traced points are exactly the reference points that are neither
-    at infinity nor farther than the clip radius from the origin."""
+    """The traced points are exactly the sweep points that are neither at
+    infinity nor farther than the clip radius from the origin, and they
+    are so where the reference points are."""
+    points = _assert_sweep_is_reference(invs[name], SWEEP_THETAS)
     traced = {(float(x), float(y))
               for pts, _ in conics.sample_characteristic(invs[name], 512, 2.0)
               for x, y in pts}
     kept = set()
-    for theta in SWEEP_THETAS:
+    for theta, (x, y) in zip(SWEEP_THETAS, points):
         point, _ = evolvent_reference(invs[name], float(theta))
-        if point is not None and float(np.hypot(point[0], point[1])) <= 2.0:
-            kept.add((float(point[0]), float(point[1])))
+        inside = point is not None and float(np.hypot(*point)) <= 2.0
+        assert inside == (float(np.hypot(x, y)) <= 2.0)
+        if inside:
+            kept.add((float(x), float(y)))
     assert traced == kept
 
 

@@ -175,17 +175,18 @@ def test_kernel_is_asymptotic_and_normal_is_binormal():
     (surface_from_strings(*STEEP), 0.3, 0.2),
 ])
 def test_kernel_is_asymptotic_inside_the_band(surface, x, y):
-    """With Delta inside its band the one degenerate normal has a rank-1
-    Hessian whose kernel u is an asymptotic direction within the same band:
-    |nq(u)| times the larger |eigenvalue| of the directional quadratic nq,
-    which is Delta at its eigenvector of the smaller one, is at most
-    REL ||M||^4 on the scaled M.  The two roots the band merges lie up to
-    7e-3 apart on the near-parabolic surface, so no angle is compared here,
-    nor is the normal compared with classify.binormals, whose construction
-    from II(u, u) loses its direction inside the band."""
+    """With Delta inside its band the one degenerate normal is the binormal
+    and has a rank-1 Hessian whose kernel u is an asymptotic direction
+    within the same band: |nq(u)| times the larger |eigenvalue| of the
+    directional quadratic nq, which is Delta at its eigenvector of the
+    smaller one, is at most REL ||M||^4 on the scaled M.  The two roots the
+    band merges lie up to 7e-3 apart on the near-parabolic surface, so no
+    angle is compared here."""
     inv = local_invariants(surface, x, y)
     normals = degenerate_normals(inv)
     assert len(normals) == 1
+    assert [b.tobytes() for b in classify.binormals(inv)] \
+        == [normals[0].tobytes()]
     sing = classify_height(surface, x, y, normals[0])
     assert sing.kind in (FOLD, CUSP_OR_HIGHER)
     m = unit_scaled(inv.a, inv.b, inv.c, inv.e, inv.f, inv.g)
@@ -405,6 +406,62 @@ def test_degenerate_normals_are_the_degenerate_height_functions(seed, theta):
     for n in (homogeneous_quadratic_roots(qa, qb, qc, double_root=True)[0],
               vecs[:, int(np.argmin(np.abs(vals)))]):
         assert classify_height(surface, x, y, n).kind == NONDEGENERATE
+
+
+def _assert_binormals_are_degenerate_normals(surface, x, y):
+    """binormals are degenerate_normals bit for bit, or raise where that or
+    asymptotic_directions raises; where there are two, each pair (u, b)
+    with asymptotic_directions has u in the kernel of S_b within
+    1e-12 ||M|| on the scaled M; and no binormal has a nondegenerate height
+    function.  Returns the number of binormals, None where they raise."""
+    inv = local_invariants(surface, x, y)
+    try:
+        normals = degenerate_normals(inv)
+        classify.asymptotic_directions(inv)
+    except InflectionPointError:
+        with pytest.raises(InflectionPointError):
+            classify.binormals(inv)
+        return None
+    bins = classify.binormals(inv)
+    assert sorted(b.tobytes() for b in bins) \
+        == sorted(n.tobytes() for n in normals)
+    if len(bins) == 2:
+        m = unit_scaled(inv.a, inv.b, inv.c, inv.e, inv.f, inv.g)
+        for u, b in zip(classify.asymptotic_directions(inv), bins):
+            s11, s12, s22 = classify.shape_operator(m, b[0], b[1])
+            assert math.hypot(s11 * u[0] + s12 * u[1], s12 * u[0] + s22 * u[1]) \
+                <= 1e-12 * math.sqrt(m.msq)
+    for b in bins:
+        assert classify_height(surface, x, y, b).kind != NONDEGENERATE
+    return len(bins)
+
+
+@pytest.mark.parametrize("surface, x, y", [
+    # inside the band, where II(u, u) has no direction
+    (random_surfaces(seed=131)[2], 0.006055137996596072, -0.11399930608382514),
+    # ||M||^2 underflows unscaled
+    (surface_from_strings(*STEEP), 0.3, 0.2),
+    (surface_from_strings(*NEAR_PARABOLIC), 0.3, 0.2),
+])
+def test_binormals_are_degenerate_normals_inside_the_band(surface, x, y):
+    assert _assert_binormals_are_degenerate_normals(surface, x, y) == 1
+
+
+def test_binormals_are_degenerate_normals_on_the_corpus():
+    rng = np.random.default_rng(127)
+    counts = [_assert_binormals_are_degenerate_normals(surface, float(x),
+                                                       float(y))
+              for surface in random_surfaces(seed=131, count=8)
+              for x, y in random_points(rng, 8)]
+    assert counts.count(2) > 30 and counts.count(0) > 5
+
+
+@given(_seeds, st.sampled_from([-1.0, 0.0, 0.5, 1.0, 1.0 + 1e-7]))
+@settings(max_examples=100, deadline=None)
+def test_binormals_are_degenerate_normals_at_the_band(seed, theta):
+    """With Delta just below, inside and just above its band."""
+    _assert_binormals_are_degenerate_normals(
+        *_pushed_surface(np.random.default_rng(seed), theta))
 
 
 def test_steep_surface_classifies_with_the_hessian_check():

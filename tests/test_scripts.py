@@ -57,6 +57,24 @@ def test_compare_outputs_tree_with_itself():
     assert all(line.endswith(": same") for line in lines), r.stdout
 
 
+def test_compare_outputs_takes_a_negative_point(tmp_path):
+    """`--at -0.7,0.45`, as the CLI takes it: one surface file compared with
+    itself prints `same` on each of its seven lines."""
+    surface = tmp_path / "s.surf"
+    surface.write_text("phi = x^2 - y^2\npsi = 2*x*y\ndomain = -1 1 -1 1\n",
+                       encoding="utf-8")
+    r = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "compare_outputs.py"),
+         str(ROOT / "src"), "--res", "16", "--surface", str(surface),
+         "--at", "-0.7,0.45"],
+        capture_output=True, text=True, check=False)
+    assert r.returncode == 0, r.stdout + r.stderr
+    lines = r.stdout.splitlines()
+    assert len(lines) == 7
+    assert f"{surface} analyze -0.7,0.45: same" in lines
+    assert all(line.endswith(": same") for line in lines), r.stdout
+
+
 def test_compare_outputs_names_the_first_differing_line():
     spec = importlib.util.spec_from_file_location(
         "compare_outputs", ROOT / "scripts" / "compare_outputs.py")
