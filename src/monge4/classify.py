@@ -27,8 +27,7 @@ from .localgeom import LocalInvariants, SurfaceSpec, scaled_jets, unit_scaled
 
 __all__ = [
     "PointClassification", "classify_point", "asymptotic_directions",
-    "degenerate_normals", "shape_operator", "binormals", "hessian_of_delta",
-    "canonical_direction",
+    "binormals", "hessian_of_delta", "canonical_direction",
     "class_labels_grid", "class_codes_grid", "LABELS",
     "band_directions", "REL", "RANK_RATIO", "CIRCLE_RATIO",
 ]
@@ -113,17 +112,6 @@ def asymptotic_directions(inv: LocalInvariants,
                            "directional quadratic")
 
 
-def degenerate_normals(inv: LocalInvariants,
-                       rel: float = REL) -> list[np.ndarray]:
-    """Unit normals n (in the (e3, e4) frame) whose height function is
-    degenerate, det S_n = 0 for the S_n of :func:`shape_operator`: 2, 1 or
-    0 of them as Delta < 0, = 0, > 0 (band-relative).  Raises
-    :class:`InflectionPointError` where every normal is degenerate."""
-    m = unit_scaled(inv.a, inv.b, inv.c, inv.e, inv.f, inv.g)
-    return band_directions((m.hq0, m.hq1, m.hq2), m, rel,
-                           "height-hessian quadratic")
-
-
 def shape_operator(m, n1: float, n2: float):
     """(s11, s12, s22): the Hessian S_n = n1 [[a, b], [b, c]]
     + n2 [[e, f], [f, g]] of the height function for the normal
@@ -132,15 +120,19 @@ def shape_operator(m, n1: float, n2: float):
 
 
 def binormals(inv: LocalInvariants, rel: float = REL) -> list[np.ndarray]:
-    """The :func:`degenerate_normals`, normal to the tangents from the
-    origin to the curvature ellipse, paired index by index with the
-    :func:`asymptotic_directions` u: of two, the n with the smaller |S_n u|
-    at the first u.  Raises :class:`InflectionPointError` where either of
-    those two does."""
-    asym = asymptotic_directions(inv, rel)
-    normals = degenerate_normals(inv, rel)
+    """The degenerate normals of the height functions, normal to the
+    tangents from the origin to the curvature ellipse: the band roots of
+    the height quadratic, as in :func:`~monge4.heightfn.degenerate_normals`,
+    paired index by index with the :func:`asymptotic_directions` u: of two,
+    the n with the smaller |S_n u| at the first u.  Raises
+    :class:`InflectionPointError` where either quadratic vanishes
+    identically."""
+    m = unit_scaled(inv.a, inv.b, inv.c, inv.e, inv.f, inv.g)
+    asym = band_directions((m.nq0, m.nq1, m.nq2), m, rel,
+                           "directional quadratic")
+    normals = band_directions((m.hq0, m.hq1, m.hq2), m, rel,
+                              "height-hessian quadratic")
     if len(normals) == 2:   # one Delta band: two asymptotic directions too
-        m = unit_scaled(inv.a, inv.b, inv.c, inv.e, inv.f, inv.g)
         u1, u2 = asym[0]
         r0, r1 = (math.hypot(s11 * u1 + s12 * u2, s12 * u1 + s22 * u2)
                   for s11, s12, s22 in (shape_operator(m, *n) for n in normals))

@@ -76,15 +76,17 @@ def conjugate_radii(inv: LocalInvariants, theta: float):
     conjugate radii of the ellipse; d(eta)/d(theta) = 2 zeta.
     """
     c2, s2 = math.cos(2.0 * theta), math.sin(2.0 * theta)
-    return (indicatrix_linear_map(inv) @ np.array([c2, s2]),
-            np.array(_conjugate_radius(inv, c2, s2)))
+    amat = indicatrix_linear_map(inv)
+    return np.array(_radius(amat, c2, s2)), np.array(_radius(amat, -s2, c2))
 
 
-def _conjugate_radius(inv: LocalInvariants, c2, s2):
-    """zeta = A (-s2, c2) = II(u, u'), u' = u turned by a right angle and
-    2t u's angle, for c2, s2 = cos 2t, sin 2t, floats or arrays."""
-    (a11, a12), (a21, a22) = indicatrix_linear_map(inv)
-    return a12 * c2 - a11 * s2, a22 * c2 - a21 * s2
+def _radius(amat: np.ndarray, w1, w2):
+    """A (w1, w2), the radius of the ellipse for the point (w1, w2) of the
+    unit circle, for floats or elementwise for arrays.  At w = (cos 2t,
+    sin 2t) it is xi; at (-sin 2t, cos 2t) it is the conjugate radius
+    zeta = II(u, u'), u' = u turned by a right angle, u at angle t."""
+    (a11, a12), (a21, a22) = amat
+    return a11 * w1 + a12 * w2, a21 * w1 + a22 * w2
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,7 +320,7 @@ def _sweep_points(inv: LocalInvariants, co, si, c2, s2):
     = A (-sin 2t, cos 2t) is the conjugate radius along it: Cramer's rule
     on the tangency system, elementwise over the sweep."""
     eta1, eta2 = _second_form(inv, co, si)
-    zeta1, zeta2 = _conjugate_radius(inv, c2, s2)
+    zeta1, zeta2 = _radius(indicatrix_linear_map(inv), -s2, c2)
     det = eta1 * zeta2 - eta2 * zeta1
     singular = np.abs(det) <= 1e-12
     points = np.divide(np.column_stack([zeta2, -zeta1]), det[:, None],

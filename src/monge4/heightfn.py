@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import (REL, canonical_direction, degenerate_normals,
+from .classify import (REL, band_directions, canonical_direction,
                        shape_operator)
 from .errors import CrossCheckError
 from .localgeom import (REL_HEIGHT, LocalInvariants, SurfaceSpec,
@@ -82,6 +82,17 @@ def height_hessian(inv: LocalInvariants, n) -> tuple[np.ndarray, float]:
     normal n and its determinant, checked against W times the quadratic."""
     h, _, det = _checked(inv, float(n[0]), float(n[1]))
     return np.array([[h.fxx, h.fxy], [h.fxy, h.fyy]]), det
+
+
+def degenerate_normals(inv: LocalInvariants,
+                       rel: float = REL) -> list[np.ndarray]:
+    """Unit normals n (in the (e3, e4) frame) whose height function is
+    degenerate, det S_n = 0: 2, 1 or 0 of them as Delta < 0, = 0, > 0
+    (band-relative).  Raises :class:`InflectionPointError` where every
+    normal is degenerate."""
+    m = unit_scaled(inv.a, inv.b, inv.c, inv.e, inv.f, inv.g)
+    return band_directions((m.hq0, m.hq1, m.hq2), m, rel,
+                           "height-hessian quadratic")
 
 
 def _in_band(m, n1, n2) -> bool:

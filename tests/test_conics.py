@@ -269,45 +269,54 @@ def test_evolvent_singular_at_parabolic_direction(invs):
 
 
 EPS = np.finfo(float).eps
+TINY = np.finfo(float).tiny
 
 
 def _assert_sweep_is_reference(inv, thetas):
     """The closed-form sweep against the per-direction LAPACK reference,
     which solves the same system (eta and zeta bit for bit):
 
-    * the same singular mask, except where the reference det lies within
-      its own rounding of the 1e-12 threshold: 4 eps |eta| |zeta| from the
-      LU, and 128 eps relative from numpy's det, which takes the exp of the
-      summed log |pivots|.  Within it the exact det may lie on either side
-      (a = e = 1000 and b = c = f = g = 0 at theta = 0.245 has the exact
+    * at every sample, the sweep's det eta x zeta within
+      4 eps |eta| |zeta| + eps (8 + |log p1| + |log p2|) |det| of the
+      reference det: the rounding of the LU, and that of numpy's det, which
+      is the exp of log |p1| + log |p2| for the LU's pivots, p1 the larger
+      |first entry| of eta and zeta and p2 = det / p1, plus the smallest
+      normal float, as LAPACK's LU loses the subnormal range; and the
+      sweep's mask is its own |det| <= 1e-12;
+    * the same singular mask, except where the two dets lie on opposite
+      sides of 1e-12, which the bound above then confines to its width
+      (a = e = 1000 and b = c = f = g = 0 at theta = 5 pi / 64 has the exact
       det 0, the reference 2.7e-11; coefficients of 1e-6 give the exact
       det 1e-12, the reference 1.000000000000001e-12);
     * each point within 4 eps cond of the reference point, relative to it,
       cond = (|eta|^2 + |zeta|^2) / |det| the condition of the system;
-    * n . eta = 1 and n . zeta = 0 within 4 eps of |n| |eta| and
-      |n| |zeta|.
+    * each point with n . eta = 1 and n . zeta = 0 within 4 eps of
+      |n| |eta| and |n| |zeta|, also where the reference is singular, and
+      nan where the sweep is.
 
     Returns the sweep's points."""
-    points, _, singular = conics._evolvent_sweep(inv, thetas)
+    points, dets, singular = conics._evolvent_sweep(inv, thetas)
+    assert (singular == (np.abs(dets) <= 1e-12)).all()
     for k, theta in enumerate(thetas):
         point, det = evolvent_reference(inv, float(theta))
         et = conics.eta(inv, float(theta))
         _, zeta = conics.conjugate_radii(inv, float(theta))
         size_eta, size_zeta = float(np.hypot(*et)), float(np.hypot(*zeta))
-        if bool(singular[k]) != (point is None):
-            assert abs(abs(det) - 1e-12) \
-                <= 4.0 * EPS * size_eta * size_zeta + 128.0 * EPS * 1e-12
-            continue
-        if point is None:
+        p1 = max(abs(float(et[0])), abs(float(zeta[0])))
+        logs = abs(math.log(p1)) + abs(math.log(abs(det) / p1)) if det else 0.0
+        assert abs(float(dets[k]) - det) \
+            <= EPS * (4.0 * size_eta * size_zeta + (8.0 + logs) * abs(det)) + TINY
+        if singular[k]:
             assert np.isnan(points[k]).all()
             continue
-        cond = (size_eta ** 2 + size_zeta ** 2) / abs(det)
         n = points[k]
         size = float(np.hypot(*n))
-        assert float(np.hypot(*(n - point))) \
-            <= 4.0 * EPS * cond * float(np.hypot(*point))
         assert abs(float(n @ et) - 1.0) <= 4.0 * EPS * size * size_eta
         assert abs(float(n @ zeta)) <= 4.0 * EPS * size * size_zeta
+        if point is not None:
+            cond = (size_eta ** 2 + size_zeta ** 2) / abs(det)
+            assert float(np.hypot(*(n - point))) \
+                <= 4.0 * EPS * cond * float(np.hypot(*point))
     return points
 
 
@@ -355,6 +364,9 @@ def test_evolvent_sweep_singular_samples(invs):
        st.lists(st.floats(0.0, 2.0 * math.pi), min_size=1, max_size=8))
 @example([2.0, 0.0, 0.0, 0.0, 2.0, 0.0], 0, [math.pi / 2])  # D
 @example([2.0, 0.0, 0.0, 0.0, 0.0, 2.0], 0, [0.0, math.pi / 2])  # A
+@example([1.0, 0.0, 0.0, 1.0, 0.0, 0.0], 3, [5 * math.pi / 64])  # flips
+@example([0.0, 1.250377571827013e-119, 0.0, 1.75, 0.0, 0.0], 0, [0.0])  # pivots
+@example([0.0, 2.2250738585e-313, 0.0, 1.0, 0.0, 0.0], 0, [0.0])  # subnormal
 @settings(max_examples=150, deadline=None)
 def test_evolvent_sweep_matches_reference_random(coeffs, exponent, thetas):
     """Random coefficient sets, scaled so that |det| falls on both sides of
