@@ -4,6 +4,7 @@ tree.
 
     python3 scripts/compare_outputs.py OTHER_SRC [--res N] [--at X,Y ...]
                                        [--surface FILE ...]
+                                       [--point-queries SEED ...]
 
 Runs ``analyze``, ``plot`` and ``height`` at each ``--at`` point (default
 0,0 and 0.25,-0.2) and ``grid``, ``selfcheck``, ``trace`` and ``inflections``
@@ -11,9 +12,12 @@ at ``--res`` (default 128) on the surfaces of ``fixture_gallery.py``, the
 polynomial surface of the golden tests and two transcendental surfaces, or on
 the given surface files instead.  ``height`` is no subcommand but the
 benchmark's point-queries ``height`` job: the degenerate normals of the
-point and the height singularity of each.  Every command runs twice, in one
-subprocess with this tree's ``src`` on the import path and in one with
-OTHER_SRC.
+point and the height singularity of each.  ``--point-queries SEED`` adds
+the surfaces of one round of the benchmark's point-queries workload for
+that seed, as ``perfbench/workloads.py`` draws them, with ``analyze``,
+``plot`` and ``height`` at each of their 24 points.  Every command runs
+twice, in one subprocess with this tree's ``src`` on the import path and
+in one with OTHER_SRC.
 Prints, for each surface and subcommand, ``same`` or the first differing
 line; the exit code and the error output count as lines too.  A failure
 both trees share prints as ``same`` followed by its exit code, such as
@@ -109,6 +113,24 @@ def _surfaces(work):
     return paths
 
 
+def _point_query_jobs(work, seed):
+    """The jobs of one round of the benchmark's point-queries workload for
+    ``seed``, on its surfaces written to ``work``."""
+    from workloads import make_spec, surface_file_text
+    spec = make_spec("point-queries", seed)
+    paths = {}
+    for name, surface in spec["surfaces"].items():
+        paths[name] = pathlib.Path(work) / f"point-queries-{seed}-{name}.surf"
+        paths[name].write_text(surface_file_text(surface), encoding="utf-8")
+    jobs = []
+    for job in spec["jobs"]:
+        path, at = str(paths[job["surface"]]), "{!r},{!r}".format(*job["at"])
+        key = f"point-queries {seed} {job['surface']} {job['kind']} {at}"
+        jobs.append((key, ["height", path, at] if job["kind"] == "height"
+                     else [job["kind"], "--surface", path, f"--at={at}"]))
+    return jobs
+
+
 def _first_difference(mine, theirs):
     a, b = mine.splitlines(), theirs.splitlines()
     for i in range(max(len(a), len(b))):
@@ -131,6 +153,7 @@ def _verdict(mine, theirs):
 
 def main(argv=None):
     sys.path.insert(0, str(ROOT / "src"))
+    sys.path.insert(0, str(ROOT / "perfbench"))
     from monge4.cli import _attach_negative_points
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("other_src", type=pathlib.Path)
@@ -140,6 +163,10 @@ def main(argv=None):
                              "(repeatable)")
     parser.add_argument("--surface", action="append",
                         help="surface file in place of the gallery (repeatable)")
+    parser.add_argument("--point-queries", type=int, action="append",
+                        default=[], metavar="SEED",
+                        help="add the benchmark's point-queries surfaces and "
+                             "points for SEED (repeatable)")
     # --at -0.7,0.45 as the CLI takes it
     args = parser.parse_args(_attach_negative_points(
         sys.argv[1:] if argv is None else argv))
@@ -158,6 +185,8 @@ def main(argv=None):
             jobs += [(f"{name} {command}",
                       [command, "--surface", path, "--res", str(args.res)])
                      for command in ("grid", "selfcheck", "trace", "inflections")]
+        for seed in args.point_queries:
+            jobs += _point_query_jobs(work, seed)
         mine = _run_jobs(ROOT / "src", jobs)
         theirs = _run_jobs(args.other_src, jobs)
     differ = 0

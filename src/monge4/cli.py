@@ -215,11 +215,12 @@ def _grid_blocks(xs, ys, K, kappa, delta, codes):
     step = max(1, BLOCK_LINES // res)
     for j in range(0, res, step):
         cols = slice(j, j + step)
-        shape = (len(ys[cols]), res, floattext.SLOT)
+        # K, kappa and Delta of the block in one call, then a column each
+        slots = floattext.float_slots(np.stack(
+            [f[:, cols].T for f in (K, kappa, delta)], axis=-1))
         yield floattext.csv_lines(
             [x_text[None], y_text[cols, None],
-             *(floattext.float_slots(f[:, cols].T).reshape(shape)
-               for f in (K, kappa, delta)),
+             *slots.reshape(len(ys[cols]), res, 3, -1).transpose(2, 0, 1, 3),
              _LABEL_TEXT.take(codes[:, cols].T, axis=0)])
 
 

@@ -8,12 +8,13 @@ yields the analytic derivatives up to floating rounding.  Coefficients may be
 Python floats (point evaluation) or numpy arrays (grid evaluation), each in
 its own broadcast shape; the same code path serves both.
 
-A jet also knows its structural zeros, the derivatives that vanish by
-construction: those in y of a function of x alone, those of a constant, and
-those above the degree of a polynomial.  Products and compositions are
-compiled per pattern of structural zeros and never form a term that holds
-one, so the product of a factor in x alone and a factor in y alone costs one
-product per coefficient instead of the whole Leibniz table.
+:func:`eval_jet` compiles each expression tree once per order into a kernel
+of straight-line Python over coefficient tuples.  The structural zeros of
+each subexpression, the derivatives that vanish by construction (in y of a
+function of x alone, of a constant, above a polynomial's degree), are
+compile-time facts there, and its products and compositions form no term
+that holds one: the product of a factor in x alone and one in y alone costs
+one product per coefficient instead of the whole Leibniz table.
 
 :meth:`Jet.shift` turns the jet of phi into the jet of a partial derivative
 of phi by re-indexing alone, so a formula in the derivatives of phi and psi
@@ -26,7 +27,6 @@ Derivatives*, 2nd ed., SIAM 2008, ch. 13).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 
@@ -35,7 +35,7 @@ import numpy as np
 from . import expr as ex
 from .errors import EvaluationError
 
-__all__ = ["Jet", "eval_jet", "jet_constant", "jet_variable", "sqrt"]
+__all__ = ["Jet", "eval_jet", "sqrt"]
 
 
 # largest |exponent| of an integer power taken by repeated squaring; above
@@ -43,30 +43,19 @@ __all__ = ["Jet", "eval_jet", "jet_constant", "jet_variable", "sqrt"]
 POWI_LIMIT = 512
 
 
-def _elementary(name, v):
-    """math's function ``name`` on a Python float, numpy's on an array."""
-    return getattr(math if type(v) is float else np, name)(v)
-
-
 def sqrt(v):
-    """Square root of a float, an array or a :class:`Jet`, elementwise.
-
-    A jet's value is not checked against the domain here, as
-    :meth:`Jet.sqrt` does: a nan value gives nan coefficients.
-    """
+    """Square root of a float, an array or a :class:`Jet`, elementwise; a
+    jet's value is not checked as in an expression: nan gives nan."""
     if isinstance(v, Jet):
-        return v._compose(_sqrt_derivatives(v.f))
-    return _elementary("sqrt", v)
+        return v._compose("sqrt")
+    return (math if type(v) is float else np).sqrt(v)
 
 
 class _DomainFailure(Exception):
-    """Internal: a jet operation left the function's domain.
-
-    ``mask`` marks the offending points of an array-valued jet (None for
-    scalars); it may have any shape that broadcasts to the grid.  The
-    expression evaluator converts this into an :class:`EvaluationError`
-    carrying the first such grid point.
-    """
+    """Internal: a jet operation left the function's domain.  ``mask``
+    marks the offending points of an array-valued jet (None for scalars) in
+    any shape that broadcasts to the grid; :func:`eval_jet` converts this
+    into an :class:`EvaluationError` carrying the first such grid point."""
 
     def __init__(self, message, mask=None):
         super().__init__(message)
@@ -77,9 +66,7 @@ def _require_positive(v, what):
     if type(v) is float:
         if not (v > 0.0):
             raise _DomainFailure(f"{what} of non-positive value {v!r}")
-        return
-    bad = ~(np.asarray(v) > 0.0)
-    if bad.any():
+    elif (bad := ~(np.asarray(v) > 0.0)).any():
         raise _DomainFailure(f"{what} of non-positive value", bad)
 
 
@@ -87,9 +74,7 @@ def _require_nonzero(v, what):
     if type(v) is float:
         if v == 0.0:
             raise _DomainFailure(what)
-        return
-    bad = np.asarray(v) == 0.0
-    if bad.any():
+    elif (bad := np.asarray(v) == 0.0).any():
         raise _DomainFailure(what, bad)
 
 
@@ -99,8 +84,7 @@ def _require_nonzero(v, what):
 
 @functools.cache
 def _indices(order):
-    """(i, j) of the coefficients of an order-n jet in graded order: the
-    coefficient at position k is d^(i+j) f / dx^i dy^j."""
+    """(i, j) of the coefficient d^(i+j) f / dx^i dy^j at each position."""
     return tuple((d - j, j) for d in range(order + 1) for j in range(d + 1))
 
 
@@ -130,15 +114,14 @@ def _leibniz_source(i, j, left, right, zl, zr):
     return " + ".join(terms)
 
 
-def _compile(source, name):
-    namespace = {}
-    exec(source, namespace)  # source built from the Leibniz tables above
-    return namespace[name]
+def _compile(source, name, **names):
+    """The function ``name`` of generated ``source``, with ``names`` global."""
+    exec(source, names)
+    return names[name]
 
 
 def _zeros_of(items):
-    """The pattern of structural zeros of coefficient sources: the
-    positions whose sum has no terms."""
+    """The structural zeros of coefficient sources: the sums with no term."""
     return sum(1 << p for p, item in enumerate(items) if not item)
 
 
@@ -148,31 +131,31 @@ def _tuple_source(items):
 
 # The product and the composition of each order and each pattern of
 # structural zeros are compiled once, from its Leibniz table, into
-# straight-line code that returns the coefficients and their pattern: on
-# Python floats, a loop over the table costs about as much again as the
-# arithmetic, and a term with a structural zero is never formed.  The
-# coefficients that are not structural zeros form a down-set of the (i, j)
-# triangle (seeds do, and sums, products and compositions keep it), so there
-# are at most 132 patterns at order 4 and the caches stay small.
+# straight-line code, with the pattern of the result beside it: on Python
+# floats, a loop over the table costs about as much again as the arithmetic,
+# and a term with a structural zero is never formed.  The coefficients that
+# are not structural zeros form a down-set of the (i, j) triangle (seeds do,
+# and sums, products and compositions keep it), so there are at most 132
+# patterns at order 4 and the caches stay small.
 
 @functools.cache
 def _product(order, za, zb):
-    """The coefficients of the product of two order-n jets whose structural
-    zeros are ``za`` and ``zb``, and their own structural zeros, as a
-    function of the two coefficient tuples.  Against a constant, whose
-    derivatives are all structural zeros, it is a scaling; the product of a
-    jet in x alone and one in y alone has one term per coefficient."""
+    """The product of two order-n jets whose structural zeros are ``za``
+    and ``zb``, as a function of the two coefficient tuples, and the
+    structural zeros of the product.  Against a constant, whose derivatives
+    are all structural zeros, it is a scaling; the product of a jet in x
+    alone and one in y alone has one term per coefficient."""
     items = [_leibniz_source(i, j, "a[{}]", "b[{}]", za, zb)
              for i, j in _indices(order)]
-    return _compile(f"def product(a, b):\n    return {_tuple_source(items)}, "
-                    f"{_zeros_of(items)}\n", "product")
+    return (_compile(f"def product(a, b):\n    return {_tuple_source(items)}\n",
+                     "product"), _zeros_of(items))
 
 
 @functools.cache
 def _composition(order, zc):
-    """The coefficients of u(f) for an order-n jet f with structural zeros
-    ``zc``, and their own structural zeros, as a function of f's
-    coefficients c and h = (h_0, ..., h_n), h_k = u^(k)(f) / k!.
+    """u(f) for an order-n jet f with structural zeros ``zc``, as a
+    function of f's coefficients c and h = (h_0, ..., h_n),
+    h_k = u^(k)(f) / k!, and the structural zeros of u(f).
 
     u(f) = h_0 + sum_k h_k p^k, where p is f less its value.  p^k has
     structural zeros at every degree below k and wherever its factors leave
@@ -192,48 +175,67 @@ def _composition(order, zc):
                                    for k in range(1, i + j + 1)
                                    if not zeros[k] >> p & 1)
                         for p, (i, j) in enumerate(_indices(order)) if p]
-    return _compile("def composition(c, h):\n" + "".join(lines)
-                    + f"    return {_tuple_source(items)}, {_zeros_of(items)}\n",
-                    "composition")
+    return (_compile("def composition(c, h):\n" + "".join(lines)
+                     + f"    return {_tuple_source(items)}\n", "composition"),
+            _zeros_of(items))
 
 
-# derivatives u^(k)(f), k = 0, 1, 2, ..., of the elementary functions
+def _taylor_source(kind, v, n, m, t):
+    """Source of h_k = u^(k)(v) / k!, k = 0..n, for u = ``kind`` (sin, cos,
+    tan, exp, log, sqrt or 1/) of the value ``v``: (statements, the h_k).
+    ``m`` names math or numpy; the statements assign names prefixed ``t``."""
+    lines, d = [], []
 
-def _reciprocal_derivatives(f):
-    r = 1.0 / f
-    r2 = r * r
-    yield from (r, -r2, 2.0 * r2 * r)
-    d, k = -6.0 * r2 * r2, 3
-    while True:
-        yield d
-        k += 1
-        d = -k * d * r
+    def let(name, value):
+        lines.append(f"{t}{name} = {value}")
+        return t + name
+
+    if kind == "log":  # then u' = 1/v
+        d, kind = [let("l", f"{m}.log({v})")], "1/"
+    if kind in ("sin", "cos"):
+        s, c = let("s", f"{m}.sin({v})"), let("c", f"{m}.cos({v})")
+        d = ([s, c, f"-{s}", f"-{c}"] if kind == "sin"
+             else [c, f"-{s}", f"-{c}", s]) * (n // 4 + 1)
+    elif kind == "exp":
+        d = [let("e", f"{m}.exp({v})")] * (n + 1)
+    elif kind == "1/" and len(d) <= n:
+        r = let("r", f"1.0 / {v}")
+        r2 = let("r2", f"{r} * {r}")
+        top = n - len(d)  # the highest derivative of 1/v needed
+        d += [r, f"-{r2}", f"2.0 * {r2} * {r}"]
+        for k in range(3, top + 1):
+            d.append(let(f"d{k}", f"-{k} * {d[-1]} * {r}" if k > 3
+                         else f"-6.0 * {r2} * {r2}"))
+    elif kind == "sqrt":
+        d = [let("s", f"{m}.sqrt({v})")]
+        for k in range(n):
+            d.append(let(f"d{k + 1}", f"{0.5 - k!r} * {d[-1]} / {v}" if k
+                         else f"0.5 / {d[0]}"))
+    elif kind == "tan":  # u^(k) = P_k(t) with P_(k+1) = P_k' (1 + t^2)
+        tt, q = let("t", f"{m}.tan({v})"), let("q", f"1.0 + {t}t * {t}t")
+        d = [tt, q, f"2.0 * {tt} * {q}", f"{q} * (2.0 + 6.0 * {tt} * {tt})"]
+        poly = [2, 0, 8, 0, 6]  # P_3 = 2 + 8 t^2 + 6 t^4
+        while len(d) <= n:
+            slope = [k * a for k, a in enumerate(poly)][1:] + [0, 0]
+            poly = [a + b for a, b in zip(slope, [0, 0] + slope)]
+            value = "0.0"
+            for a in reversed(poly):
+                value = f"({value}) * {tt} + {a}"
+            d.append(value)
+    return lines, [e if k < 2 else f"({e}) / {math.factorial(k)}"
+                   for k, e in enumerate(d[:n + 1])]
 
 
-def _sqrt_derivatives(f):
-    s = sqrt(f)
-    yield s
-    d, k = 0.5 / s, 1
-    while True:
-        yield d
-        d = (0.5 - k) * d / f
-        k += 1
-
-
-def _tan_derivatives(f):
-    t = _elementary("tan", f)
-    sec2 = 1.0 + t * t
-    yield from (t, sec2, 2.0 * t * sec2)
-    yield sec2 * (2.0 + 6.0 * t * t)
-    # u^(k) = P_k(t) with P_(k+1) = P_k' (1 + t^2); P_3 = 2 + 8 t^2 + 6 t^4
-    poly = [2, 0, 8, 0, 6]
-    while True:
-        slope = [k * a for k, a in enumerate(poly)][1:] + [0, 0]
-        poly = [u + v for u, v in zip(slope, [0, 0] + slope)]
-        value = 0.0
-        for a in reversed(poly):
-            value = value * t + a
-        yield value
+def _power(base, n, mul):
+    """base^n, n >= 1, by repeated squaring with the product ``mul``."""
+    result = None
+    while n:
+        if n & 1:
+            result = base if result is None else mul(result, base)
+        n >>= 1
+        if n:
+            base = mul(base, base)
+    return result
 
 
 class Jet:
@@ -241,19 +243,13 @@ class Jet:
 
     ``coeffs`` holds them in graded order (f, fx, fy, fxx, fxy, fyy, ...);
     mixed partials are stored once.  Jets in one computation share their
-    order.  The set bits of ``zeros`` mark structural zeros by position:
-    derivatives that vanish identically by construction, such as those in y
-    of a function of x alone.  Only :func:`jet_constant` and
-    :func:`jet_variable` set them, and every operation carries them on; a
-    coefficient that merely computes to zero is not one, so that 0 * inf
-    still gives nan.
+    order.
     """
 
-    __slots__ = ("coeffs", "zeros")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs, zeros=0):
+    def __init__(self, coeffs):
         self.coeffs = coeffs
-        self.zeros = zeros
 
     @property
     def order(self):
@@ -274,127 +270,203 @@ class Jet:
     # a scalar operand changes the value only
     def __add__(self, o):
         if not isinstance(o, Jet):
-            return Jet((self.coeffs[0] + o,) + self.coeffs[1:], self.zeros)
-        return Jet(tuple(map(operator.add, self.coeffs, o.coeffs)),
-                   self.zeros & o.zeros)
+            return Jet((self.coeffs[0] + o,) + self.coeffs[1:])
+        return Jet(tuple(map(operator.add, self.coeffs, o.coeffs)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(tuple(map(operator.neg, self.coeffs)), self.zeros)
+        return Jet(tuple(map(operator.neg, self.coeffs)))
 
     def __sub__(self, o):
         if not isinstance(o, Jet):
-            return Jet((self.coeffs[0] - o,) + self.coeffs[1:], self.zeros)
-        return Jet(tuple(map(operator.sub, self.coeffs, o.coeffs)),
-                   self.zeros & o.zeros)
+            return Jet((self.coeffs[0] - o,) + self.coeffs[1:])
+        return Jet(tuple(map(operator.sub, self.coeffs, o.coeffs)))
 
     def scaled(self, s):
         """s times the jet, for a finite float s."""
-        return Jet(tuple([s * v for v in self.coeffs]), self.zeros)
+        return Jet(tuple([s * v for v in self.coeffs]))
 
     def __mul__(self, o):
         if not isinstance(o, Jet):
             return self.scaled(o)
-        return Jet(*_product(self.order, self.zeros, o.zeros)(self.coeffs,
-                                                              o.coeffs))
+        return Jet(_product(self.order, 0, 0)[0](self.coeffs, o.coeffs))
 
     __rmul__ = scaled
 
     def __truediv__(self, o):
         if not isinstance(o, Jet):
             return self.scaled(1.0 / o)
-        return self * o._reciprocal()
+        _require_nonzero(o.f, "division by zero")
+        return self * o._compose("1/")
 
-    def _reciprocal(self):
-        _require_nonzero(self.f, "division by zero")
-        return self._compose(_reciprocal_derivatives(self.f))
+    def __pow__(self, n: int):
+        """Positive integer power by repeated squaring."""
+        return _power(self, n, operator.mul)
 
-    # -- composition with a scalar function ------------------------------
-    def _compose(self, derivatives):
-        """Jet of u(f) from the derivatives u^(k)(f), k = 0, 1, ..., at
-        this jet's value (an iterable; the first order + 1 are used)."""
-        order = self.order
-        d = list(itertools.islice(derivatives, order + 1))
-        h = d[:2] + [d[k] / math.factorial(k) for k in range(2, order + 1)]
-        return Jet(*_composition(order, self.zeros)(self.coeffs, h))
-
-    def sin(self):
-        s, c = _elementary("sin", self.f), _elementary("cos", self.f)
-        return self._compose(itertools.cycle((s, c, -s, -c)))
-
-    def cos(self):
-        s, c = _elementary("sin", self.f), _elementary("cos", self.f)
-        return self._compose(itertools.cycle((c, -s, -c, s)))
-
-    def tan(self):
-        return self._compose(_tan_derivatives(self.f))
-
-    def exp(self):
-        return self._compose(itertools.repeat(_elementary("exp", self.f)))
-
-    def log(self):
-        _require_positive(self.f, "log")
-        return self._compose(itertools.chain(
-            (_elementary("log", self.f),), _reciprocal_derivatives(self.f)))
-
-    def sqrt(self):
-        _require_positive(self.f, "sqrt")
-        return sqrt(self)
-
-    def powi(self, n: int):
-        """Integer power by repeated squaring (keeps polynomials exact)."""
-        if n == 0:
-            return jet_constant(1.0, self.order)
-        if n < 0:
-            return self.powi(-n)._reciprocal()
-        result = None
-        base = self
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
-    __pow__ = powi
-
-    def powf(self, p: float):
-        if float(p).is_integer():
-            if abs(p) <= POWI_LIMIT:
-                return self.powi(int(p))
-            _require_positive(self.f, f"integer power {p:g} (above the powi "
-                                      f"limit {POWI_LIMIT})")
-        else:
-            _require_positive(self.f, "non-integer power")
-        return (self.log().scaled(p)).exp()
-
-
-def jet_constant(v, order: int) -> Jet:
-    """Jet of a constant: every derivative is a structural zero."""
-    v = v if type(v) is float or isinstance(v, np.ndarray) else float(v)
-    size = len(_indices(order))
-    return Jet((v,) + (0.0,) * (size - 1), (1 << size) - 2)
-
-
-def jet_variable(which: str, x0, y0, order: int) -> Jet:
-    """Jet of the coordinate function 'x' or 'y' at (x0, y0).  On arrays the
-    value is a float copy of that coordinate in its own shape (an axis such
-    as ``xs[:, None]`` stays one), and the seeds are the floats 1.0 and 0.0.
-    Every derivative but its own first one is a structural zero."""
-    v = x0 if which == "x" else y0
-    grid = isinstance(x0, np.ndarray) or isinstance(y0, np.ndarray)
-    v = np.array(v, dtype=float) if grid else float(v)
-    seeds, live = ((1.0, 0.0), 0b11) if which == "x" else ((0.0, 1.0), 0b101)
-    size = len(_indices(order))
-    return Jet(((v,) + seeds + (0.0,) * size)[:size],
-               ((1 << size) - 1) & ~live)
+    def _compose(self, kind):
+        """Jet of u(f) for the function ``kind`` of :func:`_taylor_source`."""
+        return Jet(_composed(kind, self.order)(
+            self.coeffs, math if type(self.f) is float else np))
 
 
 # ---------------------------------------------------------------------------
 # expression evaluation
 # ---------------------------------------------------------------------------
+
+class _Compiler:
+    """Source that computes, operation for operation, what jet arithmetic
+    computes on an expression tree (:meth:`node`) at one order.  Each
+    subexpression is a tuple of coefficients at run time and (its name, its
+    fixed coefficients, whether it is constant, its structural zeros) here.
+    The fixed coefficients are the values of the structural zeros, formed as
+    0.0 and made -0.0 by negations and sums or nan by an infinite exponent,
+    and None elsewhere.  A constant is a Python float on a grid too, so its
+    functions are math's, the others ``m``'s."""
+
+    def __init__(self, order):
+        self.order, self.size = order, len(_indices(order))
+        self.lines, self.variables = [], {}
+        self.names = {"math": math, "np": np, "_require_positive": _require_positive,
+                      "_require_nonzero": _require_nonzero}
+
+    def bind(self, value):
+        name = f"k{len(self.names)}"
+        self.names[name] = value
+        return name
+
+    def literal(self, v):
+        return repr(v) if math.isfinite(v) else self.bind(v)
+
+    def let(self, value, fixed, const):
+        name = f"t{len(self.lines)}"
+        self.lines.append(f"{name} = {value}")
+        return name, fixed, const, sum(1 << p for p, v in enumerate(fixed)
+                                       if v is not None)
+
+    def node(self, node):
+        match node:
+            case ex.Num(value=v):
+                return self.constant(v)
+            case ex.Name(name=n) if n in ex.CONSTANTS:
+                return self.constant(ex.CONSTANTS[n])
+            case ex.Name(name=n):
+                return self.variable(n)
+            case ex.Neg(operand=u):
+                return self.elementwise(operator.neg, "-{}", self.node(u))
+            case ex.BinOp(op=op, lhs=l, rhs=r):
+                a, b = self.node(l), self.node(r)
+                if op in ("+", "-"):
+                    return self.elementwise(operator.add if op == "+" else operator.sub,
+                                            f"{{}} {op} {{}}", a, b)
+                return self.product(a, b if op == "*" else self.reciprocal(b))
+            case ex.Pow(base=b, exponent=p):
+                return self.power(self.node(b), p)
+            case ex.Call(func=f, arg=a):
+                u = self.node(a)
+                if f in ("log", "sqrt"):
+                    self.require(_require_positive, u, f)
+                return self.compose(f, u)
+        raise TypeError(f"not an expression node: {node!r}")
+
+    def constant(self, v):
+        zeros = [0.0] * (self.size - 1)
+        return self.bind((float(v), *zeros)), [None] + zeros, True, (1 << self.size) - 2
+
+    def variable(self, n):
+        """The coordinate's jet, once; on arrays its value is a float copy."""
+        if n not in self.variables:
+            v = "x" if n == "x" else "y"
+            seeds = [None, 0.0] if n == "x" else [0.0, None]
+            fixed = ([None] + seeds + [0.0] * self.size)[:self.size]
+            items = [f"({v} if m is math else np.array({v}, dtype=float))"] \
+                + ["1.0" if z is None else "0.0" for z in fixed[1:]]
+            self.variables[n] = self.let(f"({', '.join(items)},)", fixed, False)
+        return self.variables[n]
+
+    def elementwise(self, fold, form, *args):
+        """``form`` of ``args`` at each position, ``fold`` where all are fixed."""
+        fixed, items = [], []
+        for p in range(self.size):
+            values = [a[1][p] for a in args]
+            fixed.append(None if None in values else fold(*values))
+            items.append(form.format(*(f"{a[0]}[{p}]" if v is None else self.literal(v)
+                                       for a, v in zip(args, values)))
+                         if fixed[p] is None else self.literal(fixed[p]))
+        return self.let(f"({', '.join(items)},)", fixed, all(a[2] for a in args))
+
+    def require(self, check, a, what):
+        self.lines.append(f"{check.__name__}({a[0]}[0], {what!r})")
+
+    def call(self, kernel, args, const):
+        """The call of a product or composition kernel and its pattern."""
+        fn, zeros = kernel
+        fixed = [0.0 if zeros >> p & 1 else None for p in range(self.size)]
+        return self.let(f"{self.bind(fn)}({args})", fixed, const)
+
+    def product(self, a, b):
+        return self.call(_product(self.order, a[3], b[3]), f"{a[0]}, {b[0]}",
+                         a[2] and b[2])
+
+    def compose(self, kind, a):
+        lines, h = _taylor_source(kind, f"{a[0]}[0]", self.order,
+                                  "math" if a[2] else "m", f"u{len(self.lines)}_")
+        self.lines += lines
+        return self.call(_composition(self.order, a[3]),
+                         f"{a[0]}, ({', '.join(h)},)", a[2])
+
+    def function(self, args, root):
+        """The compiled function of ``args`` that returns ``root``."""
+        return _compile(f"def kernel({args}):\n" + "".join(
+            f"    {line}\n" for line in self.lines) + f"    return {root[0]}\n",
+            "kernel", **self.names)
+
+    def reciprocal(self, a):
+        self.require(_require_nonzero, a, "division by zero")
+        return self.compose("1/", a)
+
+    def power(self, a, p):
+        if float(p).is_integer() and abs(p) <= POWI_LIMIT:
+            n = int(p)
+            if n == 0:
+                return self.constant(1.0)
+            u = _power(a, abs(n), self.product)
+            return u if n > 0 else self.reciprocal(u)
+        self.require(_require_positive, a, "non-integer power"
+                     if not float(p).is_integer() else
+                     f"integer power {p:g} (above the powi limit {POWI_LIMIT})")
+        log = self.compose("log", a)
+        return self.compose("exp", self.elementwise(lambda v: p * v,
+                                                    f"{self.literal(p)} * {{}}", log))
+
+
+# kernels by (id(tree), order), oldest out first: an entry holds its tree, so
+# no other tree has that id, and hashing the tree would cost microseconds
+KERNEL_CACHE = 256
+_KERNELS = {}
+
+
+@functools.cache
+def _composed(kind, order):
+    """u(c) for u = ``kind``, a function of the jet's coefficients c and m."""
+    compiler = _Compiler(order)
+    c = ("c", [None] * compiler.size, False, 0)
+    return compiler.function("c, m", compiler.compose(kind, c))
+
+
+def _kernel(expression, order):
+    """The kernel of ``expression`` at ``order``, compiled on first use: the
+    coefficients, unchecked, as a function of x, y and m (math or numpy)."""
+    entry = _KERNELS.get((id(expression), order))
+    if entry is not None and entry[0] is expression:
+        return entry[1]
+    compiler = _Compiler(order)
+    kernel = compiler.function("x, y, m", compiler.node(expression))
+    if len(_KERNELS) >= KERNEL_CACHE:
+        del _KERNELS[next(iter(_KERNELS))]
+    _KERNELS[id(expression), order] = (expression, kernel)
+    return kernel
+
 
 def _point_of(x0, y0, mask):
     """The failing point: (x0, y0) for scalars; on a grid the first point
@@ -425,9 +497,13 @@ def eval_jet(expression: ex.Expr, x0, y0, order: int) -> Jet:
     grid = isinstance(x0, np.ndarray) or isinstance(y0, np.ndarray)
     if not grid:
         x0, y0 = float(x0), float(y0)
+    kernel = _kernel(expression, order)
     try:
-        with np.errstate(all="ignore"):
-            jet = _eval(expression, x0, y0, order)
+        if grid:
+            with np.errstate(all="ignore"):
+                coeffs = kernel(x0, y0, np)
+        else:  # math raises where numpy warns
+            coeffs = kernel(x0, y0, math)
     except _DomainFailure as err:
         raise EvaluationError(str(err), _point_of(x0, y0, err.mask)) from None
     except OverflowError:
@@ -437,42 +513,14 @@ def eval_jet(expression: ex.Expr, x0, y0, order: int) -> Jet:
         raise EvaluationError("non-finite result",
                               _point_of(x0, y0, None)) from None
     if not grid:
-        for coeff in jet.coeffs:
-            if not math.isfinite(coeff):
-                raise EvaluationError("non-finite result", (x0, y0))
-        return jet
-    if not all(np.isfinite(c).all() for c in jet.coeffs):
-        bad = functools.reduce(np.logical_or, (~np.isfinite(c) for c in jet.coeffs))
+        if not all(map(math.isfinite, coeffs)):
+            raise EvaluationError("non-finite result", (x0, y0))
+        return Jet(coeffs)
+    if not all(np.isfinite(c).all() for c in coeffs):
+        bad = functools.reduce(np.logical_or, (~np.isfinite(c) for c in coeffs))
         raise EvaluationError("non-finite result", _point_of(x0, y0, bad))
     # constant subexpressions evaluate to scalar coefficients and one-axis
     # ones to axis-shaped arrays; make the jet uniformly grid-shaped
     shape = np.broadcast(x0, y0).shape
     return Jet(tuple(np.broadcast_to(np.asarray(c, dtype=float), shape)
-                     for c in jet.coeffs))
-
-
-def _eval(node: ex.Expr, x0, y0, order) -> Jet:
-    match node:
-        case ex.Num(value=v):
-            return jet_constant(v, order)
-        case ex.Name(name=n):
-            if n in ex.CONSTANTS:
-                return jet_constant(ex.CONSTANTS[n], order)
-            return jet_variable(n, x0, y0, order)
-        case ex.Neg(operand=u):
-            return -_eval(u, x0, y0, order)
-        case ex.BinOp(op=op, lhs=l, rhs=r):
-            a = _eval(l, x0, y0, order)
-            b = _eval(r, x0, y0, order)
-            if op == "+":
-                return a + b
-            if op == "-":
-                return a - b
-            if op == "*":
-                return a * b
-            return a / b
-        case ex.Pow(base=b, exponent=p):
-            return _eval(b, x0, y0, order).powf(p)
-        case ex.Call(func=f, arg=a):
-            return getattr(_eval(a, x0, y0, order), f)()
-    raise TypeError(f"not an expression node: {node!r}")
+                     for c in coeffs))

@@ -10,7 +10,11 @@ The exceptions are :func:`evolvent_reference`, the per-direction LAPACK
 solve of the tangency system that ``conics._evolvent_sweep`` replaced by the
 pole in closed form, which must agree with it to the system's condition,
 and :func:`jet_variable_reference`, coordinate jets with full-array seeds,
-which the package must reproduce bit for bit.  :func:`invariant_gradients`
+which the package must reproduce bit for bit.  :class:`ReferenceJet`,
+:func:`raw_jet_reference` and :func:`eval_jet_reference` are the tree walk
+of jet arithmetic, with its structural zeros carried at run time, that
+``jets.eval_jet`` replaced by kernels compiled once per expression; the
+kernels must reproduce it bit for bit.  :func:`invariant_gradients`
 is the unscaled route to the exact gradients of Delta and kappa that
 ``localgeom.scaled_jets`` replaced by one route on M scaled by a power of
 two; it underflows on a small surface, where that does not.
@@ -49,7 +53,10 @@ bit.
 from __future__ import annotations
 
 import decimal
+import functools
+import itertools
 import math
+import operator
 from types import SimpleNamespace
 
 import numpy as np
@@ -57,7 +64,8 @@ import numpy as np
 from monge4 import classify as cls
 from monge4 import conics
 from monge4 import expr as ex
-from monge4 import locus
+from monge4 import jets, locus
+from monge4.errors import EvaluationError
 from monge4.jets import Jet, eval_jet
 from monge4.localgeom import (CROSS_CHECKS, _derivatives, check_invariants,
                               coeff_norm, frame_fields, grid_axes,
@@ -360,6 +368,228 @@ def jet_variable_reference(which, x0, y0, order):
     seeds = (one, one * 0.0) if which == "x" else (one * 0.0, one)
     size = (order + 1) * (order + 2) // 2
     return Jet(((val,) + seeds + (0.0,) * size)[:size])
+
+
+# -- the tree walk that eval_jet compiled away ----------------------------------
+
+def _elementary(name, v):
+    return getattr(math if type(v) is float else np, name)(v)
+
+
+def _reciprocal_derivatives(f):
+    r = 1.0 / f
+    r2 = r * r
+    yield from (r, -r2, 2.0 * r2 * r)
+    d, k = -6.0 * r2 * r2, 3
+    while True:
+        yield d
+        k += 1
+        d = -k * d * r
+
+
+def _sqrt_derivatives(f):
+    s = _elementary("sqrt", f)
+    yield s
+    d, k = 0.5 / s, 1
+    while True:
+        yield d
+        d = (0.5 - k) * d / f
+        k += 1
+
+
+def _tan_derivatives(f):
+    t = _elementary("tan", f)
+    sec2 = 1.0 + t * t
+    yield from (t, sec2, 2.0 * t * sec2)
+    yield sec2 * (2.0 + 6.0 * t * t)
+    # u^(k) = P_k(t) with P_(k+1) = P_k' (1 + t^2); P_3 = 2 + 8 t^2 + 6 t^4
+    poly = [2, 0, 8, 0, 6]
+    while True:
+        slope = [k * a for k, a in enumerate(poly)][1:] + [0, 0]
+        poly = [u + v for u, v in zip(slope, [0, 0] + slope)]
+        value = 0.0
+        for a in reversed(poly):
+            value = value * t + a
+        yield value
+
+
+class ReferenceJet:
+    """Jet arithmetic that carries its structural zeros as a bitmask at run
+    time, as ``monge4.jets.Jet`` did before ``eval_jet`` compiled each tree:
+    the derivatives of the elementary functions come from generators, and
+    products and compositions from the Leibniz kernels of ``monge4.jets``
+    for the pattern of the operands.  With no structural zeros it is plain
+    jet arithmetic."""
+
+    __slots__ = ("coeffs", "zeros")
+
+    def __init__(self, coeffs, zeros=0):
+        self.coeffs = coeffs
+        self.zeros = zeros
+
+    @property
+    def order(self):
+        return (math.isqrt(8 * len(self.coeffs) + 1) - 3) // 2
+
+    def __add__(self, o):
+        return ReferenceJet(tuple(map(operator.add, self.coeffs, o.coeffs)),
+                            self.zeros & o.zeros)
+
+    def __neg__(self):
+        return ReferenceJet(tuple(map(operator.neg, self.coeffs)), self.zeros)
+
+    def __sub__(self, o):
+        return ReferenceJet(tuple(map(operator.sub, self.coeffs, o.coeffs)),
+                            self.zeros & o.zeros)
+
+    def scaled(self, s):
+        return ReferenceJet(tuple([s * v for v in self.coeffs]), self.zeros)
+
+    def __mul__(self, o):
+        fn, zeros = jets._product(self.order, self.zeros, o.zeros)
+        return ReferenceJet(fn(self.coeffs, o.coeffs), zeros)
+
+    def __truediv__(self, o):
+        return self * o._reciprocal()
+
+    def _reciprocal(self):
+        jets._require_nonzero(self.coeffs[0], "division by zero")
+        return self._compose(_reciprocal_derivatives(self.coeffs[0]))
+
+    def _compose(self, derivatives):
+        order = self.order
+        d = list(itertools.islice(derivatives, order + 1))
+        h = d[:2] + [d[k] / math.factorial(k) for k in range(2, order + 1)]
+        fn, zeros = jets._composition(order, self.zeros)
+        return ReferenceJet(fn(self.coeffs, h), zeros)
+
+    def sin(self):
+        s, c = _elementary("sin", self.coeffs[0]), _elementary("cos", self.coeffs[0])
+        return self._compose(itertools.cycle((s, c, -s, -c)))
+
+    def cos(self):
+        s, c = _elementary("sin", self.coeffs[0]), _elementary("cos", self.coeffs[0])
+        return self._compose(itertools.cycle((c, -s, -c, s)))
+
+    def tan(self):
+        return self._compose(_tan_derivatives(self.coeffs[0]))
+
+    def exp(self):
+        return self._compose(itertools.repeat(_elementary("exp", self.coeffs[0])))
+
+    def log(self):
+        jets._require_positive(self.coeffs[0], "log")
+        return self._compose(itertools.chain(
+            (_elementary("log", self.coeffs[0]),),
+            _reciprocal_derivatives(self.coeffs[0])))
+
+    def sqrt(self):
+        jets._require_positive(self.coeffs[0], "sqrt")
+        return self._compose(_sqrt_derivatives(self.coeffs[0]))
+
+    def powi(self, n):
+        if n == 0:
+            return _reference_constant(1.0, self.order)
+        if n < 0:
+            return self.powi(-n)._reciprocal()
+        result = None
+        base = self
+        while n:
+            if n & 1:
+                result = base if result is None else result * base
+            n >>= 1
+            if n:
+                base = base * base
+        return result
+
+    def powf(self, p):
+        if float(p).is_integer():
+            if abs(p) <= jets.POWI_LIMIT:
+                return self.powi(int(p))
+            jets._require_positive(self.coeffs[0], f"integer power {p:g} (above "
+                                   f"the powi limit {jets.POWI_LIMIT})")
+        else:
+            jets._require_positive(self.coeffs[0], "non-integer power")
+        return (self.log().scaled(p)).exp()
+
+
+def _reference_constant(v, order):
+    size = (order + 1) * (order + 2) // 2
+    return ReferenceJet((float(v),) + (0.0,) * (size - 1), (1 << size) - 2)
+
+
+def _reference_variable(which, x0, y0, order, patterns):
+    v = x0 if which == "x" else y0
+    grid = isinstance(x0, np.ndarray) or isinstance(y0, np.ndarray)
+    v = np.array(v, dtype=float) if grid else float(v)
+    seeds, live = ((1.0, 0.0), 0b11) if which == "x" else ((0.0, 1.0), 0b101)
+    size = (order + 1) * (order + 2) // 2
+    return ReferenceJet(((v,) + seeds + (0.0,) * size)[:size],
+                        ((1 << size) - 1) & ~live if patterns else 0)
+
+
+def raw_jet_reference(node, x0, y0, order, *, patterns=True, variable=None):
+    """The coefficients of the jet of ``node`` at (x0, y0), before the
+    checks of ``eval_jet``, by a walk of the tree in :class:`ReferenceJet`
+    arithmetic; or the ``jets._DomainFailure``, ``OverflowError`` or
+    ``ValueError`` that stopped it.  Constants have every derivative as a
+    structural zero; ``patterns`` gives the coordinate jets theirs too.
+    ``variable(which, x0, y0, order)``, when given, makes the coordinate
+    jets, with no structural zeros, in place of a float copy of the
+    coordinate with float seeds."""
+    def walk(node):
+        match node:
+            case ex.Num(value=v):
+                return _reference_constant(v, order)
+            case ex.Name(name=n) if n in ex.CONSTANTS:
+                return _reference_constant(ex.CONSTANTS[n], order)
+            case ex.Name(name=n):
+                if variable is not None:
+                    return ReferenceJet(variable(n, x0, y0, order).coeffs)
+                return _reference_variable(n, x0, y0, order, patterns)
+            case ex.Neg(operand=u):
+                return -walk(u)
+            case ex.BinOp(op=op, lhs=l, rhs=r):
+                a, b = walk(l), walk(r)
+                return {"+": operator.add, "-": operator.sub, "*": operator.mul,
+                        "/": operator.truediv}[op](a, b)
+            case ex.Pow(base=b, exponent=p):
+                return walk(b).powf(p)
+            case ex.Call(func=f, arg=a):
+                return getattr(walk(a), f)()
+        raise TypeError(f"not an expression node: {node!r}")
+
+    with np.errstate(all="ignore"):
+        return walk(node).coeffs
+
+
+def eval_jet_reference(node, x0, y0, order, **walk):
+    """``eval_jet`` on :func:`raw_jet_reference`: the same conversion of
+    the failures into ``EvaluationError``, the same finiteness check and
+    broadcast."""
+    grid = isinstance(x0, np.ndarray) or isinstance(y0, np.ndarray)
+    if not grid:
+        x0, y0 = float(x0), float(y0)
+    try:
+        coeffs = raw_jet_reference(node, x0, y0, order, **walk)
+    except jets._DomainFailure as err:
+        raise EvaluationError(str(err), jets._point_of(x0, y0, err.mask)) from None
+    except OverflowError:
+        raise EvaluationError("non-finite result (overflow)",
+                              jets._point_of(x0, y0, None)) from None
+    except ValueError:
+        raise EvaluationError("non-finite result",
+                              jets._point_of(x0, y0, None)) from None
+    if not grid:
+        if not all(math.isfinite(c) for c in coeffs):
+            raise EvaluationError("non-finite result", (x0, y0))
+        return Jet(coeffs)
+    if not all(np.isfinite(c).all() for c in coeffs):
+        bad = functools.reduce(np.logical_or, (~np.isfinite(c) for c in coeffs))
+        raise EvaluationError("non-finite result", jets._point_of(x0, y0, bad))
+    shape = np.broadcast(x0, y0).shape
+    return Jet(tuple(np.broadcast_to(np.asarray(c, dtype=float), shape)
+                     for c in coeffs))
 
 
 def invariant_gradients(surface, x, y):

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from monge4 import eval_jet, jets, parse_expression
 from monge4.errors import EvaluationError
-from monge4.jets import Jet, jet_constant, jet_variable
+from monge4.jets import Jet
 
 from conftest import AXIS_XS, AXIS_YS, expression_texts, grid_corpus
-from oracles import eval_value, fd_jet, jet_variable_reference
+from oracles import (ReferenceJet, eval_jet_reference, eval_value, fd_jet,
+                     jet_variable_reference, raw_jet_reference)
 
 COEFF_NAMES = ("f", "fx", "fy", "fxx", "fxy", "fyy",
                "fxxx", "fxxy", "fxyy", "fyyy")
@@ -131,7 +132,7 @@ def test_sum_and_chain_rules_exact():
         for mine, ref in zip(total.coeffs, (j1 + j1).coeffs):
             assert mine == pytest.approx(ref, rel=1e-13, abs=1e-13)
         chained = eval_jet(parse_expression(f"sin({t1})"), x0, y0, 3)
-        for mine, ref in zip(chained.coeffs, j1.sin().coeffs):
+        for mine, ref in zip(chained.coeffs, ReferenceJet(j1.coeffs).sin().coeffs):
             assert abs(mine - ref) <= 1e-12 * max(abs(mine), abs(ref), 1.0)
 
 
@@ -202,14 +203,14 @@ def test_eval_value_matches_jet_value():
 
 
 def test_order1_jet_arithmetic():
-    x = jet_variable("x", 2.0, 3.0, 1)
-    y = jet_variable("y", 2.0, 3.0, 1)
+    x = eval_jet(parse_expression("x"), 2.0, 3.0, 1)
+    y = eval_jet(parse_expression("y"), 2.0, 3.0, 1)
     q = (x * x * y + y) / x
     # f = (x^2 y + y)/x = xy + y/x; fx = y - y/x^2; fy = x + 1/x
     assert q.f == pytest.approx(2 * 3 + 3 / 2)
     assert q.fx == pytest.approx(3 - 3 / 4)
     assert q.fy == pytest.approx(2 + 1 / 2)
-    s = (x * x + y * y).sqrt()
+    s = jets.sqrt(x * x + y * y)
     r = math.hypot(2.0, 3.0)
     assert s.f == pytest.approx(r)
     assert s.fx == pytest.approx(2.0 / r)
@@ -262,7 +263,7 @@ def test_shift_gives_the_jets_of_the_derivatives():
 
 
 def test_jet_immutability():
-    j = jet_constant(1.0, 3)
+    j = eval_jet(parse_expression("1"), 0.0, 0.0, 3)
     with pytest.raises(AttributeError):
         j.f = 2.0
 
@@ -286,18 +287,21 @@ def test_axis_evaluation_matches_meshgrid():
                              eval_jet(tree, gx, gy, 3))
 
 
-def test_scalar_seed_coordinate_jets_match_array_seeds(monkeypatch):
+def test_scalar_seed_coordinate_jets_match_array_seeds():
     """Coordinate jets with float seeds on the axes evaluate every surface
-    to the same coefficients as full-array seeds on the full grid."""
+    to the same coefficients as full-array seeds on the full grid, in the
+    tree walk of pattern-free jet arithmetic."""
     gx, gy = np.meshgrid(AXIS_XS, AXIS_YS, indexing="ij")
-    trees = [t for s in grid_corpus() for t in (s.phi, s.psi)]
-    axis_jets = [eval_jet(t, AXIS_XS[:, None], AXIS_YS[None, :], 3) for t in trees]
-    seed = jets.jet_variable("x", AXIS_XS[:, None], AXIS_YS[None, :], 3)
-    assert seed.f.shape == (len(AXIS_XS), 1)
-    assert (seed.fx, seed.fy) == (1.0, 0.0) and type(seed.fx) is float
-    monkeypatch.setattr(jets, "jet_variable", jet_variable_reference)
-    for tree, jet in zip(trees, axis_jets):
-        _assert_same_jet(jet, eval_jet(tree, gx, gy, 3))
+    seed = jets._kernel(parse_expression("x"), 3)(AXIS_XS[:, None],
+                                                  AXIS_YS[None, :], np)
+    assert seed[0].shape == (len(AXIS_XS), 1)
+    assert seed[1:3] == (1.0, 0.0) and type(seed[1]) is float
+    for surface in grid_corpus():
+        for tree in (surface.phi, surface.psi):
+            _assert_same_jet(
+                eval_jet(tree, AXIS_XS[:, None], AXIS_YS[None, :], 3),
+                eval_jet_reference(tree, gx, gy, 3, patterns=False,
+                                   variable=jet_variable_reference))
 
 
 # first offending points on descending axes, as reported by full-grid
@@ -334,25 +338,27 @@ def test_axis_error_reports_first_grid_point(text, message, point):
         assert err.value.point == point
 
 
-# -- structural zeros ------------------------------------------------------------
+# -- structural zeros and the compiled kernels ----------------------------------
 
-def _pattern_free_variable(which, x0, y0, order):
-    """The coordinate jet of :func:`jet_variable` with no structural zeros."""
-    return Jet(jet_variable(which, x0, y0, order).coeffs)
-
-
-def _raw_jet(tree, x0, y0, order):
-    """The coefficients of the jet of ``tree`` at the points, as rows of an
-    array, before the checks of :func:`eval_jet`; or the failure that
-    stopped the evaluation."""
-    try:
+def _kernel_coefficients(tree, x0, y0, order):
+    """The coefficients of the compiled kernel of ``tree`` at the points,
+    before the checks of :func:`eval_jet`."""
+    if isinstance(x0, np.ndarray) or isinstance(y0, np.ndarray):
         with np.errstate(all="ignore"):
-            jet = jets._eval(tree, x0, y0, order)
+            return jets._kernel(tree, order)(x0, y0, np)
+    return jets._kernel(tree, order)(float(x0), float(y0), math)
+
+
+def _raw_jet(evaluate, x0, y0):
+    """The coefficients that ``evaluate()`` returns, as rows of an array;
+    or the failure that stopped it."""
+    try:
+        coeffs = evaluate()
     except (jets._DomainFailure, OverflowError, ValueError) as err:
         return f"{type(err).__name__}: {err}"
     shape = np.broadcast(x0, y0).shape
-    return np.array([np.broadcast_to(c, shape) for c in jet.coeffs]).reshape(
-        len(jet.coeffs), -1)
+    return np.array([np.broadcast_to(c, shape) for c in coeffs]).reshape(
+        len(coeffs), -1)
 
 
 _LEAVES = st.sampled_from(["x", "y", "x", "y", "0", "1", "0.3", "2.5", "pi",
@@ -367,9 +373,10 @@ _POWERS = st.sampled_from(["0", "2", "3", "5", "-1", "-2", "0.5", "1.5",
 @example("exp(-exp(1000*y)) + 1e308*sin(2*y)", 1, 0.0, 0.0)
 @settings(max_examples=300, deadline=None)
 def test_structural_zeros_change_no_value(text, order, x0, y0):
-    """Jets with structural zeros evaluate every expression as the same
-    evaluation on pattern-free coordinate jets does, at a point and on the
-    axes (an x axis and a y axis through 0): the same failure, or
+    """The compiled kernels, whose subexpressions have structural zeros,
+    evaluate every expression as the tree walk of jet arithmetic on
+    pattern-free coordinate jets does, at a point and on the axes (an x
+    axis and a y axis through 0): the same failure, or
     non-finite coefficients at the same points and equal coefficients at
     every other point.
 
@@ -386,13 +393,85 @@ def test_structural_zeros_change_no_value(text, order, x0, y0):
     axes = (np.linspace(-1.5, 1.5, 7)[:, None],
             np.linspace(-1.0, 1.0, 5)[None, :])
     for point in ((x0, y0), axes):
-        sparse = _raw_jet(tree, *point, order)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(jets, "jet_variable", _pattern_free_variable)
-            dense = _raw_jet(tree, *point, order)
+        sparse = _raw_jet(lambda: _kernel_coefficients(tree, *point, order),
+                          *point)
+        dense = _raw_jet(lambda: raw_jet_reference(tree, *point, order,
+                                                   patterns=False), *point)
         if isinstance(sparse, str) or isinstance(dense, str):
             assert sparse == dense
             continue
         bad = ~np.isfinite(sparse).all(axis=0)
         assert np.array_equal(bad, ~np.isfinite(dense).all(axis=0))
         assert np.array_equal(sparse[:, ~bad], dense[:, ~bad])
+
+
+def _outcome(evaluate):
+    """What ``evaluate()`` gives: its coefficients as their types, shapes
+    and the bytes of their floats, or its failure with its message (and
+    point)."""
+    try:
+        coeffs = evaluate()
+    except EvaluationError as err:
+        return "EvaluationError", str(err), err.point
+    except (jets._DomainFailure, OverflowError, ValueError) as err:
+        return type(err).__name__, str(err)
+    if isinstance(coeffs, Jet):
+        coeffs = coeffs.coeffs
+    return [(type(c), np.shape(c), np.asarray(c, dtype=float).tobytes())
+            for c in coeffs]
+
+
+_ALL_LEAVES = st.sampled_from(["x", "y", "x", "y", "0", "1", "0.3", "2.5", "pi",
+                               "e", "1e300", "1e-300", "1e400"])
+_ALL_POWERS = st.sampled_from(["0", "2", "3", "5", "-1", "-2", "0.5", "1.5",
+                               "-0.5", "2.5", "513", "-600", "1e400"])
+
+
+@given(expression_texts(_ALL_LEAVES, _ALL_POWERS, max_leaves=10),
+       st.integers(0, 4), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+@example("x / y", 3, 0.5, 0.0)
+@example("tan(x) + log(y)", 4, 1.5707963267948966, 0.5)
+@example("(x)^513 - (y)^-600 + sqrt(x) * e", 2, 0.5, 0.0)
+@example("-(x)^1e400 * pi", 2, 1.0, 0.5)
+@settings(max_examples=300, deadline=None)
+def test_compiled_kernel_is_the_tree_walk_bit_for_bit(text, order, x0, y0):
+    """The compiled kernel gives every coefficient as the tree walk of jet
+    arithmetic with structural zeros, bit for bit (signs of zero and nans
+    included), or the same failure, at a point, on the axes and on a full
+    grid; and eval_jet gives the same jet, or the same error message and
+    failing point."""
+    tree = parse_expression(text)
+    xs, ys = np.linspace(-1.5, 1.5, 7), np.linspace(-1.0, 1.0, 5)
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    for point in ((x0, y0), (xs[:, None], ys[None, :]), (gx, gy)):
+        assert _outcome(lambda: _kernel_coefficients(tree, *point, order)) \
+            == _outcome(lambda: raw_jet_reference(tree, *point, order))
+        assert _outcome(lambda: eval_jet(tree, *point, order)) \
+            == _outcome(lambda: eval_jet_reference(tree, *point, order))
+
+
+def test_kernel_compiled_once_per_expression_and_order(monkeypatch):
+    """Repeated evaluations of a tree, at points and on axes, compile one
+    kernel per order."""
+    compiled = []
+    compile_source = jets._compile
+    monkeypatch.setattr(jets, "_compile", lambda source, name, **names: (
+        compiled.append(name) or compile_source(source, name, **names)))
+    tree = parse_expression("sin(3*x)*cos(2*y) + x^2.5/(2 + y)")
+    xs, ys = np.linspace(0.1, 1.0, 5), np.linspace(-1.0, 1.0, 4)
+    for _ in range(3):
+        for order in (2, 3):
+            eval_jet(tree, 0.4, -0.3, order)
+            eval_jet(tree, xs[:, None], ys[None, :], order)
+    assert compiled.count("kernel") == 2
+    assert [key[1] for key in jets._KERNELS if jets._KERNELS[key][0] is tree] == [2, 3]
+
+
+def test_kernel_cache_stays_bounded():
+    """Evaluating more distinct trees than the cache holds keeps it at its
+    bound, with the latest kernels in it."""
+    trees = [parse_expression(f"x*y + {k}") for k in range(jets.KERNEL_CACHE + 40)]
+    for k, tree in enumerate(trees):
+        assert eval_jet(tree, 0.5, 2.0, 2).f == 1.0 + k
+    assert len(jets._KERNELS) <= jets.KERNEL_CACHE
+    assert jets._KERNELS[id(trees[-1]), 2][0] is trees[-1]

@@ -75,6 +75,26 @@ def test_compare_outputs_takes_a_negative_point(tmp_path):
     assert all(line.endswith(": same") for line in lines), r.stdout
 
 
+def test_compare_outputs_adds_the_point_queries_of_a_seed(tmp_path):
+    """`--point-queries 0` adds analyze, plot and height at the 24 points of
+    the benchmark's point-queries round for seed 0: compared with itself,
+    each of the 72 added lines prints `same`."""
+    surface = tmp_path / "s.surf"
+    surface.write_text("phi = x^2 - y^2\npsi = 2*x*y\ndomain = -1 1 -1 1\n",
+                       encoding="utf-8")
+    r = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "compare_outputs.py"),
+         str(ROOT / "src"), "--res", "16", "--surface", str(surface),
+         "--at", "0,0", "--point-queries", "0"],
+        capture_output=True, text=True, check=False)
+    assert r.returncode == 0, r.stdout + r.stderr
+    lines = r.stdout.splitlines()
+    added = [line for line in lines if line.startswith("point-queries 0 ")]
+    assert len(lines) == 7 + 72 and len(added) == 72
+    assert {line.split()[3] for line in added} == {"analyze", "plot", "height"}
+    assert all(line.endswith(": same") for line in lines), r.stdout
+
+
 def test_compare_outputs_names_the_first_differing_line():
     spec = importlib.util.spec_from_file_location(
         "compare_outputs", ROOT / "scripts" / "compare_outputs.py")
