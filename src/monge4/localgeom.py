@@ -13,7 +13,9 @@ form of the resultant re-derives Delta, and the hat metric re-derives W;
 these four are the live checks of :func:`check_invariants`, which every
 :func:`local_invariants` and the grid subcommand run.  Where ||M||^4 is
 below :data:`RESIDUAL_FLOOR`, the Delta check compares its routes on the
-:func:`unit_scaled` M, so that it does not fail on subnormal values.  The
+:func:`unit_scaled` M, and where ||M||^2 is below it, the K and kappa
+checks compare theirs with the second derivatives of phi and psi raised by
+a power of two, so that no check fails on subnormal values.  The
 Brioschi formula (a third route to K through the metric alone) and the
 Wintgen inequality run only in the selfcheck suite.
 
@@ -354,11 +356,48 @@ def _wintgen_routes(fl, msq):
     return -gap, 0.0, np.maximum(1.0, msq)
 
 
+def _raised_fields(fl, low):
+    """:func:`frame_fields` at the points of ``fl`` where ``low`` holds, as
+    flat arrays, with the second derivatives of phi and psi times the power
+    of two 2^k that brings the largest of them into [0.5, 1) where they are
+    smaller, and times 1 elsewhere: exact in the normal range, and no
+    product overflows that would not at unit second derivatives."""
+    def at(w):
+        return np.broadcast_to(w, low.shape)[low]
+
+    phi_d, psi_d = (tuple(at(w) for w in _derivatives(jet))
+                    for jet in (fl.jet_phi, fl.jet_psi))
+    big = np.max(np.abs(phi_d[2:] + psi_d[2:]), axis=0)
+    k = np.maximum(-np.frexp(big)[1], 0)
+    return frame_fields(*(d[:2] + tuple(np.ldexp(w, k) for w in d[2:])
+                          for d in (phi_d, psi_d)))
+
+
+def _closed_form_routes(name):
+    """Routes of the check of K or kappa (``name``) against its closed form:
+    both with the scale ||M||^2 where that is at least RESIDUAL_FLOOR; below
+    it, where their products of second derivatives may turn subnormal, both
+    routes and the scale are taken on :func:`_raised_fields`, all three
+    times the same 2^2k."""
+    def routes(fl, msq):
+        u, v, scale = getattr(fl, name), getattr(fl, name + "_closed"), msq
+        low = ~(msq >= RESIDUAL_FLOOR)
+        if low.any():
+            s = _raised_fields(fl, low)
+            u, v, scale = (np.array(np.broadcast_to(w, low.shape), dtype=float)
+                           for w in (u, v, scale))
+            u[low], v[low] = getattr(s, name), getattr(s, name + "_closed")
+            scale[low] = coeff_norm(s) ** 2
+        return _relative(u, v, scale)
+
+    return routes
+
+
 CROSS_CHECKS = (
     CrossCheck("K coefficient vs closed form", "K", REL_K, True,
-               lambda fl, msq: _relative(fl.K, fl.K_closed, msq)),
+               _closed_form_routes("K")),
     CrossCheck("kappa coefficient vs closed form", "kappa", REL_KAPPA, True,
-               lambda fl, msq: _relative(fl.kappa, fl.kappa_closed, msq)),
+               _closed_form_routes("kappa")),
     CrossCheck("Delta expansion vs resultant determinant", "Delta", REL_DELTA,
                True, _delta_routes),
     CrossCheck("normal-frame Gram identity", "EhGh-Fh^2=W", REL_GRAM, True,
@@ -415,6 +454,8 @@ def _finite_frame_fields(jphi: Jet, jpsi: Jet, x, y):
             | ~np.isfinite(fl.Delta)
     if np.any(bad):
         raise EvaluationError(_OVERFLOW, _first_bad(bad, x, y))
+    fl.jet_phi = jphi
+    fl.jet_psi = jpsi
     return fl
 
 
@@ -455,10 +496,7 @@ def invariant_grid(surface: SurfaceSpec, x, y, *, order: int = 2) -> SimpleNames
     y = np.asarray(y, dtype=float)
     jphi = eval_jet(surface.phi, x, y, order)
     jpsi = eval_jet(surface.psi, x, y, order)
-    fl = _finite_frame_fields(jphi, jpsi, x, y)
-    fl.jet_phi = jphi
-    fl.jet_psi = jpsi
-    return fl
+    return _finite_frame_fields(jphi, jpsi, x, y)
 
 
 # nodes per tile of the grid passes.  A tile holds every field of
