@@ -20,10 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conics import homogeneous_quadratic_roots, indicatrix_linear_map
+from .conics import homogeneous_quadratic_roots, semi_axes
 from .errors import InflectionPointError
 from .jets import eval_jet
-from .localgeom import LocalInvariants, SurfaceSpec, scaled_jets, unit_scaled
+from .localgeom import (REL, LocalInvariants, SurfaceSpec, bands,
+                        coeff_norm, scaled_jets, unit_scaled)
 
 __all__ = [
     "PointClassification", "classify_point", "asymptotic_directions",
@@ -32,7 +33,6 @@ __all__ = [
     "band_directions", "REL", "RANK_RATIO", "CIRCLE_RATIO",
 ]
 
-REL = 1e-8           # scale-relative band for Delta / kappa / K
 RANK_RATIO = 1e-8    # singular-value ratio for rank M <= 1
 CIRCLE_RATIO = 1e-6  # semi-axis agreement for a circle point
 
@@ -61,20 +61,13 @@ def canonical_direction(v) -> np.ndarray:
 
 
 def classify_point(inv: LocalInvariants, rel: float = REL) -> PointClassification:
-    """Taxonomy tag for the point of ``inv``: the label of
-    :func:`class_labels_grid` plus the circle and minimal flags."""
+    """The label of :func:`class_labels_grid`, the circle flag (semi-axes
+    s1 - s2 <= CIRCLE_RATIO s1) and the minimal one (|H| <= rel ||M||)."""
     label = class_labels_grid(inv, rel)
-    axes = np.linalg.svd(indicatrix_linear_map(inv), compute_uv=False)
-    is_circle = axes[0] <= 1e-14 or (axes[0] - axes[1]) <= CIRCLE_RATIO * axes[0]
-    is_minimal = float(np.hypot(inv.H[0], inv.H[1])) <= rel * inv.coeff_norm
-    return PointClassification(label, bool(is_circle), is_minimal)
-
-
-def _delta_band(m, rel: float):
-    """(above, below): whether Delta lies above rel ||M||^4 and below
-    minus that, elementwise on the M of :func:`unit_scaled`."""
-    tau_delta = rel * m.msq * m.msq
-    return m.Delta > tau_delta, m.Delta < -tau_delta
+    m = unit_scaled(inv.a, inv.b, inv.c, inv.e, inv.f, inv.g)
+    s1, _, gap = semi_axes(m)
+    is_minimal = math.hypot(m.H3, m.H4) <= rel * float(coeff_norm(m))
+    return PointClassification(label, gap <= CIRCLE_RATIO * s1, is_minimal)
 
 
 def band_directions(quadratic, m, rel: float, what: str) -> list[np.ndarray]:
@@ -89,7 +82,7 @@ def band_directions(quadratic, m, rel: float, what: str) -> list[np.ndarray]:
     """
     if max(abs(v) for v in quadratic) <= rel * m.msq:
         raise InflectionPointError(f"{what} vanishes identically (inflection point)")
-    above, below = _delta_band(m, rel)
+    above, below, _ = bands(m, rel)
     if above:
         return []
     roots = homogeneous_quadratic_roots(*quadratic, double_root=not below)
@@ -179,24 +172,21 @@ def class_codes_grid(fields, rel: float = REL):
     ||M||^2-relative, gives the type.  The bands and the rank are decided on
     M scaled to a largest entry in [0.5, 1) by :func:`unit_scaled`.
 
-    The rank comes from the singular values s1 >= s2 of M: 0 when
-    s1 <= 1e-14 (unscaled), 1 when s2 <= RANK_RATIO * s1, else 2.  They
-    come in closed form: s1^2 + s2^2 = ||M||^2, and by Cauchy-Binet
-    s1^2 s2^2 is the sum of the squared 2x2 minors nq0..nq2.
+    The rank comes from the singular values s1 >= s2 of M: 0 when M = 0,
+    1 when s2 <= RANK_RATIO * s1, else 2.  They come in closed form:
+    s1^2 + s2^2 = ||M||^2, and by Cauchy-Binet s1^2 s2^2 is the sum of the
+    squared 2x2 minors nq0..nq2.
     """
     m = unit_scaled(fields.a, fields.b, fields.c, fields.e, fields.f, fields.g)
     det = m.nq0 * m.nq0 + m.nq1 * m.nq1 + m.nq2 * m.nq2
     s1_sq = 0.5 * (m.msq + np.sqrt(np.maximum(m.msq * m.msq - 4.0 * det, 0.0)))
-    # s1 of M itself, but the scaled s1 (at least 0.5, so not zero either)
-    # where M's largest entry is 0.5 or more, so that it cannot overflow
-    s1 = np.ldexp(np.sqrt(s1_sq), -m.k * (m.k > 0))
     # s2^2 = det / s1^2, so s2 <= r s1  <=>  det <= r^2 s1^4
-    rank = np.where(s1 <= 1e-14, 0,
+    rank = np.where(m.msq == 0.0, 0,
                     np.where(det <= RANK_RATIO ** 2 * s1_sq * s1_sq, 1, 2))
-    above, below = _delta_band(m, rel)
+    above, below, flat = bands(m, rel)
     tau_band = rel * m.msq
-    infl = (np.abs(m.kappa) <= tau_band) & (rank <= 1)
-    kind = np.where(above, 0, np.where(below, 1, np.where(infl, 3, 2)))
+    kind = np.where(above, 0, np.where(below, 1,
+                                       np.where(flat & (rank <= 1), 3, 2)))
     k_type = np.where(m.K < -tau_band, 0, np.where(m.K > tau_band, 2, 1))
     return ((kind * 3 + k_type) * 3 + rank).astype(np.uint8)
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import math
 import os
 import re
 import sys
@@ -146,26 +147,16 @@ def analyze_record(surface: SurfaceSpec, x: float, y: float,
         rec[f"asym{i}_u2"] = _fmt(u[1])
         rec[f"binormal{i}_n1"] = _fmt(b[0])
         rec[f"binormal{i}_n2"] = _fmt(b[1])
-    if ind.degenerate:
-        rec["indicatrix_conic_defined"] = "false"
-        for key in ("ind_q11", "ind_q12", "ind_q13", "ind_q22", "ind_q23",
-                    "ind_q33", "char_q11", "char_q12", "char_q13", "char_q22",
-                    "char_q23", "char_q33"):
-            rec[key] = "nan"
-        rec["characteristic_kind"] = "none"
-    else:
+    rec["indicatrix_conic_defined"] = _fmt_bool(not ind.degenerate)
+    rec["characteristic_kind"] = "none"
+    qi = qc = np.full((3, 3), np.nan)
+    if not ind.degenerate:
         qi = conics.indicatrix_conic(ind).matrix
-        ch = conics.characteristic_conic(ind)
-        qc = ch.matrix
-        rec["indicatrix_conic_defined"] = "true"
-        rec["characteristic_kind"] = ch.kind
-        for tag, m in (("ind", qi), ("char", qc)):
-            rec[f"{tag}_q11"] = _fmt(m[0, 0])
-            rec[f"{tag}_q12"] = _fmt(m[0, 1])
-            rec[f"{tag}_q13"] = _fmt(m[0, 2])
-            rec[f"{tag}_q22"] = _fmt(m[1, 1])
-            rec[f"{tag}_q23"] = _fmt(m[1, 2])
-            rec[f"{tag}_q33"] = _fmt(m[2, 2])
+        ch = conics.characteristic_conic(ind, rel)
+        qc, rec["characteristic_kind"] = ch.matrix, ch.kind
+    for tag, m in (("ind", qi), ("char", qc)):
+        for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):
+            rec[f"{tag}_q{i + 1}{j + 1}"] = _fmt(m[i, j])
     return [(k, rec[k]) for k in ANALYZE_KEYS]
 
 
@@ -278,11 +269,13 @@ def _cmd_plot(surface, args, out):
     x, y = _parse_point(args.at, surface)
     inv = local_invariants(surface, x, y)
     ind = conics.indicatrix(inv)
-    ind_pts = conics.sample_indicatrix(inv, 256)
+    # times the 2^k of the scaled M, after clipping in true units
+    ind_pts = conics.sample_indicatrix(ind.scaled, 256)
     char_polys = []
     if not ind.degenerate:
-        clip = 50.0 * max(1e-9, float(np.max(np.abs(ind_pts))))
-        char_polys = conics.sample_characteristic(inv, 512, clip)
+        clip = math.ldexp(50.0 * float(np.max(np.abs(ind_pts))), -ind.scaled.k)
+        char_polys = [(np.ldexp(pts, ind.scaled.k), closed) for pts, closed
+                      in conics.sample_characteristic(inv, 512, clip)]
     try:
         bins = cls.binormals(inv, args.tol)
     except InflectionPointError:

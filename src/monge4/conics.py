@@ -5,14 +5,17 @@ The curvature ellipse (indicatrix) at a point is the image of the unit
 tangent circle under the second fundamental form: theta -> H + A w(2 theta)
 in the orthonormal normal frame, where H is the mean-curvature vector and A
 the 2x2 linear map built from the coefficients.  The characteristic conic is
-the locus of intersections of consecutive normal planes; algebraically it is
-the polar conjugate of the indicatrix with respect to the unit circle in the
-normal plane, i.e. U adj(Q) U with U = diag(1, 1, -1): each of its points
-is the pole of a tangent line of the ellipse.  The sweep that traces it
-takes that pole in closed form, from the point eta = II(u, u) of the
-ellipse and the conjugate radius zeta = II(u, u') along its tangent.
+the locus of intersections of consecutive normal planes, the points n whose
+line n . X = 1 touches the ellipse: the polar dual of the ellipse with
+respect to the unit circle, P = [[hq0, hq1/2, -H3], [hq1/2, hq2, -H4],
+[-H3, -H4, 1]] in the height quadratic of :func:`~monge4.localgeom.second_order`
+and H, whose 2x2 minor is Delta and determinant kappa^2 / 4.  The sweep that
+traces it takes the pole of each tangent of the ellipse in closed form, from
+the point eta = II(u, u) and the conjugate radius zeta = II(u, u') along it.
 
-Conics live as homogeneous symmetric 3x3 matrices acting on (X, Y, 1).
+Conics live as homogeneous symmetric 3x3 matrices acting on (X, Y, 1); they
+and the semi-axes are formed on the :func:`~monge4.localgeom.unit_scaled` M
+and taken back by exact powers of two, so none underflows or overflows.
 """
 
 from __future__ import annotations
@@ -27,10 +30,10 @@ import numpy as np
 from .errors import (ConicRankError, DegenerateIndicatrixError,
                      PoleAtInfinityError, SingularSystemError,
                      UmbilicPointError)
-from .localgeom import LocalInvariants
+from .localgeom import REL, LocalInvariants, bands, unit_scaled
 
 __all__ = [
-    "Indicatrix", "Conic", "CanonicalCoefficients",
+    "Indicatrix", "Conic", "CanonicalCoefficients", "semi_axes",
     "indicatrix", "eta", "second_form_image", "indicatrix_linear_map",
     "conjugate_radii", "canonical_coefficients", "wintgen_gap",
     "indicatrix_conic", "characteristic_conic", "evolvent_point",
@@ -40,14 +43,24 @@ __all__ = [
 
 TAU_DEGENERATE = 1e-10   # |det A| relative to ||A||^2
 TAU_UMBILIC = 1e-10
-TAU_KIND = 1e-9          # 2x2 minor band (relative to ||m||^2)
-TAU_FULL_RANK = 1e-10    # 3x3 determinant band (relative to ||m||^3)
 
 
 def indicatrix_linear_map(inv: LocalInvariants) -> np.ndarray:
-    """Linear part A of the ellipse parametrisation theta -> H + A w."""
+    """Linear part A of the ellipse theta -> H + A w, of any a..g."""
     return np.array([[0.5 * (inv.a - inv.c), inv.b],
                      [0.5 * (inv.e - inv.g), inv.f]])
+
+
+def semi_axes(m):
+    """(s1, s2, s1 - s2) for the semi-axes s1 >= s2 of the ellipse of the
+    scaled M ``m``, without cancellation: A = [[p, q], [r, t]] is a similarity
+    plus a reflection of norms hypot(p + t, q - r) / 2, hypot(p - t, q + r) / 2,
+    so s1 + s2 and s1 - s2 are the larger and smaller hypot; s1 s2 = |kappa|/2."""
+    p, q, r, t = 0.5 * (m.a - m.c), m.b, 0.5 * (m.e - m.g), m.f
+    h1, h2 = math.hypot(p + t, q - r), math.hypot(p - t, q + r)
+    s1 = 0.5 * (h1 + h2)
+    s2 = min(0.5 * abs(m.kappa) / s1, s1) if s1 else 0.0
+    return s1, s2, min(h1, h2)
 
 
 def _second_form(inv: LocalInvariants, ux, uy):
@@ -98,22 +111,20 @@ class Indicatrix:
     semi_axis_major: float
     semi_axis_minor: float
     degenerate: bool          # det A ~ 0: ellipse collapses to a segment
+    scaled: object            # the unit_scaled M it was built from
 
 
 def indicatrix(inv: LocalInvariants) -> Indicatrix:
-    amat = indicatrix_linear_map(inv)
-    sv = np.linalg.svd(amat, compute_uv=False)
-    # LU on a subnormal pivot sets a floating-point flag that numpy would
-    # report as a warning; the determinant is still 0 or tiny
-    with np.errstate(divide="ignore", invalid="ignore"):
-        det = float(np.linalg.det(amat))
-    fro2 = float(np.sum(amat * amat))
+    """The curvature ellipse; degenerate where |kappa| / 2 <= TAU_DEGENERATE ||A||^2."""
+    m = unit_scaled(inv.a, inv.b, inv.c, inv.e, inv.f, inv.g)
+    s1, s2, _ = semi_axes(m)
     return Indicatrix(
         center=inv.H.copy(),
-        linear_map=amat,
-        semi_axis_major=float(sv[0]),
-        semi_axis_minor=float(sv[1]),
-        degenerate=bool(abs(det) <= TAU_DEGENERATE * fro2),
+        linear_map=indicatrix_linear_map(inv),
+        semi_axis_major=math.ldexp(s1, -m.k),
+        semi_axis_minor=math.ldexp(s2, -m.k),
+        degenerate=0.5 * abs(m.kappa) <= TAU_DEGENERATE * (s1 * s1 + s2 * s2),
+        scaled=m,
     )
 
 
@@ -145,46 +156,27 @@ def canonical_coefficients(inv: LocalInvariants) -> CanonicalCoefficients:
     (a' - c')/2 and |f'| are the semi-axes of the curvature ellipse.  Raises
     :class:`UmbilicPointError` at umbilic points, where no canonical frame
     exists.  Both rotations are orientation-preserving, so K, kappa and |H|
-    are reproduced exactly by the canonical-frame formulas.
+    are reproduced exactly by the canonical-frame formulas.  A is a
+    similarity at the angle atan2(r - q, p + t) plus a reflection at
+    atan2(q + r, p - t) (:func:`semi_axes`): the normal frame turned by their
+    mean angle makes A diagonal; at a circle it follows H.
     """
-    amat = indicatrix_linear_map(inv)
-    hvec = inv.H
-    hnorm = float(np.hypot(hvec[0], hvec[1]))
-    scale = inv.coeff_norm
-    sv = np.linalg.svd(amat, compute_uv=False)
-    is_circlelike = sv[0] <= 1e-14 or (sv[0] - sv[1]) <= TAU_UMBILIC * sv[0]
-    if is_circlelike and hnorm <= TAU_UMBILIC * scale:
-        raise UmbilicPointError(
-            f"canonical frame undefined at umbilic point ({inv.x}, {inv.y})")
-
-    if is_circlelike:
-        # circle (or point) not centred at origin: normal frame aligned with
-        # the centre direction, tangent rotation diagonalises the rest
-        u = np.array([[hvec[0], -hvec[1]], [hvec[1], hvec[0]]]) / hnorm
-        d = u.T @ amat
-        r = float(sv[0])
-        if r <= 1e-14:
-            hp = u.T @ hvec
-            return CanonicalCoefficients(float(hp[0]), float(hp[0]), float(hp[1]), 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):  # as in indicatrix
-            sign = 1.0 if np.linalg.det(d) >= 0.0 else -1.0
-        hp = u.T @ hvec
-        return CanonicalCoefficients(float(hp[0] + r), float(hp[0] - r),
-                                     float(hp[1]), float(sign * r))
-
-    u, s, vt = np.linalg.svd(amat)
-    s2 = float(s[1])
-    if np.linalg.det(u) < 0.0:
-        u = u @ np.diag([1.0, -1.0])
-        s2 = -s2
-    if np.linalg.det(vt) < 0.0:
-        vt = np.diag([1.0, -1.0]) @ vt
-        s2 = -s2
-    hp = u.T @ hvec
-    if hp[1] < 0.0 or (hp[1] == 0.0 and hp[0] < 0.0):
-        hp = -hp
-    return CanonicalCoefficients(float(hp[0] + s[0]), float(hp[0] - s[0]),
-                                 float(hp[1]), s2)
+    m = unit_scaled(inv.a, inv.b, inv.c, inv.e, inv.f, inv.g)
+    s1, s2, gap = semi_axes(m)
+    if gap <= TAU_UMBILIC * s1:   # a circle or a point
+        hp0, hp1 = math.hypot(m.H3, m.H4), 0.0
+        if hp0 <= TAU_UMBILIC * math.sqrt(m.msq):
+            raise UmbilicPointError(
+                f"canonical frame undefined at umbilic point ({inv.x}, {inv.y})")
+    else:
+        p, q, r, t = 0.5 * (m.a - m.c), m.b, 0.5 * (m.e - m.g), m.f
+        psi = 0.5 * (math.atan2(r - q, p + t) + math.atan2(q + r, p - t))
+        co, si = math.cos(psi), math.sin(psi)
+        hp0, hp1 = co * m.H3 + si * m.H4, co * m.H4 - si * m.H3
+        if hp1 < 0.0 or (hp1 == 0.0 and hp0 < 0.0):
+            hp0, hp1 = -hp0, -hp1
+    return CanonicalCoefficients(*(math.ldexp(v, -m.k) for v in (
+        hp0 + s1, hp0 - s1, hp1, math.copysign(s2, m.kappa))))
 
 
 def wintgen_gap(inv: LocalInvariants) -> float:
@@ -206,75 +198,72 @@ class Conic:
     kind: str  # ellipse | parabola | hyperbola | degenerate
 
 
-def conic_from_matrix(m) -> Conic:
+def conic_from_matrix(m, kind: str, k: int = 0) -> Conic:
+    """The :class:`Conic` of the symmetric part of ``m``, normalised, with
+    the ``kind`` its caller decided.  ``m`` is formed on M times 2^-k and
+    the conic of M is D m D, D = diag(2^k, 2^k, 1): its sign is chosen on
+    ``m``, and it is formed times a power of two that keeps it finite."""
     m = 0.5 * (np.asarray(m, dtype=float) + np.asarray(m, dtype=float).T)
-    peak = float(np.max(np.abs(m)))
-    if peak == 0.0:
+    nonzero = m != 0.0
+    if not nonzero.any():
         raise ConicRankError("zero conic matrix")
-    m = m / peak
     tr = m[0, 0] + m[1, 1]
-    if tr < 0.0:
+    if tr < 0.0 or (tr == 0.0 and m.flat[np.argmax(nonzero)] < 0.0):
         m = -m
-    elif tr == 0.0:
-        flat = m.ravel()
-        lead = flat[np.argmax(np.abs(flat) > 0.0)]
-        if lead < 0.0:
-            m = -m
-    fro = float(np.linalg.norm(m))
-    with np.errstate(divide="ignore", invalid="ignore"):  # as in indicatrix
-        det3 = float(np.linalg.det(m))
-    det2 = float(m[0, 0] * m[1, 1] - m[0, 1] ** 2)
-    if abs(det3) <= TAU_FULL_RANK * fro ** 3:
-        kind = "degenerate"
-    elif det2 > TAU_KIND * fro ** 2:
-        kind = "ellipse"
-    elif det2 < -TAU_KIND * fro ** 2:
-        kind = "hyperbola"
-    else:
-        kind = "parabola"
-    return Conic(matrix=m, kind=kind)
-
-
-def _adjugate3(m: np.ndarray) -> np.ndarray:
-    """adj(m): the cofactors of m's rows r0, r1, r2 are the cross products
-    r1 x r2, r2 x r0 and r0 x r1, and adj(m) is their transpose."""
-    return np.array([np.cross(m[1], m[2]), np.cross(m[2], m[0]),
-                     np.cross(m[0], m[1])]).T
-
-
-def _indicatrix_quadric(ind: Indicatrix) -> np.ndarray:
-    if ind.degenerate:
-        raise DegenerateIndicatrixError(
-            "curvature ellipse is degenerate (kappa ~ 0); no full-rank conic")
-    amat = ind.linear_map
-    b = np.linalg.inv(amat @ amat.T)
-    h = ind.center
-    bh = b @ h
-    q = np.empty((3, 3))
-    q[:2, :2] = b
-    q[:2, 2] = -bh
-    q[2, :2] = -bh
-    q[2, 2] = float(h @ bh) - 1.0
-    return q
+    e = np.add.outer([k, k, 0], [k, k, 0])
+    m = np.ldexp(m, e - int(np.max((np.frexp(m)[1] + e)[nonzero])))
+    return Conic(matrix=m / np.max(np.abs(m)), kind=kind)
 
 
 def indicatrix_conic(ind: Indicatrix) -> Conic:
     """The ellipse itself as a homogeneous conic: eta(theta) satisfies it
-    for every theta."""
-    return conic_from_matrix(_indicatrix_quadric(ind))
+    for every theta.  It is (X - H)^T (A A^T)^-1 (X - H) = 1."""
+    if ind.degenerate:
+        raise DegenerateIndicatrixError(
+            "curvature ellipse is degenerate (kappa ~ 0); no full-rank conic")
+    m = ind.scaled
+    amat = indicatrix_linear_map(m)
+    b = np.linalg.inv(amat @ amat.T)
+    h = np.array([m.H3, m.H4])
+    bh = b @ h
+    q = np.empty((3, 3))
+    q[:2, :2], q[:2, 2], q[2, :2] = b, -bh, -bh
+    q[2, 2] = float(h @ bh) - 1.0
+    return conic_from_matrix(q, "ellipse", m.k)
 
 
-def characteristic_conic(ind: Indicatrix) -> Conic:
-    """Polar conjugate of the indicatrix with respect to the unit circle.
+def characteristic_conic(ind: Indicatrix, rel: float = REL) -> Conic:
+    """Polar dual of the indicatrix with respect to the unit circle: the
+    matrix P of the module docstring.  Its kind is ellipse, parabola or
+    hyperbola exactly as the point is elliptic, parabolic or hyperbolic,
+    and degenerate where kappa lies in its band: the classifier's
+    :func:`~monge4.localgeom.bands` at the tolerance ``rel``.  Its height
+    quadratic is rounded once, so no cancellation in it shows."""
+    if ind.degenerate:
+        raise DegenerateIndicatrixError(
+            "curvature ellipse is degenerate (kappa ~ 0); no full-rank conic")
+    m = ind.scaled
+    hq0 = _dot((m.a, m.c), (-m.b, m.b))
+    hq1 = 0.5 * _dot((m.a, m.g), (m.c, m.e), (-2.0 * m.b, m.f))
+    hq2 = _dot((m.e, m.g), (-m.f, m.f))
+    p = np.array([[hq0, hq1, -m.H3], [hq1, hq2, -m.H4], [-m.H3, -m.H4, 1.0]])
+    above, below, flat = bands(m, rel)
+    kind = ("degenerate" if flat else "ellipse" if above
+            else "hyperbola" if below else "parabola")
+    return conic_from_matrix(p, kind, -m.k)
 
-    With U = diag(1, 1, -1) the locus of poles of tangents to Q is
-    U adj(Q) U; its kind is ellipse / parabola / hyperbola exactly as the
-    point is elliptic / parabolic / hyperbolic.
-    """
-    q = _indicatrix_quadric(ind)
-    adj = _adjugate3(q)
-    u = np.diag([1.0, 1.0, -1.0])
-    return conic_from_matrix(u @ adj @ u)
+
+def _dot(*pairs):
+    """The sum of x y over ``pairs`` (|x|, |y| < 2^995), rounded once: each
+    x y as its rounding and its error by Dekker's exact product on the
+    halves of Veltkamp's split (times 2^27 + 1), added by math.fsum."""
+    terms = []
+    for x, y in pairs:
+        p, tx, ty = x * y, 134217729.0 * x, 134217729.0 * y
+        xh, yh = tx - (tx - x), ty - (ty - y)
+        xl, yl = x - xh, y - yh
+        terms += (p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl)
+    return math.fsum(terms)
 
 
 def _cos_sin(angles: list[float]):
@@ -299,26 +288,18 @@ def _sweep_table(n: int):
     return table
 
 
-def _evolvent_sweep(inv: LocalInvariants, thetas):
-    """Points of the characteristic curve for all tangent directions
-    ``thetas`` at once: for each, the n with n . eta = 1 and n . zeta = 0.
+def _sweep_points(inv: LocalInvariants, co, si, c2, s2):
+    """Points of the characteristic curve for all tangent directions t of
+    the sweep at once, from their :func:`_sweep_trig`: for each, the n with
+    n . eta = 1 and n . zeta = 0.
 
     Returns (points, det, singular): the (n, 2) points, nan where the
     tangency system is singular; the determinant eta x zeta of each system;
     and the mask |det| <= 1e-12 of the directions whose point lies at
-    infinity.
-    """
-    return _sweep_points(inv, *_sweep_trig(
-        np.asarray(thetas, dtype=float).tolist()))
-
-
-def _sweep_points(inv: LocalInvariants, co, si, c2, s2):
-    """:func:`_evolvent_sweep` from the :func:`_sweep_trig` of its angles.
-
-    Each point is the pole (zeta2, -zeta1) / (eta x zeta) of the tangent
-    line at eta = II(u, u) of the curvature ellipse, where zeta = II(u, u')
-    = A (-sin 2t, cos 2t) is the conjugate radius along it: Cramer's rule
-    on the tangency system, elementwise over the sweep."""
+    infinity.  Each point is the pole (zeta2, -zeta1) / (eta x zeta) of
+    the tangent line at eta = II(u, u) of the curvature ellipse, where
+    zeta = II(u, u') = A (-sin 2t, cos 2t) is the conjugate radius along
+    it: Cramer's rule on the tangency system, elementwise over the sweep."""
     eta1, eta2 = _second_form(inv, co, si)
     zeta1, zeta2 = _radius(indicatrix_linear_map(inv), -s2, c2)
     det = eta1 * zeta2 - eta2 * zeta1
@@ -336,7 +317,7 @@ def evolvent_point(inv: LocalInvariants, theta: float) -> np.ndarray:
     Raises :class:`SingularSystemError` when the tangent to the indicatrix at
     eta(theta) passes through the origin (point at infinity of the curve).
     """
-    points, det, singular = _evolvent_sweep(inv, [theta])
+    points, det, singular = _sweep_points(inv, *_sweep_trig([float(theta)]))
     if singular[0]:
         raise SingularSystemError(
             f"tangency system singular at theta={theta!r} "
@@ -420,7 +401,7 @@ def conic_asymptote_directions(conic: Conic) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 
 def sample_indicatrix(inv: LocalInvariants, n: int = 256) -> np.ndarray:
-    """n points eta(k pi / n): one full traversal of the ellipse."""
+    """n points eta(k pi / n) of any a..g: one traversal of the ellipse."""
     thetas = np.arange(n) * (math.pi / n)
     return np.column_stack(_second_form(inv, np.cos(thetas), np.sin(thetas)))
 

@@ -13,7 +13,7 @@ Grammar (whitespace-insensitive)::
 All binary operators are left-associative; '^' binds tighter than unary
 minus, which binds tighter than '*'/'/'.  Power exponents are restricted to
 numeric literals so that polynomial expressions stay polynomial under jet
-evaluation.
+evaluation.  Parentheses, calls and minuses nest :data:`MAX_DEPTH` deep.
 """
 
 from __future__ import annotations
@@ -27,8 +27,11 @@ from .errors import ExpressionSyntaxError, UnknownIdentifierError
 __all__ = [
     "Num", "Name", "Neg", "BinOp", "Pow", "Call",
     "parse_expression", "pretty", "substitute",
-    "VARIABLES", "CONSTANTS", "FUNCTIONS",
+    "VARIABLES", "CONSTANTS", "FUNCTIONS", "MAX_DEPTH",
 ]
+
+# nesting of parentheses, calls and minuses: far below the recursion limit
+MAX_DEPTH = 100
 
 VARIABLES = ("x", "y")
 CONSTANTS = {"pi": math.pi, "e": math.e}
@@ -79,6 +82,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     # -- tokens ---------------------------------------------------------
     def _skip_ws(self):
@@ -94,6 +98,16 @@ class _Parser:
     def _fail(self, message, expected=None, offset=None):
         raise ExpressionSyntaxError(message, self.pos if offset is None else offset,
                                     expected=expected)
+
+    def _nested(self, parse):
+        """``parse()`` one level deeper, after the '(' or '-' just read."""
+        if self.depth == MAX_DEPTH:
+            self._fail(f"expression nested deeper than {MAX_DEPTH} levels",
+                       offset=self.pos - 1)
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     # -- grammar --------------------------------------------------------
     def parse(self) -> Expr:
@@ -121,7 +135,7 @@ class _Parser:
     def unary(self) -> Expr:
         if self._peek() == "-":
             self.pos += 1
-            return Neg(self.unary())
+            return Neg(self._nested(self.unary))
         return self.power()
 
     def power(self) -> Expr:
@@ -151,7 +165,7 @@ class _Parser:
             self._fail("unexpected end of input", expected="operand")
         if c == "(":
             self.pos += 1
-            node = self.expr()
+            node = self._nested(self.expr)
             if self._peek() != ")":
                 self._fail("unbalanced parenthesis", expected="')'")
             self.pos += 1
@@ -172,7 +186,7 @@ class _Parser:
                     self._fail(f"function {name!r} requires an argument list",
                                expected="'('")
                 self.pos += 1
-                arg = self.expr()
+                arg = self._nested(self.expr)
                 if self._peek() != ")":
                     self._fail("unbalanced parenthesis", expected="')'")
                 self.pos += 1

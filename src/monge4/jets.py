@@ -345,29 +345,38 @@ class _Compiler:
                                        if v is not None)
 
     def node(self, node):
+        # left-deep chains of operators and powers, such as a long sum, in
+        # a loop: the operations in the order of a recursive walk
+        chain = []
+        while isinstance(node, (ex.BinOp, ex.Pow)):
+            chain.append(node)
+            node = node.lhs if isinstance(node, ex.BinOp) else node.base
         match node:
             case ex.Num(value=v):
-                return self.constant(v)
+                a = self.constant(v)
             case ex.Name(name=n) if n in ex.CONSTANTS:
-                return self.constant(ex.CONSTANTS[n])
+                a = self.constant(ex.CONSTANTS[n])
             case ex.Name(name=n):
-                return self.variable(n)
+                a = self.variable(n)
             case ex.Neg(operand=u):
-                return self.elementwise(operator.neg, "-{}", self.node(u))
-            case ex.BinOp(op=op, lhs=l, rhs=r):
-                a, b = self.node(l), self.node(r)
-                if op in ("+", "-"):
-                    return self.elementwise(operator.add if op == "+" else operator.sub,
-                                            f"{{}} {op} {{}}", a, b)
-                return self.product(a, b if op == "*" else self.reciprocal(b))
-            case ex.Pow(base=b, exponent=p):
-                return self.power(self.node(b), p)
-            case ex.Call(func=f, arg=a):
-                u = self.node(a)
+                a = self.elementwise(operator.neg, "-{}", self.node(u))
+            case ex.Call(func=f, arg=u):
+                a = self.node(u)
                 if f in ("log", "sqrt"):
-                    self.require(_require_positive, u, f)
-                return self.compose(f, u)
-        raise TypeError(f"not an expression node: {node!r}")
+                    self.require(_require_positive, a, f)
+                a = self.compose(f, a)
+            case _:
+                raise TypeError(f"not an expression node: {node!r}")
+        for link in reversed(chain):
+            if isinstance(link, ex.Pow):
+                a = self.power(a, link.exponent)
+            elif link.op in ("+", "-"):
+                a = self.elementwise(operator.add if link.op == "+" else operator.sub,
+                                     f"{{}} {link.op} {{}}", a, self.node(link.rhs))
+            else:
+                b = self.node(link.rhs)
+                a = self.product(a, b if link.op == "*" else self.reciprocal(b))
+        return a
 
     def constant(self, v):
         zeros = [0.0] * (self.size - 1)

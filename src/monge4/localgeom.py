@@ -45,8 +45,11 @@ __all__ = [
     "local_invariants", "brioschi_curvature", "delta_resultant",
     "frame_fields", "second_order", "unit_scaled", "scaled_jets",
     "invariant_grid", "check_invariants", "coeff_norm", "grid_axes",
-    "grid_tiles", "TILE_POINTS",
+    "grid_tiles", "TILE_POINTS", "REL", "bands",
 ]
+
+# the classifier's scale-relative band for Delta, kappa and K
+REL = 1e-8
 
 # relative agreement required between redundant formula paths
 REL_K = 1e-9
@@ -237,10 +240,10 @@ def _derivatives(jet: Jet, order: int = 0):
 
 
 def unit_scaled(a, b, c, e, f, g):
-    """:func:`second_order` of a..g times 2^-k, where 2^k is the power of
-    two just above the largest |entry|, with msq = ||M||^2 and k, which the
-    rank of :func:`~monge4.classify.class_labels_grid` needs to test s1 of
-    the unscaled M.
+    """:func:`second_order` of a..g times 2^k, where 2^-k is the power of
+    two just above the largest |entry|, with msq = ||M||^2, the mean
+    curvature vector (H3, H4) and k, which takes what is formed on it back
+    to the unscaled M.
 
     Multiplying by a power of two is exact in the normal range, so every
     rounding commutes with the scaling and the sign of each invariant
@@ -249,16 +252,25 @@ def unit_scaled(a, b, c, e, f, g):
     """
     big = np.maximum(np.maximum(np.maximum(abs(a), abs(b)), abs(c)),
                      np.maximum(np.maximum(abs(e), abs(f)), abs(g)))
-    # ldexp of each entry, not a product with 2^-k: for a subnormal largest
-    # entry 2^-k itself overflows
+    # ldexp of each entry, not a product with 2^k: for a subnormal largest
+    # entry 2^k itself overflows
     if np.ndim(big):
         k, ldexp = -np.frexp(big)[1], np.ldexp
     else:
         k, ldexp = -math.frexp(big)[1], math.ldexp
     m = second_order(*(ldexp(v, k) for v in (a, b, c, e, f, g)))
     m.msq = (float(coeff_norm(m)) if np.ndim(big) == 0 else coeff_norm(m)) ** 2
+    m.H3, m.H4 = 0.5 * (m.a + m.c), 0.5 * (m.e + m.g)
     m.k = k
     return m
+
+
+def bands(m, rel: float):
+    """(above, below, flat): Delta above rel ||M||^4 or below minus that, and
+    |kappa| <= rel ||M||^2, elementwise on the M of :func:`unit_scaled`."""
+    tau_delta = rel * m.msq * m.msq
+    return m.Delta > tau_delta, m.Delta < -tau_delta, \
+        abs(m.kappa) <= rel * m.msq
 
 
 def scaled_jets(jphi: Jet, jpsi: Jet, order: int):

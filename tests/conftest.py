@@ -37,9 +37,10 @@ def surfaces():
     return {name: make_surface(name) for name in FIXTURES}
 
 
-def gallery_surfaces():
-    """The surfaces of ``scripts/fixture_gallery.py`` by name, with the
-    saddle surface of the locus goldens in ``tests/test_cli.py``."""
+def gallery_texts():
+    """(phi, psi, domain) texts of the surfaces of
+    ``scripts/fixture_gallery.py`` by name, with the saddle surface of the
+    locus goldens in ``tests/test_cli.py``."""
     path = pathlib.Path(__file__).resolve().parent.parent / "scripts" \
         / "fixture_gallery.py"
     spec = importlib.util.spec_from_file_location("fixture_gallery", path)
@@ -48,8 +49,13 @@ def gallery_surfaces():
     table = dict(module.SURFACES)
     table["saddle"] = ("x^2 - y^2", "x^3/3 + x*y^2 + 0.2*y^3",
                        "-0.5 0.5 -0.5 0.5")
+    return table
+
+
+def gallery_surfaces():
+    """The surfaces of :func:`gallery_texts` by name."""
     return {name: surface_from_strings(phi, psi, tuple(map(float, dom.split())))
-            for name, (phi, psi, dom) in table.items()}
+            for name, (phi, psi, dom) in gallery_texts().items()}
 
 
 def benchmark_surfaces(workload, seed):

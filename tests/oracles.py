@@ -7,7 +7,7 @@ builds frames by Gram-Schmidt and projects second derivatives per the
 definition of the second fundamental form.
 
 The exceptions are :func:`evolvent_reference`, the per-direction LAPACK
-solve of the tangency system that ``conics._evolvent_sweep`` replaced by the
+solve of the tangency system that ``conics._sweep_points`` replaced by the
 pole in closed form, which must agree with it to the system's condition,
 and :func:`jet_variable_reference`, coordinate jets with full-array seeds,
 which the package must reproduce bit for bit.  :class:`ReferenceJet`,
@@ -32,6 +32,9 @@ determinant that ``localgeom.delta_resultant`` replaced by the Bezout form.
 :func:`rank_m` is the rank of M on M divided by its largest entry, which
 ``classify.class_labels_grid`` replaced by the same closed form on M scaled by a
 power of two; the two must agree away from the rounding of the threshold.
+:func:`normal_plane_oracle` is the normal plane of M in exact rationals:
+both conics by their definitions, the semi-axes and the classifier's bands,
+which ``conics`` forms in floats on M scaled by a power of two.
 :func:`polyline_reference` is the vertex-by-vertex SVG formatter that
 ``svgplot._Mapper.polyline`` replaced by a column pass, and
 :func:`split_sweep_reference` the list-based splitting of the sweep into
@@ -53,6 +56,7 @@ bit.
 from __future__ import annotations
 
 import decimal
+import fractions
 import functools
 import itertools
 import math
@@ -715,7 +719,7 @@ def sylvester_delta(a, b, c, e, f, g):
 
 def rank_m(a, b, c, e, f, g, rank_ratio):
     """Rank of M = [[a, b, c], [e, f, g]] from its singular values s1 >= s2:
-    0 when s1 <= 1e-14, 1 when s2 <= rank_ratio * s1, else 2.
+    0 when M = 0, 1 when s2 <= rank_ratio * s1, else 2.
 
     The singular values come in closed form: s1^2 + s2^2 = ||M||^2, and by
     Cauchy-Binet s1^2 s2^2 = det(M M^T) is the sum of the squared 2x2
@@ -730,8 +734,73 @@ def rank_m(a, b, c, e, f, g, rank_ratio):
     det = (a * f - b * e) ** 2 + (a * g - c * e) ** 2 + (b * g - c * f) ** 2
     s1_sq = 0.5 * (norm_sq + np.sqrt(np.maximum(norm_sq * norm_sq - 4.0 * det, 0.0)))
     # s2^2 = det / s1^2, so s2 <= r s1  <=>  det <= r^2 s1^4
-    return np.where(big * np.sqrt(s1_sq) <= 1e-14, 0,
+    return np.where(big == 0.0, 0,
                     np.where(det <= rank_ratio ** 2 * s1_sq * s1_sq, 1, 2))
+
+
+def _normalised_conic(m):
+    """The rationals ``m`` (3x3, symmetric) divided by their largest |entry|,
+    the sign chosen as ``conics.conic_from_matrix`` chooses it, rounded to
+    floats."""
+    peak = max(abs(v) for row in m for v in row)
+    m = [[v / peak for v in row] for row in m]
+    trace = m[0][0] + m[1][1]
+    if trace < 0 or (trace == 0 and next(v for row in m for v in row if v) < 0):
+        m = [[-v for v in row] for row in m]
+    return np.array([[float(v) for v in row] for row in m])
+
+
+def normal_plane_oracle(a, b, c, e, f, g, rel=cls.REL):
+    """The normal plane of M = [[a, b, c], [e, f, g]] (floats), exactly, in
+    ``fractions.Fraction``: a namespace of
+
+    * ``char``, the characteristic conic: the matrix of the points n whose
+      line n . X = 1 touches the ellipse H + A w, |w| = 1, that is
+      (1 - n . H)^2 = |A^T n|^2, [[H H^T - A A^T, -H], [-H^T, 1]];
+    * ``ind``, the indicatrix conic (X - H)^T (A A^T)^-1 (X - H) = 1 (None
+      where det A = 0);
+    * both normalised as ``conics.conic_from_matrix`` does and rounded;
+    * ``axes_sq`` = s1^2 + s2^2 = ||A||^2 and ``axes_product`` = s1 s2 =
+      |det A| for the semi-axes s1 >= s2, as floats;
+    * ``kind``, the characteristic conic's kind by the classifier's bands
+      at ``rel``: degenerate where |kappa| <= rel ||M||^2, else ellipse,
+      parabola or hyperbola as Delta lies above rel ||M||^4, inside the
+      band or below it;
+    * ``char_exact``, the matrix of ``char`` before normalising, and
+      ``delta`` and ``kappa`` by their formulas, all exact.
+    """
+    F = fractions.Fraction
+    a, b, c, e, f, g = map(F, (a, b, c, e, f, g))
+    h3, h4 = (a + c) / 2, (e + g) / 2
+    p, q, r, t = (a - c) / 2, b, (e - g) / 2, f
+    s11, s12, s22 = p * p + q * q, p * r + q * t, r * r + t * t
+    char = [[h3 * h3 - s11, h3 * h4 - s12, -h3],
+            [h3 * h4 - s12, h4 * h4 - s22, -h4],
+            [-h3, -h4, F(1)]]
+    det = p * t - q * r
+    ind = None
+    if det:
+        inv = [[s22 / det ** 2, -s12 / det ** 2], [-s12 / det ** 2, s11 / det ** 2]]
+        bh = [inv[0][0] * h3 + inv[0][1] * h4, inv[1][0] * h3 + inv[1][1] * h4]
+        ind = _normalised_conic([[inv[0][0], inv[0][1], -bh[0]],
+                                 [inv[1][0], inv[1][1], -bh[1]],
+                                 [-bh[0], -bh[1], h3 * bh[0] + h4 * bh[1] - 1]])
+    msq = a * a + b * b + c * c + e * e + f * f + g * g
+    delta = (a * c - b * b) * (e * g - f * f) \
+        - (a * g + c * e - 2 * b * f) ** 2 / 4
+    kappa = (a - c) * f - (e - g) * b
+    band = F(rel)
+    if abs(kappa) <= band * msq:
+        kind = "degenerate"
+    elif delta > band * msq * msq:
+        kind = "ellipse"
+    elif delta < -band * msq * msq:
+        kind = "hyperbola"
+    else:
+        kind = "parabola"
+    return SimpleNamespace(char=_normalised_conic(char), ind=ind,
+                           axes_sq=float(s11 + s22), axes_product=float(abs(det)),
+                           kind=kind, char_exact=char, delta=delta, kappa=kappa)
 
 
 def frame_oracle(phi_d, psi_d, digits=800):

@@ -73,6 +73,47 @@ def test_expression_error_carries_line():
     assert err.value.line == 1
 
 
+# a left-deep sum of 1,500 terms, 3,000 nested parentheses and 3,000 unary
+# minuses: the jet compiler walks the sum in a loop, and the parser refuses
+# nesting deeper than expr.MAX_DEPTH with the line and offset where it
+# starts
+DEEP_PHIS = {
+    "sum": " + ".join(f"{i}*x^2*y" for i in range(1500)),
+    "parentheses": "(" * 3000 + "x" + ")" * 3000,
+    "minuses": "-" * 3000 + "x^2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_PHIS))
+def test_deep_expressions_end_in_a_result_or_one_line(tmp_path, name):
+    surf = write(tmp_path, "deep.surf",
+                 f"psi = 2*x*y\nphi = {DEEP_PHIS[name]}\ndomain = -1 1 -1 1\n")
+    code, out, err = run_cli(["analyze", "--surface", surf, "--at", "0.1,0.2"])
+    if name == "sum":   # phi = 1124250 x^2 y
+        assert (code, err) == (0, "")
+        one = write(tmp_path, "one.surf",
+                    "psi = 2*x*y\nphi = 1124250*x^2*y\ndomain = -1 1 -1 1\n")
+        want = record_dict(run_cli(["analyze", "--surface", one,
+                                    "--at", "0.1,0.2"])[1])
+        got = record_dict(out)
+        assert got["class"] == want["class"]
+        assert float(got["K"]) == pytest.approx(float(want["K"]), rel=1e-12)
+        return
+    assert (code, out) == (3, "")
+    assert err == ("monge4: surface file error: line 2: in 'phi': syntax "
+                   "error at offset 100: expression nested deeper than 100 "
+                   "levels\n")
+
+
+def test_nesting_up_to_the_limit_evaluates(tmp_path):
+    phi = "-(" * 50 + "x^2" + ")" * 50
+    surf = write(tmp_path, "deep.surf",
+                 f"phi = {phi}\npsi = 2*x*y\ndomain = -1 1 -1 1\n")
+    code, out, err = run_cli(["analyze", "--surface", surf, "--at", "0,0"])
+    assert (code, err) == (0, "")
+    assert record_dict(out)["a"] == "2.0"
+
+
 def test_malformed_domain():
     with pytest.raises(SurfaceFileError):
         parse_surface_text("phi = x\npsi = y\ndomain = -1 1 zero 1\n")
@@ -515,12 +556,13 @@ def test_exit_numerical_linalg_error(tmp_path, monkeypatch):
     surf = write(tmp_path, "b.surf", B_TEXT)
 
     def fail(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
+        raise np.linalg.LinAlgError("Singular matrix")
 
-    monkeypatch.setattr(np.linalg, "svd", fail)
+    # the inverse of A A^T that the indicatrix conic takes
+    monkeypatch.setattr(np.linalg, "inv", fail)
     code, _, err = run_cli(["analyze", "--surface", surf, "--at", "0.1,0.2"])
     assert code == 4
-    assert err == "monge4: numerical failure: SVD did not converge\n"
+    assert err == "monge4: numerical failure: Singular matrix\n"
 
 
 def _raise_memory_error(*args, **kwargs):

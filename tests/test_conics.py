@@ -9,14 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from monge4 import conics
+from monge4 import classify, conics
 from monge4.errors import (DegenerateIndicatrixError, PoleAtInfinityError,
                            SingularSystemError, UmbilicPointError)
 from monge4.localgeom import local_invariants
 
 from conftest import make_surface, random_points, random_surfaces
-from oracles import (evolvent_reference, polygon_signed_area,
-                     split_sweep_reference)
+from oracles import (evolvent_reference, normal_plane_oracle,
+                     polygon_signed_area, split_sweep_reference)
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +158,11 @@ def test_canonical_reproduces_invariants_randomly():
                 ind.semi_axis_major, rel=1e-9, abs=1e-12)
             assert abs(cc.f) == pytest.approx(
                 ind.semi_axis_minor, rel=1e-9, abs=1e-12)
+            # the canonical normal frame is along the ellipse's axes, the
+            # left singular vectors of A
+            u = np.linalg.svd(ind.linear_map)[0]
+            assert np.abs(u.T @ inv.H) == pytest.approx(
+                np.abs(cc.H), rel=1e-9, abs=1e-12)
 
 
 # -- Wintgen inequality -------------------------------------------------------
@@ -272,6 +277,12 @@ EPS = np.finfo(float).eps
 TINY = np.finfo(float).tiny
 
 
+def _sweep(inv, thetas):
+    """The evolvent sweep at the angles ``thetas``: (points, det, singular)."""
+    return conics._sweep_points(
+        inv, *conics._sweep_trig(np.asarray(thetas, dtype=float).tolist()))
+
+
 def _assert_sweep_is_reference(inv, thetas):
     """The closed-form sweep against the per-direction LAPACK reference,
     which solves the same system (eta and zeta bit for bit):
@@ -295,7 +306,7 @@ def _assert_sweep_is_reference(inv, thetas):
       nan where the sweep is.
 
     Returns the sweep's points."""
-    points, dets, singular = conics._evolvent_sweep(inv, thetas)
+    points, dets, singular = _sweep(inv, thetas)
     assert (singular == (np.abs(dets) <= 1e-12)).all()
     for k, theta in enumerate(thetas):
         point, det = evolvent_reference(inv, float(theta))
@@ -352,10 +363,10 @@ def test_sample_characteristic_clips_as_reference(invs, name):
 def test_evolvent_sweep_singular_samples(invs):
     # D at pi/2: the tangent passes through the origin (det ~ 1e-32);
     # A at 0: a segment end, det exactly 0, which LAPACK cannot solve
-    points, _, singular = conics._evolvent_sweep(invs["D"], SWEEP_THETAS)
+    points, _, singular = _sweep(invs["D"], SWEEP_THETAS)
     assert np.nonzero(singular)[0].tolist() == [256]
     assert np.isnan(points[256]).all()
-    _, det, singular = conics._evolvent_sweep(invs["A"], SWEEP_THETAS)
+    _, det, singular = _sweep(invs["A"], SWEEP_THETAS)
     assert det[0] == 0.0 and singular[0]
 
 
@@ -382,7 +393,7 @@ def test_evolvent_sweep_matches_reference_random(coeffs, exponent, thetas):
 def _assert_table_is_uncached_sweep(inv, n):
     """The cached sweep table gives the uncached sweep's arrays bit for bit;
     every traced point is one of its rows and evolvent_point gives row k."""
-    want = conics._evolvent_sweep(inv, np.arange(n) * math.pi / n)
+    want = _sweep(inv, np.arange(n) * math.pi / n)
     got = conics._sweep_points(inv, *conics._sweep_table(n))
     for a, b in zip(got, want):
         assert a.tobytes() == b.tobytes()
@@ -535,7 +546,7 @@ def test_duality_closure_polars_touch_characteristic():
 
 # -- pole / polar --------------------------------------------------------------
 
-UNIT_CIRCLE = conics.conic_from_matrix(np.diag([1.0, 1.0, -1.0]))
+UNIT_CIRCLE = conics.conic_from_matrix(np.diag([1.0, 1.0, -1.0]), "ellipse")
 
 
 def test_polar_of_external_point():
@@ -560,12 +571,10 @@ def test_polar_pole_round_trip_random():
     for _ in range(40):
         m = rng.uniform(-1, 1, size=(3, 3))
         m = m + m.T + np.diag(rng.uniform(1.0, 2.0, 3))
-        try:
-            conic = conics.conic_from_matrix(m)
-        except Exception:
+        # pole and polar read the kind only to refuse a degenerate conic
+        if abs(np.linalg.det(m)) <= 1e-10 * np.linalg.norm(m) ** 3:
             continue
-        if conic.kind == "degenerate":
-            continue
+        conic = conics.conic_from_matrix(m, "ellipse")
         p = rng.uniform(-2, 2, size=2)
         line = conics.polar(p, conic)
         try:
@@ -634,7 +643,7 @@ def test_asymptotes_parallel_to_binormals_randomly():
 
 
 def test_normalization_convention():
-    conic = conics.conic_from_matrix(np.diag([-2.0, -2.0, 8.0]))
+    conic = conics.conic_from_matrix(np.diag([-2.0, -2.0, 8.0]), "ellipse")
     m = conic.matrix
     assert np.max(np.abs(m)) == pytest.approx(1.0)
     assert m[0, 0] + m[1, 1] >= 0.0
@@ -648,3 +657,99 @@ def test_sampling_shapes(invs):
     assert len(polys) == 1 and polys[0][1] is True
     polys = conics.sample_characteristic(invs["G"], 256, clip_radius=100.0)
     assert len(polys) == 2
+
+
+# -- the normal plane against exact rationals -------------------------------------
+
+def _random_coefficients(seed, count):
+    """``count`` random M, entries in (-1, 1) times 2^j, j in [-500, 500]:
+    the float range where ||M||^4 may under- or overflow."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        yield (rng.uniform(-1.0, 1.0, 6)
+               * 2.0 ** int(rng.integers(-500, 500))).tolist()
+
+
+# two M where the float height quadratic of the scaled M cancels against a
+# smaller peak of P: 7 and 4.5 eps off unless each entry is rounded once
+CANCELLING = [
+    [-28.575254254512394, 24.02802580917553, -20.564983991208486,
+     21.49367551561965, -23.52000155376959, 28.500842875748724],
+    [2757.369599392572, 8218.886973500936, 16052.335638809855,
+     -14280.7211470875, -11965.04181515981, -8267.253824078445],
+]
+
+
+def _with_coefficients(a, b, c, e, f, g):
+    return dataclasses.replace(
+        local_invariants(make_surface("D"), 0.0, 0.0),
+        a=a, b=b, c=c, e=e, f=f, g=g, H=np.array([0.5 * (a + c), 0.5 * (e + g)]))
+
+
+def test_characteristic_matrix_minor_is_delta_and_determinant_quarter_kappa_sq():
+    for coeffs in _random_coefficients(11, 400):
+        o = normal_plane_oracle(*coeffs)
+        (p11, p12, _), (_, p22, _), _ = o.char_exact
+        assert p11 * p22 - p12 * p12 == o.delta
+        assert _det3_exact(o.char_exact) == o.kappa ** 2 / 4
+
+
+def _det3_exact(m):
+    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+
+
+def test_normal_plane_matches_exact_oracle():
+    """On random M over 1,000 binary orders of magnitude: the normalised
+    characteristic conic within 4 eps of the exact one, entry by entry; the
+    indicatrix conic, from the inverse of A A^T, within 16 eps of its
+    condition s1^2 / s2^2; the semi-axes' s1^2 + s2^2 and s1 s2 within
+    8 eps of s1^2 + s2^2; and the kinds of the classifier's bands."""
+    checked = 0
+    for coeffs in [*CANCELLING, *_random_coefficients(13, 1000)]:
+        ind = conics.indicatrix(_with_coefficients(*coeffs))
+        o = normal_plane_oracle(*coeffs)
+        k = ind.scaled.k   # compare the axes at the scale of M itself
+        s1, s2 = (math.ldexp(v, k) for v in (ind.semi_axis_major,
+                                             ind.semi_axis_minor))
+        size = math.ldexp(o.axes_sq, 2 * k)
+        assert abs(s1 * s1 + s2 * s2 - size) <= 8 * EPS * size
+        assert abs(s1 * s2 - math.ldexp(o.axes_product, 2 * k)) <= 8 * EPS * size
+        if ind.degenerate:
+            continue
+        ch = conics.characteristic_conic(ind)
+        assert np.abs(ch.matrix - o.char).max() <= 4 * EPS
+        assert ch.kind == o.kind
+        cond = s1 * s1 / (s2 * s2)
+        assert np.abs(conics.indicatrix_conic(ind).matrix - o.ind).max() \
+            <= 16 * EPS * cond
+        checked += 1
+    assert checked > 900
+
+
+def test_characteristic_kind_is_the_class_outside_the_kappa_band():
+    """The kind is the exact one, degenerate where kappa lies in its band
+    whatever Delta, and the point's class elsewhere: at the default
+    tolerance and at a wide one, on random surfaces and on random M."""
+    want = {"elliptic": "ellipse", "hyperbolic": "hyperbola",
+            "parabolic": "parabola"}
+    rng = np.random.default_rng(17)
+    invs = [local_invariants(surface, float(x), float(y))
+            for surface in random_surfaces(seed=19, count=8)
+            for x, y in random_points(rng, 8)]
+    invs += [_with_coefficients(*coeffs)
+             for coeffs in _random_coefficients(23, 100)]
+    kinds = set()
+    for rel in (classify.REL, 0.01):
+        for inv in invs:
+            ind = conics.indicatrix(inv)
+            if ind.degenerate:
+                continue
+            kind = conics.characteristic_conic(ind, rel).kind
+            assert kind == normal_plane_oracle(inv.a, inv.b, inv.c, inv.e,
+                                               inv.f, inv.g, rel).kind
+            if kind != "degenerate":
+                assert kind == want[classify.classify_point(inv, rel).label]
+            kinds.add(kind)
+    assert kinds == {"ellipse", "hyperbola", "parabola", "degenerate"}
