@@ -5,6 +5,7 @@ tree.
     python3 scripts/compare_outputs.py OTHER_SRC [--res N] [--at X,Y ...]
                                        [--surface FILE ...]
                                        [--point-queries SEED ...]
+                                       [--locus-search SEED ...]
 
 Runs ``analyze``, ``plot`` and ``height`` at each ``--at`` point (default
 0,0 and 0.25,-0.2) and ``grid``, ``selfcheck``, ``trace`` and ``inflections``
@@ -15,9 +16,11 @@ benchmark's point-queries ``height`` job: the degenerate normals of the
 point and the height singularity of each.  ``--point-queries SEED`` adds
 the surfaces of one round of the benchmark's point-queries workload for
 that seed, as ``perfbench/workloads.py`` draws them, with ``analyze``,
-``plot`` and ``height`` at each of their 24 points.  Every command runs
-twice, in one subprocess with this tree's ``src`` on the import path and
-in one with OTHER_SRC.
+``plot`` and ``height`` at each of their 24 points, and ``--locus-search
+SEED`` the three surfaces of one round of its locus-search workload, with
+``trace`` and ``inflections`` at the workload's resolution (256).  Every
+command runs twice, in one subprocess with this tree's ``src`` on the
+import path and in one with OTHER_SRC.
 Prints, for each surface and subcommand, ``same`` or the first differing
 line; the exit code and the error output count as lines too.  A failure
 both trees share prints as ``same`` followed by its exit code, such as
@@ -113,21 +116,27 @@ def _surfaces(work):
     return paths
 
 
-def _point_query_jobs(work, seed):
-    """The jobs of one round of the benchmark's point-queries workload for
-    ``seed``, on its surfaces written to ``work``."""
+def _workload_jobs(work, workload, seed):
+    """The jobs of one round of the benchmark's ``workload`` for ``seed``,
+    on its surfaces written to ``work``: a job at a point is keyed by it,
+    a grid job runs at its resolution."""
     from workloads import make_spec, surface_file_text
-    spec = make_spec("point-queries", seed)
+    spec = make_spec(workload, seed)
     paths = {}
     for name, surface in spec["surfaces"].items():
-        paths[name] = pathlib.Path(work) / f"point-queries-{seed}-{name}.surf"
+        paths[name] = pathlib.Path(work) / f"{workload}-{seed}-{name}.surf"
         paths[name].write_text(surface_file_text(surface), encoding="utf-8")
     jobs = []
     for job in spec["jobs"]:
-        path, at = str(paths[job["surface"]]), "{!r},{!r}".format(*job["at"])
-        key = f"point-queries {seed} {job['surface']} {job['kind']} {at}"
-        jobs.append((key, ["height", path, at] if job["kind"] == "height"
-                     else [job["kind"], "--surface", path, f"--at={at}"]))
+        path, kind = str(paths[job["surface"]]), job["kind"]
+        key = f"{workload} {seed} {job['surface']} {kind}"
+        if "at" not in job:
+            jobs.append((key, [kind, "--surface", path,
+                               "--res", str(job["res"])]))
+            continue
+        at = "{!r},{!r}".format(*job["at"])
+        jobs.append((f"{key} {at}", ["height", path, at] if kind == "height"
+                     else [kind, "--surface", path, f"--at={at}"]))
     return jobs
 
 
@@ -167,6 +176,10 @@ def main(argv=None):
                         default=[], metavar="SEED",
                         help="add the benchmark's point-queries surfaces and "
                              "points for SEED (repeatable)")
+    parser.add_argument("--locus-search", type=int, action="append",
+                        default=[], metavar="SEED",
+                        help="add trace and inflections on the benchmark's "
+                             "locus-search surfaces for SEED (repeatable)")
     # --at -0.7,0.45 as the CLI takes it
     args = parser.parse_args(_attach_negative_points(
         sys.argv[1:] if argv is None else argv))
@@ -186,7 +199,9 @@ def main(argv=None):
                       [command, "--surface", path, "--res", str(args.res)])
                      for command in ("grid", "selfcheck", "trace", "inflections")]
         for seed in args.point_queries:
-            jobs += _point_query_jobs(work, seed)
+            jobs += _workload_jobs(work, "point-queries", seed)
+        for seed in args.locus_search:
+            jobs += _workload_jobs(work, "locus-search", seed)
         mine = _run_jobs(ROOT / "src", jobs)
         theirs = _run_jobs(args.other_src, jobs)
     differ = 0

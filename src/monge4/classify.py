@@ -24,7 +24,8 @@ from .conics import homogeneous_quadratic_roots, semi_axes
 from .errors import InflectionPointError
 from .jets import eval_jet
 from .localgeom import (REL, LocalInvariants, SurfaceSpec, bands,
-                        coeff_norm, scaled_jets, unit_scaled)
+                        coeff_norm, height_quadratic, minors, scaled_jets,
+                        unit_scaled)
 
 __all__ = [
     "PointClassification", "classify_point", "asymptotic_directions",
@@ -101,7 +102,7 @@ def asymptotic_directions(inv: LocalInvariants,
     identically zero (every direction asymptotic).
     """
     m = unit_scaled(inv.a, inv.b, inv.c, inv.e, inv.f, inv.g)
-    return band_directions((m.nq0, m.nq1, m.nq2), m, rel,
+    return band_directions(minors(m.a, m.b, m.c, m.e, m.f, m.g), m, rel,
                            "directional quadratic")
 
 
@@ -121,9 +122,9 @@ def binormals(inv: LocalInvariants, rel: float = REL) -> list[np.ndarray]:
     :class:`InflectionPointError` where either quadratic vanishes
     identically."""
     m = unit_scaled(inv.a, inv.b, inv.c, inv.e, inv.f, inv.g)
-    asym = band_directions((m.nq0, m.nq1, m.nq2), m, rel,
-                           "directional quadratic")
-    normals = band_directions((m.hq0, m.hq1, m.hq2), m, rel,
+    coeffs = m.a, m.b, m.c, m.e, m.f, m.g
+    asym = band_directions(minors(*coeffs), m, rel, "directional quadratic")
+    normals = band_directions(height_quadratic(*coeffs), m, rel,
                               "height-hessian quadratic")
     if len(normals) == 2:   # one Delta band: two asymptotic directions too
         u1, u2 = asym[0]
@@ -175,10 +176,11 @@ def class_codes_grid(fields, rel: float = REL):
     The rank comes from the singular values s1 >= s2 of M: 0 when M = 0,
     1 when s2 <= RANK_RATIO * s1, else 2.  They come in closed form:
     s1^2 + s2^2 = ||M||^2, and by Cauchy-Binet s1^2 s2^2 is the sum of the
-    squared 2x2 minors nq0..nq2.
+    squared 2x2 :func:`~monge4.localgeom.minors` nq0..nq2.
     """
     m = unit_scaled(fields.a, fields.b, fields.c, fields.e, fields.f, fields.g)
-    det = m.nq0 * m.nq0 + m.nq1 * m.nq1 + m.nq2 * m.nq2
+    nq0, nq1, nq2 = minors(m.a, m.b, m.c, m.e, m.f, m.g)
+    det = nq0 * nq0 + nq1 * nq1 + nq2 * nq2
     s1_sq = 0.5 * (m.msq + np.sqrt(np.maximum(m.msq * m.msq - 4.0 * det, 0.0)))
     # s2^2 = det / s1^2, so s2 <= r s1  <=>  det <= r^2 s1^4
     rank = np.where(m.msq == 0.0, 0,

@@ -29,13 +29,14 @@ import math
 import os
 import re
 import sys
+import warnings
 
 import numpy as np
 
 from . import classify as cls
 from . import conics, floattext, locus
 from .errors import (CrossCheckError, EvaluationError, InflectionPointError,
-                     Monge4Error, SurfaceFileError)
+                     Monge4Error, SeedCapWarning, SurfaceFileError)
 from .localgeom import (CROSS_CHECKS, SurfaceSpec, check_invariants,
                         coeff_norm, grid_axes, grid_tiles, local_invariants)
 from .surfacefile import parse_surface_file
@@ -386,6 +387,24 @@ def _attach_negative_points(argv):
     return out
 
 
+def _run_command(surface, args, out, err):
+    """The subcommand of ``args``, with each :class:`SeedCapWarning` it
+    raises written to ``err`` as one line; any other warning is shown as
+    it would be without this."""
+    shown = warnings.showwarning
+
+    def show(message, category, *where, **kwargs):
+        if issubclass(category, SeedCapWarning):
+            err.write(f"monge4: warning: {message}\n")
+        else:
+            shown(message, category, *where, **kwargs)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", SeedCapWarning)
+        warnings.showwarning = show
+        return _COMMANDS[args.command](surface, args, out)
+
+
 def run(argv, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
@@ -405,7 +424,7 @@ def run(argv, out=None, err=None) -> int:
         err.write(f"monge4: surface file error: {exc}\n")
         return EXIT_SURFACE_FILE
     try:
-        return _COMMANDS[args.command](surface, args, out)
+        return _run_command(surface, args, out, err)
     except _UsageError as exc:
         err.write(f"monge4: {exc}\n")
         return EXIT_USAGE

@@ -8,8 +8,8 @@ the 2x2 linear map built from the coefficients.  The characteristic conic is
 the locus of intersections of consecutive normal planes, the points n whose
 line n . X = 1 touches the ellipse: the polar dual of the ellipse with
 respect to the unit circle, P = [[hq0, hq1/2, -H3], [hq1/2, hq2, -H4],
-[-H3, -H4, 1]] in the height quadratic of :func:`~monge4.localgeom.second_order`
-and H, whose 2x2 minor is Delta and determinant kappa^2 / 4.  The sweep that
+[-H3, -H4, 1]] in the :func:`~monge4.localgeom.height_quadratic` and H,
+whose 2x2 minor is Delta and determinant kappa^2 / 4.  The sweep that
 traces it takes the pole of each tangent of the ellipse in closed form, from
 the point eta = II(u, u) and the conjugate radius zeta = II(u, u') along it.
 

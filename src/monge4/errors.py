@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception and warning types shared across the package."""
 
 
 class Monge4Error(Exception):
@@ -74,3 +74,9 @@ class SurfaceFileError(Monge4Error):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+class SeedCapWarning(UserWarning):
+    """The inflection search kept only the MAX_SEEDS seeds with the smallest
+    residuals, so inflections in the basins of the others may be missing.
+    The CLI prints it as one line on stderr."""

@@ -3,7 +3,7 @@
 A height function has a critical point exactly where b is normal.  For
 b = n1 e3 + n2 e4 its Hessian on the orthonormal tangent frame is the S_n of
 :func:`~monge4.classify.shape_operator`; det S_n is the height quadratic
-hq0..hq2 of :func:`~monge4.localgeom.second_order`, of discriminant
+hq0..hq2 of :func:`~monge4.localgeom.height_quadratic`, of discriminant
 -4 Delta, whose zeros are the :func:`degenerate_normals`, the binormals.
 Its bands are the classifier's, on the :func:`unit_scaled` M: rank <= 1
 within the Delta band of those normals, rank 0 where S vanishes within
@@ -23,7 +23,7 @@ from .classify import (REL, band_directions, canonical_direction,
                        shape_operator)
 from .errors import CrossCheckError
 from .localgeom import (REL_HEIGHT, LocalInvariants, SurfaceSpec,
-                        local_invariants, unit_scaled)
+                        height_quadratic, local_invariants, unit_scaled)
 
 __all__ = [
     "HeightSingularity", "height_hessian", "degenerate_normals",
@@ -56,11 +56,11 @@ def _height_jet(inv: LocalInvariants, n1: float, n2: float):
 
 
 def _checked(inv: LocalInvariants, n1: float, n2: float):
-    """h of :func:`_height_jet`, the :func:`unit_scaled` M of ``inv``, and
-    the determinant of Hess h, checked against W times the height quadratic
-    at n with every term times 2^(2k - 2j), for the 2^k of
-    :func:`unit_scaled` and 2^2j near W, so that none underflows or
-    overflows."""
+    """h of :func:`_height_jet`, the :func:`unit_scaled` M of ``inv``, its
+    :func:`~monge4.localgeom.height_quadratic` and the determinant of
+    Hess h, checked against W times the height quadratic at n with every
+    term times 2^(2k - 2j), for the 2^k of :func:`unit_scaled` and 2^2j
+    near W, so that none underflows or overflows."""
     h = _height_jet(inv, n1, n2)
     m = unit_scaled(inv.a, inv.b, inv.c, inv.e, inv.f, inv.g)
     j = math.frexp(inv.W)[1] // 2
@@ -68,19 +68,20 @@ def _checked(inv: LocalInvariants, n1: float, n2: float):
     # LU on a zero or subnormal pivot sets a flag numpy reports as a warning
     with np.errstate(divide="ignore", invalid="ignore"):
         det = float(np.linalg.det(hess))
-    w_quad = math.ldexp(inv.W, -2 * j) * (m.hq0 * n1 * n1 + m.hq1 * n1 * n2
-                                          + m.hq2 * n2 * n2)
+    hq0, hq1, hq2 = height_quadratic(m.a, m.b, m.c, m.e, m.f, m.g)
+    w_quad = math.ldexp(inv.W, -2 * j) * (hq0 * n1 * n1 + hq1 * n1 * n2
+                                          + hq2 * n2 * n2)
     scale = max(abs(det), abs(w_quad), math.ldexp(m.msq, -2 * j))
     if not abs(det - w_quad) <= REL_HEIGHT * scale:   # a nan fails too
         raise CrossCheckError(f"height hessian determinant mismatch: {det!r} "
                               f"vs W*quadratic {w_quad!r}, times 2^{2 * (m.k - j)}")
-    return h, m, math.ldexp(det, 2 * (j - m.k))
+    return h, m, (hq0, hq1, hq2), math.ldexp(det, 2 * (j - m.k))
 
 
 def height_hessian(inv: LocalInvariants, n) -> tuple[np.ndarray, float]:
     """Parameter-coordinate Hessian of the height function for the unit
     normal n and its determinant, checked against W times the quadratic."""
-    h, _, det = _checked(inv, float(n[0]), float(n[1]))
+    h, _, _, det = _checked(inv, float(n[0]), float(n[1]))
     return np.array([[h.fxx, h.fxy], [h.fxy, h.fyy]]), det
 
 
@@ -91,18 +92,18 @@ def degenerate_normals(inv: LocalInvariants,
     (band-relative).  Raises :class:`InflectionPointError` where every
     normal is degenerate."""
     m = unit_scaled(inv.a, inv.b, inv.c, inv.e, inv.f, inv.g)
-    return band_directions((m.hq0, m.hq1, m.hq2), m, rel,
-                           "height-hessian quadratic")
+    return band_directions(height_quadratic(m.a, m.b, m.c, m.e, m.f, m.g), m,
+                           rel, "height-hessian quadratic")
 
 
-def _in_band(m, n1, n2) -> bool:
-    """Whether the height quadratic (A, B, C) = (hq0, hq1, hq2) of ``m``
-    vanishes at the unit normal n within the Delta band of
+def _in_band(m, quadratic, n1, n2) -> bool:
+    """Whether the height quadratic (A, B, C) = ``quadratic`` of the M of
+    ``m`` vanishes at the unit normal n within the Delta band of
     :func:`degenerate_normals`.  For Delta > 0 the test is on quad(n) lead
     (1 + t^2) = Delta + (lead t + B/2)^2, lead and slope t as in
     :func:`~monge4.conics.homogeneous_quadratic_roots`, else on |quad(n)|
     times the larger |eigenvalue| of [[A, B/2], [B/2, C]] (<= |Delta|)."""
-    qa, qb, qc = m.hq0, m.hq1, m.hq2
+    qa, qb, qc = quadratic
     tau = REL * m.msq * m.msq
     if m.Delta > 0.0:   # so A C > 0: the lead is not zero
         lead, top, bottom = (qa, n1, n2) if abs(qa) >= abs(qc) else (qc, n2, n1)
@@ -124,8 +125,8 @@ def classify_height(surface: SurfaceSpec, x: float, y: float,
     n = np.asarray(n, dtype=float) / float(np.hypot(n[0], n[1]))
     inv = local_invariants(surface, x, y)
     n1, n2 = float(n[0]), float(n[1])
-    h, m, _ = _checked(inv, n1, n2)
-    if not _in_band(m, n1, n2):
+    h, m, quadratic, _ = _checked(inv, n1, n2)
+    if not _in_band(m, quadratic, n1, n2):
         return HeightSingularity(n, NONDEGENERATE, None, None)
     s11, s12, s22 = shape_operator(m, n1, n2)
     if max(abs(s11), abs(s12), abs(s22)) <= REL * math.sqrt(m.msq):

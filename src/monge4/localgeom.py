@@ -8,16 +8,20 @@ are taken along the orthonormal normal frame (e3, e4).
 
 Redundant formulas are kept as self-checks, listed in :data:`CROSS_CHECKS`:
 the Gaussian curvature K and the normal curvature kappa each have an
-independent closed form in the raw derivatives of phi and psi, the Bezout
-form of the resultant re-derives Delta, and the hat metric re-derives W;
-these four are the live checks of :func:`check_invariants`, which every
-:func:`local_invariants` and the grid subcommand run.  Where ||M||^4 is
-below :data:`RESIDUAL_FLOOR`, the Delta check compares its routes on the
-:func:`unit_scaled` M, and where ||M||^2 is below it, the K and kappa
-checks compare theirs with the second derivatives of phi and psi raised by
-a power of two, so that no check fails on subnormal values.  The
-Brioschi formula (a third route to K through the metric alone) and the
-Wintgen inequality run only in the selfcheck suite.
+independent closed form in the raw derivatives of phi and psi
+(:func:`K_closed`, :func:`kappa_closed`), the Bezout form of the resultant
+re-derives Delta (:func:`delta_resultant`), and the hat metric re-derives
+W; these four are the live checks of :func:`check_invariants`, which every
+:func:`local_invariants` and the grid subcommand run.  Each check forms its
+second route itself, from the derivatives and coefficients the fields
+hold, so a pass that runs no check, such as the locus searches, never
+forms one.  Where ||M||^4 is below :data:`RESIDUAL_FLOOR`, the Delta check
+compares its routes on the :func:`unit_scaled` M, and where ||M||^2 is
+below it, the K and kappa checks compare theirs with the second
+derivatives of phi and psi raised by a power of two, so that no check
+fails on subnormal values.  The Brioschi formula (a third route to K
+through the metric alone) and the Wintgen inequality run only in the
+selfcheck suite.
 
 The derivatives of the invariants have one route, :func:`scaled_jets`: the
 same formulas on jets of phi and psi, with M multiplied by the power of two
@@ -43,7 +47,8 @@ from .jets import Jet, eval_jet, sqrt
 __all__ = [
     "SurfaceSpec", "LocalInvariants", "surface_from_strings",
     "local_invariants", "brioschi_curvature", "delta_resultant",
-    "frame_fields", "second_order", "unit_scaled", "scaled_jets",
+    "frame_fields", "second_order", "height_quadratic", "minors",
+    "K_closed", "kappa_closed", "unit_scaled", "scaled_jets",
     "invariant_grid", "check_invariants", "coeff_norm", "grid_axes",
     "grid_tiles", "TILE_POINTS", "REL", "bands",
 ]
@@ -157,10 +162,12 @@ def frame_fields(phi_d, psi_d):
     ``phi_d``/``psi_d`` are (fx, fy, fxx, fxy, fyy) tuples whose entries may
     be floats, numpy arrays or :class:`~monge4.jets.Jet` values of one order;
     the formulas are generic in the arithmetic, and on jets each field comes
-    back as its jet.  Returns a namespace with the metric, the hat metric,
-    the closed-form routes to K and kappa, and the fields of
-    :func:`second_order` of the coefficients a..g, which are built from
-    the normalised factors F/E, Fh/Eh, E/W <= 1 and sqrt(Eh/W) <= 1.
+    back as its jet.  Returns a namespace with the metric E, F, G, W, the
+    hat metric Eh, Fh, Gh and the fields of :func:`second_order` of the
+    coefficients a..g, which are built from the normalised factors F/E,
+    Fh/Eh, E/W <= 1 and sqrt(Eh/W) <= 1.  The second routes of the
+    cross-checks are not formed here: :func:`K_closed`, :func:`kappa_closed`
+    and :func:`delta_resultant` form them where a check runs.
     """
     px, py, pxx, pxy, pyy = phi_d
     qx, qy, qxx, qxy, qyy = psi_d
@@ -191,34 +198,60 @@ def frame_fields(phi_d, psi_d):
     e, f, g = tangent((qxx - r * pxx) * s, (qxy - r * pxy) * s,
                       (qyy - r * pyy) * s)
 
+    return SimpleNamespace(E=E, F=F, G=G, W=W, Eh=Eh, Fh=Fh, Gh=Gh,
+                           **vars(second_order(a, b, c, e, f, g)))
+
+
+def K_closed(fl, phi_d, psi_d):
+    """K by its closed form in the raw derivatives: ``phi_d``/``psi_d`` as
+    for :func:`frame_fields`, whose hat metric and W ``fl`` holds.  It is
+    (Eh H_psi - Fh Q + Gh H_phi) / W^2, with H_phi and H_psi the Hessian
+    determinants of phi and psi and Q their mixed form.  Generic in the
+    arithmetic."""
+    pxx, pxy, pyy = phi_d[2:]
+    qxx, qxy, qyy = psi_d[2:]
     H_phi = pxx * pyy - pxy * pxy
     H_psi = qxx * qyy - qxy * qxy
     Qmix = pxx * qyy + pyy * qxx - 2.0 * pxy * qxy
-    K_closed = (Eh * H_psi - Fh * Qmix + Gh * H_phi) / W / W
+    return (fl.Eh * H_psi - fl.Fh * Qmix + fl.Gh * H_phi) / fl.W / fl.W
 
+
+def kappa_closed(fl, phi_d, psi_d):
+    """kappa by its closed form, as :func:`K_closed` with the metric E, F,
+    G and W of ``fl``: (E L - F M + G N) / W^2, with L, M and N the 2x2
+    minors of the second derivatives of phi and psi."""
+    pxx, pxy, pyy = phi_d[2:]
+    qxx, qxy, qyy = psi_d[2:]
     L = pxy * qyy - pyy * qxy
     M = pxx * qyy - pyy * qxx
     N = pxx * qxy - pxy * qxx
-    kappa_closed = (E * L - F * M + G * N) / W / W
+    return (fl.E * L - fl.F * M + fl.G * N) / fl.W / fl.W
 
-    return SimpleNamespace(E=E, F=F, G=G, W=W, Eh=Eh, Fh=Fh, Gh=Gh,
-                           K_closed=K_closed, kappa_closed=kappa_closed,
-                           **vars(second_order(a, b, c, e, f, g)))
+
+def height_quadratic(a, b, c, e, f, g):
+    """(hq0, hq1, hq2): the height quadratic det S_n = hq0 n1^2 + hq1 n1 n2
+    + hq2 n2^2 of the coefficient matrix M = [[a, b, c], [e, f, g]], of
+    discriminant -4 Delta.  Elementwise on floats, arrays and jets."""
+    return a * c - b * b, a * g + c * e - 2.0 * b * f, e * g - f * f
+
+
+def minors(a, b, c, e, f, g):
+    """(nq0, nq1, nq2): the 2x2 minors of M = [[a, b, c], [e, f, g]], the
+    coefficients of the directional quadratic nq0 u^2 + nq1 uv + nq2 v^2,
+    also of discriminant -4 Delta.  Elementwise on floats and arrays."""
+    return a * f - b * e, a * g - c * e, b * g - c * f
 
 
 def second_order(a, b, c, e, f, g):
     """The invariants of the coefficient matrix M = [[a, b, c], [e, f, g]]:
-    a namespace of a..g, K, kappa, the coefficients hq0..hq2 of the height
-    quadratic det S_n = hq0 n1^2 + hq1 n1 n2 + hq2 n2^2, Delta (expanded
-    form, hq0 hq2 - hq1^2 / 4) and the coefficients nq0..nq2 of the
-    directional quadratic.  Generic in the arithmetic, like
-    :func:`frame_fields`, whose coefficients it takes."""
-    hq0, hq1, hq2 = a * c - b * b, a * g + c * e - 2.0 * b * f, e * g - f * f
+    a namespace of a..g, K, kappa and Delta, in its expanded form
+    hq0 hq2 - hq1^2 / 4 in the :func:`height_quadratic`.  Generic in the
+    arithmetic, like :func:`frame_fields`, whose coefficients it takes."""
+    hq0, hq1, hq2 = height_quadratic(a, b, c, e, f, g)
     return SimpleNamespace(
-        a=a, b=b, c=c, e=e, f=f, g=g, hq0=hq0, hq1=hq1, hq2=hq2,
+        a=a, b=b, c=c, e=e, f=f, g=g,
         K=hq0 + hq2, kappa=(a - c) * f - (e - g) * b,
-        Delta=hq0 * hq2 - 0.25 * hq1 ** 2,
-        nq0=a * f - b * e, nq1=a * g - c * e, nq2=b * g - c * f)
+        Delta=hq0 * hq2 - 0.25 * hq1 ** 2)
 
 
 def _first_bad(bad, *values):
@@ -298,10 +331,12 @@ def scaled_jets(jphi: Jet, jpsi: Jet, order: int):
 def delta_resultant(a, b, c, e, f, g):
     """Delta as the resultant of the quadratics a u^2 + 2b uv + c v^2 and
     e u^2 + 2f uv + g v^2, by its Bezout form: the determinant
-    nq0 nq2 - nq1^2 / 4 of their Bezoutian, algebraically distinct from the
-    expanded form of :func:`frame_fields`.  Elementwise on floats and arrays.
+    nq0 nq2 - nq1^2 / 4 of their Bezoutian in the :func:`minors` of M,
+    algebraically distinct from the expanded form of :func:`second_order`.
+    Elementwise on floats and arrays.
     """
-    return (a * f - b * e) * (b * g - c * f) - 0.25 * (a * g - c * e) ** 2
+    nq0, nq1, nq2 = minors(a, b, c, e, f, g)
+    return nq0 * nq2 - 0.25 * nq1 ** 2
 
 
 def _relative(u, v, scale):
@@ -368,48 +403,54 @@ def _wintgen_routes(fl, msq):
     return -gap, 0.0, np.maximum(1.0, msq)
 
 
+def _raw_derivatives(fl):
+    """The derivatives (fx, fy, fxx, fxy, fyy) of phi and of psi that the
+    fields ``fl`` were formed from: :func:`_derivatives` of their jets."""
+    return fl.jet_phi.coeffs[1:6], fl.jet_psi.coeffs[1:6]
+
+
 def _raised_fields(fl, low):
-    """:func:`frame_fields` at the points of ``fl`` where ``low`` holds, as
-    flat arrays, with the second derivatives of phi and psi times the power
-    of two 2^k that brings the largest of them into [0.5, 1) where they are
+    """(fields, phi_d, psi_d): :func:`frame_fields` at the points of ``fl``
+    where ``low`` holds, as flat arrays, and the derivatives it was formed
+    from, with the second derivatives of phi and psi times the power of two
+    2^k that brings the largest of them into [0.5, 1) where they are
     smaller, and times 1 elsewhere: exact in the normal range, and no
     product overflows that would not at unit second derivatives."""
     def at(w):
         return np.broadcast_to(w, low.shape)[low]
 
-    phi_d, psi_d = (tuple(at(w) for w in _derivatives(jet))
-                    for jet in (fl.jet_phi, fl.jet_psi))
+    phi_d, psi_d = (tuple(at(w) for w in d) for d in _raw_derivatives(fl))
     big = np.max(np.abs(phi_d[2:] + psi_d[2:]), axis=0)
     k = np.maximum(-np.frexp(big)[1], 0)
-    return frame_fields(*(d[:2] + tuple(np.ldexp(w, k) for w in d[2:])
-                          for d in (phi_d, psi_d)))
+    raised = tuple(d[:2] + tuple(np.ldexp(w, k) for w in d[2:])
+                   for d in (phi_d, psi_d))
+    return frame_fields(*raised), *raised
 
 
-def _closed_form_routes(name):
-    """Routes of the check of K or kappa (``name``) against its closed form:
-    both with the scale ||M||^2 where that is at least RESIDUAL_FLOOR; below
-    it, where their products of second derivatives may turn subnormal, both
-    routes and the scale are taken on :func:`_raised_fields`, all three
-    times the same 2^2k."""
-    def routes(fl, msq):
-        u, v, scale = getattr(fl, name), getattr(fl, name + "_closed"), msq
-        low = ~(msq >= RESIDUAL_FLOOR)
-        if low.any():
-            s = _raised_fields(fl, low)
-            u, v, scale = (np.array(np.broadcast_to(w, low.shape), dtype=float)
-                           for w in (u, v, scale))
-            u[low], v[low] = getattr(s, name), getattr(s, name + "_closed")
-            scale[low] = coeff_norm(s) ** 2
-        return _relative(u, v, scale)
-
-    return routes
+def _closed_form_routes(fl, msq, name, closed):
+    """Routes of the check of K or kappa (``name``) against its closed form
+    ``closed``, formed here from the derivatives the fields hold: both with
+    the scale ||M||^2 where that is at least RESIDUAL_FLOOR; below it, where
+    their products of second derivatives may turn subnormal, both routes
+    and the scale are taken on :func:`_raised_fields`, all three times the
+    same 2^2k."""
+    u, v, scale = getattr(fl, name), closed(fl, *_raw_derivatives(fl)), msq
+    low = ~(msq >= RESIDUAL_FLOOR)
+    if low.any():
+        s, phi_d, psi_d = _raised_fields(fl, low)
+        u, v, scale = (np.array(np.broadcast_to(w, low.shape), dtype=float)
+                       for w in (u, v, scale))
+        u[low], v[low] = getattr(s, name), closed(s, phi_d, psi_d)
+        scale[low] = coeff_norm(s) ** 2
+    return _relative(u, v, scale)
 
 
 CROSS_CHECKS = (
     CrossCheck("K coefficient vs closed form", "K", REL_K, True,
-               _closed_form_routes("K")),
+               lambda fl, msq: _closed_form_routes(fl, msq, "K", K_closed)),
     CrossCheck("kappa coefficient vs closed form", "kappa", REL_KAPPA, True,
-               _closed_form_routes("kappa")),
+               lambda fl, msq: _closed_form_routes(fl, msq, "kappa",
+                                                   kappa_closed)),
     CrossCheck("Delta expansion vs resultant determinant", "Delta", REL_DELTA,
                True, _delta_routes),
     CrossCheck("normal-frame Gram identity", "EhGh-Fh^2=W", REL_GRAM, True,
@@ -436,10 +477,11 @@ def _check_pair(name, u, v, rel, scale, where=None):
 
 def check_invariants(fields, where=None):
     """The live checks of :data:`CROSS_CHECKS` on the namespace of
-    :func:`invariant_grid` or :func:`frame_fields`: a disagreement between
-    redundant formula routes is a :class:`CrossCheckError` (an overflowing
-    route an :class:`EvaluationError`), which names the first failing point
-    of ``where`` = (x, y), when given (any shapes that broadcast)."""
+    :func:`invariant_grid`, whose jets give the closed forms of K and kappa
+    their derivatives: a disagreement between redundant formula routes is a
+    :class:`CrossCheckError` (an overflowing route an
+    :class:`EvaluationError`), which names the first failing point of
+    ``where`` = (x, y), when given (any shapes that broadcast)."""
     msq = coeff_norm(fields) ** 2
     for check in CROSS_CHECKS:
         if check.live:
@@ -482,6 +524,7 @@ def local_invariants(surface: SurfaceSpec, x: float, y: float) -> LocalInvariant
     jpsi = eval_jet(surface.psi, x, y, 3)
     fl = _finite_frame_fields(jphi, jpsi, x, y)
     check_invariants(fl, (x, y))
+    nq0, nq1, nq2 = minors(fl.a, fl.b, fl.c, fl.e, fl.f, fl.g)
     return LocalInvariants(
         x=float(x), y=float(y),
         E=fl.E, F=fl.F, G=fl.G, W=fl.W,
@@ -489,7 +532,7 @@ def local_invariants(surface: SurfaceSpec, x: float, y: float) -> LocalInvariant
         a=fl.a, b=fl.b, c=fl.c, e=fl.e, f=fl.f, g=fl.g,
         K=fl.K, kappa=fl.kappa,
         H=np.array([0.5 * (fl.a + fl.c), 0.5 * (fl.e + fl.g)]),
-        Delta=fl.Delta, nq0=fl.nq0, nq1=fl.nq1, nq2=fl.nq2,
+        Delta=fl.Delta, nq0=nq0, nq1=nq1, nq2=nq2,
         jet_phi=jphi, jet_psi=jpsi,
     )
 
@@ -511,8 +554,9 @@ def invariant_grid(surface: SurfaceSpec, x, y, *, order: int = 2) -> SimpleNames
     return _finite_frame_fields(jphi, jpsi, x, y)
 
 
-# nodes per tile of the grid passes.  A tile holds every field of
-# invariant_grid, about 600 bytes per node, and pays about 1 ms of per-call
+# nodes per tile of the grid passes.  A tile holds the fields of
+# invariant_grid, 224 bytes per node at order 2 and 288 at order 3 (312 and
+# 377 at the peak of forming them), and pays about 1 ms of per-call
 # overhead; at res 1024, 2^13 to 2^15 nodes per tile measured 68 to 84 MB
 # peak and 4.4 to 3.7 s for grid and selfcheck together.
 TILE_POINTS = 2 ** 14

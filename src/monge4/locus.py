@@ -20,11 +20,13 @@ so it underflows on a small enough surface, where the search does not.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .classify import REL, class_labels_grid, hessian_of_delta
+from .errors import SeedCapWarning
 from .jets import Jet, eval_jet
 from .localgeom import (RESIDUAL_FLOOR, SurfaceSpec, coeff_norm, grid_axes,
                         grid_tiles, invariant_grid, local_invariants,
@@ -523,7 +525,9 @@ def find_inflections(surface: SurfaceSpec, resolution: int = 256,
     taken on M scaled by the power of two of :func:`unit_scaled`, so the
     search does not depend on the scale of the surface.  Accepted roots are
     deduplicated within a cell, re-verified (the rank of the coefficient
-    matrix must drop) and typed by the sign of K.
+    matrix must drop) and typed by the sign of K.  Where more than
+    MAX_SEEDS minima seed, only the MAX_SEEDS with the smallest residuals
+    run, and a :class:`~monge4.errors.SeedCapWarning` gives both counts.
     """
     xs, ys = _checked_axes(surface, resolution)
     xmin, xmax, ymin, ymax = surface.domain
@@ -535,12 +539,19 @@ def find_inflections(surface: SurfaceSpec, resolution: int = 256,
     # surface where every node seeds keeps no more than that
     seeds = np.empty(0, dtype=np.intp)
     seed_resid = np.empty(0)
+    found = 0
     for idx, resid in _seed_tiles(surface, resolution, 1.5 * cell):
+        found += len(idx)
         seeds = np.concatenate((seeds, idx))
         seed_resid = np.concatenate((seed_resid, resid))
         if len(seeds) > MAX_SEEDS:
             order = np.argsort(seed_resid, kind="stable")[:MAX_SEEDS]
             seeds, seed_resid = seeds[order], seed_resid[order]
+    if found > MAX_SEEDS:
+        warnings.warn(SeedCapWarning(
+            f"inflection seeds capped: kept {MAX_SEEDS} of {found} found, "
+            f"those with the smallest residuals; an inflection may be "
+            f"missing"), stacklevel=2)
 
     accepted = _newton_walkers(surface, xs[seeds // resolution],
                                ys[seeds % resolution], cellx, celly)

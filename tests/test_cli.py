@@ -6,18 +6,19 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from monge4 import cli, localgeom
-from monge4.errors import SurfaceFileError
+from monge4 import cli, localgeom, locus
+from monge4.errors import SeedCapWarning, SurfaceFileError
 from monge4.jets import eval_jet
 from monge4.surfacefile import parse_surface_text
 
-from conftest import expression_texts
+from conftest import benchmark_surfaces, expression_texts
 from oracles import frame_oracle
 
 B_TEXT = "phi = x^2 - y^2\npsi = 2*x*y\ndomain = -1 1 -1 1\n"
@@ -298,6 +299,37 @@ def test_inflections_umbilic_surface_coarse_grid(tmp_path, res):
     surf = write(tmp_path, "b.surf", B_TEXT)
     assert run_cli(["inflections", "--surface", surf, "--res", res]) \
         == (0, "", "")
+
+
+def test_inflections_seed_cap_is_one_stderr_line(tmp_path):
+    """On a surface in R^3 every node of the grid seeds: at res 32, 1,024
+    seeds of which MAX_SEEDS = 512 run.  inflections says so in one line on
+    stderr; stdout, the exit code and find_inflections' reports stay as
+    they are, and find_inflections itself raises a SeedCapWarning."""
+    surf = write(tmp_path, "bowl.surf",
+                 "phi = x^2 + y^2\npsi = 0\ndomain = -1 1 -1 1\n")
+    code, out, err = run_cli(["inflections", "--surface", surf, "--res", "32"])
+    assert code == 0
+    assert err == ("monge4: warning: inflection seeds capped: kept 512 of "
+                   "1024 found, those with the smallest residuals; an "
+                   "inflection may be missing\n")
+    with pytest.warns(SeedCapWarning, match="kept 512 of 1024 found"):
+        reports = locus.find_inflections(parse_surface_text(
+            "phi = x^2 + y^2\npsi = 0\ndomain = -1 1 -1 1\n"), 32)
+    assert out == "".join(
+        f"{cli._fmt(r.x)} {cli._fmt(r.y)} {r.kind} {cli._fmt(r.K)} "
+        f"{cli._fmt(r.det_hessian_delta)} {cli._fmt(r.residual)}\n"
+        for r in reports)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_inflections_on_the_locus_search_surfaces_keep_every_seed(seed):
+    """The benchmark's locus-search surfaces stay well below MAX_SEEDS at
+    its res 256, so no run of it warns."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", SeedCapWarning)
+        for surface in benchmark_surfaces("locus-search", seed).values():
+            locus.find_inflections(surface, 256)
 
 
 def test_inflections_walker_past_a_log_singularity(tmp_path):

@@ -12,10 +12,10 @@ from monge4 import expr as ex
 from monge4 import localgeom
 from monge4.errors import CrossCheckError, EvaluationError
 from monge4.jets import eval_jet
-from monge4.localgeom import (brioschi_curvature, brioschi_field, coeff_norm,
-                              delta_resultant, invariant_grid,
-                              local_invariants, scaled_jets,
-                              surface_from_strings)
+from monge4.localgeom import (K_closed, _raw_derivatives, brioschi_curvature,
+                              brioschi_field, coeff_norm, delta_resultant,
+                              invariant_grid, kappa_closed, local_invariants,
+                              scaled_jets, surface_from_strings)
 
 from conftest import (AXIS_XS, AXIS_YS, fixture_callables, gallery_surfaces,
                       grid_corpus, make_surface, random_points,
@@ -251,10 +251,12 @@ def test_cross_formula_random_suite():
         def bound(u, v, rel, scale):
             return rel * np.maximum(np.maximum(np.abs(u), np.abs(v)), scale)
 
-        assert np.all(np.abs(fl.K - fl.K_closed)
-                      <= bound(fl.K, fl.K_closed, 1e-9, msq))
-        assert np.all(np.abs(fl.kappa - fl.kappa_closed)
-                      <= bound(fl.kappa, fl.kappa_closed, 1e-9, msq))
+        k_closed = K_closed(fl, *_raw_derivatives(fl))
+        kappa_c = kappa_closed(fl, *_raw_derivatives(fl))
+        assert np.all(np.abs(fl.K - k_closed)
+                      <= bound(fl.K, k_closed, 1e-9, msq))
+        assert np.all(np.abs(fl.kappa - kappa_c)
+                      <= bound(fl.kappa, kappa_c, 1e-9, msq))
         det = delta_resultant(fl.a, fl.b, fl.c, fl.e, fl.f, fl.g)
         assert np.all(np.abs(fl.Delta - det)
                       <= bound(fl.Delta, det, 1e-9, msq * msq))
@@ -326,13 +328,14 @@ def test_failed_cross_check_raises(surfaces, monkeypatch):
     xs = np.array([0.0, 0.3])
     ys = np.array([0.0, 0.2])
     fl = invariant_grid(surfaces["G"], xs[:, None], ys[None, :])
-    bad = fl.K != fl.K_closed
+    k_closed = K_closed(fl, *_raw_derivatives(fl))
+    bad = fl.K != k_closed
     assert bad.any()
     i, j = np.argwhere(bad)[0]
     with pytest.raises(CrossCheckError) as err:
         localgeom.check_invariants(fl, (xs[:, None], ys[None, :]))
     assert str(err.value) == (f"K cross-check failed: {float(fl.K[i, j])!r} vs "
-                              f"{float(fl.K_closed[i, j])!r} at point "
+                              f"{float(k_closed[i, j])!r} at point "
                               f"({float(xs[i])!r}, {float(ys[j])!r})")
 
 
@@ -395,17 +398,28 @@ def test_grid_matches_pointwise(surfaces):
 
 
 def test_invariant_grid_on_axes_matches_meshgrid():
-    """Every field of the grid pass, and every jet coefficient, is the same
-    under == whether the grid is given as its axes or as full arrays."""
+    """Every field of the grid pass, every jet coefficient, both closed
+    forms and the minors are the same under == whether the grid is given
+    as its axes or as full arrays."""
     gx, gy = np.meshgrid(AXIS_XS, AXIS_YS, indexing="ij")
+
+    def routes(fl):
+        coeffs = fl.a, fl.b, fl.c, fl.e, fl.f, fl.g
+        return {"K_closed": K_closed(fl, *_raw_derivatives(fl)),
+                "kappa_closed": kappa_closed(fl, *_raw_derivatives(fl)),
+                **dict(zip(("nq0", "nq1", "nq2"), localgeom.minors(*coeffs)))}
+
     for surface in grid_corpus():
         axes = invariant_grid(surface, AXIS_XS[:, None], AXIS_YS[None, :],
                               order=3)
         full = invariant_grid(surface, gx, gy, order=3)
         assert vars(axes).keys() == vars(full).keys()
-        for name, value in vars(full).items():
+        axes_routes = routes(axes)
+        for name, value in [*vars(full).items(), *routes(full).items()]:
             if name.startswith("jet_"):
                 pairs = zip(getattr(axes, name).coeffs, value.coeffs)
+            elif name in axes_routes:
+                pairs = [(axes_routes[name], value)]
             else:
                 pairs = [(getattr(axes, name), value)]
             for u, v in pairs:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from monge4 import classify, locus
-from monge4.errors import EvaluationError
+from monge4.errors import EvaluationError, SeedCapWarning
 from monge4.jets import Jet, eval_jet
 from monge4.localgeom import (coeff_norm, grid_axes, invariant_grid,
                               local_invariants, scaled_jets,
@@ -174,8 +174,11 @@ def test_find_inflections_flat(scale):
 
 
 def test_find_inflections_empty_cases():
+    """No inflection on either; on the plane, where M = 0 and every node
+    seeds, the search warns that it ran only MAX_SEEDS of them."""
     assert find_inflections(make_surface("B", HALF_BOX), 64) == []
-    assert find_inflections(make_surface("flat", HALF_BOX), 32) == []
+    with pytest.warns(SeedCapWarning, match="kept 512 of 1024 found"):
+        assert find_inflections(make_surface("flat", HALF_BOX), 32) == []
 
 
 def test_inflection_rank_condition_verified_independently():

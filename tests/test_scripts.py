@@ -95,6 +95,29 @@ def test_compare_outputs_adds_the_point_queries_of_a_seed(tmp_path):
     assert all(line.endswith(": same") for line in lines), r.stdout
 
 
+def test_compare_outputs_adds_the_locus_search_of_a_seed(tmp_path):
+    """`--locus-search 0` adds trace and inflections at res 256 on the three
+    surfaces of the benchmark's locus-search round for seed 0: compared with
+    itself, each of the 6 added lines prints `same`."""
+    surface = tmp_path / "s.surf"
+    surface.write_text("phi = x^2 - y^2\npsi = 2*x*y\ndomain = -1 1 -1 1\n",
+                       encoding="utf-8")
+    r = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "compare_outputs.py"),
+         str(ROOT / "src"), "--res", "16", "--surface", str(surface),
+         "--at", "0,0", "--locus-search", "0"],
+        capture_output=True, text=True, check=False)
+    assert r.returncode == 0, r.stdout + r.stderr
+    lines = r.stdout.splitlines()
+    added = [line for line in lines if line.startswith("locus-search 0 ")]
+    assert len(lines) == 7 + 6 and len(added) == 6
+    assert {tuple(line.split()[2:4]) for line in added} == {
+        (name, f"{kind}:") for name in ("parabolic_loop", "inflection_real",
+                                        "trig")
+        for kind in ("trace", "inflections")}
+    assert all(line.endswith(": same") for line in lines), r.stdout
+
+
 def test_compare_outputs_names_the_first_differing_line():
     spec = importlib.util.spec_from_file_location(
         "compare_outputs", ROOT / "scripts" / "compare_outputs.py")

@@ -14,7 +14,7 @@ import pytest
 
 from monge4 import cli, localgeom, locus
 from monge4.classify import REL
-from monge4.errors import Monge4Error
+from monge4.errors import Monge4Error, SeedCapWarning
 from monge4.localgeom import surface_from_strings
 from monge4.surfacefile import parse_surface_file
 
@@ -118,14 +118,15 @@ CAPPED = [("x^2 + x*y^2", "0"),
 @pytest.mark.parametrize("tile_points", [1, 64 * 5, 2 ** 14])
 def test_capped_seeds(monkeypatch, tile_points, phi, psi):
     """The walkers get the same MAX_SEEDS seeds, in the same order, as
-    from the whole grid."""
+    from the whole grid, and the search warns that it dropped the rest."""
     surface = surface_from_strings(phi, psi)
     monkeypatch.setattr(localgeom, "TILE_POINTS", tile_points)
     rho = 1.5 * np.hypot(2.0 / 63, 2.0 / 63)  # as find_inflections at res 64
     assert sum(len(idx) for idx, _ in locus._seed_tiles(surface, 64, rho)) \
         > locus.MAX_SEEDS
-    new = _walker_seeds(monkeypatch,
-                        lambda: locus.find_inflections(surface, 64))
+    with pytest.warns(SeedCapWarning):
+        new = _walker_seeds(monkeypatch,
+                            lambda: locus.find_inflections(surface, 64))
     ref = _walker_seeds(monkeypatch,
                         lambda: find_inflections_reference(surface, 64))
     assert len(new[1][0]) == locus.MAX_SEEDS
