@@ -5,7 +5,7 @@ tree.
     python3 scripts/compare_outputs.py OTHER_SRC [--res N] [--at X,Y ...]
                                        [--surface FILE ...]
                                        [--point-queries SEED ...]
-                                       [--locus-search SEED ...]
+                                       [--locus-search SEED ...] [--peak]
 
 Runs ``analyze``, ``plot`` and ``height`` at each ``--at`` point (default
 0,0 and 0.25,-0.2) and ``grid``, ``selfcheck``, ``trace`` and ``inflections``
@@ -24,7 +24,11 @@ import path and in one with OTHER_SRC.
 Prints, for each surface and subcommand, ``same`` or the first differing
 line; the exit code and the error output count as lines too.  A failure
 both trees share prints as ``same`` followed by its exit code, such as
-``same (exit 4)``.  Exits 1 on any difference.
+``same (exit 4)``.  With ``--peak``, each line ends with the job's
+tracemalloc peak in this tree and in OTHER_SRC, such as ``same, peak 6.58
+vs 8.96 MB``: the peak of a second run of the job, after the compared one,
+so that compiling the surface's jet kernels is not counted.  Exits 1 on
+any difference.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -69,34 +74,46 @@ def _height(path, at):
         return 4, f"{type(exc).__name__}: {exc}\n"
 
 
-def _worker():
-    """Run the jobs read as JSON from stdin with the monge4 on the import
-    path; print {key: "exit N", output lines, error lines} as JSON."""
+def _run_one(argv, out_path):
+    """Exit code, output and error output of one job, as one text."""
     from monge4.cli import run
+    if argv[0] == "height":
+        code, text = _height(*argv[1:])
+        return f"exit {code}\n{text}"
+    out_path.unlink(missing_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    writes = argv[0] in WRITES_FILE
+    code = run(argv + (["--out", str(out_path)] if writes else []),
+               out=out, err=err)
+    text = out.getvalue()
+    if writes and out_path.exists():
+        text += out_path.read_text(encoding="utf-8")
+    return f"exit {code}\n{text}{err.getvalue()}"
+
+
+def _worker(peak):
+    """Run the jobs read as JSON from stdin with the monge4 on the import
+    path; print {"outputs": {key: the text of :func:`_run_one`}, "peaks":
+    {key: tracemalloc peak in bytes}} as JSON, the peaks only with
+    ``peak``."""
     sys.path.insert(0, str(ROOT / "perfbench"))
-    results = {}
+    outputs, peaks = {}, {}
     with tempfile.TemporaryDirectory() as work:
         out_path = pathlib.Path(work) / "out"
         for key, argv in json.load(sys.stdin):
-            if argv[0] == "height":
-                code, text = _height(*argv[1:])
-                results[key] = f"exit {code}\n{text}"
-                continue
-            out_path.unlink(missing_ok=True)
-            out, err = io.StringIO(), io.StringIO()
-            writes = argv[0] in WRITES_FILE
-            code = run(argv + (["--out", str(out_path)] if writes else []),
-                       out=out, err=err)
-            text = out.getvalue()
-            if writes and out_path.exists():
-                text += out_path.read_text(encoding="utf-8")
-            results[key] = f"exit {code}\n{text}{err.getvalue()}"
-    json.dump(results, sys.stdout)
+            outputs[key] = _run_one(argv, out_path)
+            if peak:
+                tracemalloc.start()
+                _run_one(argv, out_path)
+                peaks[key] = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+    json.dump({"outputs": outputs, "peaks": peaks}, sys.stdout)
 
 
-def _run_jobs(src, jobs):
+def _run_jobs(src, jobs, peak=False):
     env = dict(os.environ, PYTHONPATH=str(src))
-    r = subprocess.run([sys.executable, __file__, "--worker"],
+    r = subprocess.run([sys.executable, __file__, "--worker",
+                        *(["--peak"] if peak else [])],
                        input=json.dumps(jobs), capture_output=True, text=True,
                        env=env, check=False)
     if r.returncode != 0:
@@ -180,6 +197,9 @@ def main(argv=None):
                         default=[], metavar="SEED",
                         help="add trace and inflections on the benchmark's "
                              "locus-search surfaces for SEED (repeatable)")
+    parser.add_argument("--peak", action="store_true",
+                        help="also print each job's tracemalloc peak in "
+                             "both trees")
     # --at -0.7,0.45 as the CLI takes it
     args = parser.parse_args(_attach_negative_points(
         sys.argv[1:] if argv is None else argv))
@@ -202,18 +222,21 @@ def main(argv=None):
             jobs += _workload_jobs(work, "point-queries", seed)
         for seed in args.locus_search:
             jobs += _workload_jobs(work, "locus-search", seed)
-        mine = _run_jobs(ROOT / "src", jobs)
-        theirs = _run_jobs(args.other_src, jobs)
+        mine = _run_jobs(ROOT / "src", jobs, args.peak)
+        theirs = _run_jobs(args.other_src, jobs, args.peak)
     differ = 0
     for key, _ in jobs:
-        verdict = _verdict(mine[key], theirs[key])
+        verdict = _verdict(mine["outputs"][key], theirs["outputs"][key])
         differ += not verdict.startswith("same")
+        if args.peak:
+            verdict += ", peak {:.2f} vs {:.2f} MB".format(
+                mine["peaks"][key] / 2 ** 20, theirs["peaks"][key] / 2 ** 20)
         print(f"{key}: {verdict}")
     return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] == ["--worker"]:
-        _worker()
+    if sys.argv[1:2] == ["--worker"]:
+        _worker(sys.argv[2:] == ["--peak"])
     else:
         sys.exit(main())

@@ -38,7 +38,8 @@ from . import conics, floattext, locus
 from .errors import (CrossCheckError, EvaluationError, InflectionPointError,
                      Monge4Error, SeedCapWarning, SurfaceFileError)
 from .localgeom import (CROSS_CHECKS, SurfaceSpec, check_invariants,
-                        coeff_norm, grid_axes, grid_tiles, local_invariants)
+                        coeff_norm, grid_axes, grid_tiles, invariant_grid,
+                        local_invariants)
 from .surfacefile import parse_surface_file
 from .svgplot import render_normal_plane
 
@@ -191,7 +192,8 @@ def grid_rows(surface: SurfaceSpec, res: int, rel: float):
     xs, ys = grid_axes(surface, res)
     K, kappa, delta = (np.empty((res, res)) for _ in range(3))
     codes = np.empty((res, res), dtype=np.uint8)
-    for rows, where, fields in grid_tiles(surface, res):
+    for rows, where in grid_tiles(surface, res):
+        fields = invariant_grid(surface, *where)
         check_invariants(fields, where)
         K[rows], kappa[rows], delta[rows] = fields.K, fields.kappa, fields.Delta
         codes[rows] = cls.class_codes_grid(fields, rel)
@@ -302,7 +304,8 @@ def selfcheck_report(surface: SurfaceSpec, res: int):
     """
     passed = np.ones(len(CROSS_CHECKS), dtype=bool)
     worst = np.full(len(CROSS_CHECKS), -np.inf)
-    for _, where, fields in grid_tiles(surface, res, order=3):
+    for _, where in grid_tiles(surface, res):
+        fields = invariant_grid(surface, *where, order=3)
         msq = coeff_norm(fields) ** 2
         for n, check in enumerate(CROSS_CHECKS):
             deviation, scale = check.margins(fields, msq, where)

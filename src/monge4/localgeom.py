@@ -15,11 +15,12 @@ W; these four are the live checks of :func:`check_invariants`, which every
 :func:`local_invariants` and the grid subcommand run.  Each check forms its
 second route itself, from the derivatives and coefficients the fields
 hold, so a pass that runs no check, such as the locus searches, never
-forms one.  Where ||M||^4 is below :data:`RESIDUAL_FLOOR`, the Delta check
-compares its routes on the :func:`unit_scaled` M, and where ||M||^2 is
-below it, the K and kappa checks compare theirs with the second
-derivatives of phi and psi raised by a power of two, so that no check
-fails on subnormal values.  The Brioschi formula (a third route to K
+forms one; those searches keep of a grid only a..g, K, kappa and Delta
+(:func:`second_order_grid`).  Where ||M||^4 is below
+:data:`RESIDUAL_FLOOR`, the Delta check compares its routes on the
+:func:`unit_scaled` M, and where ||M||^2 is below it, the K and kappa
+checks compare theirs with the second derivatives of phi and psi raised
+by a power of two, so that no check fails on subnormal values.  The Brioschi formula (a third route to K
 through the metric alone) and the Wintgen inequality run only in the
 selfcheck suite.
 
@@ -49,8 +50,8 @@ __all__ = [
     "local_invariants", "brioschi_curvature", "delta_resultant",
     "frame_fields", "second_order", "height_quadratic", "minors",
     "K_closed", "kappa_closed", "unit_scaled", "scaled_jets",
-    "invariant_grid", "check_invariants", "coeff_norm", "grid_axes",
-    "grid_tiles", "TILE_POINTS", "REL", "bands",
+    "invariant_grid", "second_order_grid", "check_invariants",
+    "coeff_norm", "grid_axes", "grid_tiles", "TILE_POINTS", "REL", "bands",
 ]
 
 # the classifier's scale-relative band for Delta, kappa and K
@@ -554,11 +555,26 @@ def invariant_grid(surface: SurfaceSpec, x, y, *, order: int = 2) -> SimpleNames
     return _finite_frame_fields(jphi, jpsi, x, y)
 
 
-# nodes per tile of the grid passes.  A tile holds the fields of
-# invariant_grid, 224 bytes per node at order 2 and 288 at order 3 (312 and
-# 377 at the peak of forming them), and pays about 1 ms of per-call
-# overhead; at res 1024, 2^13 to 2^15 nodes per tile measured 68 to 84 MB
-# peak and 4.4 to 3.7 s for grid and selfcheck together.
+def second_order_grid(surface: SurfaceSpec, x, y) -> SimpleNamespace:
+    """The fields the locus searches read, over arrays of points: the
+    namespace of :func:`second_order`, a..g, K, kappa and Delta, of
+    :func:`invariant_grid` at order 2.  The metric and the jets they were
+    formed from are dropped on return, so a tile held by a search costs 72
+    bytes per node, not 224.  Fails as :func:`invariant_grid` does."""
+    fl = invariant_grid(surface, x, y)
+    return SimpleNamespace(a=fl.a, b=fl.b, c=fl.c, e=fl.e, f=fl.f, g=fl.g,
+                           K=fl.K, kappa=fl.kappa, Delta=fl.Delta)
+
+
+# nodes per tile of the grid passes.  The fields of invariant_grid hold 224
+# bytes per node at order 2 and 288 at order 3 (312 and 377 at the peak of
+# forming them), those of second_order_grid 72.  A tile loop holds the
+# previous tile while it forms the next, so per tile node the peak of a
+# pass grows by 536 bytes for grid, 696 for selfcheck, 383 for trace and
+# 393 for inflections (tracemalloc, trig surface, res 256).  A call pays
+# about 0.25 ms of overhead; at res 1024, 2^13 to 2^15 nodes per tile
+# measured 68 to 84 MB peak and 4.4 to 3.7 s for grid and selfcheck
+# together.
 TILE_POINTS = 2 ** 14
 
 
@@ -568,12 +584,12 @@ def grid_axes(surface: SurfaceSpec, res: int):
     return np.linspace(xmin, xmax, res), np.linspace(ymin, ymax, res)
 
 
-def grid_tiles(surface: SurfaceSpec, res: int, order: int = 2):
-    """(rows, where, fields) over consecutive tiles of x-rows of the
-    res x res grid of :func:`grid_axes`, in order: ``rows`` is the slice of
-    x-rows of the tile, ``where`` = (x column, y row) its nodes and
-    ``fields`` their :func:`invariant_grid` of ``order``.  A tile holds at
-    most :data:`TILE_POINTS` nodes, and at least one row.
+def grid_tiles(surface: SurfaceSpec, res: int):
+    """(rows, where) over consecutive tiles of x-rows of the res x res grid
+    of :func:`grid_axes`, in order: ``rows`` is the slice of x-rows of the
+    tile and ``where`` = (x column, y row) its nodes, on which each pass
+    calls its own evaluator.  A tile holds at most :data:`TILE_POINTS`
+    nodes, and at least one row.
 
     Row-major order over the tiles, x outer, is the order of the whole
     grid, so a tile's first failing point is the grid's first failing point
@@ -582,8 +598,7 @@ def grid_tiles(surface: SurfaceSpec, res: int, order: int = 2):
     step = max(1, TILE_POINTS // res)
     for i in range(0, res, step):
         rows = slice(i, min(i + step, res))
-        where = (xs[rows, None], ys[None, :])
-        yield rows, where, invariant_grid(surface, *where, order=order)
+        yield rows, (xs[rows, None], ys[None, :])
 
 
 # ---------------------------------------------------------------------------

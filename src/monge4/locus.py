@@ -29,8 +29,8 @@ from .classify import REL, class_labels_grid, hessian_of_delta
 from .errors import SeedCapWarning
 from .jets import Jet, eval_jet
 from .localgeom import (RESIDUAL_FLOOR, SurfaceSpec, coeff_norm, grid_axes,
-                        grid_tiles, invariant_grid, local_invariants,
-                        scaled_jets, unit_scaled)
+                        grid_tiles, local_invariants, scaled_jets,
+                        second_order_grid, unit_scaled)
 
 __all__ = ["Polyline", "PolylineSet", "InflectionReport",
            "trace_parabolic", "find_inflections"]
@@ -158,8 +158,8 @@ def _refine_edges(surface: SurfaceSpec, ax, ay, bx, by, da, db):
         if not live.size:
             break
         on_x = along_x[live]
-        fl = invariant_grid(surface, np.where(on_x, u, fixed[live]),
-                            np.where(on_x, fixed[live], u))
+        fl = second_order_grid(surface, np.where(on_x, u, fixed[live]),
+                               np.where(on_x, fixed[live], u))
         d = fl.Delta
         to_lo = (d > 0.0) == (d_lo[live] > 0.0)
         new_lo, new_hi = live[to_lo], live[~to_lo]
@@ -194,7 +194,8 @@ def trace_parabolic(surface: SurfaceSpec, resolution: int = 256,
     # all the tracer keeps of the grid: Delta and its flat test, tile by tile
     delta = np.empty((resolution, resolution))
     flat = np.empty((resolution, resolution), dtype=bool)
-    for rows, _, fields in grid_tiles(surface, resolution):
+    for rows, where in grid_tiles(surface, resolution):
+        fields = second_order_grid(surface, *where)
         delta[rows] = fields.Delta
         flat[rows] = np.abs(fields.Delta) <= rel * coeff_norm(fields) ** 4
     nx, ny = delta.shape
@@ -250,8 +251,8 @@ def trace_parabolic(surface: SurfaceSpec, resolution: int = 256,
     si, sj = np.nonzero(used & (count == 4))
     centre_pos = {}
     if si.size:
-        centre = invariant_grid(surface, 0.5 * (xs[si] + xs[si + 1]),
-                                0.5 * (ys[sj] + ys[sj + 1])).Delta
+        centre = second_order_grid(surface, 0.5 * (xs[si] + xs[si + 1]),
+                                   0.5 * (ys[sj] + ys[sj + 1])).Delta
         centre_pos = dict(zip(zip(si.tolist(), sj.tolist()),
                               (centre > 0.0).tolist()))
 
@@ -478,27 +479,35 @@ def _seed_tiles(surface: SurfaceSpec, resolution: int, rho: float):
     vanish within ``rho`` of it (a fixed band alone can fall between grid
     nodes); all of it is taken at the minima only, from
     :func:`~monge4.localgeom.scaled_jets` of order 1, so that nothing
-    underflows on a small surface.
+    underflows on a small surface.  The tiles are evaluated at order 2, by
+    :func:`~monge4.localgeom.second_order_grid`; the third derivatives the
+    gradients need are evaluated at the minima alone, which gives the
+    coefficients of a grid evaluation bit for bit.  So where they overflow,
+    the failing point is the first minimum in row-major order at which the
+    jet of phi, then that of psi, overflows.
 
-    A tile's grid fields are freed before the next tile is evaluated: only
-    the residuals of its last x-row and that row's seeds are kept, and the
-    minimum test of that row is finished against the next tile's first row.
+    Of a tile's fields, only the residuals of its last x-row and that row's
+    seeds are kept past the tile, and the minimum test of that row is
+    finished against the next tile's first row.  The fields themselves are
+    dropped once the next tile's are formed: the loop holds the previous
+    tile while it evaluates the next.
     """
+    xs, ys = grid_axes(surface, resolution)
     above = np.full(resolution, np.inf)
     last_j = np.empty(0, dtype=np.intp)  # the last row's seeds so far
     last_resid = np.empty(0)
     last_i = 0
-    # order 3: the seed test takes gradients from these jets
-    for rows, _, fields in grid_tiles(surface, resolution, order=3):
+    for rows, where in grid_tiles(surface, resolution):
+        fields = second_order_grid(surface, *where)
         coeffs = (fields.a, fields.b, fields.c, fields.e, fields.f, fields.g)
         resid = _residual_field(fields, coeffs)
         kept = _at_most_row(last_resid, last_j, resid[0])
         yield last_i * resolution + last_j[kept], last_resid[kept]
 
         at_min = np.nonzero(_tile_minima(resid, above))
-        grads, m = scaled_jets(*(Jet(tuple(c[at_min] for c in jet.coeffs))
-                                 for jet in (fields.jet_phi, fields.jet_psi)),
-                               1)
+        px, py = xs[at_min[0] + rows.start], ys[at_min[1]]
+        grads, m = scaled_jets(eval_jet(surface.phi, px, py, 3),
+                               eval_jet(surface.psi, px, py, 3), 1)
         gd = np.hypot(grads.Delta.fx, grads.Delta.fy)
         gk = np.hypot(grads.kappa.fx, grads.kappa.fy)
         seed = (np.abs(m.Delta) <= np.maximum(SEED_BAND * m.msq ** 2, gd * rho)) \

@@ -950,7 +950,13 @@ def trace_parabolic_reference(surface, res, rel=cls.REL):
 def find_inflections_reference(surface, res, rel=cls.REL):
     """``locus.find_inflections`` from one whole-grid evaluation of order 3:
     the seeds are the minima of the scaled residual over the whole grid
-    that pass the seed test, capped at MAX_SEEDS by one stable sort."""
+    that pass the seed test, capped at MAX_SEEDS by one stable sort.
+
+    The search evaluates its tiles at order 2 and third derivatives at the
+    minima only; this reference takes them from the grid, so every
+    comparison with it also checks that the two give the same bits.  It
+    fails at the grid's first point where a third derivative overflows,
+    where the search names the first such minimum, or succeeds."""
     xs, ys, fields = _whole_grid(surface, res, 3)
     coeffs = (fields.a, fields.b, fields.c, fields.e, fields.f, fields.g)
     resid_field = locus._residual_field(fields, coeffs)

@@ -14,12 +14,12 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from monge4 import cli, localgeom, locus
-from monge4.errors import SeedCapWarning, SurfaceFileError
+from monge4.errors import EvaluationError, SeedCapWarning, SurfaceFileError
 from monge4.jets import eval_jet
 from monge4.surfacefile import parse_surface_text
 
 from conftest import benchmark_surfaces, expression_texts
-from oracles import frame_oracle
+from oracles import find_inflections_reference, frame_oracle
 
 B_TEXT = "phi = x^2 - y^2\npsi = 2*x*y\ndomain = -1 1 -1 1\n"
 
@@ -487,6 +487,32 @@ def test_exit_numerical_failure_names_first_grid_point(tmp_path, command, phi,
     code, out, err = run_cli(args)
     assert (code, out) == (4, "")
     assert err == f"monge4: numerical failure: {message}\n"
+
+
+# exp(1e103*x) on x in [-5e-103, 0]: its value and its first and second
+# derivatives are finite on the whole domain, its third derivative only for
+# x below about -1.7e-103
+THIRD_ORDER_OVERFLOW_TEXT = \
+    "phi = exp(1e103*x)\npsi = y^2 + x*y\ndomain = -5e-103 0 -1 1\n"
+
+
+def test_inflections_third_order_overflow_names_first_minimum(tmp_path):
+    """inflections evaluates third derivatives at the residual's minima
+    only, so the failing point is the first minimum where they overflow,
+    (0, -1/63), not the grid's first node (-5e-103, -1), which the
+    whole-grid reference of order 3 names.  trace needs no third
+    derivative and succeeds."""
+    surf = write(tmp_path, "third.surf", THIRD_ORDER_OVERFLOW_TEXT)
+    assert run_cli(["inflections", "--surface", surf, "--res", "64"]) == (
+        4, "", "monge4: numerical failure: non-finite result at point "
+        "(0.0, -0.015873015873015928)\n")
+    with pytest.raises(EvaluationError) as exc:
+        find_inflections_reference(
+            parse_surface_text(THIRD_ORDER_OVERFLOW_TEXT), 64)
+    assert str(exc.value) == "non-finite result at point (-5e-103, -1.0)"
+    code, _, err = run_cli(["trace", "--surface", surf, "--res", "64",
+                            "--out", str(tmp_path / "t.csv")])
+    assert (code, err) == (0, "")
 
 
 # surfaces the metric used to break: steep (E*G - F^2 off by 1.2e-10, so

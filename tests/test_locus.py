@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from monge4 import classify, locus
+from monge4 import classify, localgeom, locus
 from monge4.errors import EvaluationError, SeedCapWarning
 from monge4.jets import Jet, eval_jet
 from monge4.localgeom import (coeff_norm, grid_axes, invariant_grid,
@@ -323,9 +323,9 @@ def test_refinement_matches_bisection_on_random_corpus(monkeypatch):
         _assert_matches_bisection(surface, 64, monkeypatch)
 
 
-# invariant_grid calls of one trace at res 256 after the grid's tiles: the
-# refinement passes and one for the centres of all saddle cells, measured
-# (the bisection took 41 passes)
+# second_order_grid calls of one trace at res 256 after the grid's tiles:
+# the refinement passes and one for the centres of all saddle cells,
+# measured (the bisection took 41 passes)
 TRACE_CALLS = {"segment": 0, "umbilic": 0, "inflection_imaginary": 0,
                "hyperbolic": 0, "fold": 3, "inflection_real": 2,
                "parabolic_loop": 8, "saddle": 9,
@@ -335,16 +335,19 @@ TRACE_CALLS = {"segment": 0, "umbilic": 0, "inflection_imaginary": 0,
 
 
 def _count_trace_calls(surface, res, monkeypatch):
+    """The trace, and its evaluations after the grid's tiles."""
     calls = []
+    evaluate = locus.second_order_grid
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return invariant_grid(*args, **kwargs)
+        return evaluate(*args, **kwargs)
 
-    monkeypatch.setattr(locus, "invariant_grid", counting)
+    monkeypatch.setattr(locus, "second_order_grid", counting)
     ps = trace_parabolic(surface, res)
     monkeypatch.undo()
-    return ps, calls
+    tiles = len(range(0, res, max(1, localgeom.TILE_POINTS // res)))
+    return ps, calls[tiles:]
 
 
 @pytest.mark.parametrize("name", sorted(TRACE_CALLS))

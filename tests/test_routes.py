@@ -1,18 +1,23 @@
 """Where the cross-checks' second routes are formed: the closed forms of K
 and kappa and the minors of M are computed by the passes that check or
-print them, and never by the locus searches."""
+print them, and never by the locus searches.  Nor do the locus searches
+hold the metric or the jets of a tile, or evaluate third derivatives on
+one."""
 
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from monge4 import localgeom, locus
+from monge4 import jets, localgeom, locus
 from monge4.classify import REL, hessian_of_delta
 from monge4.cli import grid_rows, selfcheck_report
-from monge4.localgeom import local_invariants
+from monge4.jets import Jet
+from monge4.localgeom import (grid_axes, invariant_grid, local_invariants,
+                              scaled_jets, second_order_grid)
 
-from conftest import benchmark_surfaces, make_trig_surface
+from conftest import benchmark_surfaces, make_trig_surface, random_surfaces
 
 ROUTE_HELPERS = ("K_closed", "kappa_closed", "minors")
 
@@ -101,3 +106,121 @@ def test_frame_fields_hold_no_second_route():
     assert sorted(vars(fl)) == sorted(
         ["E", "F", "G", "W", "Eh", "Fh", "Gh", "a", "b", "c", "e", "f", "g",
          "K", "kappa", "Delta", "jet_phi", "jet_psi"])
+
+
+def test_second_order_grid_holds_only_second_order_fields():
+    """The fields of a locus tile: a..g, K, kappa and Delta, the same bits
+    as those of invariant_grid."""
+    surface = make_trig_surface()
+    fl = second_order_grid(surface, np.zeros(3), np.ones(3))
+    assert sorted(vars(fl)) == sorted(
+        ["a", "b", "c", "e", "f", "g", "K", "kappa", "Delta"])
+    full = invariant_grid(surface, np.zeros(3), np.ones(3))
+    for name, value in vars(fl).items():
+        assert np.array_equal(value, getattr(full, name)), name
+
+
+@pytest.fixture
+def jet_calls(monkeypatch):
+    """(order, points) of each eval_jet call so far, in order, counted in
+    every monge4 module that holds it."""
+    calls = []
+    orig = jets.eval_jet
+
+    def counting(expression, x0, y0, order):
+        calls.append((order, int(np.broadcast(x0, y0).size)))
+        return orig(expression, x0, y0, order)
+
+    for module in [m for n, m in list(sys.modules.items())
+                   if m is not None and n.startswith("monge4")]:
+        if getattr(module, "eval_jet", None) is orig:
+            monkeypatch.setattr(module, "eval_jet", counting)
+    return calls
+
+
+# res and x-rows per tile of the tests below: 8 tiles of 512 nodes
+JET_RES, TILE_ROWS = 64, 8
+
+
+@pytest.mark.parametrize("name", sorted(LOCUS_SURFACES))
+def test_trace_evaluates_second_order_only(jet_calls, monkeypatch, name):
+    """Every jet of trace is of order 2: the tiles, the edge refinement and
+    the saddle centres."""
+    monkeypatch.setattr(localgeom, "TILE_POINTS", JET_RES * TILE_ROWS)
+    locus.trace_parabolic(LOCUS_SURFACES[name], JET_RES)
+    assert {order for order, _ in jet_calls} == {2}
+    tiles = JET_RES // TILE_ROWS
+    assert jet_calls[:2 * tiles] == [(2, JET_RES * TILE_ROWS)] * (2 * tiles)
+
+
+@pytest.mark.parametrize("name", sorted(LOCUS_SURFACES))
+def test_seed_pass_evaluates_third_order_at_minima_only(jet_calls,
+                                                        monkeypatch, name):
+    """Before the walkers, each tile of the seed pass evaluates phi and psi
+    at order 2 on its nodes, then at order 3 on its 3x3 minima alone; the
+    walkers evaluate at order 4, and each report at one point."""
+    monkeypatch.setattr(localgeom, "TILE_POINTS", JET_RES * TILE_ROWS)
+    surface = LOCUS_SURFACES[name]
+    walkers = locus._newton_walkers
+    before_walkers = []
+
+    def recording(*args):
+        before_walkers.extend(jet_calls)
+        return walkers(*args)
+
+    monkeypatch.setattr(locus, "_newton_walkers", recording)
+    reports = locus.find_inflections(surface, JET_RES)
+    calls = list(jet_calls)
+
+    xs, ys = grid_axes(surface, JET_RES)
+    fl = invariant_grid(surface, xs[:, None], ys[None, :])
+    resid = locus._residual_field(fl, (fl.a, fl.b, fl.c, fl.e, fl.f, fl.g))
+    expected = []
+    above = np.full(JET_RES, np.inf)
+    for start in range(0, JET_RES, TILE_ROWS):
+        tile = resid[start:start + TILE_ROWS]
+        minima = int(np.count_nonzero(locus._tile_minima(tile, above)))
+        assert minima < tile.size // 4
+        expected += [(2, tile.size)] * 2 + [(3, minima)] * 2
+        above = tile[-1]
+    assert before_walkers == expected
+    after = Counter(calls[len(expected):])
+    # walker passes at order 4; local_invariants (order 3) and
+    # hessian_of_delta (order 4) at each report
+    assert {order for order, points in after if points > 1} <= {4}
+    assert after[3, 1] >= 2 * len(reports)
+
+
+def _seed_gradients(jphi, jpsi):
+    """What the seed test reads of the order-3 jets of phi and psi."""
+    grads, m = scaled_jets(jphi, jpsi, 1)
+    return [*grads.Delta.coeffs, *grads.kappa.coeffs, m.Delta, m.kappa,
+            m.msq, m.k]
+
+
+SEED_GRADIENT_SURFACES = {
+    **{f"locus-search {seed} {name}": (surface, 256)
+       for seed in range(4)
+       for name, surface in benchmark_surfaces("locus-search", seed).items()},
+    **{f"random {n}": (surface, 64)
+       for n, surface in enumerate(random_surfaces())},
+}
+
+
+@pytest.mark.parametrize("key", sorted(SEED_GRADIENT_SURFACES))
+def test_point_jets_give_the_tile_seed_gradients(key):
+    """The seed test's order-3 jets of phi and psi, evaluated at the nodes
+    as points, give the same bits at every node as a tile of order 3 on
+    the axes: the jets and the scaled gradients of Delta and kappa."""
+    surface, res = SEED_GRADIENT_SURFACES[key]
+    xs, ys = grid_axes(surface, res)
+    tile = invariant_grid(surface, xs[:, None], ys[None, :], order=3)
+    gx, gy = (w.ravel() for w in np.meshgrid(xs, ys, indexing="ij"))
+    points = [jets.eval_jet(e, gx, gy, 3) for e in (surface.phi, surface.psi)]
+    nodes = [Jet(tuple(c.ravel() for c in jet.coeffs))
+             for jet in (tile.jet_phi, tile.jet_psi)]
+    for u, v in zip(points, nodes):
+        for p, q in zip(u.coeffs, v.coeffs):
+            assert np.array_equal(p, q)
+    for p, q in zip(_seed_gradients(*points), _seed_gradients(*nodes)):
+        assert np.array_equal(p, q, equal_nan=True)

@@ -2,6 +2,7 @@
 
 import importlib.util
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -116,6 +117,29 @@ def test_compare_outputs_adds_the_locus_search_of_a_seed(tmp_path):
                                         "trig")
         for kind in ("trace", "inflections")}
     assert all(line.endswith(": same") for line in lines), r.stdout
+
+
+def test_compare_outputs_prints_the_peaks(tmp_path):
+    """`--peak` ends each line with the job's tracemalloc peak in both
+    trees, in MB; a grid job at res 16 allocates something in each."""
+    surface = tmp_path / "s.surf"
+    surface.write_text("phi = x^2 - y^2\npsi = 2*x*y\ndomain = -1 1 -1 1\n",
+                       encoding="utf-8")
+    r = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "compare_outputs.py"),
+         str(ROOT / "src"), "--res", "16", "--surface", str(surface),
+         "--at", "0,0", "--peak"],
+        capture_output=True, text=True, check=False)
+    assert r.returncode == 0, r.stdout + r.stderr
+    lines = r.stdout.splitlines()
+    assert len(lines) == 7
+    peaks = {}
+    for line in lines:
+        match = re.fullmatch(r"(.*): same, peak (\d+\.\d\d) vs (\d+\.\d\d) MB",
+                             line)
+        assert match, line
+        peaks[match[1].split()[-1]] = (float(match[2]), float(match[3]))
+    assert peaks["grid"][0] > 0.0 and peaks["grid"][1] > 0.0
 
 
 def test_compare_outputs_names_the_first_differing_line():
