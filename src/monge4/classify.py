@@ -29,7 +29,8 @@ from .localgeom import (REL, LocalInvariants, SurfaceSpec, bands,
 
 __all__ = [
     "PointClassification", "classify_point", "asymptotic_directions",
-    "binormals", "hessian_of_delta", "canonical_direction",
+    "binormals", "degenerate_normals", "hessian_of_delta",
+    "canonical_direction",
     "class_labels_grid", "class_codes_grid", "LABELS",
     "band_directions", "REL", "RANK_RATIO", "CIRCLE_RATIO",
 ]
@@ -113,20 +114,28 @@ def shape_operator(m, n1: float, n2: float):
     return n1 * m.a + n2 * m.e, n1 * m.b + n2 * m.f, n1 * m.c + n2 * m.g
 
 
+def degenerate_normals(inv: LocalInvariants,
+                       rel: float = REL) -> list[np.ndarray]:
+    """Unit normals n (in the (e3, e4) frame) whose height function is
+    degenerate, det S_n = 0: 2, 1 or 0 of them as Delta < 0, = 0, > 0
+    (band-relative).  Raises :class:`InflectionPointError` where every
+    normal is degenerate."""
+    m = unit_scaled(inv.a, inv.b, inv.c, inv.e, inv.f, inv.g)
+    return band_directions(height_quadratic(m.a, m.b, m.c, m.e, m.f, m.g), m,
+                           rel, "height-hessian quadratic")
+
+
 def binormals(inv: LocalInvariants, rel: float = REL) -> list[np.ndarray]:
     """The degenerate normals of the height functions, normal to the
-    tangents from the origin to the curvature ellipse: the band roots of
-    the height quadratic, as in :func:`~monge4.heightfn.degenerate_normals`,
-    paired index by index with the :func:`asymptotic_directions` u: of two,
-    the n with the smaller |S_n u| at the first u.  Raises
-    :class:`InflectionPointError` where either quadratic vanishes
-    identically."""
-    m = unit_scaled(inv.a, inv.b, inv.c, inv.e, inv.f, inv.g)
-    coeffs = m.a, m.b, m.c, m.e, m.f, m.g
-    asym = band_directions(minors(*coeffs), m, rel, "directional quadratic")
-    normals = band_directions(height_quadratic(*coeffs), m, rel,
-                              "height-hessian quadratic")
+    tangents from the origin to the curvature ellipse: the
+    :func:`degenerate_normals`, paired index by index with the
+    :func:`asymptotic_directions` u: of two, the n with the smaller
+    |S_n u| at the first u.  Raises :class:`InflectionPointError` where
+    either quadratic vanishes identically."""
+    asym = asymptotic_directions(inv, rel)
+    normals = degenerate_normals(inv, rel)
     if len(normals) == 2:   # one Delta band: two asymptotic directions too
+        m = unit_scaled(inv.a, inv.b, inv.c, inv.e, inv.f, inv.g)
         u1, u2 = asym[0]
         r0, r1 = (math.hypot(s11 * u1 + s12 * u2, s12 * u1 + s22 * u2)
                   for s11, s12, s22 in (shape_operator(m, *n) for n in normals))

@@ -4,12 +4,12 @@ A height function has a critical point exactly where b is normal.  For
 b = n1 e3 + n2 e4 its Hessian on the orthonormal tangent frame is the S_n of
 :func:`~monge4.classify.shape_operator`; det S_n is the height quadratic
 hq0..hq2 of :func:`~monge4.localgeom.height_quadratic`, of discriminant
--4 Delta, whose zeros are the :func:`degenerate_normals`, the binormals.
-Its bands are the classifier's, on the :func:`unit_scaled` M: rank <= 1
-within the Delta band of those normals, rank 0 where S vanishes within
-rel ||M||.  For rank 1 the kernel is an asymptotic direction, b the paired
-binormal, and the cubic term of f_b along it, against the largest third
-derivative of f_b, decides fold or cusp.
+-4 Delta, whose zeros are the :func:`~monge4.classify.degenerate_normals`,
+the binormals.  Its bands are the classifier's, on the :func:`unit_scaled`
+M: rank <= 1 within the Delta band of those normals, rank 0 where S
+vanishes within rel ||M||.  For rank 1 the kernel is an asymptotic
+direction, b the paired binormal, and the cubic term of f_b along it,
+against the largest third derivative of f_b, decides fold or cusp.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import (REL, band_directions, canonical_direction,
+from .classify import (REL, canonical_direction, degenerate_normals,
                        shape_operator)
 from .errors import CrossCheckError
 from .localgeom import (REL_HEIGHT, LocalInvariants, SurfaceSpec,
@@ -83,17 +83,6 @@ def height_hessian(inv: LocalInvariants, n) -> tuple[np.ndarray, float]:
     normal n and its determinant, checked against W times the quadratic."""
     h, _, _, det = _checked(inv, float(n[0]), float(n[1]))
     return np.array([[h.fxx, h.fxy], [h.fxy, h.fyy]]), det
-
-
-def degenerate_normals(inv: LocalInvariants,
-                       rel: float = REL) -> list[np.ndarray]:
-    """Unit normals n (in the (e3, e4) frame) whose height function is
-    degenerate, det S_n = 0: 2, 1 or 0 of them as Delta < 0, = 0, > 0
-    (band-relative).  Raises :class:`InflectionPointError` where every
-    normal is degenerate."""
-    m = unit_scaled(inv.a, inv.b, inv.c, inv.e, inv.f, inv.g)
-    return band_directions(height_quadratic(m.a, m.b, m.c, m.e, m.f, m.g), m,
-                           rel, "height-hessian quadratic")
 
 
 def _in_band(m, quadratic, n1, n2) -> bool:

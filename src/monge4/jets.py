@@ -477,17 +477,21 @@ def _kernel(expression, order):
     return kernel
 
 
+def _first_bad(bad, *values):
+    """The entries of ``values``, as floats, at the first index in
+    row-major order where ``bad`` holds (all broadcast together)."""
+    bad, *values = np.broadcast_arrays(bad, *values)
+    idx = int(np.argmax(bad.ravel()))
+    return tuple(float(v.ravel()[idx]) for v in values)
+
+
 def _point_of(x0, y0, mask):
     """The failing point: (x0, y0) for scalars; on a grid the first point
-    where ``mask`` (broadcast to the grid) holds, in row-major order, or None
-    when there is no mask (a constant subexpression failed)."""
+    where ``mask`` holds, by :func:`_first_bad`, or None when there is no
+    mask (a constant subexpression failed)."""
     if not isinstance(x0, np.ndarray) and not isinstance(y0, np.ndarray):
         return (x0, y0)
-    if mask is None:
-        return None
-    bx, by = np.broadcast_arrays(x0, y0)
-    index = int(np.argmax(np.broadcast_to(mask, bx.shape).ravel()))
-    return (float(bx.ravel()[index]), float(by.ravel()[index]))
+    return None if mask is None else _first_bad(mask, x0, y0)
 
 
 def eval_jet(expression: ex.Expr, x0, y0, order: int) -> Jet:

@@ -43,7 +43,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import CrossCheckError, EvaluationError
-from .jets import Jet, eval_jet, sqrt
+from .jets import Jet, _first_bad, eval_jet, sqrt
 
 __all__ = [
     "SurfaceSpec", "LocalInvariants", "surface_from_strings",
@@ -253,14 +253,6 @@ def second_order(a, b, c, e, f, g):
         a=a, b=b, c=c, e=e, f=f, g=g,
         K=hq0 + hq2, kappa=(a - c) * f - (e - g) * b,
         Delta=hq0 * hq2 - 0.25 * hq1 ** 2)
-
-
-def _first_bad(bad, *values):
-    """The entries of ``values``, as floats, at the first index in
-    row-major order where ``bad`` holds (all broadcast together)."""
-    bad, *values = np.broadcast_arrays(bad, *values)
-    idx = int(np.argmax(bad.ravel()))
-    return tuple(float(v.ravel()[idx]) for v in values)
 
 
 def _derivatives(jet: Jet, order: int = 0):

@@ -4,7 +4,10 @@ and the inflection points (Delta = 0 and kappa = 0).
 The tracer is plain marching squares on the sampled Delta field; every edge
 crossing is refined by a batched Illinois (safeguarded regula-falsi)
 iteration on the exact Delta along the edge, and saddle cells are
-disambiguated by the sign of Delta at the cell centre.  Isolated zeros of
+disambiguated by the sign of Delta at the cell centre.  A vertex is named by
+the integer id of its edge; an edge borders at most two cells and pairs
+with one other edge in each, so the cells' segments link each id to at most
+two others, and the polylines are walks through them.  Isolated zeros of
 Delta (imaginary inflections) produce no sign change, hence no polylines:
 they are reported only by the inflection finder.
 
@@ -186,9 +189,15 @@ def trace_parabolic(surface: SurfaceSpec, resolution: int = 256,
 
     Edge crossings (strict sign changes between grid nodes) of the cells
     that give segments are refined by :func:`_refine_edges` on the exact
-    Delta along the edge and linked into polylines; a vertex's residual is
-    |Delta| at the vertex itself.  Cells whose entire sampled field is
-    flat-zero are flagged degenerate and excluded.
+    Delta along the edge and linked into polylines by
+    :func:`_link_segments`; a vertex's residual is |Delta| at the vertex
+    itself.  Cells whose entire sampled field is flat-zero are flagged
+    degenerate and excluded.
+
+    A vertex is named by the id of its edge: the edge from node (i, j) to
+    (i+1, j) by i*ny + j, the one from (i, j) to (i, j+1) by
+    nh + i*(ny-1) + j, with nh = (nx-1)*ny, so ids sort the edges along x
+    first, each kind in row-major order.
     """
     xs, ys = _checked_axes(surface, resolution)
     # all the tracer keeps of the grid: Delta and its flat test, tile by tile
@@ -199,13 +208,10 @@ def trace_parabolic(surface: SurfaceSpec, resolution: int = 256,
         delta[rows] = fields.Delta
         flat[rows] = np.abs(fields.Delta) <= rel * coeff_norm(fields) ** 4
     nx, ny = delta.shape
+    nh = (nx - 1) * ny
 
-    degenerate_cells = []
-    live = np.ones((nx - 1, ny - 1), dtype=bool)
     cell_flat = flat[:-1, :-1] & flat[1:, :-1] & flat[1:, 1:] & flat[:-1, 1:]
-    for i, j in zip(*np.nonzero(cell_flat)):
-        degenerate_cells.append((int(i), int(j)))
-        live[i, j] = False
+    degenerate_cells = list(zip(*(a.tolist() for a in np.nonzero(cell_flat))))
 
     # strict sign-change edges ("h": along x between (i,j)-(i+1,j);
     # "v": along y between (i,j)-(i,j+1))
@@ -215,117 +221,81 @@ def trace_parabolic(surface: SurfaceSpec, resolution: int = 256,
     v_cross = (pos[:, :-1] & neg[:, 1:]) | (neg[:, :-1] & pos[:, 1:])
 
     # a cell's crossing edges in the order south, east, north, west; only
-    # live cells with 2 or 4 of them give segments
+    # cells that are not flat and have 2 or 4 of them give segments.  Those
+    # cells in row-major order, and the ids of their edges in that order.
     south = h_cross[:, :-1]
     east = v_cross[1:, :]
     north = h_cross[:, 1:]
     west = v_cross[:-1, :]
     count = south.astype(np.int8) + east + north + west
-    used = live & ((count == 2) | (count == 4))
+    ci, cj = np.nonzero(~cell_flat & ((count == 2) | (count == 4)))
+    h = ci * ny + cj
+    v = nh + ci * (ny - 1) + cj
+    edges = np.stack((h, v + ny - 1, h + 1, v), axis=1)
+    crossed = np.stack((south[ci, cj], east[ci, cj], north[ci, cj],
+                        west[ci, cj]), axis=1)
 
-    # refine the crossing edges of those cells, h and v together, in one
-    # batch; edge k runs from grid node (ax, ay) to grid node (bx, by)
-    h_used = np.zeros_like(h_cross)
-    h_used[:, :-1] |= used
-    h_used[:, 1:] |= used
-    v_used = np.zeros_like(v_cross)
-    v_used[:-1, :] |= used
-    v_used[1:, :] |= used
-    hi_idx = np.nonzero(h_cross & h_used)
-    vi_idx = np.nonzero(v_cross & v_used)
-    crossings = {}
-    if hi_idx[0].size or vi_idx[0].size:
-        ax = np.concatenate([xs[hi_idx[0]], xs[vi_idx[0]]])
-        bx = np.concatenate([xs[hi_idx[0] + 1], xs[vi_idx[0]]])
-        ay = np.concatenate([ys[hi_idx[1]], ys[vi_idx[1]]])
-        by = np.concatenate([ys[hi_idx[1]], ys[vi_idx[1] + 1]])
-        da = np.concatenate([delta[hi_idx], delta[vi_idx]])
-        db = np.concatenate([delta[hi_idx[0] + 1, hi_idx[1]],
-                             delta[vi_idx[0], vi_idx[1] + 1]])
-        mx, my, res = _refine_edges(surface, ax, ay, bx, by, da, db)
-        keys = [("h", i, j) for i, j in zip(*(a.tolist() for a in hi_idx))] \
-            + [("v", i, j) for i, j in zip(*(a.tolist() for a in vi_idx))]
-        crossings = dict(zip(keys, zip(mx.tolist(), my.tolist(), res.tolist())))
+    # refine those cells' crossing edges in one batch, in id order; edge k
+    # runs from grid node (i, j) to grid node (bi, bj).  Not np.unique: its
+    # first call adds about 1.7 MB to the process's resident memory.
+    ids = np.array(sorted(set(edges[crossed].tolist())), dtype=int)
+    along_x = ids < nh
+    i, j = np.where(along_x, np.divmod(ids, ny), np.divmod(ids - nh, ny - 1))
+    bi, bj = i + along_x, j + ~along_x
+    mx, my, res = _refine_edges(surface, xs[i], ys[j], xs[bi], ys[bj],
+                                delta[i, j], delta[bi, bj])
+    crossings = dict(zip(ids.tolist(),
+                         zip(mx.tolist(), my.tolist(), res.tolist())))
 
-    # the sign of Delta at the centres of the saddle cells, in one evaluation
-    si, sj = np.nonzero(used & (count == 4))
-    centre_pos = {}
-    if si.size:
+    # a saddle cell pairs its edges around the corners of the sign of Delta
+    # at its centre: south with east where that is the sign at corner
+    # (i, j), else south with west; the centres in one evaluation
+    saddle = np.nonzero(crossed.all(axis=1))[0]
+    if saddle.size:
+        si, sj = ci[saddle], cj[saddle]
         centre = second_order_grid(surface, 0.5 * (xs[si] + xs[si + 1]),
                                    0.5 * (ys[sj] + ys[sj + 1])).Delta
-        centre_pos = dict(zip(zip(si.tolist(), sj.tolist()),
-                              (centre > 0.0).tolist()))
+        flip = saddle[(centre > 0.0) != pos[si, sj]]
+        edges[flip] = edges[flip][:, [0, 3, 2, 1]]
 
-    # per-cell segments joining crossing edges
-    segments = []
-    for i, j in zip(*(a.tolist() for a in np.nonzero(used))):
-        edges = [edge for edge, crossed in (
-            (("h", i, j), south[i, j]), (("v", i + 1, j), east[i, j]),
-            (("h", i, j + 1), north[i, j]), (("v", i, j), west[i, j]))
-            if crossed]
-        if len(edges) == 2:
-            segments.append((edges[0], edges[1]))
-        else:
-            # saddle cell: pair edges around the corner regions matching
-            # the centre sign
-            s_edge, e_edge, n_edge, w_edge = edges
-            if centre_pos[i, j] == bool(pos[i, j]):
-                segments.append((s_edge, e_edge))
-                segments.append((n_edge, w_edge))
-            else:
-                segments.append((s_edge, w_edge))
-                segments.append((n_edge, e_edge))
-
-    return PolylineSet(polylines=_link_segments(segments, crossings),
+    # every cell has two or four crossing edges, so its segments are
+    # consecutive pairs of them, in cell order
+    segments = edges[crossed].reshape(-1, 2)
+    return PolylineSet(polylines=_link_segments(segments.tolist(), crossings),
                        degenerate_cells=degenerate_cells)
 
 
 def _link_segments(segments, crossings) -> list[Polyline]:
-    adjacency = {}
+    """The polylines through ``segments``, pairs of vertex keys, where
+    ``crossings[key]`` is the vertex (x, y, residual).
+
+    A key is in at most two segments, as an edge borders at most two cells
+    and pairs with one other edge in each, so each step takes the partner
+    that it did not come from.  Open polylines come first, each walked from
+    its end with the least key, then closed ones, each from its least key
+    toward its partner in the earlier segment.
+    """
+    partners = {}
     for a, b in segments:
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
-
-    visited = set()
-    polylines = []
-
-    def _walk(start, first):
-        chain = [start, first]
-        visited.add((start, first))
-        visited.add((first, start))
-        while True:
-            nxt = [k for k in adjacency[chain[-1]]
-                   if (chain[-1], k) not in visited]
-            if not nxt:
-                return chain, False
-            k = nxt[0]
-            visited.add((chain[-1], k))
-            visited.add((k, chain[-1]))
-            if k == chain[0]:
-                return chain, True
-            chain.append(k)
-
-    # open chains first (endpoints have a single neighbour)
-    keys = sorted(adjacency.keys())
-    for key in keys:
-        if len(adjacency[key]) == 1:
-            nb = adjacency[key][0]
-            if (key, nb) in visited:
-                continue
-            chain, closed = _walk(key, nb)
-            polylines.append((chain, closed))
-    for key in keys:
-        for nb in adjacency[key]:
-            if (key, nb) in visited:
-                continue
-            chain, closed = _walk(key, nb)
-            polylines.append((chain, closed))
-
+        partners.setdefault(a, []).append(b)
+        partners.setdefault(b, []).append(a)
+    seen = set()
     out = []
-    for chain, closed in polylines:
-        pts = np.array([[crossings[k][0], crossings[k][1]] for k in chain])
-        res = np.array([crossings[k][2] for k in chain])
-        out.append(Polyline(points=pts, residuals=res, closed=closed))
+    for start in sorted(partners, key=lambda k: (len(partners[k]) > 1, k)):
+        if start in seen:
+            continue
+        chain = [start]
+        prev, key = start, partners[start][0]
+        while key != start:
+            chain.append(key)
+            ends = partners[key]
+            if len(ends) == 1:
+                break
+            prev, key = key, ends[1] if ends[0] == prev else ends[0]
+        seen.update(chain)
+        vertices = np.array([crossings[k] for k in chain])
+        out.append(Polyline(points=vertices[:, :2], residuals=vertices[:, 2],
+                            closed=key == start))
     return out
 
 

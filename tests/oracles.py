@@ -50,7 +50,10 @@ the package's ``floattext`` writer, and :func:`trace_parabolic_reference` and
 :func:`find_inflections_reference` are ``locus.trace_parabolic`` and
 ``locus.find_inflections`` as they were then, with one evaluation per saddle
 cell centre in the former; the package must reproduce their output bit for
-bit.
+bit.  The former names edges by tuples ``("h", i, j)`` and ``("v", i, j)``
+and links them with :func:`link_segments_reference`, the walk over a
+general graph, marking directed pairs, that ``locus._link_segments``
+replaced by a walk over integer edge ids, each with at most two partners.
 """
 
 from __future__ import annotations
@@ -943,8 +946,61 @@ def trace_parabolic_reference(surface, res, rel=cls.REL):
             segments += [(s_edge, e_edge), (n_edge, w_edge)]
         else:
             segments += [(s_edge, w_edge), (n_edge, e_edge)]
-    return locus.PolylineSet(polylines=locus._link_segments(segments, crossings),
+    return locus.PolylineSet(polylines=link_segments_reference(segments,
+                                                               crossings),
                              degenerate_cells=degenerate_cells)
+
+
+def link_segments_reference(segments, crossings):
+    """``locus._link_segments`` as it was: two passes over the sorted keys,
+    open chains first, each walked by a closure that marks the directed
+    pairs it has taken."""
+    adjacency = {}
+    for a, b in segments:
+        adjacency.setdefault(a, []).append(b)
+        adjacency.setdefault(b, []).append(a)
+
+    visited = set()
+    polylines = []
+
+    def _walk(start, first):
+        chain = [start, first]
+        visited.add((start, first))
+        visited.add((first, start))
+        while True:
+            nxt = [k for k in adjacency[chain[-1]]
+                   if (chain[-1], k) not in visited]
+            if not nxt:
+                return chain, False
+            k = nxt[0]
+            visited.add((chain[-1], k))
+            visited.add((k, chain[-1]))
+            if k == chain[0]:
+                return chain, True
+            chain.append(k)
+
+    # open chains first (endpoints have a single neighbour)
+    keys = sorted(adjacency.keys())
+    for key in keys:
+        if len(adjacency[key]) == 1:
+            nb = adjacency[key][0]
+            if (key, nb) in visited:
+                continue
+            chain, closed = _walk(key, nb)
+            polylines.append((chain, closed))
+    for key in keys:
+        for nb in adjacency[key]:
+            if (key, nb) in visited:
+                continue
+            chain, closed = _walk(key, nb)
+            polylines.append((chain, closed))
+
+    out = []
+    for chain, closed in polylines:
+        pts = np.array([[crossings[k][0], crossings[k][1]] for k in chain])
+        res = np.array([crossings[k][2] for k in chain])
+        out.append(locus.Polyline(points=pts, residuals=res, closed=closed))
+    return out
 
 
 def find_inflections_reference(surface, res, rel=cls.REL):

@@ -12,8 +12,9 @@ from monge4.localgeom import (coeff_norm, grid_axes, invariant_grid,
 from monge4.locus import find_inflections, trace_parabolic
 
 from conftest import (benchmark_surfaces, gallery_surfaces, make_surface,
-                      random_surfaces)
-from oracles import bisect_edges_reference, newton_walkers_reference
+                      make_trig_surface, random_surfaces)
+from oracles import (bisect_edges_reference, link_segments_reference,
+                     newton_walkers_reference)
 
 HALF_BOX = (-0.5, 0.5, -0.5, 0.5)
 GALLERY = gallery_surfaces()
@@ -383,6 +384,83 @@ def test_inflection_real_vertices_on_grid_nodes(monkeypatch):
     ni = np.abs(pts[:, 0, None] - xs[None, :]).min(axis=1)
     nj = np.abs(pts[:, 1, None] - ys[None, :]).min(axis=1)
     assert np.all(np.hypot(ni, nj) <= 4 * np.spacing(0.5))
+
+
+def _vertices(keys):
+    """crossings for integer keys: vertex k at (k, -k), residual k / 8."""
+    return {k: (float(k), -float(k), k / 8.0) for k in keys}
+
+
+# hand-built segments with integer keys, and the expected polylines as
+# (closed, vertex keys): open chains first, each from its least end, then
+# closed ones, each from its least key toward its partner in the earlier
+# segment
+LINKS = {
+    "open chain out of order": ([(5, 9), (1, 3), (3, 5)],
+                                [(False, [1, 3, 5, 9])]),
+    "closed loop": ([(7, 4), (2, 7), (4, 9), (9, 2)],
+                    [(True, [2, 7, 4, 9])]),
+    # the south-east and north-west segments of the saddle cell (0, 0) of
+    # a 3 x 3 grid: south 0, east 8, north 1, west 6
+    "saddle cell": ([(0, 8), (1, 6)], [(False, [0, 8]), (False, [1, 6])]),
+    "two components": ([(0, 1), (1, 2), (2, 3), (3, 0), (12, 11), (10, 11)],
+                       [(False, [10, 11, 12]), (True, [0, 1, 2, 3])]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LINKS))
+def test_link_segments(name):
+    segments, expected = LINKS[name]
+    crossings = _vertices({k for seg in segments for k in seg})
+    new = locus._link_segments(segments, crossings)
+    ref = link_segments_reference(segments, crossings)
+    assert [(p.closed, p.points[:, 0].astype(int).tolist()) for p in new] \
+        == expected
+    assert len(new) == len(ref)
+    for p, q in zip(new, ref):
+        assert p.closed == q.closed
+        assert np.array_equal(p.points, q.points)
+        assert np.array_equal(p.residuals, q.residuals)
+
+
+@pytest.mark.parametrize("surface", [GALLERY["inflection_real"],
+                                     make_trig_surface()],
+                         ids=["inflection_real", "trig"])
+def test_refined_edges_are_the_segment_endpoints(surface, monkeypatch):
+    """The trace refines, in one batch, exactly the edges that its segments
+    join, each once, in id order: from node (i, j) to (i+1, j) for id
+    i*ny + j < nh, from (i, j) to (i, j+1) for nh + i*(ny-1) + j."""
+    res = 64
+    batches, linked = [], []
+    refine, link = locus._refine_edges, locus._link_segments
+
+    def refining(surface, ax, ay, bx, by, da, db):
+        batches.append((ax, ay, bx, by))
+        return refine(surface, ax, ay, bx, by, da, db)
+
+    def linking(segments, crossings):
+        linked.append(segments)
+        return link(segments, crossings)
+
+    monkeypatch.setattr(locus, "_refine_edges", refining)
+    monkeypatch.setattr(locus, "_link_segments", linking)
+    trace_parabolic(surface, res)
+    assert len(batches) == len(linked) == 1
+    xs, ys = grid_axes(surface, res)
+    if surface is GALLERY["inflection_real"]:  # Delta = 0 at some nodes
+        assert np.any(invariant_grid(surface, xs[:, None], ys[None, :]).Delta
+                      == 0.0)
+    ids = sorted({k for seg in linked[0] for k in seg})
+    assert ids
+    nh = (res - 1) * res
+    edges = [((xs[k // res], ys[k % res]), (xs[k // res + 1], ys[k % res]))
+             if k < nh else
+             ((xs[(k - nh) // (res - 1)], ys[(k - nh) % (res - 1)]),
+              (xs[(k - nh) // (res - 1)], ys[(k - nh) % (res - 1) + 1]))
+             for k in ids]
+    ax, ay, bx, by = batches[0]
+    assert list(zip(zip(ax.tolist(), ay.tolist()),
+                    zip(bx.tolist(), by.tolist()))) == edges
 
 
 # -- inflection walkers ------------------------------------------------------
