@@ -7,9 +7,11 @@ matrix [[a,b,c],[e,f,g]].  This keeps the classification invariant under a
 uniform rescaling of the normal components of the surface.  The bands and
 the rank of M are decided on M times an exact power of two that brings its
 largest entry into [0.5, 1), so that Delta and its band neither underflow
-nor overflow.  Asymptotic directions and binormals are the band roots of
-the directional and the height quadratic of that M; a binormal is a
-degenerate normal of the height functions, paired with the asymptotic
+nor overflow: at a point, the M of
+:attr:`~monge4.localgeom.LocalInvariants.scaled`, formed once and read by
+every function here.  Asymptotic directions and binormals are the band
+roots of the directional and the height quadratic of that M; a binormal is
+a degenerate normal of the height functions, paired with the asymptotic
 direction in the kernel of its Hessian.
 """
 
@@ -66,7 +68,7 @@ def classify_point(inv: LocalInvariants, rel: float = REL) -> PointClassificatio
     """The label of :func:`class_labels_grid`, the circle flag (semi-axes
     s1 - s2 <= CIRCLE_RATIO s1) and the minimal one (|H| <= rel ||M||)."""
     label = class_labels_grid(inv, rel)
-    m = unit_scaled(inv.a, inv.b, inv.c, inv.e, inv.f, inv.g)
+    m = inv.scaled
     s1, _, gap = semi_axes(m)
     is_minimal = math.hypot(m.H3, m.H4) <= rel * float(coeff_norm(m))
     return PointClassification(label, gap <= CIRCLE_RATIO * s1, is_minimal)
@@ -74,8 +76,8 @@ def classify_point(inv: LocalInvariants, rel: float = REL) -> PointClassificatio
 
 def band_directions(quadratic, m, rel: float, what: str) -> list[np.ndarray]:
     """Unit zero directions of the binary quadratic A u^2 + B uv + C v^2,
-    ``quadratic`` = (A, B, C) computed from the M ``m`` of
-    :func:`unit_scaled`, whose discriminant is a positive multiple of
+    ``quadratic`` = (A, B, C) computed from the scaled M ``m`` of a point
+    (:attr:`LocalInvariants.scaled`), whose discriminant is a positive multiple of
     -Delta: 2, 1 or 0 of them as Delta lies below, inside or above its
     band, sorted by angle.
 
@@ -102,7 +104,7 @@ def asymptotic_directions(inv: LocalInvariants,
     Raises :class:`InflectionPointError` when the directional quadratic is
     identically zero (every direction asymptotic).
     """
-    m = unit_scaled(inv.a, inv.b, inv.c, inv.e, inv.f, inv.g)
+    m = inv.scaled
     return band_directions(minors(m.a, m.b, m.c, m.e, m.f, m.g), m, rel,
                            "directional quadratic")
 
@@ -120,7 +122,7 @@ def degenerate_normals(inv: LocalInvariants,
     degenerate, det S_n = 0: 2, 1 or 0 of them as Delta < 0, = 0, > 0
     (band-relative).  Raises :class:`InflectionPointError` where every
     normal is degenerate."""
-    m = unit_scaled(inv.a, inv.b, inv.c, inv.e, inv.f, inv.g)
+    m = inv.scaled
     return band_directions(height_quadratic(m.a, m.b, m.c, m.e, m.f, m.g), m,
                            rel, "height-hessian quadratic")
 
@@ -135,7 +137,7 @@ def binormals(inv: LocalInvariants, rel: float = REL) -> list[np.ndarray]:
     asym = asymptotic_directions(inv, rel)
     normals = degenerate_normals(inv, rel)
     if len(normals) == 2:   # one Delta band: two asymptotic directions too
-        m = unit_scaled(inv.a, inv.b, inv.c, inv.e, inv.f, inv.g)
+        m = inv.scaled
         u1, u2 = asym[0]
         r0, r1 = (math.hypot(s11 * u1 + s12 * u2, s12 * u1 + s22 * u2)
                   for s11, s12, s22 in (shape_operator(m, *n) for n in normals))
@@ -180,14 +182,16 @@ def class_codes_grid(fields, rel: float = REL):
     within the parabolic band the point is an inflection when additionally
     kappa vanishes (||M||^2 band) and M has rank <= 1.  The K band, also
     ||M||^2-relative, gives the type.  The bands and the rank are decided on
-    M scaled to a largest entry in [0.5, 1) by :func:`unit_scaled`.
+    M scaled to a largest entry in [0.5, 1) by :func:`unit_scaled`: for a
+    :class:`LocalInvariants`, its :attr:`~LocalInvariants.scaled` M.
 
     The rank comes from the singular values s1 >= s2 of M: 0 when M = 0,
     1 when s2 <= RANK_RATIO * s1, else 2.  They come in closed form:
     s1^2 + s2^2 = ||M||^2, and by Cauchy-Binet s1^2 s2^2 is the sum of the
     squared 2x2 :func:`~monge4.localgeom.minors` nq0..nq2.
     """
-    m = unit_scaled(fields.a, fields.b, fields.c, fields.e, fields.f, fields.g)
+    m = fields.scaled if isinstance(fields, LocalInvariants) else \
+        unit_scaled(fields.a, fields.b, fields.c, fields.e, fields.f, fields.g)
     nq0, nq1, nq2 = minors(m.a, m.b, m.c, m.e, m.f, m.g)
     det = nq0 * nq0 + nq1 * nq1 + nq2 * nq2
     s1_sq = 0.5 * (m.msq + np.sqrt(np.maximum(m.msq * m.msq - 4.0 * det, 0.0)))

@@ -272,7 +272,11 @@ def _cmd_plot(surface, args, out):
     x, y = _parse_point(args.at, surface)
     inv = local_invariants(surface, x, y)
     ind = conics.indicatrix(inv)
-    # times the 2^k of the scaled M, after clipping in true units
+    # everything times the 2^k of the scaled M, after clipping in true
+    # units: the ellipse and the binormals are then the same for s phi,
+    # s psi at every power of two s, but the characteristic curve, the
+    # polar dual of the ellipse in the unit circle, scales like 1/s^2, and
+    # the clip at 50 times the ellipse's extent keeps it only near s = 1
     ind_pts = conics.sample_indicatrix(ind.scaled, 256)
     char_polys = []
     if not ind.degenerate:

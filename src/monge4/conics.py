@@ -14,8 +14,10 @@ traces it takes the pole of each tangent of the ellipse in closed form, from
 the point eta = II(u, u) and the conjugate radius zeta = II(u, u') along it.
 
 Conics live as homogeneous symmetric 3x3 matrices acting on (X, Y, 1); they
-and the semi-axes are formed on the :func:`~monge4.localgeom.unit_scaled` M
-and taken back by exact powers of two, so none underflows or overflows.
+and the semi-axes are formed on the point's scaled M, the
+:func:`~monge4.localgeom.unit_scaled` M of
+:attr:`~monge4.localgeom.LocalInvariants.scaled`, and taken back by exact
+powers of two, so none underflows or overflows.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 from .errors import (ConicRankError, DegenerateIndicatrixError,
                      PoleAtInfinityError, SingularSystemError,
                      UmbilicPointError)
-from .localgeom import REL, LocalInvariants, bands, unit_scaled
+from .localgeom import REL, LocalInvariants, bands
 
 __all__ = [
     "Indicatrix", "Conic", "CanonicalCoefficients", "semi_axes",
@@ -111,12 +113,12 @@ class Indicatrix:
     semi_axis_major: float
     semi_axis_minor: float
     degenerate: bool          # det A ~ 0: ellipse collapses to a segment
-    scaled: object            # the unit_scaled M it was built from
+    scaled: object            # the point's scaled M, LocalInvariants.scaled
 
 
 def indicatrix(inv: LocalInvariants) -> Indicatrix:
     """The curvature ellipse; degenerate where |kappa| / 2 <= TAU_DEGENERATE ||A||^2."""
-    m = unit_scaled(inv.a, inv.b, inv.c, inv.e, inv.f, inv.g)
+    m = inv.scaled
     s1, s2, _ = semi_axes(m)
     return Indicatrix(
         center=inv.H.copy(),
@@ -161,7 +163,7 @@ def canonical_coefficients(inv: LocalInvariants) -> CanonicalCoefficients:
     atan2(q + r, p - t) (:func:`semi_axes`): the normal frame turned by their
     mean angle makes A diagonal; at a circle it follows H.
     """
-    m = unit_scaled(inv.a, inv.b, inv.c, inv.e, inv.f, inv.g)
+    m = inv.scaled
     s1, s2, gap = semi_axes(m)
     if gap <= TAU_UMBILIC * s1:   # a circle or a point
         hp0, hp1 = math.hypot(m.H3, m.H4), 0.0

@@ -5,11 +5,12 @@ b = n1 e3 + n2 e4 its Hessian on the orthonormal tangent frame is the S_n of
 :func:`~monge4.classify.shape_operator`; det S_n is the height quadratic
 hq0..hq2 of :func:`~monge4.localgeom.height_quadratic`, of discriminant
 -4 Delta, whose zeros are the :func:`~monge4.classify.degenerate_normals`,
-the binormals.  Its bands are the classifier's, on the :func:`unit_scaled`
-M: rank <= 1 within the Delta band of those normals, rank 0 where S
-vanishes within rel ||M||.  For rank 1 the kernel is an asymptotic
-direction, b the paired binormal, and the cubic term of f_b along it,
-against the largest third derivative of f_b, decides fold or cusp.
+the binormals.  Its bands are the classifier's, on the point's scaled M
+(:attr:`~monge4.localgeom.LocalInvariants.scaled`): rank <= 1 within the
+Delta band of those normals, rank 0 where S vanishes within rel ||M||.
+For rank 1 the kernel is an asymptotic direction, b the paired binormal,
+and the cubic term of f_b along it, against the largest third derivative
+of f_b, decides fold or cusp.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .classify import (REL, canonical_direction, degenerate_normals,
                        shape_operator)
 from .errors import CrossCheckError
 from .localgeom import (REL_HEIGHT, LocalInvariants, SurfaceSpec,
-                        height_quadratic, local_invariants, unit_scaled)
+                        height_quadratic, local_invariants)
 
 __all__ = [
     "HeightSingularity", "height_hessian", "degenerate_normals",
@@ -56,13 +57,13 @@ def _height_jet(inv: LocalInvariants, n1: float, n2: float):
 
 
 def _checked(inv: LocalInvariants, n1: float, n2: float):
-    """h of :func:`_height_jet`, the :func:`unit_scaled` M of ``inv``, its
+    """h of :func:`_height_jet`, the scaled M ``inv.scaled``, its
     :func:`~monge4.localgeom.height_quadratic` and the determinant of
     Hess h, checked against W times the height quadratic at n with every
-    term times 2^(2k - 2j), for the 2^k of :func:`unit_scaled` and 2^2j
+    term times 2^(2k - 2j), for the 2^k of that M and 2^2j
     near W, so that none underflows or overflows."""
     h = _height_jet(inv, n1, n2)
-    m = unit_scaled(inv.a, inv.b, inv.c, inv.e, inv.f, inv.g)
+    m = inv.scaled
     j = math.frexp(inv.W)[1] // 2
     hess = np.ldexp([[h.fxx, h.fxy], [h.fxy, h.fyy]], m.k - j)
     # LU on a zero or subnormal pivot sets a flag numpy reports as a warning

@@ -24,6 +24,14 @@ by a power of two, so that no check fails on subnormal values.  The Brioschi for
 through the metric alone) and the Wintgen inequality run only in the
 selfcheck suite.
 
+Every band decision at a point is taken on the :func:`unit_scaled` M,
+which the point forms once, as :attr:`LocalInvariants.scaled`.  On the
+Python floats of a point, :func:`unit_scaled`, :func:`coeff_norm`, the
+live checks and the finiteness test of the fields run on ``math`` and
+builtins, with no numpy scalar call; a grid runs the same formulas and the
+same rows of :data:`CROSS_CHECKS` on arrays.  The path is chosen by input
+type, as :func:`~monge4.jets.eval_jet` chooses its own.
+
 The derivatives of the invariants have one route, :func:`scaled_jets`: the
 same formulas on jets of phi and psi, with M multiplied by the power of two
 of :func:`unit_scaled` that brings its largest entry into [0.5, 1), so that
@@ -34,6 +42,7 @@ take their derivatives from it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -134,6 +143,14 @@ class LocalInvariants:
     jet_phi: Jet
     jet_psi: Jet
 
+    @functools.cached_property
+    def scaled(self):
+        """The :func:`unit_scaled` M of the point, formed once, on which
+        every band decision and every quadratic at the point is taken.  A
+        cached property, not a field: :func:`dataclasses.replace` forms it
+        again for the new coefficients."""
+        return unit_scaled(self.a, self.b, self.c, self.e, self.f, self.g)
+
     @property
     def coeff_matrix(self) -> np.ndarray:
         return np.array([[self.a, self.b, self.c], [self.e, self.f, self.g]])
@@ -144,9 +161,30 @@ class LocalInvariants:
 
 
 def coeff_norm(fields) -> object:
-    """Frobenius norm of the 2x3 coefficient matrix (works on arrays)."""
-    return np.sqrt(fields.a ** 2 + fields.b ** 2 + fields.c ** 2
-                   + fields.e ** 2 + fields.f ** 2 + fields.g ** 2)
+    """Frobenius norm of the 2x3 coefficient matrix: by ``math`` on Python
+    floats, elementwise on arrays."""
+    return sqrt(fields.a ** 2 + fields.b ** 2 + fields.c ** 2
+                + fields.e ** 2 + fields.f ** 2 + fields.g ** 2)
+
+
+def _floats(*values) -> bool:
+    """Whether every value is a Python float: the selection of the
+    ``math`` path, by input type, as in :func:`~monge4.jets.sqrt`."""
+    for v in values:
+        if type(v) is not float:
+            return False
+    return True
+
+
+def _maximum(*values) -> float:
+    """The largest of Python floats, and a nan where one of them is nan,
+    as np.maximum gives it: the builtin max keeps a nan only in first
+    place."""
+    big = max(values)
+    for v in values:
+        if v != v:
+            return v
+    return big
 
 
 def _metric_det(px, py, qx, qy):
@@ -274,18 +312,25 @@ def unit_scaled(a, b, c, e, f, g):
     Multiplying by a power of two is exact in the normal range, so every
     rounding commutes with the scaling and the sign of each invariant
     against its band is the one of the unscaled values; only underflow and
-    overflow go away.  Works elementwise on floats and arrays.
+    overflow go away.  Works elementwise on arrays and, by ``math`` and
+    builtins alone, on Python floats, with the same bits as on 0-d arrays.
+    A point forms it once, as :attr:`LocalInvariants.scaled`.
     """
-    big = np.maximum(np.maximum(np.maximum(abs(a), abs(b)), abs(c)),
-                     np.maximum(np.maximum(abs(e), abs(f)), abs(g)))
+    coeffs = a, b, c, e, f, g
     # ldexp of each entry, not a product with 2^k: for a subnormal largest
     # entry 2^k itself overflows
-    if np.ndim(big):
-        k, ldexp = -np.frexp(big)[1], np.ldexp
+    if _floats(*coeffs):
+        k, ldexp = -math.frexp(_maximum(*map(abs, coeffs)))[1], math.ldexp
     else:
-        k, ldexp = -math.frexp(big)[1], math.ldexp
-    m = second_order(*(ldexp(v, k) for v in (a, b, c, e, f, g)))
-    m.msq = (float(coeff_norm(m)) if np.ndim(big) == 0 else coeff_norm(m)) ** 2
+        big = np.maximum(np.maximum(np.maximum(abs(a), abs(b)), abs(c)),
+                         np.maximum(np.maximum(abs(e), abs(f)), abs(g)))
+        if np.ndim(big):
+            k, ldexp = -np.frexp(big)[1], np.ldexp
+        else:
+            k, ldexp = -math.frexp(big)[1], math.ldexp
+    m = second_order(*(ldexp(v, k) for v in coeffs))
+    # math.ldexp gives Python floats, on which coeff_norm is math's
+    m.msq = coeff_norm(m) ** 2
     m.H3, m.H4 = 0.5 * (m.a + m.c), 0.5 * (m.e + m.g)
     m.k = k
     return m
@@ -334,6 +379,8 @@ def delta_resultant(a, b, c, e, f, g):
 
 def _relative(u, v, scale):
     """Routes u and v with the scale max(|u|, |v|, scale), elementwise."""
+    if _floats(u, v, scale):
+        return u, v, _maximum(abs(u), abs(v), scale)
     return u, v, np.maximum(np.maximum(np.abs(u), np.abs(v)), scale)
 
 
@@ -344,6 +391,12 @@ def _delta_routes(fl, msq):
     times the same power of two."""
     coeffs = fl.a, fl.b, fl.c, fl.e, fl.f, fl.g
     u, v, norm4 = fl.Delta, delta_resultant(*coeffs), msq * msq
+    if type(norm4) is float:
+        if not norm4 >= RESIDUAL_FLOOR:
+            m = unit_scaled(*coeffs)
+            u, v = m.Delta, delta_resultant(m.a, m.b, m.c, m.e, m.f, m.g)
+            norm4 = m.msq * m.msq
+        return _relative(u, v, norm4)
     low = ~(norm4 >= RESIDUAL_FLOOR)
     if np.any(low):
         m = unit_scaled(*coeffs)
@@ -360,7 +413,9 @@ class CrossCheck(NamedTuple):
     and ||M||^2 and returns (u, v, scale); the check holds where
     |u - v| <= rel * scale, or u - v <= rel * scale when ``one_sided``.
     ``name`` is the line selfcheck prints; a ``live`` check also runs at
-    every evaluation and, failed, names itself by ``tag``.
+    every evaluation and, failed, names itself by ``tag``.  On the Python
+    floats of a point, where ``msq`` is one, the routes and their tests
+    run on ``math`` and builtins; the rows are the same for both.
     """
 
     name: str
@@ -373,12 +428,18 @@ class CrossCheck(NamedTuple):
     def finite_routes(self, fields, msq, where=None):
         """``routes``; a route that overflows is an :class:`EvaluationError`
         at the first such point of ``where`` = (x, y), when given."""
+        finite = np.False_
         try:
-            with np.errstate(all="ignore"):
+            if type(msq) is float:   # Python floats warn of nothing
                 u, v, scale = self.routes(fields, msq)
-                finite = np.isfinite(u - v)
+                if math.isfinite(u - v):
+                    return u, v, scale
+            else:
+                with np.errstate(all="ignore"):
+                    u, v, scale = self.routes(fields, msq)
+                    finite = np.isfinite(u - v)
         except OverflowError:  # Python floats raise where arrays give inf
-            finite = np.False_
+            pass
         if not finite.all():
             raise EvaluationError(_OVERFLOW, where and _first_bad(~finite, *where))
         return u, v, scale
@@ -402,20 +463,24 @@ def _raw_derivatives(fl):
     return fl.jet_phi.coeffs[1:6], fl.jet_psi.coeffs[1:6]
 
 
-def _raised_fields(fl, low):
+def _raised_fields(fl, low=None):
     """(fields, phi_d, psi_d): :func:`frame_fields` at the points of ``fl``
-    where ``low`` holds, as flat arrays, and the derivatives it was formed
-    from, with the second derivatives of phi and psi times the power of two
-    2^k that brings the largest of them into [0.5, 1) where they are
-    smaller, and times 1 elsewhere: exact in the normal range, and no
-    product overflows that would not at unit second derivatives."""
-    def at(w):
-        return np.broadcast_to(w, low.shape)[low]
-
-    phi_d, psi_d = (tuple(at(w) for w in d) for d in _raw_derivatives(fl))
-    big = np.max(np.abs(phi_d[2:] + psi_d[2:]), axis=0)
-    k = np.maximum(-np.frexp(big)[1], 0)
-    raised = tuple(d[:2] + tuple(np.ldexp(w, k) for w in d[2:])
+    where ``low`` holds, as flat arrays, or at its one point of Python
+    floats without ``low``, and the derivatives it was formed from, with
+    the second derivatives of phi and psi times the power of two 2^k that
+    brings the largest of them into [0.5, 1) where they are smaller, and
+    times 1 elsewhere: exact in the normal range, and no product overflows
+    that would not at unit second derivatives."""
+    if low is None:
+        phi_d, psi_d = _raw_derivatives(fl)
+        big = _maximum(*map(abs, phi_d[2:] + psi_d[2:]))
+        k, ldexp = max(-math.frexp(big)[1], 0), math.ldexp
+    else:
+        phi_d, psi_d = (tuple(np.broadcast_to(w, low.shape)[low] for w in d)
+                        for d in _raw_derivatives(fl))
+        big = np.max(np.abs(phi_d[2:] + psi_d[2:]), axis=0)
+        k, ldexp = np.maximum(-np.frexp(big)[1], 0), np.ldexp
+    raised = tuple(d[:2] + tuple(ldexp(w, k) for w in d[2:])
                    for d in (phi_d, psi_d))
     return frame_fields(*raised), *raised
 
@@ -428,6 +493,12 @@ def _closed_form_routes(fl, msq, name, closed):
     and the scale are taken on :func:`_raised_fields`, all three times the
     same 2^2k."""
     u, v, scale = getattr(fl, name), closed(fl, *_raw_derivatives(fl)), msq
+    if type(msq) is float:
+        if not msq >= RESIDUAL_FLOOR:
+            s, phi_d, psi_d = _raised_fields(fl)
+            u, v = getattr(s, name), closed(s, phi_d, psi_d)
+            scale = coeff_norm(s) ** 2
+        return _relative(u, v, scale)
     low = ~(msq >= RESIDUAL_FLOOR)
     if low.any():
         s, phi_d, psi_d = _raised_fields(fl, low)
@@ -448,7 +519,7 @@ CROSS_CHECKS = (
                True, _delta_routes),
     CrossCheck("normal-frame Gram identity", "EhGh-Fh^2=W", REL_GRAM, True,
                lambda fl, msq: (fl.Eh * fl.Gh - fl.Fh ** 2, fl.W,
-                                np.abs(fl.W))),
+                                abs(fl.W))),
     CrossCheck("Brioschi vs coefficient curvature", "Brioschi", REL_BRIOSCHI,
                False, lambda fl, msq: _relative(
                    brioschi_field(fl.jet_phi, fl.jet_psi), fl.K, msq)),
@@ -459,13 +530,19 @@ CROSS_CHECKS = (
 
 def _check_pair(name, u, v, rel, scale, where=None):
     """Require |u - v| <= rel * scale (elementwise)."""
-    bad = np.abs(u - v) > rel * scale
-    if np.any(bad):
-        du, dv, *point = _first_bad(bad, u, v, *(where or ()))
-        msg = f"{name} cross-check failed: {du!r} vs {dv!r}"
-        if point:
-            msg += " at point ({!r}, {!r})".format(*point)
-        raise CrossCheckError(msg)
+    if _floats(u, v, scale):
+        if not abs(u - v) > rel * scale:
+            return
+        bad = True
+    else:
+        bad = np.abs(u - v) > rel * scale
+        if not np.any(bad):
+            return
+    du, dv, *point = _first_bad(bad, u, v, *(where or ()))
+    msg = f"{name} cross-check failed: {du!r} vs {dv!r}"
+    if point:
+        msg += " at point ({!r}, {!r})".format(*point)
+    raise CrossCheckError(msg)
 
 
 def check_invariants(fields, where=None):
@@ -482,25 +559,41 @@ def check_invariants(fields, where=None):
             _check_pair(check.tag, u, v, check.rel, scale, where)
 
 
+def _norm4(fl):
+    """||M||^4 of the coefficients of ``fl`` by products, which give inf
+    where it overflows (a power of Python floats raises)."""
+    msq = fl.a * fl.a + fl.b * fl.b + fl.c * fl.c \
+        + fl.e * fl.e + fl.f * fl.f + fl.g * fl.g
+    return msq * msq
+
+
 def _finite_frame_fields(jphi: Jet, jpsi: Jet, x, y):
     """:func:`frame_fields` of two jets at the points (x, y), refusing
     overflow: raises :class:`EvaluationError` at the first point where a
     coefficient, K, kappa, Delta, W or ||M||^4 is not finite."""
+    # the jets of a point hold Python floats, which warn of nothing
+    floats = type(jphi.f) is float and type(jpsi.f) is float
     try:
-        with np.errstate(all="ignore"):
+        if floats:
             fl = frame_fields(_derivatives(jphi), _derivatives(jpsi))
+        else:
+            with np.errstate(all="ignore"):
+                fl = frame_fields(_derivatives(jphi), _derivatives(jpsi))
     except OverflowError:  # Python floats raise where arrays give inf
         raise EvaluationError(_OVERFLOW, (float(x), float(y))) from None
     # an infinite W, which bounds E, G, Eh and Gh, sends the coefficients to
     # 0, not to inf.  A finite ||M||^4, which scales the Delta bands of the
     # cross-checks and of the classifier, bounds a..g, K and kappa.
-    with np.errstate(over="ignore"):
-        msq = fl.a * fl.a + fl.b * fl.b + fl.c * fl.c \
-            + fl.e * fl.e + fl.f * fl.f + fl.g * fl.g
-        bad = ~np.isfinite(fl.W) | ~np.isfinite(msq * msq) \
-            | ~np.isfinite(fl.Delta)
-    if np.any(bad):
-        raise EvaluationError(_OVERFLOW, _first_bad(bad, x, y))
+    if floats:
+        if not (math.isfinite(fl.W) and math.isfinite(_norm4(fl))
+                and math.isfinite(fl.Delta)):
+            raise EvaluationError(_OVERFLOW, (float(x), float(y)))
+    else:
+        with np.errstate(over="ignore"):
+            bad = ~np.isfinite(fl.W) | ~np.isfinite(_norm4(fl)) \
+                | ~np.isfinite(fl.Delta)
+        if np.any(bad):
+            raise EvaluationError(_OVERFLOW, _first_bad(bad, x, y))
     fl.jet_phi = jphi
     fl.jet_psi = jpsi
     return fl

@@ -2,7 +2,7 @@
 and kappa and the minors of M are computed by the passes that check or
 print them, and never by the locus searches.  Nor do the locus searches
 hold the metric or the jets of a tile, or evaluate third derivatives on
-one."""
+one.  A point query forms the scaled M of its point once."""
 
 import sys
 from collections import Counter
@@ -10,26 +10,27 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from monge4 import jets, localgeom, locus
-from monge4.classify import REL, hessian_of_delta
-from monge4.cli import grid_rows, selfcheck_report
+from monge4 import cli, jets, localgeom, locus
+from monge4.classify import REL, degenerate_normals, hessian_of_delta
+from monge4.cli import analyze_record, grid_rows, selfcheck_report
+from monge4.heightfn import classify_height
 from monge4.jets import Jet
 from monge4.localgeom import (grid_axes, invariant_grid, local_invariants,
                               scaled_jets, second_order_grid)
 
-from conftest import benchmark_surfaces, make_trig_surface, random_surfaces
+from conftest import (TRIG_SURFACE, benchmark_surfaces, make_trig_surface,
+                      random_surfaces)
 
 ROUTE_HELPERS = ("K_closed", "kappa_closed", "minors")
 
 
-@pytest.fixture
-def route_calls(monkeypatch):
-    """The number of calls of each helper of :data:`ROUTE_HELPERS` so far,
+def _counted(monkeypatch, names):
+    """The number of calls of each localgeom function of ``names`` so far,
     counted in every monge4 module that holds it."""
-    calls = dict.fromkeys(ROUTE_HELPERS, 0)
+    calls = dict.fromkeys(names, 0)
     modules = [m for n, m in list(sys.modules.items())
                if m is not None and n.startswith("monge4")]
-    for name in ROUTE_HELPERS:
+    for name in names:
         orig = getattr(localgeom, name)
 
         def counting(*args, _name=name, _orig=orig):
@@ -40,6 +41,12 @@ def route_calls(monkeypatch):
             if getattr(module, name, None) is orig:
                 monkeypatch.setattr(module, name, counting)
     return calls
+
+
+@pytest.fixture
+def route_calls(monkeypatch):
+    """The number of calls of each helper of :data:`ROUTE_HELPERS` so far."""
+    return _counted(monkeypatch, ROUTE_HELPERS)
 
 
 LOCUS_SURFACES = benchmark_surfaces("locus-search", 0)
@@ -118,6 +125,36 @@ def test_second_order_grid_holds_only_second_order_fields():
     full = invariant_grid(surface, np.zeros(3), np.ones(3))
     for name, value in vars(fl).items():
         assert np.array_equal(value, getattr(full, name)), name
+
+
+# an elliptic point of the trig surface, and a hyperbolic one, where
+# binormals pairs two degenerate normals with two asymptotic directions
+TRIG_POINTS = ((0.3, 0.2), (-0.3, 0.2))
+
+
+@pytest.mark.parametrize("x, y", TRIG_POINTS)
+def test_point_queries_form_one_scaled_m(monkeypatch, tmp_path, x, y):
+    """One unit_scaled per analyze record, per plot and per height query,
+    read by every consumer of the point through LocalInvariants.scaled."""
+    calls = _counted(monkeypatch, ("unit_scaled",))
+    surface = make_trig_surface()
+    analyze_record(surface, x, y, REL)
+    assert calls == {"unit_scaled": 1}
+
+    path = tmp_path / "trig.surf"
+    path.write_text("phi = {}\npsi = {}\ndomain = -1 1 -1 1\n".format(
+        *TRIG_SURFACE), encoding="utf-8")
+    calls["unit_scaled"] = 0
+    assert cli.run(["plot", "--surface", str(path), f"--at={x!r},{y!r}",
+                    "--out", str(tmp_path / "plot.svg")]) == 0
+    assert calls == {"unit_scaled": 1}
+
+    normals = degenerate_normals(local_invariants(surface, x, y)) \
+        or [np.array([1.0, 0.0])]
+    for n in normals:
+        calls["unit_scaled"] = 0
+        classify_height(surface, x, y, n)
+        assert calls == {"unit_scaled": 1}
 
 
 @pytest.fixture
