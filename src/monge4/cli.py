@@ -302,9 +302,10 @@ def selfcheck_report(surface: SurfaceSpec, res: int):
     """Every check of :data:`~monge4.localgeom.CROSS_CHECKS` over the grid.
 
     Returns (all_passed, list of (name, passed, worst) lines), where worst is
-    the largest deviation minus its bound.  The grid is checked tile by
-    tile (:func:`~monge4.localgeom.grid_tiles`); a check passes when it
-    passes on every tile, and its worst margin is the largest of the tiles'.
+    the largest :meth:`~monge4.localgeom.CrossCheck.margin`, deviation minus
+    bound, which passes where <= 0.  The grid is checked tile by tile
+    (:func:`~monge4.localgeom.grid_tiles`); a check passes when it passes on
+    every tile, and its worst margin is the largest of the tiles'.
     """
     passed = np.ones(len(CROSS_CHECKS), dtype=bool)
     worst = np.full(len(CROSS_CHECKS), -np.inf)
@@ -312,10 +313,9 @@ def selfcheck_report(surface: SurfaceSpec, res: int):
         fields = invariant_grid(surface, *where, order=3)
         msq = coeff_norm(fields) ** 2
         for n, check in enumerate(CROSS_CHECKS):
-            deviation, scale = check.margins(fields, msq, where)
-            bound = check.rel * scale
-            passed[n] &= np.all(deviation <= bound)
-            worst[n] = np.maximum(worst[n], np.max(deviation - bound))
+            margin = check.margin(fields, msq, where)[0]
+            passed[n] &= np.all(margin <= 0.0)
+            worst[n] = np.maximum(worst[n], np.max(margin))
     checks = [(check.name, bool(p), float(w))
               for check, p, w in zip(CROSS_CHECKS, passed, worst)]
     return all(p for _, p, _ in checks), checks

@@ -12,17 +12,21 @@ independent closed form in the raw derivatives of phi and psi
 (:func:`K_closed`, :func:`kappa_closed`), the Bezout form of the resultant
 re-derives Delta (:func:`delta_resultant`), and the hat metric re-derives
 W; these four are the live checks of :func:`check_invariants`, which every
-:func:`local_invariants` and the grid subcommand run.  Each check forms its
-second route itself, from the derivatives and coefficients the fields
-hold, so a pass that runs no check, such as the locus searches, never
-forms one; those searches keep of a grid only a..g, K, kappa and Delta
-(:func:`second_order_grid`).  Where ||M||^4 is below
-:data:`RESIDUAL_FLOOR`, the Delta check compares its routes on the
-:func:`unit_scaled` M, and where ||M||^2 is below it, the K and kappa
-checks compare theirs with the second derivatives of phi and psi raised
-by a power of two, so that no check fails on subnormal values.  The Brioschi formula (a third route to K
-through the metric alone) and the Wintgen inequality run only in the
-selfcheck suite.
+:func:`local_invariants` and the grid subcommand run.  The Brioschi formula
+(a third route to K through the metric alone) and the Wintgen inequality
+run only in the selfcheck suite.  Each check forms its second route
+itself, from the derivatives and coefficients the fields hold, so a pass
+that runs no check, such as the locus searches, never forms one; those
+searches keep of a grid only a..g, K, kappa and Delta
+(:func:`second_order_grid`).  Every reader of the registry takes its
+verdict from one number per point, :meth:`CrossCheck.margin`: |u - v|
+less the bound rel * scale, which holds where it is <= 0.
+
+One rule, :func:`below_floor`, forms a value again times a power of two
+where ||M||^4 or ||M||^2 is below :data:`RESIDUAL_FLOOR` and its terms
+would be subnormal: the routes of the Delta check and the seed residual of
+:mod:`~monge4.locus` on the :func:`unit_scaled` M, those of the K and
+kappa checks on raised second derivatives of phi and psi.
 
 Every band decision at a point is taken on the :func:`unit_scaled` M,
 which the point forms once, as :attr:`LocalInvariants.scaled`.  On the
@@ -61,6 +65,7 @@ __all__ = [
     "K_closed", "kappa_closed", "unit_scaled", "scaled_jets",
     "invariant_grid", "second_order_grid", "check_invariants",
     "coeff_norm", "grid_axes", "grid_tiles", "TILE_POINTS", "REL", "bands",
+    "below_floor",
 ]
 
 # the classifier's scale-relative band for Delta, kappa and K
@@ -163,8 +168,9 @@ class LocalInvariants:
 def coeff_norm(fields) -> object:
     """Frobenius norm of the 2x3 coefficient matrix: by ``math`` on Python
     floats, elementwise on arrays."""
-    return sqrt(fields.a ** 2 + fields.b ** 2 + fields.c ** 2
-                + fields.e ** 2 + fields.f ** 2 + fields.g ** 2)
+    return sqrt(fields.a * fields.a + fields.b * fields.b
+                + fields.c * fields.c + fields.e * fields.e
+                + fields.f * fields.f + fields.g * fields.g)
 
 
 def _floats(*values) -> bool:
@@ -185,6 +191,11 @@ def _maximum(*values) -> float:
         if v != v:
             return v
     return big
+
+
+def _anywhere(bad) -> bool:
+    """Whether a test holds: a Python bool at a point, a mask anywhere."""
+    return bad is True or bad is not False and bool(bad.any())
 
 
 def _metric_det(px, py, qx, qy):
@@ -290,7 +301,7 @@ def second_order(a, b, c, e, f, g):
     return SimpleNamespace(
         a=a, b=b, c=c, e=e, f=f, g=g,
         K=hq0 + hq2, kappa=(a - c) * f - (e - g) * b,
-        Delta=hq0 * hq2 - 0.25 * hq1 ** 2)
+        Delta=hq0 * hq2 - 0.25 * (hq1 * hq1))
 
 
 def _derivatives(jet: Jet, order: int = 0):
@@ -324,13 +335,10 @@ def unit_scaled(a, b, c, e, f, g):
     else:
         big = np.maximum(np.maximum(np.maximum(abs(a), abs(b)), abs(c)),
                          np.maximum(np.maximum(abs(e), abs(f)), abs(g)))
-        if np.ndim(big):
-            k, ldexp = -np.frexp(big)[1], np.ldexp
-        else:
-            k, ldexp = -math.frexp(big)[1], math.ldexp
+        k, ldexp = -np.frexp(big)[1], np.ldexp
     m = second_order(*(ldexp(v, k) for v in coeffs))
-    # math.ldexp gives Python floats, on which coeff_norm is math's
-    m.msq = coeff_norm(m) ** 2
+    norm = coeff_norm(m)
+    m.msq = norm * norm
     m.H3, m.H4 = 0.5 * (m.a + m.c), 0.5 * (m.e + m.g)
     m.k = k
     return m
@@ -374,7 +382,7 @@ def delta_resultant(a, b, c, e, f, g):
     Elementwise on floats and arrays.
     """
     nq0, nq1, nq2 = minors(a, b, c, e, f, g)
-    return nq0 * nq2 - 0.25 * nq1 ** 2
+    return nq0 * nq2 - 0.25 * (nq1 * nq1)
 
 
 def _relative(u, v, scale):
@@ -384,38 +392,51 @@ def _relative(u, v, scale):
     return u, v, np.maximum(np.maximum(np.abs(u), np.abs(v)), scale)
 
 
+def below_floor(test, values, recompute):
+    """``values``, formed again by ``recompute(at)`` where ``test``
+    (||M||^4 or ||M||^2) is below RESIDUAL_FLOOR or nan.  ``at`` picks each
+    input there: the identity on the Python floats of a point; on arrays,
+    the flat array at the points of that mask, and the values come back as
+    arrays of its shape."""
+    if type(test) is float:
+        return values if test >= RESIDUAL_FLOOR else recompute(lambda w: w)
+    low = ~(test >= RESIDUAL_FLOOR)
+    if not low.any():
+        return values
+    values = tuple(np.array(np.broadcast_to(w, low.shape), dtype=float)
+                   for w in values)
+    for w, new in zip(values, recompute(
+            lambda w: np.broadcast_to(w, low.shape)[low])):
+        w[low] = new
+    return values
+
+
 def _delta_routes(fl, msq):
-    """The expanded Delta and the Bezout form with the scale ||M||^4, where
-    that is at least RESIDUAL_FLOOR; below it, where Delta underflows, both
-    routes and the scale are taken on the :func:`unit_scaled` M, all three
-    times the same power of two."""
+    """The expanded Delta and the Bezout form with the scale ||M||^4, all
+    three taken on the :func:`unit_scaled` M, so times the same power of
+    two, where ||M||^4 is below the floor and Delta underflows."""
     coeffs = fl.a, fl.b, fl.c, fl.e, fl.f, fl.g
-    u, v, norm4 = fl.Delta, delta_resultant(*coeffs), msq * msq
-    if type(norm4) is float:
-        if not norm4 >= RESIDUAL_FLOOR:
-            m = unit_scaled(*coeffs)
-            u, v = m.Delta, delta_resultant(m.a, m.b, m.c, m.e, m.f, m.g)
-            norm4 = m.msq * m.msq
-        return _relative(u, v, norm4)
-    low = ~(norm4 >= RESIDUAL_FLOOR)
-    if np.any(low):
-        m = unit_scaled(*coeffs)
-        u = np.where(low, m.Delta, u)
-        v = np.where(low, delta_resultant(m.a, m.b, m.c, m.e, m.f, m.g), v)
-        norm4 = np.where(low, m.msq * m.msq, norm4)
-    return _relative(u, v, norm4)
+
+    def scaled(at):
+        m = unit_scaled(*map(at, coeffs))
+        return m.Delta, delta_resultant(m.a, m.b, m.c, m.e, m.f, m.g), \
+            m.msq * m.msq
+
+    norm4 = msq * msq
+    return _relative(*below_floor(
+        norm4, (fl.Delta, delta_resultant(*coeffs), norm4), scaled))
 
 
 class CrossCheck(NamedTuple):
     """One comparison of redundant formula routes.
 
     ``routes(fields, msq)`` takes the namespace of :func:`invariant_grid`
-    and ||M||^2 and returns (u, v, scale); the check holds where
-    |u - v| <= rel * scale, or u - v <= rel * scale when ``one_sided``.
-    ``name`` is the line selfcheck prints; a ``live`` check also runs at
-    every evaluation and, failed, names itself by ``tag``.  On the Python
-    floats of a point, where ``msq`` is one, the routes and their tests
-    run on ``math`` and builtins; the rows are the same for both.
+    and ||M||^2 and returns (u, v, scale), of which :meth:`margin` forms
+    the one number every reader decides on.  ``name`` is the line
+    selfcheck prints; a ``live`` check also runs at every evaluation and,
+    failed, names itself by ``tag``.  On the Python floats of a point,
+    where ``msq`` is one, the routes and the margin run on ``math`` and
+    builtins; the rows are the same for both.
     """
 
     name: str
@@ -425,29 +446,29 @@ class CrossCheck(NamedTuple):
     routes: Callable
     one_sided: bool = False
 
-    def finite_routes(self, fields, msq, where=None):
-        """``routes``; a route that overflows is an :class:`EvaluationError`
-        at the first such point of ``where`` = (x, y), when given."""
-        finite = np.False_
+    def margin(self, fields, msq, where=None):
+        """(margin, u, v): |u - v| - rel * scale of the routes, or
+        u - v - rel * scale when ``one_sided``, elementwise.  The check
+        holds where margin <= 0, which is |u - v| <= rel * scale: gradual
+        underflow keeps the difference of two distinct doubles nonzero.
+        Where u - v is not finite, an :class:`EvaluationError` at the first
+        such point of ``where`` = (x, y), when given."""
         try:
             if type(msq) is float:   # Python floats warn of nothing
                 u, v, scale = self.routes(fields, msq)
-                if math.isfinite(u - v):
-                    return u, v, scale
+                dev = u - v if self.one_sided else abs(u - v)
+                margin, bad = dev - self.rel * scale, not math.isfinite(dev)
             else:
                 with np.errstate(all="ignore"):
                     u, v, scale = self.routes(fields, msq)
-                    finite = np.isfinite(u - v)
+                    dev = u - v if self.one_sided else abs(u - v)
+                    margin = dev - self.rel * scale
+                bad = ~np.isfinite(dev)
         except OverflowError:  # Python floats raise where arrays give inf
-            pass
-        if not finite.all():
-            raise EvaluationError(_OVERFLOW, where and _first_bad(~finite, *where))
-        return u, v, scale
-
-    def margins(self, fields, msq, where=None):
-        """(deviation, scale): the check holds where deviation <= rel * scale."""
-        u, v, scale = self.finite_routes(fields, msq, where)
-        return (u - v if self.one_sided else np.abs(u - v)), scale
+            bad = True
+        if _anywhere(bad):
+            raise EvaluationError(_OVERFLOW, where and _first_bad(bad, *where))
+        return margin, u, v
 
 
 def _wintgen_routes(fl, msq):
@@ -463,50 +484,33 @@ def _raw_derivatives(fl):
     return fl.jet_phi.coeffs[1:6], fl.jet_psi.coeffs[1:6]
 
 
-def _raised_fields(fl, low=None):
-    """(fields, phi_d, psi_d): :func:`frame_fields` at the points of ``fl``
-    where ``low`` holds, as flat arrays, or at its one point of Python
-    floats without ``low``, and the derivatives it was formed from, with
-    the second derivatives of phi and psi times the power of two 2^k that
-    brings the largest of them into [0.5, 1) where they are smaller, and
-    times 1 elsewhere: exact in the normal range, and no product overflows
-    that would not at unit second derivatives."""
-    if low is None:
-        phi_d, psi_d = _raw_derivatives(fl)
-        big = _maximum(*map(abs, phi_d[2:] + psi_d[2:]))
-        k, ldexp = max(-math.frexp(big)[1], 0), math.ldexp
-    else:
-        phi_d, psi_d = (tuple(np.broadcast_to(w, low.shape)[low] for w in d)
-                        for d in _raw_derivatives(fl))
-        big = np.max(np.abs(phi_d[2:] + psi_d[2:]), axis=0)
-        k, ldexp = np.maximum(-np.frexp(big)[1], 0), np.ldexp
-    raised = tuple(d[:2] + tuple(ldexp(w, k) for w in d[2:])
-                   for d in (phi_d, psi_d))
-    return frame_fields(*raised), *raised
-
-
 def _closed_form_routes(fl, msq, name, closed):
     """Routes of the check of K or kappa (``name``) against its closed form
-    ``closed``, formed here from the derivatives the fields hold: both with
-    the scale ||M||^2 where that is at least RESIDUAL_FLOOR; below it, where
-    their products of second derivatives may turn subnormal, both routes
-    and the scale are taken on :func:`_raised_fields`, all three times the
-    same 2^2k."""
-    u, v, scale = getattr(fl, name), closed(fl, *_raw_derivatives(fl)), msq
-    if type(msq) is float:
-        if not msq >= RESIDUAL_FLOOR:
-            s, phi_d, psi_d = _raised_fields(fl)
-            u, v = getattr(s, name), closed(s, phi_d, psi_d)
-            scale = coeff_norm(s) ** 2
-        return _relative(u, v, scale)
-    low = ~(msq >= RESIDUAL_FLOOR)
-    if low.any():
-        s, phi_d, psi_d = _raised_fields(fl, low)
-        u, v, scale = (np.array(np.broadcast_to(w, low.shape), dtype=float)
-                       for w in (u, v, scale))
-        u[low], v[low] = getattr(s, name), closed(s, phi_d, psi_d)
-        scale[low] = coeff_norm(s) ** 2
-    return _relative(u, v, scale)
+    ``closed``, from the derivatives the fields hold, with the scale
+    ||M||^2.  Below the floor all three are formed again on the second
+    derivatives of phi and psi times the power of two 2^k that brings the
+    largest into [0.5, 1) where smaller, and times 1 elsewhere: exact in
+    the normal range, so all three come out times 2^2k, and no product
+    overflows that would not at unit second derivatives."""
+    derivatives = _raw_derivatives(fl)
+
+    def raised(at):
+        phi_d, psi_d = (tuple(map(at, d)) for d in derivatives)
+        second = phi_d[2:] + psi_d[2:]
+        if type(msq) is float:
+            big = _maximum(*map(abs, second))
+            k, ldexp = max(-math.frexp(big)[1], 0), math.ldexp
+        else:
+            big = np.max(np.abs(second), axis=0)
+            k, ldexp = np.maximum(-np.frexp(big)[1], 0), np.ldexp
+        phi_d, psi_d = (d[:2] + tuple(ldexp(w, k) for w in d[2:])
+                        for d in (phi_d, psi_d))
+        s = frame_fields(phi_d, psi_d)
+        norm = coeff_norm(s)
+        return getattr(s, name), closed(s, phi_d, psi_d), norm * norm
+
+    return _relative(*below_floor(
+        msq, (getattr(fl, name), closed(fl, *derivatives), msq), raised))
 
 
 CROSS_CHECKS = (
@@ -518,7 +522,7 @@ CROSS_CHECKS = (
     CrossCheck("Delta expansion vs resultant determinant", "Delta", REL_DELTA,
                True, _delta_routes),
     CrossCheck("normal-frame Gram identity", "EhGh-Fh^2=W", REL_GRAM, True,
-               lambda fl, msq: (fl.Eh * fl.Gh - fl.Fh ** 2, fl.W,
+               lambda fl, msq: (fl.Eh * fl.Gh - fl.Fh * fl.Fh, fl.W,
                                 abs(fl.W))),
     CrossCheck("Brioschi vs coefficient curvature", "Brioschi", REL_BRIOSCHI,
                False, lambda fl, msq: _relative(
@@ -528,35 +532,25 @@ CROSS_CHECKS = (
 )
 
 
-def _check_pair(name, u, v, rel, scale, where=None):
-    """Require |u - v| <= rel * scale (elementwise)."""
-    if _floats(u, v, scale):
-        if not abs(u - v) > rel * scale:
-            return
-        bad = True
-    else:
-        bad = np.abs(u - v) > rel * scale
-        if not np.any(bad):
-            return
-    du, dv, *point = _first_bad(bad, u, v, *(where or ()))
-    msg = f"{name} cross-check failed: {du!r} vs {dv!r}"
-    if point:
-        msg += " at point ({!r}, {!r})".format(*point)
-    raise CrossCheckError(msg)
-
-
 def check_invariants(fields, where=None):
     """The live checks of :data:`CROSS_CHECKS` on the namespace of
     :func:`invariant_grid`, whose jets give the closed forms of K and kappa
-    their derivatives: a disagreement between redundant formula routes is a
+    their derivatives: a check whose margin is above 0 is a
     :class:`CrossCheckError` (an overflowing route an
     :class:`EvaluationError`), which names the first failing point of
     ``where`` = (x, y), when given (any shapes that broadcast)."""
-    msq = coeff_norm(fields) ** 2
+    norm = coeff_norm(fields)
+    msq = norm * norm
     for check in CROSS_CHECKS:
         if check.live:
-            u, v, scale = check.finite_routes(fields, msq, where)
-            _check_pair(check.tag, u, v, check.rel, scale, where)
+            margin, u, v = check.margin(fields, msq, where)
+            bad = margin > 0.0
+            if _anywhere(bad):
+                du, dv, *point = _first_bad(bad, u, v, *(where or ()))
+                msg = f"{check.tag} cross-check failed: {du!r} vs {dv!r}"
+                if point:
+                    msg += " at point ({!r}, {!r})".format(*point)
+                raise CrossCheckError(msg)
 
 
 def _norm4(fl):

@@ -31,7 +31,7 @@ import numpy as np
 from .classify import REL, class_labels_grid, hessian_of_delta
 from .errors import SeedCapWarning
 from .jets import Jet, eval_jet
-from .localgeom import (RESIDUAL_FLOOR, SurfaceSpec, coeff_norm, grid_axes,
+from .localgeom import (SurfaceSpec, below_floor, coeff_norm, grid_axes,
                         grid_tiles, local_invariants, scaled_jets,
                         second_order_grid, unit_scaled)
 
@@ -96,24 +96,26 @@ def _checked_axes(surface: SurfaceSpec, resolution: int):
     return grid_axes(surface, resolution)
 
 
-def _residual_field(fields, coeffs):
+def _residual_field(fields):
     """|Delta|/||M||^4 + |kappa|/||M||^2 on the grid of ``fields``, 0 where
     M = 0 (Delta and kappa vanish there too).
 
     A ratio of values scaled by the same power of two, so it is taken on
-    the unscaled fields where ||M||^4 is at least RESIDUAL_FLOOR, above
-    which every term of Delta that matters to rounding is a normal float,
-    and on M scaled by the power of two of :func:`unit_scaled` elsewhere,
-    where Delta underflows."""
-    msq = coeff_norm(fields) ** 2
-    with np.errstate(invalid="ignore", divide="ignore"):
-        field = np.abs(fields.Delta) / (msq * msq) + np.abs(fields.kappa) / msq
-    low = ~(msq * msq >= RESIDUAL_FLOOR)
-    if low.any():
-        m = unit_scaled(*(c[low] for c in coeffs))
+    the unscaled fields where ||M||^4 is above the floor of
+    :func:`~monge4.localgeom.below_floor`, above which every term of Delta
+    that matters to rounding is a normal float, and on M scaled by the
+    power of two of :func:`unit_scaled` below it, where Delta underflows."""
+    def scaled(at):
+        m = unit_scaled(*map(at, (fields.a, fields.b, fields.c, fields.e,
+                                  fields.f, fields.g)))
         msq = np.where(m.msq > 0.0, m.msq, 1.0)
-        field[low] = np.abs(m.Delta) / (msq * msq) + np.abs(m.kappa) / msq
-    return field
+        return np.abs(m.Delta) / (msq * msq) + np.abs(m.kappa) / msq,
+
+    msq = coeff_norm(fields) ** 2
+    norm4 = msq * msq
+    with np.errstate(invalid="ignore", divide="ignore"):
+        field = np.abs(fields.Delta) / norm4 + np.abs(fields.kappa) / msq
+    return below_floor(norm4, (field,), scaled)[0]
 
 
 def _refine_edges(surface: SurfaceSpec, ax, ay, bx, by, da, db):
@@ -469,8 +471,7 @@ def _seed_tiles(surface: SurfaceSpec, resolution: int, rho: float):
     last_i = 0
     for rows, where in grid_tiles(surface, resolution):
         fields = second_order_grid(surface, *where)
-        coeffs = (fields.a, fields.b, fields.c, fields.e, fields.f, fields.g)
-        resid = _residual_field(fields, coeffs)
+        resid = _residual_field(fields)
         kept = _at_most_row(last_resid, last_j, resid[0])
         yield last_i * resolution + last_j[kept], last_resid[kept]
 

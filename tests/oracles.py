@@ -871,14 +871,21 @@ def grid_rows_reference(surface, res, rel):
 
 def selfcheck_report_reference(surface, res):
     """(all_passed, [(name, passed, worst)]) of every cross-check from one
-    whole-grid evaluation."""
+    whole-grid evaluation, with the deviation and the bound taken from each
+    check's routes here, not from ``CrossCheck.margin``."""
     xs, ys = grid_axes(surface, res)
     where = (xs[:, None], ys[None, :])
     fields = invariant_grid(surface, *where, order=3)
     msq = coeff_norm(fields) ** 2
     checks = []
     for check in CROSS_CHECKS:
-        deviation, scale = check.margins(fields, msq, where)
+        with np.errstate(all="ignore"):
+            u, v, scale = check.routes(fields, msq)
+        bad = ~np.isfinite(u - v)
+        if bad.any():
+            raise EvaluationError("non-finite invariants (overflow)",
+                                  jets._first_bad(bad, *where))
+        deviation = u - v if check.one_sided else np.abs(u - v)
         bound = check.rel * scale
         checks.append((check.name, bool(np.all(deviation <= bound)),
                        float(np.max(deviation - bound))))
@@ -1014,8 +1021,7 @@ def find_inflections_reference(surface, res, rel=cls.REL):
     fails at the grid's first point where a third derivative overflows,
     where the search names the first such minimum, or succeeds."""
     xs, ys, fields = _whole_grid(surface, res, 3)
-    coeffs = (fields.a, fields.b, fields.c, fields.e, fields.f, fields.g)
-    resid_field = locus._residual_field(fields, coeffs)
+    resid_field = locus._residual_field(fields)
     padded = np.full((res + 2, res + 2), np.inf)
     padded[1:-1, 1:-1] = resid_field
     is_min = np.ones_like(resid_field, dtype=bool)

@@ -6,7 +6,8 @@ runs the same formulas on arrays.  At every point of the corpus both pass,
 or both raise the same class with the same message, also with the bound
 of any one row of ``CROSS_CHECKS`` at 0, where a check fails wherever its
 routes differ in the last bit.  ``unit_scaled`` gives the same bits on
-floats as on 0-d arrays."""
+floats as on 0-d arrays, and the formulas of M the same bits on floats as
+on arrays."""
 
 import math
 import struct
@@ -16,8 +17,9 @@ import pytest
 
 from monge4 import localgeom, surface_from_strings
 from monge4.errors import Monge4Error
-from monge4.localgeom import (check_invariants, invariant_grid,
-                              local_invariants, unit_scaled)
+from monge4.localgeom import (check_invariants, coeff_norm, delta_resultant,
+                              invariant_grid, local_invariants, second_order,
+                              unit_scaled)
 
 from conftest import TRIG_SURFACE, gallery_surfaces, random_surfaces
 
@@ -150,3 +152,22 @@ def test_unit_scaled_floats_match_0d_arrays(entries):
     with np.errstate(all="ignore"):
         on_arrays = unit_scaled(*map(np.array, entries))
     assert _bits(unit_scaled(*entries)) == _bits(on_arrays)
+
+
+def test_squares_are_products_on_both_paths():
+    """A square is a product on Python floats as on arrays: x ** 2 of a
+    Python float is libm's pow, which rounds 0.687611213910762 ** 2
+    otherwise than x * x, and numpy's square of an array does not."""
+    a = 0.687611213910762
+    assert a ** 2 != a * a
+    entries = (a, 0.0, 0.0, 0.0, 0.0, 1.0)
+    on_arrays = [np.array([v]) for v in entries]
+    m, m1 = second_order(*entries), second_order(*on_arrays)
+    s, s1 = unit_scaled(*entries), unit_scaled(*on_arrays)
+    pairs = [(m.Delta, m1.Delta), (coeff_norm(m), coeff_norm(m1)),
+             (delta_resultant(*entries), delta_resultant(*on_arrays))]
+    pairs += [(getattr(s, name), getattr(s1, name))
+              for name in ("Delta", "kappa", "K", "msq", "H3", "H4")]
+    for u, v in pairs:
+        assert type(u) is float
+        assert struct.pack("<d", u) == struct.pack("<d", float(v[0]))

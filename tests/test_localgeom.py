@@ -2,6 +2,7 @@
 independent Gram-Schmidt/finite-difference oracle."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -216,8 +217,7 @@ def test_delta_check_catches_a_sign_error():
     fl.Delta = (fl.a * fl.c - fl.b ** 2) * (fl.e * fl.g - fl.f ** 2) + square
     msq = coeff_norm(fl) ** 2
     check = next(c for c in localgeom.CROSS_CHECKS if c.tag == "Delta")
-    deviation, scale = check.margins(fl, msq)
-    caught = deviation > check.rel * scale
+    caught = check.margin(fl, msq)[0] > 0
     assert np.all(caught[square > 1e-8 * msq * msq])
     assert caught.mean() > 0.99
     with pytest.raises(CrossCheckError, match="^Delta cross-check failed"):
@@ -339,20 +339,62 @@ def test_failed_cross_check_raises(surfaces, monkeypatch):
                               f"({float(xs[i])!r}, {float(ys[j])!r})")
 
 
-def test_cross_check_message_prints_plain_floats():
+def _k_fields(K, pxx):
+    """Fields of M = [[1, 0, 0], [0, 0, 0]] and the unit metric whose K is
+    ``K`` and whose closed form of K is ``pxx`` (phi_yy = 1, and the other
+    derivatives of phi and psi 0), all of the type of ``K``."""
+    zero = 0.0 * K
+    one = zero + 1.0
+    jet_phi = SimpleNamespace(coeffs=(zero, zero, zero, pxx, zero, one))
+    jet_psi = SimpleNamespace(coeffs=(zero,) * 6)
+    return SimpleNamespace(a=one, b=zero, c=zero, e=zero, f=zero, g=zero,
+                           E=one, F=zero, G=one, W=one, Eh=one, Fh=zero,
+                           Gh=one, K=K, kappa=zero, Delta=zero,
+                           jet_phi=jet_phi, jet_psi=jet_psi)
+
+
+def test_cross_check_message_prints_plain_floats(monkeypatch):
     """The values and the point of a failed check print as Python floats,
-    not as numpy scalars, from array inputs of any shape."""
+    not as numpy scalars, from 2-D array fields and at a point: the K
+    check, with its bound at 0, fails wherever its routes differ."""
+    k_check, *others = localgeom.CROSS_CHECKS
+    monkeypatch.setattr(localgeom, "CROSS_CHECKS",
+                        (k_check._replace(rel=0.0), *others))
     u = np.array([[1.0, 2.0], [3.0, 5091454.0664]])
     v = np.array([[1.0, 2.0], [3.0, 5091454.067871094]])
     where = (np.array([[0.0, 0.0], [0.3, 0.3]]), np.array([[0.0, 0.2], [0.0, 0.2]]))
     with pytest.raises(CrossCheckError) as err:
-        localgeom._check_pair("W", u, v, 1e-12, np.abs(v), where)
-    assert str(err.value) == ("W cross-check failed: 5091454.0664 vs "
+        localgeom.check_invariants(_k_fields(u, v), where)
+    assert str(err.value) == ("K cross-check failed: 5091454.0664 vs "
                               "5091454.067871094 at point (0.3, 0.2)")
     with pytest.raises(CrossCheckError) as err:
-        localgeom._check_pair("K", np.float64(1.0), np.float64(2.0), 1e-9,
-                              1.0)
+        localgeom.check_invariants(_k_fields(1.0, 2.0))
     assert str(err.value) == "K cross-check failed: 1.0 vs 2.0"
+
+
+@settings(max_examples=2000, deadline=None)
+@given(u=st.floats(allow_nan=False, allow_infinity=False),
+       v=st.floats(allow_nan=False, allow_infinity=False),
+       scale=st.floats(min_value=0.0, allow_infinity=False),
+       rel=st.sampled_from([0.0, 1e-10, 1e-9, 1e-8]),
+       one_sided=st.booleans())
+def test_margin_sign_is_the_comparison(u, v, scale, rel, one_sided):
+    """For finite doubles, subnormals included, a margin above 0 is the
+    deviation above the bound: gradual underflow keeps the difference of
+    two distinct doubles nonzero.  Where u - v overflows, margin raises."""
+    check = localgeom.CrossCheck("t", "t", rel, True,
+                                 lambda fl, msq: (u, v, scale), one_sided)
+    deviation = u - v if one_sided else abs(u - v)
+    if not math.isfinite(u - v):
+        with pytest.raises(EvaluationError):
+            check.margin(None, 1.0)
+        return
+    assert (deviation - rel * scale > 0) == (deviation > rel * scale)
+    assert (check.margin(None, 1.0)[0] > 0) == (deviation > rel * scale)
+    on_arrays = check._replace(routes=lambda fl, msq: (
+        np.array([u]), np.array([v]), np.array([scale])))
+    assert (on_arrays.margin(None, np.ones(1))[0] > 0).tolist() == \
+        [deviation > rel * scale]
 
 
 def test_scaled_jet_gradients_match_fd(surfaces):

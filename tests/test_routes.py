@@ -211,7 +211,7 @@ def test_seed_pass_evaluates_third_order_at_minima_only(jet_calls,
 
     xs, ys = grid_axes(surface, JET_RES)
     fl = invariant_grid(surface, xs[:, None], ys[None, :])
-    resid = locus._residual_field(fl, (fl.a, fl.b, fl.c, fl.e, fl.f, fl.g))
+    resid = locus._residual_field(fl)
     expected = []
     above = np.full(JET_RES, np.inf)
     for start in range(0, JET_RES, TILE_ROWS):
