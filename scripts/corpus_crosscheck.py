@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Worst-case deviations between the redundant formula routes over a random
 surface corpus.  Prints one row per check of ``localgeom.CROSS_CHECKS`` with
-the largest deviation seen relative to the check's scale, taken from its
-routes, and PASS where its margin (``CrossCheck.margin``) is <= 0 at every
-point, as selfcheck and the live checks decide; exits nonzero if any bound
-is violated.
+the largest deviation seen relative to the check's scale and PASS where its
+margin is <= 0 at every point, as selfcheck and the live checks decide, both
+from one ``CrossCheck.margin`` call per surface; exits nonzero if any bound is
+violated.
 
 Usage:
     python scripts/corpus_crosscheck.py [n_surfaces] [points_per_surface] [seed]
@@ -36,9 +36,8 @@ def main():
         fl = invariant_grid(surface, pts[:, 0], pts[:, 1], order=3)
         msq = coeff_norm(fl) ** 2
         for check in CROSS_CHECKS:
-            held[check.name] &= bool(np.all(check.margin(fl, msq)[0] <= 0.0))
-            with np.errstate(all="ignore"):
-                u, v, scale = check.routes(fl, msq)
+            margin, u, v, scale = check.margin(fl, msq)
+            held[check.name] &= bool(np.all(margin <= 0.0))
             deviation = u - v if check.one_sided else np.abs(u - v)
             worst[check.name] = max(worst[check.name],
                                     float(np.max(deviation / scale)))

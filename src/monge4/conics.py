@@ -408,61 +408,46 @@ def sample_indicatrix(inv: LocalInvariants, n: int = 256) -> np.ndarray:
     return np.column_stack(_second_form(inv, np.cos(thetas), np.sin(thetas)))
 
 
-def _median(values: np.ndarray):
-    """``np.median`` of a 1-D array, bit for bit, without its NaN check,
-    which imports numpy.ma (1.25 MB); np.sort puts NaN last, and the mean
-    of the middle values starts from 0.0 as numpy's sum does."""
-    s = np.sort(values)
-    m = len(s) // 2
-    if np.isnan(s[-1]):
-        return s[-1]
-    return 0.0 + s[m] if len(s) % 2 else (0.0 + s[m - 1] + s[m]) / 2.0
-
-
-def _runs(mask: np.ndarray, start: int) -> list[np.ndarray]:
-    """Maximal runs of True in ``mask``, read circularly from index
-    ``start``, as index arrays in that order; a run ends at start - 1."""
-    order = np.roll(np.arange(len(mask)), -start)
-    edges = np.diff(np.concatenate(([0], mask[order].astype(np.int8), [0])))
-    return [order[a:b] for a, b in zip(np.nonzero(edges == 1)[0],
-                                       np.nonzero(edges == -1)[0])]
-
-
 def sample_characteristic(inv: LocalInvariants, n: int = 512,
                           clip_radius: float | None = None):
     """Polylines tracing the characteristic curve by the evolvent sweep.
 
-    Returns a list of (points, closed) pairs; the sweep at theta = k pi / n
-    splits where the tangency system is singular or the point exceeds
-    ``clip_radius``.
+    Returns a list of (points, closed) pairs: one closed polygon when
+    nothing is cut or dropped, otherwise the open runs between cuts and
+    drops, from the one after the last of them.  The sweep at
+    theta = k pi / n drops the samples at infinity (:func:`_sweep_points`)
+    and those beyond ``clip_radius``, and is cut at the points at infinity
+    of the curve, the zeros of its determinant eta x zeta.  At
+    u = (cos theta, sin theta) that is the directional quadratic
+    nq0 u1^2 + nq1 u1 u2 + nq2 u2^2 of the minors of M, so
+    kappa/2 + beta cos 2 theta + gamma sin 2 theta with beta = (nq0 - nq2)/2,
+    gamma = nq1/2 and (kappa/2)^2 - beta^2 - gamma^2 = Delta: its two, one
+    or no zeros per period are the asymptotic directions.  A gap between
+    neighbouring samples is cut where eta x zeta has a different sign at
+    its ends, and, when Delta <= 0, where the extreme nearest 0, at 2 theta
+    the angle of -sign(kappa) (beta, gamma), falls between two ends on
+    kappa's side of 0: both zeros may lie there.
     """
-    pts, _, invalid = _sweep_points(inv, *_sweep_table(n))
+    pts, det, drop = _sweep_points(inv, *_sweep_table(n))
     if clip_radius is not None:
-        invalid |= np.hypot(pts[:, 0], pts[:, 1]) > clip_radius
-    if invalid.all():
-        return []
-    fully_valid = not invalid.any()
-    # maximal circular runs of valid samples (curve has period pi); a run
-    # through the seam, which starts after the last invalid sample, first
-    start = 0 if invalid[0] else n - int(np.argmax(invalid[::-1]))
-    out = []
-    for run in _runs(~invalid, start):
-        p = pts[run]
-        if len(p) < 3:
-            out.append((p, False))
-            continue
-        # a point at infinity need not land on a sample: also split where
-        # consecutive points jump far beyond the typical step
-        steps = np.hypot(np.diff(p[:, 0]), np.diff(p[:, 1]))
-        if fully_valid:
-            steps = np.append(steps, float(np.hypot(*(p[0] - p[-1]))))
-        linked = ~(steps > 30.0 * (_median(steps) + 1e-300))
-        if linked.all():
-            out.append((p, fully_valid))
-            continue
-        # pieces of two or more points; on a closed curve the piece through
-        # the seam comes first
-        start = np.nonzero(~linked)[0][-1] + 1 if fully_valid else 0
-        out += [(p[np.append(r, r[-1] + 1) % len(p)], False)
-                for r in _runs(linked, start)]
-    return out
+        drop |= np.hypot(pts[:, 0], pts[:, 1]) > clip_radius
+    # gap k joins sample k to k + 1 mod n: the curve has period pi
+    side = np.signbit(det)
+    link = (side == np.roll(side, -1)) & ~drop & ~np.roll(drop, -1)
+    # the minors of the scaled M, each rounded once
+    m = inv.scaled
+    nq0 = _dot((m.a, m.f), (-m.b, m.e))
+    nq1 = _dot((m.a, m.g), (-m.c, m.e))
+    nq2 = _dot((m.b, m.g), (-m.c, m.f))
+    kappa, beta2 = nq0 + nq2, nq0 - nq2   # kappa, 2 beta; nq1 = 2 gamma
+    if kappa and math.hypot(beta2, nq1) >= abs(kappa):
+        s = -math.copysign(1.0, kappa)
+        turn = math.atan2(s * nq1, s * beta2) / (2.0 * math.pi) % 1.0
+        k = int(n * turn) % n
+        link[k] &= side[k] != (kappa < 0.0)
+    if link.all():
+        return [(pts, True)]
+    start = (n - int(np.argmax(~link[::-1]))) % n
+    order = np.roll(np.arange(n), -start)
+    runs = np.split(order, np.nonzero(~link[order])[0][:-1] + 1)
+    return [(pts[run], False) for run in runs if not drop[run[0]]]

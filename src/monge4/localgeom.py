@@ -447,8 +447,8 @@ class CrossCheck(NamedTuple):
     one_sided: bool = False
 
     def margin(self, fields, msq, where=None):
-        """(margin, u, v): |u - v| - rel * scale of the routes, or
-        u - v - rel * scale when ``one_sided``, elementwise.  The check
+        """(margin, u, v, scale): |u - v| - rel * scale of the routes u,
+        v and scale, or u - v - rel * scale when ``one_sided``, elementwise.  The check
         holds where margin <= 0, which is |u - v| <= rel * scale: gradual
         underflow keeps the difference of two distinct doubles nonzero.
         Where u - v is not finite, an :class:`EvaluationError` at the first
@@ -468,7 +468,7 @@ class CrossCheck(NamedTuple):
             bad = True
         if _anywhere(bad):
             raise EvaluationError(_OVERFLOW, where and _first_bad(bad, *where))
-        return margin, u, v
+        return margin, u, v, scale
 
 
 def _wintgen_routes(fl, msq):
@@ -543,7 +543,7 @@ def check_invariants(fields, where=None):
     msq = norm * norm
     for check in CROSS_CHECKS:
         if check.live:
-            margin, u, v = check.margin(fields, msq, where)
+            margin, u, v, _ = check.margin(fields, msq, where)
             bad = margin > 0.0
             if _anywhere(bad):
                 du, dv, *point = _first_bad(bad, u, v, *(where or ()))

@@ -77,7 +77,7 @@ class Polyline:
 @dataclass(frozen=True, eq=False)
 class PolylineSet:
     polylines: list[Polyline]
-    degenerate_cells: list[tuple[int, int]]  # cells with |Delta| ~ 0 throughout
+    degenerate_cells: np.ndarray  # (n, 2) cells (i, j) with |Delta| ~ 0 throughout
 
 
 @dataclass(frozen=True)
@@ -213,7 +213,7 @@ def trace_parabolic(surface: SurfaceSpec, resolution: int = 256,
     nh = (nx - 1) * ny
 
     cell_flat = flat[:-1, :-1] & flat[1:, :-1] & flat[1:, 1:] & flat[:-1, 1:]
-    degenerate_cells = list(zip(*(a.tolist() for a in np.nonzero(cell_flat))))
+    degenerate_cells = np.argwhere(cell_flat)
 
     # strict sign-change edges ("h": along x between (i,j)-(i+1,j);
     # "v": along y between (i,j)-(i,j+1))

@@ -38,7 +38,8 @@ which ``conics`` forms in floats on M scaled by a power of two.
 :func:`polyline_reference` is the vertex-by-vertex SVG formatter that
 ``svgplot._Mapper.polyline`` replaced by a column pass, and
 :func:`split_sweep_reference` the list-based splitting of the sweep into
-polylines that ``conics.sample_characteristic`` replaced by index arrays;
+polylines at its invalid samples and at the sign changes of its
+determinant, which ``conics.sample_characteristic`` does by index arrays;
 the package must reproduce both exactly.  :func:`frame_oracle` takes the
 package's own float derivatives and evaluates the textbook frame formulas
 on them in 800-digit ``decimal``, so that it measures the rounding of
@@ -294,55 +295,28 @@ def polyline_reference(mapper, pts, closed=False):
     return coords, ("polygon" if closed else "polyline")
 
 
-def split_sweep_reference(pts, invalid):
-    """The (points, closed) polylines of an evolvent sweep ``pts`` whose
-    samples in ``invalid`` are at infinity or clipped."""
+def split_sweep_reference(pts, det, invalid):
+    """The (points, closed) polylines of an evolvent sweep ``pts`` of period
+    pi, with the determinant ``det`` of each sample's tangency system, whose
+    samples in ``invalid`` are at infinity or clipped: cut at those samples
+    and between neighbours (the last sample's neighbour is the first) where
+    the sign bit of det differs, read from the sample after the last cut."""
     n = len(pts)
-    ok = (~invalid).tolist()
-    if not any(ok):
-        return []
-    if all(ok):
-        runs = [list(range(n))]
-        fully_valid = True
-    else:
-        # maximal circular runs of valid samples (curve has period pi)
-        runs = []
-        idx = 0
-        while idx < n:
-            if not ok[idx]:
-                idx += 1
-                continue
-            start = idx
-            while idx < n and ok[idx]:
-                idx += 1
-            runs.append(list(range(start, idx)))
-        if len(runs) > 1 and ok[0] and ok[-1]:
-            runs[0] = runs[-1] + runs[0]
-            runs.pop()
-        fully_valid = False
-    out = []
-    for run in runs:
-        p = pts[run]
-        if len(p) < 3:
-            out.append((p, False))
-            continue
-        steps = np.hypot(np.diff(p[:, 0]), np.diff(p[:, 1]))
-        if fully_valid:
-            steps = np.append(steps, float(np.hypot(*(p[0] - p[-1]))))
-        cut = np.nonzero(steps > 30.0 * (np.median(steps) + 1e-300))[0]
-        if len(cut) == 0:
-            out.append((p, fully_valid))
-            continue
-        seam_cut = fully_valid and cut[-1] == len(p) - 1
-        pieces = [list(piece) for piece in
-                  np.split(np.arange(len(p)), cut + 1) if len(piece)]
-        if fully_valid and not seam_cut and len(pieces) > 1:
-            # the seam between the last and first sample is continuous
-            pieces[0] = pieces[-1] + pieces[0]
-            pieces.pop()
-        for piece in pieces:
-            if len(piece) >= 2:
-                out.append((p[piece], False))
+    neg = [math.copysign(1.0, d) < 0.0 for d in det]
+    nxt = [(k + 1) % n for k in range(n)]
+    linked = [not invalid[k] and not invalid[nxt[k]] and neg[k] == neg[nxt[k]]
+              for k in range(n)]
+    if all(linked):
+        return [(pts, True)]
+    k = max(k for k in range(n) if not linked[k])
+    out, run = [], []
+    for _ in range(n):
+        k = nxt[k]
+        run.append(k)
+        if not linked[k]:
+            if not invalid[run[0]]:
+                out.append((pts[run], False))
+            run = []
     return out
 
 

@@ -1,5 +1,6 @@
 """Surface files, CLI subcommands, output formats, exit codes, determinism."""
 
+import argparse
 import hashlib
 import io
 import math
@@ -854,7 +855,11 @@ def test_exit_usage_tol_not_finite_or_negative(tmp_path, tol):
 # before the evolvent sweep was batched: an elliptic point (both conics
 # closed), a hyperbolic one (a clipped sample, two characteristic branches),
 # a parabolic one (a singular sample, one open branch) and a segment
-# indicatrix (no characteristic curve).
+# indicatrix (no characteristic curve).  The hyperbolic and parabolic digests
+# were re-recorded when the sweep was cut where eta x zeta changes sign, in
+# place of at steps longer than 30 times the median step: their
+# characteristic vertices went from 469 to 511 and from 429 to 489, each of
+# the old ones still drawn, and their branch counts stayed.
 PLOT_GOLDEN = {
     "elliptic": (
         "phi = x^2 - y^2 + 0.5*x^3\npsi = 2*x*y + 0.3*y^3\n"
@@ -862,10 +867,10 @@ PLOT_GOLDEN = {
         "29778424ec996a0efe99e04906ac983b14e06b2f1e91e5a63803c908e9b13449"),
     "hyperbolic": (
         GOLDEN_TEXT, "0.25,-0.5", 2,
-        "1fbc67cabde615c30a881c99f4eac99856b3f6266d2d3be0ce8441e12f214c0f"),
+        "4aa407a5917e48cd5d821812cc2185b9136454cbd5840417a06ffec883cfa906"),
     "parabolic": (
         "phi = x^2\npsi = 2*x*y\ndomain = -1 1 -1 1\n", "0,0", 1,
-        "b281ed011cde657e6f90980f25734b221f7497b57ec4bd8728a943fb36ba7ab4"),
+        "163563fe35397f9da61158994ffd047f58eedeb3e8864a95845ec753b4b4046b"),
     "segment": (
         "phi = x^2\npsi = y^2\ndomain = -1 1 -1 1\n", "0.3,-0.2", 0,
         "4e2f5ffc7f49772c76d662c202ee9b2b98b50db33e0782c912f761282b1730ec"),
@@ -883,6 +888,27 @@ def test_plot_golden_outputs(tmp_path, name):
     svg = out_path.read_text(encoding="utf-8")
     assert svg.count('class="characteristic"') == branches
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == sha
+
+
+def test_plot_draws_every_sample_near_the_asymptotes(tmp_path):
+    """At this hyperbolic point of the benchmark's point-queries surfaces
+    (seed 0), all 512 samples of the characteristic sweep lie within the
+    clip, and the curve is cut only at its two points at infinity: 512
+    vertices in two branches, 492 of them inside the 800 x 800 view (a cut
+    at steps longer than 30 times the median step drew 468, all inside)."""
+    surface = benchmark_surfaces("point-queries", 0)["poly0"]
+    out_path = tmp_path / "p.svg"
+    args = argparse.Namespace(at="-0.557,0.516", tol=localgeom.REL,
+                              out=str(out_path))
+    assert cli._cmd_plot(surface, args, None) == 0
+    svg = out_path.read_text(encoding="utf-8")
+    vertices = [tuple(map(float, v.split(",")))
+                for line in svg.splitlines() if 'class="characteristic"' in line
+                for v in line.split('points="')[1].split('"')[0].split()]
+    assert svg.count('class="characteristic"') == 2
+    assert len(vertices) == 512
+    assert sum(0.0 <= x <= 800.0 and 0.0 <= y <= 800.0
+               for x, y in vertices) == 492
 
 
 # sha256 of the trace CSV and the inflections stdout at --res 64 for two

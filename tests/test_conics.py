@@ -1,7 +1,9 @@
 """Curvature ellipse, characteristic conic, polarity and canonical frame."""
 
 import dataclasses
+import fractions
 import math
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 from monge4 import classify, conics
 from monge4.errors import (DegenerateIndicatrixError, PoleAtInfinityError,
                            SingularSystemError, UmbilicPointError)
-from monge4.localgeom import local_invariants
+from monge4.localgeom import local_invariants, minors, second_order
 
 from conftest import make_surface, random_points, random_surfaces
 from oracles import (evolvent_reference, normal_plane_oracle,
@@ -339,9 +341,9 @@ def test_evolvent_sweep_matches_reference_on_fixtures(invs, name):
     _assert_sweep_is_reference(invs[name], SWEEP_THETAS)
 
 
-# A has singular samples, D and E 144 clipped ones out of 512; G is left
-# out because its step cut also drops one-point pieces
-@pytest.mark.parametrize("name", ["A", "B", "D", "E"])
+# A has singular samples, D and E 144 clipped ones out of 512, G two
+# branches cut where eta x zeta changes sign
+@pytest.mark.parametrize("name", ["A", "B", "D", "E", "G"])
 def test_sample_characteristic_clips_as_reference(invs, name):
     """The traced points are exactly the sweep points that are neither at
     infinity nor farther than the clip radius from the origin, and they
@@ -434,17 +436,20 @@ def test_sweep_table_is_cached_and_read_only():
 
 @st.composite
 def _sweeps(draw):
-    """A sweep of n points on an ellipse, shifted by jumps at random
-    samples (opposite jumps leave the seam continuous), with a random set
-    of samples invalid (nan)."""
+    """A sweep of n points on an ellipse, with a determinant column of
+    random signs (signed zeros among them) and a random set of samples
+    invalid (nan)."""
     n = draw(st.sampled_from([1, 2, 3, 4, 5, 8, 13, 33, 512]))
     t = np.arange(n) * math.pi / n
     pts = np.column_stack([draw(st.floats(0.5, 2.0)) * np.cos(2.0 * t),
                            np.sin(2.0 * t)])
-    for k, jump in draw(st.lists(st.tuples(
-            st.integers(0, n - 1), st.sampled_from([100.0, -100.0, 0.01])),
-            max_size=4)):
-        pts[k:] += jump
+    det = np.ones(n)
+    for k in draw(st.lists(st.integers(0, n - 1), max_size=4)):
+        det[k:] *= -1.0
+    for k, value in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                            st.sampled_from([0.0, -0.0])),
+                                  max_size=2)):
+        det[k] = value
     if n <= 33:
         invalid = np.array(draw(st.lists(st.booleans(), min_size=n,
                                          max_size=n)), dtype=bool)
@@ -455,23 +460,32 @@ def _sweeps(draw):
         invalid[a:b] = True
         invalid ^= draw(st.booleans())
     pts[invalid] = np.nan
-    return pts, invalid
+    return pts, det, invalid
 
 
-def _circle_sweep(n, jumps=(), invalid=()):
+def _circle_sweep(n, flips=(), invalid=()):
     t = np.arange(n) * math.pi / n
     pts = np.column_stack([np.cos(2.0 * t), np.sin(2.0 * t)])
-    for k, jump in jumps:
-        pts[k:] += jump
+    det = np.ones(n)
+    for k in flips:
+        det[k:] *= -1.0
     mask = np.zeros(n, dtype=bool)
     mask[list(invalid)] = True
     pts[mask] = np.nan
-    return pts, mask
+    return pts, det, mask
+
+
+# an M whose eta x zeta, kappa/2 = 1 and beta = gamma = 0, has no zero:
+# the cut at its extreme never applies
+_NO_EXTREME_CUT = SimpleNamespace(scaled=SimpleNamespace(
+    a=1.0, b=0.0, c=-1.0, e=0.0, f=1.0, g=0.0))
 
 
 @given(_sweeps())
 # the piece through a continuous seam comes first
-@example(_circle_sweep(8, jumps=[(3, 100.0), (6, -100.0)]))
+@example(_circle_sweep(8, flips=[3, 6]))
+# a sign change at the seam: the pieces keep their order
+@example(_circle_sweep(8, flips=[3]))
 # the run through the seam comes first; without it, runs keep their order
 @example(_circle_sweep(8, invalid=[3]))
 @example(_circle_sweep(8, invalid=[0, 3]))
@@ -479,30 +493,170 @@ def _circle_sweep(n, jumps=(), invalid=()):
 def test_sample_characteristic_splits_as_reference(sweep):
     """The runs, pieces and their order equal the list-based reference,
     including seams that wrap from the last sample to the first."""
-    pts, invalid = sweep
+    pts, det, invalid = sweep
     with mock.patch.object(conics, "_sweep_points",
-                           lambda *_: (pts.copy(), None, invalid.copy())):
-        got = conics.sample_characteristic(None, len(pts))
-    want = split_sweep_reference(pts, invalid)
+                           lambda *_: (pts.copy(), det.copy(), invalid.copy())):
+        got = conics.sample_characteristic(_NO_EXTREME_CUT, len(pts))
+    want = split_sweep_reference(pts, det, invalid)
     assert [closed for _, closed in got] == [closed for _, closed in want]
     assert [p.tobytes() for p, _ in got] == [p.tobytes() for p, _ in want]
 
 
-@given(st.lists(st.one_of(st.floats(-1e300, 1e300), st.sampled_from(
-    [0.0, -0.0, 5e-324, 1.0, 1.0, math.inf, -math.inf, math.nan])),
-    min_size=1, max_size=40))
-@example([1.0, 2.0])
-@example([-0.0, -0.0])
-@example([-3.0, -0.0, -0.0, 5.0])
-@example([math.inf, -math.inf])
-@example([0.1, 0.2, math.nan])
-@settings(max_examples=300, deadline=None)
-def test_median_is_numpy_median(values):
-    v = np.array(values)
-    with np.errstate(invalid="ignore"):  # inf - inf in the middle pair
-        want = np.median(v)
-        got = conics._median(v)
-    assert np.array([got]).tobytes() == np.array([want]).tobytes()
+def _dyadic(values):
+    """Integers X and one shift s with each float value = X 2^-s exactly."""
+    ratios = [float(v).as_integer_ratio() for v in values]
+    shift = max(d.bit_length() - 1 for _, d in ratios)
+    return [x << (shift - d.bit_length() + 1) for x, d in ratios], shift
+
+
+def _cut_test_coefficients(seed, count):
+    """``count`` random a..g: two thirds uniform in (-2, 2), one third
+    near-parabolic, two quadratic forms with a common zero direction
+    (Delta = 0) perturbed by a relative 10^U(-15, -5)."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        if i % 3:
+            yield rng.uniform(-2.0, 2.0, 6).tolist()
+            continue
+        t = rng.uniform(-3.0, 3.0)
+        p1, q1, p2, q2 = rng.uniform(-1.0, 1.0, 4)
+        # (v - t u)(p u + q v) = a u^2 + 2 b uv + c v^2
+        m = np.array([-t * p1, 0.5 * (p1 - t * q1), q1,
+                      -t * p2, 0.5 * (p2 - t * q2), q2])
+        yield (m * (1.0 + 10.0 ** rng.uniform(-15.0, -5.0)
+                    * rng.uniform(-1.0, 1.0, 6))).tolist()
+
+
+def test_sample_characteristic_cuts_at_exact_zeros():
+    """On 600 random M, a third near-parabolic, every gap of the 512-sample
+    sweep that holds a zero of eta x zeta is cut and every other gap
+    between two drawn samples is linked, against the sweep's formula in
+    exact rationals of the float a..g and the float sweep table.
+
+    A gap holds a zero where the exact eta x zeta differs in sign at its
+    ends, and two where Delta < 0, the direction -sign(kappa) (beta, gamma)
+    lies strictly between the table's (cos 2 theta, sin 2 theta) at its
+    ends and both ends lie on kappa's side of 0.  Exempt is a gap whose cut
+    is decided by rounding: an end's exact |eta x zeta| <= 64 eps
+    (|kappa|/2 + rho), or, for the gap of that direction, |Delta| <= 64 eps
+    (|kappa|/2 + rho)^2, rho = hypot(beta, gamma)."""
+    n = 512
+    table, shift_t = _dyadic(np.concatenate(conics._sweep_table(n)))
+    co, si, c2, s2 = (table[k * n:(k + 1) * n] for k in range(4))
+    quad = [(x * x, 2 * x * y, y * y) for x, y in zip(co, si)]
+    nxt = [(k + 1) % n for k in range(n)]
+    base = local_invariants(make_surface("D"), 0.0, 0.0)
+    checked = exempt = two = 0
+    for coeffs in _cut_test_coefficients(83, 600):
+        inv = dataclasses.replace(base, **dict(zip("abcefg", coeffs)))
+        (a, b, c, e, f, g), shift_m = _dyadic(coeffs)
+        # eta x zeta times 2^(2 shift_m + 3 shift_t + 1): eta times
+        # 2^(shift_m + 2 shift_t), zeta times 2^(shift_m + shift_t + 1)
+        det = []
+        for (q0, q1, q2), w1, w2 in zip(quad, s2, c2):
+            eta1, eta2 = a * q0 + b * q1 + c * q2, e * q0 + f * q1 + g * q2
+            zeta1, zeta2 = 2 * b * w2 - (a - c) * w1, 2 * f * w2 - (e - g) * w1
+            det.append(eta1 * zeta2 - eta2 * zeta1)
+        # kappa/2, beta, gamma times 2^(2 shift_m + 1), Delta times
+        # 2^(4 shift_m + 2)
+        hk, beta, gamma = (a - c) * f - (e - g) * b, \
+            (a + c) * f - (e + g) * b, a * g - c * e
+        delta = hk * hk - beta * beta - gamma * gamma
+        half = fractions.Fraction(1, 1 << (2 * shift_m + 1))
+        size = abs(float(hk * half)) + math.hypot(float(beta * half),
+                                                  float(gamma * half))
+        near_end = fractions.Fraction(64.0 * EPS * size) \
+            * (1 << (2 * shift_m + 3 * shift_t + 1))
+        near_delta = abs(delta * half * half) \
+            <= fractions.Fraction(64.0 * EPS * size * size)
+        d1, d2 = (-beta, -gamma) if hk > 0 else (beta, gamma)
+
+        pts, _, singular = conics._sweep_points(inv, *conics._sweep_table(n))
+        index = {p.tobytes(): k for k, p in enumerate(pts) if not singular[k]}
+        assert len(index) == n - int(singular.sum())
+        linked = set()
+        for poly, closed in conics.sample_characteristic(inv, n):
+            ids = [index[p.tobytes()] for p in poly]
+            assert all(nxt[i] == j for i, j in zip(ids, ids[1:]))
+            linked.update(ids if closed else ids[:-1])
+        for k in range(n):
+            j = nxt[k]
+            if singular[k] or singular[j]:
+                continue
+            pos_k, pos_j = det[k] > 0, det[j] > 0
+            extreme = (c2[k] * d2 - s2[k] * d1 > 0
+                       and d1 * s2[j] - d2 * c2[j] > 0)
+            holds = pos_k != pos_j or (delta < 0 and extreme
+                                       and pos_k == pos_j == (hk > 0))
+            if min(abs(det[k]), abs(det[j])) <= near_end \
+                    or (extreme and near_delta):
+                exempt += 1
+                continue
+            assert (k not in linked) == holds, (coeffs, k)
+            checked += 1
+            two += holds and pos_k == pos_j
+    assert checked > 300_000 and exempt < 100 and two > 50
+
+
+def test_tangency_determinant_is_harmonic_with_discriminant_delta():
+    """In exact rationals, on random M and rational directions
+    (cos t, sin t) = ((1 - s^2)/(1 + s^2), 2 s/(1 + s^2)): the sweep's
+    eta x zeta is kappa/2 + beta cos 2t + gamma sin 2t with beta = H3 f - H4 b
+    and gamma = H4 (a - c)/2 - H3 (e - g)/2, and (kappa/2)^2 - beta^2 - gamma^2
+    = Delta.  beta and gamma are the halves of nq0 - nq2 and nq1 of the
+    minors, and kappa/2 that of nq0 + nq2, as sample_characteristic takes
+    them."""
+    F = fractions.Fraction
+    rng = np.random.default_rng(89)
+    for _ in range(200):
+        a, b, c, e, f, g = (F(v) for v in rng.uniform(-2.0, 2.0, 6))
+        kappa = second_order(a, b, c, e, f, g).kappa
+        delta = (a * c - b * b) * (e * g - f * f) \
+            - (a * g + c * e - 2 * b * f) ** 2 / 4
+        h3, h4 = (a + c) / 2, (e + g) / 2
+        beta = h3 * f - h4 * b
+        gamma = h4 * (a - c) / 2 - h3 * (e - g) / 2
+        assert (kappa / 2) ** 2 - beta ** 2 - gamma ** 2 == delta
+        nq0, nq1, nq2 = minors(a, b, c, e, f, g)
+        assert (nq0 + nq2, nq0 - nq2, nq1) == (kappa, 2 * beta, 2 * gamma)
+        for s in (F(int(v), 64) for v in rng.integers(-400, 400, 5)):
+            co, si = (1 - s * s) / (1 + s * s), 2 * s / (1 + s * s)
+            cos2, sin2 = co * co - si * si, 2 * co * si
+            # eta = II(u, u), zeta = A (-sin 2t, cos 2t)
+            eta1 = a * co * co + 2 * b * co * si + c * si * si
+            eta2 = e * co * co + 2 * f * co * si + g * si * si
+            zeta1 = -(a - c) / 2 * sin2 + b * cos2
+            zeta2 = -(e - g) / 2 * sin2 + f * cos2
+            assert eta1 * zeta2 - eta2 * zeta1 \
+                == kappa / 2 + beta * cos2 + gamma * sin2
+
+
+def test_tangency_zeros_are_asymptotic_directions():
+    """At hyperbolic points, the two zeros of kappa/2 + rho cos(2 t - phi),
+    (beta, gamma) = rho (cos phi, sin phi), lie within 1e-12 rad of the
+    classifier's asymptotic directions."""
+    rng = np.random.default_rng(97)
+    hyperbolic = 0
+    for surface in random_surfaces(seed=101, count=10):
+        for x, y in random_points(rng, 30):
+            inv = local_invariants(surface, float(x), float(y))
+            m = inv.scaled
+            if classify.classify_point(inv).label.kind != "hyperbolic":
+                continue
+            h3, h4 = m.H3, m.H4
+            beta = h3 * m.f - h4 * m.b
+            gamma = h4 * (m.a - m.c) / 2 - h3 * (m.e - m.g) / 2
+            phi = math.atan2(gamma, beta)
+            offset = math.acos(-0.5 * m.kappa / math.hypot(beta, gamma))
+            zeros = [(0.5 * (phi + sign * offset)) % math.pi for sign in (1, -1)]
+            dirs = [math.atan2(d[1], d[0]) % math.pi
+                    for d in classify.asymptotic_directions(inv)]
+            assert len(dirs) == 2
+            for t in zeros:
+                assert min(abs(math.remainder(t - u, math.pi))
+                           for u in dirs) <= 1e-12
+            hyperbolic += 1
+    assert hyperbolic >= 50
 
 
 def test_evolvent_points_satisfy_characteristic_conic():

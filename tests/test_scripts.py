@@ -45,6 +45,30 @@ def test_corpus_crosscheck_small_corpus():
     assert r.stdout.count("  PASS ") == 6, r.stdout
 
 
+def test_corpus_crosscheck_forms_each_route_once(monkeypatch, capsys):
+    """The script takes each row's verdict and its printed worst deviation
+    from one margin, so it forms the routes of every check once per
+    surface."""
+    spec = importlib.util.spec_from_file_location(
+        "corpus_crosscheck", ROOT / "scripts" / "corpus_crosscheck.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    calls = {}
+
+    def counted(check):
+        def routes(*args):
+            calls[check.name] = calls.get(check.name, 0) + 1
+            return check.routes(*args)
+        return check._replace(routes=routes)
+
+    monkeypatch.setattr(script, "CROSS_CHECKS",
+                        [counted(check) for check in script.CROSS_CHECKS])
+    monkeypatch.setattr(sys, "argv", ["corpus_crosscheck.py", "2", "10", "1"])
+    assert script.main() == 0
+    assert capsys.readouterr().out.count("  PASS ") == 6
+    assert calls == {check.name: 2 for check in script.CROSS_CHECKS}
+
+
 def test_compare_outputs_tree_with_itself():
     """This tree compared with itself at --res 16: every subcommand on each
     of the eleven surfaces prints `same`, and the exit code is 0."""

@@ -44,7 +44,7 @@ def _run(args):
 def _assert_same_trace(surface, res):
     new = locus.trace_parabolic(surface, res)
     ref = trace_parabolic_reference(surface, res)
-    assert new.degenerate_cells == ref.degenerate_cells
+    assert new.degenerate_cells.tolist() == list(map(list, ref.degenerate_cells))
     assert len(new.polylines) == len(ref.polylines)
     for p, q in zip(new.polylines, ref.polylines):
         assert p.closed == q.closed
@@ -222,4 +222,16 @@ def _capped(args):
 def test_res_1024_under_memory_cap(tmp_path, args):
     surf = _write(tmp_path, "trig.surf", TRIG_TEXT)
     r = _capped([*args, "--surface", surf, "--res", "1024"])
+    assert (r.returncode, r.stderr) == (0, "")
+
+
+def test_flat_trace_res_2048_under_memory_cap(tmp_path):
+    """On the gallery's parabolic surface Delta vanishes identically, so
+    every one of the 2047^2 cells is degenerate; trace keeps them as one
+    (n, 2) integer array, 16 bytes a cell, and runs at res 2048 under the
+    cap."""
+    surf = _write(tmp_path, "parabolic.surf",
+                  "phi = x^2\npsi = 2*x*y\ndomain = -1 1 -1 1\n")
+    r = _capped(["trace", "--out", os.devnull, "--surface", surf,
+                 "--res", "2048"])
     assert (r.returncode, r.stderr) == (0, "")
