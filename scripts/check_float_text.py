@@ -3,12 +3,16 @@
 
     python3 scripts/check_float_text.py N [SEED]
 
-Draws N uniformly random 64-bit patterns (numpy generator seeded with SEED,
-default 0), reads each as a float64 and compares the text that
-``monge4.floattext`` gives it with ``repr(v + 0.0)``, block by block.
-Every pattern is one value: NaNs, infinities, zeros and subnormals appear
-at their share of the bit space.  Exits 0 when every value matches and 1
-after printing the first mismatches.
+Draws N random float64s (numpy generator seeded with SEED, default 0)
+and compares the text that ``monge4.floattext`` gives each with
+``repr(v + 0.0)``, block by block.  Half of every block is uniformly
+random 64-bit patterns: NaNs, infinities, zeros and subnormals appear at
+their share of the bit space, and only about 3.5% of them fall where
+``repr`` prints positionally, |v| in [1e-5, 1e16).  The other half have a
+random sign and significand and a binary exponent uniform over [-20, 56],
+the range where the layout switches between ``0.000ddd``, ``ddd.ddd``,
+``ddd.0`` and ``d.ddde+XX``, and where the grid's values lie.  Exits 0
+when every value matches and 1 after printing the first mismatches.
 """
 
 from __future__ import annotations
@@ -45,8 +49,12 @@ def main(argv):
     rng = np.random.default_rng(seed)
     bad, start = [], time.perf_counter()
     for done in range(0, count, BLOCK):
-        bits = rng.integers(0, 1 << 64, size=min(BLOCK, count - done),
-                            dtype=np.uint64)
+        size = min(BLOCK, count - done)
+        bits = rng.integers(0, 1 << 64, size=size, dtype=np.uint64)
+        near = bits[size // 2:]
+        near &= ~np.uint64(0x7FF << 52)
+        near |= (rng.integers(-20, 57, size=near.size) + 1023).astype(
+            np.uint64) << np.uint64(52)
         bad += mismatches(bits.view(np.float64))
     for got, expected in bad[:SHOWN]:
         print(f"mismatch: {got!r}, repr {expected!r}")

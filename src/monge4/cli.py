@@ -175,7 +175,9 @@ def _cmd_analyze(surface, args, out):
 
 # lines of grid CSV formatted at a time, in whole y-rows: large enough that
 # numpy's per-call cost is small, small enough that a block's text and its
-# temporaries stay far below the grid itself
+# temporaries stay far below the grid itself.  In process on a 2-vCPU Xeon,
+# grid --res 512 on the benchmark's trig surface took 0.29, 0.27, 0.26,
+# 0.33 and 0.38 s at 2^10 to 2^14 lines (least of 5 runs)
 BLOCK_LINES = 2 ** 12
 
 _LABEL_TEXT = floattext.text_table(cls.LABELS)

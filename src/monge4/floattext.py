@@ -7,15 +7,26 @@ Two stages, both on numpy arrays:
   decimal d * 10^e with the fewest digits that reads back to it, and among
   those the closest, ties to even; that is the digit string of ``repr``.
   It runs in uint64 arrays, the 64 x 64 -> 128-bit products emulated with
-  32-bit halves, against a table of 126-bit powers of ten that is built
-  from Python ints on first use.  Unlike Java's ``Double.toString``, which
-  the published code serves, there is no two-digit minimum and no integer
-  fast path.
+  32-bit halves, against tables indexed by the biased exponent (and whether
+  the significand field is zero) that are built on first use, the 126-bit
+  powers of ten g from Python ints: k, the shift, g and g times the
+  half-width of the rounding interval.  Only the value takes a product with g;
+  each end of its interval is that product plus or minus the half-width,
+  and is formed by its own product only where the 63 fraction bits that
+  both carry leave its rounding in doubt (:func:`_ends`).  Unlike Java's
+  ``Double.toString``, which the published code serves, there is no
+  two-digit minimum and no integer fast path.
 * **Text.**  The digits are laid out as ``repr`` does: positional when the
   value is d.ddd x 10^E with -4 <= E < 16, with ``.0`` on integers,
-  otherwise ``d.ddde+XX``.  Each value gets a fixed slot of :data:`SLOT`
-  bytes whose unused bytes are NUL; :func:`csv_lines` joins slots into
-  lines and drops every NUL with one ``bytes.translate``.
+  otherwise ``d.ddde+XX``.  With the 17 digits D of a value, a point after
+  digit p is the 18-digit integer N = D + 9 (D - D mod 10^(17-p)), whose
+  digit p is 0: the digits are read off N four at a time through tables of
+  their ASCII, that 0 becomes the point, and a mask keeps the digits up to
+  the last nonzero one (or the ``0`` of ``.0``).  Each value gets a slot of
+  :data:`SLOT` bytes: the sign and ``0.``, ``0.0`` ... before a value below
+  1 (5 bytes), the 18 of N, then ``e+308`` (5), every unused byte NUL;
+  :func:`csv_lines` joins slots into lines and drops every NUL with one
+  ``bytes.translate``.
 
 Zero prints ``0.0`` whatever its sign, as ``repr(v + 0.0)``; infinities and
 nan go through ``repr`` one by one.
@@ -29,19 +40,19 @@ import numpy as np
 
 __all__ = ["SLOT", "float_slots", "int_slots", "text_table", "csv_lines"]
 
-# "-0.000", 17 digits each followed by a slot for '.', then ".0" or "e+308"
-SLOT = 45
-_DIGITS, _TAIL = 6, 40   # where the digits and ".0" or "e+308" start
-_SLOT_FIELDS = np.dtype({"names": ["head", "tail"], "formats": ["S6", "S5"],
-                         "offsets": [0, _TAIL], "itemsize": SLOT})
-_COLUMN = np.arange(17, dtype=np.int8)
-_E_MIN, _E_MAX = -324, 308   # decimal exponents of nonzero float64s
+# "-0.00", the 18 digits of N (one of them the point), "e+308"; the head
+# and the tail are written as 8-byte words at offsets 0 and 20, before the
+# digits overwrite their last three and first three bytes
+SLOT = 28
+_HEAD, _TOP, _HI, _LO, _TAIL = 0, 5, 7, 15, 20
+_BIG_MIN, _BIG_MAX = -324, 308   # decimal exponents of nonzero float64s
 _CHAR = {c: ord(c) for c in "0.,\n"}
 
 _K_MIN, _K_MAX = -324, 292   # decimal exponents k of Schubfach's table
 _M32 = (1 << 32) - 1
 _M63 = (1 << 63) - 1
-_POW10 = np.array([10 ** i for i in range(17)], dtype=np.uint64)
+_POW10 = np.array([10 ** i for i in range(18)], dtype=np.int64)
+_ZERO = np.frombuffer(b"0.0".ljust(SLOT, b"\0"), dtype=np.uint8)
 
 
 def _flog10pow2(e):
@@ -60,34 +71,93 @@ def _flog2pow10(e):
 
 
 @functools.cache
-def _table():
+def _powers():
     """g = floor(10^-k 2^-r) + 1 for k in [_K_MIN, _K_MAX], where
     r = floor(log2(10^-k)) - 125 puts g in [2^125, 2^126), split as
-    g = g1 2^63 + g0 with g0 < 2^63: the uint64 arrays g1, then the high
-    and low 32-bit halves of g1 and of g0."""
-    parts = [[], [], [], [], []]
+    g = g1 2^63 + g0 with g0 < 2^63: the uint64 arrays g1 and g0."""
+    g1, g0 = [], []
     for k in range(_K_MIN, _K_MAX + 1):
         r = _flog2pow10(-k) - 125
         g = ((10 ** max(-k, 0) << max(-r, 0))
              // (10 ** max(k, 0) << max(r, 0)) + 1)
-        g1, g0 = g >> 63, g & _M63
-        for part, v in zip(parts, (g1, g1 >> 32, g1 & _M32,
-                                   g0 >> 32, g0 & _M32)):
-            part.append(v)
-    return tuple(np.array(part, dtype=np.uint64) for part in parts)
+        g1.append(g >> 63)
+        g0.append(g & _M63)
+    return np.array(g1, dtype=np.uint64), np.array(g0, dtype=np.uint64)
 
 
 @functools.cache
-def _affixes():
-    """The text before the digits (the sign, then "0." and 0 to 3 zeros
-    before a value below 1) and after them ("", ".0", "e-324" to "e+308"),
-    as bytes strings."""
-    lead = ["", "0.", "0.0", "0.00", "0.000"]
-    return (np.array([(sign + z).encode() for sign in ("", "-") for z in lead],
-                     dtype=_SLOT_FIELDS["head"]),
-            np.array([b"", b".0"] + [f"e{e:+03d}".encode()
-                                     for e in range(_E_MIN, _E_MAX + 1)],
-                     dtype=_SLOT_FIELDS["tail"]))
+def _exponents():
+    """For each index i = bq + 2048 z, bq the biased exponent and z = 1
+    where the significand field is 0: k (int64), then as uint64 arrays the
+    shift h + 2 of the significand c to 4 c 2^h, the hidden bit, g1 and g0
+    of :func:`_powers` at k, and the half-widths of the rounding interval,
+    times g, in units of 2^-63: the integer part and the 63 fraction bits
+    of g 2^(h+1) / 2^64 above the value, and the integer part plus 1 and
+    2^63 less the fraction bits of g (2 - z) 2^h / 2^64 below it (the lower
+    neighbour of a power of two, but the smallest normal, is half as far
+    as the upper one).  h is 2 to 5."""
+    i = np.arange(4096)
+    bq, zero = i & 2047, i >> 11
+    q = np.maximum(bq, 1) - 1075
+    irregular = (zero == 1) & (bq > 1)
+    k = np.where(irregular, _flog10_three_quarters_pow2(q), _flog10pow2(q))
+    h = (q + _flog2pow10(-k) + 2).astype(np.uint64)
+    g1, g0 = (part[k - _K_MIN] for part in _powers())
+    # g >> (63 - h) and g >> (64 - h), as whole and fraction
+    up = g1 >> (63 - h), ((g1 << h) & _M63) | (g0 >> (63 - h))
+    near = g1 >> (64 - h), ((g1 << (h - 1)) & _M63) | (g0 >> (64 - h))
+    down = [np.where(irregular, a, b) for a, b in zip(near, up)]
+    return (k, h + 2, np.where(bq > 0, 1 << 52, 0).astype(np.uint64),
+            g1, g0, *up, down[0] + 1, (1 << 63) - down[1])
+
+
+@functools.cache
+def _layouts():
+    """For each big = leading digit's weight, index big - _BIG_MIN: the
+    10^(17 - p) that puts the point after digit p of D (10^17 where the
+    point is not among the bytes of N), the XOR that turns digit p of N
+    into the point in the top, hi and lo words of N, the least number of
+    bytes of N kept (p + 2 for ".0" on integers), and the tail word; then
+    the head words, the second half for negative values."""
+    big = np.arange(_BIG_MIN, _BIG_MAX + 1)
+    positional = (big >= -4) & (big < 16)
+    point = np.where(positional, np.where(big >= -1, big + 1, 18), 1)
+    dots, tail, head = [], [], []
+    for e, pos, p in zip(big.tolist(), positional.tolist(), point.tolist()):
+        dots.append((_CHAR["0"] ^ _CHAR["."]) << (8 * p) if p < 18 else 0)
+        tail.append(0 if pos else int.from_bytes(f"e{e:+03d}".encode(),
+                                                 "little") << 24)
+        head.append(0 if e >= 0 or not pos else
+                    int.from_bytes(b"0." + b"0" * (-2 - e) if e < -1 else b"0",
+                                   "little"))
+    minus = [(w << 8) | ord("-") for w in head]
+    return (_POW10[np.minimum(17 - point, 17)],
+            np.array([w & 0xFFFF for w in dots], dtype=np.uint16),
+            *(np.array([(w >> s) & ((1 << 64) - 1) for w in dots],
+                       dtype=np.uint64) for s in (16, 80)),
+            np.where(positional & (big >= 0), big + 3, 0),
+            np.array(tail, dtype=np.uint64),
+            np.array(head + minus, dtype=np.uint64))
+
+
+@functools.cache
+def _digit_tables():
+    """The ASCII of every two-digit group as a uint16, of every four-digit
+    group as the low and as the high half of a uint64, the trailing zeros
+    of every four-digit group (4 for 0), and for each count of bytes of N
+    kept, 0 to 18, the masks of the top, hi and lo words."""
+    i = np.arange(10 ** 4, dtype=np.uint64)
+    digits = [i // 10 ** (3 - j) % 10 for j in range(4)]   # first digit first
+    quads = sum((d + _CHAR["0"]) << (8 * j) for j, d in enumerate(digits))
+    zeros, run = np.zeros(i.size, dtype=np.int64), True
+    for d in reversed(digits):
+        run = run & (d == 0)
+        zeros += run
+    keep = [(1 << (8 * n)) - 1 for n in range(19)]
+    return ((quads >> 16).astype(np.uint16)[:100], quads, quads << 32, zeros,
+            np.array([m & 0xFFFF for m in keep], dtype=np.uint16),
+            *(np.array([(m >> s) & ((1 << 64) - 1) for m in keep],
+                       dtype=np.uint64) for s in (16, 80)))
 
 
 def _mulhi(a_hi, a_lo, b_hi, b_lo):
@@ -98,52 +168,93 @@ def _mulhi(a_hi, a_lo, b_hi, b_lo):
     return a_hi * b_hi + (mid >> 32)
 
 
-def _rop(g, cp):
-    """floor(g cp / 2^127), rounded to odd: its lowest bit is set when the
-    quotient is not exact.  ``g`` is :func:`_table` at each k, ``cp`` is
-    below 2^61."""
-    g1, g1_hi, g1_lo, g0_hi, g0_lo = g
+def _product(g1, g0, cp):
+    """floor(g cp / 2^127) and its 63 fraction bits, truncated as
+    Schubfach's rop truncates them, for g = g1 2^63 + g0 and cp < 2^61."""
     cp_hi, cp_lo = cp >> 32, cp & _M32
-    x1 = _mulhi(g0_hi, g0_lo, cp_hi, cp_lo)
-    y1 = _mulhi(g1_hi, g1_lo, cp_hi, cp_lo)
+    x1 = _mulhi(g0 >> 32, g0 & _M32, cp_hi, cp_lo)
+    y1 = _mulhi(g1 >> 32, g1 & _M32, cp_hi, cp_lo)
     z = ((g1 * cp) >> 1) + x1       # g1 cp mod 2^64, halved, plus x1
-    return (y1 + (z >> 63)) | (((z & _M63) + _M63) >> 63)
+    return y1 + (z >> 63), z & _M63
+
+
+def _rop(g1, g0, cp):
+    """floor(g cp / 2^127), rounded to odd: its lowest bit is set when the
+    quotient is not exact."""
+    whole, frac = _product(g1, g0, cp)
+    return whole | ((frac + _M63) >> 63)
+
+
+def _ends(vb_whole, vb_frac, up, down):
+    """The rounding interval's ends rounded to odd, as :func:`_rop` gives
+    them, from the value's product: (whole, fraction) of g cb 2^h / 2^127
+    plus (up) or minus (down) the half-width of :func:`_exponents`, and
+    the rows where that sum does not decide them.  The product and each
+    half-width lie below their truncations by less than 1.5 and 1 units of
+    2^-63, so an end whose fraction bits come out within 2 units of an
+    integer may be one; elsewhere it is not, and its floor is exact."""
+    (up_whole, up_frac), (down_whole, down_frac) = up, down
+    hi = vb_frac + up_frac
+    lo = vb_frac + down_frac         # 2^63 too much, taken from down_whole
+    vbr = (vb_whole + up_whole + (hi >> 63)) | 1
+    vbl = (vb_whole - down_whole + (lo >> 63)) | 1
+    doubt = (((hi & _M63) - 1 >= _M63 - 2)
+             | ((lo & _M63) - 2 >= _M63 - 3))
+    return vbl, vbr, doubt
 
 
 def _shortest(bits):
     """Schubfach on the bit patterns of finite nonzero float64s: the digits
-    d (uint64, below 10^17) and exponent e (int64) of the shortest decimal
-    d 10^e that rounds to each value, the closest such when several do."""
+    d (uint64, below 10^17) and exponent k (int64) of the shortest decimal
+    d 10^k that rounds to each value, the closest such when several do."""
     t = bits & ((1 << 52) - 1)
-    bq = ((bits >> 52) & 0x7FF).astype(np.int64)
-    c = np.where(bq > 0, t | (1 << 52), t)
-    q = np.maximum(bq, 1) - 1075
-    # the lower neighbour of a power of two (but the smallest normal) is
-    # half as far as the upper one
-    irregular = (t == 0) & (bq > 1)
-    k = np.where(irregular, _flog10_three_quarters_pow2(q), _flog10pow2(q))
-    h = (q + _flog2pow10(-k) + 2).astype(np.uint64)
-    g = tuple(part.take(k - _K_MIN) for part in _table())
-    odd = c & 1                    # an odd c excludes the interval's ends
-    cb = c << 2
-    vb = _rop(g, cb << h)
-    vbl = _rop(g, (cb - 2 + irregular) << h)
-    vbr = _rop(g, (cb + 2) << h)
+    bq = (bits >> 52) & 0x7FF
+    # 2048 where the significand field is 0
+    at = (bq | (((t - 1) >> 52) & 2048)).view(np.int64)
+    k, shift, hidden, g1, g0, *half = (part.take(at)
+                                       for part in _exponents())
+    vb_whole, vb_frac = _product(g1, g0, (t | hidden) << shift)
+    vb = vb_whole | ((vb_frac + _M63) >> 63)
+    vbl, vbr, doubt = _ends(vb_whole, vb_frac, half[:2], half[2:])
+    if doubt.any():
+        rows = np.flatnonzero(doubt)
+        g1, g0, h = g1[rows], g0[rows], shift[rows] - 2
+        cb = (t[rows] | hidden[rows]) << 2
+        irregular = (at[rows] >= 2048) & (bq[rows] > 1)
+        vbl[rows] = _rop(g1, g0, (cb - 2 + irregular) << h)
+        vbr[rows] = _rop(g1, g0, (cb + 2) << h)
     # the one multiple of 10^(k+1) that may lie in the interval
+    odd = bits & 1                 # an odd c excludes the interval's ends
     s = vb >> 2
     sp10 = s // 10 * 10
-    tp10 = sp10 + 10
-    upin = vbl + odd <= sp10 << 2
-    wpin = (tp10 << 2) + odd <= vbr
+    low = vbl + odd
+    high = vbr - odd
+    upin = low <= sp10 << 2
+    wpin = (sp10 + 10) << 2 <= high
     # else s 10^k or (s + 1) 10^k, or the closer of both, ties to even
-    uin = vbl + odd <= s << 2
-    win = ((s + 1) << 2) + odd <= vbr
-    mid = (2 * s + 1) << 1
-    upper = np.where(uin != win, win,
-                     (vb > mid) | ((vb == mid) & (s & 1 == 1)))
+    s4 = s << 2
+    uin = low <= s4
+    win = s4 + 4 <= high
+    upper = np.where(uin != win, win, vb + (s & 1) > s4 + 2)
     digits = np.where(upin != wpin, sp10 + wpin.view(np.uint8) * 10,
                       s + upper)
     return digits, k
+
+
+def _digit_count(n):
+    """The number of decimal digits of each of the positive int64s n."""
+    return np.searchsorted(_POW10, n, side="right")
+
+
+def _trailing_zeros(n):
+    """Trailing decimal zeros of each of the positive int64s n."""
+    count = np.zeros(n.size, dtype=np.int64)
+    rows = np.flatnonzero(n % 10 == 0)
+    while rows.size:
+        n[rows] //= 10
+        count[rows] += 1
+        rows = rows[n[rows] % 10 == 0]
+    return count
 
 
 def float_slots(values) -> np.ndarray:
@@ -152,54 +263,62 @@ def float_slots(values) -> np.ndarray:
     uint8 array, each row the text with NUL bytes wherever it is shorter
     than the slot (between its parts too)."""
     v = np.asarray(values, dtype=np.float64).ravel()
-    n = v.size
-    slots = np.zeros(n, dtype=_SLOT_FIELDS)
-    out = slots.view(np.uint8).reshape(n, SLOT)
-    special = ~np.isfinite(v)
-    regular = (v != 0.0) & ~special
-    d = np.zeros(n, dtype=np.uint64)
-    e10 = np.zeros(n, dtype=np.int64)
-    d[regular], e10[regular] = _shortest(v.view(np.uint64)[regular])
-    # strip trailing zeros: the last digit of d is nonzero, or d is 0
-    rows = np.flatnonzero(regular & (d % 10 == 0))
-    while rows.size:
-        d[rows] //= 10
-        e10[rows] += 1
-        rows = rows[d[rows] % 10 == 0]
-    count = np.searchsorted(_POW10[1:], d, side="right")  # digits of d - 1
-    big = e10 + count                      # weight of the leading digit
-    positional = (big >= -4) & (big < 16)
-    # integers below 10^16 keep their zeros in d: 1e15 is 10^15 x 10^0
-    shift = np.where(positional & (e10 > 0), e10, 0)
-    d *= _POW10[shift]
-    e10 -= shift
-    count += shift
-    # column j of d's 17 digits holds weight e10 + 16 - j
-    digits = np.empty((n, 17), dtype=np.uint8)
-    high, low = np.divmod(d, 10 ** 8)
-    for part, columns in ((low.astype(np.uint32), range(16, 8, -1)),
-                          (high.astype(np.uint32), range(8, -1, -1))):
-        for j in columns:
-            quot = part // 10
-            digits[:, j] = part - quot * 10
-            part = quot
-    # every digit from the leading one, the last being nonzero or the units
-    out[:, _DIGITS:_TAIL:2] = (digits | _CHAR["0"]) * (
-        _COLUMN >= (16 - count).astype(np.int8)[:, None])
-    # the point follows the units digit of the text when a fraction does
-    dotted = np.flatnonzero(np.where(positional, (big >= 0) & (e10 < 0),
-                                     count > 0))
-    unit = np.where(positional[dotted], 0, big[dotted])
-    out[dotted, _DIGITS + 1 + 2 * (e10[dotted] + 16 - unit)] = _CHAR["."]
-    head, tail = _affixes()
-    slots["head"] = head.take(np.where(positional & (big < 0), -big, 0)
-                              + 5 * (v < 0.0))
-    slots["tail"] = tail.take(np.where(positional, e10 >= 0,
-                                       big + 2 - _E_MIN))
-    for i in np.flatnonzero(special):
-        text = repr(float(v[i])).encode("ascii")
-        out[i] = 0
-        out[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
+    out = np.empty((v.size, SLOT), dtype=np.uint8)
+    if not v.size:
+        return out
+    bits = v.view(np.uint64)
+    # zeros, infinities and nan are formed as 1.0, then written over
+    other = ((bits & _M63) - 1 >= 0x7FEF_FFFF_FFFF_FFFF).nonzero()[0]
+    if other.size:
+        bits = bits.copy()
+        bits[other] = np.float64(1.0).view(np.uint64)
+    d, k = _shortest(bits)
+    d = d.view(np.int64)
+    # the 17 digits D of d 10^k, and the weight of the first
+    short = d < 10 ** 16
+    digits = np.where(short, d * 10, d)
+    at = k + (16 - _BIG_MIN) - short
+    if digits.min() < 10 ** 16:   # a subnormal's fewer digits
+        rows = np.flatnonzero(digits < 10 ** 16)
+        count = _digit_count(d[rows])
+        digits[rows] = d[rows] * _POW10[17 - count]
+        at[rows] = k[rows] + count - 1 - _BIG_MIN
+    scale, dot_top, dot_hi, dot_lo, least, tail, head = _layouts()
+    pairs, quad_lo, quad_hi, zeros, keep_top, keep_hi, keep_lo = \
+        _digit_tables()
+    point = scale.take(at)
+    number = digits + digits // point * (9 * point)
+    top = number // 10 ** 16
+    number -= top * 10 ** 16
+    hi = number // 10 ** 8
+    lo = number - hi * 10 ** 8
+    hi_a, lo_a = hi // 10 ** 4, lo // 10 ** 4
+    hi_b, lo_b = hi - hi_a * 10 ** 4, lo - lo_a * 10 ** 4
+    trailing = zeros.take(lo_b)
+    if trailing.max() == 4:   # the last four digits are 0
+        rows = np.flatnonzero(trailing == 4)
+        trailing[rows] += _trailing_zeros(
+            (top[rows] * 10 ** 8 + hi[rows]) * 10 ** 4 + lo_a[rows])
+    kept = np.maximum(18 - trailing, least.take(at))
+    negative = (bits >> 63).view(np.int64)
+    out[:, _HEAD:_HEAD + 8].view("<u8")[:, 0] = head.take(
+        at + head.size // 2 * negative)
+    out[:, _TAIL:_TAIL + 8].view("<u8")[:, 0] = tail.take(at)
+    out[:, _TOP:_TOP + 2].view("<u2")[:, 0] = (
+        pairs.take(top) ^ dot_top.take(at)) & keep_top.take(kept)
+    out[:, _HI:_HI + 8].view("<u8")[:, 0] = (
+        (quad_lo.take(hi_a) | quad_hi.take(hi_b)) ^ dot_hi.take(at)) \
+        & keep_hi.take(kept)
+    out[:, _LO:_LO + 8].view("<u8")[:, 0] = (
+        (quad_lo.take(lo_a) | quad_hi.take(lo_b)) ^ dot_lo.take(at)) \
+        & keep_lo.take(kept)
+    if other.size:
+        zero = v[other] == 0.0
+        out[other[zero]] = _ZERO
+        for i in other[~zero].tolist():
+            text = repr(float(v[i])).encode("ascii")
+            out[i] = 0
+            out[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
     return out
 
 

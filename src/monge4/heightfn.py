@@ -89,18 +89,21 @@ def height_hessian(inv: LocalInvariants, n) -> tuple[np.ndarray, float]:
 def _in_band(m, quadratic, n1, n2) -> bool:
     """Whether the height quadratic (A, B, C) = ``quadratic`` of the M of
     ``m`` vanishes at the unit normal n within the Delta band of
-    :func:`degenerate_normals`.  For Delta > 0 the test is on quad(n) lead
-    (1 + t^2) = Delta + (lead t + B/2)^2, lead and slope t as in
-    :func:`~monge4.conics.homogeneous_quadratic_roots`, else on |quad(n)|
-    times the larger |eigenvalue| of [[A, B/2], [B/2, C]] (<= |Delta|)."""
+    :func:`degenerate_normals`: whether the Delta at which n would be a
+    root, moving the coefficient of the smaller of A and C, lies within
+    the band of the point's Delta.  With lead and slope t as in
+    :func:`~monge4.conics.homogeneous_quadratic_roots`, that is
+    |Delta + (lead t + B/2)^2| = |quad(n) lead (1 + t^2)|, which is Delta
+    itself at the double root of a Delta in the band and 0 at either root
+    below it.  Where A = C = 0 (so Delta = -B^2/4) it is 2 |n1 n2 Delta|,
+    0 at the roots (1, 0) and (0, 1)."""
     qa, qb, qc = quadratic
     tau = REL * m.msq * m.msq
-    if m.Delta > 0.0:   # so A C > 0: the lead is not zero
-        lead, top, bottom = (qa, n1, n2) if abs(qa) >= abs(qc) else (qc, n2, n1)
-        slope = lead * top / bottom + 0.5 * qb if bottom else math.inf
-        return m.Delta + slope * slope <= tau
-    big = math.hypot(0.5 * (qa - qc), 0.5 * qb) + 0.5 * abs(qa + qc)
-    return abs(qa * n1 * n1 + qb * n1 * n2 + qc * n2 * n2) * big <= tau
+    lead, top, bottom = (qa, n1, n2) if abs(qa) >= abs(qc) else (qc, n2, n1)
+    if lead == 0.0:
+        return abs(qb * n1 * n2) * 0.5 * abs(qb) <= tau
+    slope = lead * top / bottom + 0.5 * qb if bottom else math.inf
+    return abs(m.Delta + slope * slope) <= tau
 
 
 def classify_height(surface: SurfaceSpec, x: float, y: float,

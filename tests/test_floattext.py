@@ -36,10 +36,19 @@ def _from_bits(patterns):
     return np.array(patterns, dtype=np.uint64).view(np.float64)
 
 
+# d 10^e with d of 16 or 17 digits and |d 10^e| in [1e-5, 1e16), where
+# repr prints positionally: most of the grid's values look like these
+_long_positional = st.builds(
+    lambda sign, d, e: float(f"{sign}{d}e{e}"), st.sampled_from("+-"),
+    st.integers(10 ** 15, 10 ** 17 - 1), st.integers(-20, -1))
+
+
 @settings(max_examples=400, deadline=None)
-@given(st.lists(st.floats(), max_size=40))
-def test_floats_print_as_repr(values):
+@given(st.lists(st.floats(), max_size=40),
+       st.lists(_long_positional, max_size=40))
+def test_floats_print_as_repr(values, long_values):
     _assert_repr(values)
+    _assert_repr(long_values)
 
 
 @settings(max_examples=400, deadline=None)
@@ -95,6 +104,84 @@ def test_edges(value, text):
 def test_positional_and_scientific_switch(value, text):
     """Positional from 1e-4 up to below 1e16, scientific outside."""
     assert _texts([value]) == [text]
+
+
+def test_every_point_position():
+    """d 10^e with d of 1, 3 and 17 digits and e from -22 to 18, so every
+    place of the point among the 18 digits, none (0.0ddd) and d.ddde+XX,
+    with ".0" on integers and zeros before the point, for both signs."""
+    values = [float(f"{d}e{e}") for e in range(-22, 19)
+              for d in ("1", "123", "12345678901234567", "10000000000000001",
+                        "9", "999", "99999999999999999")]
+    _assert_repr(np.concatenate([values, np.negative(values)]))
+
+
+def _counting(monkeypatch, name):
+    """Replace floattext's ``name`` by a wrapper that counts its calls."""
+    calls = []
+    inner = getattr(floattext, name)
+
+    def counted(*args):
+        calls.append(len(args[-1]))
+        return inner(*args)
+
+    monkeypatch.setattr(floattext, name, counted)
+    return calls
+
+
+def test_interval_ends_fall_back_to_their_products(monkeypatch):
+    """Values of binary exponent 50 to 67 have ends at an integer plus less
+    than 2^-63: the sum of the value's product and the half-width leaves
+    them in doubt, so both ends are formed by their own products.  Among
+    these, 2^60 (1.152921504606847e+18) is not."""
+    calls = _counting(monkeypatch, "_rop")
+    values = np.ldexp(1.0, 52) + np.arange(-3.0, 40.0)
+    _assert_repr(np.concatenate([values, [2.0 ** 53, 2.0 ** 54, 2.0 ** 60]]))
+    assert calls == [45, 45]
+    calls.clear()
+    _assert_repr(np.random.default_rng(7).standard_normal(10 ** 4))
+    assert calls == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 0x7FEF_FFFF_FFFF_FFFF), min_size=1,
+                max_size=40))
+def test_interval_ends_are_their_products(patterns):
+    """Where the sum of the value's product and the half-width decides an
+    end, it is the end's own product rounded to odd, bit for bit."""
+    bits = np.array(patterns, dtype=np.uint64)
+    t = bits & ((1 << 52) - 1)
+    bq = (bits >> 52) & 0x7FF
+    at = (bq | (((t - 1) >> 52) & 2048)).view(np.int64)
+    _, shift, hidden, g1, g0, *half = (p.take(at)
+                                       for p in floattext._exponents())
+    c = t | hidden
+    vbl, vbr, doubt = floattext._ends(
+        *floattext._product(g1, g0, c << shift), half[:2], half[2:])
+    irregular = (t == 0) & (bq > 1)
+    sure = ~doubt
+    assert np.array_equal(vbl[sure], floattext._rop(
+        g1, g0, ((c << 2) - 2 + irregular) << (shift - 2))[sure])
+    assert np.array_equal(vbr[sure], floattext._rop(
+        g1, g0, ((c << 2) + 2) << (shift - 2))[sure])
+
+
+def test_few_digits_and_trailing_zeros_take_their_fallbacks(monkeypatch):
+    """A subnormal may have fewer than 16 digits, counted one by one; a
+    value whose last four of 18 digits are 0 has its trailing zeros counted
+    one by one.  17-digit normal values take neither."""
+    counts = _counting(monkeypatch, "_digit_count")
+    zeros = _counting(monkeypatch, "_trailing_zeros")
+    _assert_repr([5e-324, -1e-320, 2.5e-310, 0.1])
+    assert counts == [3] and zeros == [4]   # 0.1 gives N = 01000...0
+    counts.clear()
+    zeros.clear()
+    _assert_repr([0.5, 1e-300, 123.0, 1e22, -0.25, 1.5e300])
+    assert counts == [] and zeros == [6]
+    counts.clear()
+    zeros.clear()
+    _assert_repr([1 / 3, -2 / 3, 0.1 + 0.2, np.pi * 1e10])
+    assert counts == [] and zeros == []
 
 
 @pytest.mark.parametrize("size", [0, 1, cli.BLOCK_LINES - 1,

@@ -462,9 +462,13 @@ def test_binormals_are_degenerate_normals_on_the_corpus():
 
 
 @given(_seeds, st.sampled_from([-1.0, 0.0, 0.5, 1.0, 1.0 + 1e-7]))
+@example(seed=3839, theta=-1.0)
 @settings(max_examples=100, deadline=None)
 def test_binormals_are_degenerate_normals_at_the_band(seed, theta):
-    """With Delta just below, inside and just above its band."""
+    """With Delta just below, inside and just above its band.  The example
+    has Delta = -0.99999999986 of the band's width, where a test on
+    |quad(n)| times the larger eigenvalue once called its one binormal
+    nondegenerate."""
     _assert_binormals_are_degenerate_normals(
         *_pushed_surface(np.random.default_rng(seed), theta))
 

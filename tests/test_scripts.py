@@ -185,7 +185,8 @@ def test_compare_outputs_names_the_first_differing_line():
 
 
 def test_check_float_text():
-    """10^5 random bit patterns print as repr prints them."""
+    """10^5 random floats, half of them uniform bit patterns and half in
+    the range where repr's layout switches, print as repr prints them."""
     r = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "check_float_text.py"),
          "100000", "3"],
