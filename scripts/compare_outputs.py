@@ -2,14 +2,14 @@
 """Compare the outputs of this tree's monge4 with those of another source
 tree.
 
-    python3 scripts/compare_outputs.py OTHER_SRC [--res N] [--at X,Y ...]
+    python3 scripts/compare_outputs.py OTHER_SRC [--res N ...] [--at X,Y ...]
                                        [--surface FILE ...]
                                        [--point-queries SEED ...]
                                        [--locus-search SEED ...] [--peak]
 
 Runs ``analyze``, ``plot`` and ``height`` at each ``--at`` point (default
 0,0 and 0.25,-0.2) and ``grid``, ``selfcheck``, ``trace`` and ``inflections``
-at ``--res`` (default 128) on the surfaces of ``fixture_gallery.py``, the
+at each ``--res`` (default 128) on the surfaces of ``fixture_gallery.py``, the
 polynomial surface of the golden tests and two transcendental surfaces, or on
 the given surface files instead.  ``height`` is no subcommand but the
 benchmark's point-queries ``height`` job: the degenerate normals of the
@@ -22,13 +22,14 @@ SEED`` the three surfaces of one round of its locus-search workload, with
 command runs twice, in one subprocess with this tree's ``src`` on the
 import path and in one with OTHER_SRC.
 Prints, for each surface and subcommand, ``same`` or the first differing
-line; the exit code and the error output count as lines too.  A failure
-both trees share prints as ``same`` followed by its exit code, such as
-``same (exit 4)``.  With ``--peak``, each line ends with the job's
-tracemalloc peak in this tree and in OTHER_SRC, such as ``same, peak 6.58
-vs 8.96 MB``: the peak of a second run of the job, after the compared one,
-so that compiling the surface's jet kernels is not counted.  Exits 1 on
-any difference.
+line; with more than one ``--res``, the key of each grid subcommand's line
+ends with its resolution.  The exit code and the error output count as
+lines too.  A failure both trees share prints as ``same`` followed by its
+exit code, such as ``same (exit 4)``.  With ``--peak``, each line ends
+with the job's tracemalloc peak in this tree and in OTHER_SRC, such as
+``same, peak 6.58 vs 8.96 MB``: the peak of a second run of the job, after
+the compared one, so that compiling the surface's jet kernels is not
+counted.  Exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -183,20 +184,24 @@ def main(argv=None):
     from monge4.cli import _attach_negative_points
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("other_src", type=pathlib.Path)
-    parser.add_argument("--res", type=int, default=128)
+    parser.add_argument("--res", type=int, nargs="+", default=[128],
+                        help="resolutions of grid, selfcheck, trace and "
+                             "inflections; with more than one, each of "
+                             "their lines names its resolution")
     parser.add_argument("--at", action="append",
                         help="point X,Y of analyze, plot and height "
                              "(repeatable)")
     parser.add_argument("--surface", action="append",
                         help="surface file in place of the gallery (repeatable)")
-    parser.add_argument("--point-queries", type=int, action="append",
-                        default=[], metavar="SEED",
+    parser.add_argument("--point-queries", type=int, action="extend",
+                        nargs="+", default=[], metavar="SEED",
                         help="add the benchmark's point-queries surfaces and "
-                             "points for SEED (repeatable)")
-    parser.add_argument("--locus-search", type=int, action="append",
-                        default=[], metavar="SEED",
+                             "points for each SEED (repeatable)")
+    parser.add_argument("--locus-search", type=int, action="extend",
+                        nargs="+", default=[], metavar="SEED",
                         help="add trace and inflections on the benchmark's "
-                             "locus-search surfaces for SEED (repeatable)")
+                             "locus-search surfaces for each SEED "
+                             "(repeatable)")
     parser.add_argument("--peak", action="store_true",
                         help="also print each job's tracemalloc peak in "
                              "both trees")
@@ -215,8 +220,10 @@ def main(argv=None):
                          for at in points]
             jobs += [(f"{name} height {at}", ["height", path, at])
                      for at in points]
-            jobs += [(f"{name} {command}",
-                      [command, "--surface", path, "--res", str(args.res)])
+            jobs += [(f"{name} {command}" + (f" {res}" if len(args.res) > 1
+                                             else ""),
+                      [command, "--surface", path, "--res", str(res)])
+                     for res in args.res
                      for command in ("grid", "selfcheck", "trace", "inflections")]
         for seed in args.point_queries:
             jobs += _workload_jobs(work, "point-queries", seed)

@@ -49,7 +49,7 @@ EXIT_USAGE = 2
 EXIT_SURFACE_FILE = 3
 EXIT_NUMERICAL = 4
 
-RES_MIN, RES_MAX = 16, 4096
+RES_MIN, RES_MAX = locus.MIN_RESOLUTION, 4096
 
 
 def _fmt(v) -> str:

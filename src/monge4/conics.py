@@ -283,7 +283,8 @@ def _sweep_trig(angles: list[float]):
 @functools.lru_cache(maxsize=8)
 def _sweep_table(n: int):
     """:func:`_sweep_trig` of the angles k pi / n, k < n, that
-    :func:`sample_characteristic` takes: once per n, read-only."""
+    :func:`sample_indicatrix` and :func:`sample_characteristic` take: once
+    per n, read-only."""
     table = _sweep_trig((np.arange(n) * math.pi / n).tolist())
     for column in table:
         column.flags.writeable = False
@@ -404,8 +405,7 @@ def conic_asymptote_directions(conic: Conic) -> list[np.ndarray]:
 
 def sample_indicatrix(inv: LocalInvariants, n: int = 256) -> np.ndarray:
     """n points eta(k pi / n) of any a..g: one traversal of the ellipse."""
-    thetas = np.arange(n) * (math.pi / n)
-    return np.column_stack(_second_form(inv, np.cos(thetas), np.sin(thetas)))
+    return np.column_stack(_second_form(inv, *_sweep_table(n)[:2]))
 
 
 def sample_characteristic(inv: LocalInvariants, n: int = 512,

@@ -77,7 +77,6 @@ class Polyline:
 @dataclass(frozen=True, eq=False)
 class PolylineSet:
     polylines: list[Polyline]
-    degenerate_cells: np.ndarray  # (n, 2) cells (i, j) with |Delta| ~ 0 throughout
 
 
 @dataclass(frozen=True)
@@ -193,8 +192,7 @@ def trace_parabolic(surface: SurfaceSpec, resolution: int = 256,
     that give segments are refined by :func:`_refine_edges` on the exact
     Delta along the edge and linked into polylines by
     :func:`_link_segments`; a vertex's residual is |Delta| at the vertex
-    itself.  Cells whose entire sampled field is flat-zero are flagged
-    degenerate and excluded.
+    itself.  Cells whose entire sampled field is flat-zero give no segment.
 
     A vertex is named by the id of its edge: the edge from node (i, j) to
     (i+1, j) by i*ny + j, the one from (i, j) to (i, j+1) by
@@ -213,7 +211,6 @@ def trace_parabolic(surface: SurfaceSpec, resolution: int = 256,
     nh = (nx - 1) * ny
 
     cell_flat = flat[:-1, :-1] & flat[1:, :-1] & flat[1:, 1:] & flat[:-1, 1:]
-    degenerate_cells = np.argwhere(cell_flat)
 
     # strict sign-change edges ("h": along x between (i,j)-(i+1,j);
     # "v": along y between (i,j)-(i,j+1))
@@ -263,8 +260,7 @@ def trace_parabolic(surface: SurfaceSpec, resolution: int = 256,
     # every cell has two or four crossing edges, so its segments are
     # consecutive pairs of them, in cell order
     segments = edges[crossed].reshape(-1, 2)
-    return PolylineSet(polylines=_link_segments(segments.tolist(), crossings),
-                       degenerate_cells=degenerate_cells)
+    return PolylineSet(_link_segments(segments.tolist(), crossings))
 
 
 def _link_segments(segments, crossings) -> list[Polyline]:
@@ -316,13 +312,8 @@ def _newton_steps(delta: Jet, kappa: Jet):
     least-squares sense, on H scaled by its largest entry and the kappa row
     by the length of grad kappa; it is the average of the solutions of the
     three 2x2 subsystems weighted by their squared determinants m^2, whose
-    sum is the determinant of the normal equations (Cauchy-Binet).
-
-    Where that sum is at most SINGULAR, the step solves the (Delta, kappa)
-    system instead.  That system has no step where a gradient is zero or
-    not finite, where its rows scaled to unit length have a determinant of
-    at most 1e-300, or where elimination with partial pivoting meets a zero
-    pivot."""
+    sum is the determinant of the normal equations (Cauchy-Binet).  Where
+    that sum is at most SINGULAR, the walker has no step."""
     with np.errstate(all="ignore"):
         big = np.maximum(np.maximum(np.abs(delta.fxx), np.abs(delta.fxy)),
                          np.abs(delta.fyy))
@@ -337,26 +328,7 @@ def _newton_steps(delta: Jet, kappa: Jet):
             sx = sx + m * (b * t - q * c)
             sy = sy + m * (p * c - b * r)
             det = det + m * m
-        regular = det > SINGULAR
-        sx, sy = sx / det, sy / det
-
-        d0, d1, k0, k1 = delta.fx, delta.fy, kappa.fx, kappa.fy
-        nd = np.hypot(d0, d1)
-        p, q, b = d0 / nd, d1 / nd, delta.f / nd
-        r, t, c = k0 / nk, k1 / nk, kappa.f / nk
-        solvable = (0.0 < nd) & (nd < np.inf) & (0.0 < nk) & (nk < np.inf) \
-            & (np.abs(p * t - q * r) > 1e-300)
-        swap = np.abs(r) > np.abs(p)
-        p, r = np.where(swap, r, p), np.where(swap, p, r)
-        q, t = np.where(swap, t, q), np.where(swap, q, t)
-        b, c = np.where(swap, c, b), np.where(swap, b, c)
-        ell = r / p
-        u = t - ell * q
-        solvable &= (p != 0.0) & (u != 0.0)
-        ky = (c - ell * b) / u
-        kx = (b - q * ky) / p
-    return np.where(regular, sx, kx), np.where(regular, sy, ky), \
-        regular | solvable
+        return sx / det, sy / det, det > SINGULAR
 
 
 def _newton_walkers(surface: SurfaceSpec, px, py, cellx: float, celly: float):
@@ -413,31 +385,18 @@ def _newton_walkers(surface: SurfaceSpec, px, py, cellx: float, celly: float):
                     best[found].tolist()))
 
 
-def _tile_minima(resid, above):
-    """Where each node of the tile ``resid`` is at most each of its eight
-    neighbours, with ``above`` the x-row before the tile and inf beyond the
-    grid.  The x-row after the tile is not compared: the test of the tile's
-    last row is finished against it by :func:`_at_most_row`."""
-    padded = np.full((resid.shape[0] + 2, resid.shape[1] + 2), np.inf)
-    padded[0, 1:-1] = above
-    padded[1:-1, 1:-1] = resid
-    is_min = np.ones(resid.shape, dtype=bool)
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di == 0 and dj == 0:
-                continue
-            neighbor = padded[1 + di:padded.shape[0] - 1 + di,
-                              1 + dj:padded.shape[1] - 1 + dj]
-            is_min &= resid <= neighbor
+def _minima(block):
+    """Where each node of the x-rows block[1:-1] is at most each of its
+    eight neighbours, with inf beyond the ends of the rows."""
+    padded = np.full((block.shape[0], block.shape[1] + 2), np.inf)
+    padded[:, 1:-1] = block
+    mid = block[1:-1]
+    is_min = np.ones(mid.shape, dtype=bool)
+    for di in range(3):
+        for dj in range(3):
+            if di != 1 or dj != 1:
+                is_min &= mid <= padded[di:di + len(mid), dj:dj + mid.shape[1]]
     return is_min
-
-
-def _at_most_row(values, j, row):
-    """Whether values[k] is at most row[j[k] - 1], row[j[k]] and
-    row[j[k] + 1], with inf beyond the ends of ``row``."""
-    padded = np.concatenate(([np.inf], row, [np.inf]))
-    return (values <= padded[j]) & (values <= padded[j + 1]) \
-        & (values <= padded[j + 2])
 
 
 def _seed_tiles(surface: SurfaceSpec, resolution: int, rho: float):
@@ -458,38 +417,33 @@ def _seed_tiles(surface: SurfaceSpec, resolution: int, rho: float):
     the failing point is the first minimum in row-major order at which the
     jet of phi, then that of psi, overflows.
 
-    Of a tile's fields, only the residuals of its last x-row and that row's
-    seeds are kept past the tile, and the minimum test of that row is
-    finished against the next tile's first row.  The fields themselves are
-    dropped once the next tile's are formed: the loop holds the previous
-    tile while it evaluates the next.
+    A row's minima are tested once the next row is known: each batch holds
+    those of the previous tile's last row and of this tile's rows but its
+    last, and a final batch those of the grid's last row, against a row of
+    inf.  Only the residuals of a tile's last two x-rows are kept past it,
+    and its fields are dropped once their residuals are taken.
     """
     xs, ys = grid_axes(surface, resolution)
-    above = np.full(resolution, np.inf)
-    last_j = np.empty(0, dtype=np.intp)  # the last row's seeds so far
-    last_resid = np.empty(0)
-    last_i = 0
-    for rows, where in grid_tiles(surface, resolution):
-        fields = second_order_grid(surface, *where)
-        resid = _residual_field(fields)
-        kept = _at_most_row(last_resid, last_j, resid[0])
-        yield last_i * resolution + last_j[kept], last_resid[kept]
+    beyond = np.full((1, resolution), np.inf)
 
-        at_min = np.nonzero(_tile_minima(resid, above))
-        px, py = xs[at_min[0] + rows.start], ys[at_min[1]]
-        grads, m = scaled_jets(eval_jet(surface.phi, px, py, 3),
-                               eval_jet(surface.psi, px, py, 3), 1)
+    def seeds(block, top):
+        at_min = np.nonzero(_minima(block))
+        i, j = at_min[0] + top, at_min[1]
+        grads, m = scaled_jets(eval_jet(surface.phi, xs[i], ys[j], 3),
+                               eval_jet(surface.psi, xs[i], ys[j], 3), 1)
         gd = np.hypot(grads.Delta.fx, grads.Delta.fy)
         gk = np.hypot(grads.kappa.fx, grads.kappa.fy)
         seed = (np.abs(m.Delta) <= np.maximum(SEED_BAND * m.msq ** 2, gd * rho)) \
             & (np.abs(m.kappa) <= np.maximum(SEED_BAND * m.msq, gk * rho))
-        i, j = at_min[0][seed] + rows.start, at_min[1][seed]
-        r = resid[at_min][seed]
-        last = i == rows.stop - 1
-        yield i[~last] * resolution + j[~last], r[~last]
-        last_i, last_j, last_resid = rows.stop - 1, j[last], r[last]
-        above = resid[-1]
-    yield last_i * resolution + last_j, last_resid
+        return i[seed] * resolution + j[seed], block[1:-1][at_min][seed]
+
+    carry = beyond  # the untested x-row and the row above it; at first, inf
+    for rows, where in grid_tiles(surface, resolution):
+        block = np.concatenate(
+            (carry, _residual_field(second_order_grid(surface, *where))))
+        yield seeds(block, rows.stop - len(block) + 1)
+        carry = block[-2:]
+    yield seeds(np.concatenate((carry, beyond)), resolution - len(carry) + 1)
 
 
 def find_inflections(surface: SurfaceSpec, resolution: int = 256,
@@ -500,8 +454,8 @@ def find_inflections(surface: SurfaceSpec, resolution: int = 256,
     on the grid where Delta and kappa are inside a coarse band, or can
     vanish within 1.5 cells by their exact gradients, seed the walkers of
     :func:`_newton_walkers`: one batch, each pass a Gauss-Newton step on
-    grad Delta = 0, kappa = 0 with the exact Hessian of Delta (a Newton step
-    on (Delta, kappa) where that system is singular).  The residuals are
+    grad Delta = 0, kappa = 0 with the exact Hessian of Delta; where that
+    system is singular the walker stops.  The residuals are
     taken on M scaled by the power of two of :func:`unit_scaled`, so the
     search does not depend on the scale of the surface.  Accepted roots are
     deduplicated within a cell, re-verified (the rank of the coefficient

@@ -51,10 +51,12 @@ the package's ``floattext`` writer, and :func:`trace_parabolic_reference` and
 :func:`find_inflections_reference` are ``locus.trace_parabolic`` and
 ``locus.find_inflections`` as they were then, with one evaluation per saddle
 cell centre in the former; the package must reproduce their output bit for
-bit.  The former names edges by tuples ``("h", i, j)`` and ``("v", i, j)``
-and links them with :func:`link_segments_reference`, the walk over a
-general graph, marking directed pairs, that ``locus._link_segments``
-replaced by a walk over integer edge ids, each with at most two partners.
+bit, and ``locus._seed_tiles`` the whole-grid seeds of
+:func:`seeds_reference`.  The former names edges by tuples
+``("h", i, j)`` and ``("v", i, j)`` and links them with
+:func:`link_segments_reference`, the walk over a general graph, marking
+directed pairs, that ``locus._link_segments`` replaced by a walk over
+integer edge ids, each with at most two partners.
 """
 
 from __future__ import annotations
@@ -880,7 +882,6 @@ def trace_parabolic_reference(surface, res, rel=cls.REL):
     delta = np.asarray(fields.Delta)
     flat = np.abs(delta) <= rel * coeff_norm(fields) ** 4
     live = ~(flat[:-1, :-1] & flat[1:, :-1] & flat[1:, 1:] & flat[:-1, 1:])
-    degenerate_cells = [(int(i), int(j)) for i, j in zip(*np.nonzero(~live))]
     pos = delta > 0.0
     neg = delta < 0.0
     h_cross = (pos[:-1, :] & neg[1:, :]) | (neg[:-1, :] & pos[1:, :])
@@ -927,9 +928,7 @@ def trace_parabolic_reference(surface, res, rel=cls.REL):
             segments += [(s_edge, e_edge), (n_edge, w_edge)]
         else:
             segments += [(s_edge, w_edge), (n_edge, e_edge)]
-    return locus.PolylineSet(polylines=link_segments_reference(segments,
-                                                               crossings),
-                             degenerate_cells=degenerate_cells)
+    return locus.PolylineSet(link_segments_reference(segments, crossings))
 
 
 def link_segments_reference(segments, crossings):
@@ -984,10 +983,11 @@ def link_segments_reference(segments, crossings):
     return out
 
 
-def find_inflections_reference(surface, res, rel=cls.REL):
-    """``locus.find_inflections`` from one whole-grid evaluation of order 3:
-    the seeds are the minima of the scaled residual over the whole grid
-    that pass the seed test, capped at MAX_SEEDS by one stable sort.
+def seeds_reference(surface, res):
+    """The seeds of ``locus.find_inflections`` from one whole-grid
+    evaluation of order 3, uncapped: (flat node index, scaled residual) of
+    each minimum of the scaled residual over the whole grid that passes the
+    seed test, in row-major order.
 
     The search evaluates its tiles at order 2 and third derivatives at the
     minima only; this reference takes them from the grid, so every
@@ -1008,22 +1008,31 @@ def find_inflections_reference(surface, res, rel=cls.REL):
     grads, m = scaled_jets(*(Jet(tuple(c[at_min] for c in jet.coeffs))
                              for jet in (fields.jet_phi, fields.jet_psi)), 1)
     xmin, xmax, ymin, ymax = surface.domain
+    rho = 1.5 * float(np.hypot((xmax - xmin) / (res - 1),
+                               (ymax - ymin) / (res - 1)))
+    gd = np.hypot(grads.Delta.fx, grads.Delta.fy)
+    gk = np.hypot(grads.kappa.fx, grads.kappa.fy)
+    seed = (np.abs(m.Delta) <= np.maximum(locus.SEED_BAND * m.msq ** 2, gd * rho)) \
+        & (np.abs(m.kappa) <= np.maximum(locus.SEED_BAND * m.msq, gk * rho))
+    index = at_min[0][seed] * res + at_min[1][seed]
+    return list(zip(index.tolist(), resid_field[at_min][seed].tolist()))
+
+
+def find_inflections_reference(surface, res, rel=cls.REL):
+    """``locus.find_inflections`` with the seeds of :func:`seeds_reference`,
+    capped at MAX_SEEDS by one stable sort."""
+    seeds = seeds_reference(surface, res)
+    if len(seeds) > locus.MAX_SEEDS:
+        order = np.argsort([r for _, r in seeds], kind="stable")
+        seeds = [seeds[k] for k in order[:locus.MAX_SEEDS]]
+    index = np.array([k for k, _ in seeds], dtype=int)
+    xs, ys = grid_axes(surface, res)
+    xmin, xmax, ymin, ymax = surface.domain
     cellx = (xmax - xmin) / (res - 1)
     celly = (ymax - ymin) / (res - 1)
     cell = float(np.hypot(cellx, celly))
-    rho = 1.5 * cell
-    gd = np.hypot(grads.Delta.fx, grads.Delta.fy)
-    gk = np.hypot(grads.kappa.fx, grads.kappa.fy)
-    seed_mask = np.zeros_like(is_min)
-    seed_mask[at_min] = \
-        (np.abs(m.Delta) <= np.maximum(locus.SEED_BAND * m.msq ** 2, gd * rho)) \
-        & (np.abs(m.kappa) <= np.maximum(locus.SEED_BAND * m.msq, gk * rho))
-    seeds = np.argwhere(seed_mask)
-    if len(seeds) > locus.MAX_SEEDS:
-        order = np.argsort(resid_field[seed_mask], kind="stable")
-        seeds = seeds[order[:locus.MAX_SEEDS]]
-    accepted = locus._newton_walkers(surface, xs[seeds[:, 0]], ys[seeds[:, 1]],
-                                     cellx, celly)
+    accepted = locus._newton_walkers(surface, xs[index // res],
+                                     ys[index % res], cellx, celly)
     accepted.sort(key=lambda r: r[2])
     unique = []
     for r in accepted:

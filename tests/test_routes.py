@@ -194,7 +194,9 @@ def test_trace_evaluates_second_order_only(jet_calls, monkeypatch, name):
 def test_seed_pass_evaluates_third_order_at_minima_only(jet_calls,
                                                         monkeypatch, name):
     """Before the walkers, each tile of the seed pass evaluates phi and psi
-    at order 2 on its nodes, then at order 3 on its 3x3 minima alone; the
+    at order 2 on its nodes, then at order 3 on the 3x3 minima alone of the
+    rows whose next row is known: the previous tile's last row and its own
+    rows but the last; the grid's last row follows the last tile.  The
     walkers evaluate at order 4, and each report at one point."""
     monkeypatch.setattr(localgeom, "TILE_POINTS", JET_RES * TILE_ROWS)
     surface = LOCUS_SURFACES[name]
@@ -212,14 +214,21 @@ def test_seed_pass_evaluates_third_order_at_minima_only(jet_calls,
     xs, ys = grid_axes(surface, JET_RES)
     fl = invariant_grid(surface, xs[:, None], ys[None, :])
     resid = locus._residual_field(fl)
+    padded = np.full((JET_RES + 2, JET_RES + 2), np.inf)
+    padded[1:-1, 1:-1] = resid
+    is_min = np.ones(resid.shape, dtype=bool)
+    for di in (0, 1, 2):
+        for dj in (0, 1, 2):
+            is_min &= resid <= padded[di:di + JET_RES, dj:dj + JET_RES]
+    # a tile's batch: the minima of the previous tile's last row and of
+    # its own rows but the last
+    per_row = is_min.sum(axis=1)
     expected = []
-    above = np.full(JET_RES, np.inf)
     for start in range(0, JET_RES, TILE_ROWS):
-        tile = resid[start:start + TILE_ROWS]
-        minima = int(np.count_nonzero(locus._tile_minima(tile, above)))
-        assert minima < tile.size // 4
-        expected += [(2, tile.size)] * 2 + [(3, minima)] * 2
-        above = tile[-1]
+        minima = int(per_row[max(start - 1, 0):start + TILE_ROWS - 1].sum())
+        assert minima < TILE_ROWS * JET_RES // 4
+        expected += [(2, TILE_ROWS * JET_RES)] * 2 + [(3, minima)] * 2
+    expected += [(3, int(per_row[-1]))] * 2
     assert before_walkers == expected
     after = Counter(calls[len(expected):])
     # walker passes at order 4; local_invariants (order 3) and

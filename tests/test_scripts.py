@@ -100,6 +100,29 @@ def test_compare_outputs_takes_a_negative_point(tmp_path):
     assert all(line.endswith(": same") for line in lines), r.stdout
 
 
+def test_compare_outputs_takes_several_resolutions_and_seeds(tmp_path):
+    """`--res 16 17` runs grid, selfcheck, trace and inflections at each
+    resolution, and each of their keys ends with it; `--point-queries 0 1`
+    adds the 72 lines of each seed.  Compared with itself, each of the
+    3 + 8 + 144 lines prints `same`."""
+    surface = tmp_path / "s.surf"
+    surface.write_text("phi = x^2 - y^2\npsi = 2*x*y\ndomain = -1 1 -1 1\n",
+                       encoding="utf-8")
+    r = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "compare_outputs.py"),
+         str(ROOT / "src"), "--res", "16", "17", "--surface", str(surface),
+         "--at", "0,0", "--point-queries", "0", "1"],
+        capture_output=True, text=True, check=False)
+    assert r.returncode == 0, r.stdout + r.stderr
+    lines = r.stdout.splitlines()
+    assert len(lines) == 3 + 8 + 144
+    assert [line.split()[1:] for line in lines[3:11]] == [
+        [command, f"{res}:", "same"] for res in (16, 17)
+        for command in ("grid", "selfcheck", "trace", "inflections")]
+    assert [line.split()[1] for line in lines[11:]] == ["0"] * 72 + ["1"] * 72
+    assert all(line.endswith(": same") for line in lines), r.stdout
+
+
 def test_compare_outputs_adds_the_point_queries_of_a_seed(tmp_path):
     """`--point-queries 0` adds analyze, plot and height at the 24 points of
     the benchmark's point-queries round for seed 0: compared with itself,
